@@ -34,6 +34,10 @@ because the lint (and the exporters'/explain renderers' help text) can
 only vouch for literal names.  A call site that *must* be dynamic (the
 fleet-parallel merge replays already-linted worker call sites) may carry
 an ``# observability-names: allow-dynamic`` comment on the same line.
+The control plane's engine-counter publisher is table-driven instead:
+the lint reads the gauge names from
+:data:`repro.controlplane.control_plane.ENGINE_GAUGES` and checks each
+row against the CATALOG, which vouches for the one loop that walks it.
 
 The ``fleet_*`` and ``whatif_batch_*`` namespaces get a stricter pass:
 **any** string literal starting with ``fleet_`` or ``whatif_batch_`` —
@@ -60,6 +64,9 @@ DEFAULT_PATHS = (
 
 #: Same-line opt-out for call sites that replay already-linted names.
 ALLOW_DYNAMIC = "observability-names: allow-dynamic"
+#: The name argument of the loop that walks ENGINE_GAUGES; main() checks
+#: the table's names themselves.
+TABLE_DRIVEN_ARG = "engine_gauge.name"
 
 SNAKE_CASE = re.compile(r"^[a-z][a-z0-9_]*$")
 #: A registry method call with a string-literal first argument.
@@ -213,7 +220,7 @@ def check_file(
         arg = match.group("arg")
         if arg.startswith(("'", '"')) or arg == "":
             continue  # empty call, or a literal ANY_CALL truncated oddly
-        if allows_dynamic(match.start()):
+        if arg == TABLE_DRIVEN_ARG or allows_dynamic(match.start()):
             continue
         errors.append(
             f"{path}:{lineno(match.start())}: metric name is not a string "
@@ -371,6 +378,17 @@ def main(argv=None) -> int:
             "reason (repro.engine.exec.dispatch.FALLBACK_REASONS) "
             "publishes it"
         )
+    # The control plane's declarative engine-counter table: every row
+    # must publish a cataloged gauge.
+    from repro.controlplane.control_plane import ENGINE_GAUGES
+
+    for gauge in ENGINE_GAUGES:
+        if gauge.name not in metrics:
+            errors.append(
+                f"ENGINE_GAUGES (src/repro/controlplane/control_plane.py) "
+                f"publishes {gauge.name!r} but the metrics CATALOG "
+                "(src/repro/observability/metrics.py) does not declare it"
+            )
     # Cross-catalog invariants: every SLO reads a cataloged series
     # (enforced again at import), and every non-advisory SLO must have
     # an ALERT_CATALOG entry so burn_alert_rules() passes AlertRule

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.clock import DAYS, HOURS, SimClock
 from repro.controlplane.events import EventBus
@@ -119,6 +119,82 @@ class Incident:
     description: str
 
 
+class EngineGauge(NamedTuple):
+    """One engine counter surfaced as a per-database fleet gauge."""
+
+    name: str
+    labels: Dict[str, str]
+    read: Callable[[SqlEngine], float]
+    #: Publish only while this holds for the engine (None: always), so
+    #: series a database never exercised do not exist at all.
+    when: Optional[Callable[[SqlEngine], float]] = None
+
+
+def _priced_a_batch(engine: SqlEngine) -> int:
+    return engine.optimizer.batch_stats.batches
+
+
+def _fallback_count(reason: str) -> Callable[[SqlEngine], int]:
+    return lambda engine: engine.executor.fallback_counts[reason]
+
+
+#: Every engine-side monotone counter the control plane publishes, in
+#: publish order.  ``scripts/check_observability_names.py`` reads the
+#: names from here.  Fallback reasons a database never hit get no series
+#: (consumers read a missing gauge as 0), which keeps the registry
+#: O(reasons actually exercised) rather than O(7 x fleet); the what-if
+#: pricer's gauges appear once an engine has priced its first batch.
+ENGINE_GAUGES: Tuple[EngineGauge, ...] = (
+    EngineGauge("plan_cache_hits", {}, lambda e: e.plan_cache.hits),
+    EngineGauge("plan_cache_misses", {}, lambda e: e.plan_cache.misses),
+    EngineGauge("plan_cache_evictions", {}, lambda e: e.plan_cache.evictions),
+    EngineGauge(
+        "executor_vector_dispatch_total", {"path": "vector"},
+        lambda e: e.executor.vector_statements,
+    ),
+    EngineGauge(
+        "executor_vector_dispatch_total", {"path": "interp"},
+        lambda e: e.executor.interp_statements,
+    ),
+    EngineGauge("executor_batch_rows", {}, lambda e: e.executor.batch_rows),
+    EngineGauge(
+        "executor_column_cache_hits", {},
+        lambda e: e.executor.column_cache_stats()[0],
+    ),
+    EngineGauge(
+        "executor_column_cache_misses", {},
+        lambda e: e.executor.column_cache_stats()[1],
+    ),
+    EngineGauge(
+        "executor_column_cache_invalidations", {},
+        lambda e: e.executor.column_cache_stats()[2],
+    ),
+    *(
+        EngineGauge(
+            FALLBACK_GAUGES[reason], {},
+            _fallback_count(reason), _fallback_count(reason),
+        )
+        for reason in FALLBACK_REASONS
+    ),
+    EngineGauge(
+        "whatif_batch_batches", {},
+        lambda e: e.optimizer.batch_stats.batches, _priced_a_batch,
+    ),
+    EngineGauge(
+        "whatif_batch_configurations", {},
+        lambda e: e.optimizer.batch_stats.configurations, _priced_a_batch,
+    ),
+    EngineGauge(
+        "whatif_batch_substrate_hits", {},
+        lambda e: e.optimizer.batch_stats.substrate_hits, _priced_a_batch,
+    ),
+    EngineGauge(
+        "whatif_batch_substrate_misses", {},
+        lambda e: e.optimizer.batch_stats.substrate_misses, _priced_a_batch,
+    ),
+)
+
+
 class ControlPlane:
     """Per-region auto-indexing automation."""
 
@@ -168,12 +244,9 @@ class ControlPlane:
         #: Maintained by the store hooks so a quiescent fleet costs O(live),
         #: not O(all records ever created).
         self._live: set = set()
-        #: Last-published (hits, misses, evictions) per database, so the
-        #: per-tick plan-cache gauge publish skips unchanged engines.
-        self._plan_cache_published: Dict[str, tuple] = {}
-        #: Last-published executor dispatch/cache counters per database.
-        self._executor_published: Dict[str, tuple] = {}
-        self._whatif_batch_published: Dict[str, tuple] = {}
+        #: Last-published ENGINE_GAUGES values per database, so the
+        #: per-tick publish skips engines whose counters did not move.
+        self._engine_gauges_published: Dict[str, tuple] = {}
         #: Open root span per live recommendation, keyed by rec_id.
         self._record_spans: Dict[int, Span] = {}
         #: Open state-occupancy span per live recommendation.
@@ -388,9 +461,7 @@ class ControlPlane:
             self._drive(record, managed, now)
         for managed in self.databases.values():
             managed.last_driven = now
-        self._publish_plan_cache_metrics()
-        self._publish_executor_metrics()
-        self._publish_whatif_batch_metrics()
+        self._publish_engine_gauges()
         # History samples after the gauge publish (so this tick's state
         # is visible) and before the watchdog pass (so burn-rate rules
         # read a store that includes the current tick).
@@ -401,123 +472,27 @@ class ControlPlane:
         if self.watchdog is not None:
             self.watchdog.evaluate(now)
 
-    def _publish_plan_cache_metrics(self) -> None:
-        """Surface each engine's plan-cache counters as fleet gauges.
+    def _publish_engine_gauges(self) -> None:
+        """Surface each engine's counters (:data:`ENGINE_GAUGES`) as gauges.
 
         The engine-side counters are monotone; publishing them as gauges
         (current value, per database) keeps the dashboard a pure read of
-        the telemetry substrate.  The last published triple is memoized
-        per database, so idle engines (no plan-cache movement since the
-        previous tick) skip the three gauge lookups entirely.
+        the telemetry substrate.  The last published values are memoized
+        per database, so idle engines (nothing planned, executed or
+        priced since the previous tick) skip every gauge lookup.
         """
         registry = self.telemetry.registry
         for name, managed in self.databases.items():
-            cache = managed.engine.plan_cache
-            values = (cache.hits, cache.misses, cache.evictions)
-            if self._plan_cache_published.get(name) == values:
+            engine = managed.engine
+            values = tuple(gauge.read(engine) for gauge in ENGINE_GAUGES)
+            if self._engine_gauges_published.get(name) == values:
                 continue
-            self._plan_cache_published[name] = values
-            registry.gauge("plan_cache_hits", database=name).set(cache.hits)
-            registry.gauge("plan_cache_misses", database=name).set(cache.misses)
-            registry.gauge(
-                "plan_cache_evictions", database=name
-            ).set(cache.evictions)
-
-    def _publish_executor_metrics(self) -> None:
-        """Surface each engine's execution-path counters as fleet gauges.
-
-        Same memoized-publish pattern as the plan cache: the executor's
-        dispatch counters and the columnar projection cache stats are
-        monotone, and databases whose engines ran nothing since the last
-        tick skip every gauge lookup.
-        """
-        registry = self.telemetry.registry
-        for name, managed in self.databases.items():
-            executor = managed.engine.executor
-            hits, misses, invalidations = executor.column_cache_stats()
-            fallbacks = tuple(
-                executor.fallback_counts[reason]
-                for reason in FALLBACK_REASONS
-            )
-            values = (
-                executor.vector_statements,
-                executor.interp_statements,
-                executor.batch_rows,
-                hits,
-                misses,
-                invalidations,
-                fallbacks,
-            )
-            if self._executor_published.get(name) == values:
-                continue
-            self._executor_published[name] = values
-            registry.gauge(
-                "executor_vector_dispatch_total", database=name, path="vector"
-            ).set(executor.vector_statements)
-            registry.gauge(
-                "executor_vector_dispatch_total", database=name, path="interp"
-            ).set(executor.interp_statements)
-            registry.gauge(
-                "executor_batch_rows", database=name
-            ).set(executor.batch_rows)
-            registry.gauge(
-                "executor_column_cache_hits", database=name
-            ).set(hits)
-            registry.gauge(
-                "executor_column_cache_misses", database=name
-            ).set(misses)
-            registry.gauge(
-                "executor_column_cache_invalidations", database=name
-            ).set(invalidations)
-            for reason, count in zip(FALLBACK_REASONS, fallbacks):
-                if not count:
-                    # Sparse publish: reasons a database never hit get no
-                    # series (consumers read missing gauges as 0), so the
-                    # registry stays O(reasons actually exercised) rather
-                    # than O(7 x fleet) at scale.
-                    continue
-                registry.gauge(  # observability-names: allow-dynamic
-                    FALLBACK_GAUGES[reason], database=name
-                ).set(count)
-
-    def _publish_whatif_batch_metrics(self) -> None:
-        """Surface each engine's batched what-if counters as fleet gauges.
-
-        Same memoized-publish pattern as the executor counters.  Engines
-        that have never priced a batch (scalar what-if mode, or no tuning
-        activity yet) publish nothing at all, so scalar-mode telemetry is
-        byte-identical to pre-batching telemetry.
-        """
-        registry = self.telemetry.registry
-        for name, managed in self.databases.items():
-            stats = managed.engine.optimizer.batch_stats
-            values = (
-                stats.batches,
-                stats.configurations,
-                stats.substrate_hits,
-                stats.substrate_misses,
-                stats.scalar_fallbacks,
-            )
-            if values == (0, 0, 0, 0, 0):
-                continue
-            if self._whatif_batch_published.get(name) == values:
-                continue
-            self._whatif_batch_published[name] = values
-            registry.gauge(
-                "whatif_batch_batches", database=name
-            ).set(stats.batches)
-            registry.gauge(
-                "whatif_batch_configurations", database=name
-            ).set(stats.configurations)
-            registry.gauge(
-                "whatif_batch_substrate_hits", database=name
-            ).set(stats.substrate_hits)
-            registry.gauge(
-                "whatif_batch_substrate_misses", database=name
-            ).set(stats.substrate_misses)
-            registry.gauge(
-                "whatif_batch_scalar_fallbacks", database=name
-            ).set(stats.scalar_fallbacks)
+            self._engine_gauges_published[name] = values
+            for engine_gauge, value in zip(ENGINE_GAUGES, values):
+                if engine_gauge.when is None or engine_gauge.when(engine):
+                    registry.gauge(
+                        engine_gauge.name, database=name, **engine_gauge.labels
+                    ).set(value)
 
     # ------------------------------------------------------------------
     # Record driving

@@ -6,8 +6,11 @@ exposing the surfaces the auto-indexing service consumes:
 
 - ``execute(query)`` — optimize + execute, recording Query Store runtime
   stats, MI candidates, and index usage;
-- ``whatif_optimize(query, extra_indexes, excluded)`` — the what-if API,
-  metered against the tuning resource pool (Section 5.3.1);
+- ``whatif_optimize(query, extra_indexes, excluded)`` — the what-if API:
+  the same planner ``execute`` uses, asked about a hypothetical
+  configuration and metered against the tuning resource pool (Section
+  5.3.1); ``whatif_batch`` / ``whatif_cost_many`` ask about many
+  configurations of one statement through one :class:`WhatIfBatch`;
 - ``create_index`` / ``drop_index`` — immediate DDL (the control plane
   wraps these in online build jobs and the low-priority drop protocol);
 - ``restart()`` / ``failover()`` — clear the MI DMV, exercising the
@@ -17,7 +20,6 @@ exposing the surfaces the auto-indexing service consumes:
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.clock import SimClock
@@ -43,11 +45,7 @@ from repro.engine.schema import IndexDefinition, TableSchema
 from repro.engine.sqlgen import render, template_text
 from repro.engine.table import Table
 from repro.engine.usage_stats import IndexUsageStats
-from repro.errors import (
-    DuplicateObjectError,
-    ExecutionError,
-    UnknownTableError,
-)
+from repro.errors import DuplicateObjectError, UnknownTableError
 from repro.observability.profiling import profile
 from repro.rng import derive, stable_uniform
 
@@ -72,35 +70,6 @@ class EngineSettings:
     plan_cache_hit_rate: float = 0.6
     #: Virtual CPU ms charged to the tuning pool per what-if optimize call.
     whatif_call_cpu_ms: float = 6.0
-    #: What-if pricing mode: ``"batch"`` (substrate-sharing batch pricer)
-    #: or ``"scalar"``; None defers to ``REPRO_WHATIF``, then ``"batch"``.
-    #: Both modes produce bit-identical costs and plans; this knob exists
-    #: for differential testing and emergency rollback.
-    whatif_mode: Optional[str] = None
-    #: The batched-charge rule: virtual CPU ms charged per *additional*
-    #: configuration priced by one batch (the first always pays
-    #: ``whatif_call_cpu_ms``).  None — the default — charges every
-    #: configuration the full scalar rate, keeping governor accounting
-    #: batching-invariant; set lower to model the amortized optimizer
-    #: work batching actually saves.
-    whatif_batch_extra_cpu_ms: Optional[float] = None
-
-
-_WHATIF_MODES = ("batch", "scalar")
-
-
-def resolve_whatif_mode(settings: "EngineSettings") -> str:
-    """The effective what-if pricing mode for one statement batch."""
-    mode = settings.whatif_mode
-    if mode is None:
-        mode = os.environ.get("REPRO_WHATIF") or "batch"
-    mode = mode.lower()
-    if mode not in _WHATIF_MODES:
-        raise ExecutionError(
-            f"invalid what-if mode {mode!r}: "
-            "REPRO_WHATIF must be batch or scalar"
-        )
-    return mode
 
 
 class Database:
@@ -320,13 +289,7 @@ class SqlEngine:
         excluded: Sequence[str] = (),
     ) -> PlanNode:
         """Optimize under a hypothetical configuration; metered."""
-        self.governor.tuning.charge_cpu(self.settings.whatif_call_cpu_ms, self.now)
-        self.governor.tuning.usage.whatif_calls += 1
-        with profile("engine_whatif_cost") as prof:
-            prof.sim_ms = self.settings.whatif_call_cpu_ms
-            return self.optimizer.optimize(
-                query, extra_indexes=tuple(extra_indexes), excluded=frozenset(excluded)
-            )
+        return WhatIfBatch(self, query, excluded).price(extra_indexes)
 
     def whatif_cost(
         self,
@@ -339,12 +302,12 @@ class SqlEngine:
     def whatif_batch(
         self, query, excluded: Sequence[str] = ()
     ) -> "WhatIfBatch":
-        """A metered batch pricer for many configurations of one statement.
+        """A metered pricer for many configurations of one statement.
 
-        Every configuration priced through the batch produces the exact
-        plan and cost :meth:`whatif_optimize` would, and is metered
-        against the tuning pool under the batched-charge rule (see
-        :attr:`EngineSettings.whatif_batch_extra_cpu_ms`).
+        Every configuration priced through it produces the exact plan
+        and cost :meth:`whatif_optimize` would and is charged to the
+        tuning pool the same way; the statement's plan substrate is
+        built once for all of them.
         """
         return WhatIfBatch(self, query, excluded)
 
@@ -459,37 +422,29 @@ class SqlEngine:
 
 
 class WhatIfBatch:
-    """Engine-level batch pricer: governor metering around the optimizer's
+    """The metered what-if API for one statement under one exclusion set:
+    governor accounting around the optimizer's
     :class:`repro.engine.optimizer.BatchPricer`.
 
-    Each :meth:`price` call is charged to the tuning pool before pricing
-    (exactly like :meth:`SqlEngine.whatif_optimize`, including raising
-    :class:`ResourceBudgetExceededError` mid-batch when the window's
-    budget runs dry) and attributed to the ``engine_whatif_cost`` hot
-    path.  The first configuration always pays the full scalar rate;
-    later ones pay ``whatif_batch_extra_cpu_ms`` when that discount is
-    configured, and the scalar rate otherwise.
+    Each :meth:`price` call charges ``whatif_call_cpu_ms`` to the tuning
+    pool *before* pricing — so the charge does not depend on how calls
+    are grouped into batches, and :class:`ResourceBudgetExceededError`
+    can surface mid-batch when the window's budget runs dry — and is
+    attributed to the ``engine_whatif_cost`` hot path.
     """
 
     def __init__(self, engine: SqlEngine, query, excluded: Sequence[str] = ()):
         self._engine = engine
         self._pricer = engine.optimizer.batch_pricer(query, frozenset(excluded))
-        self._configs_priced = 0
 
     def price(self, extra_indexes: Sequence[IndexDefinition] = ()) -> PlanNode:
         engine = self._engine
-        settings = engine.settings
-        extra_ms = settings.whatif_batch_extra_cpu_ms
-        if self._configs_priced and extra_ms is not None:
-            charge = extra_ms
-        else:
-            charge = settings.whatif_call_cpu_ms
+        charge = engine.settings.whatif_call_cpu_ms
         engine.governor.tuning.charge_cpu(charge, engine.now)
         engine.governor.tuning.usage.whatif_calls += 1
-        self._configs_priced += 1
         with profile("engine_whatif_cost") as prof:
             prof.sim_ms = charge
-            return self._pricer.price(tuple(extra_indexes))
+            return self._pricer.price(extra_indexes)
 
     def cost(self, extra_indexes: Sequence[IndexDefinition] = ()) -> float:
         return self.price(extra_indexes).est_cost

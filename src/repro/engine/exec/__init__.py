@@ -12,9 +12,6 @@ Package layout:
   rank-code grouping, lexsort, argpartition TOP-N);
 - :mod:`repro.engine.exec.dispatch` — the :class:`Executor` facade that
   picks a path per plan (``REPRO_EXECUTOR=vector|interp|auto``).
-
-``repro.engine.executor`` remains as a thin import shim for the
-pre-split module path.
 """
 
 from repro.engine.exec.columns import ColumnarCache, VectorUnsupported

@@ -17,31 +17,34 @@ which both violated monotonicity and mispriced ordered plans under
 aggregation (where the real saving is only the stream-vs-hash delta on
 far fewer rows).
 
+There is one planner.  Every statement is planned by building its
+*substrate* — the part of the plan space that does not depend on a
+hypothetical configuration: the base access candidates over existing
+indexes, each finished into a complete plan, and the join context — and
+then asking the substrate to price a tuple of hypothetical index
+definitions.  Normal-mode planning is the empty tuple; a what-if call
+(Section 5.3) is one tuple; DTA's enumeration prices a whole frontier of
+tuples against one substrate through :class:`BatchPricer`.  ``excluded``
+hides existing indexes (how index *drops* are costed) and is part of the
+substrate's identity.  Hypothetical indexes are costed from closed-form
+shape estimates without materializing anything.
+
 Results are memoized in a :class:`repro.engine.plan_cache.PlanCache` keyed
-by (query, per-table version fingerprint, what-if configuration); see that
-module for the staleness rules.
+by (query, per-table version fingerprint, what-if configuration), and
+substrates beside them; see that module for the staleness rules.
 
-Two features mirror the SQL Server surfaces the paper's service depends on:
-
-- **What-if mode** (Section 5.3): callers pass hypothetical index
-  definitions via ``extra_indexes``; the optimizer costs them from
-  closed-form shape estimates without materializing anything.  ``excluded``
-  similarly hides existing indexes, which is how index *drops* are costed.
-- **Missing-index emission** (Section 5.2): during normal (non-what-if)
-  optimization, the optimizer compares the chosen plan against an ideal
-  single-table index built from the query's own sargable predicates and, if
-  the ideal index would beat the plan, reports a missing-index candidate to
-  the DMV sink.  Deliberately local: join, GROUP BY and ORDER BY columns
-  are *not* considered — exactly the MI limitation the paper describes.
+**Missing-index emission** (Section 5.2): during normal (non-what-if)
+optimization, the optimizer compares the chosen plan against an ideal
+single-table index built from the query's own sargable predicates and, if
+the ideal index would beat the plan, reports a missing-index candidate to
+the DMV sink.  Deliberately local: join, GROUP BY and ORDER BY columns
+are *not* considered — exactly the MI limitation the paper describes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.engine.cost_model import CostModel
 from repro.engine.plan_cache import PlanCache, PlanCacheEntry
@@ -101,8 +104,15 @@ class _JoinContext:
     """Outer-candidate-independent join planning state (computed once)."""
 
     join: object
+    right: Table
+    right_needed: Tuple[str, ...]
     right_rows: float
     distinct: float
+    #: Inner-side predicates and output estimate for a per-probe seek
+    #: (the join key bound to PARAM) and for the hash build side.
+    nl_preds: Tuple[Predicate, ...]
+    nl_out_rows: float
+    hash_out_rows: float
     #: Best per-probe parameterized seek, or None if the inner side only scans.
     nl_inner: Optional[_AccessCandidate]
     #: Best build-side access for a hash join.
@@ -111,17 +121,18 @@ class _JoinContext:
 
 @dataclasses.dataclass
 class BatchPricingStats:
-    """Monotone counters for the batched what-if pricer (per engine)."""
+    """Monotone counters for :class:`BatchPricer` traffic (per engine)."""
 
     #: Pricers created (one per (statement, excluded-set) batch).
     batches: int = 0
-    #: Hypothetical configurations priced through a pricer.
+    #: Configurations priced through a pricer.
     configurations: int = 0
     #: Pricers that found their statement substrate memoized.
     substrate_hits: int = 0
     #: Pricers that had to build the statement substrate.
     substrate_misses: int = 0
-    #: Configurations delegated to the scalar ``optimize()`` path.
+    #: Always 0: there is no second planner to fall back to.  The field
+    #: stays because ``benchmarks/e2e`` reads it by name.
     scalar_fallbacks: int = 0
 
 
@@ -136,7 +147,7 @@ class Optimizer:
         self.whatif_calls = 0
         #: Memoized plans (normal mode and what-if mode alike).
         self.plan_cache = PlanCache()
-        #: Counters for the batched what-if pricer.
+        #: Counters for :class:`BatchPricer` traffic.
         self.batch_stats = BatchPricingStats()
 
     # ------------------------------------------------------------------
@@ -158,12 +169,40 @@ class Optimizer:
         emissions recorded at compute time are replayed into ``mi_sink``
         so the DMV accounting is cache-transparent.
         """
-        extra_indexes = tuple(extra_indexes)
-        excluded = frozenset(excluded)
-        whatif = bool(extra_indexes) or bool(excluded)
+        return self._plan(
+            query, tuple(extra_indexes), frozenset(excluded), mi_sink
+        )
+
+    def batch_pricer(
+        self, query, excluded: frozenset = frozenset()
+    ) -> "BatchPricer":
+        """A pricer that costs many hypothetical configurations of ``query``.
+
+        Every configuration gets exactly the plan :meth:`optimize` would
+        return; the pricer only keeps the statement's substrate alive
+        between calls (and shares it through the plan cache's substrate
+        store), see :class:`BatchPricer`.
+        """
+        return BatchPricer(self, query, frozenset(excluded))
+
+    def _plan(
+        self,
+        query,
+        extras: Tuple[IndexDefinition, ...],
+        excluded: frozenset,
+        mi_sink: Optional[MiSink] = None,
+        pricer: Optional["BatchPricer"] = None,
+    ) -> PlanNode:
+        """The one planning body: cache lookup, substrate, price, store.
+
+        ``pricer`` supplies a substrate that outlives the call; without
+        one the substrate is built for this call and dropped, since a
+        plan-cache miss at the same table versions will not recur.
+        """
+        whatif = bool(extras) or bool(excluded)
         if whatif:
             self.whatif_calls += 1
-        key = self._cache_key(query, extra_indexes, excluded)
+        key = self._cache_key(query, extras, excluded)
         if key is not None:
             entry = self.plan_cache.lookup(key)
             if entry is not None:
@@ -173,12 +212,20 @@ class Optimizer:
                         mi_sink(*emission)
                 return entry.plan
             count("plan_cache_miss")
+        if whatif and isinstance(query, InsertQuery) and query.bulk:
+            raise OptimizeError(
+                "BULK INSERT cannot be optimized in what-if mode"
+            )
         emissions: List[tuple] = []
         with profile("optimizer_plan_search"):
-            plan = self._optimize(
-                query, extra_indexes, excluded, emissions.append, whatif
-            )
-        if mi_sink is not None and not whatif:
+            if pricer is not None:
+                substrate = pricer.substrate()
+            else:
+                substrate = _build_substrate(self, query, excluded)
+            plan = substrate.price(extras)
+            if not whatif:
+                self._emit_missing_indexes(query, plan, emissions.append)
+        if mi_sink is not None:
             for emission in emissions:
                 mi_sink(*emission)
         if key is not None:
@@ -191,19 +238,6 @@ class Optimizer:
                 ),
             )
         return plan
-
-    def batch_pricer(
-        self, query, excluded: frozenset = frozenset()
-    ) -> "BatchPricer":
-        """A pricer that costs many hypothetical configurations of ``query``.
-
-        The pricer performs the query-invariant work (predicate analysis,
-        base access-path costing, join/aggregate/sort shape completion)
-        once, then prices each configuration as an incremental delta; see
-        :class:`BatchPricer`.  Plans and costs are bit-identical to
-        per-configuration :meth:`optimize` calls.
-        """
-        return BatchPricer(self, query, frozenset(excluded))
 
     def _cache_key(
         self,
@@ -240,37 +274,6 @@ class Optimizer:
             return (query.table, join.table)
         return (query.table,)
 
-    def _optimize(
-        self,
-        query,
-        extra_indexes: Sequence[IndexDefinition],
-        excluded: frozenset,
-        record_emission: Callable[[tuple], None],
-        whatif: bool,
-    ) -> PlanNode:
-        if isinstance(query, SelectQuery):
-            plan = self._plan_select(query, extra_indexes, excluded)
-            if not whatif:
-                self._emit_missing_indexes(query, plan, record_emission)
-            return plan
-        if isinstance(query, InsertQuery):
-            if query.bulk and whatif:
-                raise OptimizeError(
-                    "BULK INSERT cannot be optimized in what-if mode"
-                )
-            return self._plan_insert(query, extra_indexes, excluded)
-        if isinstance(query, UpdateQuery):
-            plan = self._plan_update(query, extra_indexes, excluded)
-            if not whatif and query.predicates:
-                self._emit_dml_missing_indexes(query, plan, record_emission)
-            return plan
-        if isinstance(query, DeleteQuery):
-            plan = self._plan_delete(query, extra_indexes, excluded)
-            if not whatif and query.predicates:
-                self._emit_dml_missing_indexes(query, plan, record_emission)
-            return plan
-        raise OptimizeError(f"cannot optimize {type(query).__name__}")
-
     # ------------------------------------------------------------------
     # Helpers
 
@@ -281,21 +284,14 @@ class Optimizer:
             raise UnknownTableError(f"table {name!r} does not exist") from None
 
     def _visible_indexes(
-        self,
-        table: Table,
-        extra_indexes: Sequence[IndexDefinition],
-        excluded: frozenset,
+        self, table: Table, excluded: frozenset
     ) -> List[Tuple[IndexDefinition, IndexStatsView]]:
-        visible: List[Tuple[IndexDefinition, IndexStatsView]] = []
-        for index in table.indexes.values():
-            if index.name in excluded:
-                continue
-            visible.append((index.definition, index.stats_view()))
-        for definition in extra_indexes:
-            if definition.table != table.name or definition.name in excluded:
-                continue
-            visible.append((definition, table.hypothetical_stats_view(definition)))
-        return visible
+        """Existing indexes the configuration has not hidden."""
+        return [
+            (index.definition, index.stats_view())
+            for index in table.indexes.values()
+            if index.name not in excluded
+        ]
 
     # ------------------------------------------------------------------
     # Access-path enumeration
@@ -305,9 +301,13 @@ class Optimizer:
         table: Table,
         predicates: Tuple[Predicate, ...],
         needed_columns: Tuple[str, ...],
-        extra_indexes: Sequence[IndexDefinition],
         excluded: frozenset,
-    ) -> List[_AccessCandidate]:
+    ) -> Tuple[float, List[_AccessCandidate]]:
+        """Output-row estimate and every access path over existing structures.
+
+        Hypothetical indexes are costed against the same estimate through
+        :meth:`_index_candidates`, one definition at a time.
+        """
         model = self._cost_model
         rows = table.row_count
         all_sel = model.combined_selectivity(table, predicates)
@@ -337,18 +337,31 @@ class Optimizer:
             candidates.append(pk_candidate)
 
         # 3. Secondary indexes: seeks (covering or + lookup) and covering scans.
-        for definition, view in self._visible_indexes(table, extra_indexes, excluded):
-            candidate = self._index_seek_candidate(
-                table, definition, view, predicates, needed_columns, out_rows
+        for definition, view in self._visible_indexes(table, excluded):
+            candidates.extend(
+                self._index_candidates(
+                    table, definition, view, predicates, needed_columns, out_rows
+                )
             )
-            if candidate is not None:
-                candidates.append(candidate)
-            candidate = self._index_scan_candidate(
-                table, definition, view, predicates, needed_columns, out_rows
-            )
-            if candidate is not None:
-                candidates.append(candidate)
-        return candidates
+        return out_rows, candidates
+
+    def _index_candidates(
+        self,
+        table: Table,
+        definition: IndexDefinition,
+        view: IndexStatsView,
+        predicates: Tuple[Predicate, ...],
+        needed_columns: Tuple[str, ...],
+        out_rows: float,
+    ) -> List[_AccessCandidate]:
+        """The seek and the covering scan one index offers, in that order."""
+        seek = self._index_seek_candidate(
+            table, definition, view, predicates, needed_columns, out_rows
+        )
+        scan = self._index_scan_candidate(
+            table, definition, view, predicates, needed_columns, out_rows
+        )
+        return [c for c in (seek, scan) if c is not None]
 
     def _clustered_seek_candidate(
         self,
@@ -505,64 +518,21 @@ class Optimizer:
         table: Table,
         predicates: Tuple[Predicate, ...],
         needed_columns: Tuple[str, ...],
-        extra_indexes: Sequence[IndexDefinition],
         excluded: frozenset,
     ) -> _AccessCandidate:
-        """Cheapest access path by its own cost (no downstream context).
+        """Cheapest existing access path by its own cost (no downstream context).
 
-        Used where the access path *is* the whole read — DML source,
-        hash-join build side, MI baseline.  SELECT planning instead costs
-        the complete plan per candidate in :meth:`_plan_select`.
+        Used where the access path *is* the whole read — hash-join build
+        side, MI baseline.  SELECT planning instead costs the complete
+        plan per candidate in :class:`_SelectSubstrate`.
         """
-        candidates = self._access_candidates(
-            table, predicates, needed_columns, extra_indexes, excluded
+        _out_rows, candidates = self._access_candidates(
+            table, predicates, needed_columns, excluded
         )
         return min(candidates, key=lambda c: c.cost)
 
     # ------------------------------------------------------------------
     # SELECT planning
-
-    def _plan_select(
-        self,
-        query: SelectQuery,
-        extra_indexes: Sequence[IndexDefinition],
-        excluded: frozenset,
-    ) -> PlanNode:
-        """True min-cost search: finish the full plan per access candidate.
-
-        Every candidate is carried through join, aggregation, sort, and
-        top costing independently, and the cheapest *complete* plan wins.
-        Each candidate's final cost is independent of which other
-        candidates were enumerated, so hiding indexes (fewer candidates)
-        can never lower the minimum and hypothetical indexes (more
-        candidates) can never raise it — the monotonicity the what-if API
-        relies on holds by construction.
-        """
-        table = self._table(query.table)
-        needed = query.referenced_columns()
-        candidates = self._access_candidates(
-            table, query.predicates, needed, extra_indexes, excluded
-        )
-        if query.index_hint is not None:
-            candidates = [
-                c for c in candidates if c.index_name == query.index_hint
-            ]
-            if not candidates:
-                raise ExecutionError(
-                    f"query hints index {query.index_hint!r} which does not "
-                    f"exist on table {table.name!r}"
-                )
-        join_ctx = None
-        if query.join is not None:
-            join_ctx = self._join_context(query, extra_indexes, excluded)
-        best_plan: Optional[PlanNode] = None
-        best_cost = math.inf
-        for candidate in candidates:
-            plan, cost = self._finish_select(query, table, candidate, join_ctx)
-            if plan is not None and cost < best_cost:
-                best_plan, best_cost = plan, cost
-        assert best_plan is not None  # clustered scan always completes
-        return best_plan
 
     def _finish_select(
         self,
@@ -612,10 +582,7 @@ class Optimizer:
         return plan, cost
 
     def _join_context(
-        self,
-        query: SelectQuery,
-        extra_indexes: Sequence[IndexDefinition],
-        excluded: frozenset,
+        self, query: SelectQuery, excluded: frozenset
     ) -> "_JoinContext":
         """Inner-side planning shared by every outer access candidate.
 
@@ -636,22 +603,36 @@ class Optimizer:
         right_sel = model.combined_selectivity(right, join.predicates)
         right_rows = right_sel * right.row_count
         distinct = _distinct_estimate(right, join.right_column)
-        # Nested loop: parameterized seek on the inner side.
-        param_pred = Predicate(join.right_column, Op.EQ, PARAM)
-        inner_preds = (param_pred,) + tuple(join.predicates)
-        nl_inner = self._nl_inner_access(
-            right, inner_preds, right_needed, extra_indexes, excluded
+        # Nested loop: parameterized seek on the inner side.  A nested
+        # loop over a full inner scan per probe is almost never
+        # competitive, so only seeks bound to the join key qualify and the
+        # planner falls back to hash join otherwise.
+        nl_preds = (Predicate(join.right_column, Op.EQ, PARAM),) + tuple(
+            join.predicates
+        )
+        nl_out_rows, nl_candidates = self._access_candidates(
+            right, nl_preds, right_needed, excluded
+        )
+        nl_inner = min(
+            filter(_param_seekable, nl_candidates),
+            key=lambda c: c.cost,
+            default=None,
         )
         # Hash join: scan both sides, build on inner.
-        hash_inner = self._best_access(
-            right, tuple(join.predicates), right_needed, extra_indexes, excluded
+        hash_out_rows, hash_candidates = self._access_candidates(
+            right, tuple(join.predicates), right_needed, excluded
         )
         return _JoinContext(
             join=join,
+            right=right,
+            right_needed=right_needed,
             right_rows=right_rows,
             distinct=distinct,
+            nl_preds=nl_preds,
+            nl_out_rows=nl_out_rows,
+            hash_out_rows=hash_out_rows,
             nl_inner=nl_inner,
-            hash_inner=hash_inner,
+            hash_inner=min(hash_candidates, key=lambda c: c.cost),
         )
 
     def _apply_join(
@@ -692,42 +673,6 @@ class Optimizer:
             join=ctx.join,
         )
         return plan, join_rows, (), hash_cost
-
-    def _nl_inner_access(
-        self,
-        right: Table,
-        inner_preds: Tuple[Predicate, ...],
-        right_needed: Tuple[str, ...],
-        extra_indexes: Sequence[IndexDefinition],
-        excluded: frozenset,
-    ) -> Optional[_AccessCandidate]:
-        """Best per-probe access for the inner side, or None if only scans.
-
-        A nested loop over a full inner scan per probe is almost never
-        competitive; we only return seek-capable candidates so the planner
-        falls back to hash join otherwise.
-        """
-        candidates = self._access_candidates(
-            right, inner_preds, right_needed, extra_indexes, excluded
-        )
-        seekable = [
-            c
-            for c in candidates
-            if isinstance(c.node, (ClusteredSeekNode, IndexSeekNode))
-            or (
-                isinstance(c.node, KeyLookupNode)
-                and isinstance(c.node.child, IndexSeekNode)
-            )
-        ]
-        param_ok = []
-        for c in seekable:
-            seek_node = c.node.child if isinstance(c.node, KeyLookupNode) else c.node
-            eq_values = [p.value for p in seek_node.eq_predicates]
-            if any(value is PARAM for value in eq_values):
-                param_ok.append(c)
-        if not param_ok:
-            return None
-        return min(param_ok, key=lambda c: c.cost)
 
     def _plan_aggregate(
         self,
@@ -772,113 +717,33 @@ class Optimizer:
     def _maintained_indexes(
         self,
         table: Table,
-        extra_indexes: Sequence[IndexDefinition],
         excluded: frozenset,
         changed_columns: Optional[Sequence[str]] = None,
     ) -> List[Tuple[IndexDefinition, IndexStatsView]]:
-        maintained = []
-        for definition, view in self._visible_indexes(table, extra_indexes, excluded):
-            if changed_columns is not None:
-                relevant = set(definition.all_columns) | set(
-                    table.schema.primary_key
-                )
-                if not any(c in relevant for c in changed_columns):
-                    continue
-            maintained.append((definition, view))
-        return maintained
-
-    def _plan_insert(
-        self,
-        query: InsertQuery,
-        extra_indexes: Sequence[IndexDefinition],
-        excluded: frozenset,
-    ) -> PlanNode:
-        table = self._table(query.table)
-        model = self._cost_model
-        maintained = self._maintained_indexes(table, extra_indexes, excluded)
-        rows = float(len(query.rows))
-        cview = table.clustered_stats_view()
-        cost = model.maintenance_cost(cview.height, rows)
-        for _definition, view in maintained:
-            cost += model.maintenance_cost(view.height, rows)
-        return InsertPlanNode(
-            est_rows=rows,
-            est_cost=cost,
-            table=table.name,
-            row_count=len(query.rows),
-            maintained_indexes=tuple(d.name for d, _v in maintained),
-        )
-
-    def _plan_update(
-        self,
-        query: UpdateQuery,
-        extra_indexes: Sequence[IndexDefinition],
-        excluded: frozenset,
-    ) -> PlanNode:
-        table = self._table(query.table)
-        model = self._cost_model
-        candidate = self._best_access(
-            table,
-            query.predicates,
-            tuple(table.schema.column_names),
-            extra_indexes,
-            excluded,
-        )
-        maintained = self._maintained_indexes(
-            table, extra_indexes, excluded, query.assigned_columns
-        )
-        rows = candidate.out_rows
-        cview = table.clustered_stats_view()
-        cost = candidate.cost + model.maintenance_cost(cview.height, rows)
-        for _definition, view in maintained:
-            cost += 2 * model.maintenance_cost(view.height, rows)
-        return UpdatePlanNode(
-            est_rows=rows,
-            est_cost=cost,
-            child=candidate.node,
-            table=table.name,
-            assignments=query.assignments,
-            maintained_indexes=tuple(d.name for d, _v in maintained),
-        )
-
-    def _plan_delete(
-        self,
-        query: DeleteQuery,
-        extra_indexes: Sequence[IndexDefinition],
-        excluded: frozenset,
-    ) -> PlanNode:
-        table = self._table(query.table)
-        model = self._cost_model
-        candidate = self._best_access(
-            table,
-            query.predicates,
-            tuple(table.schema.column_names),
-            extra_indexes,
-            excluded,
-        )
-        maintained = self._maintained_indexes(table, extra_indexes, excluded)
-        rows = candidate.out_rows
-        cview = table.clustered_stats_view()
-        cost = candidate.cost + model.maintenance_cost(cview.height, rows)
-        for _definition, view in maintained:
-            cost += model.maintenance_cost(view.height, rows)
-        return DeletePlanNode(
-            est_rows=rows,
-            est_cost=cost,
-            child=candidate.node,
-            table=table.name,
-            maintained_indexes=tuple(d.name for d, _v in maintained),
-        )
+        return [
+            (definition, view)
+            for definition, view in self._visible_indexes(table, excluded)
+            if _maintains(table, definition, changed_columns)
+        ]
 
     # ------------------------------------------------------------------
     # Missing-index emission
 
     def _emit_missing_indexes(
-        self,
-        query: SelectQuery,
-        plan: PlanNode,
-        record: Callable[[tuple], None],
+        self, query, plan: PlanNode, record: Callable[[tuple], None]
     ) -> None:
+        if isinstance(query, InsertQuery):
+            return
+        if not isinstance(query, SelectQuery):
+            # UPDATE / DELETE: the read that locates the rows.
+            self._emit_for_table(
+                query.table,
+                query.predicates,
+                tuple(p.column for p in query.predicates),
+                plan.est_cost,
+                record,
+            )
+            return
         # MI's analysis is local, "predominantly in the leaf node of a
         # plan" (Section 5.1.1): the include list captures the plan leaf's
         # output — selected and filtered columns — but NOT columns needed
@@ -911,17 +776,6 @@ class Optimizer:
                 plan.est_cost,
                 record,
             )
-
-    def _emit_dml_missing_indexes(
-        self, query, plan: PlanNode, record: Callable[[tuple], None]
-    ) -> None:
-        self._emit_for_table(
-            query.table,
-            query.predicates,
-            tuple(p.column for p in query.predicates),
-            plan.est_cost,
-            record,
-        )
 
     def _emit_for_table(
         self,
@@ -986,7 +840,7 @@ class Optimizer:
             return
         # Compare against the best access over *existing* structures only.
         best_existing = self._best_access(
-            table, predicates, referenced, (), frozenset()
+            table, predicates, referenced, frozenset()
         )
         if candidate.cost >= best_existing.cost * (1.0 - MI_REPORT_THRESHOLD):
             return
@@ -1004,23 +858,33 @@ class Optimizer:
 
 
 # ----------------------------------------------------------------------
-# Batched what-if pricing
+# Substrates: the configuration-invariant part of a statement's plan space
 #
 # DTA enumeration and MI impact verification price the *same statement*
-# against many hypothetical configurations.  Everything except the
-# configuration's own access-path candidates is query-invariant: the
-# predicate analysis, the base (existing-structure) candidates, the join
-# context, and the completion of each candidate through join, aggregate,
-# sort, and top.  The substrate classes below compute that invariant part
-# once; pricing a configuration then only costs the candidates its
-# indexes contribute and recomputes the argmin from cached component
-# costs.  Every arithmetic operation runs in the same order on the same
-# inputs as the scalar path, so the resulting plans and costs are
-# bit-identical — the property the differential test suite pins down.
+# against many hypothetical configurations, and statement execution
+# prices it against none.  Everything except the configuration's own
+# access-path candidates is the same in all of these: the predicate
+# analysis, the base (existing-structure) candidates, the join context,
+# and the completion of each base candidate through join, aggregate,
+# sort, and top.  A substrate computes that part once; ``price(extras)``
+# costs only the candidates the extras contribute — memoized per index
+# definition, since each is a deterministic function of the frozen
+# definition at this substrate's table versions — and takes the first
+# strict minimum over base candidates followed by extras in the order
+# given.  Base candidates come first, so on a cost tie an existing
+# structure beats a hypothetical one.
+
+
+def _first_min(results, best=None):
+    """First strict minimum of ``(plan, cost)`` pairs, continuing ``best``."""
+    for result in results:
+        if best is None or result[1] < best[1]:
+            best = result
+    return best
 
 
 class _SelectSubstrate:
-    """Query-invariant plan-space for one SELECT under one exclusion set."""
+    """Plan space of one SELECT under one exclusion set."""
 
     def __init__(
         self, opt: Optimizer, query: SelectQuery, excluded: frozenset
@@ -1029,73 +893,53 @@ class _SelectSubstrate:
         self._query = query
         self._excluded = excluded
         table = opt._table(query.table)
-        self._table_obj = table
-        model = opt._cost_model
+        self._table = table
         self._needed = query.referenced_columns()
-        rows = table.row_count
-        all_sel = model.combined_selectivity(table, query.predicates)
-        # Same expression as _access_candidates, so extra candidates are
-        # costed against the identical out_rows estimate.
-        self._out_rows = (
-            max(0.0, all_sel * rows) if query.predicates else float(rows)
+        self._out_rows, candidates = opt._access_candidates(
+            table, query.predicates, self._needed, excluded
         )
-        self._base_candidates = opt._access_candidates(
-            table, query.predicates, self._needed, (), excluded
-        )
+        if query.index_hint is not None:
+            candidates = [
+                c for c in candidates if c.index_name == query.index_hint
+            ]
+        self._base_candidates = candidates
         self._base_ctx: Optional[_JoinContext] = None
         if query.join is not None:
-            self._base_ctx = opt._join_context(query, (), excluded)
-            join = query.join
-            right = opt._table(join.table)
-            self._right = right
-            self._right_needed = tuple(
-                dict.fromkeys(
-                    (join.right_column,)
-                    + tuple(p.column for p in join.predicates)
-                    + tuple(join.select_columns)
-                )
-            )
-            self._inner_preds = (
-                Predicate(join.right_column, Op.EQ, PARAM),
-            ) + tuple(join.predicates)
-            self._hash_preds = tuple(join.predicates)
-            inner_sel = model.combined_selectivity(right, self._inner_preds)
-            self._inner_out_rows = max(0.0, inner_sel * right.row_count)
-            hash_sel = model.combined_selectivity(right, self._hash_preds)
-            self._hash_out_rows = (
-                max(0.0, hash_sel * right.row_count)
-                if self._hash_preds
-                else float(right.row_count)
-            )
-        self._base_results = [
+            self._base_ctx = opt._join_context(query, excluded)
+        #: Cheapest finished base plan; None only when an index hint
+        #: names no existing index (an extra may still carry the name).
+        self._base_best = _first_min(
             opt._finish_select(query, table, c, self._base_ctx)
-            for c in self._base_candidates
-        ]
-        self._base_costs = np.array(
-            [cost for _plan, cost in self._base_results], dtype=np.float64
+            for c in candidates
         )
-        # np.argmin returns the *first* minimum — the same winner as the
-        # scalar strict-< scan over the candidate list.
-        self._base_argmin = int(np.argmin(self._base_costs))
-        #: Per-definition memos.  Every memoized value is a deterministic
-        #: function of the frozen definition (given this substrate's table
-        #: versions), so sharing across configurations cannot change costs.
-        self._outer_memo: Dict[IndexDefinition, tuple] = {}
-        self._finished_memo: Dict[IndexDefinition, tuple] = {}
+        self._outer_memo: Dict[IndexDefinition, list] = {}
+        self._finished_memo: Dict[IndexDefinition, list] = {}
         self._inner_memo: Dict[IndexDefinition, tuple] = {}
         self._ctx_memo: Dict[tuple, _JoinContext] = {}
 
     def price(self, extras: Tuple[IndexDefinition, ...]) -> PlanNode:
+        best = self._price_extras(extras) if extras else self._base_best
+        if best is None:
+            raise ExecutionError(
+                f"query hints index {self._query.index_hint!r} which does "
+                f"not exist on table {self._table.name!r}"
+            )
+        return best[0]
+
+    def _price_extras(self, extras: Tuple[IndexDefinition, ...]):
         opt = self._opt
         query = self._query
-        table = self._table_obj
+        table = self._table
         join = query.join
+        hint = query.index_hint
         outer_defs: List[IndexDefinition] = []
         inner_defs: List[IndexDefinition] = []
         for definition in extras:
             if definition.name in self._excluded:
                 continue
-            if definition.table == table.name:
+            if definition.table == table.name and (
+                hint is None or hint == definition.name
+            ):
                 outer_defs.append(definition)
             if join is not None and definition.table == join.table:
                 inner_defs.append(definition)
@@ -1103,113 +947,75 @@ class _SelectSubstrate:
         if inner_defs:
             ctx = self._extended_ctx(tuple(inner_defs))
         if ctx is self._base_ctx:
-            base_results = self._base_results
-            base_costs = self._base_costs
-            base_argmin = self._base_argmin
-            extra_results: List[tuple] = []
+            best = self._base_best
             for definition in outer_defs:
-                extra_results.extend(self._finished_outer(definition))
-        else:
-            # The configuration improved the join's inner side, which
-            # changes every candidate's completion: re-finish the full
-            # plan per candidate under the new context (still cheaper
-            # than scalar — candidate enumeration itself is reused).
-            base_results = [
-                opt._finish_select(query, table, c, ctx)
-                for c in self._base_candidates
-            ]
-            base_costs = np.fromiter(
-                (cost for _plan, cost in base_results),
-                dtype=np.float64,
-                count=len(base_results),
+                best = _first_min(self._finished_outer(definition), best)
+            return best
+        # The configuration improved the join's inner side, which changes
+        # every candidate's completion: re-finish each under the new
+        # context (candidate enumeration itself is still reused).
+        best = _first_min(
+            opt._finish_select(query, table, c, ctx)
+            for c in self._base_candidates
+        )
+        for definition in outer_defs:
+            best = _first_min(
+                (
+                    opt._finish_select(query, table, c, ctx)
+                    for c in self._outer_candidates(definition)
+                ),
+                best,
             )
-            base_argmin = int(np.argmin(base_costs))
-            extra_results = [
-                opt._finish_select(query, table, candidate, ctx)
-                for definition in outer_defs
-                for candidate in self._outer_candidates(definition)
-            ]
-        if extra_results:
-            extra_costs = np.fromiter(
-                (cost for _plan, cost in extra_results),
-                dtype=np.float64,
-                count=len(extra_results),
-            )
-            extra_argmin = int(np.argmin(extra_costs))
-            # Strict <: on a tie the earliest candidate wins, and base
-            # candidates precede extras in the scalar enumeration order.
-            if extra_costs[extra_argmin] < base_costs[base_argmin]:
-                return extra_results[extra_argmin][0]
-        return base_results[base_argmin][0]
+        return best
 
     # -- per-definition memos ------------------------------------------
 
-    def _outer_candidates(self, definition: IndexDefinition) -> tuple:
+    def _outer_candidates(self, definition: IndexDefinition) -> list:
         cached = self._outer_memo.get(definition)
         if cached is None:
-            opt = self._opt
-            table = self._table_obj
-            view = table.hypothetical_stats_view(definition)
-            out = []
-            for maker in (opt._index_seek_candidate, opt._index_scan_candidate):
-                candidate = maker(
-                    table,
-                    definition,
-                    view,
-                    self._query.predicates,
-                    self._needed,
-                    self._out_rows,
-                )
-                if candidate is not None:
-                    out.append(candidate)
-            cached = tuple(out)
-            self._outer_memo[definition] = cached
+            table = self._table
+            cached = self._outer_memo[definition] = self._opt._index_candidates(
+                table,
+                definition,
+                table.hypothetical_stats_view(definition),
+                self._query.predicates,
+                self._needed,
+                self._out_rows,
+            )
         return cached
 
-    def _finished_outer(self, definition: IndexDefinition) -> tuple:
+    def _finished_outer(self, definition: IndexDefinition) -> list:
         cached = self._finished_memo.get(definition)
         if cached is None:
-            opt = self._opt
-            cached = tuple(
-                opt._finish_select(
-                    self._query, self._table_obj, candidate, self._base_ctx
+            cached = self._finished_memo[definition] = [
+                self._opt._finish_select(
+                    self._query, self._table, candidate, self._base_ctx
                 )
                 for candidate in self._outer_candidates(definition)
-            )
-            self._finished_memo[definition] = cached
+            ]
         return cached
 
     def _inner_candidates(self, definition: IndexDefinition) -> tuple:
+        """(per-probe seeks, build-side accesses) the definition offers."""
         cached = self._inner_memo.get(definition)
         if cached is None:
             opt = self._opt
-            right = self._right
+            ctx = self._base_ctx
+            right = ctx.right
             view = right.hypothetical_stats_view(definition)
-            nl = []
-            candidate = opt._index_seek_candidate(
-                right,
-                definition,
-                view,
-                self._inner_preds,
-                self._right_needed,
-                self._inner_out_rows,
-            )
-            if candidate is not None and _param_seekable(candidate):
-                nl.append(candidate)
-            hashes = []
-            for maker in (opt._index_seek_candidate, opt._index_scan_candidate):
-                candidate = maker(
-                    right,
-                    definition,
-                    view,
-                    self._hash_preds,
-                    self._right_needed,
-                    self._hash_out_rows,
+            nl = [
+                c
+                for c in opt._index_candidates(
+                    right, definition, view,
+                    ctx.nl_preds, ctx.right_needed, ctx.nl_out_rows,
                 )
-                if candidate is not None:
-                    hashes.append(candidate)
-            cached = (tuple(nl), tuple(hashes))
-            self._inner_memo[definition] = cached
+                if _param_seekable(c)
+            ]
+            hashes = opt._index_candidates(
+                right, definition, view,
+                tuple(ctx.join.predicates), ctx.right_needed, ctx.hash_out_rows,
+            )
+            cached = self._inner_memo[definition] = (nl, hashes)
         return cached
 
     def _extended_ctx(self, inner_defs: tuple) -> _JoinContext:
@@ -1219,8 +1025,7 @@ class _SelectSubstrate:
         base = self._base_ctx
         nl = base.nl_inner
         hash_best = base.hash_inner
-        # First-minimum merge: base candidates precede extras in the
-        # scalar list, so an extra only wins with a strictly lower cost.
+        # First-minimum merge: an extra only wins with a strictly lower cost.
         for definition in inner_defs:
             nl_cands, hash_cands = self._inner_candidates(definition)
             for candidate in nl_cands:
@@ -1232,19 +1037,13 @@ class _SelectSubstrate:
         if nl is base.nl_inner and hash_best is base.hash_inner:
             ctx = base  # unchanged: lets price() reuse finished plans
         else:
-            ctx = _JoinContext(
-                join=base.join,
-                right_rows=base.right_rows,
-                distinct=base.distinct,
-                nl_inner=nl,
-                hash_inner=hash_best,
-            )
+            ctx = dataclasses.replace(base, nl_inner=nl, hash_inner=hash_best)
         self._ctx_memo[inner_defs] = ctx
         return ctx
 
 
 class _InsertSubstrate:
-    """Maintenance-cost prefix for a (non-bulk) INSERT."""
+    """Maintenance-cost prefix for an INSERT."""
 
     def __init__(
         self, opt: Optimizer, query: InsertQuery, excluded: frozenset
@@ -1253,13 +1052,13 @@ class _InsertSubstrate:
         self._query = query
         self._excluded = excluded
         table = opt._table(query.table)
-        self._table_obj = table
+        self._table = table
         model = opt._cost_model
         self._rows = float(len(query.rows))
-        maintained = opt._maintained_indexes(table, (), excluded)
+        maintained = opt._maintained_indexes(table, excluded)
         cview = table.clustered_stats_view()
-        # Left-to-right accumulation in the scalar order (clustered tree
-        # first, then existing indexes); extras append in price().
+        # Left-to-right accumulation: clustered tree first, then existing
+        # indexes; extras append in price().
         cost = model.maintenance_cost(cview.height, self._rows)
         for _definition, view in maintained:
             cost += model.maintenance_cost(view.height, self._rows)
@@ -1268,27 +1067,28 @@ class _InsertSubstrate:
         self._extra_memo: Dict[IndexDefinition, float] = {}
 
     def price(self, extras: Tuple[IndexDefinition, ...]) -> PlanNode:
-        table = self._table_obj
+        table = self._table
         cost = self._base_cost
-        names = list(self._base_names)
+        names = self._base_names
         for definition in extras:
             if definition.table != table.name or definition.name in self._excluded:
                 continue
             maint = self._extra_memo.get(definition)
             if maint is None:
                 view = table.hypothetical_stats_view(definition)
-                maint = self._opt._cost_model.maintenance_cost(
-                    view.height, self._rows
+                maint = self._extra_memo[definition] = (
+                    self._opt._cost_model.maintenance_cost(
+                        view.height, self._rows
+                    )
                 )
-                self._extra_memo[definition] = maint
             cost += maint
-            names.append(definition.name)
+            names += (definition.name,)
         return InsertPlanNode(
             est_rows=self._rows,
             est_cost=cost,
             table=table.name,
             row_count=len(self._query.rows),
-            maintained_indexes=tuple(names),
+            maintained_indexes=names,
         )
 
 
@@ -1304,101 +1104,71 @@ class _DmlSubstrate:
         self._opt = opt
         self._query = query
         self._excluded = excluded
-        self._is_update = isinstance(query, UpdateQuery)
         table = opt._table(query.table)
-        self._table_obj = table
+        self._table = table
         self._needed = tuple(table.schema.column_names)
-        self._base_candidates = opt._access_candidates(
-            table, query.predicates, self._needed, (), excluded
+        self._out_rows, candidates = opt._access_candidates(
+            table, query.predicates, self._needed, excluded
         )
-        self._base_best = min(self._base_candidates, key=lambda c: c.cost)
-        changed = query.assigned_columns if self._is_update else None
-        maintained = opt._maintained_indexes(table, (), excluded, changed)
+        self._base_best = min(candidates, key=lambda c: c.cost)
+        #: UPDATE maintains only indexes its SET list touches, and pays a
+        #: delete plus an insert in each; DELETE maintains every index.
+        self._changed = (
+            query.assigned_columns if isinstance(query, UpdateQuery) else None
+        )
+        self._factor = 1 if self._changed is None else 2
         self._base_maintained = tuple(
-            (d.name, view.height) for d, view in maintained
+            (d.name, view.height)
+            for d, view in opt._maintained_indexes(
+                table, excluded, self._changed
+            )
         )
         self._cview_height = table.clustered_stats_view().height
-        self._access_memo: Dict[IndexDefinition, tuple] = {}
-        #: definition -> maintained tree height, or None when the update
-        #: does not touch the index (the changed-columns filter).
-        self._maint_memo: Dict[IndexDefinition, Optional[float]] = {}
+        #: definition -> (access candidates, maintained tree height or
+        #: None when the statement does not touch the index).
+        self._extra_memo: Dict[IndexDefinition, tuple] = {}
 
-    def _visible(self, definition: IndexDefinition) -> bool:
-        return (
-            definition.table == self._table_obj.name
-            and definition.name not in self._excluded
-        )
-
-    def _extra_access(self, definition: IndexDefinition) -> tuple:
-        cached = self._access_memo.get(definition)
+    def _extra(self, definition: IndexDefinition) -> tuple:
+        cached = self._extra_memo.get(definition)
         if cached is None:
-            opt = self._opt
-            table = self._table_obj
+            table = self._table
             view = table.hypothetical_stats_view(definition)
-            query = self._query
-            model = opt._cost_model
-            rows = table.row_count
-            all_sel = model.combined_selectivity(table, query.predicates)
-            out_rows = (
-                max(0.0, all_sel * rows) if query.predicates else float(rows)
+            candidates = self._opt._index_candidates(
+                table, definition, view,
+                self._query.predicates, self._needed, self._out_rows,
             )
-            out = []
-            for maker in (opt._index_seek_candidate, opt._index_scan_candidate):
-                candidate = maker(
-                    table, definition, view, query.predicates,
-                    self._needed, out_rows,
-                )
-                if candidate is not None:
-                    out.append(candidate)
-            cached = tuple(out)
-            self._access_memo[definition] = cached
+            maintained = _maintains(table, definition, self._changed)
+            cached = self._extra_memo[definition] = (
+                candidates, view.height if maintained else None
+            )
         return cached
-
-    def _extra_height(self, definition: IndexDefinition) -> Optional[float]:
-        if definition in self._maint_memo:
-            return self._maint_memo[definition]
-        table = self._table_obj
-        height: Optional[float] = None
-        if self._is_update:
-            relevant = set(definition.all_columns) | set(
-                table.schema.primary_key
-            )
-            touched = any(
-                c in relevant for c in self._query.assigned_columns
-            )
-        else:
-            touched = True
-        if touched:
-            height = table.hypothetical_stats_view(definition).height
-        self._maint_memo[definition] = height
-        return height
 
     def price(self, extras: Tuple[IndexDefinition, ...]) -> PlanNode:
         model = self._opt._cost_model
+        table_name = self._table.name
+        visible = [
+            self._extra(d) + (d.name,)
+            for d in extras
+            if d.table == table_name and d.name not in self._excluded
+        ]
         best = self._base_best
-        for definition in extras:
-            if not self._visible(definition):
-                continue
-            for candidate in self._extra_access(definition):
+        for candidates, _height, _name in visible:
+            for candidate in candidates:
                 if candidate.cost < best.cost:
                     best = candidate
         rows = best.out_rows
-        factor = 2 if self._is_update else 1
+        factor = self._factor
         cost = best.cost + model.maintenance_cost(self._cview_height, rows)
         names: List[str] = []
         for name, height in self._base_maintained:
             cost += factor * model.maintenance_cost(height, rows)
             names.append(name)
-        for definition in extras:
-            if not self._visible(definition):
-                continue
-            height = self._extra_height(definition)
+        for _candidates, height, name in visible:
             if height is None:
                 continue
             cost += factor * model.maintenance_cost(height, rows)
-            names.append(definition.name)
-        table_name = self._table_obj.name
-        if self._is_update:
+            names.append(name)
+        if self._changed is not None:
             return UpdatePlanNode(
                 est_rows=rows,
                 est_cost=cost,
@@ -1416,8 +1186,21 @@ class _DmlSubstrate:
         )
 
 
+def _maintains(
+    table: Table,
+    definition: IndexDefinition,
+    changed_columns: Optional[Sequence[str]],
+) -> bool:
+    """Whether a statement changing ``changed_columns`` (None: whole rows)
+    must maintain the index."""
+    if changed_columns is None:
+        return True
+    relevant = set(definition.all_columns) | set(table.schema.primary_key)
+    return any(c in relevant for c in changed_columns)
+
+
 def _param_seekable(candidate: _AccessCandidate) -> bool:
-    """The _nl_inner_access filter: a seek parameterized on the join key."""
+    """A seek parameterized on the join key (usable once per outer probe)."""
     node = candidate.node
     seek = node.child if isinstance(node, KeyLookupNode) else node
     if not isinstance(seek, (ClusteredSeekNode, IndexSeekNode)):
@@ -1425,39 +1208,26 @@ def _param_seekable(candidate: _AccessCandidate) -> bool:
     return any(p.value is PARAM for p in seek.eq_predicates)
 
 
-def _batchable(query) -> bool:
-    """Statement shapes the substrate can express incrementally."""
-    if isinstance(query, SelectQuery):
-        return query.index_hint is None
-    if isinstance(query, InsertQuery):
-        return not query.bulk
-    return isinstance(query, (UpdateQuery, DeleteQuery))
-
-
 def _build_substrate(opt: Optimizer, query, excluded: frozenset):
     if isinstance(query, SelectQuery):
         return _SelectSubstrate(opt, query, excluded)
     if isinstance(query, InsertQuery):
         return _InsertSubstrate(opt, query, excluded)
-    return _DmlSubstrate(opt, query, excluded)
+    if isinstance(query, (UpdateQuery, DeleteQuery)):
+        return _DmlSubstrate(opt, query, excluded)
+    raise OptimizeError(f"cannot optimize {type(query).__name__}")
 
 
 class BatchPricer:
-    """Batched what-if pricing for one statement under one exclusion set.
+    """Prices many configurations of one statement under one exclusion set.
 
-    ``price(extra_indexes)`` returns exactly the plan that
-    ``optimize(query, extra_indexes, excluded)`` would — same floats,
-    same argmin winner — while sharing the query-invariant substrate
-    across configurations (and, via the plan cache's substrate store,
-    across pricers for the same statement at the same table versions).
-
-    Observable side effects also match the scalar path one for one: the
-    same ``whatif_calls`` metering, the same per-configuration
-    plan-cache lookups/stores and hit/miss counts, the same exceptions
-    (unknown tables, bulk INSERT in what-if mode).  Statements the
-    substrate cannot express — index hints, bulk INSERT, exotic query
-    types — fall back to a scalar ``optimize()`` call per configuration,
-    counted in :class:`BatchPricingStats`.
+    ``price(extra_indexes)`` is ``optimize(query, extra_indexes,
+    excluded)`` — the same planning body, hence the same floats, argmin
+    winner, ``whatif_calls`` metering, per-configuration plan-cache
+    lookups/stores and exceptions — except that the statement's substrate
+    is built at most once for the pricer's lifetime and shared, through
+    the plan cache's substrate store, with later pricers for the same
+    statement at the same table versions.
     """
 
     def __init__(
@@ -1471,42 +1241,13 @@ class BatchPricer:
 
     def price(self, extra_indexes: Sequence[IndexDefinition] = ()) -> PlanNode:
         opt = self._optimizer
-        query = self._query
-        excluded = self._excluded
-        extras = tuple(extra_indexes)
         opt.batch_stats.configurations += 1
-        if not extras and not excluded:
-            # The base configuration is a normal-mode optimization:
-            # delegate wholesale so MI-emission bookkeeping (recorded
-            # into the cache entry, replayed on later normal-mode hits)
-            # stays cache-transparent.
-            return opt.optimize(query)
-        if not _batchable(query):
-            opt.batch_stats.scalar_fallbacks += 1
-            return opt.optimize(query, extras, excluded)
-        opt.whatif_calls += 1
-        key = opt._cache_key(query, extras, excluded)
-        if key is not None:
-            entry = opt.plan_cache.lookup(key)
-            if entry is not None:
-                count("plan_cache_hit")
-                return entry.plan
-            count("plan_cache_miss")
-        substrate = self._ensure_substrate()
-        with profile("optimizer_batch_price"):
-            plan = substrate.price(extras)
-        if key is not None:
-            opt.plan_cache.store(
-                key,
-                PlanCacheEntry(
-                    plan=plan,
-                    mi_emissions=(),
-                    tables=opt._referenced_tables(query),
-                ),
-            )
-        return plan
+        return opt._plan(
+            self._query, tuple(extra_indexes), self._excluded, pricer=self
+        )
 
-    def _ensure_substrate(self):
+    def substrate(self):
+        """The statement's substrate: held, else memoized, else built."""
         if self._substrate is not None:
             return self._substrate
         opt = self._optimizer
@@ -1516,8 +1257,7 @@ class BatchPricer:
         )
         if substrate is None:
             opt.batch_stats.substrate_misses += 1
-            with profile("optimizer_substrate_build"):
-                substrate = _build_substrate(opt, self._query, self._excluded)
+            substrate = _build_substrate(opt, self._query, self._excluded)
             if skey is not None:
                 opt.plan_cache.store_substrate(
                     skey, substrate, opt._referenced_tables(self._query)

@@ -41,8 +41,9 @@ DEFAULT_CAPACITY = 1024
 
 #: Default maximum number of memoized what-if substrates per engine.
 #: Substrates (see :class:`repro.engine.optimizer.BatchPricer`) are much
-#: larger than plans — they hold every base candidate's finished plan —
-#: so their store is bounded separately and more tightly.
+#: larger than plans — they hold every base access candidate and the
+#: per-definition memos — so their store is bounded separately and more
+#: tightly.
 DEFAULT_SUBSTRATE_CAPACITY = 256
 
 
@@ -75,12 +76,12 @@ class PlanCache:
         self.capacity = capacity
         self.substrate_capacity = substrate_capacity
         self._entries: "OrderedDict[Hashable, PlanCacheEntry]" = OrderedDict()
-        #: Memoized batched-what-if substrates: key -> (substrate, tables).
+        #: Memoized what-if substrates: key -> (substrate, tables).
         #: Keyed by the base-configuration plan key, so the same version
         #: fingerprints that gate plan staleness gate substrate staleness.
         #: Hit/miss accounting lives in the optimizer's BatchPricingStats,
-        #: not in the plan counters below, so plan-cache hit rates are
-        #: identical whether or not the batched pricer is in use.
+        #: not in the plan counters below, so plan-cache hit rates do not
+        #: depend on how what-if calls are grouped into pricers.
         self._substrates: "OrderedDict[Hashable, tuple]" = OrderedDict()
         self.hits = 0
         self.misses = 0

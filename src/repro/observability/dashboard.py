@@ -217,15 +217,14 @@ def render_dashboard(
                 f"invalidations {int(cache_invalidations)})"
             )
 
-    # --- batched what-if pricing (present once any batch was priced) -
+    # --- what-if pricing (present once any batch was priced) ---------
     batches = registry.total("whatif_batch_batches")
     if batches:
         configurations = registry.total("whatif_batch_configurations")
         substrate_hits = registry.total("whatif_batch_substrate_hits")
         substrate_misses = registry.total("whatif_batch_substrate_misses")
-        fallbacks = registry.total("whatif_batch_scalar_fallbacks")
         substrate_lookups = substrate_hits + substrate_misses
-        lines.append("batched what-if pricing:")
+        lines.append("what-if pricing:")
         lines.append(
             f"  configurations:  {int(configurations)} priced in "
             f"{int(batches)} batches"
@@ -236,8 +235,6 @@ def render_dashboard(
                 f"  substrates:      {int(substrate_lookups)} lookups "
                 f"(reuse {reuse:.1%}, builds {int(substrate_misses)})"
             )
-        if fallbacks:
-            lines.append(f"  scalar fallbacks: {int(fallbacks)}")
 
     # --- fleet execution (only present on sharded parallel runs) -----
     databases = registry.total("fleet_databases")

@@ -164,23 +164,19 @@ CATALOG: Dict[str, MetricSpec] = dict(
               "Columnar cache invalidations per database after data or "
               "schema version bumps (monotone)."),
         _spec("whatif_batch_batches", "gauge", "batches",
-              "Batched what-if pricers created per database (one per "
-              "statement frontier; monotone engine counter)."),
+              "What-if pricers created per database (one per statement "
+              "frontier; monotone engine counter)."),
         _spec("whatif_batch_configurations", "gauge", "configurations",
-              "Hypothetical configurations priced through the batched "
-              "what-if path per database (monotone)."),
+              "Hypothetical configurations priced through the what-if "
+              "API per database (monotone)."),
         _spec("whatif_batch_substrate_hits", "gauge", "substrates",
-              "Batched-pricing substrate reuses per database: statement "
-              "plan spaces served from the plan cache's substrate store "
+              "What-if substrate reuses per database: statement plan "
+              "spaces served from the plan cache's substrate store "
               "(monotone)."),
         _spec("whatif_batch_substrate_misses", "gauge", "substrates",
-              "Batched-pricing substrate builds per database: the "
-              "query-invariant plan space had to be enumerated "
+              "What-if substrate builds per database: the "
+              "configuration-invariant plan space had to be enumerated "
               "(monotone)."),
-        _spec("whatif_batch_scalar_fallbacks", "gauge", "configurations",
-              "Configurations the batched pricer routed through the "
-              "scalar optimize path (hinted or bulk statements; "
-              "monotone)."),
         _spec("bench_duration_ms", "gauge", "milliseconds",
               "Micro-benchmark wall-clock duration, by benchmark name."),
         _spec("bench_pages_touched", "gauge", "pages",

@@ -7,14 +7,12 @@ enumeration does not re-pay for repeated evaluations, and surfaces
 :class:`ResourceBudgetExceededError` to the session for yield/abort
 decisions.
 
-Costing runs through the engine's batched what-if pricer by default
-(``EngineSettings.whatif_mode`` / ``REPRO_WHATIF``): single lookups are
-priced as batches of one so repeated configurations of the same
-statement share the memoized plan substrate, and the frontier APIs
+Costing runs through the engine's :class:`repro.engine.engine.WhatIfBatch`:
+a single lookup is a frontier of one, and the frontier APIs
 (:meth:`WhatIfSession.cost_many`, :meth:`WhatIfSession.workload_cost_many`)
-price a whole configuration frontier per statement in one pass.  Both
-modes produce bit-identical costs and identical session/cache/governor
-accounting.
+price a whole configuration frontier per statement against one plan
+substrate.  Costs and session/cache/governor accounting do not depend
+on how configurations are grouped into frontiers.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.engine.engine import SqlEngine, resolve_whatif_mode
+from repro.engine.engine import SqlEngine
 from repro.engine.schema import IndexDefinition
 from repro.errors import OptimizeError
 from repro.rng import derive
@@ -146,16 +144,15 @@ class WhatIfSession:
 
         Equivalent to calling :meth:`cost` once per configuration — same
         floats, same cache/stats/governor accounting, in the same order —
-        but uncached configurations are priced through one engine batch
-        pricer, sharing the statement's plan substrate.  A mid-frontier
-        ResourceBudgetExceededError propagates with the configurations
-        priced so far already cached (the retry resumes where it left
-        off, exactly as the scalar loop would).
+        but uncached configurations are priced through one engine
+        :class:`WhatIfBatch`, sharing the statement's plan substrate.  A
+        mid-frontier ResourceBudgetExceededError propagates with the
+        configurations priced so far already cached (the retry resumes
+        where it left off).
         """
         configurations = [tuple(c) for c in configurations]
         results: List[Optional[float]] = [None] * len(configurations)
         batch = None
-        use_batch = resolve_whatif_mode(self.engine.settings) == "batch"
         for i, configuration in enumerate(configurations):
             key = self._cache_key(query, configuration)
             cached = self._cost_cache.get(key)
@@ -166,15 +163,10 @@ class WhatIfSession:
                 self.stats.cache_hits += 1
                 results[i] = cached
                 continue
+            if batch is None:
+                batch = self.engine.whatif_batch(query)
             try:
-                if use_batch:
-                    if batch is None:
-                        batch = self.engine.whatif_batch(query)
-                    cost = batch.cost(configuration)
-                else:
-                    cost = self.engine.whatif_cost(
-                        query, extra_indexes=configuration
-                    )
+                cost = batch.cost(configuration)
             except OptimizeError:
                 self.stats.failed_statements += 1
                 self._cost_cache[key] = _FAILED
@@ -204,7 +196,7 @@ class WhatIfSession:
         order (and therefore every float) is identical to
         :meth:`workload_cost`; across configurations the (statement,
         configuration) evaluation set is identical too, so session and
-        governor totals match the scalar sweep.
+        governor totals match a configuration-major sweep.
         """
         configurations = [tuple(c) for c in configurations]
         totals = [0.0] * len(configurations)

@@ -21,8 +21,9 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from repro.engine.engine import SqlEngine, resolve_whatif_mode
+from repro.engine.engine import SqlEngine
 from repro.engine.schema import IndexDefinition
+from repro.errors import OptimizeError
 from repro.recommender.classifier import LowImpactClassifier
 from repro.recommender.impact import (
     SnapshotAccumulator,
@@ -272,16 +273,13 @@ class MiRecommender:
             if query is None or getattr(query, "table", None) != candidate.table:
                 continue
             try:
-                if resolve_whatif_mode(engine.settings) == "batch":
-                    base, with_index = engine.whatif_cost_many(
-                        query, [(), (definition,)]
-                    )
-                else:
-                    base = engine.whatif_cost(query)
-                    with_index = engine.whatif_cost(
-                        query, extra_indexes=(definition,)
-                    )
-            except Exception:
+                base, with_index = engine.whatif_cost_many(
+                    query, [(), (definition,)]
+                )
+            except OptimizeError:
+                # Statements what-if cannot plan (Section 5.3.2) carry no
+                # evidence.  A dry tuning budget is not one of those: it
+                # propagates so the analysis is deferred, not mis-decided.
                 continue
             delta = base - with_index
             if query.kind == "SELECT" and delta > 0:

@@ -94,18 +94,18 @@ class TestPlanCacheMemo:
             registry.gauge("plan_cache_misses", database=name).value
             == cache.misses
         )
-        published = dict(plane._plan_cache_published)
+        published = dict(plane._engine_gauges_published)
 
         # An idle tick (no workload) leaves the memo untouched, and the
         # gauges still read correctly.
         plane.process(plane.clock.now)
-        assert plane._plan_cache_published == published
+        assert plane._engine_gauges_published == published
         assert registry.gauge("plan_cache_hits", database=name).value == cache.hits
 
         # More workload moves the counters; the next tick re-publishes.
         profile.workload.run(profile.engine, 2, max_statements=40)
         plane.process()
-        assert plane._plan_cache_published[name] != published[name]
+        assert plane._engine_gauges_published[name] != published[name]
         assert registry.gauge("plan_cache_hits", database=name).value == cache.hits
 
     def test_memo_skip_detectable_via_gauge_identity(self):

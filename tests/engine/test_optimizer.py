@@ -374,7 +374,7 @@ class TestMiEmission:
         _t, eq, ineq, _incl, _c, _i = hits[0]
         assert eq == ("o_cust",) and ineq == ("o_date",)
 
-    def test_whatif_mode_does_not_emit(self, eng):
+    def test_whatif_call_does_not_emit(self, eng):
         hits = []
 
         def sink(*args):

@@ -18,14 +18,30 @@ Two bugs were found by the property suites and fixed together:
 
 These tests re-run the exact falsifying queries with no Hypothesis
 involvement, so the bugs can never silently return on a lucky draw.
+
+``TestPinnedAcrossPlannerCollapse`` holds literals recorded from the
+per-configuration planner (``_plan_select`` and friends) at the last
+commit that had one; see its docstring.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.engine import IndexDefinition, Op, Predicate, SelectQuery
+from repro.engine import (
+    DeleteQuery,
+    IndexDefinition,
+    InsertQuery,
+    JoinSpec,
+    Op,
+    Predicate,
+    SelectQuery,
+    UpdateQuery,
+)
 from repro.engine.query import AggFunc, Aggregate
+from repro.errors import ExecutionError
 from tests.engine.test_executor import brute_force, norm
 from tests.engine.test_optimizer import perfect_engine
 
@@ -127,3 +143,227 @@ class TestOrderIndependentAggregation:
         expected = norm(brute_force(bare, query))
         assert norm(bare.execute(query).rows) == expected
         assert norm(indexed.execute(query).rows) == expected
+
+
+def _hyp(name, table, keys, included=()):
+    return IndexDefinition(
+        name, table, tuple(keys), tuple(included), hypothetical=True
+    )
+
+
+HYP_STATUS = _hyp("hyp_status", "orders", ("o_status", "o_date"), ("o_amount",))
+HYP_CUST_TWIN = _hyp("hyp_cust_twin", "orders", ("o_cust",), ("o_amount",))
+HYP_CUST_TWIN2 = _hyp("hyp_cust_twin2", "orders", ("o_cust",), ("o_amount",))
+HYP_NOTE = _hyp("hyp_note", "orders", ("o_note",))
+HYP_AMOUNT = _hyp("hyp_amount", "orders", ("o_amount",), ("o_cust",))
+HYP_REGION = _hyp("hyp_region", "customers", ("c_region",), ("c_name",))
+HYP_REGION_NARROW = _hyp("hyp_region_narrow", "customers", ("c_region",))
+HYP_OCUST = _hyp("hyp_ocust", "orders", ("o_cust",), ("o_amount", "o_status"))
+
+_STATUS_PREDS = (Predicate("o_status", Op.EQ, 2), Predicate("o_date", Op.LT, 40))
+_REGION_JOIN = JoinSpec(
+    "customers", "o_cust", "c_id", (Predicate("c_region", Op.EQ, 4),), ("c_name",)
+)
+BY_CUST = SelectQuery("orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),))
+BY_CUST_HINTED = dataclasses.replace(BY_CUST, index_hint="ix_cust")
+BY_STATUS = SelectQuery("orders", ("o_amount",), _STATUS_PREDS)
+JOIN_FEW_OUTER = SelectQuery(
+    "orders", ("o_amount",), (Predicate("o_id", Op.LT, 3),),
+    join=JoinSpec("customers", "o_status", "c_region", (), ("c_name",)),
+)
+JOIN_HASH = SelectQuery("orders", ("o_amount",), (), join=_REGION_JOIN)
+JOIN_INNER_ORDERS = SelectQuery(
+    "customers", ("c_name",), (Predicate("c_region", Op.EQ, 4),),
+    join=JoinSpec("orders", "c_id", "o_cust", (), ("o_amount",)),
+)
+JOIN_BOTH = SelectQuery("orders", ("o_amount",), _STATUS_PREDS, join=_REGION_JOIN)
+JOIN_HINTED = SelectQuery(
+    "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),),
+    join=JoinSpec("customers", "o_cust", "c_region", (), ("c_name",)),
+    index_hint="ix_cust",
+)
+UPD_NOTE = UpdateQuery("orders", (("o_note", "x"),), _STATUS_PREDS)
+UPD_NOTE_NARROW = UpdateQuery(
+    "orders", (("o_note", "x"),),
+    (Predicate("o_status", Op.EQ, 2), Predicate("o_date", Op.EQ, 40)),
+)
+UPD_STATUS = UpdateQuery(
+    "orders", (("o_status", 1),), (Predicate("o_cust", Op.EQ, 3),)
+)
+DEL_STATUS = DeleteQuery("orders", _STATUS_PREDS)
+DEL_CUST = DeleteQuery("orders", (Predicate("o_cust", Op.EQ, 3),))
+DEL_REGION = DeleteQuery("customers", (Predicate("c_region", Op.EQ, 4),))
+INS = InsertQuery("orders", ({"o_id": 10_000}, {"o_id": 10_001}))
+AGG_STATUS = agg_query(Predicate("o_id", Op.LT, 538), "o_status")
+
+#: name -> (query, extra_indexes, excluded, expectation); the expectation
+#: is ``(est_cost, signature(), referenced_indexes())`` or the exception.
+PINNED = {
+    # -- index hints: a filter over existing *and* supplied candidates
+    "hint_existing_no_extras": (
+        BY_CUST_HINTED, (), (),
+        (0.2611428571428571, "IndexSeek[ix_cust]", ("ix_cust",))),
+    "hint_existing_with_unrelated_extra": (
+        BY_CUST_HINTED, (HYP_OCUST,), (),
+        (0.2611428571428571, "IndexSeek[ix_cust]", ("ix_cust",))),
+    "hint_existing_under_exclusion_of_other": (
+        BY_CUST_HINTED, (HYP_STATUS,), ("ix_date",),
+        (0.2611428571428571, "IndexSeek[ix_cust]", ("ix_cust",))),
+    "hint_names_hypothetical": (
+        dataclasses.replace(BY_STATUS, index_hint="hyp_status"),
+        (HYP_STATUS, HYP_NOTE), (),
+        (0.41810499999999995, "IndexSeek[hyp_status]", ("hyp_status",))),
+    "hint_names_hypothetical_scan": (
+        dataclasses.replace(BY_CUST, index_hint="hyp_amount"),
+        (HYP_AMOUNT,), (),
+        (8.675, "IndexScan[hyp_amount]", ("hyp_amount",))),
+    "hint_names_unusable_hypothetical": (
+        dataclasses.replace(BY_CUST, index_hint="hyp_note"),
+        (HYP_NOTE,), (), ExecutionError),
+    "hint_names_excluded_index": (
+        BY_CUST_HINTED, (HYP_OCUST,), ("ix_cust",), ExecutionError),
+    "hint_names_nothing": (
+        dataclasses.replace(BY_CUST, index_hint="gone"),
+        (HYP_OCUST,), (), ExecutionError),
+    "hinted_join_inner_hyp": (
+        JOIN_HINTED, (HYP_REGION,), (),
+        (1.4128571428571428,
+         "HashJoin(IndexSeek[ix_cust],ClusteredScan[customers])",
+         ("ix_cust",))),
+    "hinted_join_base": (
+        JOIN_HINTED, (), ("ix_date",),
+        (1.4128571428571428,
+         "HashJoin(IndexSeek[ix_cust],ClusteredScan[customers])",
+         ("ix_cust",))),
+    # -- joins: the hypothetical index lands on the inner table
+    "join_inner_hyp_loses": (
+        JOIN_FEW_OUTER, (HYP_REGION,), (),
+        (1.624609375,
+         "HashJoin(ClusteredSeek[orders],ClusteredScan[customers])", ())),
+    "join_inner_hyp_narrow_loses": (
+        JOIN_FEW_OUTER, (HYP_REGION_NARROW,), (),
+        (1.624609375,
+         "HashJoin(ClusteredSeek[orders],ClusteredScan[customers])", ())),
+    "join_base_under_exclusion": (
+        JOIN_FEW_OUTER, (), ("ix_date",),
+        (1.624609375,
+         "HashJoin(ClusteredSeek[orders],ClusteredScan[customers])", ())),
+    "join_inner_hyp_hash_winner": (
+        JOIN_HASH, (HYP_REGION,), (),
+        (21.11, "HashJoin(IndexScan[ix_cust],IndexSeek[hyp_region])",
+         ("ix_cust", "hyp_region"))),
+    "join_inner_tie_base_wins": (
+        JOIN_INNER_ORDERS, (HYP_OCUST,), (),
+        (6.99, "NLJoin(ClusteredScan[customers],IndexSeek[ix_cust])",
+         ("ix_cust",))),
+    "join_inner_hyp_nl_winner": (
+        JOIN_INNER_ORDERS, (HYP_OCUST,), ("ix_cust",),
+        (6.99, "NLJoin(ClusteredScan[customers],IndexSeek[hyp_ocust])",
+         ("hyp_ocust",))),
+    "join_outer_and_inner_hyp": (
+        JOIN_BOTH, (HYP_STATUS, HYP_REGION), (),
+        (11.6571575, "HashJoin(ClusteredScan[orders],IndexSeek[hyp_region])",
+         ("hyp_region",))),
+    # -- UPDATE: the SET list decides which hypothetical indexes are maintained
+    "update_untouched_hyp": (
+        UPD_NOTE, (HYP_STATUS,), (),
+        (22.10888, "Update[orders|]<-ClusteredScan[orders]", ())),
+    "update_untouched_hyp_carries_access": (
+        UPD_NOTE_NARROW, (HYP_STATUS,), (),
+        (0.696295,
+         "Update[orders|]<-IndexSeek[hyp_status]->KeyLookup[orders]",
+         ("hyp_status",))),
+    "update_touched_and_untouched_hyp": (
+        UPD_NOTE, (HYP_STATUS, HYP_NOTE), (),
+        (44.29664, "Update[orders|hyp_note]<-ClusteredScan[orders]",
+         ("hyp_note",))),
+    "update_key_column_hyp": (
+        UPD_STATUS, (HYP_STATUS, HYP_AMOUNT), (),
+        (9.477142857142859,
+         "Update[orders|hyp_status]<-IndexSeek[ix_cust]->KeyLookup[orders]",
+         ("ix_cust", "hyp_status"))),
+    # -- DELETE and non-bulk INSERT: every visible index is maintained
+    "delete_hyp": (
+        DEL_STATUS, (HYP_STATUS, HYP_NOTE), (),
+        (66.4844,
+         "Delete[orders|hyp_note,hyp_status,ix_cust,ix_date]"
+         "<-ClusteredScan[orders]",
+         ("ix_cust", "ix_date", "hyp_status", "hyp_note"))),
+    "delete_customers_hyp": (
+        DEL_REGION, (HYP_REGION, HYP_NOTE), (),
+        (5.870000000000001,
+         "Delete[customers|hyp_region]<-IndexSeek[hyp_region]",
+         ("hyp_region",))),
+    "insert_hyp": (
+        INS, (HYP_STATUS, HYP_REGION, HYP_NOTE), (),
+        (1.12, "Insert[orders|hyp_note,hyp_status,ix_cust,ix_date]",
+         ("ix_cust", "ix_date", "hyp_status", "hyp_note"))),
+    "insert_excluding": (
+        INS, (HYP_STATUS,), ("ix_cust",),
+        (0.672, "Insert[orders|hyp_status,ix_date]",
+         ("ix_date", "hyp_status"))),
+    # -- excluded together with extra_indexes
+    "excluded_with_extras_select": (
+        BY_CUST, (HYP_OCUST, HYP_NOTE), ("ix_cust",),
+        (0.2611428571428571, "IndexSeek[hyp_ocust]", ("hyp_ocust",))),
+    "excluded_names_an_extra": (
+        BY_CUST, (HYP_OCUST, HYP_CUST_TWIN), ("ix_cust", "hyp_ocust"),
+        (0.2611428571428571, "IndexSeek[hyp_cust_twin]",
+         ("hyp_cust_twin",))),
+    "excluded_with_extras_update": (
+        UPD_STATUS, (HYP_OCUST,), ("ix_cust",),
+        (9.477142857142859,
+         "Update[orders|hyp_ocust]<-IndexSeek[hyp_ocust]->KeyLookup[orders]",
+         ("hyp_ocust",))),
+    # -- cost ties: the earliest candidate wins, and base precedes extras
+    "tie_select_base_wins": (
+        BY_CUST, (HYP_CUST_TWIN,), (),
+        (0.2611428571428571, "IndexSeek[ix_cust]", ("ix_cust",))),
+    "tie_update_base_wins": (
+        UPD_STATUS, (HYP_CUST_TWIN,), (),
+        (4.869142857142858,
+         "Update[orders|]<-IndexSeek[ix_cust]->KeyLookup[orders]",
+         ("ix_cust",))),
+    "tie_delete_base_wins": (
+        DEL_CUST, (HYP_CUST_TWIN,), (),
+        (11.781142857142859,
+         "Delete[orders|hyp_cust_twin,ix_cust,ix_date]"
+         "<-IndexSeek[ix_cust]->KeyLookup[orders]",
+         ("ix_cust", "ix_date", "hyp_cust_twin"))),
+    "tie_between_extras_first_wins": (
+        BY_CUST, (HYP_CUST_TWIN, HYP_CUST_TWIN2), ("ix_cust",),
+        (0.2611428571428571, "IndexSeek[hyp_cust_twin]",
+         ("hyp_cust_twin",))),
+    "aggregate_with_order_providing_hyp": (
+        AGG_STATUS, (HYP_STATUS,), (),
+        (3.27627125, "HashAgg(o_status)<-ClusteredSeek[orders]", ())),
+}
+
+
+class TestPinnedAcrossPlannerCollapse:
+    """The absolute oracle for deleting the per-configuration planner.
+
+    Until the commit that made the what-if substrate the only planner,
+    ``Optimizer.optimize`` threaded ``extra_indexes`` through
+    ``_plan_select/_plan_insert/_plan_update/_plan_delete``.  Every
+    literal below was recorded from that code path at that commit's
+    parent, so the substrate is held to the floats, winners and errors
+    of the planner it replaced rather than only to itself.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned(self, eng, name):
+        query, extras, excluded, expected = PINNED[name]
+        if expected is ExecutionError:
+            with pytest.raises(ExecutionError, match="which does not exist"):
+                eng.optimizer.optimize(query, extras, frozenset(excluded))
+            with pytest.raises(ExecutionError, match="which does not exist"):
+                eng.whatif_batch(query, excluded).price(extras)
+            return
+        for plan in (
+            eng.optimizer.optimize(query, extras, frozenset(excluded)),
+            eng.whatif_optimize(query, extras, excluded),
+        ):
+            assert (
+                plan.est_cost, plan.signature(), plan.referenced_indexes()
+            ) == expected

@@ -1,12 +1,15 @@
-"""Batched what-if costing: differential parity with the scalar path.
+"""What-if pricing: a shared substrate equals a fresh one.
 
-The batched pricer's contract is bit-identical observability: same cost
-floats, same plan choices, same MI-DMV silence in what-if mode, same
-plan-cache counters, and governor charges that follow the documented
-batched-charge rule.  The Hypothesis suite drives twin engines — one
-priced configuration-by-configuration through ``whatif_cost``, one
-through ``whatif_cost_many`` — with identical call sequences, so any
-divergence in values *or* counters fails.
+There is one planner; what varies is how much of its work is reused.
+The contract is that reuse is unobservable: pricing a whole frontier
+through one ``whatif_batch`` — warm per-definition memos, substrate-store
+hits, plan-cache hits — yields the same cost floats, plan choices,
+errors, MI-DMV silence and governor charges as recomputing everything
+for every configuration.  The Hypothesis suite drives twin engines with
+identical call sequences: the *fresh* twin empties its plan cache (plans
+and substrates) before every single ``whatif_optimize``, the *shared*
+twin never does.  ``test_optimizer_regressions.py`` pins the absolute
+values; this suite pins that sharing cannot move them.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ from repro.engine import (
     DeleteQuery,
     IndexDefinition,
     InsertQuery,
+    JoinSpec,
     Op,
     Predicate,
     SelectQuery,
     UpdateQuery,
 )
-from repro.errors import OptimizeError
+from repro.engine.optimizer import BatchPricingStats
+from repro.errors import ExecutionError, OptimizeError
 from repro.recommender.dta.whatif import WhatIfSession
 from tests.engine.test_executor_property import select_queries
 from tests.engine.test_optimizer import perfect_engine
@@ -73,25 +78,88 @@ def configurations(draw):
     return [tuple(_definition(i) for i in config) for config in frontier]
 
 
+#: Index hints the statement strategy draws from: the twins' one real
+#: index, three pool definitions (present only in configurations that
+#: happen to contain them), and a name nothing carries.
+_HINTS = ("ix_cust", "hyp_0", "hyp_2", "hyp_3", "ix_gone")
+
+_JOINS = (
+    JoinSpec("customers", "o_cust", "c_id", (), ("c_name",)),
+    JoinSpec(
+        "customers", "o_cust", "c_id",
+        (Predicate("c_region", Op.EQ, 4),), ("c_name",),
+    ),
+    JoinSpec("customers", "o_status", "c_region", (), ("c_name",)),
+)
+
+
+@st.composite
+def statements(draw):
+    """SELECTs over orders: plain / aggregate / ordered, optionally joined
+    to customers, optionally index-hinted."""
+    query = draw(select_queries())
+    join = draw(st.one_of(st.none(), st.sampled_from(_JOINS)))
+    hint = draw(st.one_of(st.none(), st.sampled_from(_HINTS)))
+    return dataclasses.replace(query, join=join, index_hint=hint)
+
+
+def _twin():
+    eng = perfect_engine(seed=5001)
+    eng.create_index(
+        IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_amount",))
+    )
+    return eng
+
+
 @pytest.fixture(scope="module")
 def twins():
-    return perfect_engine(seed=5001), perfect_engine(seed=5001)
+    return _twin(), _twin()
+
+
+def _fresh_plan(eng, query, config=()):
+    """One configuration with nothing to reuse: no plans, no substrates."""
+    eng.plan_cache.invalidate()
+    return eng.whatif_optimize(query, extra_indexes=config)
+
+
+def _outcome(price, *args):
+    """(cost, signature) of a priced plan, or the hint error's type."""
+    try:
+        plan = price(*args)
+    except ExecutionError as exc:
+        assert "which does not exist" in str(exc)
+        return ExecutionError
+    return plan.est_cost, plan.signature()
+
+
+def _observable(eng):
+    usage = eng.governor.tuning.usage
+    return (
+        len(eng.missing_indexes.snapshot(eng.now).entries),
+        usage.whatif_calls,
+        usage.cpu_ms,
+        eng.optimizer.whatif_calls,
+    )
 
 
 @settings(
-    max_examples=120,
+    max_examples=150,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(query=select_queries(), frontier=configurations())
-def test_property_batch_costs_bit_identical(twins, query, frontier):
-    scalar_eng, batch_eng = twins
-    scalar_costs = [
-        scalar_eng.whatif_cost(query, extra_indexes=config)
-        for config in frontier
-    ]
-    batch_costs = batch_eng.whatif_cost_many(query, frontier)
-    assert batch_costs == scalar_costs  # exact float equality, not approx
+@given(query=statements(), frontier=configurations())
+def test_property_shared_equals_fresh(twins, query, frontier):
+    fresh_eng, shared_eng = twins
+    mi_before = _observable(shared_eng)[0]
+    fresh = [_outcome(_fresh_plan, fresh_eng, query, c) for c in frontier]
+    batch = shared_eng.whatif_batch(query)
+    shared = [_outcome(batch.price, config) for config in frontier]
+    assert shared == fresh  # exact float equality, not approx
+    # Identical call sequences, so lifetime totals agree bit for bit:
+    # what-if pricing never feeds the MI DMV, and every configuration is
+    # metered once whether or not anything was reused (or it raised).
+    assert _observable(shared_eng) == _observable(fresh_eng)
+    assert _observable(shared_eng)[0] == mi_before
 
 
 @settings(
@@ -99,27 +167,16 @@ def test_property_batch_costs_bit_identical(twins, query, frontier):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(query=select_queries(), frontier=configurations())
-def test_property_batch_plans_and_mi_silence(twins, query, frontier):
-    scalar_eng, batch_eng = twins
-    mi_before = (
-        len(scalar_eng.missing_indexes.snapshot(scalar_eng.now).entries),
-        len(batch_eng.missing_indexes.snapshot(batch_eng.now).entries),
-    )
-    scalar_plans = [
-        scalar_eng.whatif_optimize(query, extra_indexes=config)
-        for config in frontier
-    ]
-    batch = batch_eng.whatif_batch(query)
-    batch_plans = [batch.price(config) for config in frontier]
-    for scalar_plan, batch_plan in zip(scalar_plans, batch_plans):
-        assert batch_plan.signature() == scalar_plan.signature()
-        assert batch_plan.est_cost == scalar_plan.est_cost
-    mi_after = (
-        len(scalar_eng.missing_indexes.snapshot(scalar_eng.now).entries),
-        len(batch_eng.missing_indexes.snapshot(batch_eng.now).entries),
-    )
-    assert mi_after == mi_before  # what-if pricing never feeds the MI DMV
+@given(query=statements(), frontier=configurations())
+def test_property_frontier_order_is_unobservable(twins, query, frontier):
+    """Warm memos carry no history: pricing the frontier backwards through
+    a second batch (substrate-store hit, plan-cache hits) changes nothing."""
+    _fresh_eng, shared_eng = twins
+    forward = shared_eng.whatif_batch(query)
+    first = [_outcome(forward.price, config) for config in frontier]
+    backward = shared_eng.whatif_batch(query)
+    again = [_outcome(backward.price, c) for c in reversed(frontier)]
+    assert again == first[::-1]
 
 
 class TestBatchPricerParity:
@@ -129,34 +186,29 @@ class TestBatchPricerParity:
         "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),)
     )
 
-    def test_empty_configuration_matches_scalar(self):
-        scalar_eng, batch_eng = perfect_engine(11), perfect_engine(11)
-        expected = scalar_eng.whatif_cost(self.QUERY)
-        assert batch_eng.whatif_cost_many(self.QUERY, [()]) == [expected]
+    def test_empty_configuration_is_normal_mode_planning(self):
+        fresh_eng, shared_eng = perfect_engine(11), perfect_engine(11)
+        expected = _fresh_plan(fresh_eng, self.QUERY).est_cost
+        assert shared_eng.whatif_cost_many(self.QUERY, [()]) == [expected]
+        assert shared_eng.optimizer.optimize(self.QUERY).est_cost == expected
+        # Zero configurations is not what-if mode.
+        assert shared_eng.optimizer.whatif_calls == 0
 
-    def test_counter_parity_over_a_sweep(self):
-        scalar_eng, batch_eng = perfect_engine(12), perfect_engine(12)
+    def test_counters_do_not_depend_on_grouping(self):
+        """One call per configuration and one batch for all of them count
+        the same plan-cache lookups and charge the same pool."""
+        single_eng, batch_eng = perfect_engine(12), perfect_engine(12)
         frontier = [(_definition(0),), (_definition(2),), (_definition(0), _definition(2))]
         for _round in range(2):  # second round exercises cache hits
             for config in frontier:
-                scalar_eng.whatif_cost(self.QUERY, extra_indexes=config)
+                single_eng.whatif_cost(self.QUERY, extra_indexes=config)
             batch_eng.whatif_cost_many(self.QUERY, frontier)
         assert (
             batch_eng.plan_cache.hits,
             batch_eng.plan_cache.misses,
-        ) == (scalar_eng.plan_cache.hits, scalar_eng.plan_cache.misses)
-        assert (
-            batch_eng.governor.tuning.usage.whatif_calls
-            == scalar_eng.governor.tuning.usage.whatif_calls
-        )
-        assert (
-            batch_eng.governor.tuning.usage.cpu_ms
-            == scalar_eng.governor.tuning.usage.cpu_ms
-        )
-        assert (
-            batch_eng.optimizer.whatif_calls
-            == scalar_eng.optimizer.whatif_calls
-        )
+        ) == (single_eng.plan_cache.hits, single_eng.plan_cache.misses)
+        assert _observable(batch_eng) == _observable(single_eng)
+        assert batch_eng.optimizer.batch_stats.scalar_fallbacks == 0
 
     def test_substrate_reused_across_batches(self):
         eng = perfect_engine(13)
@@ -165,7 +217,18 @@ class TestBatchPricerParity:
         assert (stats.substrate_misses, stats.substrate_hits) == (1, 0)
         eng.whatif_cost_many(self.QUERY, [(_definition(1),)])
         assert (stats.substrate_misses, stats.substrate_hits) == (1, 1)
+        # The one-configuration API finds the same substrate.
+        eng.whatif_cost(self.QUERY, extra_indexes=(_definition(2),))
+        assert (stats.substrate_misses, stats.substrate_hits) == (1, 2)
         assert eng.plan_cache.substrate_count() == 1
+
+    def test_statement_execution_leaves_no_substrate(self):
+        """Normal-mode planning prices zero configurations and keeps
+        nothing: a plan-cache miss at the same versions will not recur."""
+        eng = perfect_engine(17)
+        eng.execute(self.QUERY)
+        assert eng.plan_cache.substrate_count() == 0
+        assert eng.optimizer.batch_stats == BatchPricingStats()
 
     def test_invalidation_drops_substrates(self):
         eng = perfect_engine(14)
@@ -174,25 +237,9 @@ class TestBatchPricerParity:
         eng.plan_cache.invalidate("orders")
         assert eng.plan_cache.substrate_count() == 0
 
-    def test_hinted_query_takes_scalar_fallback(self):
-        eng = perfect_engine(15)
-        eng.create_index(
-            IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_amount",))
-        )
-        hinted = dataclasses.replace(self.QUERY, index_hint="ix_cust")
-        expected = eng.whatif_cost(hinted, extra_indexes=(_definition(1),))
-        scalar_eng = perfect_engine(15)
-        scalar_eng.create_index(
-            IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_amount",))
-        )
-        scalar_eng.whatif_cost(hinted, extra_indexes=(_definition(1),))
-        costs = eng.whatif_cost_many(hinted, [(_definition(1),)])
-        assert costs == [expected]
-        assert eng.optimizer.batch_stats.scalar_fallbacks == 1
-
-    def test_dml_frontier_matches_scalar(self):
-        scalar_eng, batch_eng = perfect_engine(16), perfect_engine(16)
-        frontier = [(_definition(0),), (_definition(3),)]
+    def test_dml_frontier_matches_fresh(self):
+        fresh_eng, shared_eng = perfect_engine(16), perfect_engine(16)
+        frontier = [(_definition(0),), (_definition(3),), (_definition(0), _definition(3))]
         for query in (
             UpdateQuery(
                 "orders",
@@ -203,18 +250,20 @@ class TestBatchPricerParity:
             InsertQuery("orders", ({"o_id": 10_000},)),
         ):
             expected = [
-                scalar_eng.whatif_cost(query, extra_indexes=config)
+                _outcome(_fresh_plan, fresh_eng, query, config)
                 for config in frontier
             ]
-            assert batch_eng.whatif_cost_many(query, frontier) == expected
+            batch = shared_eng.whatif_batch(query)
+            assert [_outcome(batch.price, c) for c in frontier] == expected
+        assert _observable(shared_eng) == _observable(fresh_eng)
 
 
-class TestBatchedChargeRule:
+class TestChargeRule:
     QUERY = SelectQuery(
         "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),)
     )
 
-    def test_default_charge_is_batching_invariant(self):
+    def test_every_configuration_pays_the_call_rate(self):
         eng = perfect_engine(21)
         before = eng.governor.tuning.usage.cpu_ms
         eng.whatif_cost_many(
@@ -222,19 +271,6 @@ class TestBatchedChargeRule:
         )
         charged = eng.governor.tuning.usage.cpu_ms - before
         assert charged == 2 * eng.settings.whatif_call_cpu_ms
-
-    def test_discounted_charge_for_followup_configurations(self):
-        eng = perfect_engine(22)
-        eng.settings = dataclasses.replace(
-            eng.settings, whatif_batch_extra_cpu_ms=1.5
-        )
-        before = eng.governor.tuning.usage.cpu_ms
-        eng.whatif_cost_many(
-            self.QUERY,
-            [(_definition(0),), (_definition(1),), (_definition(2),)],
-        )
-        charged = eng.governor.tuning.usage.cpu_ms - before
-        assert charged == eng.settings.whatif_call_cpu_ms + 2 * 1.5
 
 
 class TestWhatIfSessionRegressions:
@@ -287,27 +323,13 @@ class TestWhatIfSessionRegressions:
         assert session.stats.failed_statements == 1
         assert session.stats.cache_hits == 1
 
-    def test_scalar_mode_env_round_trips(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WHATIF", "scalar")
-        eng = perfect_engine(34)
-        session = WhatIfSession(eng)
-        cost = session.cost(self.QUERY, (_definition(0),))
-        assert cost is not None
-        assert eng.optimizer.batch_stats.batches == 0  # scalar path used
-
-    def test_invalid_mode_rejected(self, monkeypatch):
-        from repro.engine.engine import resolve_whatif_mode
-        from repro.errors import ExecutionError
-
-        monkeypatch.setenv("REPRO_WHATIF", "turbo")
-        eng = perfect_engine(35)
-        with pytest.raises(ExecutionError):
-            resolve_whatif_mode(eng.settings)
-
-    def test_bulk_insert_raises_in_both_modes(self):
+    def test_bulk_insert_raises_before_any_substrate(self):
         eng = perfect_engine(36)
         bulk = InsertQuery("orders", ({"o_id": 10_002},), bulk=True)
         with pytest.raises(OptimizeError):
             eng.whatif_cost_many(bulk, [(_definition(0),)])
         with pytest.raises(OptimizeError):
             eng.whatif_cost(bulk, extra_indexes=(_definition(0),))
+        stats = eng.optimizer.batch_stats
+        assert (stats.substrate_misses, stats.substrate_hits) == (0, 0)
+        assert eng.plan_cache.substrate_count() == 0

@@ -300,13 +300,12 @@ class TestExecutorModeDeterminism:
 
 
 class TestWhatIfModeDeterminism:
-    """Batched what-if pricing must not perturb any determinism stream.
+    """What-if pricing must not perturb any determinism stream.
 
-    The batched pricer produces bit-identical costs, plan choices, and
-    governor charges (default charge rule), so the merged audit stream
-    must be byte-identical (a) across all three pool backends with
-    batching enabled and (b) between batch and scalar what-if modes on
-    the same fleet seed.
+    Substrates and their per-definition memos are shared within an
+    engine, and engines land on different workers under different
+    backends, so the merged audit stream must be byte-identical across
+    all three pool backends.
     """
 
     @staticmethod
@@ -315,8 +314,7 @@ class TestWhatIfModeDeterminism:
 
         return hashlib.sha256(streams["jsonl"].encode("utf-8")).hexdigest()
 
-    def test_batch_mode_equal_across_backends(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WHATIF", "batch")
+    def test_batch_mode_equal_across_backends(self):
         serial = run_fleet("serial", 1, n_databases=2, hours=24.0, seed=7)
         thread = run_fleet("thread", WORKERS, n_databases=2, hours=24.0, seed=7)
         process = run_fleet(
@@ -327,19 +325,6 @@ class TestWhatIfModeDeterminism:
         assert self._audit_sha256(process) == reference
         assert thread == serial
         assert process == serial
-
-    def test_batch_and_scalar_streams_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WHATIF", "scalar")
-        scalar = run_fleet("serial", 1, n_databases=2, hours=24.0, seed=7)
-        monkeypatch.setenv("REPRO_WHATIF", "batch")
-        batch = run_fleet("serial", 1, n_databases=2, hours=24.0, seed=7)
-        assert self._audit_sha256(batch) == self._audit_sha256(scalar)
-        # Hot-path profiles describe *how* the host priced (the batch
-        # path brackets substrate builds), so they are the one stream
-        # allowed to differ across what-if modes.
-        scalar.pop("hot_paths")
-        batch.pop("hot_paths")
-        assert batch == scalar
 
 
 class TestCli:

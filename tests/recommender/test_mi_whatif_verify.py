@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.controlplane import ControlPlane
 from repro.engine import InsertQuery, Op, Predicate, SelectQuery
 from repro.recommender import MiRecommender, MiRecommenderSettings
 from tests.engine.test_optimizer import perfect_engine
@@ -65,3 +66,36 @@ def test_verification_vetoes_write_dominated_candidate():
     unchecked.accumulator = mi.accumulator
     unverified = unchecked.recommend()
     assert len(verified) <= len(unverified)
+
+
+def test_dry_tuning_budget_defers_the_analysis():
+    """Regression: verification swallowed ResourceBudgetExceededError.
+
+    ``charge_cpu`` adds the charge before raising, so with the error
+    swallowed every remaining hot statement charged the exhausted
+    window again and the candidate was rejected as "no gain".  The
+    transient error must reach ``RecommendationService.analyze``, which
+    defers the analysis to the next period.
+    """
+    eng = perfect_engine(seed=135)
+    plane = ControlPlane(
+        eng.clock, mi_settings=MiRecommenderSettings(verify_with_whatif=True)
+    )
+    managed = plane.add_database("opt", eng)
+    other_reads = [
+        SelectQuery("orders", ("o_amount",), (Predicate("o_cust", Op.EQ, c),))
+        for c in (5, 7)
+    ]
+    for query in [SELECTIVE] + other_reads:
+        run_and_snapshot(eng, managed.mi, query)
+    call_ms = eng.settings.whatif_call_cpu_ms
+    tuning = eng.governor.tuning
+    # Room for the first statement's base configuration only: its second
+    # configuration is the first refusal.
+    tuning.budget_cpu_ms = 1.5 * call_ms
+    before = tuning.usage.cpu_ms
+    plane.recommend_service.analyze(managed, eng.now)
+    assert [e.kind for e in plane.events.history()
+            if e.kind.startswith("analysis_")] == ["analysis_deferred"]
+    assert tuning.usage.cpu_ms - before == 2 * call_ms
+    assert plane.store.all_records() == []
