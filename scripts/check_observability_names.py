@@ -45,12 +45,18 @@ not just registry call arguments — must name a CATALOG metric, so those
 metrics cannot be referenced (in benchmarks, dashboards, or scripts)
 before being declared.
 
+Directories ``BENCHMARK.json`` lists under ``"paths"`` are not scanned:
+the end-to-end benchmark is frozen between ``benchmark`` PRs, and its
+workload names (``fleet_standard``, ...) share the ``fleet_`` prefix
+without being metrics.
+
 Usage: ``python scripts/check_observability_names.py [paths...]``
 Exit status 0 = clean, 1 = violations found.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 import sys
@@ -154,13 +160,20 @@ def load_catalogs() -> tuple:
     )
 
 
+def frozen_benchmark_dirs() -> list:
+    """The directories ``BENCHMARK.json`` declares as the benchmark's."""
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    return [(REPO_ROOT / entry).resolve() for entry in spec["paths"]]
+
+
 def iter_py_files(paths):
+    frozen = frozen_benchmark_dirs()
     for path in paths:
         path = pathlib.Path(path)
-        if path.is_file():
-            yield path
-        else:
-            yield from sorted(path.rglob("*.py"))
+        files = [path] if path.is_file() else sorted(path.rglob("*.py"))
+        for file in files:
+            if not any(d in file.resolve().parents for d in frozen):
+                yield file
 
 
 def check_file(

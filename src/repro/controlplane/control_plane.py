@@ -169,6 +169,10 @@ ENGINE_GAUGES: Tuple[EngineGauge, ...] = (
         "executor_column_cache_invalidations", {},
         lambda e: e.executor.column_cache_stats()[2],
     ),
+    EngineGauge(
+        "executor_column_cache_delta_rows", {},
+        lambda e: e.executor.column_cache_delta_rows(),
+    ),
     *(
         EngineGauge(
             FALLBACK_GAUGES[reason], {},

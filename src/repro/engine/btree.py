@@ -159,8 +159,8 @@ class BPlusTree:
     # Mutation
 
     def insert(self, key: Key, payload: Payload) -> None:
-        count("btree_insert")
         """Insert an entry; duplicates are stored adjacent to equals."""
+        count("btree_insert")
         nkey = row_sort_key(key)
         split = self._insert(self._root, nkey, key, payload)
         if split is not None:
@@ -221,13 +221,13 @@ class BPlusTree:
         return sep, right
 
     def delete(self, key: Key, payload: Optional[Payload] = None) -> int:
-        count("btree_delete")
         """Delete entries equal to ``key``.
 
         If ``payload`` is given only entries with that exact payload are
         removed (needed for non-unique secondary indexes where the payload
         carries the row locator).  Returns the number of entries removed.
         """
+        count("btree_delete")
         nkey = row_sort_key(key)
         removed = 0
         leaf: Optional[_Node] = self._descend_to_leaf(nkey, _NULL_METER)
@@ -365,6 +365,26 @@ class BPlusTree:
     def items(self) -> Iterator[Tuple[Key, Payload]]:
         """Unmetered full scan (for snapshots and tests)."""
         return self.scan()
+
+    def snapshot(self) -> Tuple[List[NKey], List[Key], List[Payload]]:
+        """Unmetered copy of every entry, in key order, as three parallel
+        lists: normalized keys, keys and payloads.
+
+        Walks the leaf chain and extends each list a whole leaf at a
+        time, so the copy runs at C speed.  The normalized keys are the
+        tree's own, which lets a caller ``bisect`` the copy to the
+        position of any key it later sees inserted or deleted.
+        """
+        nkeys: List[NKey] = []
+        keys: List[Key] = []
+        payloads: List[Payload] = []
+        leaf: Optional[_Node] = self._leftmost_leaf(_NULL_METER)
+        while leaf is not None:
+            nkeys.extend(leaf.nkeys)
+            keys.extend(leaf.keys)
+            payloads.extend(leaf.payloads)
+            leaf = leaf.next
+        return nkeys, keys, payloads
 
 
 def _min_nkey(node: _Node) -> NKey:

@@ -7,7 +7,7 @@ Package layout:
 - :mod:`repro.engine.exec.interp` — the reference row-at-a-time
   interpreter, plus the value-semantics helpers both paths share;
 - :mod:`repro.engine.exec.columns` — the per-table columnar projection
-  cache, invalidated on ``(data_version, schema_version)`` bumps;
+  cache, patched with the rows each DML changed and rebuilt on index DDL;
 - :mod:`repro.engine.exec.vector` — batch operators (mask scans,
   rank-code grouping, lexsort, argpartition TOP-N);
 - :mod:`repro.engine.exec.dispatch` — the :class:`Executor` facade that

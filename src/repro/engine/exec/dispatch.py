@@ -346,3 +346,10 @@ class Executor:
             misses += cache_misses
             invalidations += cache_invalidations
         return hits, misses, invalidations
+
+    def column_cache_delta_rows(self) -> int:
+        """Row changes folded into live projections instead of forcing a
+        rebuild, summed over this engine's tables."""
+        return sum(
+            table.columnar_delta_rows for table in self._tables.values()
+        )

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+import operator
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.types import SqlType
 from repro.errors import SchemaError, UnknownColumnError
@@ -163,6 +164,18 @@ class TableSchema:
     def project(self, row: tuple, columns: Sequence[str]) -> tuple:
         """Extract the named columns from a full row tuple."""
         return tuple(row[self.position(name)] for name in columns)
+
+    def projector(self, columns: Sequence[str]) -> Callable[[tuple], tuple]:
+        """A compiled :meth:`project` for one column list: the positions
+        are resolved once, so per-row callers (index maintenance, the
+        columnar cache) pay a single ``itemgetter`` call."""
+        positions = [self.position(name) for name in columns]
+        if not positions:
+            return lambda row: ()
+        if len(positions) == 1:
+            only = positions[0]
+            return lambda row: (row[only],)
+        return operator.itemgetter(*positions)
 
     def pk_values(self, row: tuple) -> tuple:
         """Primary-key values of a full row tuple."""

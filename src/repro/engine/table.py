@@ -80,6 +80,14 @@ class SecondaryIndex:
             schema.position(column)  # validates existence
         self.definition = definition
         self._schema = schema
+        #: Columns whose update forces maintenance of this index.
+        self._maintained = frozenset(definition.all_columns) | frozenset(
+            schema.primary_key
+        )
+        self._key_of = schema.projector(
+            tuple(definition.key_columns) + tuple(schema.primary_key)
+        )
+        self._payload_of = schema.projector(definition.included_columns)
         entry_width = schema.row_width(definition.all_columns) + schema.row_width(
             schema.primary_key
         )
@@ -96,10 +104,7 @@ class SecondaryIndex:
 
     def entry_for_row(self, row: tuple) -> Tuple[tuple, tuple]:
         """(key, payload): key = key columns + PK, payload = included columns."""
-        key = self._schema.project(row, self.definition.key_columns)
-        pk = self._schema.pk_values(row)
-        payload = self._schema.project(row, self.definition.included_columns)
-        return key + pk, payload
+        return self._key_of(row), self._payload_of(row)
 
     def insert_row(self, row: tuple) -> None:
         key, payload = self.entry_for_row(row)
@@ -111,8 +116,8 @@ class SecondaryIndex:
 
     def touches_columns(self, columns: Iterable[str]) -> bool:
         """True if updating any of ``columns`` requires index maintenance."""
-        relevant = set(self.definition.all_columns) | set(self._schema.primary_key)
-        return any(column in relevant for column in columns)
+        maintained = self._maintained
+        return any(column in maintained for column in columns)
 
     def stats_view(self) -> IndexStatsView:
         return IndexStatsView.from_tree(self.tree)
@@ -136,8 +141,9 @@ class Table:
         #: Bumped on every statistics (re)build; part of the optimizer's
         #: plan-cache fingerprint, so cached plans go stale on stats refresh.
         self.stats_version = 0
-        #: Bumped on every DML mutation; cost estimates depend on live tree
-        #: shape and row count, so cached plans go stale on data change.
+        #: Bumped once per row a DML mutation changes (see ``_changed``);
+        #: cost estimates depend on live tree shape and row count, so
+        #: cached plans go stale on data change.
         self.data_version = 0
         #: Columnar projection cache for the vectorized executor, created
         #: lazily on first vectorized scan.  ``clone()`` builds a fresh
@@ -181,9 +187,10 @@ class Table:
     def columnar(self):
         """The table's columnar projection cache (created on first use).
 
-        Validity is checked lazily inside the cache against the
-        ``(data_version, schema_version)`` token, so DML and index DDL
-        invalidate it without any hook in the mutation paths.
+        Every DML path reports the rows it changed through
+        :meth:`_changed`, and the cache folds them into its projections
+        on the next read; index DDL, and any ``data_version`` step the
+        log does not account for, make it rebuild from the trees.
         """
         if self._columnar is None:
             from repro.engine.exec.columns import ColumnarCache
@@ -199,6 +206,12 @@ class Table:
             return (0, 0, 0)
         return (cache.hits, cache.misses, cache.invalidations)
 
+    @property
+    def columnar_delta_rows(self) -> int:
+        """Row changes the cache folded into live projections."""
+        cache = self._columnar
+        return 0 if cache is None else cache.delta_rows
+
     def hypothetical_stats_view(self, definition: IndexDefinition) -> IndexStatsView:
         """Estimated shape for an index that does not exist."""
         entry_width = self.schema.row_width(
@@ -210,6 +223,16 @@ class Table:
     # ------------------------------------------------------------------
     # DML (metered)
 
+    def _changed(
+        self, changes: Sequence[Tuple[Optional[tuple], Optional[tuple]]]
+    ) -> None:
+        """The one place ``data_version`` moves: one step per changed
+        row, each logged as ``(old_row | None, new_row | None)`` for the
+        columnar cache to fold into its projections."""
+        self.data_version += len(changes)
+        if self._columnar is not None:
+            self._columnar.log_changes(changes)
+
     def insert(self, row: Sequence[object], meter: Optional[PageMeter] = None) -> tuple:
         """Insert a row, maintaining every secondary index."""
         row = self.schema.validate_row(row)
@@ -220,7 +243,7 @@ class Table:
                 f"duplicate primary key {pk!r} in table {self.name!r}"
             )
         self.clustered.insert(pk, row)
-        self.data_version += 1
+        self._changed(((None, row),))
         if meter is not None:
             # Base row insert: clustered traversal plus row formatting/log.
             meter.charge(self.clustered.height + 2)
@@ -236,7 +259,7 @@ class Table:
         removed = self.clustered.delete(pk)
         if not removed:
             raise ExecutionError(f"row with pk {pk!r} vanished during delete")
-        self.data_version += 1
+        self._changed(((row, None),))
         if meter is not None:
             meter.charge(self.clustered.height + 2)
         for index in self.indexes.values():
@@ -271,7 +294,7 @@ class Table:
         pk = self.schema.pk_values(old_row)
         self.clustered.delete(pk)
         self.clustered.insert(pk, new_row)
-        self.data_version += 1
+        self._changed(((old_row, new_row),))
         if meter is not None:
             meter.charge(self.clustered.height + 2)
         for index in self.indexes.values():
@@ -331,7 +354,7 @@ class Table:
             clustered.insert(pk_values(row), row)
             # Post-insert height, as the row path charges after inserting.
             pages += clustered.height + 2
-        self.data_version += len(rows)
+        self._changed([(None, row) for row in rows])
         for index in self.indexes.values():
             entry_for_row = index.entry_for_row
             tree_insert = index.tree.insert
@@ -357,7 +380,7 @@ class Table:
                     f"row with pk {pk!r} vanished during delete"
                 )
             pages += clustered.height + 2
-        self.data_version += len(rows)
+        self._changed([(row, None) for row in rows])
         for index in self.indexes.values():
             entry_for_row = index.entry_for_row
             tree_delete = index.tree.delete
@@ -405,7 +428,7 @@ class Table:
             clustered.delete(pk)
             clustered.insert(pk, new_row)
             pages += clustered.height + 2
-        self.data_version += len(changes)
+        self._changed([(old, new) for old, new, _columns in changes])
         for index in self.indexes.values():
             touches = index.touches_columns
             for old_row, new_row, changed_columns in changes:

@@ -184,6 +184,7 @@ def render_dashboard(
         cache_invalidations = registry.total(
             "executor_column_cache_invalidations"
         )
+        cache_delta_rows = registry.total("executor_column_cache_delta_rows")
         cache_lookups = cache_hits + cache_misses
         lines.append("vectorized executor:")
         lines.append(
@@ -214,6 +215,7 @@ def render_dashboard(
             lines.append(
                 f"  column cache:    {int(cache_lookups)} lookups "
                 f"(hit rate {cache_hit_rate:.1%}, "
+                f"folded rows {int(cache_delta_rows)}, "
                 f"invalidations {int(cache_invalidations)})"
             )
 

@@ -161,8 +161,12 @@ CATALOG: Dict[str, MetricSpec] = dict(
         _spec("executor_column_cache_misses", "gauge", "projections",
               "Columnar projection builds per database (monotone)."),
         _spec("executor_column_cache_invalidations", "gauge", "projections",
-              "Columnar cache invalidations per database after data or "
-              "schema version bumps (monotone)."),
+              "Columnar cache discards per database: live projections "
+              "dropped for a rebuild after index DDL, an unlogged data "
+              "version step or an over-budget change log (monotone)."),
+        _spec("executor_column_cache_delta_rows", "gauge", "rows",
+              "Row changes folded into live columnar projections per "
+              "database instead of forcing a rebuild (monotone)."),
         _spec("whatif_batch_batches", "gauge", "batches",
               "What-if pricers created per database (one per statement "
               "frontier; monotone engine counter)."),

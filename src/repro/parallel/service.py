@@ -275,10 +275,14 @@ class ShardedFleetService:
         timer = self.phase_timer
         registry = self.telemetry.registry
         buffer = CompletionBuffer(self._shard_indices, len(ends))
-        #: shard index -> (shard-clock wall of its first arrival, that
-        #: arrival's parent anchor).  Later ticks are anchored by the
+        #: shard index -> (shard-clock wall of its first arrival's tick
+        #: start, where that start lands on the parent timeline: receipt
+        #: minus the tick's busy time).  Later ticks are anchored by the
         #: shard clock's own delta, so a batch renders back-to-back on
         #: its worker track instead of bunching at parent receipt times.
+        #: Anchoring the *start* at the receipt time would shift every
+        #: tick by its own duration, and a span opened in a slow tick and
+        #: closed in a fast one would end before it began.
         bases: Dict[int, Tuple[float, float]] = {}
         stream = None
         for tick_index, end in enumerate(ends):
@@ -299,7 +303,8 @@ class ShardedFleetService:
                 result = next(stream)
                 received = timer.now()
                 base_wall, base_anchor = bases.setdefault(
-                    result.shard_index, (result.started_wall, received)
+                    result.shard_index,
+                    (result.started_wall, received - result.busy_seconds),
                 )
                 buffer.add(
                     result, base_anchor + (result.started_wall - base_wall)

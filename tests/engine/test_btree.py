@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.btree import BPlusTree, PageMeter
+from repro.engine.types import row_sort_key
 
 
 def build_tree(entries, leaf_capacity=8, internal_capacity=8):
@@ -55,6 +56,30 @@ class TestInsertScan:
         tree = build_tree([((i,), ()) for i in range(1000)], leaf_capacity=8)
         assert tree.height >= 3
         assert tree.page_count > 100
+
+
+class TestSnapshot:
+    def test_parallel_lists_match_scan_and_sort_keys(self):
+        rng = np.random.default_rng(5)
+        keys = [None] + [int(k) for k in rng.permutation(300)]
+        tree = build_tree([((k, "x"), (k,)) for k in keys])
+        tree.delete((17, "x"))
+        nkeys, snapshot_keys, payloads = tree.snapshot()
+        assert list(zip(snapshot_keys, payloads)) == list(tree.scan())
+        assert nkeys == sorted(nkeys)
+        assert nkeys == [row_sort_key(key) for key in snapshot_keys]
+
+    def test_snapshot_is_a_copy_and_unmetered(self):
+        tree = build_tree([((i,), (i,)) for i in range(50)])
+        nkeys, _keys, _payloads = tree.snapshot()
+        nkeys.clear()
+        assert len(tree.snapshot()[0]) == 50 == len(tree)
+
+
+def test_every_public_method_has_a_docstring():
+    public = [n for n, v in vars(BPlusTree).items()
+              if callable(v) and not n.startswith("_")]
+    assert [n for n in public if not getattr(BPlusTree, n).__doc__] == []
 
 
 class TestSeek:
