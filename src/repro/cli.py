@@ -64,6 +64,7 @@ from repro.observability import (
     use_profiler,
 )
 from repro.observability.explain import render_index
+from repro.parallel.settings import BACKENDS
 from repro.reporting import operational_report
 from repro.service import ServiceSettings, build_service
 
@@ -82,6 +83,32 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="execution path (sets REPRO_EXECUTOR; default auto)",
     )
+
+
+def _add_fleet(
+    parser: argparse.ArgumentParser, statement_cap: bool = True
+) -> None:
+    """The sharded-fleet flags; ``repro slo`` runs at the default cadence
+    and so takes no statement cap."""
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="shard workers (0 = serial in-process execution)",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=BACKENDS,
+        default="auto",
+        help="execution backend (auto = process when --workers > 1)",
+    )
+    if statement_cap:
+        parser.add_argument(
+            "--max-statements",
+            type=int,
+            default=80,
+            help="statement cap per database per step",
+        )
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -148,7 +175,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         workers=args.workers,
         backend=args.backend,
         instrument=not args.no_profile,
-        batch_ticks=args.batch_ticks,
         tier=args.tier,
         seed=args.seed,
         control_settings=ControlPlaneSettings(
@@ -161,15 +187,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         ),
         default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
     )
-    batched = (
-        f", {args.batch_ticks} ticks per dispatch"
-        if args.batch_ticks > 1
-        else ""
-    )
     print(
         f"running the fleet-parallel loop: {args.dbs} {args.tier} databases "
-        f"across {len(service.payloads)} {service.backend} worker(s)"
-        f"{batched}, {args.days} simulated days"
+        f"across {len(service.payloads)} {service.backend} worker(s), "
+        f"{args.days} simulated days"
     )
     try:
         for day in range(args.days):
@@ -221,7 +242,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         workers=args.workers,
         backend=args.backend,
         instrument=not args.no_profile,
-        batch_ticks=args.batch_ticks,
         tier=args.tier,
         seed=args.seed,
         control_settings=ControlPlaneSettings(
@@ -531,31 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(run)
     run.add_argument("--days", type=int, default=4)
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard workers (0 = serial in-process execution)",
-    )
-    run.add_argument(
-        "--backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="execution backend (auto = process when --workers > 1)",
-    )
-    run.add_argument(
-        "--max-statements",
-        type=int,
-        default=80,
-        help="statement cap per database per step",
-    )
-    run.add_argument(
-        "--batch-ticks",
-        type=int,
-        default=1,
-        help="ticks dispatched per pool round-trip (pipelined dispatch: "
-        "workers stay hot across the batch; output stays byte-identical)",
-    )
+    _add_fleet(run)
     run.add_argument(
         "--audit-out", help="dump the run's audit stream to this JSONL file"
     )
@@ -573,31 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument(
         "--ticks", type=int, default=8, help="fleet ticks to profile"
     )
-    prof.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard workers (0 = serial in-process execution)",
-    )
-    prof.add_argument(
-        "--backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="execution backend (auto = process when --workers > 1)",
-    )
-    prof.add_argument(
-        "--max-statements",
-        type=int,
-        default=80,
-        help="statement cap per database per step",
-    )
-    prof.add_argument(
-        "--batch-ticks",
-        type=int,
-        default=1,
-        help="ticks dispatched per pool round-trip (profile the "
-        "pipelined dispatch path)",
-    )
+    _add_fleet(prof)
     prof.add_argument(
         "--top", type=int, default=10, help="hot paths to list"
     )
@@ -636,18 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(slo)
     slo.add_argument("--days", type=int, default=4)
-    slo.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard workers (0 = serial in-process execution)",
-    )
-    slo.add_argument(
-        "--backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="execution backend (auto = process when --workers > 1)",
-    )
+    _add_fleet(slo, statement_cap=False)
     slo.add_argument(
         "--format", choices=("report", "json"), default="report"
     )

@@ -212,7 +212,6 @@ class ControlPlane:
         mi_settings: Optional[MiRecommenderSettings] = None,
         fault_seed: int = 0,
         enable_watchdog: bool = True,
-        enable_history: Optional[bool] = None,
     ) -> None:
         self.clock = clock
         self.settings = settings or ControlPlaneSettings()
@@ -225,10 +224,8 @@ class ControlPlane:
         #: alert rules are fleet-level, so the region service evaluates
         #: one watchdog over the *merged* registry instead.  History
         #: sampling is likewise a region-level duty (it reads merged
-        #: fleet rates), so it defaults to following the watchdog flag.
-        if enable_history is None:
-            enable_history = enable_watchdog
-        self.history = TelemetryHistory() if enable_history else None
+        #: fleet rates), so it follows the watchdog flag.
+        self.history = TelemetryHistory() if enable_watchdog else None
         rules = default_rules()
         if self.history is not None:
             rules += burn_alert_rules(self.history.store)

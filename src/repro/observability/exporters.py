@@ -101,9 +101,8 @@ def json_export(
 ) -> dict:
     """A JSON-serializable snapshot of the whole telemetry state.
 
-    The ``metrics`` list is the shared schema the benchmarks also emit
-    through (``BENCH_*.json`` trajectories), so one tool can plot both
-    service runs and micro-benchmarks.
+    The ``metrics`` list is one schema (name, kind, unit, labels, value)
+    for every registry, so one tool can plot any run's export.
     """
     metrics = []
     for series in registry.all_series():

@@ -48,7 +48,8 @@ def _spec(name: str, kind: str, unit: str, description: str) -> Tuple[str, Metri
 
 
 #: The metrics taxonomy.  Names are stable public API: dashboards, the
-#: Prometheus exposition, and BENCH_*.json trajectories all key on them.
+#: Prometheus exposition, and the end-to-end benchmark's per-layer
+#: table (``benchmarks/e2e``) all key on them.
 CATALOG: Dict[str, MetricSpec] = dict(
     [
         _spec("events_total", "counter", "events",
@@ -102,10 +103,6 @@ CATALOG: Dict[str, MetricSpec] = dict(
         _spec("fleet_merge_queue_depth", "gauge", "deltas",
               "Per-database tick deltas awaiting the deterministic merge "
               "at the start of the most recent merge pass."),
-        _spec("fleet_pipeline_buffered_results", "gauge", "results",
-              "Streamed shard results parked in the completion buffer "
-              "awaiting their tick's stragglers (pipelined dispatch "
-              "depth at the most recent release)."),
         _spec("fleet_tick_wall_seconds", "histogram", "seconds",
               "Wall-clock seconds per fleet tick (dispatch through "
               "finalize); the streaming whole-run complement of the "

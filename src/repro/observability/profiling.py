@@ -13,9 +13,9 @@ table shows both the model's cost and the host's.
 Profilers form a stack: the default global profiler aggregates across
 every engine in the process (exactly what the fleet dashboard wants),
 and tests swap in a fresh one with :func:`use_profiler`.  The stack is
-**thread-local** so shard workers running on the thread backend can each
-install their own profiler without racing: every thread starts from the
-shared default profiler and pushes/pops independently.
+**thread-local** so code on different threads can each install its own
+profiler without racing: every thread starts from the shared default
+profiler and pushes/pops independently.
 """
 
 from __future__ import annotations

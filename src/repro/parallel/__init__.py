@@ -5,8 +5,8 @@ per region; stepping them serially in one thread leaves every other core
 idle.  Because each managed database owns an independent engine,
 workload, and recommendation state machine, the per-tick work is
 embarrassingly parallel.  This package shards the fleet across a worker
-pool (process-based, with thread and serial fallbacks), runs each
-virtual-time tick's per-database work concurrently, and merges the
+pool (one process per shard, or inline as the serial reference), runs
+each virtual-time tick's per-database work concurrently, and merges the
 results **deterministically**: every worker buffers its journal entries,
 audit events, span operations, bus events, and metric deltas per
 database, and the region service replays them in stable
@@ -27,7 +27,7 @@ from repro.parallel.delta import (
     diff_snapshots,
     registry_snapshot,
 )
-from repro.parallel.merge import CompletionBuffer, DeterministicMerger
+from repro.parallel.merge import DeterministicMerger
 from repro.parallel.pool import make_pool
 from repro.parallel.service import ShardedFleetService, build_fleet_service
 from repro.parallel.settings import ParallelSettings
@@ -43,7 +43,6 @@ from repro.parallel.timing import (
 from repro.parallel.worker import DatabaseWorker, RecordingTracer, ShardRunner
 
 __all__ = [
-    "CompletionBuffer",
     "DatabaseSpec",
     "DatabaseWorker",
     "DeterministicMerger",

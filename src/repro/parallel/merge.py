@@ -38,77 +38,6 @@ from repro.parallel.delta import (
 )
 
 
-class CompletionBuffer:
-    """Re-orders a completion-order ShardResult stream for the merger.
-
-    Pipelined dispatch streams results as shards finish them: a fast
-    shard's tick 3 can arrive before a slow shard's tick 0.  The merge
-    order must not depend on that race, so the service parks every
-    arrival here and releases tick T only once **all** shards have
-    delivered it — sorted by shard index, which (with the merger's own
-    by-database sort) pins the global replay order to ``(tick, shard,
-    db)`` regardless of arrival order, backend, or batch size.
-
-    Each arrival is stored with its parent-timeline anchor (computed at
-    receipt) so phase absorption and span rebasing survive the
-    reordering.
-    """
-
-    def __init__(self, shard_indices: List[int], n_ticks: int) -> None:
-        self._expected = frozenset(shard_indices)
-        self.n_ticks = n_ticks
-        #: (tick_index, shard_index) -> (ShardResult, anchor_seconds).
-        self._arrived: Dict[Tuple[int, int], Tuple[object, float]] = {}
-        self._released = 0
-
-    def add(self, result, anchor: float = 0.0) -> None:
-        """Park one streamed result (any order), tagged with its anchor."""
-        key = (result.tick_index, result.shard_index)
-        if result.shard_index not in self._expected:
-            raise TelemetryError(
-                f"shard {result.shard_index} is not part of this batch"
-            )
-        if not 0 <= result.tick_index < self.n_ticks:
-            raise TelemetryError(
-                f"tick {result.tick_index} outside batch of {self.n_ticks}"
-            )
-        if key in self._arrived:
-            raise TelemetryError(
-                f"duplicate result for tick {result.tick_index} from "
-                f"shard {result.shard_index}"
-            )
-        self._arrived[key] = (result, anchor)
-
-    def complete(self, tick_index: int) -> bool:
-        """Whether every shard's result for ``tick_index`` has arrived."""
-        return all(
-            (tick_index, shard) in self._arrived for shard in self._expected
-        )
-
-    def release(self, tick_index: int) -> List[Tuple[object, float]]:
-        """Pop tick ``tick_index``'s results in stable shard order."""
-        if not self.complete(tick_index):
-            missing = sorted(
-                shard
-                for shard in self._expected
-                if (tick_index, shard) not in self._arrived
-            )
-            raise TelemetryError(
-                f"tick {tick_index} released before shards {missing} "
-                "delivered it"
-            )
-        self._released += 1
-        return [
-            self._arrived.pop((tick_index, shard))
-            for shard in sorted(self._expected)
-        ]
-
-    @property
-    def buffered(self) -> int:
-        """Results parked awaiting their tick's stragglers (gauge feed)."""
-        return len(self._arrived)
-
-
 class DeterministicMerger:
     """Replays sorted per-database tick deltas into region-level state."""
 

@@ -1,29 +1,25 @@
-"""Worker pools: serial, thread, and process execution of shard ticks.
+"""Worker pools: serial and process execution of shard ticks.
 
-All three backends expose the same surface — ``tick_batch(ends,
-max_statements, classifier_state) -> Iterator[ShardResult]`` (plus the
-one-tick ``tick`` convenience wrapper and ``close()``) — and all three
-produce identical deltas for the same seed; only wall-clock behaviour
-differs.  The process backend keeps one long-lived OS process per
-shard: shard state is built inside the child from the picklable payload
-at startup, and only commands / per-tick deltas cross the pipe
-afterwards.
+Both backends expose one surface — ``tick(end, max_statements,
+classifier_state) -> Iterator[ShardResult]``, exactly one result per
+shard, plus ``close()`` — and both produce identical deltas for the same
+seed; only wall-clock behaviour differs.  ``serial`` runs the shards
+inline and is the reference every equivalence test compares against.
+The process backend keeps one long-lived OS process per shard: shard
+state is built inside the child from the picklable payload at startup,
+and only commands / per-tick deltas cross the pipe afterwards.
 
-``tick_batch`` is the pipelined protocol: the parent pushes a batch of
-K tick commands in one round-trip, workers run all K ticks back-to-back
-while staying hot, and results stream back **in completion order** —
-shard 2 may deliver its tick 3 before shard 1 delivers its tick 0.  The
-service buffers the stream and releases it to the merger in stable
-``(tick_index, shard_index)`` order, so arrival order never reaches
+Results are yielded **as each shard finishes** so the service can stamp
+every one with its own receipt time (the trace anchors a shard's tick
+at receipt minus busy time); the service sorts them by shard index
+before anything reaches the merger, so arrival order never reaches
 merged output.
 
-Every backend brackets its ``dispatch`` (pushing the tick commands out)
+Every backend brackets its ``dispatch`` (pushing the tick command out)
 and ``wait`` (blocking on shard results) segments on the service's
 shared :class:`~repro.parallel.timing.TickPhaseTimer`, so ``repro
 profile`` attributes IPC cost per backend without the backends having
-to know anything else about profiling.  Under pipelining each blocking
-receive is bracketed individually, so ``wait`` accrues to whichever
-tick the parent is currently assembling.
+to know anything else about profiling.
 
 A shard process that dies mid-protocol (killed, OOMed, segfaulted —
 anything that skips its own ``("error", ...)`` report) surfaces as a
@@ -35,10 +31,8 @@ raising.
 from __future__ import annotations
 
 import multiprocessing
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import connection as mp_connection
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.errors import ShardCrashError
 from repro.parallel.spec import ShardPayload
@@ -46,23 +40,12 @@ from repro.parallel.timing import TickPhaseTimer
 from repro.parallel.worker import ShardResult, ShardRunner, shard_worker_main
 
 
-def _collect_one_tick(pool, end, max_statements, classifier_state):
-    """The one-tick wrapper every backend shares: batch of 1, results
-    gathered and returned in shard order (the pre-pipelining contract)."""
-    results = list(pool.tick_batch([end], max_statements, classifier_state))
-    results.sort(key=lambda result: result.shard_index)
-    return results
-
-
 class SerialPool:
     """Shards executed inline, one after another (the baseline).
 
     Inline execution has no dispatch/wait split: the whole loop counts
     as ``wait`` (the parent is "blocked on shard work" for all of it),
-    keeping phase semantics comparable across backends.  ``tick_batch``
-    runs tick-major — every shard finishes tick T before any starts
-    T+1 — mirroring the synchronous baseline; batching buys nothing
-    inline, but the protocol (and its determinism) is still exercised.
+    keeping phase semantics comparable across backends.
     """
 
     backend = "serial"
@@ -80,101 +63,16 @@ class SerialPool:
         end: float,
         max_statements: Optional[int],
         classifier_state: Optional[dict],
-    ) -> List[ShardResult]:
-        return _collect_one_tick(self, end, max_statements, classifier_state)
-
-    def tick_batch(
-        self,
-        ends: Sequence[float],
-        max_statements: Optional[int],
-        classifier_state: Optional[dict],
     ) -> Iterator[ShardResult]:
         with self.timer.phase("dispatch"):
             pass
-
-        def stream() -> Iterator[ShardResult]:
-            for index, end in enumerate(ends):
-                state = classifier_state if index == 0 else None
-                for runner in self.runners:
-                    with self.timer.phase("wait"):
-                        result = runner.tick(
-                            end, max_statements, state, tick_index=index
-                        )
-                    yield result
-
-        return stream()
+        for runner in self.runners:
+            with self.timer.phase("wait"):
+                result = runner.tick(end, max_statements, classifier_state)
+            yield result
 
     def close(self) -> None:
         pass
-
-
-class ThreadPool:
-    """One thread per shard.
-
-    CPython's GIL serializes the pure-Python engine work, so this is not
-    a speedup backend — it exercises the exact pool/merge machinery of
-    the process backend without process startup cost, which is what the
-    determinism tests and the ``workers=2`` CI variant lean on.  Batched
-    ticks run back-to-back inside each shard thread and stream home
-    through a queue in completion order, exactly like the process pipe.
-    """
-
-    backend = "thread"
-
-    def __init__(
-        self,
-        payloads: List[ShardPayload],
-        timer: Optional[TickPhaseTimer] = None,
-    ) -> None:
-        self.timer = timer if timer is not None else TickPhaseTimer(enabled=False)
-        self.runners = [ShardRunner(payload) for payload in payloads]
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, len(self.runners)),
-            thread_name_prefix="repro-shard",
-        )
-
-    def tick(
-        self,
-        end: float,
-        max_statements: Optional[int],
-        classifier_state: Optional[dict],
-    ) -> List[ShardResult]:
-        return _collect_one_tick(self, end, max_statements, classifier_state)
-
-    def tick_batch(
-        self,
-        ends: Sequence[float],
-        max_statements: Optional[int],
-        classifier_state: Optional[dict],
-    ) -> Iterator[ShardResult]:
-        results: "queue.Queue[tuple]" = queue.Queue()
-
-        def run_shard(runner: ShardRunner) -> None:
-            try:
-                for result in runner.tick_batch(
-                    list(ends), max_statements, classifier_state
-                ):
-                    results.put(("ok", result))
-            except BaseException as exc:  # propagated to the parent pull
-                results.put(("error", exc))
-
-        with self.timer.phase("dispatch"):
-            for runner in self.runners:
-                self._executor.submit(run_shard, runner)
-
-        def stream() -> Iterator[ShardResult]:
-            expected = len(self.runners) * len(ends)
-            for _ in range(expected):
-                with self.timer.phase("wait"):
-                    kind, payload = results.get()
-                if kind == "error":
-                    raise payload
-                yield payload
-
-        return stream()
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=True)
 
 
 class ProcessPool:
@@ -185,11 +83,11 @@ class ProcessPool:
     def __init__(
         self,
         payloads: List[ShardPayload],
-        mp_context: str = "",
         timer: Optional[TickPhaseTimer] = None,
     ) -> None:
         self.timer = timer if timer is not None else TickPhaseTimer(enabled=False)
-        method = mp_context or (
+        # ``fork`` is cheap where it exists; ``spawn`` everywhere else.
+        method = (
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"
@@ -231,17 +129,9 @@ class ProcessPool:
         end: float,
         max_statements: Optional[int],
         classifier_state: Optional[dict],
-    ) -> List[ShardResult]:
-        return _collect_one_tick(self, end, max_statements, classifier_state)
-
-    def tick_batch(
-        self,
-        ends: Sequence[float],
-        max_statements: Optional[int],
-        classifier_state: Optional[dict],
     ) -> Iterator[ShardResult]:
-        command = ("tick_batch", list(ends), max_statements, classifier_state)
-        self._last_command = "tick_batch"
+        command = ("tick", end, max_statements, classifier_state)
+        self._last_command = "tick"
         with self.timer.phase("dispatch"):
             for shard_index, conn in zip(self._shard_indices, self._connections):
                 try:
@@ -250,39 +140,32 @@ class ProcessPool:
                     crash = ShardCrashError(shard_index, self._last_command)
                     self.close()
                     raise crash
-        return self._stream_results(len(ends))
+        return self._stream_results()
 
-    def _stream_results(self, n_ticks: int) -> Iterator[ShardResult]:
-        """Yield ShardResults in completion order across all shards.
+    def _stream_results(self) -> Iterator[ShardResult]:
+        """Yield each shard's result as it arrives.
 
         ``multiprocessing.connection.wait`` multiplexes the pipes, so a
-        fast shard's later ticks are drained while a slow shard still
-        computes its first — the parent never head-of-line blocks on one
-        pipe, and pipe buffers stay drained (workers block on ``send``
-        only when the parent is genuinely busier than every shard).
+        fast shard's receipt time is not held back behind a slow one.
         """
-        shard_of = dict(zip(self._connections, self._shard_indices))
-        pending = {conn: n_ticks for conn in self._connections}
-        ready: List = []
+        #: connection -> shard index, for the shards still to answer.
+        pending = dict(zip(self._connections, self._shard_indices))
         while pending:
-            if not ready:
-                with self.timer.phase("wait"):
-                    ready = list(mp_connection.wait(list(pending)))
-            conn = ready.pop()
             with self.timer.phase("wait"):
-                try:
-                    reply = conn.recv()
-                except (EOFError, ConnectionError, OSError):
-                    crash = ShardCrashError(shard_of[conn], self._last_command)
+                ready = mp_connection.wait(list(pending))
+            for conn in ready:
+                shard_index = pending.pop(conn)
+                with self.timer.phase("wait"):
+                    try:
+                        reply = conn.recv()
+                    except (EOFError, ConnectionError, OSError):
+                        crash = ShardCrashError(shard_index, self._last_command)
+                        self.close()
+                        raise crash
+                if reply[0] != "ok":
                     self.close()
-                    raise crash
-            if reply[0] != "ok":
-                self.close()
-                raise RuntimeError(f"shard worker failed:\n{reply[1]}")
-            pending[conn] -= 1
-            if pending[conn] == 0:
-                del pending[conn]
-            yield reply[1]
+                    raise RuntimeError(f"shard worker failed:\n{reply[1]}")
+                yield reply[1]
 
     def _reap(self) -> None:
         """Terminate and join every spawned child, then drop the pipes."""
@@ -320,14 +203,11 @@ class ProcessPool:
 def make_pool(
     backend: str,
     payloads: List[ShardPayload],
-    mp_context: str = "",
     timer: Optional[TickPhaseTimer] = None,
 ):
     """Build the pool for an *effective* (already auto-resolved) backend."""
     if backend == "serial":
         return SerialPool(payloads, timer=timer)
-    if backend == "thread":
-        return ThreadPool(payloads, timer=timer)
     if backend == "process":
-        return ProcessPool(payloads, mp_context=mp_context, timer=timer)
+        return ProcessPool(payloads, timer=timer)
     raise ValueError(f"unknown backend {backend!r}")

@@ -2,7 +2,7 @@
 
 :class:`ShardedFleetService` is the fleet-parallel counterpart of
 :class:`repro.service.AutoIndexingService`.  Databases are sharded
-across a worker pool (process, thread, or serial — see
+across a worker pool (process or serial — see
 :class:`~repro.parallel.settings.ParallelSettings`); each virtual-time
 tick every shard advances its databases' workloads and control planes
 concurrently, and the parent replays the resulting per-database deltas
@@ -14,25 +14,18 @@ Because global ordering is assigned at merge time in stable
 and span trees are byte-identical across backends and worker counts for
 the same seed.
 
-With ``ParallelSettings.batch_ticks > 1`` the loop is **pipelined**:
-the parent dispatches a batch of K tick commands in one round-trip,
-workers run them back-to-back while staying hot and stream one result
-per tick, and the parent merges finished ticks while later ones still
-compute.  Results are released to the merger in stable ``(tick,
-shard)`` order via a :class:`~repro.parallel.merge.CompletionBuffer`,
-and batches flush at classifier-retrain boundaries, so batched runs
-stay byte-identical to ``batch_ticks=1`` runs too.  Cross-database services stay at the parent, where they
-see the same merged state at the same virtual time in every backend:
-the alert watchdog evaluates over the merged registry, and the
-low-impact classifier retrains on the merged validation history (the
-new state is broadcast to workers with the *next* tick command).
+Cross-database services stay at the parent, where they see the same
+merged state at the same virtual time in every backend: the alert
+watchdog evaluates over the merged registry, and the low-impact
+classifier retrains on the merged validation history (the new state is
+broadcast to workers with the *next* tick command).
 """
 
 from __future__ import annotations
 
 import collections
 import time
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.clock import HOURS, SimClock
 from repro.controlplane import (
@@ -61,7 +54,7 @@ from repro.recommender.classifier import (
 )
 from repro.recommender.policy import RecommenderPolicy
 from repro.service import ServiceSettings
-from repro.parallel.merge import CompletionBuffer, DeterministicMerger
+from repro.parallel.merge import DeterministicMerger
 from repro.parallel.pool import make_pool
 from repro.parallel.settings import ParallelSettings
 from repro.parallel.spec import (
@@ -117,12 +110,8 @@ class ShardedFleetService:
         #: Fleet telemetry history: sampled at the post-merge point of
         #: every tick, over merged virtual-time state only, so runs stay
         #: byte-identical across backends with sampling enabled.
-        self.history = (
-            TelemetryHistory() if self.parallel.history else None
-        )
-        rules = default_rules()
-        if self.history is not None:
-            rules += burn_alert_rules(self.history.store)
+        self.history = TelemetryHistory()
+        rules = default_rules() + burn_alert_rules(self.history.store)
         self.watchdog = AlertWatchdog(
             self.telemetry.registry, audit=self.telemetry.audit, rules=rules
         )
@@ -167,10 +156,7 @@ class ShardedFleetService:
             enabled=self.parallel.instrument,
         )
         self.pool = make_pool(
-            self.backend,
-            self.payloads,
-            mp_context=self.parallel.mp_context,
-            timer=self.phase_timer,
+            self.backend, self.payloads, timer=self.phase_timer
         )
         self._closed = False
         # The pool has live worker processes from here on: any failure
@@ -191,15 +177,12 @@ class ShardedFleetService:
             for payload in self.payloads
             for spec in payload.databases
         }
-        self._shard_indices = [payload.shard_index for payload in self.payloads]
         registry = self.telemetry.registry
         registry.gauge("fleet_databases").set(len(self.specs))
         registry.gauge("fleet_workers").set(len(self.payloads))
-        #: Cumulative busy seconds keyed by shard index (results arrive
-        #: in completion order under pipelining, so positional indexing
-        #: would misattribute).
+        #: Cumulative busy seconds keyed by shard index.
         self._shard_busy: Dict[int, float] = {
-            index: 0.0 for index in self._shard_indices
+            payload.shard_index: 0.0 for payload in self.payloads
         }
         #: Recent per-tick wall-clock seconds (dispatch + merge); the
         #: fleet benchmark derives p95 tick latency from this window.
@@ -221,141 +204,82 @@ class ShardedFleetService:
     # ------------------------------------------------------------------
 
     def run(self, hours: float) -> None:
-        """Advance the closed loop by ``hours`` of virtual time.
-
-        Tick ends are planned up front and dispatched in batches of up
-        to ``ParallelSettings.batch_ticks`` per pool round-trip; each
-        batch is flushed at classifier-retrain boundaries so broadcast
-        state lands at the same virtual time a one-tick run applies it.
-        """
-        ends: List[float] = []
-        now = self.clock.now
+        """Advance the closed loop by ``hours`` of virtual time."""
         remaining = hours
         while remaining > 0:
             step = min(self.settings.step_hours, remaining)
-            now = now + step * HOURS
-            ends.append(now)
+            self._tick(self.clock.now + step * HOURS)
             remaining -= step
-        cursor = 0
-        while cursor < len(ends):
-            batch = self._plan_batch(ends[cursor:])
-            self._run_batch(batch)
-            cursor += len(batch)
 
-    def _plan_batch(self, ends: Sequence[float]) -> List[float]:
-        """Up to ``batch_ticks`` tick ends, cut at a retrain boundary.
+    def _tick(self, end: float) -> None:
+        """One fleet tick: dispatch, collect, merge, finalize.
 
-        The classifier retrain check fires on virtual time alone
-        (``end - _last_retrain >= retrain period``), so the boundary is
-        predictable at planning time: the batch ends *with* the first
-        tick whose finalize will run the check.  Any state the retrain
-        broadcasts then rides the next batch's dispatch — the exact
-        "new model at the next tick" semantics of the serial loop.
-        """
-        period = self.settings.classifier_retrain_hours * HOURS
-        batch: List[float] = []
-        for end in ends[: self.parallel.batch_ticks]:
-            batch.append(end)
-            if end - self._last_retrain >= period:
-                break
-        return batch
-
-    def _run_batch(self, ends: Sequence[float]) -> None:
-        """Dispatch one batch of ticks; overlap merging with compute.
-
-        The pool streams ShardResults in completion order; arrivals are
-        parked in a :class:`CompletionBuffer` and each tick is merged —
-        in stable ``(tick, shard)`` order — as soon as every shard has
-        delivered it, while workers keep computing the batch's later
-        ticks.  Per tick, the parent phases (build/dispatch on the
-        batch's first tick, then wait/merge/finalize) still partition
-        the loop body, which keeps the >= 95% attribution-coverage gate
-        structurally achievable under pipelining.
+        The parent phases (build, dispatch, wait, merge, finalize)
+        partition the body, which keeps the >= 95% attribution-coverage
+        gate structurally achievable.
         """
         timer = self.phase_timer
         registry = self.telemetry.registry
-        buffer = CompletionBuffer(self._shard_indices, len(ends))
-        #: shard index -> (shard-clock wall of its first arrival's tick
-        #: start, where that start lands on the parent timeline: receipt
-        #: minus the tick's busy time).  Later ticks are anchored by the
-        #: shard clock's own delta, so a batch renders back-to-back on
-        #: its worker track instead of bunching at parent receipt times.
-        #: Anchoring the *start* at the receipt time would shift every
-        #: tick by its own duration, and a span opened in a slow tick and
-        #: closed in a fast one would end before it began.
-        bases: Dict[int, Tuple[float, float]] = {}
-        stream = None
-        for tick_index, end in enumerate(ends):
-            tick_started = time.perf_counter()
-            timer.begin_tick()
-            if stream is None:
-                with timer.phase("build"):
-                    classifier_state = self._pending_classifier_state
-                    self._pending_classifier_state = None
-                    max_statements = self.settings.max_statements_per_step
-                # The pool brackets "dispatch" here and each blocking
-                # pull below as "wait", so IPC cost lands on whichever
-                # tick the parent is currently assembling.
-                stream = self.pool.tick_batch(
-                    ends, max_statements, classifier_state
-                )
-            while not buffer.complete(tick_index):
-                result = next(stream)
-                received = timer.now()
-                base_wall, base_anchor = bases.setdefault(
-                    result.shard_index,
-                    (result.started_wall, received - result.busy_seconds),
-                )
-                buffer.add(
-                    result, base_anchor + (result.started_wall - base_wall)
-                )
-            with timer.phase("merge"):
-                released = buffer.release(tick_index)
-                registry.gauge("fleet_pipeline_buffered_results").set(
-                    buffer.buffered
-                )
-                deltas = []
-                for result, anchor in released:
-                    timer.absorb_shard(result, anchor=anchor)
-                    for delta in result.deltas:
-                        if timer.enabled and delta.spans:
-                            # Shift span wall clocks from the shard's
-                            # perf_counter base onto the parent timeline
-                            # so the export shares one epoch.  Sim-time
-                            # fields are untouched — determinism is
-                            # unaffected.
-                            delta.spans = rebase_span_ops(
-                                delta.spans, result.started_wall, anchor
-                            )
-                        deltas.append(delta)
-                registry.gauge("fleet_merge_queue_depth").set(len(deltas))
-                self.merger.merge(deltas)
-            with timer.phase("finalize"):
-                self._account_busy([result for result, _anchor in released])
-                registry.counter("fleet_ticks_total").inc()
-                self.clock.advance_to(end)
-                # History samples the *merged* registry here — the
-                # post-merge point, before the watchdog pass so SLO
-                # burn-rate rules read a store including this tick.
-                history_tick = None
-                if self.history is not None:
-                    history_tick = self.history.observe_tick(
-                        registry, end, audit=self.telemetry.audit
-                    )
-                    if timer.enabled:
-                        self._counter_samples.append(
-                            (timer.now(), self._history_snapshot())
+        tick_started = time.perf_counter()
+        timer.begin_tick()
+        with timer.phase("build"):
+            classifier_state = self._pending_classifier_state
+            self._pending_classifier_state = None
+            max_statements = self.settings.max_statements_per_step
+        # The pool brackets "dispatch" and each blocking receive
+        # ("wait") itself.  Each result is paired with where its tick
+        # *start* lands on the parent timeline: receipt minus the tick's
+        # busy time.  Anchoring the start at the receipt time would
+        # shift every tick by its own duration, and a span opened in a
+        # slow tick and closed in a fast one would end before it began.
+        arrivals = [
+            (result, timer.now() - result.busy_seconds)
+            for result in self.pool.tick(
+                end, max_statements, classifier_state
+            )
+        ]
+        # Arrival order is a race; shard-index order is not.
+        arrivals.sort(key=lambda arrival: arrival[0].shard_index)
+        with timer.phase("merge"):
+            deltas = []
+            for result, anchor in arrivals:
+                timer.absorb_shard(result, anchor)
+                for delta in result.deltas:
+                    if timer.enabled and delta.spans:
+                        # Shift span wall clocks from the shard's
+                        # perf_counter base onto the parent timeline
+                        # so the export shares one epoch.  Sim-time
+                        # fields are untouched — determinism is
+                        # unaffected.
+                        delta.spans = rebase_span_ops(
+                            delta.spans, result.started_wall, anchor
                         )
-                self.watchdog.evaluate(end)
-                self._maybe_retrain()
-            wall = time.perf_counter() - tick_started
-            timer.end_tick(wall)
-            self._observe_tick_wall(wall)
-            if self.history is not None and history_tick is not None:
-                # Wall time is only known after end_tick; it lives in
-                # the wall-flagged series, outside the anomaly/audit
-                # path, so it cannot perturb determinism.
-                self.history.observe_wall(history_tick, wall)
+                    deltas.append(delta)
+            registry.gauge("fleet_merge_queue_depth").set(len(deltas))
+            self.merger.merge(deltas)
+        with timer.phase("finalize"):
+            self._account_busy([result for result, _anchor in arrivals])
+            registry.counter("fleet_ticks_total").inc()
+            self.clock.advance_to(end)
+            # History samples the *merged* registry here — the
+            # post-merge point, before the watchdog pass so SLO
+            # burn-rate rules read a store including this tick.
+            history_tick = self.history.observe_tick(
+                registry, end, audit=self.telemetry.audit
+            )
+            if timer.enabled:
+                self._counter_samples.append(
+                    (timer.now(), self._history_snapshot())
+                )
+            self.watchdog.evaluate(end)
+            self._maybe_retrain()
+        wall = time.perf_counter() - tick_started
+        timer.end_tick(wall)
+        self._observe_tick_wall(wall)
+        # Wall time is only known after end_tick; it lives in the
+        # wall-flagged series, outside the anomaly/audit path, so it
+        # cannot perturb determinism.
+        self.history.observe_wall(history_tick, wall)
 
     def _history_snapshot(self) -> Dict[str, float]:
         """Latest non-wall history values, for the counter tracks."""
@@ -371,9 +295,8 @@ class ShardedFleetService:
     def _account_busy(self, results) -> None:
         """Accumulate per-shard busy seconds keyed by ``shard_index``.
 
-        Keyed by each result's own shard index — never by arrival
-        position, which is meaningless once results stream home in
-        completion order.
+        Keyed by each result's own shard index — never by position in
+        ``results``, whatever order the caller hands them over in.
         """
         registry = self.telemetry.registry
         busy = []
@@ -465,16 +388,10 @@ def build_fleet_service(
     workers: int = 0,
     backend: str = "auto",
     instrument: bool = True,
-    batch_ticks: int = 1,
-    history: bool = True,
     **kwargs,
 ) -> ShardedFleetService:
     """Convenience constructor mirroring :func:`repro.service.build_service`."""
     parallel = ParallelSettings(
-        workers=workers,
-        backend=backend,
-        instrument=instrument,
-        batch_ticks=batch_ticks,
-        history=history,
+        workers=workers, backend=backend, instrument=instrument
     )
     return ShardedFleetService(n_databases, parallel=parallel, **kwargs)

@@ -6,7 +6,7 @@ import dataclasses
 
 
 #: Recognized execution backends.
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -14,46 +14,25 @@ class ParallelSettings:
     """How the fleet's per-tick work is executed.
 
     ``workers`` is the number of shards the fleet is split into (and,
-    for the thread/process backends, the number of concurrent workers).
+    for the process backend, the number of concurrent workers).
     ``backend`` selects the execution substrate:
 
-    - ``"serial"`` — shards run inline, one after another (the baseline;
-      also the fallback when ``workers <= 1``);
-    - ``"thread"`` — one thread per shard (GIL-bound; exercises the
-      pool/merge machinery without process overhead);
+    - ``"serial"`` — shards run inline, one after another (the reference
+      every equivalence test compares against);
     - ``"process"`` — one long-lived OS process per shard.  Shard state
       is *built inside* the worker from the picklable specs, so only
       commands and per-tick deltas ever cross the pipe;
     - ``"auto"`` — ``process`` when ``workers > 1``, else ``serial``.
 
     Determinism does not depend on the backend: merged output is
-    byte-identical across all of them for the same seed.
+    byte-identical across both for the same seed.
     """
 
     workers: int = 0
     backend: str = "auto"
-    #: Multiprocessing start method; None picks ``fork`` when available
-    #: (cheap on Linux) and ``spawn`` otherwise.
-    mp_context: str = ""
     #: Collect per-tick phase timings and trace events (the ``repro
-    #: profile`` data source).  Off is the ``--no-profile`` escape hatch
-    #: the overhead benchmark gate compares against.
+    #: profile`` data source).  Off is the ``--no-profile`` escape hatch.
     instrument: bool = True
-    #: Ticks dispatched to the pool per round-trip (``--batch-ticks``).
-    #: At 1 the parent runs the classic synchronous loop; above 1 it
-    #: sends K tick commands at once, workers run them back-to-back
-    #: while staying hot, and the parent overlaps merging finished ticks
-    #: with the workers' compute of later ones.  Merged output is
-    #: byte-identical for every value — a batch is always flushed at a
-    #: classifier-retrain boundary so broadcast state still lands at the
-    #: same virtual time it would serially.
-    batch_ticks: int = 1
-    #: Sample the merged registry into the telemetry-history store each
-    #: tick (sparklines, SLO burn rates, anomaly detection).  Sampling
-    #: reads only merged virtual-time state, so it never perturbs the
-    #: determinism contract; the flag exists for the history overhead
-    #: gate in bench_fleet_scale.py, not because off is ever unsafe.
-    history: bool = True
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -62,8 +41,6 @@ class ParallelSettings:
             )
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.batch_ticks < 1:
-            raise ValueError("batch_ticks must be >= 1")
 
     @property
     def effective_backend(self) -> str:

@@ -1,12 +1,12 @@
 """Per-tick phase timers: where the fleet tick's wall-clock goes.
 
-``BENCH_fleet_scale.json`` showed the sharded control plane buying only
-~1.27x at 4 workers; this module makes the reason measurable.  A
-:class:`TickPhaseTimer` brackets every phase of a fleet tick **on both
-sides of the process pipe**:
+Sharding buys less than the worker count (``benchmarks/e2e`` measures
+``fleet_sharded`` at CPU 1.12x / wall 1.53x for 2 workers); this module
+makes the reason measurable.  A :class:`TickPhaseTimer` brackets every
+phase of a fleet tick **on both sides of the process pipe**:
 
 - parent side — ``build`` (tick command construction), ``dispatch``
-  (pipe send / task submit), ``wait`` (blocking on shard results),
+  (pipe send), ``wait`` (blocking on shard results),
   ``merge`` (deterministic replay), ``finalize`` (watchdog, retrain,
   busy accounting).  These five partition the tick, so their sum over
   the tick's wall-clock is the attribution-coverage figure ``repro
@@ -16,9 +16,10 @@ sides of the process pipe**:
   shipped home in the :class:`~repro.parallel.worker.ShardResult`.
 
 Worker events carry offsets relative to the shard's own tick start;
-:meth:`TickPhaseTimer.absorb_shard` re-anchors them at the parent's
-``wait``-phase start, which sidesteps any cross-process clock-base
-question (``perf_counter`` bases are not guaranteed comparable across
+:meth:`TickPhaseTimer.absorb_shard` re-anchors them where that start
+lands on the parent timeline (the result's receipt minus its busy
+time), which sidesteps any cross-process clock-base question
+(``perf_counter`` bases are not guaranteed comparable across
 processes).  The same anchoring rebases span wall clocks via
 :func:`rebase_span_ops` before the deterministic merge, so every
 exported timestamp shares one timeline rooted at the service's epoch.
@@ -44,7 +45,7 @@ PHASE_CATALOG: Dict[str, str] = {
     "build": "Parent: tick command construction (classifier state, "
              "statement caps) before anything is dispatched.",
     "dispatch": "Parent: pushing the tick command into the pool "
-                "(pipe send / thread submit / serial loop setup).",
+                "(pipe send / serial loop setup).",
     "wait": "Parent: blocked on shard results — covers worker compute "
             "plus IPC serialization and transfer.",
     "merge": "Parent: DeterministicMerger replay of per-database deltas "
@@ -131,8 +132,7 @@ class TickPhaseTimer:
     One instance lives on the :class:`ShardedFleetService`; the worker
     pool shares it (for ``dispatch``/``wait``) and the service brackets
     ``build``/``merge``/``finalize`` itself.  When ``enabled`` is False
-    every method is a cheap no-op — the ``--no-profile`` escape hatch
-    the overhead benchmark gate measures against.
+    every method is a cheap no-op — the ``--no-profile`` escape hatch.
     """
 
     def __init__(
@@ -151,7 +151,6 @@ class TickPhaseTimer:
         self.ticks: List[dict] = []
         self._tick_index = -1
         self._current: Dict[str, float] = {}
-        self._wait_anchor = 0.0
         self._dropped = 0
 
     # ------------------------------------------------------------------
@@ -161,7 +160,6 @@ class TickPhaseTimer:
             return
         self._tick_index += 1
         self._current = {}
-        self._wait_anchor = time.perf_counter() - self.epoch
 
     @contextlib.contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -181,11 +179,6 @@ class TickPhaseTimer:
             ended = time.perf_counter()
             seconds = ended - started
             self._current[name] = self._current.get(name, 0.0) + seconds
-            if name == "wait":
-                # Worker events and span wall clocks are re-anchored at
-                # the moment the parent started waiting — the closest
-                # parent-side instant to "the shard began computing".
-                self._wait_anchor = started - self.epoch
             self._add_event(
                 TraceEvent(
                     track=PARENT_TRACK,
@@ -197,35 +190,23 @@ class TickPhaseTimer:
                 )
             )
 
-    @property
-    def wait_anchor(self) -> float:
-        """Parent-timeline seconds where the current tick's shard work
-        is anchored (the start of the ``wait`` phase)."""
-        return self._wait_anchor
-
     def now(self) -> float:
         """Parent-timeline seconds since the profiling epoch.
 
-        The service stamps each streamed ShardResult with this at
-        receipt; per-shard deltas of the shard's own ``started_wall``
-        readings then place every tick of a batch on the parent timeline
-        without ever comparing clock bases across processes.
+        The service stamps each ShardResult with this at receipt, which
+        places the shard's tick on the parent timeline without ever
+        comparing clock bases across processes.
         """
         return time.perf_counter() - self.epoch
 
-    def absorb_shard(self, result, anchor: Optional[float] = None) -> None:
+    def absorb_shard(self, result, anchor: float) -> None:
         """Fold one :class:`ShardResult`'s worker-side phase events in.
 
         ``anchor`` is where the shard's tick start lands on the parent
-        timeline.  Pipelined dispatch passes an explicit per-result
-        anchor (results for several ticks can arrive while one parent
-        ``wait`` phase is open); the default is the classic behaviour —
-        anchor at the current tick's wait-phase start.
+        timeline.
         """
         if not self.enabled:
             return
-        if anchor is None:
-            anchor = self._wait_anchor
         track = result.shard_index + 1
         for phase, database, offset, duration in result.events:
             self._current[phase] = self._current.get(phase, 0.0) + duration

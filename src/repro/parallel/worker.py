@@ -202,12 +202,6 @@ class ShardResult:
     deltas: List[TickDelta]
     busy_seconds: float
     shard_index: int = 0
-    #: Position of this tick inside its dispatch batch (0 for the
-    #: classic one-tick round-trip).  The parent buffers streamed
-    #: results and releases them to the merger in ``(tick_index,
-    #: shard_index)`` order, so completion order never leaks into
-    #: merged output.
-    tick_index: int = 0
     #: The shard clock's reading at tick start (anchor for offsets).
     started_wall: float = 0.0
     #: Seconds per worker-side phase, summed over this shard's databases.
@@ -231,7 +225,6 @@ class ShardRunner:
         end: float,
         max_statements: Optional[int],
         classifier_state: Optional[dict],
-        tick_index: int = 0,
     ) -> ShardResult:
         trace = ShardTickTrace() if self.instrument else None
         started = trace.started if trace is not None else time.perf_counter()
@@ -245,32 +238,10 @@ class ShardRunner:
             deltas=deltas,
             busy_seconds=time.perf_counter() - started,
             shard_index=self.shard_index,
-            tick_index=tick_index,
             started_wall=started,
             phase_seconds=trace.totals() if trace is not None else {},
             events=trace.events if trace is not None else [],
         )
-
-    def tick_batch(
-        self,
-        ends: List[float],
-        max_statements: Optional[int],
-        classifier_state: Optional[dict],
-    ):
-        """Run ``ends`` back-to-back, yielding one ShardResult per tick.
-
-        Broadcast classifier state applies before the batch's first tick
-        only — the parent flushes a batch at every retrain boundary, so
-        this is exactly the "new model at the next tick" semantics of
-        the one-tick protocol.
-        """
-        for index, end in enumerate(ends):
-            yield self.tick(
-                end,
-                max_statements,
-                classifier_state if index == 0 else None,
-                tick_index=index,
-            )
 
 
 def shard_worker_main(conn, payload: ShardPayload) -> None:
@@ -280,10 +251,6 @@ def shard_worker_main(conn, payload: ShardPayload) -> None:
 
     - recv ``("tick", end, max_statements, classifier_state)`` →
       send ``("ok", ShardResult)``;
-    - recv ``("tick_batch", ends, max_statements, classifier_state)`` →
-      send ``("ok", ShardResult)`` **once per tick, streamed as each
-      tick finishes** — the worker stays hot across the whole batch and
-      the parent merges early ticks while later ones still compute;
     - recv ``("stop",)`` → exit.
 
     Any exception is reported as ``("error", formatted_traceback)`` and
@@ -300,12 +267,6 @@ def shard_worker_main(conn, payload: ShardPayload) -> None:
                 _cmd, end, max_statements, classifier_state = command
                 result = runner.tick(end, max_statements, classifier_state)
                 conn.send(("ok", result))
-            elif command[0] == "tick_batch":
-                _cmd, ends, max_statements, classifier_state = command
-                for result in runner.tick_batch(
-                    ends, max_statements, classifier_state
-                ):
-                    conn.send(("ok", result))
             else:  # pragma: no cover - protocol misuse
                 conn.send(("error", f"unknown command {command[0]!r}"))
                 break

@@ -3,13 +3,20 @@
 The hard guarantee under test: for the same fleet seed, the sharded
 service produces **byte-identical** merged output — audit JSONL, store
 journal, recovered record states, spans — no matter which backend
-(serial / thread / process) or worker count executed the ticks.
+(serial / process) or worker count executed the ticks.  Alongside it,
+the fleet-pool safety contracts: shard-crash detection, leak-free
+partial construction, busy attribution keyed by shard index, the capped
+tick-wall window, and out-of-order merge determinism.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 
@@ -19,8 +26,17 @@ from hypothesis import strategies as st
 
 from repro.clock import HOURS
 from repro.controlplane import ControlPlaneSettings
+from repro.errors import ShardCrashError
 from repro.parallel import ParallelSettings, build_fleet_service
-from repro.parallel.spec import database_specs
+from repro.parallel.service import TICK_WALL_WINDOW, ShardedFleetService
+from repro.parallel.settings import BACKENDS
+from repro.parallel.spec import (
+    DatabaseSpec,
+    ShardPayload,
+    SharedSettings,
+    database_specs,
+)
+from repro.parallel.worker import ShardResult
 from repro.service import ServiceSettings
 
 
@@ -29,12 +45,6 @@ from repro.service import ServiceSettings
 #: exercised at more than one sharding width.
 WORKERS = max(2, int(os.environ.get("REPRO_TEST_WORKERS", "4")))
 
-#: Pipeline depth for multi-worker runs.  The CI matrix includes a
-#: ``REPRO_TEST_BATCH_TICKS=4`` variant so every backend-equivalence
-#: test also gates the pipelined dispatch path against the serial
-#: baseline (which always runs one tick per dispatch).
-BATCH_TICKS = max(1, int(os.environ.get("REPRO_TEST_BATCH_TICKS", "1")))
-
 
 def run_fleet(
     backend: str,
@@ -42,20 +52,13 @@ def run_fleet(
     n_databases: int = 3,
     hours: float = 48.0,
     seed: int = 11,
-    batch_ticks: int | None = None,
     prepare=None,
     tier: str = "standard",
 ):
-    if batch_ticks is None:
-        # The serial single-worker baseline anchors every equivalence
-        # test; keep it at one tick per dispatch so the env knob gates
-        # pipelined runs *against* the unpipelined reference.
-        batch_ticks = 1 if workers <= 1 else BATCH_TICKS
     service = build_fleet_service(
         n_databases,
         workers=workers,
         backend=backend,
-        batch_ticks=batch_ticks,
         seed=seed,
         tier=tier,
         control_settings=ControlPlaneSettings(
@@ -122,24 +125,14 @@ class TestBackendEquivalence:
     def serial(self):
         return run_fleet("serial", 1)
 
-    def test_thread_backend_matches_serial(self, serial):
-        threaded = run_fleet("thread", WORKERS)
-        assert threaded["jsonl"] == serial["jsonl"]
-        assert threaded["journal"] == serial["journal"]
-        assert threaded["recovered"] == serial["recovered"]
-        assert threaded["spans"] == serial["spans"]
-        assert threaded["history"] == serial["history"]
-        assert threaded["bus"] == serial["bus"]
-        assert threaded["hot_paths"] == serial["hot_paths"]
-        assert threaded["telemetry_history"] == serial["telemetry_history"]
-        assert threaded["anomalies"] == serial["anomalies"]
-
     def test_process_backend_matches_serial(self, serial):
         processed = run_fleet("process", WORKERS)
         assert processed["jsonl"] == serial["jsonl"]
         assert processed["journal"] == serial["journal"]
         assert processed["recovered"] == serial["recovered"]
         assert processed["spans"] == serial["spans"]
+        assert processed["history"] == serial["history"]
+        assert processed["bus"] == serial["bus"]
         assert processed["hot_paths"] == serial["hot_paths"]
         assert processed["telemetry_history"] == serial["telemetry_history"]
         assert processed["anomalies"] == serial["anomalies"]
@@ -165,7 +158,7 @@ def test_property_serial_vs_parallel_identical(seed):
     """For any fleet seed: a serial run and a multi-worker run produce
     identical audit JSONL dumps and identical recovered store state."""
     serial = run_fleet("serial", 1, n_databases=2, hours=12.0, seed=seed)
-    parallel = run_fleet("thread", WORKERS, n_databases=2, hours=12.0, seed=seed)
+    parallel = run_fleet("process", WORKERS, n_databases=2, hours=12.0, seed=seed)
     assert parallel["jsonl"] == serial["jsonl"]
     assert parallel["recovered"] == serial["recovered"]
     assert parallel["hot_paths"] == serial["hot_paths"]
@@ -176,7 +169,7 @@ class TestFleetGauges:
         service = build_fleet_service(
             2,
             workers=2,
-            backend="thread",
+            backend="process",
             seed=5,
             service_settings=ServiceSettings(max_statements_per_step=40),
         )
@@ -196,7 +189,7 @@ class TestFleetGauges:
 class TestClassifierBroadcast:
     def test_state_reaches_workers_on_next_tick(self):
         service = build_fleet_service(
-            2, workers=2, backend="thread", seed=5
+            2, workers=2, backend="serial", seed=5
         )
         try:
             state = {
@@ -235,9 +228,15 @@ class TestSpecsAndSettings:
         assert ParallelSettings(workers=1).effective_backend == "serial"
         assert ParallelSettings(workers=4).effective_backend == "process"
         assert (
-            ParallelSettings(workers=4, backend="thread").effective_backend
-            == "thread"
+            ParallelSettings(workers=4, backend="serial").effective_backend
+            == "serial"
         )
+        assert BACKENDS == ("auto", "serial", "process")
+        with pytest.raises(ValueError):
+            ParallelSettings(backend="thread")
+        assert [f.name for f in dataclasses.fields(ParallelSettings)] == [
+            "workers", "backend", "instrument",
+        ]
 
 
 class TestExecutorModeDeterminism:
@@ -259,7 +258,7 @@ class TestExecutorModeDeterminism:
     def test_vector_serial_matches_sharded(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "vector")
         serial = run_fleet("serial", 1, n_databases=2, hours=24.0, seed=7)
-        sharded = run_fleet("thread", WORKERS, n_databases=2, hours=24.0, seed=7)
+        sharded = run_fleet("serial", WORKERS, n_databases=2, hours=24.0, seed=7)
         assert self._audit_sha256(sharded) == self._audit_sha256(serial)
         assert sharded == serial  # every stream, not just the audit hash
 
@@ -288,7 +287,7 @@ class TestExecutorModeDeterminism:
         interp = run_fleet("serial", 1, **kwargs)
         monkeypatch.setenv("REPRO_EXECUTOR", "vector")
         vector = run_fleet("serial", 1, **kwargs)
-        sharded = run_fleet("thread", WORKERS, **kwargs)
+        sharded = run_fleet("process", WORKERS, **kwargs)
         assert self._audit_sha256(vector) == self._audit_sha256(interp)
         assert self._audit_sha256(sharded) == self._audit_sha256(vector)
         assert sharded == vector  # every stream, including hot paths
@@ -304,8 +303,8 @@ class TestWhatIfModeDeterminism:
 
     Substrates and their per-definition memos are shared within an
     engine, and engines land on different workers under different
-    backends, so the merged audit stream must be byte-identical across
-    all three pool backends.
+    backends, so the merged audit stream must be byte-identical for
+    serial-1, serial-N and process-N.
     """
 
     @staticmethod
@@ -316,15 +315,190 @@ class TestWhatIfModeDeterminism:
 
     def test_batch_mode_equal_across_backends(self):
         serial = run_fleet("serial", 1, n_databases=2, hours=24.0, seed=7)
-        thread = run_fleet("thread", WORKERS, n_databases=2, hours=24.0, seed=7)
+        sharded = run_fleet("serial", WORKERS, n_databases=2, hours=24.0, seed=7)
         process = run_fleet(
             "process", WORKERS, n_databases=2, hours=24.0, seed=7
         )
         reference = self._audit_sha256(serial)
-        assert self._audit_sha256(thread) == reference
+        assert self._audit_sha256(sharded) == reference
         assert self._audit_sha256(process) == reference
-        assert thread == serial
+        assert sharded == serial
         assert process == serial
+
+
+class TestShardCrash:
+    """A killed shard surfaces as ShardCrashError, not a raw EOFError,
+    and the surviving pool is reaped before the error propagates."""
+
+    def test_kill_mid_run(self):
+        service = build_fleet_service(
+            2,
+            workers=2,
+            backend="process",
+            seed=3,
+            service_settings=ServiceSettings(max_statements_per_step=40),
+        )
+        try:
+            victim = service.pool._processes[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            with pytest.raises(ShardCrashError) as excinfo:
+                service.run(12.0)
+            assert excinfo.value.shard_index == 1
+            assert excinfo.value.last_command == "tick"
+            assert "shard 1" in str(excinfo.value)
+            assert service.pool._processes == []
+            assert service.pool._connections == []
+        finally:
+            service.close()  # idempotent after the crash cleanup
+
+
+class TestConstructionSafety:
+    """Construction failures after process spawn must reap the workers."""
+
+    def test_service_init_failure_reaps_pool(self, monkeypatch):
+        import repro.parallel.service as service_module
+
+        pools = []
+        real_make_pool = service_module.make_pool
+
+        def recording_make_pool(*args, **kwargs):
+            pool = real_make_pool(*args, **kwargs)
+            pools.append(pool)
+            return pool
+
+        monkeypatch.setattr(service_module, "make_pool", recording_make_pool)
+
+        class Exploding(ShardedFleetService):
+            def _finish_init(self):
+                raise RuntimeError("post-pool construction failure")
+
+        with pytest.raises(RuntimeError, match="post-pool"):
+            Exploding(
+                2,
+                parallel=ParallelSettings(workers=2, backend="process"),
+                seed=3,
+            )
+        assert len(pools) == 1
+        assert pools[0]._processes == []
+        assert pools[0]._connections == []
+
+    def test_worker_startup_failure_reaps_spawned_processes(self):
+        import multiprocessing
+
+        from repro.parallel.pool import ProcessPool
+
+        shared = SharedSettings()
+        payloads = [
+            ShardPayload(
+                shard_index=0,
+                databases=[
+                    DatabaseSpec(
+                        name="db-ok-0", profile_seed=1, tier="standard",
+                        fault_seed=1,
+                    )
+                ],
+                shared=shared,
+            ),
+            ShardPayload(
+                shard_index=1,
+                databases=[
+                    DatabaseSpec(
+                        name="db-bad-0", profile_seed=1, tier="no-such-tier",
+                        fault_seed=1,
+                    )
+                ],
+                shared=shared,
+            ),
+        ]
+        with pytest.raises((RuntimeError, ShardCrashError)):
+            ProcessPool(payloads)
+        for child in multiprocessing.active_children():
+            assert "repro" not in (child.name or ""), (
+                f"leaked shard process {child!r}"
+            )
+
+
+class TestBusyAttribution:
+    """fleet_shard_busy is keyed by each result's own shard index."""
+
+    def test_out_of_order_results_attribute_correctly(self):
+        service = build_fleet_service(
+            3,
+            workers=3,
+            backend="serial",
+            seed=5,
+            service_settings=ServiceSettings(max_statements_per_step=40),
+        )
+        try:
+            shuffled = [
+                ShardResult(deltas=[], busy_seconds=4.0, shard_index=2),
+                ShardResult(deltas=[], busy_seconds=1.0, shard_index=0),
+                ShardResult(deltas=[], busy_seconds=2.0, shard_index=1),
+            ]
+            service._account_busy(shuffled)
+            registry = service.telemetry.registry
+            for index, expected in ((0, 1.0), (1, 2.0), (2, 4.0)):
+                gauge = registry.gauge("fleet_shard_busy", shard=str(index))
+                assert gauge.value == pytest.approx(expected)
+                assert service._shard_busy[index] == pytest.approx(expected)
+            assert registry.gauge(
+                "fleet_tick_skew_seconds"
+            ).value == pytest.approx(3.0)
+        finally:
+            service.close()
+
+
+class TestTickWallWindow:
+    """tick_wall_seconds is a capped window; totals keep whole-run truth."""
+
+    def test_window_capped_and_totals_unbounded(self):
+        service = build_fleet_service(1, workers=1, backend="serial", seed=0)
+        try:
+            n = TICK_WALL_WINDOW + 500
+            for _ in range(n):
+                service._observe_tick_wall(0.001)
+            assert len(service.tick_wall_seconds) == TICK_WALL_WINDOW
+            assert service.ticks_completed == n
+            assert service.tick_wall_total == pytest.approx(n * 0.001)
+            histogram = service.telemetry.registry.histogram(
+                "fleet_tick_wall_seconds"
+            )
+            assert histogram.count == n
+            # A p95 derived from the window keeps working.
+            assert sorted(service.tick_wall_seconds)[-1] == 0.001
+        finally:
+            service.close()
+
+
+class TestOutOfOrderMergeDeterminism:
+    """Shuffled delta order entering the merge changes nothing merged."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_shuffled_deltas_byte_identical(self, backend):
+        workers = 1 if backend == "serial" else WORKERS
+        reference = run_fleet(backend, workers, hours=12.0)
+
+        rng = random.Random(0xC0FFEE)
+
+        def shuffling(service):
+            merger = service.merger
+            original = merger.merge
+
+            def merge(deltas):
+                shuffled = list(deltas)
+                rng.shuffle(shuffled)
+                return original(shuffled)
+
+            merger.merge = merge
+
+        shuffled = run_fleet(backend, workers, hours=12.0, prepare=shuffling)
+        assert (
+            hashlib.sha256(shuffled["jsonl"].encode()).hexdigest()
+            == hashlib.sha256(reference["jsonl"].encode()).hexdigest()
+        )
+        assert shuffled["recovered"] == reference["recovered"]
+        assert shuffled["journal"] == reference["journal"]
+        assert shuffled["spans"] == reference["spans"]
 
 
 class TestCli:
@@ -343,7 +517,7 @@ class TestCli:
                 "--workers",
                 "2",
                 "--backend",
-                "thread",
+                "process",
                 "--audit-out",
                 str(out),
             ],

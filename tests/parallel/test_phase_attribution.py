@@ -51,13 +51,11 @@ def profiled_run(
     workers: int,
     hours: float = 8.0,
     seed: int = 3,
-    batch_ticks: int = 1,
 ):
     service = build_fleet_service(
         3,
         workers=workers,
         backend=backend,
-        batch_ticks=batch_ticks,
         seed=seed,
         control_settings=ControlPlaneSettings(
             snapshot_period=2 * HOURS,
@@ -95,7 +93,7 @@ def profiled_run(
 class TestPhaseTimings:
     """Satellite (a): every backend reports the full phase set."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_all_phases_present_and_non_negative(self, backend):
         run = profiled_run(backend, 1 if backend == "serial" else WORKERS)
         assert run["ticks"], "no tick rows recorded"
@@ -110,7 +108,7 @@ class TestPhaseTimings:
                 assert seconds >= 0.0
 
     def test_phase_histograms_published(self):
-        run = profiled_run("thread", WORKERS)
+        run = profiled_run("process", WORKERS)
         series = run["registry"].series_for("fleet_phase_seconds")
         phases = {dict(s.labels)["phase"] for s in series}
         assert set(PARENT_PHASES) <= phases
@@ -136,32 +134,10 @@ class TestAttributionCoverage:
                 f"tick {row['tick']} attribution {row['coverage']:.1%}"
             )
 
-    def test_batched_dispatch_keeps_coverage_and_amortizes(self):
-        # Pipelined dispatch must not orphan wall-clock: the parent
-        # phases still partition each tick, and the dispatch phase only
-        # accrues to batch-leading ticks (that is the amortization).
-        run = profiled_run("process", WORKERS, hours=12.0, batch_ticks=3)
-        assert run["summary"]["coverage"] >= 0.95
-        dispatching = [
-            row for row in run["ticks"]
-            if row["phases"].get("dispatch", 0.0) > 0.0
-        ]
-        assert dispatching, "no tick carried a dispatch phase"
-        assert len(dispatching) < len(run["ticks"]), (
-            "every tick paid dispatch: batching did not amortize"
-        )
-        doc = json.loads(json.dumps(run["doc"]))
-        per_track = {}
-        for event in doc["traceEvents"]:
-            if event["ph"] == "X":
-                per_track.setdefault(event["tid"], []).append(event["ts"])
-        for tid, stamps in per_track.items():
-            assert stamps == sorted(stamps), f"track {tid} ts not monotonic"
-
     def test_worker_phases_do_not_inflate_coverage(self):
         # Coverage counts parent phases only: a summary computed with
         # worker phases included would double-count the wait window.
-        run = profiled_run("thread", WORKERS)
+        run = profiled_run("serial", WORKERS)
         summary = attribution_summary(run["ticks"], PARENT_PHASES)
         covered = summary["covered_seconds"]
         worker_seconds = sum(
@@ -240,9 +216,9 @@ class TestTraceExport:
         assert events[0].args["database"] == "db-x"
 
     def test_render_critical_path_mentions_coverage(self):
-        run = profiled_run("thread", WORKERS)
+        run = profiled_run("serial", WORKERS)
         lines = render_critical_path(
-            run["summary"], backend="thread", workers=WORKERS
+            run["summary"], backend="serial", workers=WORKERS
         )
         text = "\n".join(lines)
         assert "attribution coverage" in text
@@ -250,13 +226,13 @@ class TestTraceExport:
 
 
 class TestNoProfileEscapeHatch:
-    """The overhead guard's off switch: collect nothing, change nothing."""
+    """``--no-profile``: collect nothing, change nothing."""
 
     def test_instrument_off_collects_nothing(self):
         service = build_fleet_service(
             2,
             workers=2,
-            backend="thread",
+            backend="process",
             instrument=False,
             seed=3,
             service_settings=ServiceSettings(max_statements_per_step=40),
@@ -279,7 +255,7 @@ class TestNoProfileEscapeHatch:
             service = build_fleet_service(
                 2,
                 workers=2,
-                backend="thread",
+                backend="serial",
                 instrument=instrument,
                 seed=9,
                 service_settings=ServiceSettings(max_statements_per_step=40),
@@ -300,7 +276,7 @@ class TestProfileCli:
             [
                 sys.executable, "-m", "repro", "profile",
                 "--dbs", "2", "--ticks", "2", "--workers", "2",
-                "--backend", "thread", "--trace-out", str(trace),
+                "--backend", "process", "--trace-out", str(trace),
             ],
             capture_output=True,
             text=True,
