@@ -42,7 +42,6 @@ Invoke as ``python -m repro <command>``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -77,12 +76,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="standard",
     )
     parser.add_argument("--dbs", type=int, default=4, help="fleet size")
-    parser.add_argument(
-        "--executor",
-        choices=("auto", "vector", "interp"),
-        default=None,
-        help="execution path (sets REPRO_EXECUTOR; default auto)",
-    )
 
 
 def _add_fleet(
@@ -666,8 +659,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "executor", None):
-        os.environ["REPRO_EXECUTOR"] = args.executor
     return args.func(args)
 
 

@@ -203,19 +203,11 @@ class ExecutionCostSettings:
     io_wait_ms_per_page: float = 0.010
     #: Log-normal sigma of run-to-run measurement noise (concurrency).
     noise_sigma: float = 0.10
-    #: Execution path: "vector", "interp", or "auto"; None defers to the
-    #: ``REPRO_EXECUTOR`` environment variable (default "auto").  Both
-    #: paths produce byte-identical rows and metrics; this only changes
-    #: how fast the host executes them.
-    executor_mode: Optional[str] = None
-    #: In "auto" mode, the minimum scanned-table row count before the
-    #: vectorized path is worth the projection build.
+    #: Rows a scanned table needs before a SELECT the vectorized path
+    #: supports is worth the projection build (0 vectorizes every such
+    #: plan, ``sys.maxsize`` none).  Rows and metrics are byte-identical
+    #: either way; this only changes how fast the host executes them.
     vector_min_rows: int = 256
-    #: In "auto" mode, the minimum affected-row count before DML index
-    #: maintenance is applied as one grouped batch per index rather than
-    #: row at a time.  (``vector`` mode always batches; ``interp`` never
-    #: does.)  Charges are identical either way.
-    dml_batch_min_rows: int = 8
 
 
 def _op_kind(predicate: Predicate) -> str:

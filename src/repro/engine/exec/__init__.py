@@ -11,11 +11,12 @@ Package layout:
 - :mod:`repro.engine.exec.vector` — batch operators (mask scans,
   rank-code grouping, lexsort, argpartition TOP-N);
 - :mod:`repro.engine.exec.dispatch` — the :class:`Executor` facade that
-  picks a path per plan (``REPRO_EXECUTOR=vector|interp|auto``).
+  picks a path per SELECT from plan shape and table size, and runs DML
+  on its one grouped-maintenance path.
 """
 
 from repro.engine.exec.columns import ColumnarCache, VectorUnsupported
-from repro.engine.exec.dispatch import Executor, resolve_executor_mode
+from repro.engine.exec.dispatch import Executor
 from repro.engine.exec.interp import (
     InterpExecutor,
     aggregate_values,
@@ -37,7 +38,6 @@ __all__ = [
     "VectorUnsupported",
     "aggregate_values",
     "compute_aggregate",
-    "resolve_executor_mode",
     "sort_meter_rows",
     "stable_sum",
 ]

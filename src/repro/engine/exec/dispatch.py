@@ -1,17 +1,12 @@
 """The executor facade: picks the interpreted or vectorized path.
 
-Mode resolution (per statement, cheap):
-
-1. ``ExecutionCostSettings.executor_mode`` when set;
-2. else the ``REPRO_EXECUTOR`` environment variable;
-3. else ``auto``.
-
-``interp`` always interprets; ``vector`` batches every supported
-statement; ``auto`` batches only when enough rows are at stake — at
-least ``vector_min_rows`` in the gating table for SELECTs, at least
-``dml_batch_min_rows`` affected rows for DML.  Seeks, key lookups,
-nested-loop joins, and TOP-over-lazy-source always interpret.  Whatever
-the path, metering is byte-identical — see
+A SELECT is vectorized when its plan shape is supported
+(:func:`repro.engine.exec.vector.supports`) and its gating table holds
+at least ``vector_min_rows`` rows, enough to amortize the projection
+build; seeks, key lookups, nested-loop joins and TOP-over-lazy-source
+always interpret.  DML has one path (grouped index maintenance in
+:class:`~repro.engine.table.Table`) and is counted with the vectorized
+statements.  Whatever the path, metering is byte-identical — see
 :mod:`repro.engine.exec.metering`.
 
 Every statement that lands on the interpreter is attributed to exactly
@@ -19,15 +14,12 @@ one reason in :data:`FALLBACK_REASONS`, published as the
 ``executor_fallback_<reason>_total`` gauges, so fast-path coverage is
 observable per fleet:
 
-- ``mode`` — the executor mode is ``interp``;
-- ``threshold`` — ``auto`` mode, too few rows to amortize batching;
+- ``threshold`` — too few rows to amortize batching;
 - ``shape`` — unsupported single-table plan shape (seeks, key lookups,
   TOP over a lazy source);
 - ``join`` — unsupported join shape (nested-loop, seek-fed hash join,
   TOP directly over a join);
 - ``hinted`` — an index-hinted query produced an unsupported shape;
-- ``dml`` — a DML batch declined its pre-checks (duplicate keys,
-  validation, primary-key assignment) and must mutate row-at-a-time;
 - ``runtime`` — the vector path bailed out mid-plan
   (:class:`VectorUnsupported`) and charges were rolled back.
 """
@@ -35,7 +27,6 @@ observable per fleet:
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -55,22 +46,11 @@ from repro.engine.plans import (
 )
 from repro.engine.query import SelectQuery
 from repro.engine.table import Table
-from repro.errors import ExecutionError
-
-_MODES = ("auto", "vector", "interp")
 
 #: Why a statement ran on the interpreter (see module docstring).  Every
 #: interpreted statement increments exactly one reason counter, so the
 #: sum over reasons equals ``interp_statements``.
-FALLBACK_REASONS = (
-    "mode",
-    "threshold",
-    "shape",
-    "join",
-    "hinted",
-    "dml",
-    "runtime",
-)
+FALLBACK_REASONS = ("threshold", "shape", "join", "hinted", "runtime")
 
 #: Gauge name per fallback reason (``executor_fallback_<reason>_total``).
 #: Built here, next to the taxonomy, so the observability lint can
@@ -81,20 +61,7 @@ FALLBACK_GAUGES = {
 }
 
 _JOIN_NODES = (NestedLoopJoinNode, HashJoinNode)
-
-
-def resolve_executor_mode(settings: ExecutionCostSettings) -> str:
-    """The effective execution mode for one statement."""
-    mode = settings.executor_mode
-    if mode is None:
-        mode = os.environ.get("REPRO_EXECUTOR") or "auto"
-    mode = mode.lower()
-    if mode not in _MODES:
-        raise ExecutionError(
-            f"invalid executor mode {mode!r}: "
-            "REPRO_EXECUTOR must be vector, interp, or auto"
-        )
-    return mode
+_DML_NODES = (InsertPlanNode, UpdatePlanNode, DeletePlanNode)
 
 
 class Executor:
@@ -114,7 +81,7 @@ class Executor:
         self.vector_statements = 0
         self.interp_statements = 0
         #: Rows that flowed through vectorized batch operators (scanned
-        #: projection rows for SELECTs, affected rows for batched DML).
+        #: projection rows for SELECTs, affected rows for DML).
         self.batch_rows = 0
         #: Per-reason interpreter-fallback counts (monotone), published
         #: as ``executor_fallback_<reason>_total`` gauges.
@@ -130,20 +97,12 @@ class Executor:
         """Run the plan; return projected output rows and actual metrics."""
         meters = Meterings()
         meters.needed = self._needed_columns(query)
-        if isinstance(plan, InsertPlanNode):
-            rows = self._execute_insert(plan, query, meters)
-        elif isinstance(plan, UpdatePlanNode):
-            rows = self._execute_update(plan, query, meters)
-        elif isinstance(plan, DeletePlanNode):
-            rows = self._execute_delete(plan, query, meters)
+        if isinstance(plan, _DML_NODES):
+            rows = self._execute_dml(plan, query, meters)
         else:
             rows = self._execute_select(plan, query, meters)
         metrics = self._finalize_metrics(meters, len(rows))
         return rows, metrics
-
-    def _fall_back(self, reason: str) -> None:
-        self.interp_statements += 1
-        self.fallback_counts[reason] += 1
 
     # ------------------------------------------------------------------
     # SELECT dispatch
@@ -151,8 +110,8 @@ class Executor:
     def _execute_select(
         self, plan: PlanNode, query, meters: Meterings
     ) -> List[RowDict]:
-        use_vector, reason = self._classify_select(plan, query)
-        if use_vector:
+        reason = self._fallback_reason(plan, query)
+        if reason is None:
             try:
                 rows, batch_rows = vector.run(
                     plan,
@@ -169,89 +128,39 @@ class Executor:
                 self.vector_statements += 1
                 self.batch_rows += batch_rows
                 return rows  # already in the final SELECT-list shape
-        self._fall_back(reason)
+        self.interp_statements += 1
+        self.fallback_counts[reason] += 1
         return self._project(list(self._interp.iterate(plan, meters)), query)
 
-    def _classify_select(
-        self, plan: PlanNode, query
-    ) -> Tuple[bool, Optional[str]]:
-        """(vectorize?, fallback reason when not)."""
-        mode = resolve_executor_mode(self._settings)
-        if mode == "interp":
-            return False, "mode"
+    def _fallback_reason(self, plan: PlanNode, query) -> Optional[str]:
+        """Why this SELECT must interpret; None to vectorize it."""
         if not vector.supports(plan):
             if isinstance(query, SelectQuery) and query.index_hint:
-                return False, "hinted"
+                return "hinted"
             if any(isinstance(node, _JOIN_NODES) for node in plan.walk()):
-                return False, "join"
-            return False, "shape"
-        if mode == "vector":
-            return True, None
+                return "join"
+            return "shape"
         table_name = vector.gate_table(plan)
         table = self._tables.get(table_name) if table_name else None
         if table is None or table.row_count < self._settings.vector_min_rows:
-            return False, "threshold"
-        return True, None
-
-    # ------------------------------------------------------------------
-    # DML dispatch
-
-    def _dml_reason(self, row_estimate: float) -> Optional[str]:
-        """None when the batch maintenance path should be tried, else
-        the fallback reason.  ``row_estimate`` is exact for INSERT and
-        the optimizer's (deterministic) estimate for UPDATE/DELETE, so
-        both execution modes pick the same path for the same statement.
-        """
-        mode = resolve_executor_mode(self._settings)
-        if mode == "interp":
-            return "mode"
-        if mode == "auto" and row_estimate < self._settings.dml_batch_min_rows:
             return "threshold"
         return None
 
-    def _execute_insert(
-        self, plan: InsertPlanNode, query, meters: Meterings
-    ) -> List[RowDict]:
-        reason = self._dml_reason(len(query.rows))
-        if reason is None:
-            result = self._interp.execute_insert_batch(plan, query, meters)
-            if result is not None:
-                rows, batched = result
-                self.vector_statements += 1
-                self.batch_rows += batched
-                return rows
-            reason = "dml"
-        self._fall_back(reason)
-        return self._interp.execute_insert(plan, query, meters)
+    # ------------------------------------------------------------------
+    # DML
 
-    def _execute_update(
-        self, plan: UpdatePlanNode, query, meters: Meterings
+    def _execute_dml(
+        self, plan: PlanNode, query, meters: Meterings
     ) -> List[RowDict]:
-        estimate = plan.child.est_rows if plan.child is not None else 0.0
-        reason = self._dml_reason(estimate)
-        if reason is None:
-            result = self._interp.execute_update_batch(plan, query, meters)
-            if result is not None:
-                rows, batched = result
-                self.vector_statements += 1
-                self.batch_rows += batched
-                return rows
-            reason = "dml"
-        self._fall_back(reason)
-        return self._interp.execute_update(plan, query, meters)
-
-    def _execute_delete(
-        self, plan: DeletePlanNode, query, meters: Meterings
-    ) -> List[RowDict]:
-        estimate = plan.child.est_rows if plan.child is not None else 0.0
-        reason = self._dml_reason(estimate)
-        if reason is None:
-            rows, batched = self._interp.execute_delete_batch(plan, query, meters)
-            self.vector_statements += 1
-            self.batch_rows += batched
-            return rows
-        self._fall_back(reason)
-        return self._interp.execute_delete(plan, query, meters)
+        if isinstance(plan, InsertPlanNode):
+            affected = self._interp.execute_insert(plan, query, meters)
+        elif isinstance(plan, UpdatePlanNode):
+            affected = self._interp.execute_update(plan, query, meters)
+        else:
+            affected = self._interp.execute_delete(plan, query, meters)
+        self.vector_statements += 1
+        self.batch_rows += affected
+        return []
 
     # ------------------------------------------------------------------
 
@@ -321,14 +230,8 @@ class Executor:
         return tuple(columns) if columns else None
 
     def _project(self, rows: List[RowDict], query) -> List[RowDict]:
-        if not isinstance(query, SelectQuery):
-            return rows
-        if query.is_aggregate:
-            return rows  # aggregate operators already shaped the output
-        columns = list(query.select_columns)
-        if query.join is not None:
-            columns.extend(query.join.select_columns)
-        if not columns:
+        columns = self._projection_columns(query)
+        if columns is None:
             return rows
         return [
             {column: row.get(column) for column in columns} for row in rows

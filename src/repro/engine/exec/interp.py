@@ -303,40 +303,18 @@ class InterpExecutor:
             meters.hash_rows += hash_join_meter_rows(probed)
 
     # ------------------------------------------------------------------
-    # DML
+    # DML (each returns the number of rows it affected)
 
     def execute_insert(
         self, plan: InsertPlanNode, query: InsertQuery, meters: Meterings
-    ) -> List[RowDict]:
+    ) -> int:
         table = self._table(plan.table)
-        for row in query.rows:
-            table.insert(row, meter=meters.page_meter)
-            meters.maintained_entries += insert_meter_entries(1, len(table.indexes))
-            meters.rows_processed += 1
-        return []
-
-    def execute_insert_batch(
-        self, plan: InsertPlanNode, query: InsertQuery, meters: Meterings
-    ) -> Optional[Tuple[List[RowDict], int]]:
-        """Batched insert with per-index grouped maintenance.
-
-        Returns ``(rows, batched row count)``, or ``None`` when the
-        pre-checks (validation, duplicate keys) fail — the caller then
-        runs the row-at-a-time path, which mutates and raises exactly as
-        before, so error-path table state stays path-independent.  The
-        pre-checks use unmetered seeks, so declining the batch leaves no
-        charges behind.
-        """
-        table = self._table(plan.table)
-        prepared = table.prepare_insert_rows(query.rows)
-        if prepared is None:
-            return None
-        table.insert_rows(prepared, meter=meters.page_meter)
+        inserted = len(table.insert_rows(query.rows, meter=meters.page_meter))
         meters.maintained_entries += insert_meter_entries(
-            len(prepared), len(table.indexes)
+            inserted, len(table.indexes)
         )
-        meters.rows_processed += len(prepared)
-        return [], len(prepared)
+        meters.rows_processed += inserted
+        return inserted
 
     def _collect_target_rows(
         self, child: PlanNode, table: Table, meters: Meterings
@@ -349,75 +327,22 @@ class InterpExecutor:
 
     def execute_update(
         self, plan: UpdatePlanNode, query: UpdateQuery, meters: Meterings
-    ) -> List[RowDict]:
+    ) -> int:
         table = self._table(plan.table)
-        targets = self._collect_target_rows(plan.child, table, meters)
-        affected = [
-            name
-            for name, index in table.indexes.items()
-            if index.touches_columns(query.assigned_columns)
-        ]
-        for row in targets:
-            table.update_row(row, query.assignments, meter=meters.page_meter)
-            meters.maintained_entries += update_meter_entries(1, len(affected))
-            meters.rows_processed += 1
-        return []
-
-    def execute_update_batch(
-        self, plan: UpdatePlanNode, query: UpdateQuery, meters: Meterings
-    ) -> Optional[Tuple[List[RowDict], int]]:
-        """Batched update with per-index grouped maintenance.
-
-        Declines (returns ``None``) when an assignment targets a primary
-        key column or a value fails coercion up front: those paths can
-        raise mid-statement, and the row-at-a-time path must own them so
-        partial-mutation state is identical either way.  Target
-        collection through the child plan is shared with the row path,
-        so its charges are identical by construction.
-        """
-        table = self._table(plan.table)
-        if any(
-            column in table.schema.primary_key
-            for column in query.assigned_columns
-        ):
-            return None
-        try:
-            coerced = tuple(
-                (column, table.schema.column(column).sql_type.coerce(value))
-                for column, value in query.assignments
-            )
-        except Exception:
-            return None
         targets = self._collect_target_rows(plan.child, table, meters)
         affected = sum(
             1
             for index in table.indexes.values()
             if index.touches_columns(query.assigned_columns)
         )
-        table.update_rows(targets, coerced, meter=meters.page_meter)
+        table.update_rows(targets, query.assignments, meter=meters.page_meter)
         meters.maintained_entries += update_meter_entries(len(targets), affected)
         meters.rows_processed += len(targets)
-        return [], len(targets)
+        return len(targets)
 
     def execute_delete(
         self, plan: DeletePlanNode, query: DeleteQuery, meters: Meterings
-    ) -> List[RowDict]:
-        table = self._table(plan.table)
-        targets = self._collect_target_rows(plan.child, table, meters)
-        for row in targets:
-            table.delete_row(row, meter=meters.page_meter)
-            meters.maintained_entries += delete_meter_entries(1, len(table.indexes))
-            meters.rows_processed += 1
-        return []
-
-    def execute_delete_batch(
-        self, plan: DeletePlanNode, query: DeleteQuery, meters: Meterings
-    ) -> Tuple[List[RowDict], int]:
-        """Batched delete with per-index grouped maintenance.
-
-        Deletes cannot fail validation (targets were just read), so
-        there is no pre-check/decline step.
-        """
+    ) -> int:
         table = self._table(plan.table)
         targets = self._collect_target_rows(plan.child, table, meters)
         table.delete_rows(targets, meter=meters.page_meter)
@@ -425,7 +350,7 @@ class InterpExecutor:
             len(targets), len(table.indexes)
         )
         meters.rows_processed += len(targets)
-        return [], len(targets)
+        return len(targets)
 
 
 # ----------------------------------------------------------------------

@@ -79,7 +79,6 @@ class SecondaryIndex:
         for column in definition.all_columns:
             schema.position(column)  # validates existence
         self.definition = definition
-        self._schema = schema
         #: Columns whose update forces maintenance of this index.
         self._maintained = frozenset(definition.all_columns) | frozenset(
             schema.primary_key
@@ -98,6 +97,15 @@ class SecondaryIndex:
         )
         self.created_at: float = 0.0
 
+    def bulk_load(self, entries: Iterable[Tuple[tuple, tuple]]) -> None:
+        """Rebuild the tree from ``(key, payload)`` entries, keeping the
+        page geometry the definition fixed at construction."""
+        self.tree = BPlusTree.bulk_load(
+            entries,
+            leaf_capacity=self.tree.leaf_capacity,
+            internal_capacity=self.tree.internal_capacity,
+        )
+
     @property
     def name(self) -> str:
         return self.definition.name
@@ -105,14 +113,6 @@ class SecondaryIndex:
     def entry_for_row(self, row: tuple) -> Tuple[tuple, tuple]:
         """(key, payload): key = key columns + PK, payload = included columns."""
         return self._key_of(row), self._payload_of(row)
-
-    def insert_row(self, row: tuple) -> None:
-        key, payload = self.entry_for_row(row)
-        self.tree.insert(key, payload)
-
-    def delete_row(self, row: tuple) -> None:
-        key, payload = self.entry_for_row(row)
-        self.tree.delete(key, payload)
 
     def touches_columns(self, columns: Iterable[str]) -> bool:
         """True if updating any of ``columns`` requires index maintenance."""
@@ -234,210 +234,156 @@ class Table:
             self._columnar.log_changes(changes)
 
     def insert(self, row: Sequence[object], meter: Optional[PageMeter] = None) -> tuple:
-        """Insert a row, maintaining every secondary index."""
-        row = self.schema.validate_row(row)
-        pk = self.schema.pk_values(row)
-        existing = next(self.clustered.seek_prefix(pk), None)
-        if existing is not None:
-            raise ExecutionError(
-                f"duplicate primary key {pk!r} in table {self.name!r}"
-            )
-        self.clustered.insert(pk, row)
-        self._changed(((None, row),))
-        if meter is not None:
-            # Base row insert: clustered traversal plus row formatting/log.
-            meter.charge(self.clustered.height + 2)
-        for index in self.indexes.values():
-            index.insert_row(row)
-            if meter is not None:
-                # NC maintenance is ~one leaf write: upper levels are hot.
-                meter.charge(1)
-        return row
+        """Insert one row: the one-row spelling of :meth:`insert_rows`."""
+        return self.insert_rows((row,), meter)[0]
 
-    def delete_row(self, row: tuple, meter: Optional[PageMeter] = None) -> None:
-        pk = self.schema.pk_values(row)
-        removed = self.clustered.delete(pk)
-        if not removed:
-            raise ExecutionError(f"row with pk {pk!r} vanished during delete")
-        self._changed(((row, None),))
-        if meter is not None:
-            meter.charge(self.clustered.height + 2)
-        for index in self.indexes.values():
-            index.delete_row(row)
-            if meter is not None:
-                meter.charge(1)
-
-    def update_row(
-        self,
-        old_row: tuple,
-        assignments: Sequence[Tuple[str, object]],
-        meter: Optional[PageMeter] = None,
-    ) -> tuple:
-        """Apply assignments to a row, maintaining affected indexes only."""
-        new_values = list(old_row)
-        changed_columns = []
-        for column, value in assignments:
-            position = self.schema.position(column)
-            value = self.schema.column(column).sql_type.coerce(value)
-            if new_values[position] != value:
-                changed_columns.append(column)
-            new_values[position] = value
-        new_row = tuple(new_values)
-        if not changed_columns:
-            return old_row
-        pk_changed = any(c in self.schema.primary_key for c in changed_columns)
-        if pk_changed:
-            self.delete_row(old_row, meter)
-            self.insert(new_row, meter)
-            return new_row
-        # In-place clustered update: one write to the clustered leaf.
-        pk = self.schema.pk_values(old_row)
-        self.clustered.delete(pk)
-        self.clustered.insert(pk, new_row)
-        self._changed(((old_row, new_row),))
-        if meter is not None:
-            meter.charge(self.clustered.height + 2)
-        for index in self.indexes.values():
-            if index.touches_columns(changed_columns):
-                index.delete_row(old_row)
-                index.insert_row(new_row)
-                if meter is not None:
-                    meter.charge(2)
-        return new_row
-
-    # ------------------------------------------------------------------
-    # Batched DML (metered; grouped per-index maintenance)
-    #
-    # The batch paths apply the *same per-tree operation sequence* as the
-    # row-at-a-time methods above — clustered ops in row order, then each
-    # secondary index's ops in row order — so tree structure, page
-    # charges, and ``data_version`` are byte-identical to a row loop.
-    # Only the interleaving across trees changes, which no counter or
-    # structure observes.  See DESIGN.md §8.
-
-    def prepare_insert_rows(
-        self, rows: Iterable[Sequence[object]]
-    ) -> Optional[List[tuple]]:
-        """Validate a batch for :meth:`insert_rows`; ``None`` to decline.
-
-        Checks every row's schema validation and primary-key uniqueness
-        (against the table and within the batch) with unmetered seeks.
-        Any failure declines the batch so the caller can fall back to
-        row-at-a-time inserts, which mutate-then-raise exactly as a
-        plain loop over :meth:`insert` would.
-        """
-        prepared: List[tuple] = []
-        seen_keys = set()
-        for row in rows:
-            try:
-                validated = self.schema.validate_row(row)
-            except Exception:
-                return None
-            pk = self.schema.pk_values(validated)
-            if pk in seen_keys:
-                return None
-            if next(self.clustered.seek_prefix(pk), None) is not None:
-                return None
-            seen_keys.add(pk)
-            prepared.append(validated)
-        return prepared
+    # The three methods below apply clustered operations in row order,
+    # then one grouped pass per secondary index: each tree sees the
+    # sequence a row loop would give it, so structure, page charges and
+    # ``data_version`` steps do not depend on the row count (DESIGN §8).
 
     def insert_rows(
-        self, rows: List[tuple], meter: Optional[PageMeter] = None
-    ) -> None:
-        """Insert pre-validated rows (see :meth:`prepare_insert_rows`),
-        maintaining each secondary index as one grouped pass."""
+        self,
+        rows: Iterable[Sequence[object]],
+        meter: Optional[PageMeter] = None,
+    ) -> List[tuple]:
+        """Insert rows, maintaining every secondary index; returns the
+        validated rows.  Each row is validated and checked for a
+        duplicate primary key against the table and the rows before it;
+        the first failure is raised after the rows before it have been
+        inserted, which is the state a loop of one-row inserts leaves.
+        """
+        schema = self.schema
         clustered = self.clustered
-        pk_values = self.schema.pk_values
-        pages = 0
-        for row in rows:
-            clustered.insert(pk_values(row), row)
-            # Post-insert height, as the row path charges after inserting.
-            pages += clustered.height + 2
-        self._changed([(None, row) for row in rows])
-        for index in self.indexes.values():
-            entry_for_row = index.entry_for_row
-            tree_insert = index.tree.insert
+        valid: Dict[tuple, tuple] = {}  # primary key -> row, in input order
+        try:
             for row in rows:
-                key, payload = entry_for_row(row)
-                tree_insert(key, payload)
-            pages += len(rows)
-        if meter is not None and pages:
-            meter.charge(pages)
+                row = schema.validate_row(row)
+                pk = schema.pk_values(row)
+                if pk in valid or next(clustered.seek_prefix(pk), None) is not None:
+                    raise ExecutionError(
+                        f"duplicate primary key {pk!r} in table {self.name!r}"
+                    )
+                valid[pk] = row
+        finally:
+            inserted = list(valid.values())
+            pages = 0
+            for pk, row in valid.items():
+                clustered.insert(pk, row)
+                # Base row insert: clustered traversal (at the height the
+                # insert left) plus row formatting/log.
+                pages += clustered.height + 2
+            self._changed([(None, row) for row in inserted])
+            for index in self.indexes.values():
+                entry_for_row = index.entry_for_row
+                tree_insert = index.tree.insert
+                for row in inserted:
+                    tree_insert(*entry_for_row(row))
+                # NC maintenance is ~one leaf write: upper levels are hot.
+                pages += len(inserted)
+            if meter is not None:
+                meter.charge(pages)
+        return inserted
 
     def delete_rows(
-        self, rows: List[tuple], meter: Optional[PageMeter] = None
+        self, rows: Iterable[tuple], meter: Optional[PageMeter] = None
     ) -> None:
-        """Delete rows, maintaining each secondary index as one grouped
-        pass."""
+        """Delete rows, maintaining every secondary index.  A row that is
+        not in the table raises after the rows before it are deleted."""
         clustered = self.clustered
         pk_values = self.schema.pk_values
+        deleted: List[tuple] = []
         pages = 0
-        for row in rows:
-            pk = pk_values(row)
-            if not clustered.delete(pk):
-                raise ExecutionError(
-                    f"row with pk {pk!r} vanished during delete"
-                )
-            pages += clustered.height + 2
-        self._changed([(row, None) for row in rows])
-        for index in self.indexes.values():
-            entry_for_row = index.entry_for_row
-            tree_delete = index.tree.delete
+        try:
             for row in rows:
-                key, payload = entry_for_row(row)
-                tree_delete(key, payload)
-            pages += len(rows)
-        if meter is not None and pages:
-            meter.charge(pages)
+                pk = pk_values(row)
+                if not clustered.delete(pk):
+                    raise ExecutionError(
+                        f"row with pk {pk!r} vanished during delete"
+                    )
+                pages += clustered.height + 2
+                deleted.append(row)
+        finally:
+            self._changed([(row, None) for row in deleted])
+            for index in self.indexes.values():
+                entry_for_row = index.entry_for_row
+                tree_delete = index.tree.delete
+                for row in deleted:
+                    tree_delete(*entry_for_row(row))
+                pages += len(deleted)
+            if meter is not None:
+                meter.charge(pages)
 
     def update_rows(
         self,
-        old_rows: List[tuple],
-        coerced_assignments: Sequence[Tuple[str, object]],
+        old_rows: Sequence[tuple],
+        assignments: Sequence[Tuple[str, object]],
         meter: Optional[PageMeter] = None,
-    ) -> None:
-        """Apply pre-coerced assignments to rows, grouping maintenance.
+    ) -> List[tuple]:
+        """Apply assignments to rows, maintaining affected indexes only;
+        returns the resulting row for each input row.
 
-        Assignments must not touch primary-key columns (the caller
-        declines those batches) and values must already be coerced to
-        their column types, so no per-row code path can raise mid-batch.
-        Rows the assignments leave unchanged are skipped entirely, as in
-        :meth:`update_row`.
+        Values are coerced once, and only when there is a row to update;
+        a row the assignments leave unchanged is skipped.  A row whose
+        primary key moves is a delete plus an insert (two version steps;
+        the insert may raise on a duplicate key with the rows before it
+        already updated and this one deleted).
         """
-        positions = [
-            (self.schema.position(column), value)
-            for column, value in coerced_assignments
+        if not old_rows:
+            return []
+        schema = self.schema
+        coerced = [
+            (schema.position(column), column,
+             schema.column(column).sql_type.coerce(value))
+            for column, value in assignments
         ]
-        columns = [column for column, _value in coerced_assignments]
-        changes: List[Tuple[tuple, tuple, List[str]]] = []
+        clustered = self.clustered
+        in_place: List[Tuple[tuple, tuple, List[str]]] = []
+
+        def flush() -> None:
+            """Apply the in-place updates collected so far."""
+            if not in_place:
+                return
+            pages = 0
+            for old_row, new_row, _columns in in_place:
+                # One write to the clustered leaf.
+                pk = schema.pk_values(old_row)
+                clustered.delete(pk)
+                clustered.insert(pk, new_row)
+                pages += clustered.height + 2
+            self._changed([(old, new) for old, new, _columns in in_place])
+            for index in self.indexes.values():
+                entry_for_row = index.entry_for_row
+                for old_row, new_row, changed_columns in in_place:
+                    if index.touches_columns(changed_columns):
+                        index.tree.delete(*entry_for_row(old_row))
+                        index.tree.insert(*entry_for_row(new_row))
+                        pages += 2
+            if meter is not None:
+                meter.charge(pages)
+            in_place.clear()
+
+        results: List[tuple] = []
         for old_row in old_rows:
             new_values = list(old_row)
             changed_columns = []
-            for (position, value), column in zip(positions, columns):
+            for position, column, value in coerced:
                 if new_values[position] != value:
                     changed_columns.append(column)
                 new_values[position] = value
-            if changed_columns:
-                changes.append((old_row, tuple(new_values), changed_columns))
-        clustered = self.clustered
-        pk_values = self.schema.pk_values
-        pages = 0
-        for old_row, new_row, _changed in changes:
-            pk = pk_values(old_row)
-            clustered.delete(pk)
-            clustered.insert(pk, new_row)
-            pages += clustered.height + 2
-        self._changed([(old, new) for old, new, _columns in changes])
-        for index in self.indexes.values():
-            touches = index.touches_columns
-            for old_row, new_row, changed_columns in changes:
-                if touches(changed_columns):
-                    index.delete_row(old_row)
-                    index.insert_row(new_row)
-                    pages += 2
-        if meter is not None and pages:
-            meter.charge(pages)
+            if not changed_columns:
+                results.append(old_row)
+                continue
+            new_row = tuple(new_values)
+            results.append(new_row)
+            if any(column in schema.primary_key for column in changed_columns):
+                flush()
+                self.delete_rows((old_row,), meter)
+                self.insert_rows((new_row,), meter)
+            else:
+                in_place.append((old_row, new_row, changed_columns))
+        flush()
+        return results
 
     def fetch_by_pk(self, pk: tuple, meter: Optional[PageMeter] = None) -> Optional[tuple]:
         """Key lookup: fetch a full row through the clustered index."""
@@ -459,18 +405,7 @@ class Table:
         if definition.hypothetical:
             raise SchemaError("cannot materialize a hypothetical index")
         index = SecondaryIndex(definition, self.schema)
-        entries = []
-        for row in self.rows():
-            entries.append(index.entry_for_row(row))
-        entry_width = self.schema.row_width(
-            definition.all_columns
-        ) + self.schema.row_width(self.schema.primary_key)
-        key_width = self.schema.row_width(definition.key_columns)
-        index.tree = BPlusTree.bulk_load(
-            entries,
-            leaf_capacity=rows_per_page(entry_width),
-            internal_capacity=max(4, rows_per_page(key_width + 8)),
-        )
+        index.bulk_load(index.entry_for_row(row) for row in self.rows())
         index.created_at = created_at
         self.indexes[definition.name] = index
         self.schema_version += 1
@@ -492,24 +427,14 @@ class Table:
         unsuitable: the leaf chain recurses thousands of frames deep.
         """
         copy_table = Table(self.schema)
-        row_width = self.schema.row_width()
-        pk_width = self.schema.row_width(self.schema.primary_key)
         copy_table.clustered = BPlusTree.bulk_load(
             self.clustered.items(),
-            leaf_capacity=rows_per_page(row_width),
-            internal_capacity=max(4, rows_per_page(pk_width + 8)),
+            leaf_capacity=self.clustered.leaf_capacity,
+            internal_capacity=self.clustered.internal_capacity,
         )
         for name, index in self.indexes.items():
             cloned = SecondaryIndex(index.definition, self.schema)
-            entry_width = self.schema.row_width(
-                index.definition.all_columns
-            ) + pk_width
-            key_width = self.schema.row_width(index.definition.key_columns)
-            cloned.tree = BPlusTree.bulk_load(
-                index.tree.items(),
-                leaf_capacity=rows_per_page(entry_width),
-                internal_capacity=max(4, rows_per_page(key_width + 8)),
-            )
+            cloned.bulk_load(index.tree.items())
             cloned.created_at = index.created_at
             copy_table.indexes[name] = cloned
         copy_table.statistics = TableStatistics(self.name)

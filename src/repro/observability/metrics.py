@@ -129,12 +129,9 @@ CATALOG: Dict[str, MetricSpec] = dict(
         # mirrors repro.engine.exec.dispatch.FALLBACK_REASONS (the lint
         # cross-checks the two).  Per reason, per database, monotone;
         # summed over reasons they equal the interp dispatch count.
-        _spec("executor_fallback_mode_total", "gauge", "statements",
-              "Statements interpreted because the executor mode is "
-              "interp (monotone)."),
         _spec("executor_fallback_threshold_total", "gauge", "statements",
-              "Statements interpreted because auto mode saw too few "
-              "rows to amortize batching (monotone)."),
+              "Statements interpreted because the scanned table holds "
+              "too few rows to amortize batching (monotone)."),
         _spec("executor_fallback_shape_total", "gauge", "statements",
               "Statements interpreted because the single-table plan "
               "shape is unsupported — seeks, key lookups, TOP over a "
@@ -146,10 +143,6 @@ CATALOG: Dict[str, MetricSpec] = dict(
         _spec("executor_fallback_hinted_total", "gauge", "statements",
               "Statements interpreted because an index hint forced an "
               "unsupported access path (monotone)."),
-        _spec("executor_fallback_dml_total", "gauge", "statements",
-              "DML statements whose batch pre-checks declined — "
-              "duplicate keys, validation, primary-key assignment — "
-              "and ran row-at-a-time (monotone)."),
         _spec("executor_fallback_runtime_total", "gauge", "statements",
               "Statements whose vectorized run bailed out mid-plan and "
               "re-ran interpreted after a charge rollback (monotone)."),

@@ -11,6 +11,8 @@ instances) must never share a cache with their origin.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,7 +163,7 @@ class TestCloneIsolation:
 class TestNoStaleReadsThroughExecution:
     def test_vector_query_sees_every_dml(self):
         eng = perfect_engine(seed=31)
-        eng.settings.execution.executor_mode = "vector"
+        eng.settings.execution.vector_min_rows = 0
         # Filter on a non-key column so the plan stays a clustered scan
         # (PK predicates become seeks, which always interpret).
         count = SelectQuery(
@@ -182,7 +184,7 @@ class TestNoStaleReadsThroughExecution:
         the next probe — the regression here would be a stale build
         serving matches for deleted/updated dim rows."""
         eng = perfect_engine(seed=31)
-        eng.settings.execution.executor_mode = "vector"
+        eng.settings.execution.vector_min_rows = 0
         probe = SelectQuery(
             "orders",
             ("o_id",),
@@ -240,7 +242,7 @@ class TestNoStaleReadsThroughExecution:
 
     def test_join_build_side_reused_when_right_table_unchanged(self):
         eng = perfect_engine(seed=31)
-        eng.settings.execution.executor_mode = "vector"
+        eng.settings.execution.vector_min_rows = 0
         query = SelectQuery(
             "orders",
             ("o_id",),
@@ -262,7 +264,7 @@ class TestNoStaleReadsThroughExecution:
 
     def test_stats_monotone_and_summed(self):
         eng = perfect_engine(seed=31)
-        eng.settings.execution.executor_mode = "vector"
+        eng.settings.execution.vector_min_rows = 0
         query = SelectQuery("orders", ("o_id",))
         seen = (0, 0, 0)
         for i in range(4):
@@ -382,9 +384,9 @@ def assert_reads_agree(eng: SqlEngine) -> None:
     for query in READS:
         if query.join is not None and "customers" not in eng.database.tables:
             continue
-        eng.settings.execution.executor_mode = "vector"
+        eng.settings.execution.vector_min_rows = 0
         got = eng.execute(query)
-        eng.settings.execution.executor_mode = "interp"
+        eng.settings.execution.vector_min_rows = sys.maxsize
         expected = eng.execute(query)
         assert got.rows == expected.rows
         assert repr(got.rows) == repr(expected.rows)
@@ -433,10 +435,9 @@ STATEMENTS = st.one_of(
     st.builds(lambda p: DeleteQuery("orders", p), BY_KEY),
     st.builds(lambda p: DeleteQuery("orders", p), BY_PREDICATE),
 )
-#: ``None`` is a read (one step in four); the mode picks the batched or
-#: the row-at-a-time DML path.
-WRITE = st.tuples(STATEMENTS, st.sampled_from(["vector", "interp"]))
-STEPS = st.lists(st.one_of(st.none(), WRITE, WRITE, WRITE), min_size=1, max_size=30)
+#: ``None`` is a read (one step in four).
+STEP = st.one_of(st.none(), STATEMENTS, STATEMENTS, STATEMENTS)
+STEPS = st.lists(STEP, min_size=1, max_size=30)
 
 
 @settings(max_examples=60, deadline=None)
@@ -448,10 +449,8 @@ def test_property_maintained_projection_equals_fresh(steps):
         if step is None:
             assert_reads_agree(eng)
             continue
-        statement, mode = step
-        eng.settings.execution.executor_mode = mode
         try:
-            eng.execute(statement)
+            eng.execute(step)
         except ExecutionError:
             pass  # duplicate key: rows before it stay inserted
     assert_reads_agree(eng)
@@ -474,16 +473,16 @@ class TestFoldAndRebuildTriggers:
 
         new = (1000, 1, 1, 1.0, 1, "a")
         assert steps_logged(lambda: table.insert(new)) == 1
-        assert steps_logged(lambda: table.delete_row(new)) == 1
+        assert steps_logged(lambda: table.delete_rows((new,))) == 1
         assert steps_logged(
-            lambda: table.update_row(rows[0], (("o_date", 999),))
+            lambda: table.update_rows(rows[:1], (("o_date", 999),))
         ) == 1
         # A primary-key update is a delete plus an insert; a no-op none.
         assert steps_logged(
-            lambda: table.update_row(rows[1], (("o_id", 2000),))
+            lambda: table.update_rows(rows[1:2], (("o_id", 2000),))
         ) == 2
         assert steps_logged(
-            lambda: table.update_row(rows[2], (("o_date", rows[2][4]),))
+            lambda: table.update_rows(rows[2:3], (("o_date", rows[2][4]),))
         ) == 0
         batch = [(1001 + i, 1, 1, 1.0, 1, "b") for i in range(3)]
         assert steps_logged(lambda: table.insert_rows(batch)) == 3
@@ -589,7 +588,7 @@ class TestFoldAndRebuildTriggers:
 
     def test_value_outgrowing_its_array_drops_only_that_vector(self):
         eng = small_engine()
-        eng.settings.execution.executor_mode = "vector"
+        eng.settings.execution.vector_min_rows = 0
         table = eng.database.table("orders")
         projection = table.columnar().projection()
         note, cust = projection.vector("o_note"), projection.vector("o_cust")
@@ -618,5 +617,5 @@ class TestFoldAndRebuildTriggers:
         rows = eng.execute(scan).rows
         assert eng.executor.fallback_counts["runtime"] == fallbacks + 1
         assert {"o_id": 4, "o_note": LONG_NOTE} in rows
-        eng.settings.execution.executor_mode = "interp"
+        eng.settings.execution.vector_min_rows = sys.maxsize
         assert rows == eng.execute(scan).rows

@@ -2,20 +2,27 @@
 interpreter.
 
 Two engines over identical data execute every generated query, one
-pinned to ``interp`` and one to ``vector``.  For each query the row
-lists must be equal (values, order, and float bits) and the
-ExecutionMetrics must be equal with ``==`` — including the noise
-multipliers, which only agree if both paths consume the executor RNG
-identically.
+pinned to the interpreter and one to the vector path (through
+``vector_min_rows``).  For each query the row lists must be equal
+(values, order, and float bits) and the ExecutionMetrics must be equal
+with ``==`` — including the noise multipliers, which only agree if both
+paths consume the executor RNG identically.  DML has one path and so no
+pair: it is held to literals recorded from the row loop it replaced and
+to the property that grouping rows into a statement is unobservable.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import functools
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Op, OrderItem, Predicate, SelectQuery
+from repro.engine.exec import InterpExecutor, Meterings
 from repro.engine.query import (
     Aggregate,
     AggFunc,
@@ -24,7 +31,7 @@ from repro.engine.query import (
     JoinSpec,
     UpdateQuery,
 )
-from repro.errors import ExecutionError
+from repro.errors import ReproError
 from tests.engine.test_optimizer import perfect_engine
 
 COLUMNS = {
@@ -130,8 +137,8 @@ def select_queries(draw):
 def engine_pair():
     interp = perfect_engine(seed=4242)
     vector = perfect_engine(seed=4242)
-    interp.settings.execution.executor_mode = "interp"
-    vector.settings.execution.executor_mode = "vector"
+    interp.settings.execution.vector_min_rows = sys.maxsize
+    vector.settings.execution.vector_min_rows = 0
     # Noise on: metric equality then also proves RNG-draw parity.
     interp.settings.execution.noise_sigma = 0.05
     vector.settings.execution.noise_sigma = 0.05
@@ -161,6 +168,10 @@ def test_vector_path_was_exercised(engine_pair):
     vector.execute(query)
     assert vector.executor.vector_statements > 0
     assert interp.executor.vector_statements == 0
+    for engine in engine_pair:  # each interpreted statement has one reason
+        counts = engine.executor.fallback_counts
+        assert tuple(counts) == ("threshold", "shape", "join", "hinted", "runtime")
+        assert sum(counts.values()) == engine.executor.interp_statements
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +182,7 @@ def test_vector_path_was_exercised(engine_pair):
 # key ranges that miss entirely (empty build side), and a secondary
 # index on the dim key so the optimizer sometimes picks a nested-loop
 # join over the hash join.  The DML table carries two secondary indexes
-# so batched maintenance totals have something to get wrong.
+# so grouped maintenance totals have something to get wrong.
 
 
 def _joined_engine(seed: int):
@@ -262,8 +273,8 @@ def _joined_engine(seed: int):
 def joined_pair():
     interp = _joined_engine(seed=91)
     vector = _joined_engine(seed=91)
-    interp.settings.execution.executor_mode = "interp"
-    vector.settings.execution.executor_mode = "vector"
+    interp.settings.execution.vector_min_rows = sys.maxsize
+    vector.settings.execution.vector_min_rows = 0
     return interp, vector
 
 
@@ -484,52 +495,279 @@ def dml_statements(draw):
     return UpdateQuery("w", assignments=((column, value),), predicates=preds)
 
 
+def w_trees(eng):
+    table = eng.database.tables["w"]
+    return [table.clustered] + [
+        table.indexes[name].tree for name in sorted(table.indexes)
+    ]
+
+
+def w_state(eng):
+    """Everything a write leaves behind in ``w``."""
+    return eng.database.tables["w"].data_version, [
+        (tree.snapshot(), tree.height, tree.leaf_page_count)
+        for tree in w_trees(eng)
+    ]
+
+
+def read_side(eng, statement):
+    """An UPDATE/DELETE's target rows in plan order, and the pages and
+    rows reading them charges."""
+    if isinstance(statement, InsertQuery):
+        return [], 0, 0
+    meters = Meterings()
+    child = eng.optimizer.optimize(statement).child
+    rows = list(InterpExecutor(eng.database.tables).iterate(child, meters))
+    return rows, meters.page_meter.pages, meters.rows_processed
+
+
+def one_row_statements(eng, statement):
+    """The rows ``statement`` carries, as one statement each."""
+    if isinstance(statement, InsertQuery):
+        return [dataclasses.replace(statement, rows=(r,)) for r in statement.rows]
+    return [
+        dataclasses.replace(
+            statement, predicates=(Predicate("w_id", Op.EQ, row["w_id"]),)
+        )
+        for row in read_side(eng, statement)[0]
+    ]
+
+
+def write_side(eng, statements):
+    """Run statements until one raises: (error, pages, cpu_ms), with
+    what reading each statement's targets charged taken out."""
+    s = eng.settings.execution
+    pages, cpu = 0, 0.0
+    for statement in statements:
+        _targets, read_pages, read_rows = read_side(eng, statement)
+        try:
+            metrics = eng.execute(statement).metrics
+        except ReproError as exc:
+            return f"{type(exc).__name__}: {exc}", pages, cpu
+        pages += metrics.logical_reads - read_pages
+        cpu += metrics.cpu_time_ms - (
+            read_rows * s.cpu_ms_per_row + read_pages * s.cpu_ms_per_page
+        )
+    return None, pages, cpu
+
+
+@pytest.fixture(scope="module")
+def twin_pair():
+    pair = _joined_engine(seed=91), _joined_engine(seed=91)
+    for eng in pair:
+        eng.settings.execution.noise_sigma = 0.0
+    return pair
+
+
 @settings(
     max_examples=200,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(statement=dml_statements())
-def test_property_dml_paths_indistinguishable(joined_pair, statement):
-    """Batched DML maintenance is byte-identical to the row loop.
-
-    Both engines execute the same statement stream (Hypothesis applies
-    each example to both), so their table states evolve in lockstep;
-    metrics equality then proves page/maintenance charge parity, and the
-    version/row-count asserts prove the mutations themselves matched —
-    including after duplicate-key inserts, where both paths must
-    partially mutate and raise identically.
-    """
-    interp, vector = joined_pair
-    expected = got = None
-    expected_error = got_error = None
-    try:
-        expected = interp.execute(statement)
-    except ExecutionError as exc:
-        expected_error = str(exc)
-    try:
-        got = vector.execute(statement)
-    except ExecutionError as exc:
-        got_error = str(exc)
-    assert got_error == expected_error
-    if expected is not None:
-        assert got.rows == expected.rows
-        assert got.metrics == expected.metrics
-    interp_w = interp.database.tables["w"]
-    vector_w = vector.database.tables["w"]
-    assert vector_w.row_count == interp_w.row_count
-    assert vector_w.data_version == interp_w.data_version
+def test_property_grouping_is_unobservable(twin_pair, statement):
+    """A statement carrying N rows leaves the state, and charges the
+    write-side pages and CPU, of the same rows sent one statement each;
+    one that raises part-way leaves what the one-row statements up to
+    the first failure leave.  (Both engines see every example.)"""
+    grouped, single = twin_pair
+    pieces = one_row_statements(single, statement)
+    error, pages, cpu = write_side(grouped, [statement])
+    piece_error, piece_pages, piece_cpu = write_side(single, pieces)
+    assert error == piece_error
+    if error is None:
+        assert pages == piece_pages
+        assert cpu == pytest.approx(piece_cpu, rel=1e-9, abs=1e-9)
+    assert w_state(grouped) == w_state(single)
 
 
 def test_batched_dml_path_was_exercised(joined_pair):
-    """The DML property must not pass because batches all declined."""
-    interp, vector = joined_pair
-    before = vector.executor.batch_rows
+    """A DML statement adds 1 to ``vector_statements`` and its affected
+    rows to ``batch_rows``, whatever ``vector_min_rows`` says."""
     rows = tuple((9000 + i, i % 5, float(i), f"w-{i % 13}") for i in range(10))
-    cleanup = DeleteQuery("w", predicates=(Predicate("w_id", Op.GE, 9000),))
+    in_batch = (Predicate("w_id", Op.GE, 9000),)
+    steps = (
+        (InsertQuery("w", rows, bulk=True), 10),
+        (InsertQuery("w", ((9010, 1, 1.0, "w-1"),)), 1),
+        (UpdateQuery("w", (("w_a", 3),), in_batch), 11),
+        (DeleteQuery("w", in_batch), 11),
+    )
     # Mutate both engines identically so later tests stay comparable.
-    for engine in (interp, vector):
-        engine.execute(InsertQuery("w", rows, bulk=True))
-    assert vector.executor.batch_rows >= before + 10
-    for engine in (interp, vector):
-        engine.execute(cleanup)
+    for engine in joined_pair:
+        executor = engine.executor
+        for statement, affected in steps:
+            vector, batch = executor.vector_statements, executor.batch_rows
+            interpreted = executor.interp_statements
+            engine.execute(statement)
+            assert executor.vector_statements == vector + 1
+            assert executor.batch_rows == batch + affected
+            assert executor.interp_statements == interpreted
+
+
+# ----------------------------------------------------------------------
+# The row loop, pinned: ``PINNED_DML_EXPECTED`` was recorded from the
+# row-at-a-time ``Table.insert`` / ``delete_row`` / ``update_row`` at the
+# parent of the commit that deleted them, so the one path is held to the
+# charges, errors, partial mutations and tree shapes of the code it
+# replaced rather than only to itself.
+
+
+def _row(key):
+    return (key, None if key % 7 == 0 else key % 5, key * 0.25, f"w-{key % 13}")
+
+
+def _insert(*rows, bulk=True):
+    """INSERT of the given rows; an int stands for ``_row(key)``."""
+    rows = tuple(_row(r) if isinstance(r, int) else r for r in rows)
+    return InsertQuery("w", rows, bulk=bulk)
+
+
+def _where(column, op, value, value2=None):
+    return (Predicate(column, op, value, value2),)
+
+
+_update = functools.partial(UpdateQuery, "w")
+
+DROP_IX_W_B = "drop ix_w_b"
+
+PINNED_DML_STREAM = (
+    # INSERT: single rows, then batches that fail part-way.
+    _insert(1000, bulk=False),
+    _insert(1000, bulk=False),  # duplicate key
+    _insert(("x", 1, 1.0, "w-2"), bulk=False),  # un-coercible
+    _insert((None, 1, 1.0, "w-2"), bulk=False),  # NULL primary key
+    _insert(1001, 1002, 1003),
+    _insert(*range(1010, 1022)),
+    _insert(1030, 1031, 1001, 1032),  # duplicate of a stored row, mid-batch
+    _insert(1040, 1041, 1040, 1042),  # duplicate of an earlier batch row
+    _insert(1050, (None, 2, 2.0, "w-1"), 1051),  # invalid between two good
+    _insert(1060, (1061, "abc", 2.0, "w-1"), 1062),
+    _insert(1070, (1071,), 1072),
+    _insert(*range(2000, 2200)),
+    # UPDATE: key column, included column, both, same value, primary key.
+    _update((("w_a", 7),), _where("w_id", Op.EQ, 5)),
+    _update((("w_a", 9),), _where("w_a", Op.EQ, 3)),
+    _update((("w_a", None),), _where("w_a", Op.BETWEEN, 10, 12)),
+    _update((("w_c", "w-12"),), _where("w_id", Op.BETWEEN, 20, 40)),
+    _update((("w_b", 17.5),), _where("w_b", Op.LT, 5.0)),
+    _update((("w_a", 9),), _where("w_a", Op.EQ, 9)),  # nothing changes
+    _update((("w_c", "w-3"),), _where("w_id", Op.LT, 30)),  # some change
+    _update((("w_a", 1), ("w_c", "w-5")), _where("w_b", Op.GT, 45.0)),
+    _update((("w_id", 7000),), _where("w_id", Op.EQ, 6)),  # to a free key
+    _update((("w_id", 7),), _where("w_id", Op.EQ, 8)),  # to a taken key
+    _update((("w_id", 7100),), _where("w_id", Op.BETWEEN, 50, 52)),
+    _update((("w_id", 60),), _where("w_id", Op.EQ, 60)),  # to its own key
+    _update((("w_id", None),), _where("w_id", Op.EQ, 71)),
+    _update((("w_a", "zz"),), _where("w_id", Op.EQ, 70)),  # un-coercible
+    _update((("w_a", "zz"),), _where("w_id", Op.EQ, 99999)),  # ... no target
+    _update((("w_b", "q"),), _where("w_a", Op.EQ, 9)),
+    _update((("w_b", None),), _where("w_id", Op.BETWEEN, 2000, 2030)),
+    # DELETE: by key, by predicate, then refill the gaps.
+    DeleteQuery("w", _where("w_id", Op.EQ, 10)),
+    DeleteQuery("w", _where("w_id", Op.EQ, 99999)),
+    DeleteQuery("w", _where("w_a", Op.EQ, 9)),
+    DeleteQuery("w", _where("w_id", Op.BETWEEN, 2050, 2150)),
+    DeleteQuery("w", _where("w_b", Op.LT, 10.0)),
+    DeleteQuery("w", _where("w_c", Op.EQ, "w-5")),
+    _insert(10, bulk=False),
+    _insert(*range(2050, 2059)),
+    _insert(*range(3000, 3150)),
+    DeleteQuery("w", _where("w_id", Op.GE, 3100)),
+    _update((("w_b", 3.25),), _where("w_id", Op.BETWEEN, 3000, 3020)),
+    DeleteQuery("w", _where("w_a", Op.EQ, 2) + _where("w_b", Op.GT, 20.0)),
+    # One secondary index: w_b and w_c are now outside every index.
+    DROP_IX_W_B,
+    _update((("w_c", "w-0"),), _where("w_id", Op.LT, 100)),
+    _update((("w_b", 1.0),), _where("w_a", Op.EQ, 4)),
+    _update((("w_c", "w-1"),), _where("w_id", Op.EQ, 120)),
+    _update((("w_a", 2),), _where("w_b", Op.GT, 40.0)),
+    _update((("w_a", 2), ("w_b", 0.5)), _where("w_id", Op.BETWEEN, 130, 133)),
+    _update((("w_id", 7200),), _where("w_id", Op.EQ, 140)),
+    _update((("w_id", 7200),), _where("w_id", Op.EQ, 141)),
+    _insert(*range(4001, 4011)),
+    _insert(4020, 4005),
+    DeleteQuery("w", _where("w_a", Op.LE, 1)),
+    DeleteQuery("w", _where("w_b", Op.BETWEEN, 0.0, 30.0)),
+    DeleteQuery("w", _where("w_id", Op.GE, 0)),
+    _insert(1, bulk=False),
+)
+
+PINNED_DML_EXPECTED = [
+    ((0.29600000000000004, 6, 0), 301, 301, ((301, 2, 4), (301, 1, 1), (301, 2, 3))),
+    ("ExecutionError: duplicate primary key (1000,) in table 'w'", 301, 301, ((301, 2, 4), (301, 1, 1), (301, 2, 3))),
+    ("QueryError: cannot coerce 'x' to int", 301, 301, ((301, 2, 4), (301, 1, 1), (301, 2, 3))),
+    ("SchemaError: NULL in non-nullable column 'w_id' of table 'w'", 301, 301, ((301, 2, 4), (301, 1, 1), (301, 2, 3))),
+    ((0.8879999999999999, 18, 0), 304, 304, ((304, 2, 4), (304, 1, 1), (304, 2, 3))),
+    ((3.5519999999999996, 72, 0), 316, 316, ((316, 2, 4), (316, 1, 1), (316, 2, 3))),
+    ("ExecutionError: duplicate primary key (1001,) in table 'w'", 318, 318, ((318, 2, 4), (318, 1, 1), (318, 2, 3))),
+    ("ExecutionError: duplicate primary key (1040,) in table 'w'", 320, 320, ((320, 2, 4), (320, 1, 1), (320, 2, 3))),
+    ("SchemaError: NULL in non-nullable column 'w_id' of table 'w'", 321, 321, ((321, 2, 4), (321, 1, 1), (321, 2, 3))),
+    ("QueryError: cannot coerce 'abc' to int", 322, 322, ((322, 2, 4), (322, 1, 1), (322, 2, 3))),
+    ("SchemaError: row width 1 != 4 for table 'w'", 323, 323, ((323, 2, 4), (323, 1, 1), (323, 2, 3))),
+    ((59.199999999999996, 1200, 0), 523, 523, ((523, 2, 7), (523, 2, 2), (523, 2, 5))),
+    ((0.388, 8, 0), 523, 524, ((523, 2, 7), (523, 2, 2), (523, 2, 5))),
+    ((15.318, 290, 0), 523, 571, ((523, 2, 7), (523, 2, 2), (523, 2, 5))),
+    ((13.542, 254, 0), 523, 612, ((523, 2, 7), (523, 2, 2), (523, 2, 5))),
+    ((6.347999999999999, 128, 0), 523, 633, ((523, 2, 7), (523, 2, 2), (523, 2, 5))),
+    ((8.806, 158, 0), 523, 658, ((523, 2, 7), (523, 2, 2), (523, 2, 5))),
+    ((2.888, 8, 0), 523, 658, ((523, 2, 7), (523, 2, 2), (523, 2, 5))),
+    ((8.49, 170, 0), 523, 686, ((523, 2, 7), (523, 2, 2), (523, 2, 5))),
+    ((94.628, 1850, 0), 523, 929, ((523, 2, 7), (523, 2, 2), (523, 2, 5))),
+    ((0.674, 14, 0), 523, 931, ((523, 2, 7), (523, 2, 2), (523, 2, 5))),
+    ("ExecutionError: duplicate primary key (7,) in table 'w'", 522, 932, ((522, 2, 7), (522, 2, 2), (522, 2, 5))),
+    ("ExecutionError: duplicate primary key (7100,) in table 'w'", 521, 935, ((521, 2, 7), (521, 2, 2), (521, 2, 5))),
+    ((0.134, 2, 0), 521, 935, ((521, 2, 7), (521, 2, 2), (521, 2, 5))),
+    ("SchemaError: NULL in non-nullable column 'w_id' of table 'w'", 520, 936, ((520, 2, 7), (520, 2, 2), (520, 2, 5))),
+    ("QueryError: cannot coerce 'zz' to int", 520, 936, ((520, 2, 7), (520, 2, 2), (520, 2, 5))),
+    ((0.09, 2, 0), 520, 936, ((520, 2, 7), (520, 2, 2), (520, 2, 5))),
+    ("QueryError: cannot coerce 'q' to float", 520, 936, ((520, 2, 7), (520, 2, 2), (520, 2, 5))),
+    ((9.328, 188, 0), 520, 967, ((520, 2, 7), (520, 2, 2), (520, 2, 6))),
+    ((0.388, 8, 0), 519, 968, ((519, 2, 7), (519, 2, 2), (519, 2, 6))),
+    ((0.09, 2, 0), 519, 968, ((519, 2, 7), (519, 2, 2), (519, 2, 6))),
+    ((7.022000000000001, 122, 0), 500, 987, ((500, 2, 7), (500, 2, 2), (500, 2, 6))),
+    ((30.232999999999997, 609, 0), 399, 1088, ((399, 2, 7), (399, 2, 2), (399, 2, 6))),
+    ((9.741999999999999, 182, 0), 370, 1117, ((370, 2, 7), (370, 2, 2), (370, 2, 6))),
+    ((49.052, 980, 0), 208, 1279, ((208, 2, 7), (208, 2, 2), (208, 2, 6))),
+    ((0.29600000000000004, 6, 0), 209, 1280, ((209, 2, 7), (209, 2, 2), (209, 2, 6))),
+    ((2.6639999999999997, 54, 0), 218, 1289, ((218, 2, 7), (218, 2, 2), (218, 2, 6))),
+    ((44.4, 900, 0), 368, 1439, ((368, 2, 8), (368, 2, 2), (368, 2, 6))),
+    ((15.288, 308, 0), 317, 1490, ((317, 2, 8), (317, 2, 2), (317, 2, 6))),
+    ((6.347999999999999, 128, 0), 317, 1511, ((317, 2, 8), (317, 2, 2), (317, 2, 6))),
+    ((6.959, 129, 0), 297, 1531, ((297, 2, 8), (297, 2, 2), (297, 2, 6))),
+    ((12.099, 251, 0), 297, 1593, ((297, 2, 8), (297, 2, 2))),
+    ((5.369, 101, 0), 297, 1616, ((297, 2, 8), (297, 2, 2))),
+    ((0.28200000000000003, 6, 0), 297, 1617, ((297, 2, 8), (297, 2, 2))),
+    ((24.383, 483, 0), 297, 1696, ((297, 2, 8), (297, 2, 2))),
+    ((0.686, 14, 0), 297, 1698, ((297, 2, 8), (297, 2, 2))),
+    ((0.5680000000000001, 12, 0), 297, 1700, ((297, 2, 8), (297, 2, 2))),
+    ("ExecutionError: duplicate primary key (7200,) in table 'w'", 296, 1701, ((296, 2, 8), (296, 2, 2))),
+    ((2.43, 50, 0), 306, 1711, ((306, 2, 8), (306, 2, 2))),
+    ("ExecutionError: duplicate primary key (4005,) in table 'w'", 307, 1712, ((307, 2, 8), (307, 2, 2))),
+    ((7.58, 144, 0), 280, 1739, ((280, 2, 8), (280, 2, 2))),
+    ((33.769999999999996, 684, 0), 145, 1874, ((145, 2, 8), (145, 2, 2))),
+    ((35.93, 734, 0), 0, 2019, ((0, 2, 8), (0, 2, 2))),
+    ((0.243, 5, 0), 1, 2020, ((1, 2, 8), (1, 2, 2))),
+]
+
+
+def test_pinned_dml_stream():
+    eng = _joined_engine(seed=91)
+    eng.settings.execution.noise_sigma = 0.0
+    table = eng.database.tables["w"]
+    statements = [s for s in PINNED_DML_STREAM if s is not DROP_IX_W_B]
+    assert len(statements) == len(PINNED_DML_EXPECTED)
+    expected = iter(PINNED_DML_EXPECTED)
+    for step, statement in enumerate(PINNED_DML_STREAM):
+        if statement is DROP_IX_W_B:
+            eng.drop_index("w", "ix_w_b")
+            continue
+        try:
+            m = eng.execute(statement).metrics
+            outcome = (m.cpu_time_ms, m.logical_reads, m.rows_returned)
+        except ReproError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        geometry = tuple(
+            (len(tree), tree.height, tree.leaf_page_count) for tree in w_trees(eng)
+        )
+        got = (outcome, table.row_count, table.data_version, geometry)
+        assert got == next(expected), f"statement {step}"

@@ -9,6 +9,7 @@ regression back to sort-the-world under TOP cannot slip through.
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -16,15 +17,19 @@ from repro.engine import Op, OrderItem, Predicate, SelectQuery
 from repro.engine.exec import sort_meter_rows
 from repro.engine.plans import SortNode, TopNode
 from repro.engine.query import Aggregate, AggFunc
-from repro.errors import ExecutionError
 from tests.engine.test_optimizer import perfect_engine
 
 N_ORDERS = 4000  # populate_orders default
 
 
+#: ``vector_min_rows`` is the one executor setting: 0 vectorizes every
+#: supported SELECT plan, ``sys.maxsize`` none; 256 is the default.
+MIN_ROWS = {"vector": 0, "auto": 256, "interp": sys.maxsize}
+
+
 def engine_in_mode(mode: str, seed: int = 77):
     eng = perfect_engine(seed=seed)
-    eng.settings.execution.executor_mode = mode
+    eng.settings.execution.vector_min_rows = MIN_ROWS[mode]
     return eng
 
 
@@ -142,22 +147,6 @@ class TestDispatch:
         eng.settings.execution.vector_min_rows = 256
         eng.execute(SelectQuery("orders", ("o_id",)))
         assert eng.executor.vector_statements == 1
-
-    def test_env_variable_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "interp")
-        eng = perfect_engine(seed=77)
-        assert eng.settings.execution.executor_mode is None
-        eng.execute(SelectQuery("orders", ("o_id",)))
-        assert eng.executor.vector_statements == 0
-        monkeypatch.setenv("REPRO_EXECUTOR", "vector")
-        eng.execute(SelectQuery("orders", ("o_id",)))
-        assert eng.executor.vector_statements == 1
-
-    def test_invalid_mode_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "turbo")
-        eng = perfect_engine(seed=77)
-        with pytest.raises(ExecutionError):
-            eng.execute(SelectQuery("orders", ("o_id",)))
 
     def test_runtime_fallback_resets_meters(self):
         """A NULL predicate value blocks the vector path mid-plan; the

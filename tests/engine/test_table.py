@@ -72,7 +72,7 @@ class TestUpdate:
         table = make_table()
         fill(table, 10)
         row = next(r for r in table.rows() if r[0] == 3)
-        table.update_row(row, [("val", 99.0)])
+        table.update_rows((row,), [("val", 99.0)])
         updated = next(r for r in table.rows() if r[0] == 3)
         assert updated[2] == 99.0
 
@@ -82,7 +82,7 @@ class TestUpdate:
         table.create_index(IndexDefinition("ix_val", "t", ("val",)))
         fill(table, 20)
         row = next(r for r in table.rows() if r[0] == 5)
-        table.update_row(row, [("val", -1.0)])
+        table.update_rows((row,), [("val", -1.0)])
         val_index = table.get_index("ix_val")
         hits = list(val_index.tree.seek_prefix((-1.0,)))
         assert len(hits) == 1
@@ -93,13 +93,13 @@ class TestUpdate:
         table = make_table()
         fill(table, 5)
         row = next(table.rows())
-        assert table.update_row(row, [("val", row[2])]) == row
+        assert table.update_rows((row,), [("val", row[2])]) == [row]
 
     def test_pk_update_relocates_row(self):
         table = make_table()
         fill(table, 5)
         row = next(r for r in table.rows() if r[0] == 2)
-        table.update_row(row, [("id", 1000)])
+        table.update_rows((row,), [("id", 1000)])
         assert table.fetch_by_pk((2,)) is None
         assert table.fetch_by_pk((1000,)) is not None
 
@@ -110,7 +110,7 @@ class TestDelete:
         table.create_index(IndexDefinition("ix_grp", "t", ("grp",)))
         fill(table, 20)
         row = next(r for r in table.rows() if r[0] == 7)
-        table.delete_row(row)
+        table.delete_rows((row,))
         assert table.row_count == 19
         assert table.fetch_by_pk((7,)) is None
         index = table.get_index("ix_grp")
@@ -120,19 +120,25 @@ class TestDelete:
         table = make_table()
         fill(table, 3)
         row = next(table.rows())
-        table.delete_row(row)
+        table.delete_rows((row,))
         with pytest.raises(ExecutionError):
-            table.delete_row(row)
+            table.delete_rows((row,))
 
 
 class TestIndexDdl:
     def test_create_index_bulk_builds(self):
         table = make_table()
         fill(table, 500)
-        index = table.create_index(IndexDefinition("ix_grp", "t", ("grp",), ("val",)))
+        definition = IndexDefinition("ix_grp", "t", ("grp",), ("val",))
+        index = table.create_index(definition)
         assert len(index.tree) == 500
         hits = list(index.tree.seek_prefix((3,)))
         assert len(hits) == 50
+        # Bulk-built and cloned trees keep a row-inserted index's geometry.
+        grown = make_table().create_index(definition).tree
+        geometry = (grown.leaf_capacity, grown.internal_capacity)
+        for built in (index.tree, table.clone().get_index("ix_grp").tree):
+            assert (built.leaf_capacity, built.internal_capacity) == geometry
 
     def test_create_duplicate_name_rejected(self):
         table = make_table()
@@ -226,10 +232,10 @@ def test_property_indexes_stay_consistent(ops):
             table.insert((key, key % 7, float(key)))
             live[key] = (key, key % 7, float(key))
         elif op == "delete" and key in live:
-            table.delete_row(live.pop(key))
+            table.delete_rows((live.pop(key),))
         elif op == "update" and key in live:
             row = live[key]
-            new = table.update_row(row, [("grp", (key + 1) % 7)])
+            (new,) = table.update_rows((row,), [("grp", (key + 1) % 7)])
             live[key] = new
     index = table.get_index("ix")
     assert len(index.tree) == len(live)

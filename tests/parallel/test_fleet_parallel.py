@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.clock import HOURS
 from repro.controlplane import ControlPlaneSettings
+from repro.engine.engine import EngineSettings
 from repro.errors import ShardCrashError
 from repro.parallel import ParallelSettings, build_fleet_service
 from repro.parallel.service import TICK_WALL_WINDOW, ShardedFleetService
@@ -54,6 +55,7 @@ def run_fleet(
     seed: int = 11,
     prepare=None,
     tier: str = "standard",
+    engine_settings=None,
 ):
     service = build_fleet_service(
         n_databases,
@@ -61,6 +63,7 @@ def run_fleet(
         backend=backend,
         seed=seed,
         tier=tier,
+        engine_settings=engine_settings,
         control_settings=ControlPlaneSettings(
             snapshot_period=2 * HOURS,
             analysis_period=8 * HOURS,
@@ -239,14 +242,22 @@ class TestSpecsAndSettings:
         ]
 
 
+def run_pinned(backend, workers, vector_min_rows, **kwargs):
+    """``run_fleet`` with the SELECT path forced: 0 vectorizes every
+    supported plan, ``sys.maxsize`` interprets them all."""
+    pin = EngineSettings()
+    pin.execution.vector_min_rows = vector_min_rows
+    return run_fleet(backend, workers, engine_settings=pin, **kwargs)
+
+
 class TestExecutorModeDeterminism:
     """The execution path must not perturb any determinism stream.
 
     The vectorized executor charges the same meters and draws the same
     RNG values as the interpreter, so the merged audit stream — hashed,
     the repo's determinism gate — must be byte-identical (a) between
-    serial and sharded runs under ``REPRO_EXECUTOR=vector`` and (b)
-    between the two executor modes on the same fleet seed.
+    serial and sharded runs with every supported plan vectorized and (b)
+    between the two paths on the same fleet seed.
     """
 
     @staticmethod
@@ -255,44 +266,41 @@ class TestExecutorModeDeterminism:
 
         return hashlib.sha256(streams["jsonl"].encode("utf-8")).hexdigest()
 
-    def test_vector_serial_matches_sharded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "vector")
-        serial = run_fleet("serial", 1, n_databases=2, hours=24.0, seed=7)
-        sharded = run_fleet("serial", WORKERS, n_databases=2, hours=24.0, seed=7)
+    def test_vector_serial_matches_sharded(self):
+        kwargs = dict(n_databases=2, hours=24.0, seed=7)
+        serial = run_pinned("serial", 1, 0, **kwargs)
+        sharded = run_pinned("serial", WORKERS, 0, **kwargs)
         assert self._audit_sha256(sharded) == self._audit_sha256(serial)
         assert sharded == serial  # every stream, not just the audit hash
 
-    def test_vector_and_interp_streams_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "interp")
-        interp = run_fleet("serial", 1, n_databases=2, hours=24.0, seed=7)
-        monkeypatch.setenv("REPRO_EXECUTOR", "vector")
-        vector = run_fleet("serial", 1, n_databases=2, hours=24.0, seed=7)
+    def test_vector_and_interp_streams_identical(self):
+        kwargs = dict(n_databases=2, hours=24.0, seed=7)
+        interp = run_pinned("serial", 1, sys.maxsize, **kwargs)
+        vector = run_pinned("serial", 1, 0, **kwargs)
         assert self._audit_sha256(vector) == self._audit_sha256(interp)
         # Hot-path profiles describe *how* the host executed (the vector
         # path ticks vector_batch, skips interpreter counters), so they
-        # are the one stream allowed to differ across executor modes.
+        # are the one stream allowed to differ across paths.
         interp.pop("hot_paths")
         vector.pop("hot_paths")
         assert vector == interp
 
-    def test_vector_join_heavy_fleet_deterministic(self, monkeypatch):
+    def test_vector_join_heavy_fleet_deterministic(self):
         """Premium-tier fleets lean on the analytics archetype — hash
         joins, group-bys, and report queries plus the usual DML — so
-        this run exercises the vectorized join and batched index
-        maintenance paths end to end.  The audit hash must hold both
-        across executor modes and across backends within vector mode.
+        this run exercises the vectorized join and grouped index
+        maintenance end to end.  The audit hash must hold both across
+        paths and across backends (the pin travels to worker processes).
         """
         kwargs = dict(n_databases=2, hours=24.0, seed=13, tier="premium")
-        monkeypatch.setenv("REPRO_EXECUTOR", "interp")
-        interp = run_fleet("serial", 1, **kwargs)
-        monkeypatch.setenv("REPRO_EXECUTOR", "vector")
-        vector = run_fleet("serial", 1, **kwargs)
-        sharded = run_fleet("process", WORKERS, **kwargs)
+        interp = run_pinned("serial", 1, sys.maxsize, **kwargs)
+        vector = run_pinned("serial", 1, 0, **kwargs)
+        sharded = run_pinned("process", WORKERS, 0, **kwargs)
         assert self._audit_sha256(vector) == self._audit_sha256(interp)
         assert self._audit_sha256(sharded) == self._audit_sha256(vector)
         assert sharded == vector  # every stream, including hot paths
-        # Hot-path rows are mode-specific by design; everything else
-        # must be byte-identical between the two executor modes.
+        # Hot-path rows are path-specific by design; everything else
+        # must be byte-identical between the two paths.
         interp.pop("hot_paths")
         vector.pop("hot_paths")
         assert vector == interp

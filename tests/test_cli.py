@@ -19,12 +19,9 @@ TELEMETRY_GOLDEN_ARGS = [
 ]
 
 
-def normalized_telemetry_payload(capsys, monkeypatch) -> dict:
+def normalized_telemetry_payload(capsys) -> dict:
     """Run ``repro telemetry --format json`` and strip the one
     host-dependent field (hot-path wall time) from the payload."""
-    # Pin the executor: the vectorized path profiles different hot-path
-    # names, and the golden pins the interpreter's.
-    monkeypatch.setenv("REPRO_EXECUTOR", "interp")
     assert main(TELEMETRY_GOLDEN_ARGS) == 0
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("{"):])
@@ -122,17 +119,17 @@ class TestTelemetryGolden:
 
     GOLDEN = GOLDEN_DIR / "telemetry_golden.json"
 
-    def test_matches_golden_snapshot(self, capsys, monkeypatch):
-        payload = normalized_telemetry_payload(capsys, monkeypatch)
+    def test_matches_golden_snapshot(self, capsys):
+        payload = normalized_telemetry_payload(capsys)
         golden = json.loads(self.GOLDEN.read_text())
         assert payload["schema"] == golden["schema"]
         assert payload == golden
 
-    def test_history_section_is_wall_free(self, capsys, monkeypatch):
+    def test_history_section_is_wall_free(self, capsys):
         # The serial control plane never samples wall time, so the
         # history section carries no host-dependent series at all —
         # that is what makes the snapshot reproducible anywhere.
-        payload = normalized_telemetry_payload(capsys, monkeypatch)
+        payload = normalized_telemetry_payload(capsys)
         history = payload["history"]
         assert history["schema"] == "repro-history-v1"
         assert history["last_tick"] >= 0
@@ -197,10 +194,8 @@ class TestSloCommand:
 def _regenerate_golden() -> None:  # pragma: no cover - manual tool
     """Regenerate the telemetry golden (run from the repo root)."""
     import io
-    import os
     from contextlib import redirect_stdout
 
-    os.environ["REPRO_EXECUTOR"] = "interp"
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         assert main(TELEMETRY_GOLDEN_ARGS) == 0
