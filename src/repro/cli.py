@@ -23,7 +23,7 @@ Six subcommands mirror the repo's main entry points:
   for the seeded revert-rate regression, and ``--fail-on-alert`` for
   CI gating;
 - ``repro explain <db> [rec-id]`` — the decision-provenance timeline for
-  one recommendation (audit events + spans + state-store journal), from
+  one recommendation (audit events + spans), from
   a fresh closed-loop run, a replayed ``--audit`` JSONL dump, or the
   seeded ``--regression-demo`` create->validate->revert scenario;
 - ``repro profile --dbs K --workers N`` — a short fleet-parallel run
@@ -208,8 +208,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"ticks: {registry.counter('fleet_ticks_total').value:.0f}  "
               f"wall: {wall:.2f}s  shard-busy: {busy:.2f}s")
         print(f"audit events: {len(service.telemetry.audit.events())}  "
-              f"journal entries: {service.store.journal_length()}  "
-              f"validations: {len(service.validation_history)}")
+              f"journal entries: {len(service.store.journal())}  "
+              f"validations: {len(service.validation_history)}  "
+              f"incidents: {len(service.incidents)}")
         firing = service.watchdog.active()
         print(f"firing alerts: {', '.join(a.rule for a in firing) or 'none'}")
         if getattr(args, "audit_out", None):
@@ -432,7 +433,6 @@ def cmd_slo(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     """Reconstruct why one recommendation was created/validated/reverted."""
     recorder = None
-    store = None
     if args.audit:
         audit = AuditLog.replay(args.audit)
         database = args.database
@@ -455,7 +455,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         plane = scenario.plane
         audit = plane.audit
         recorder = plane.telemetry.recorder
-        store = plane.store
         database = args.database or scenario.database
         if args.rec_id is None:
             args.rec_id = str(scenario.rec_id)
@@ -486,7 +485,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         plane = service.plane
         audit = plane.audit
         recorder = plane.telemetry.recorder
-        store = plane.store
     if args.rec_id is None:
         for line in render_index(audit, database):
             print(line)
@@ -500,9 +498,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         rec_id = rec_ids[-1]
     else:
         rec_id = int(args.rec_id)
-    for line in render_explain(
-        audit, database, rec_id, recorder=recorder, store=store
-    ):
+    for line in render_explain(audit, database, rec_id, recorder=recorder):
         print(line)
     return 0
 

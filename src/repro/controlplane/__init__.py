@@ -5,9 +5,9 @@ machine for every managed database: it invokes the recommenders, implements
 recommendations (when permitted), validates them, reverts regressions, and
 watches its own health.  Implemented as a collection of micro-services
 (:mod:`services`) over a persistent, journaled state store (:mod:`store`),
-an event bus (:mod:`events`), a virtual-time scheduler (:mod:`scheduler`),
-and a fault injector (:mod:`faults`) used by tests and benchmarks to
-exercise the retry machinery.
+a virtual-time scheduler (:mod:`scheduler`), and a fault injector
+(:mod:`faults`) used by tests and benchmarks to exercise the retry
+machinery.
 """
 
 from repro.controlplane.control_plane import (

@@ -15,7 +15,6 @@ import enum
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.clock import DAYS, HOURS, SimClock
-from repro.controlplane.events import EventBus
 from repro.controlplane.faults import FaultInjector
 from repro.controlplane.scheduler import JobScheduler
 from repro.controlplane.states import DatabaseState, RecommendationState
@@ -25,6 +24,7 @@ from repro.engine.exec.dispatch import FALLBACK_GAUGES, FALLBACK_REASONS
 from repro.errors import PermanentError, TransientError
 from repro.observability import AlertWatchdog, Telemetry
 from repro.observability.alerts import default_rules
+from repro.observability.audit import AuditLog
 from repro.observability.slo import burn_alert_rules
 from repro.observability.spans import Span
 from repro.observability.timeseries import TelemetryHistory
@@ -117,6 +117,34 @@ class Incident:
     database: str
     rec_id: Optional[int]
     description: str
+
+
+def incidents_from_audit(audit: AuditLog) -> List[Incident]:
+    """Every incident raised so far, read off the audit stream in order.
+
+    Both raise sites already leave their evidence there — ``error_raised``
+    from the state machine, ``health_action{incident_raised}`` from the
+    health sweep — so the list is a view of it, not a second history.
+    """
+    raised = []
+    for event in audit.events():
+        payload = event.payload
+        if event.event_type == "error_raised":
+            description = payload["reason"]
+        elif (
+            event.event_type == "health_action"
+            and payload["action"] == "incident_raised"
+        ):
+            description = (
+                f"recommendation stuck in {payload['state']} "
+                f"for {payload['age_minutes'] / 60:.1f} h"
+            )
+        else:
+            continue
+        raised.append(
+            Incident(event.at, event.database, event.rec_id, description)
+        )
+    return raised
 
 
 class EngineGauge(NamedTuple):
@@ -252,13 +280,9 @@ class ControlPlane:
         self._record_spans: Dict[int, Span] = {}
         #: Open state-occupancy span per live recommendation.
         self._phase_spans: Dict[int, Span] = {}
-        self.events = EventBus(metrics=self.telemetry.registry)
         self.scheduler = JobScheduler()
         self.faults = FaultInjector(fault_seed)
         self.databases: Dict[str, ManagedDatabase] = {}
-        self.incidents: List[Incident] = []
-        #: Labeled validation outcomes for classifier training (Section 5.2).
-        self.validation_history: List[dict] = []
         # Lazy service imports avoid a module cycle.
         from repro.controlplane.services.recommend_service import (
             RecommendationService,
@@ -282,6 +306,16 @@ class ControlPlane:
     def audit(self):
         """The decision-provenance stream (``repro explain`` reads this)."""
         return self.telemetry.audit
+
+    @property
+    def incidents(self) -> List[Incident]:
+        """Service-health incidents for on-call engineers (Section 4)."""
+        return incidents_from_audit(self.telemetry.audit)
+
+    @property
+    def validation_history(self) -> List[dict]:
+        """Labeled validation outcomes for classifier training (Section 5.2)."""
+        return self.store.validation_history()
 
     # ------------------------------------------------------------------
     # Telemetry (state-machine spans + metrics, Section 3's observability)
@@ -522,7 +556,7 @@ class ControlPlane:
     ) -> None:
         if now - record.recommendation.created_at > self.settings.recommendation_expiry:
             self.store.transition(record, RecommendationState.EXPIRED, now, "aged out")
-            self.events.emit(now, "recommendation_expired", managed.name, rec_id=record.rec_id)
+            self.telemetry.count_event("recommendation_expired", managed.name)
             return
         mode = (
             managed.config.create_mode
@@ -585,7 +619,7 @@ class ControlPlane:
         now: float,
         reason: str,
     ) -> None:
-        record.attempts += 1
+        self.store.update(record, now, attempts=record.attempts + 1)
         if record.attempts > self.settings.max_retries:
             self._to_error(record, managed, now, f"retries exhausted: {reason}")
             return
@@ -615,10 +649,7 @@ class ControlPlane:
             retry_at=record.retry_at,
             retry_target=(record.retry_target.value if record.retry_target else None),
         )
-        self.events.emit(
-            now, "recommendation_retry", managed.name,
-            rec_id=record.rec_id, attempts=record.attempts,
-        )
+        self.telemetry.count_event("recommendation_retry", managed.name)
 
     def _to_error(
         self,
@@ -637,13 +668,7 @@ class ControlPlane:
             reason=reason,
             attempts=record.attempts,
         )
-        self.events.emit(
-            now, "recommendation_error", managed.name, rec_id=record.rec_id,
-            reason=reason,
-        )
-        self.incidents.append(
-            Incident(at=now, database=managed.name, rec_id=record.rec_id, description=reason)
-        )
+        self.telemetry.count_event("recommendation_error", managed.name)
         self.telemetry.registry.counter(
             "incidents_total", database=managed.name
         ).inc()
@@ -731,12 +756,5 @@ class ControlPlane:
             record = self.store.insert(managed.name, recommendation, now)
             records.append(record)
             existing_active[key] = record
-            self.events.emit(
-                now,
-                "recommendation_created",
-                managed.name,
-                rec_id=record.rec_id,
-                action=recommendation.action.value,
-                source=recommendation.source,
-            )
+            self.telemetry.count_event("recommendation_created", managed.name)
         return records

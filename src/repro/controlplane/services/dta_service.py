@@ -59,23 +59,20 @@ class DtaSessionManager:
             recommendations = session.run()
         except ResourceBudgetExceededError:
             self._deferrals[managed.name] += 1
-            self.plane.events.emit(
-                now, "dta_budget_exhausted", managed.name,
-                deferrals=self._deferrals[managed.name],
-            )
+            self.plane.telemetry.count_event("dta_budget_exhausted", managed.name)
             if self._deferrals[managed.name] >= self.MAX_BUDGET_DEFERRALS:
                 # Give up: clean up and surface an analysis failure.
                 del self._sessions[managed.name]
                 self._close_session_span(managed, now, "abandoned")
                 self.last_run_info = {"session_outcome": "abandoned"}
-                self.plane.events.emit(now, "dta_abandoned", managed.name)
+                self.plane.telemetry.count_event("dta_abandoned", managed.name)
                 return []
             raise  # transient: the next analysis period resumes the session
         except SessionAbortedError:
             del self._sessions[managed.name]
             self._close_session_span(managed, now, "aborted")
             self.last_run_info = {"session_outcome": "aborted"}
-            self.plane.events.emit(now, "dta_aborted", managed.name)
+            self.plane.telemetry.count_event("dta_aborted", managed.name)
             return []
         managed.dta_sessions += 1
         del self._sessions[managed.name]
@@ -91,13 +88,7 @@ class DtaSessionManager:
         telemetry.registry.counter(
             "dta_whatif_calls_total", database=managed.name
         ).inc(whatif_calls)
-        self.plane.events.emit(
-            now,
-            "dta_completed",
-            managed.name,
-            whatif_calls=whatif_calls,
-            coverage=session.report.coverage if session.report else 0.0,
-        )
+        self.plane.telemetry.count_event("dta_completed", managed.name)
         return recommendations
 
     def _close_session_span(

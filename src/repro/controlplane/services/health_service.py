@@ -2,14 +2,15 @@
 
 Well-known stuck conditions are processed automatically (stale ACTIVE
 records expire, records stuck in RETRY past their horizon error out);
-anything else raises an :class:`Incident` for on-call engineers.
+anything else raises an incident for on-call engineers — an audit event
+that :func:`~repro.controlplane.control_plane.incidents_from_audit`
+reads back as an ``Incident``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.controlplane.control_plane import Incident
 from repro.controlplane.states import RecommendationState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,9 +53,7 @@ class HealthService:
                     now,
                     "health: stuck in retry",
                 )
-                self.plane.events.emit(
-                    now, "health_corrected", managed.name, rec_id=record.rec_id
-                )
+                self.plane.telemetry.count_event("health_corrected", managed.name)
             elif record.state is RecommendationState.ACTIVE:
                 audit.emit(
                     now,
@@ -72,20 +71,8 @@ class HealthService:
                     now,
                     "health: stale active recommendation",
                 )
-                self.plane.events.emit(
-                    now, "health_corrected", managed.name, rec_id=record.rec_id
-                )
+                self.plane.telemetry.count_event("health_corrected", managed.name)
             else:
-                incident = Incident(
-                    at=now,
-                    database=managed.name,
-                    rec_id=record.rec_id,
-                    description=(
-                        f"recommendation stuck in {record.state.value} "
-                        f"for {age / 60:.1f} h"
-                    ),
-                )
-                self.plane.incidents.append(incident)
                 audit.emit(
                     now,
                     "health_action",
@@ -99,10 +86,4 @@ class HealthService:
                 self.plane.telemetry.registry.counter(
                     "incidents_total", database=managed.name
                 ).inc()
-                self.plane.events.emit(
-                    now,
-                    "incident",
-                    managed.name,
-                    rec_id=record.rec_id,
-                    state=record.state.value,
-                )
+                self.plane.telemetry.count_event("incident", managed.name)

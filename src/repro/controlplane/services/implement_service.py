@@ -108,13 +108,7 @@ class ImplementationService:
             table=recommendation.table,
             **method,
         )
-        self.plane.events.emit(
-            now,
-            "implement_started",
-            managed.name,
-            rec_id=record.rec_id,
-            action=recommendation.action.value,
-        )
+        self.plane.telemetry.count_event("implement_started", managed.name)
 
     # ------------------------------------------------------------------
     # Advancing
@@ -230,14 +224,7 @@ class ImplementationService:
         self.plane.store.transition(
             record, RecommendationState.VALIDATING, now, "implemented"
         )
-        self.plane.events.emit(
-            now,
-            "implement_completed",
-            managed.name,
-            rec_id=record.rec_id,
-            action=record.recommendation.action.value,
-            index_name=record.index_name,
-        )
+        self.plane.telemetry.count_event("implement_completed", managed.name)
 
     # ------------------------------------------------------------------
     # Reverting (Section 6)
@@ -292,10 +279,4 @@ class ImplementationService:
         self.plane.store.transition(
             record, RecommendationState.REVERTED, now, "reverted"
         )
-        self.plane.events.emit(
-            now,
-            "reverted",
-            managed.name,
-            rec_id=record.rec_id,
-            action=recommendation.action.value,
-        )
+        self.plane.telemetry.count_event("reverted", managed.name)

@@ -18,14 +18,11 @@ class RecommendationService:
 
     def snapshot(self, managed: "ManagedDatabase", now: float) -> None:
         """Periodic MI DMV snapshot (reset tolerance, Section 5.2)."""
-        groups = managed.mi.take_snapshot()
-        self.plane.events.emit(
-            now, "mi_snapshot", managed.name, groups=groups
-        )
+        managed.mi.take_snapshot()
+        self.plane.telemetry.count_event("mi_snapshot", managed.name)
 
     def analyze(self, managed: "ManagedDatabase", now: float) -> None:
         """One analysis pass: pick the source by policy and run it."""
-        self.plane.faults.check("analyze")
         managed.analysis_runs += 1
         decision = self.plane.policy.decide(managed.engine, managed.tier)
         source = decision.source
@@ -42,6 +39,10 @@ class RecommendationService:
             "analysis", managed.name, now, source=source
         )
         try:
+            # Inside the try: a fault here defers or fails this pass like
+            # any other analysis error instead of escaping ``process()``
+            # with the scheduler job popped and never re-armed.
+            self.plane.faults.check("analyze")
             if source == "DTA":
                 recommendations = self.plane.dta_service.run(managed, now)
             else:
@@ -54,20 +55,15 @@ class RecommendationService:
                 "analysis_runs_total", database=managed.name, source=source,
                 outcome="deferred",
             ).inc()
-            self.plane.events.emit(
-                now, "analysis_deferred", managed.name, source=source
-            )
+            self.plane.telemetry.count_event("analysis_deferred", managed.name)
             return
-        except ReproError as exc:
+        except ReproError:
             telemetry.tracer.end(span, self.plane.clock.now, outcome="failed")
             telemetry.registry.counter(
                 "analysis_runs_total", database=managed.name, source=source,
                 outcome="failed",
             ).inc()
-            self.plane.events.emit(
-                now, "analysis_failed", managed.name, source=source,
-                reason=type(exc).__name__,
-            )
+            self.plane.telemetry.count_event("analysis_failed", managed.name)
             return
         telemetry.tracer.end(
             span,
@@ -86,13 +82,7 @@ class RecommendationService:
             telemetry.registry.histogram(
                 "tuning_session_duration_minutes", source=source,
             ).observe(span.duration or 0.0)
-        self.plane.events.emit(
-            now,
-            "analysis_completed",
-            managed.name,
-            source=source,
-            recommendations=len(recommendations),
-        )
+        self.plane.telemetry.count_event("analysis_completed", managed.name)
         if recommendations:
             self.plane.register_recommendations(managed, recommendations, now)
 
@@ -139,9 +129,6 @@ class RecommendationService:
         """Long-horizon drop analysis (Section 5.4)."""
         self.plane.faults.check("analyze_drops")
         recommendations = managed.drops.recommend()
-        self.plane.events.emit(
-            now, "drop_analysis_completed", managed.name,
-            recommendations=len(recommendations),
-        )
+        self.plane.telemetry.count_event("drop_analysis_completed", managed.name)
         if recommendations:
             self.plane.register_recommendations(managed, recommendations, now)

@@ -41,6 +41,22 @@ class ValidationService:
         outcome = managed.validator.validate(
             record.index_name, action, before, after
         )
+        example = self._classifier_example(record, managed, outcome)
+        if outcome.should_revert:
+            registry = self.plane.telemetry.registry
+            kinds = set(example["regressed_kinds"])
+            if kinds & {"INSERT", "UPDATE", "DELETE"}:
+                registry.counter(
+                    "validation_reverts_total",
+                    database=managed.name,
+                    regression="write",
+                ).inc()
+            if "SELECT" in kinds:
+                registry.counter(
+                    "validation_reverts_total",
+                    database=managed.name,
+                    regression="select",
+                ).inc()
         self.plane.store.update(
             record,
             now,
@@ -50,8 +66,8 @@ class ValidationService:
                 f"({outcome.aggregate_change:+.1%} aggregate)"
             ),
             aggregate_change=outcome.aggregate_change,
+            validation_example=example,
         )
-        self._record_history(record, managed, outcome)
         audit = self.plane.telemetry.audit
         audit.emit(
             now,
@@ -83,33 +99,24 @@ class ValidationService:
                 now,
                 outcome.details or "regression detected",
             )
-            self.plane.events.emit(
-                now,
-                "validation_regression",
-                managed.name,
-                rec_id=record.rec_id,
-                regressed=outcome.regressed_count,
-                aggregate_change=outcome.aggregate_change,
-            )
+            self.plane.telemetry.count_event("validation_regression", managed.name)
             # Revert promptly rather than waiting a full process pass.
             self.plane.implement_service.drive_revert(record, managed, now)
             return
         self.plane.store.transition(
             record, RecommendationState.SUCCESS, now, "validated"
         )
-        self.plane.events.emit(
-            now,
-            "validation_success",
-            managed.name,
-            rec_id=record.rec_id,
-            improved=outcome.improved_count,
-            aggregate_change=outcome.aggregate_change,
-        )
+        self.plane.telemetry.count_event("validation_success", managed.name)
 
-    def _record_history(
+    def _classifier_example(
         self, record: RecommendationRecord, managed: "ManagedDatabase", outcome
-    ) -> None:
-        """Store a labeled example for the low-impact classifier."""
+    ) -> dict:
+        """The labeled example this outcome gives the low-impact classifier.
+
+        It rides the journal as a record field, so the training data is
+        what ``StateStore.validation_history`` reads back — after a
+        crash and across the shard boundary alike.
+        """
         recommendation = record.recommendation
         table = managed.engine.database.tables.get(recommendation.table)
         usage = managed.engine.usage_stats.get(record.index_name or "")
@@ -118,34 +125,17 @@ class ValidationService:
             if statement.verdict is Verdict.REGRESSED:
                 info = managed.engine.query_store.query_info(statement.query_id)
                 regressed_kinds.append(info.kind if info else "?")
-        if outcome.should_revert:
-            registry = self.plane.telemetry.registry
-            kinds = set(regressed_kinds)
-            if kinds & {"INSERT", "UPDATE", "DELETE"}:
-                registry.counter(
-                    "validation_reverts_total",
-                    database=managed.name,
-                    regression="write",
-                ).inc()
-            if "SELECT" in kinds:
-                registry.counter(
-                    "validation_reverts_total",
-                    database=managed.name,
-                    regression="select",
-                ).inc()
-        self.plane.validation_history.append(
-            {
-                "database": managed.name,
-                "action": recommendation.action.value,
-                "source": recommendation.source,
-                "estimated_impact_pct": recommendation.estimated_improvement_pct,
-                "table_rows": table.row_count if table else 0,
-                "index_size_bytes": recommendation.estimated_size_bytes,
-                "observed_seeks": usage.user_seeks if usage else 0,
-                "beneficial": outcome.verdict is Verdict.IMPROVED
-                and not outcome.should_revert,
-                "reverted": outcome.should_revert,
-                "aggregate_change": outcome.aggregate_change,
-                "regressed_kinds": regressed_kinds,
-            }
-        )
+        return {
+            "database": managed.name,
+            "action": recommendation.action.value,
+            "source": recommendation.source,
+            "estimated_impact_pct": recommendation.estimated_improvement_pct,
+            "table_rows": table.row_count if table else 0,
+            "index_size_bytes": recommendation.estimated_size_bytes,
+            "observed_seeks": usage.user_seeks if usage else 0,
+            "beneficial": outcome.verdict is Verdict.IMPROVED
+            and not outcome.should_revert,
+            "reverted": outcome.should_revert,
+            "aggregate_change": outcome.aggregate_change,
+            "regressed_kinds": regressed_kinds,
+        }

@@ -40,6 +40,9 @@ class RecommendationRecord:
     #: Filled by validation.
     validation_summary: str = ""
     aggregate_change: Optional[float] = None
+    #: The labeled example this validation contributes to the low-impact
+    #: classifier's training data (Section 5.2).
+    validation_example: Optional[dict] = None
 
     @property
     def terminal(self) -> bool:
@@ -159,8 +162,13 @@ class StateStore:
             counts[record.state] = counts.get(record.state, 0) + 1
         return counts
 
-    def journal_length(self) -> int:
-        return len(self._journal)
+    def validation_history(self) -> List[dict]:
+        """Classifier training examples, in the order they were journaled."""
+        return [
+            entry.payload["validation_example"]
+            for entry in self._journal
+            if "validation_example" in entry.payload
+        ]
 
     def journal_since(self, index: int) -> List[JournalEntry]:
         """Entries appended after the first ``index`` (a drain cursor).
@@ -171,15 +179,9 @@ class StateStore:
         """
         return self._journal[index:]
 
-    def journal(self, rec_id: Optional[int] = None) -> List[JournalEntry]:
-        """The append-only journal, optionally filtered to one record.
-
-        ``repro explain`` joins this against the audit stream and the
-        span recorder to rebuild a decision timeline.
-        """
-        if rec_id is None:
-            return list(self._journal)
-        return [entry for entry in self._journal if entry.rec_id == rec_id]
+    def journal(self) -> List[JournalEntry]:
+        """A copy of the append-only journal."""
+        return list(self._journal)
 
     # ------------------------------------------------------------------
     # Replay (shared by crash recovery and the fleet-parallel merge)

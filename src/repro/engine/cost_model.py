@@ -133,24 +133,6 @@ class CostModel:
             selectivity *= self.predicate_selectivity(table, predicate)
         return _clamp_selectivity(selectivity, table.row_count)
 
-    def true_selectivity(
-        self, table: Table, predicates: Sequence[Predicate]
-    ) -> float:
-        """Error-free histogram selectivity (used by tests and oracles)."""
-        selectivity = 1.0
-        for predicate in predicates:
-            stats = table.statistics.get(predicate.column)
-            if stats is None:
-                selectivity *= _DEFAULT_SELECTIVITY[_op_kind(predicate)]
-            elif predicate.is_equality:
-                selectivity *= stats.selectivity_eq(predicate.value)
-            elif predicate.is_range:
-                low, high, low_inc, high_inc = predicate.range_bounds()
-                selectivity *= stats.selectivity_range(low, high, low_inc, high_inc)
-            else:
-                selectivity *= max(0.0, 1.0 - stats.selectivity_eq(predicate.value))
-        return _clamp_selectivity(selectivity, table.row_count)
-
     # ------------------------------------------------------------------
     # Cost formulas (all return abstract optimizer units)
 

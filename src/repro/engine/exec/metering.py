@@ -88,8 +88,8 @@ def insert_meter_entries(rows: int, index_count: int) -> int:
     """``maintained_entries`` charge for inserting ``rows`` rows.
 
     Each row writes one clustered entry plus one entry per secondary
-    index.  Both the row-at-a-time and the batched maintenance path call
-    this one formula (with ``rows=1`` per row, or the batch total).
+    index.  The one DML path calls this with the statement's affected
+    row count; a one-row write is ``rows=1``.
     """
     return rows * (1 + index_count)
 

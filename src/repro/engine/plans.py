@@ -306,39 +306,3 @@ class DeletePlanNode(PlanNode):
     def referenced_indexes(self) -> Tuple[str, ...]:
         child_refs = self.child.referenced_indexes() if self.child else ()
         return tuple(dict.fromkeys(child_refs + self.maintained_indexes))
-
-
-def scan_leaf(plan: PlanNode) -> Optional[PlanNode]:
-    """The full-scan leaf of a linear plan chain, if it ends in one.
-
-    Follows single-``child`` links (Top, Sort, aggregates) down to the
-    access path and returns it when it is a
-    :class:`ClusteredScanNode`/:class:`IndexScanNode`; ``None`` for
-    seeks, lookups, joins, and DML.  The vectorized executor uses this
-    both to test plan eligibility and to find the table to project.
-    """
-    node: Optional[PlanNode] = plan
-    while node is not None:
-        if isinstance(node, (ClusteredScanNode, IndexScanNode)):
-            return node
-        node = getattr(node, "child", None)
-    return None
-
-
-def access_nodes(plan: PlanNode) -> List[PlanNode]:
-    """All access-path nodes (scans/seeks) in a plan."""
-    kinds = (
-        ClusteredScanNode,
-        ClusteredSeekNode,
-        IndexSeekNode,
-        IndexScanNode,
-    )
-    return [node for node in plan.walk() if isinstance(node, kinds)]
-
-
-def uses_hypothetical(plan: PlanNode) -> bool:
-    """True if any access path uses a hypothetical (what-if) index."""
-    for node in plan.walk():
-        if isinstance(node, (IndexSeekNode, IndexScanNode)) and node.hypothetical:
-            return True
-    return False

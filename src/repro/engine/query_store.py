@@ -264,11 +264,6 @@ class QueryStore:
             )
         return totals
 
-    def total_resource(
-        self, since: float, until: float, metric: str = "cpu_time_ms"
-    ) -> float:
-        return sum(self.per_query_totals(since, until, metric).values())
-
     def top_queries(
         self,
         since: float,

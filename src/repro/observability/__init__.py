@@ -92,6 +92,16 @@ class Telemetry:
         self.tracer = Tracer(self.recorder)
         self.audit = AuditLog()
 
+    def count_event(self, kind: str, database: str) -> None:
+        """Count one lifecycle event in ``events_total``.
+
+        A view, not a history: the evidence behind each event lives in
+        the audit stream, the state change in the journal.
+        """
+        self.registry.counter(
+            "events_total", kind=kind, database=database
+        ).inc()
+
 
 __all__ = [
     "ALERT_CATALOG",

@@ -27,7 +27,7 @@ Design points:
   round-trip the whole stream through JSON lines, which is how the
   ``repro explain --audit`` path reconstructs decisions offline.
 - **Compliant.**  Every payload passes the same recursive customer-data
-  scrub as event-bus payloads, metric labels, and span attributes.
+  scrub as metric labels and span attributes.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
 """``repro explain``: a human-readable decision timeline for one record.
 
-Joins three sources into one chronological view of a recommendation's
-life — the audit stream (decision evidence), the span recorder (phase
-timings), and the StateStore journal (the ground-truth mutation log) —
-so an engineer can answer the paper's trust question: *why* did the
-service create, validate, and possibly revert this index (Sections 2,
-6, 8)?
+Joins two sources into one chronological view of a recommendation's
+life — the audit stream (decision evidence, including every state
+change) and the span recorder (phase timings) — so an engineer can
+answer the paper's trust question: *why* did the service create,
+validate, and possibly revert this index (Sections 2, 6, 8)?
 
 The audit stream is the only required source: the same renderer works
 against a replayed JSONL file (``repro explain --audit``) where no live
-spans or store exist.
+spans exist.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ class TimelineEntry:
     """One step of the decision timeline."""
 
     at: float  # simulated minutes
-    source: str  # "audit" | "journal" | "span" | "fleet"
+    source: str  # "audit" | "span" | "fleet"
     title: str
     details: List[str] = dataclasses.field(default_factory=list)
 
@@ -136,14 +135,13 @@ def build_timeline(
     database: str,
     rec_id: int,
     recorder: Optional[SpanRecorder] = None,
-    store=None,
 ) -> List[TimelineEntry]:
     """The joined, chronologically sorted timeline for one record.
 
-    Chain events (audit), journal transitions, and spans are joined by
-    ``rec_id``; fleet-scope alert/anomaly events carry no rec_id, so
-    they join by *time* — any that fired within the record's first-to-
-    last audit window appear as ``[fleet]`` context lines.
+    Chain events (audit) and spans are joined by ``rec_id``; fleet-scope
+    alert/anomaly events carry no rec_id, so they join by *time* — any
+    that fired within the record's first-to-last audit window appear as
+    ``[fleet]`` context lines.
     """
     entries: List[TimelineEntry] = []
     chain = [e for e in audit.chain(rec_id) if e.database == database]
@@ -166,18 +164,6 @@ def build_timeline(
             entries.append(
                 TimelineEntry(at=event.at, source="fleet", title=title)
             )
-    if store is not None:
-        for entry in store.journal(rec_id):
-            if entry.op == "transition":
-                state = entry.payload["state"]
-                state_text = getattr(state, "value", state)
-                note = entry.payload.get("note", "")
-                title = f"[journal] -> {state_text}"
-                if note:
-                    title = f"{title}  ({note})"
-                entries.append(
-                    TimelineEntry(at=entry.at, source="journal", title=title)
-                )
     if recorder is not None:
         for span in recorder.spans():
             if span.attributes.get("rec_id") != rec_id:
@@ -197,10 +183,9 @@ def build_timeline(
                     ),
                 )
             )
-    # Stable order: by time, journal (ground truth) before audit
-    # evidence before span timings before ambient fleet context at
-    # equal timestamps.
-    source_rank = {"journal": 0, "audit": 1, "span": 2, "fleet": 3}
+    # Stable order: by time, audit evidence before span timings before
+    # ambient fleet context at equal timestamps.
+    source_rank = {"audit": 0, "span": 1, "fleet": 2}
     entries.sort(key=lambda e: (e.at, source_rank[e.source]))
     return entries
 
@@ -210,7 +195,6 @@ def render_explain(
     database: str,
     rec_id: int,
     recorder: Optional[SpanRecorder] = None,
-    store=None,
 ) -> List[str]:
     """The printable ``repro explain <db> <rec-id>`` output."""
     chain = audit.chain(rec_id)
@@ -235,7 +219,7 @@ def render_explain(
     what = _payload_summary(registered.payload)
     if what:
         lines.append(f"recommendation: {what}")
-    for entry in build_timeline(audit, database, rec_id, recorder, store):
+    for entry in build_timeline(audit, database, rec_id, recorder):
         lines.append(f"  {_fmt_t(entry.at):>9}  {entry.title}")
         for detail in entry.details:
             lines.append(f"{'':>13}{detail}")

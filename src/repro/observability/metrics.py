@@ -53,7 +53,7 @@ def _spec(name: str, kind: str, unit: str, description: str) -> Tuple[str, Metri
 CATALOG: Dict[str, MetricSpec] = dict(
     [
         _spec("events_total", "counter", "events",
-              "Telemetry events emitted on the control-plane bus, by kind."),
+              "Control-plane lifecycle events, by kind."),
         _spec("state_transitions_total", "counter", "transitions",
               "Recommendation state-machine transitions (from_state -> to_state)."),
         _spec("records_in_state", "gauge", "records",

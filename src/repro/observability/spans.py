@@ -83,13 +83,12 @@ class Span:
 class SpanRecorder:
     """Store of finished and in-flight spans with query helpers.
 
-    Retention is bounded by ``max_spans`` (mirroring the EventBus
-    ``history_limit``): when the store exceeds the cap, the oldest
-    *finished* root trees — a root plus all its descendants, every span
-    closed — are evicted whole, oldest root first, until the store is
-    back at or under the cap.  Trees with any open span are never
-    evicted (the tracer still holds them), so the store can transiently
-    exceed the cap while everything in it is live.
+    Retention is bounded by ``max_spans``: when the store exceeds the
+    cap, the oldest *finished* root trees — a root plus all its
+    descendants, every span closed — are evicted whole, oldest root
+    first, until the store is back at or under the cap.  Trees with any
+    open span are never evicted (the tracer still holds them), so the
+    store can transiently exceed the cap while everything in it is live.
     """
 
     def __init__(self, max_spans: Optional[int] = 50_000) -> None:

@@ -8,7 +8,7 @@ embarrassingly parallel.  This package shards the fleet across a worker
 pool (one process per shard, or inline as the serial reference), runs
 each virtual-time tick's per-database work concurrently, and merges the
 results **deterministically**: every worker buffers its journal entries,
-audit events, span operations, bus events, and metric deltas per
+audit events, span operations, and metric deltas per
 database, and the region service replays them in stable
 ``(db_name, seq)`` order — so a parallel run is byte-identical to a
 serial run under the same seed.

@@ -1,11 +1,14 @@
 """Per-database tick deltas and mergeable registry snapshots.
 
 A :class:`TickDelta` is everything one database produced during one
-virtual-time tick, in emission order: state-store journal entries, audit
-events, span operations, event-bus events, metric deltas, validation
-history, and incidents.  Deltas are picklable (they cross the process
-pipe) and *positional* — all ids inside are the worker plane's local
-ids, remapped to global ids by the merger.
+virtual-time tick, in emission order: its two histories (state-store
+journal entries, audit events) plus what neither of them carries — span
+operations (wall clocks, non-record spans), the metric diff
+(histograms, gauges) and hot-path profiler rows.  Incidents, classifier
+examples and ``events_total`` are views of those and are not shipped.
+Deltas are picklable (they cross the process pipe) and *positional* —
+all ids inside are the worker plane's local ids, remapped to global ids
+by the merger.
 
 Metric deltas are snapshot diffs: counters and gauges carry a value
 delta (gauges may go down), histograms carry per-bucket count deltas
@@ -20,8 +23,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from repro.controlplane.control_plane import Incident
-from repro.controlplane.events import Event
 from repro.controlplane.store import JournalEntry
 from repro.errors import TelemetryError
 from repro.observability.audit import AuditEvent
@@ -50,14 +51,8 @@ class TickDelta:
     #: ("start", span_id, kind, database, at, parent_id, attributes) or
     #: ("end", span_id, at, outcome, attributes).
     spans: List[tuple]
-    #: Event-bus events (payloads may carry a local ``rec_id``).
-    bus: List[Event]
     #: Registry snapshot diff (see :func:`diff_snapshots`).
     metrics: Dict[SeriesKey, object]
-    #: New validation-history entries (classifier training data).
-    validation_history: List[dict]
-    #: New incidents (``rec_id`` is local).
-    incidents: List[Incident]
     #: Drained hot-path profiler rows ``(name, calls, real_seconds,
     #: sim_ms)`` in name order — this database's engine work this tick.
     #: Merged (in the same stable db order as everything else) into the

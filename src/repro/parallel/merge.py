@@ -2,7 +2,7 @@
 
 Workers emit per-database streams keyed by *local* ids (rec ids, span
 ids, journal seqs, audit seqs).  The merger replays them into the region
-service's store/audit/recorder/registry/bus in **stable order**: deltas
+service's store/audit/recorder/registry in **stable order**: deltas
 sorted by database name, each database's stream in its own emission
 (seq) order.  Global ids are assigned during replay, so two runs that
 produce the same per-database streams — which sharding guarantees,
@@ -12,19 +12,16 @@ byte-identical global output regardless of worker count or backend.
 Ordering guarantee, precisely: within one tick, database A's entire
 stream lands before database B's iff ``A < B`` lexicographically;
 across ticks, tick T lands before tick T+1.  Journal entries are
-replayed before the same database's audit/span/bus events so that
-events referencing records inserted in the same tick always find their
-global id already assigned.
+replayed before the same database's audit events and span operations
+so that events referencing records inserted in the same tick always
+find their global id already assigned.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Dict, List, Optional, Tuple
 
-from repro.controlplane.control_plane import Incident
-from repro.controlplane.events import Event, EventBus
 from repro.controlplane.store import StateStore
 from repro.errors import TelemetryError
 from repro.observability.audit import AuditLog
@@ -47,18 +44,12 @@ class DeterministicMerger:
         audit: AuditLog,
         registry: MetricsRegistry,
         recorder: SpanRecorder,
-        bus: EventBus,
-        incidents: List[Incident],
-        validation_history: List[dict],
         profiler: Optional[Profiler] = None,
     ) -> None:
         self.store = store
         self.audit = audit
         self.registry = registry
         self.recorder = recorder
-        self.bus = bus
-        self.incidents = incidents
-        self.validation_history = validation_history
         #: Region-level profiler that absorbs worker hot-path rows.  The
         #: rows arrive pre-sorted by name and deltas merge in stable db
         #: order, so the float accumulation order — hence the aggregate —
@@ -104,17 +95,6 @@ class DeterministicMerger:
             )
         for op in delta.spans:
             self._apply_span_op(database, op)
-        for event in delta.bus:
-            self.bus.ingest(
-                Event(
-                    at=event.at,
-                    kind=event.kind,
-                    database=event.database,
-                    payload=remap_payload_rec_id(
-                        event.payload, self.rec_ids, database
-                    ),
-                )
-            )
         apply_metric_diff(self.registry, delta.metrics)
         if self.profiler is not None:
             for row in delta.hot_paths:
@@ -122,18 +102,6 @@ class DeterministicMerger:
                 self.profiler.absorb(
                     name, calls, real_seconds, sim_ms=sim_ms
                 )
-        self.validation_history.extend(delta.validation_history)
-        for incident in delta.incidents:
-            self.incidents.append(
-                dataclasses.replace(
-                    incident,
-                    rec_id=(
-                        self._require_rec_id(database, incident.rec_id)
-                        if incident.rec_id is not None
-                        else None
-                    ),
-                )
-            )
 
     # ------------------------------------------------------------------
 

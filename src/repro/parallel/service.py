@@ -7,7 +7,7 @@ across a worker pool (process or serial — see
 tick every shard advances its databases' workloads and control planes
 concurrently, and the parent replays the resulting per-database deltas
 through the :class:`~repro.parallel.merge.DeterministicMerger` into one
-region-level store/audit/registry/span/event history.
+region-level store/audit/registry/span history.
 
 Because global ordering is assigned at merge time in stable
 ``(db_name, seq)`` order, a run's audit JSONL, recovered store state,
@@ -32,8 +32,7 @@ from repro.controlplane import (
     AutoIndexingConfig,
     ControlPlaneSettings,
 )
-from repro.controlplane.control_plane import Incident
-from repro.controlplane.events import EventBus
+from repro.controlplane.control_plane import Incident, incidents_from_audit
 from repro.controlplane.store import StateStore
 from repro.engine.engine import EngineSettings
 from repro.observability import AlertWatchdog, Telemetry
@@ -103,9 +102,6 @@ class ShardedFleetService:
         # control plane exposes, so reporting/CLI code reads either.
         self.telemetry = Telemetry()
         self.store = StateStore()
-        self.events = EventBus(metrics=self.telemetry.registry)
-        self.incidents: List[Incident] = []
-        self.validation_history: List[dict] = []
         self.classifier = LowImpactClassifier()
         #: Fleet telemetry history: sampled at the post-merge point of
         #: every tick, over merged virtual-time state only, so runs stay
@@ -123,9 +119,6 @@ class ShardedFleetService:
             audit=self.telemetry.audit,
             registry=self.telemetry.registry,
             recorder=self.telemetry.recorder,
-            bus=self.events,
-            incidents=self.incidents,
-            validation_history=self.validation_history,
             profiler=self.profiler,
         )
         self.specs = database_specs(
@@ -332,12 +325,7 @@ class ShardedFleetService:
             # Broadcast with the next tick command so every backend
             # applies the new model at the same virtual time.
             self._pending_classifier_state = self.classifier.export_state()
-            self.events.emit(
-                now,
-                "classifier_retrained",
-                "<region>",
-                examples=len(examples),
-            )
+            self.telemetry.count_event("classifier_retrained", "<region>")
 
     # ------------------------------------------------------------------
 
@@ -345,6 +333,16 @@ class ShardedFleetService:
     def audit(self):
         """The merged decision-provenance stream."""
         return self.telemetry.audit
+
+    @property
+    def incidents(self) -> List[Incident]:
+        """Incidents of the whole fleet, read off the merged audit stream."""
+        return incidents_from_audit(self.telemetry.audit)
+
+    @property
+    def validation_history(self) -> List[dict]:
+        """Classifier examples of the whole fleet, from the merged journal."""
+        return self.store.validation_history()
 
     def attribution(self) -> dict:
         """Where the wall-clock went: per-phase totals and coverage."""

@@ -116,16 +116,9 @@ class DatabaseWorker:
         self.plane.add_database(
             spec.name, self.profile.engine, tier=spec.tier, config=spec.config
         )
-        self._bus_buffer: List[object] = []
-        self.plane.events.subscribe("*", self._on_bus_event)
         self._journal_cursor = 0
         self._audit_cursor = 0
-        self._history_cursor = 0
-        self._incident_cursor = 0
         self._metric_snapshot = registry_snapshot(self.plane.telemetry.registry)
-
-    def _on_bus_event(self, event) -> None:
-        self._bus_buffer.append(event)
 
     def tick(
         self,
@@ -165,11 +158,6 @@ class DatabaseWorker:
         audit = plane.telemetry.audit.events_since(self._audit_cursor)
         self._audit_cursor += len(audit)
         spans = plane.telemetry.tracer.drain()
-        bus, self._bus_buffer = self._bus_buffer, []
-        history = plane.validation_history[self._history_cursor:]
-        self._history_cursor += len(history)
-        incidents = plane.incidents[self._incident_cursor:]
-        self._incident_cursor += len(incidents)
         snapshot = registry_snapshot(plane.telemetry.registry)
         metrics = diff_snapshots(self._metric_snapshot, snapshot)
         self._metric_snapshot = snapshot
@@ -178,10 +166,7 @@ class DatabaseWorker:
             journal=list(journal),
             audit=list(audit),
             spans=spans,
-            bus=list(bus),
             metrics=metrics,
-            validation_history=list(history),
-            incidents=list(incidents),
             hot_paths=self.profiler.drain_rows(),
         )
 

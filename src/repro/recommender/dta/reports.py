@@ -42,13 +42,6 @@ class DtaReport:
     def analyzed_count(self) -> int:
         return sum(1 for s in self.statements if s.analyzed)
 
-    def error_patterns(self) -> Dict[str, int]:
-        """Aggregate of why statements were skipped (improvement backlog)."""
-        return {
-            "text_unavailable": len(self.unsupported_query_ids),
-            "whatif_failed": self.whatif.failed_statements,
-        }
-
 
 def build_report(
     workload: TuningWorkload,

@@ -94,12 +94,7 @@ class AutoIndexingService:
         self._last_retrain = now
         examples = examples_from_history(self.plane.validation_history)
         if self.classifier.fit(examples):
-            self.plane.events.emit(
-                now,
-                "classifier_retrained",
-                "<region>",
-                examples=len(examples),
-            )
+            self.plane.telemetry.count_event("classifier_retrained", "<region>")
 
     # ------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -144,24 +144,3 @@ class Workload:
             )
             now += float(self.rng.exponential(60.0 / self._rate(now)))
         return WorkloadRecording(statements=recording)
-
-
-def execute_recording(
-    engine: SqlEngine, recording: WorkloadRecording
-) -> Tuple[int, int]:
-    """Execute a recorded stream on an engine, advancing its clock.
-
-    Returns (executed, failed) counts; failures (e.g. statements referencing
-    rows that diverged) are tolerated, as on a best-effort B-instance.
-    """
-    executed = 0
-    failed = 0
-    for statement in recording.statements:
-        if statement.at > engine.clock.now:
-            engine.clock.advance_to(statement.at)
-        try:
-            engine.execute(statement.query)
-            executed += 1
-        except Exception:
-            failed += 1
-    return executed, failed

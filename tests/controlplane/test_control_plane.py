@@ -192,6 +192,8 @@ class TestClosedLoop:
     def test_events_have_no_customer_data(self):
         clock, profile, plane = build_loop()
         advance(profile, plane, steps=24)
-        for event in plane.events.history():
+        events = plane.audit.events()
+        assert events
+        for event in events:
             assert "query_text" not in event.payload
             assert "text" not in event.payload

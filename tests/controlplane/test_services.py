@@ -140,7 +140,8 @@ class TestDtaSessionManager:
         clock, profile, plane, managed = loop
         profile.workload.run(profile.engine, hours=4, max_statements=250)
         recommendations = plane.dta_service.run(managed, clock.now)
-        assert plane.events.counts["dta_completed"] == 1
+        registry = plane.telemetry.registry
+        assert registry.total("events_total", kind="dta_completed") == 1
         assert isinstance(recommendations, list)
 
     def test_interference_abort_handled(self, loop):
@@ -154,4 +155,5 @@ class TestDtaSessionManager:
         pool._window_cpu_ms = pool.budget_cpu_ms * 2
         result = plane.dta_service.run(managed, clock.now)
         assert result == []
-        assert plane.events.counts["dta_aborted"] == 1
+        registry = plane.telemetry.registry
+        assert registry.total("events_total", kind="dta_aborted") == 1

@@ -1,16 +1,18 @@
-"""State machine, store/journal, events, scheduler, faults tests."""
+"""State machine, store/journal, scheduler, faults tests."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.controlplane.events import EventBus
+from repro.clock import SimClock
+from repro.controlplane import ControlPlane
 from repro.controlplane.faults import FaultInjector
 from repro.controlplane.scheduler import JobScheduler
 from repro.controlplane.states import RecommendationState, check_transition
 from repro.controlplane.store import StateStore
 from repro.errors import InvalidStateTransitionError, PermanentError, TransientError
 from repro.recommender.recommendation import Action, IndexRecommendation
+from repro.workload import make_profile
 
 
 def make_rec(table="t", keys=("a",)):
@@ -119,39 +121,25 @@ class TestStore:
         r2 = recovered.insert("db1", make_rec(keys=("z",)), at=4.0)
         assert r2.rec_id > r1.rec_id
 
+    def test_retry_attempts_survive_recovery(self):
+        """Regression: ``_to_retry`` bumped ``attempts`` outside the
+        journal, so a recovered store forgot every retry and would never
+        exhaust them."""
+        clock = SimClock()
+        profile = make_profile("retry-db", seed=78, clock=clock)
+        plane = ControlPlane(clock)
+        plane.add_database(profile.name, profile.engine)
+        record = plane.store.insert(profile.name, make_rec(), at=clock.now)
+        plane.faults.configure("implement", transient=1.0)
+        plane.process()
+        clock.advance(plane.settings.retry_backoff + 1)
+        plane.process()
+        assert record.attempts == 2
+        assert plane.store.recover().get(record.rec_id).attempts == 2
+
     def test_recovery_of_empty_store(self):
         recovered = StateStore().recover()
         assert recovered.all_records() == []
-
-
-class TestEventBus:
-    def test_emit_and_history(self):
-        bus = EventBus()
-        bus.emit(1.0, "a", "db1", value=1)
-        bus.emit(2.0, "b", "db1", value=2)
-        assert len(bus.history()) == 2
-        assert len(bus.history("a")) == 1
-        assert bus.counts["a"] == 1
-
-    def test_subscribers_called(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe("a", lambda e: seen.append(e.kind))
-        bus.subscribe("*", lambda e: seen.append("star"))
-        bus.emit(1.0, "a", "db1")
-        bus.emit(1.0, "b", "db1")
-        assert seen == ["a", "star", "star"]
-
-    def test_customer_data_rejected(self):
-        bus = EventBus()
-        with pytest.raises(ValueError):
-            bus.emit(1.0, "a", "db1", query_text="SELECT secret")
-
-    def test_history_bounded(self):
-        bus = EventBus(history_limit=100)
-        for i in range(150):
-            bus.emit(float(i), "a", "db1")
-        assert len(bus.history()) <= 140
 
 
 class TestScheduler:

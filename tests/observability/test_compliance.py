@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.controlplane.events import EventBus
-from repro.observability import MetricsRegistry, Tracer, find_forbidden_keys
+from repro.observability import AuditLog, MetricsRegistry, Tracer, find_forbidden_keys
 from repro.observability.compliance import ensure_compliant
 
 
@@ -31,21 +30,21 @@ class TestFindForbiddenKeys:
         ensure_compliant(payload)  # does not raise
 
 
-class TestEventBusCompliance:
+class TestAuditPayloadCompliance:
     def test_top_level_key_rejected(self):
-        bus = EventBus()
+        log = AuditLog()
         with pytest.raises(ValueError):
-            bus.emit(0.0, "a", "db1", query_text="SELECT secret")
+            log.emit(0.0, "candidate_rejected", "db1", query_text="SELECT secret")
 
     def test_nested_key_rejected(self):
-        bus = EventBus()
+        log = AuditLog()
         with pytest.raises(ValueError):
-            bus.emit(0.0, "a", "db1", details={"query_text": "SELECT secret"})
+            log.emit(0.0, "candidate_rejected", "db1", details={"query_text": "SELECT secret"})
 
     def test_key_inside_list_rejected(self):
-        bus = EventBus()
+        log = AuditLog()
         with pytest.raises(ValueError):
-            bus.emit(0.0, "a", "db1", statements=[{"literal": 42}])
+            log.emit(0.0, "candidate_rejected", "db1", statements=[{"literal": 42}])
 
 
 class TestMetricLabelCompliance:

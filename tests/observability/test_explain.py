@@ -6,7 +6,7 @@ ControlPlane and asserts the full decision-provenance story:
 - the audit chain carries every lifecycle event with its evidence
   (what-if estimates, build timings, Welch t-test statistics, trigger
   statements);
-- the rendered timeline joins audit + journal + spans chronologically;
+- the rendered timeline joins audit + spans chronologically;
 - the watchdog raises ``revert_rate_spike`` and the dashboard shows it;
 - the JSONL dump replays into the same timeline offline.
 """
@@ -97,10 +97,9 @@ class TestExplainRendering:
             scenario.database,
             scenario.rec_id,
             recorder=scenario.plane.telemetry.recorder,
-            store=scenario.plane.store,
         )
         sources = {entry.source for entry in entries}
-        assert sources == {"audit", "journal", "span", "fleet"}
+        assert sources == {"audit", "span", "fleet"}
         assert [e.at for e in entries] == sorted(e.at for e in entries)
 
     def test_fleet_scope_events_join_by_time(self, scenario):
@@ -131,7 +130,6 @@ class TestExplainRendering:
                 scenario.database,
                 scenario.rec_id,
                 recorder=scenario.plane.telemetry.recorder,
-                store=scenario.plane.store,
             )
         )
         for kind in LIFECYCLE_EVENTS:
@@ -140,7 +138,7 @@ class TestExplainRendering:
         assert "t=" in text and "dof=" in text and "p=" in text
         assert "cpu_time_ms: mean" in text
         assert "triggering statements:" in text
-        assert "[journal] -> reverted" in text
+        assert "state_changed  from_state=reverting to_state=reverted" in text
         assert "[span] validate" in text
 
     def test_decision_index_lists_the_reverted_chain(self, scenario):

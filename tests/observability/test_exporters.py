@@ -17,7 +17,7 @@ from repro.observability import (
 )
 
 PROM_GOLDEN = """\
-# HELP events_total Telemetry events emitted on the control-plane bus, by kind.
+# HELP events_total Control-plane lifecycle events, by kind.
 # TYPE events_total counter
 events_total{database="db1",kind="recommendation_created"} 2
 events_total{database="db2",kind="validation_started"} 1

@@ -61,7 +61,12 @@ class TestCountersMatchStore:
     def test_events_counter_matches_bus_totals(self):
         _clock, _profile, plane = run_loop(steps=12)
         registry = plane.telemetry.registry
-        emitted = sum(plane.events.counts.values())
+        kinds = {
+            dict(series.labels)["kind"]
+            for series in registry.all_series()
+            if series.name == "events_total"
+        }
+        emitted = sum(registry.total("events_total", kind=k) for k in kinds)
         assert emitted > 0
         assert registry.total("events_total") == emitted
 

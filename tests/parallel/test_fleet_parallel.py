@@ -90,10 +90,7 @@ def run_fleet(
                 for s in service.telemetry.recorder.spans()
             ],
             "history": service.validation_history,
-            "bus": [
-                (e.at, e.kind, e.database, json.dumps(e.payload, sort_keys=True, default=str))
-                for e in service.events.history()
-            ],
+            "incidents": service.incidents,
             # Deterministic projection of the merged hot-path rows:
             # calls and simulated cost must match across backends
             # (wall-clock real_seconds, by nature, cannot).
@@ -135,7 +132,7 @@ class TestBackendEquivalence:
         assert processed["recovered"] == serial["recovered"]
         assert processed["spans"] == serial["spans"]
         assert processed["history"] == serial["history"]
-        assert processed["bus"] == serial["bus"]
+        assert processed["incidents"] == serial["incidents"]
         assert processed["hot_paths"] == serial["hot_paths"]
         assert processed["telemetry_history"] == serial["telemetry_history"]
         assert processed["anomalies"] == serial["anomalies"]
@@ -207,6 +204,41 @@ class TestClassifierBroadcast:
                 for worker in runner.workers:
                     assert worker.plane.classifier.is_trained
                     assert worker.plane.classifier.trained_on == 64
+        finally:
+            service.close()
+
+
+class TestFaultedRunMergesAttempts:
+    def test_region_attempts_match_the_audit_chain(self):
+        """Regression: retries bumped ``attempts`` outside the journal,
+        so the region store of every sharded run reported 0."""
+        service = build_fleet_service(
+            2,
+            workers=2,
+            backend="serial",
+            seed=11,
+            control_settings=ControlPlaneSettings(
+                snapshot_period=2 * HOURS, analysis_period=8 * HOURS
+            ),
+            service_settings=ServiceSettings(max_statements_per_step=60),
+        )
+        try:
+            for runner in service.pool.runners:
+                for worker in runner.workers:
+                    worker.plane.faults.configure("implement", transient=0.7)
+            service.run(48.0)
+            retried = 0
+            for record in service.store.all_records():
+                # ``retry_scheduled.attempt``, or ``error_raised.attempts``
+                # when the last retry exhausted the budget.
+                counted = [
+                    event.payload.get("attempt", event.payload.get("attempts"))
+                    for event in service.audit.chain(record.rec_id)
+                    if event.event_type in ("retry_scheduled", "error_raised")
+                ]
+                assert record.attempts == (counted[-1] if counted else 0)
+                retried += bool(counted)
+            assert retried, "the injected faults never scheduled a retry"
         finally:
             service.close()
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.controlplane.events import Event, EventBus
 from repro.controlplane.store import StateStore
 from repro.errors import TelemetryError
 from repro.observability.audit import AuditLog
@@ -87,36 +86,6 @@ class TestSnapshotDiff:
             apply_metric_diff(MetricsRegistry(), diff)
 
 
-class TestEventBusIngest:
-    def test_ingest_skips_events_total(self):
-        """The worker registry already counted the event; its count
-        arrives through the metric diff, so ingest must not double it."""
-        registry = MetricsRegistry()
-        bus = EventBus(metrics=registry)
-        bus.emit(1.0, "snapshot_taken", "db-0", tables=3)
-        assert registry.total("events_total") == 1.0
-        bus.ingest(Event(at=2.0, kind="snapshot_taken", database="db-1", payload={}))
-        assert registry.total("events_total") == 1.0
-        assert len(bus.history()) == 2
-        assert bus.counts["snapshot_taken"] == 2
-
-    def test_ingest_still_notifies_subscribers_and_enforces_compliance(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe("*", seen.append)
-        bus.ingest(Event(at=1.0, kind="k", database="db", payload={}))
-        assert len(seen) == 1
-        with pytest.raises(Exception):
-            bus.ingest(
-                Event(
-                    at=1.0,
-                    kind="k",
-                    database="db",
-                    payload={"query_text": "SELECT secret"},
-                )
-            )
-
-
 class TestStoreIngest:
     def test_ingest_replays_and_continues_ids(self):
         worker = StateStore()
@@ -147,34 +116,21 @@ class TestStoreIngest:
 
 
 def make_merger():
-    registry = MetricsRegistry()
-    store = StateStore()
-    audit = AuditLog()
-    recorder = SpanRecorder()
-    bus = EventBus(metrics=registry)
-    incidents = []
-    history = []
     return DeterministicMerger(
-        store=store,
-        audit=audit,
-        registry=registry,
-        recorder=recorder,
-        bus=bus,
-        incidents=incidents,
-        validation_history=history,
+        store=StateStore(),
+        audit=AuditLog(),
+        registry=MetricsRegistry(),
+        recorder=SpanRecorder(),
     )
 
 
-def delta_for(database: str, journal, audit=(), spans=(), bus=()) -> TickDelta:
+def delta_for(database: str, journal, audit=(), spans=()) -> TickDelta:
     return TickDelta(
         database=database,
         journal=list(journal),
         audit=list(audit),
         spans=list(spans),
-        bus=list(bus),
         metrics={},
-        validation_history=[],
-        incidents=[],
     )
 
 
@@ -268,25 +224,3 @@ class TestDeterministicMerger:
             (2, "db-b"),
         ]
         assert all(s.end is not None for s in spans)
-
-    def test_bus_events_ingested_with_remapped_rec_id(self):
-        merger = make_merger()
-        worker = StateStore()
-        worker.insert("db-b", make_recommendation(), at=1.0)
-        other = StateStore()
-        other.insert("db-a", make_recommendation(), at=1.0)
-        event = Event(
-            at=2.0,
-            kind="recommendation_created",
-            database="db-b",
-            payload={"rec_id": 1},
-        )
-        merger.merge(
-            [
-                delta_for("db-a", other.journal_since(0)),
-                delta_for("db-b", worker.journal_since(0), bus=[event]),
-            ]
-        )
-        merged_events = merger.bus.history()
-        assert merged_events[0].payload["rec_id"] == 2
-        assert merger.registry.total("events_total") == 0.0

@@ -95,7 +95,10 @@ def test_dry_tuning_budget_defers_the_analysis():
     tuning.budget_cpu_ms = 1.5 * call_ms
     before = tuning.usage.cpu_ms
     plane.recommend_service.analyze(managed, eng.now)
-    assert [e.kind for e in plane.events.history()
-            if e.kind.startswith("analysis_")] == ["analysis_deferred"]
+    registry = plane.telemetry.registry
+    assert {
+        kind: registry.total("events_total", kind=kind)
+        for kind in ("analysis_deferred", "analysis_failed", "analysis_completed")
+    } == {"analysis_deferred": 1, "analysis_failed": 0, "analysis_completed": 0}
     assert tuning.usage.cpu_ms - before == 2 * call_ms
     assert plane.store.all_records() == []
