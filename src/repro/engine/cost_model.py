@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.engine.query import Predicate
 from repro.engine.table import Table
@@ -66,6 +66,7 @@ class CostModel:
     ) -> None:
         self.db_seed = db_seed
         self.settings = settings or CostModelSettings()
+        self._error_memo: Dict[tuple, float] = {}
 
     # ------------------------------------------------------------------
     # Estimation error
@@ -75,7 +76,26 @@ class CostModel:
 
         Values < 1 under-estimate (dangerous: over-eager seek plans);
         values > 1 over-estimate (indexes look less useful than they are).
+
+        A constant per database: memoized on everything the computation
+        reads besides ``db_seed``, so it costs its two hashes once, not
+        once per predicate per planning.
         """
+        settings = self.settings
+        key = (
+            table, column, op_kind, settings.error_sigma,
+            settings.severe_error_rate, settings.severe_error_factor,
+        )
+        multiplier = self._error_memo.get(key)
+        if multiplier is None:
+            multiplier = self._error_memo[key] = self._compute_error_multiplier(
+                table, column, op_kind
+            )
+        return multiplier
+
+    def _compute_error_multiplier(
+        self, table: str, column: str, op_kind: str
+    ) -> float:
         sigma = self.settings.error_sigma
         multiplier = 1.0
         if sigma > 0:

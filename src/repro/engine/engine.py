@@ -46,7 +46,7 @@ from repro.engine.sqlgen import render, template_text
 from repro.engine.table import Table
 from repro.engine.usage_stats import IndexUsageStats
 from repro.errors import DuplicateObjectError, UnknownTableError
-from repro.observability.profiling import profile
+from repro.observability.profiling import count, profile
 from repro.rng import derive, stable_uniform
 
 
@@ -431,19 +431,41 @@ class WhatIfBatch:
     are grouped into batches, and :class:`ResourceBudgetExceededError`
     can surface mid-batch when the window's budget runs dry — and is
     attributed to the ``engine_whatif_cost`` hot path.
+
+    What is *charged* and what is *priced* are separate questions.  A
+    caller that already knows a configuration's cost — because
+    :meth:`contributes` says it differs from a priced one only in
+    definitions that cannot touch the statement — still owes the call
+    (the simulated tuning budget meters costings asked, not optimizer
+    work avoided) and pays it through :meth:`charge`.
     """
 
     def __init__(self, engine: SqlEngine, query, excluded: Sequence[str] = ()):
         self._engine = engine
         self._pricer = engine.optimizer.batch_pricer(query, frozenset(excluded))
 
-    def price(self, extra_indexes: Sequence[IndexDefinition] = ()) -> PlanNode:
+    def _meter(self) -> float:
         engine = self._engine
-        charge = engine.settings.whatif_call_cpu_ms
-        engine.governor.tuning.charge_cpu(charge, engine.now)
+        rate = engine.settings.whatif_call_cpu_ms
+        engine.governor.tuning.charge_cpu(rate, engine.now)
         engine.governor.tuning.usage.whatif_calls += 1
+        return rate
+
+    def charge(self) -> None:
+        """Meter one what-if call exactly as :meth:`price` does — pool
+        charge, call count, hot-path tick — without pricing anything."""
+        count("engine_whatif_cost", self._meter())
+
+    def contributes(self, definition: IndexDefinition) -> bool:
+        """Whether the definition can change this statement's plan or
+        cost; see :meth:`repro.engine.optimizer.BatchPricer.contributes`.
+        Unmetered: it asks about the statement, not a configuration."""
+        return self._pricer.contributes(definition)
+
+    def price(self, extra_indexes: Sequence[IndexDefinition] = ()) -> PlanNode:
+        rate = self._meter()
         with profile("engine_whatif_cost") as prof:
-            prof.sim_ms = charge
+            prof.sim_ms = rate
             return self._pricer.price(extra_indexes)
 
     def cost(self, extra_indexes: Sequence[IndexDefinition] = ()) -> float:

@@ -212,7 +212,7 @@ class Optimizer:
                         mi_sink(*emission)
                 return entry.plan
             count("plan_cache_miss")
-        if whatif and isinstance(query, InsertQuery) and query.bulk:
+        if whatif and _rejects_hypotheticals(query):
             raise OptimizeError(
                 "BULK INSERT cannot be optimized in what-if mode"
             )
@@ -926,22 +926,38 @@ class _SelectSubstrate:
             )
         return best[0]
 
+    def contributes(self, definition: IndexDefinition) -> bool:
+        """Whether the definition offers this statement an outer or a
+        join-inner access candidate; if not, ``price`` is the same with
+        and without it."""
+        outer, inner = self._sides(definition)
+        if outer and self._outer_candidates(definition):
+            return True
+        return inner and any(self._inner_candidates(definition))
+
+    def _sides(self, definition: IndexDefinition) -> Tuple[bool, bool]:
+        """Whether the outer access and the join's inner side can see it."""
+        if definition.name in self._excluded:
+            return False, False
+        query = self._query
+        hint = query.index_hint
+        outer = definition.table == self._table.name and (
+            hint is None or hint == definition.name
+        )
+        inner = query.join is not None and definition.table == query.join.table
+        return outer, inner
+
     def _price_extras(self, extras: Tuple[IndexDefinition, ...]):
         opt = self._opt
         query = self._query
         table = self._table
-        join = query.join
-        hint = query.index_hint
         outer_defs: List[IndexDefinition] = []
         inner_defs: List[IndexDefinition] = []
         for definition in extras:
-            if definition.name in self._excluded:
-                continue
-            if definition.table == table.name and (
-                hint is None or hint == definition.name
-            ):
+            outer, inner = self._sides(definition)
+            if outer:
                 outer_defs.append(definition)
-            if join is not None and definition.table == join.table:
+            if inner:
                 inner_defs.append(definition)
         ctx = self._base_ctx
         if inner_defs:
@@ -1066,12 +1082,19 @@ class _InsertSubstrate:
         self._base_names = tuple(d.name for d, _v in maintained)
         self._extra_memo: Dict[IndexDefinition, float] = {}
 
+    def contributes(self, definition: IndexDefinition) -> bool:
+        """Whether the INSERT must maintain the definition."""
+        return (
+            definition.table == self._table.name
+            and definition.name not in self._excluded
+        )
+
     def price(self, extras: Tuple[IndexDefinition, ...]) -> PlanNode:
         table = self._table
         cost = self._base_cost
         names = self._base_names
         for definition in extras:
-            if definition.table != table.name or definition.name in self._excluded:
+            if not self.contributes(definition):
                 continue
             maint = self._extra_memo.get(definition)
             if maint is None:
@@ -1125,32 +1148,46 @@ class _DmlSubstrate:
         )
         self._cview_height = table.clustered_stats_view().height
         #: definition -> (access candidates, maintained tree height or
-        #: None when the statement does not touch the index).
+        #: None when the statement does not write the index), or () when
+        #: the definition neither serves nor is maintained by the
+        #: statement.
         self._extra_memo: Dict[IndexDefinition, tuple] = {}
 
     def _extra(self, definition: IndexDefinition) -> tuple:
         cached = self._extra_memo.get(definition)
         if cached is None:
-            table = self._table
-            view = table.hypothetical_stats_view(definition)
-            candidates = self._opt._index_candidates(
-                table, definition, view,
-                self._query.predicates, self._needed, self._out_rows,
-            )
-            maintained = _maintains(table, definition, self._changed)
-            cached = self._extra_memo[definition] = (
-                candidates, view.height if maintained else None
+            cached = self._extra_memo[definition] = self._compute_extra(
+                definition
             )
         return cached
+
+    def _compute_extra(self, definition: IndexDefinition) -> tuple:
+        table = self._table
+        if definition.table != table.name or definition.name in self._excluded:
+            return ()
+        view = table.hypothetical_stats_view(definition)
+        candidates = self._opt._index_candidates(
+            table, definition, view,
+            self._query.predicates, self._needed, self._out_rows,
+        )
+        maintained = _maintains(table, definition, self._changed)
+        if not candidates and not maintained:
+            return ()
+        return candidates, view.height if maintained else None
+
+    def contributes(self, definition: IndexDefinition) -> bool:
+        """Whether the definition offers an access path to the rows or
+        must be maintained by the write."""
+        return bool(self._extra(definition))
 
     def price(self, extras: Tuple[IndexDefinition, ...]) -> PlanNode:
         model = self._opt._cost_model
         table_name = self._table.name
-        visible = [
-            self._extra(d) + (d.name,)
-            for d in extras
-            if d.table == table_name and d.name not in self._excluded
-        ]
+        visible = []
+        for definition in extras:
+            extra = self._extra(definition)
+            if extra:
+                visible.append(extra + (definition.name,))
         best = self._base_best
         for candidates, _height, _name in visible:
             for candidate in candidates:
@@ -1199,6 +1236,12 @@ def _maintains(
     return any(c in relevant for c in changed_columns)
 
 
+def _rejects_hypotheticals(query) -> bool:
+    """BULK INSERT cannot be optimized under any hypothetical
+    configuration (Section 5.3.2), whatever the configuration holds."""
+    return isinstance(query, InsertQuery) and query.bulk
+
+
 def _param_seekable(candidate: _AccessCandidate) -> bool:
     """A seek parameterized on the join key (usable once per outer probe)."""
     node = candidate.node
@@ -1245,6 +1288,23 @@ class BatchPricer:
         return opt._plan(
             self._query, tuple(extra_indexes), self._excluded, pricer=self
         )
+
+    def contributes(self, definition: IndexDefinition) -> bool:
+        """Whether ``definition`` can change what :meth:`price` returns.
+
+        False means ``price(extras)`` is the same plan, cost and error
+        with the definition removed from any position of ``extras`` — it
+        offers the statement no access candidate (outer or join inner
+        side) and adds no maintenance term.  The substrate answers from
+        the per-definition memos ``price`` itself fills, so a caller may
+        drop non-contributing definitions before pricing (DTA projects
+        configurations this way) without a second relevance rule to keep
+        in step.  A statement what-if rejects outright keeps every
+        definition: dropping one could turn the error into a plan.
+        """
+        if _rejects_hypotheticals(self._query):
+            return True
+        return self.substrate().contributes(definition)
 
     def substrate(self):
         """The statement's substrate: held, else memoized, else built."""

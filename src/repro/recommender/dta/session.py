@@ -100,7 +100,7 @@ class DtaSession:
 
     def _cleanup(self) -> None:
         """Remove session temp state (hypothetical indexes, caches)."""
-        self.whatif._cost_cache.clear()
+        self.whatif.clear()
 
     # ------------------------------------------------------------------
 

@@ -13,6 +13,20 @@ a single lookup is a frontier of one, and the frontier APIs
 price a whole configuration frontier per statement against one plan
 substrate.  Costs and session/cache/governor accounting do not depend
 on how configurations are grouped into frontiers.
+
+**Charged versus priced.**  Every costing of a (statement,
+configuration) pair the session has not answered before is *charged* to
+the tuning pool — that is what :attr:`WhatIfStats.calls` and the
+governor count, and what decides where a budget runs dry.  Only one
+costing per distinct *projection* is *priced* by the optimizer: before
+pricing, the configuration is projected onto the definitions that can
+touch the statement (the batch's ``contributes``: an access candidate on
+the outer or join-inner side, or a maintenance term), and a projection
+already priced this session answers every other configuration that
+projects onto it.  Greedy round *k* asks for ``chosen + (candidate,)``
+under every candidate and every statement; most candidates cannot touch
+most statements, so most of those costings are the cost under
+``chosen``, asked again.
 """
 
 from __future__ import annotations
@@ -48,11 +62,30 @@ def _definition_fingerprint(
     )
 
 
+def _shared_prefix_len(configurations: Sequence[tuple]) -> int:
+    """How many leading definitions every configuration shares (by
+    identity): greedy enumeration's frontier is one ``chosen`` prefix
+    followed by one candidate each."""
+    first = configurations[0]
+    shared = 0
+    for column in zip(*configurations):
+        head = first[shared]
+        if any(definition is not head for definition in column):
+            break
+        shared += 1
+    return shared
+
+
 @dataclasses.dataclass
 class WhatIfStats:
     """Accounting of a session's optimizer interaction."""
 
+    #: Costings charged to the tuning pool (one per configuration the
+    #: session had not answered before).
     calls: int = 0
+    #: Of those, the costings that reached the optimizer (one per
+    #: distinct projection); the rest were derived from one of these.
+    priced: int = 0
     cache_hits: int = 0
     failed_statements: int = 0
     stats_built: int = 0
@@ -76,10 +109,30 @@ class WhatIfSession:
         #: DTA's statistics creation 2-3x without quality loss).
         self.stats_column_budget = stats_column_budget
         self.stats = WhatIfStats()
+        #: (template, whole configuration) -> cost or ``_FAILED``: what
+        #: has been charged, so it is never charged twice.
         self._cost_cache: Dict[
             Tuple[int, FrozenSet[_DefinitionFingerprint]], object
         ] = {}
+        #: (template, contributing definitions in configuration order)
+        #: -> cost: what has been priced, so it is never priced twice.
+        #: Ordered because DML maintenance terms are summed in
+        #: configuration order and float addition is not associative.
+        self._projected_costs: Dict[
+            Tuple[int, Tuple[_DefinitionFingerprint, ...]], float
+        ] = {}
+        #: (template, definition) -> whether it can touch the statement.
+        #: A function of the statement's shape and the definition's
+        #: columns only, so it outlives table-version changes (and, like
+        #: the cost cache, does not see the definition's name).
+        self._relevance: Dict[Tuple[int, _DefinitionFingerprint], bool] = {}
         self._stats_built: set = set()
+
+    def clear(self) -> None:
+        """Forget every cost and relevance answer (session teardown)."""
+        self._cost_cache.clear()
+        self._projected_costs.clear()
+        self._relevance.clear()
 
     # ------------------------------------------------------------------
 
@@ -116,12 +169,6 @@ class WhatIfSession:
 
     # ------------------------------------------------------------------
 
-    def _cache_key(self, query, configuration: Sequence[IndexDefinition]):
-        return (
-            query.template_key(),
-            frozenset(_definition_fingerprint(d) for d in configuration),
-        )
-
     def cost(
         self,
         query,
@@ -144,37 +191,83 @@ class WhatIfSession:
 
         Equivalent to calling :meth:`cost` once per configuration — same
         floats, same cache/stats/governor accounting, in the same order —
-        but uncached configurations are priced through one engine
-        :class:`WhatIfBatch`, sharing the statement's plan substrate.  A
-        mid-frontier ResourceBudgetExceededError propagates with the
-        configurations priced so far already cached (the retry resumes
-        where it left off).
+        but the frontier shares one engine :class:`WhatIfBatch` (one plan
+        substrate) and only configurations whose projection onto the
+        statement is new are priced through it; the others are charged
+        and answered from the projection's cost.  A mid-frontier
+        ResourceBudgetExceededError propagates with the configurations
+        costed so far already cached (the retry resumes where it left
+        off).
         """
         configurations = [tuple(c) for c in configurations]
         results: List[Optional[float]] = [None] * len(configurations)
+        if not configurations:
+            return results
+        template = query.template_key()
+        shared = _shared_prefix_len(configurations)
+        head = configurations[0][:shared]
+        head_fingerprints = tuple(map(_definition_fingerprint, head))
+        head_set = frozenset(head_fingerprints)
         batch = None
         for i, configuration in enumerate(configurations):
-            key = self._cache_key(query, configuration)
+            tail = configuration[shared:]
+            tail_fingerprints = tuple(map(_definition_fingerprint, tail))
+            key = (template, head_set.union(tail_fingerprints))
             cached = self._cost_cache.get(key)
-            if cached is _FAILED:
-                self.stats.cache_hits += 1
-                continue
             if cached is not None:
                 self.stats.cache_hits += 1
-                results[i] = cached
+                if cached is not _FAILED:
+                    results[i] = cached
                 continue
             if batch is None:
                 batch = self.engine.whatif_batch(query)
-            try:
-                cost = batch.cost(configuration)
-            except OptimizeError:
-                self.stats.failed_statements += 1
-                self._cost_cache[key] = _FAILED
-                continue
+                head_extras, head_key = self._project(
+                    batch, template, head, head_fingerprints
+                )
+            tail_extras, tail_key = self._project(
+                batch, template, tail, tail_fingerprints
+            )
+            projected = (template, head_key + tail_key)
+            cost = self._projected_costs.get(projected)
+            if cost is not None:
+                batch.charge()
+            else:
+                try:
+                    cost = batch.cost(head_extras + tail_extras)
+                except OptimizeError:
+                    self.stats.failed_statements += 1
+                    self._cost_cache[key] = _FAILED
+                    continue
+                self.stats.priced += 1
+                self._projected_costs[projected] = cost
             self.stats.calls += 1
             self._cost_cache[key] = cost
             results[i] = cost
         return results
+
+    def _project(
+        self,
+        batch,
+        template: int,
+        definitions: Tuple[IndexDefinition, ...],
+        fingerprints: Tuple[_DefinitionFingerprint, ...],
+    ) -> Tuple[
+        Tuple[IndexDefinition, ...], Tuple[_DefinitionFingerprint, ...]
+    ]:
+        """The definitions that can touch the statement, with their
+        fingerprints, order kept."""
+        relevance = self._relevance
+        extras: List[IndexDefinition] = []
+        key: List[_DefinitionFingerprint] = []
+        for definition, fingerprint in zip(definitions, fingerprints):
+            known = (template, fingerprint)
+            relevant = relevance.get(known)
+            if relevant is None:
+                relevant = relevance[known] = batch.contributes(definition)
+            if relevant:
+                extras.append(definition)
+                key.append(fingerprint)
+        return tuple(extras), tuple(key)
 
     def workload_cost(
         self,

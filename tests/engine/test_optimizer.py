@@ -459,3 +459,33 @@ class TestEstimationError:
         model = CostModel(5)
         values = {model.error_multiplier("t", f"c{i}", "eq") for i in range(20)}
         assert len(values) > 10
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.85, 1.5])
+    @pytest.mark.parametrize("severe_rate", [0.0, 0.1, 0.5, 0.9999])
+    def test_error_multiplier_memo_equals_uncached_body(self, sigma, severe_rate):
+        """The memo is invisible: bit-equal to recomputing, on first and
+        repeated asks, and never served to other settings."""
+        from repro.engine.cost_model import CostModel
+
+        settings = CostModelSettings(
+            error_sigma=sigma, severe_error_rate=severe_rate
+        )
+        model = CostModel(5, settings)
+        asks = [
+            (table, f"c{i}", kind)
+            for table in ("t", "u")
+            for i in range(12)
+            for kind in ("eq", "range", "neq")
+        ]
+        expected = [model._compute_error_multiplier(*ask) for ask in asks]
+        assert [model.error_multiplier(*ask) for ask in asks] == expected
+        assert [model.error_multiplier(*ask) for ask in asks] == expected
+        # The same model object under other settings must not read the
+        # answers it memoized under these.
+        model.settings = CostModelSettings(
+            error_sigma=sigma + 0.3, severe_error_rate=severe_rate
+        )
+        fresh = CostModel(5, model.settings)
+        assert [model.error_multiplier(*ask) for ask in asks] == [
+            fresh._compute_error_multiplier(*ask) for ask in asks
+        ]

@@ -31,9 +31,14 @@ from repro.engine import (
     UpdateQuery,
 )
 from repro.engine.optimizer import BatchPricingStats
-from repro.errors import ExecutionError, OptimizeError
+from repro.errors import (
+    ExecutionError,
+    OptimizeError,
+    ResourceBudgetExceededError,
+)
+from repro.observability.profiling import Profiler, use_profiler
 from repro.recommender.dta.whatif import WhatIfSession
-from tests.engine.test_executor_property import select_queries
+from tests.engine.test_executor_property import predicates, select_queries
 from tests.engine.test_optimizer import perfect_engine
 
 #: (table, key columns, included columns) pool the configuration
@@ -333,3 +338,243 @@ class TestWhatIfSessionRegressions:
         stats = eng.optimizer.batch_stats
         assert (stats.substrate_misses, stats.substrate_hits) == (0, 0)
         assert eng.plan_cache.substrate_count() == 0
+
+
+# ----------------------------------------------------------------------
+# Projection: DTA prices a statement only against what can touch it
+
+
+def _where(draw):
+    return tuple(draw(st.lists(predicates(), max_size=2)))
+
+
+@st.composite
+def writes(draw):
+    """UPDATE / DELETE / INSERT / BULK INSERT over orders.  ``o_amount``
+    and ``o_note`` are *included* (never key) columns of pool definitions
+    0 and 3: an UPDATE assigning them must still maintain those."""
+    kind = draw(st.sampled_from(["update", "delete", "insert", "bulk"]))
+    if kind == "update":
+        column, value = draw(
+            st.sampled_from(
+                [("o_amount", 1.0), ("o_status", 2), ("o_note", "n"), ("o_date", 9)]
+            )
+        )
+        return UpdateQuery("orders", ((column, value),), _where(draw))
+    if kind == "delete":
+        return DeleteQuery("orders", _where(draw))
+    rows = tuple(
+        (20_000 + i, 1, 1, 1.0, 1, "x")
+        for i in range(draw(st.integers(min_value=1, max_value=3)))
+    )
+    return InsertQuery("orders", rows, bulk=kind == "bulk")
+
+
+costable = st.one_of(statements(), writes())
+
+
+@pytest.fixture(scope="module")
+def session_twins():
+    """Their own pair: a session reaches the optimizer less often than
+    its oracle, so ``Optimizer.whatif_calls`` diverges by design and must
+    not leak into the lifetime totals the substrate properties compare."""
+    return _twin(), _twin()
+
+
+def _metered(eng):
+    """MI-DMV entries and tuning-pool usage: ``_observable`` without the
+    optimizer's own what-if count."""
+    return _observable(eng)[:3]
+
+
+def _oracle_cost(eng, query, config):
+    """The unprojected pricing: every definition handed to a cold planner."""
+    try:
+        return _fresh_plan(eng, query, config).est_cost
+    except OptimizeError:
+        return None
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(query=costable, frontier=configurations(), with_base=st.booleans())
+def test_property_session_costs_equal_unprojected_pricing(
+    session_twins, query, frontier, with_base
+):
+    """``cost_many`` answers every configuration with the float the
+    what-if API gives for the whole configuration, and charges the pool
+    as if it had asked for each — although it asks only once per distinct
+    projection."""
+    oracle_eng, session_eng = session_twins
+    if with_base:
+        frontier = [()] + frontier  # what candidate selection prices first
+    session = WhatIfSession(session_eng)
+    # The session's contract is per configuration *set*: the first
+    # ordering costed answers the later ones, without a charge.
+    expected, first_seen, raised = [], {}, None
+    for config in frontier:
+        key = frozenset((d.table, d.key_columns, d.included_columns) for d in config)
+        if key not in first_seen:
+            try:
+                first_seen[key] = _oracle_cost(oracle_eng, query, config)
+            except ExecutionError:
+                raised = len(expected)  # a hint naming no index
+                break
+        expected.append(first_seen[key])
+    if raised is None:
+        assert session.cost_many(query, frontier) == expected
+    else:
+        with pytest.raises(ExecutionError, match="which does not exist"):
+            session.cost_many(query, frontier)
+        # What was costed before the error stays answered, free of charge.
+        assert session.cost_many(query, frontier[:raised]) == expected
+    assert _metered(session_eng) == _metered(oracle_eng)
+    stats = session.stats
+    failed = sum(cost is None for cost in first_seen.values())
+    assert stats.failed_statements == failed
+    assert stats.calls == len(first_seen) - failed
+    assert stats.priced <= stats.calls
+    assert stats.cache_hits == len(expected) - len(first_seen) + (
+        raised or 0
+    )
+
+
+@pytest.fixture(scope="module")
+def lone():
+    return _twin()
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(query=costable, frontier=configurations())
+def test_property_noncontributing_definitions_are_unobservable(
+    lone, query, frontier
+):
+    """``contributes(d)`` false ⇒ ``price`` cannot tell whether ``d`` is
+    in the configuration, wherever it stands."""
+    batch = lone.whatif_batch(query)
+
+    def priced(config):
+        try:
+            return _outcome(batch.price, config)
+        except OptimizeError:
+            return OptimizeError  # BULK INSERT: every definition contributes
+
+    bystanders = [
+        d
+        for d in map(_definition, range(len(_INDEX_POOL)))
+        if not batch.contributes(d)
+    ]
+    for config in frontier:
+        core = tuple(d for d in config if d not in bystanders)
+        expected = priced(core)
+        for bystander in bystanders:
+            for at in range(len(core) + 1):
+                assert priced(core[:at] + (bystander,) + core[at:]) == expected
+
+
+class TestProjection:
+    QUERY = SelectQuery(
+        "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),)
+    )
+
+    def test_contributes_by_statement_kind(self):
+        eng = _twin()
+        by_cust, by_date, by_amount = _definition(0), _definition(1), _definition(3)
+        by_region = _definition(5)
+        select = eng.whatif_batch(self.QUERY)
+        assert select.contributes(by_cust)  # seek on the predicate column
+        assert not select.contributes(by_date)  # neither seeks nor covers
+        assert not select.contributes(by_region)  # another table
+        joined = eng.whatif_batch(
+            dataclasses.replace(self.QUERY, join=_JOINS[2])
+        )
+        assert joined.contributes(by_region)  # per-probe seek on the inner key
+        assert joined.contributes(_definition(6)) is False  # c_name: no inner use
+        update = eng.whatif_batch(
+            UpdateQuery("orders", (("o_amount", 1.0),), (Predicate("o_id", Op.EQ, 5),))
+        )
+        assert update.contributes(by_cust)  # only *includes* o_amount
+        assert update.contributes(by_amount)  # keyed on it
+        assert not update.contributes(by_date)  # untouched, unusable
+        delete = eng.whatif_batch(DeleteQuery("orders", (Predicate("o_id", Op.EQ, 5),)))
+        assert delete.contributes(by_date)  # every index loses the row
+        assert not delete.contributes(by_region)
+        hinted = eng.whatif_batch(dataclasses.replace(self.QUERY, index_hint="hyp_0"))
+        assert hinted.contributes(by_cust)
+        assert not hinted.contributes(by_amount)  # the hint hides it
+        # Asking is not costing: nothing was charged.
+        assert eng.governor.tuning.usage.whatif_calls == 0
+
+    def test_derived_costing_is_charged_but_not_priced(self):
+        eng = perfect_engine(41)
+        session = WhatIfSession(eng)
+        by_cust, by_date, by_region = _definition(0), _definition(1), _definition(5)
+        with use_profiler(Profiler()) as profiler:
+            costs = session.cost_many(
+                self.QUERY,
+                [(by_cust,), (by_cust, by_date), (by_region, by_cust), (by_date,), ()],
+            )
+        assert costs[0] == costs[1] == costs[2] < costs[3] == costs[4]
+        stats = session.stats
+        assert (stats.calls, stats.priced, stats.cache_hits) == (5, 2, 0)
+        usage = eng.governor.tuning.usage
+        rate = eng.settings.whatif_call_cpu_ms
+        assert (usage.whatif_calls, usage.cpu_ms) == (5, 5 * rate)
+        row = profiler.stats()["engine_whatif_cost"]
+        assert (row.calls, row.sim_ms) == (5, 5 * rate)
+        pricing = eng.optimizer.batch_stats
+        assert (pricing.batches, pricing.configurations) == (1, 2)
+
+    def test_bulk_insert_fails_whatever_the_configuration_holds(self):
+        """The projection of a configuration that cannot touch the table
+        is empty, and the empty configuration is not what-if mode: the
+        statement must still fail, charged, as the parent's did."""
+        eng = perfect_engine(42)
+        session = WhatIfSession(eng)
+        bulk = InsertQuery("orders", ((10_003, 1, 1, 1.0, 1, "x"),), bulk=True)
+        assert session.cost(bulk, ()) is not None  # normal-mode planning
+        assert session.cost(bulk, (_definition(5),)) is None  # customers
+        assert session.cost(bulk, (_definition(0),)) is None
+        assert session.stats.failed_statements == 2
+        assert eng.governor.tuning.usage.whatif_calls == 3
+
+    @pytest.mark.parametrize("dry_at", [2, 3])
+    def test_budget_runs_dry_at_the_same_costing(self, dry_at):
+        """The raise lands on the costing the budget names whether that
+        costing is derived (the third, index 2) or priced (the fourth);
+        the retry re-pays nothing and finishes with the same totals."""
+        eng, oracle = perfect_engine(43), perfect_engine(43)
+        rate = eng.settings.whatif_call_cpu_ms
+        eng.governor.tuning.budget_cpu_ms = dry_at * rate + 1.0
+        session = WhatIfSession(eng)
+        by_cust, by_date, by_amount = _definition(0), _definition(1), _definition(3)
+        by_region = _definition(5)
+        frontier = [
+            (by_cust,),  # priced
+            (by_cust, by_date),  # derived: by_date cannot touch the query
+            (by_date, by_cust),  # the same set: a cache hit, free
+            (by_region, by_cust),  # derived
+            (by_amount,),  # priced: a covering scan
+        ]
+        with pytest.raises(ResourceBudgetExceededError):
+            session.cost_many(self.QUERY, frontier)
+        assert session.stats.calls == dry_at
+        assert session.stats.priced == 1
+        eng.clock.advance(61.0)
+        assert session.cost_many(self.QUERY, frontier) == [
+            oracle.whatif_cost(self.QUERY, extra_indexes=c) for c in frontier
+        ]
+        assert (session.stats.calls, session.stats.priced) == (4, 2)
+        # The reordered twin hits on both passes; the retry also hits on
+        # everything the first pass had costed.
+        assert session.stats.cache_hits == 1 + (dry_at + 1)
+        usage = eng.governor.tuning.usage
+        assert usage.whatif_calls == 4
+        assert usage.cpu_ms == 5 * rate  # the refused charge was metered

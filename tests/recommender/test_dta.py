@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.clock import HOURS
 from repro.engine import (
+    DeleteQuery,
     IndexDefinition,
     InsertQuery,
     JoinSpec,
@@ -29,6 +33,7 @@ from repro.recommender.dta.enumeration import (
     greedy_enumerate,
 )
 from repro.recommender.dta.whatif import WhatIfSession
+from repro.service import ServiceSettings, build_service
 from repro.recommender.workload_selection import (
     acquire_workload,
     coverage_for_k,
@@ -275,6 +280,10 @@ class TestSession:
                 recommendations = session.run()
                 break
             except ResourceBudgetExceededError:
+                # Deferred, not torn down: costs and relevance survive.
+                whatif = session.whatif
+                assert whatif._cost_cache and whatif._projected_costs
+                assert whatif._relevance
                 engine.clock.advance(61.0)  # next governance window
         assert recommendations is not None
         assert session.state is DtaSessionState.COMPLETED
@@ -295,3 +304,227 @@ class TestSession:
         assert recommendations
         impacted = [s for s in session.report.statements if s.impacted_by]
         assert impacted
+
+
+# ----------------------------------------------------------------------
+# Charged versus priced: projection must not move the simulated bill
+
+BY_DATE = SelectQuery(
+    "orders", ("o_id", "o_amount"), (Predicate("o_date", Op.BETWEEN, 10, 40),)
+)
+BY_STATUS = SelectQuery(
+    "orders",
+    ("o_note",),
+    (Predicate("o_status", Op.EQ, 2), Predicate("o_date", Op.GT, 300)),
+)
+BY_REGION = SelectQuery(
+    "customers", ("c_name",), (Predicate("c_region", Op.EQ, 4),)
+)
+BY_AMOUNT = SelectQuery(
+    "orders",
+    ("o_id",),
+    (Predicate("o_amount", Op.GT, 900.0),),
+    order_by=(OrderItem("o_amount"),),
+)
+BY_NOTE = SelectQuery(
+    "orders", ("o_cust",), (Predicate("o_note", Op.EQ, "note-5"),)
+)
+BY_NAME = SelectQuery(
+    "customers", ("c_region",), (Predicate("c_name", Op.EQ, "cust-7"),)
+)
+AGG_CUST = SelectQuery(
+    "orders",
+    predicates=(Predicate("o_date", Op.BETWEEN, 100, 130),),
+    group_by=("o_cust",),
+    aggregates=(Aggregate(AggFunc.SUM, "o_amount"),),
+)
+TOUCH = UpdateQuery(
+    "orders", (("o_amount", 1.0),), (Predicate("o_cust", Op.EQ, 7),)
+)
+RESTATUS = UpdateQuery(
+    "orders", (("o_status", 3),), (Predicate("o_date", Op.EQ, 200),)
+)
+PURGE = DeleteQuery(
+    "orders",
+    (Predicate("o_note", Op.EQ, "note-3"), Predicate("o_date", Op.LT, 5)),
+)
+MIXED = (
+    HOT, GROUPBY, JOINQ, ORDERED, BY_DATE, BY_STATUS, BY_REGION, BY_AMOUNT,
+    BY_NOTE, BY_NAME, AGG_CUST, TOUCH, RESTATUS, PURGE,
+)
+
+
+def mixed_engine(budget=None):
+    """Two tables, reads joins and writes, eight executions of each."""
+    db = Database("pinned", seed=91)
+    populate_orders(db.create_table(make_orders_schema()), n_rows=2000)
+    populate_customers(db.create_table(make_customers_schema()))
+    settings = EngineSettings(
+        cost_model=CostModelSettings(error_sigma=0.0, severe_error_rate=0.0)
+    )
+    engine = SqlEngine(db, settings=settings, tuning_budget_cpu_ms=budget)
+    engine.build_all_statistics()
+    for repetition in range(8):
+        for query in MIXED:
+            engine.execute(query)
+        engine.execute(
+            InsertQuery("orders", ((900_000 + repetition, 1, 1, 1.0, 1, "x"),))
+        )
+    engine.clock.advance(30.0)
+    return engine
+
+
+def _bill(engine, session):
+    usage, stats = engine.governor.tuning.usage, session.whatif.stats
+    return usage.cpu_ms, usage.whatif_calls, stats.calls, stats.cache_hits
+
+
+def _recommended(recommendations):
+    return sorted((r.table, r.key_columns) for r in recommendations)
+
+
+class TestPinnedAcrossProjection:
+    """Literals recorded from the commit before configurations were
+    projected onto the statement, when every charged costing was also
+    priced: the pool's CPU, its call count, the session's calls and hits,
+    the costing at which each budget window ran dry, and the indexes
+    recommended.  Projection may only lower ``priced``."""
+
+    RECOMMENDED = [
+        ("customers", ("c_region",)),
+        ("orders", ("o_amount",)),
+        ("orders", ("o_cust", "o_amount")),
+        ("orders", ("o_date",)),
+        ("orders", ("o_note", "o_date")),
+        ("orders", ("o_status", "o_date")),
+    ]
+
+    def test_whole_session_bill(self):
+        engine = mixed_engine()
+        session = DtaSession(engine, DtaSettings(tier="premium", max_indexes=8))
+        recommendations = session.run()
+        assert _bill(engine, session) == (2748.0, 458, 458, 20)
+        assert _recommended(recommendations) == self.RECOMMENDED
+        stats = session.whatif.stats
+        assert session.report.whatif is stats
+        assert 0 < stats.priced <= stats.calls / 3
+
+    @pytest.mark.parametrize(
+        "budget, dry_at, bill",
+        [
+            (700.0, [116, 232, 348], (2766.0, 458, 458, 773)),
+            (1000.0, [166, 332], (2760.0, 458, 458, 558)),
+        ],
+    )
+    def test_budget_windows_run_dry_at_the_same_costings(
+        self, budget, dry_at, bill
+    ):
+        engine = mixed_engine(budget)
+        session = DtaSession(engine, DtaSettings(tier="premium", max_indexes=8))
+        raised_at, priced_at = [], []
+        recommendations = None
+        while recommendations is None:
+            try:
+                recommendations = session.run()
+            except ResourceBudgetExceededError:
+                raised_at.append(session.whatif.stats.calls)
+                priced_at.append(session.whatif.stats.priced)
+                # A deferral keeps what was learned: the resumed run
+                # re-pays nothing (the bill below equals the unbudgeted
+                # session's but for the refused charges).
+                whatif = session.whatif
+                assert whatif._cost_cache and whatif._projected_costs
+                assert whatif._relevance
+                engine.clock.advance(61.0)
+        assert raised_at == dry_at
+        assert _bill(engine, session) == bill
+        assert _recommended(recommendations) == self.RECOMMENDED
+        # Nothing is priced twice across windows either.
+        unbudgeted = DtaSession(
+            mixed_engine(), DtaSettings(tier="premium", max_indexes=8)
+        )
+        unbudgeted.run()
+        assert session.whatif.stats.priced == unbudgeted.whatif.stats.priced
+        assert priced_at == sorted(priced_at)
+
+    def test_interference_abort_forgets_everything(self):
+        engine = mixed_engine()
+        checks = []
+
+        def interfering():
+            checks.append(engine.governor.tuning.usage.whatif_calls)
+            return len(checks) == 2  # after candidate selection
+
+        session = DtaSession(
+            engine, DtaSettings(tier="premium"), interference_check=interfering
+        )
+        with pytest.raises(SessionAbortedError):
+            session.run()
+        assert checks[1] > 0  # costs had been learned...
+        whatif = session.whatif
+        assert not whatif._cost_cache  # ...and are all gone
+        assert not whatif._projected_costs
+        assert not whatif._relevance
+
+
+def _without_plan_cache_series(events):
+    """The audit stream minus anomaly/alert events on the
+    ``plan_cache_hit_rate`` series, sequence fields renumbered."""
+    kept = [
+        event
+        for event in events
+        if not (
+            (
+                event["event_type"] == "telemetry_anomaly"
+                or event["event_type"].startswith("alert_")
+            )
+            and event["payload"].get("series") == "plan_cache_hit_rate"
+        )
+    ]
+    renumbered = {event["seq"]: i for i, event in enumerate(kept)}
+    return [
+        dict(
+            event,
+            seq=renumbered[event["seq"]],
+            parent_seq=(
+                None
+                if event["parent_seq"] is None
+                else renumbered[event["parent_seq"]]
+            ),
+        )
+        for event in kept
+    ]
+
+
+def test_premium_fleet_audit_equals_parent_but_for_plan_cache_series():
+    """What-if pricings are plan-cache lookups, so pricing fewer of them
+    lifts the fleet's ``plan_cache_hit_rate`` series.  On the benchmark's
+    ``fleet_premium`` recipe the parent commit raised one
+    ``telemetry_anomaly`` on that series (tick 12, value 0.0167 against
+    an EWMA of 0.045: the dip *was* DTA's what-if traffic) which no
+    longer fires.  Everything else in the audit stream — every state
+    change, implementation, recommendation and DTA event — must equal
+    the parent's: the digest below was recorded there, over the stream
+    with that series' events removed (one, at the parent; none, now)."""
+    service = build_service(
+        3,
+        tier="premium",
+        seed=11,
+        service_settings=ServiceSettings(max_statements_per_step=40),
+    )
+    service.run(0.4657879960582425)  # the benchmark's seed-11 phase tick
+    for _tick in range(14):
+        service.run(1.0)
+    events = [
+        json.loads(line)
+        for line in service.telemetry.audit.to_jsonl().splitlines()
+    ]
+    assert sum(p.dta_sessions for p in service.plane.databases.values()) == 3
+    normalized = _without_plan_cache_series(events)
+    digest = hashlib.sha256(
+        json.dumps(normalized, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+    assert len(normalized) == 35
+    assert digest == (
+        "1cb0f8e756f0d848b0a09beecd8915e362e0019f34809f1c1eba8dac77aea3e9"
+    )
