@@ -19,9 +19,8 @@ One static check over the whole observability taxonomy:
 - **Span kinds** — ``tracer.start("...", ...)`` call sites must use span
   kinds declared in :data:`repro.observability.spans.SPAN_KIND_CATALOG`;
 - **Sampled series** — history query calls with a literal series name
-  (``.range("...")``, ``.rate("...")``, ``.delta("...")``,
-  ``.quantile("...")``, ``.latest("...")``, ``.window_stats("...")``)
-  must use names declared in
+  (``.range("...")``, ``.mean("...")``, ``.latest("...")``,
+  ``.observe("...")``) must use names declared in
   :data:`repro.observability.timeseries.SAMPLE_CATALOG`;
 - **SLOs** — **any** string literal starting with ``slo_`` must name an
   :data:`repro.observability.slo.SLO_CATALOG` entry (the namespace is
@@ -167,11 +166,11 @@ RULES = (
     ),
     Rule("SPAN_KIND_CATALOG", "span kind", **_call(r"\btracer\.start\(")),
     # History-store queries: only literal sites are checked — these verbs
-    # (``.rate``, ``.observe``...) are common method names elsewhere.
+    # (``.mean``, ``.observe``...) are common method names elsewhere.
     Rule(
         "SAMPLE_CATALOG", "sampled-series name",
         **_call(
-            r"\.(?:range|rate|delta|quantile|latest|window_stats|observe)\(",
+            r"\.(?:range|mean|latest|observe)\(",
             dynamic=False,
         ),
     ),

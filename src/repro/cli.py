@@ -104,6 +104,27 @@ def _add_fleet(
         )
 
 
+def _fleet_recipe(args: argparse.Namespace) -> dict:
+    """``build_service`` / ``build_fleet_service`` arguments for the fleet
+    every closed-loop command runs: auto-create on, a 2 h snapshot / 8 h
+    analysis / 6 h validation cadence that fits a few simulated days, and
+    a statement cap (``--max-statements`` where the command has it)."""
+    return dict(
+        n_databases=args.dbs,
+        tier=args.tier,
+        seed=args.seed,
+        control_settings=ControlPlaneSettings(
+            snapshot_period=2 * HOURS,
+            analysis_period=8 * HOURS,
+            validation_window=6 * HOURS,
+        ),
+        service_settings=ServiceSettings(
+            max_statements_per_step=getattr(args, "max_statements", 80)
+        ),
+        default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
+    )
+
+
 def cmd_demo(args: argparse.Namespace) -> int:
     """Run the quickstart example end to end."""
     # The quickstart example is a self-contained script; load and reuse
@@ -124,18 +145,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_ops(args: argparse.Namespace) -> int:
     """Closed-loop run over a fleet, ending with the operational report."""
-    service = build_service(
-        n_databases=args.dbs,
-        tier=args.tier,
-        seed=args.seed,
-        control_settings=ControlPlaneSettings(
-            snapshot_period=2 * HOURS,
-            analysis_period=8 * HOURS,
-            validation_window=6 * HOURS,
-        ),
-        service_settings=ServiceSettings(max_statements_per_step=80),
-        default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
-    )
+    service = build_service(**_fleet_recipe(args))
     print(f"running the closed loop: {args.dbs} {args.tier} databases, "
           f"{args.days} simulated days")
     for day in range(args.days):
@@ -164,21 +174,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.parallel import build_fleet_service
 
     service = build_fleet_service(
-        n_databases=args.dbs,
         workers=args.workers,
         backend=args.backend,
         instrument=not args.no_profile,
-        tier=args.tier,
-        seed=args.seed,
-        control_settings=ControlPlaneSettings(
-            snapshot_period=2 * HOURS,
-            analysis_period=8 * HOURS,
-            validation_window=6 * HOURS,
-        ),
-        service_settings=ServiceSettings(
-            max_statements_per_step=args.max_statements
-        ),
-        default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
+        **_fleet_recipe(args),
     )
     print(
         f"running the fleet-parallel loop: {args.dbs} {args.tier} databases "
@@ -232,21 +231,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.parallel import build_fleet_service
 
     service = build_fleet_service(
-        n_databases=args.dbs,
         workers=args.workers,
         backend=args.backend,
         instrument=not args.no_profile,
-        tier=args.tier,
-        seed=args.seed,
-        control_settings=ControlPlaneSettings(
-            snapshot_period=2 * HOURS,
-            analysis_period=8 * HOURS,
-            validation_window=6 * HOURS,
-        ),
-        service_settings=ServiceSettings(
-            max_statements_per_step=args.max_statements
-        ),
-        default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
+        **_fleet_recipe(args),
     )
     hours = args.ticks * service.settings.step_hours
     print(
@@ -300,18 +288,7 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
     """Closed-loop run rendered through the observability layer."""
     profiler = Profiler()
     with use_profiler(profiler):
-        service = build_service(
-            n_databases=args.dbs,
-            tier=args.tier,
-            seed=args.seed,
-            control_settings=ControlPlaneSettings(
-                snapshot_period=2 * HOURS,
-                analysis_period=8 * HOURS,
-                validation_window=6 * HOURS,
-            ),
-            service_settings=ServiceSettings(max_statements_per_step=80),
-            default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
-        )
+        service = build_service(**_fleet_recipe(args))
         # Progress goes to stderr so `--format json` / `--format prom`
         # stdout stays machine-parseable.
         print(
@@ -466,18 +443,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print("explain needs a <database> (or --regression-demo / --audit)")
             return 1
         database = args.database
-        service = build_service(
-            n_databases=args.dbs,
-            tier=args.tier,
-            seed=args.seed,
-            control_settings=ControlPlaneSettings(
-                snapshot_period=2 * HOURS,
-                analysis_period=8 * HOURS,
-                validation_window=6 * HOURS,
-            ),
-            service_settings=ServiceSettings(max_statements_per_step=80),
-            default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
-        )
+        service = build_service(**_fleet_recipe(args))
         print(f"running the closed loop: {args.dbs} {args.tier} databases, "
               f"{args.days} simulated days")
         service.run(hours=args.days * 24)

@@ -65,22 +65,24 @@ class JobScheduler:
             _when, _seq, job = heapq.heappop(self._heap)
             if not job.enabled:
                 if job.period is not None:
-                    job.next_run = now + job.period
-                    heapq.heappush(
-                        self._heap, (job.next_run, next(self._counter), job)
-                    )
+                    self._rearm(job, now)
                 else:
                     self._parked.append(job)
                 continue
-            job.callback(now)
+            try:
+                job.callback(now)
+            finally:
+                # Also when the callback raises: the job is already off
+                # the heap, and a periodic job lost here never runs again.
+                if job.period is not None:
+                    self._rearm(job, now)
             job.runs += 1
             executed += 1
-            if job.period is not None:
-                job.next_run = now + job.period
-                heapq.heappush(
-                    self._heap, (job.next_run, next(self._counter), job)
-                )
         return executed
+
+    def _rearm(self, job: ScheduledJob, now: float) -> None:
+        job.next_run = now + job.period
+        heapq.heappush(self._heap, (job.next_run, next(self._counter), job))
 
     def enable(self, name: str) -> None:
         """Re-enable jobs named ``name``; parked one-shots are re-armed."""

@@ -127,8 +127,17 @@ class RecommendationService:
 
     def analyze_drops(self, managed: "ManagedDatabase", now: float) -> None:
         """Long-horizon drop analysis (Section 5.4)."""
-        self.plane.faults.check("analyze_drops")
-        recommendations = managed.drops.recommend()
-        self.plane.telemetry.count_event("drop_analysis_completed", managed.name)
+        telemetry = self.plane.telemetry
+        try:
+            self.plane.faults.check("analyze_drops")
+            recommendations = managed.drops.recommend()
+        except TransientError:
+            # As in analyze(): the next drop-analysis period tries again.
+            telemetry.count_event("analysis_deferred", managed.name)
+            return
+        except ReproError:
+            telemetry.count_event("analysis_failed", managed.name)
+            return
+        telemetry.count_event("drop_analysis_completed", managed.name)
         if recommendations:
             self.plane.register_recommendations(managed, recommendations, now)

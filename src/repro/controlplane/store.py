@@ -81,28 +81,26 @@ class StateStore:
     # ------------------------------------------------------------------
     # Mutations (journaled)
 
-    def _append(self, at: float, op: str, rec_id: int, payload: dict) -> None:
-        self._journal.append(
-            JournalEntry(
-                seq=next(self._seq_counter), at=at, op=op, rec_id=rec_id,
-                payload=payload,
-            )
+    def _append(
+        self, at: float, op: str, rec_id: int, payload: dict
+    ) -> RecommendationRecord:
+        """Journal one entry, then apply it: the table only ever changes
+        by :meth:`_apply_entry`, so the journal reproduces it by
+        construction."""
+        entry = JournalEntry(
+            seq=next(self._seq_counter), at=at, op=op, rec_id=rec_id,
+            payload=payload,
         )
+        self._journal.append(entry)
+        return self._apply_entry(entry, insert_note="created")
 
     def insert(
         self, database: str, recommendation: IndexRecommendation, at: float
     ) -> RecommendationRecord:
-        record = RecommendationRecord(
-            rec_id=next(self._id_counter),
-            database=database,
-            recommendation=recommendation,
-        )
-        record.state_history.append((at, record.state, "created"))
-        self._records[record.rec_id] = record
-        self._append(
+        record = self._append(
             at,
             "insert",
-            record.rec_id,
+            next(self._id_counter),
             {"database": database, "recommendation": recommendation},
         )
         if self.on_insert is not None:
@@ -118,19 +116,15 @@ class StateStore:
     ) -> None:
         check_transition(record.state, new_state)
         old_state = record.state
-        record.state = new_state
-        record.note = note
-        record.state_history.append((at, new_state, note))
         self._append(at, "transition", record.rec_id, {"state": new_state, "note": note})
         if self.on_transition is not None:
             self.on_transition(record, old_state, new_state, at, note)
 
     def update(self, record: RecommendationRecord, at: float, **fields) -> None:
         """Journaled update of auxiliary fields."""
-        for key, value in fields.items():
+        for key in fields:
             if not hasattr(record, key):
                 raise AttributeError(f"RecommendationRecord has no field {key!r}")
-            setattr(record, key, value)
         self._append(at, "update", record.rec_id, dict(fields))
 
     # ------------------------------------------------------------------
@@ -184,9 +178,12 @@ class StateStore:
         return list(self._journal)
 
     # ------------------------------------------------------------------
-    # Replay (shared by crash recovery and the fleet-parallel merge)
+    # Replay (shared by the live mutators, crash recovery and the
+    # fleet-parallel merge)
 
-    def _apply_entry(self, entry: JournalEntry, insert_note: str) -> None:
+    def _apply_entry(
+        self, entry: JournalEntry, insert_note: str
+    ) -> RecommendationRecord:
         """Apply one journal entry to the record table (no hooks)."""
         if entry.op == "insert":
             record = RecommendationRecord(
@@ -205,6 +202,7 @@ class StateStore:
             record = self._records[entry.rec_id]
             for key, value in entry.payload.items():
                 setattr(record, key, value)
+        return record
 
     def ingest(self, op: str, at: float, rec_id: int, payload: dict) -> None:
         """Append and apply one externally produced journal entry.
@@ -215,12 +213,7 @@ class StateStore:
         the merger replays separately), and no transition checking is
         re-done — the shard's own store already enforced it.
         """
-        entry = JournalEntry(
-            seq=next(self._seq_counter), at=at, op=op, rec_id=rec_id,
-            payload=payload,
-        )
-        self._journal.append(entry)
-        self._apply_entry(entry, insert_note="created")
+        self._append(at, op, rec_id, payload)
         if op == "insert":
             # Keep direct insert() ids ahead of everything merged so far.
             self._id_counter = itertools.count(rec_id + 1)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, IO, Iterable, List, Optional, Union
+from typing import Dict, IO, Iterable, Iterator, List, Optional, Union
 
 from repro.errors import TelemetryError
 from repro.observability.compliance import ensure_compliant
@@ -176,6 +176,31 @@ class AuditEvent:
             schema_version=version,
             payload=raw["payload"],
         )
+
+
+def jsonl_lines(source: Union[str, Iterable[str]]) -> Iterator[str]:
+    """Non-blank lines of JSONL given as text, lines, or a file path (a
+    one-line string that does not start with ``{``).  Shared by every
+    ``replay`` in this package."""
+    if isinstance(source, str):
+        text = source.strip()
+        if text and "\n" not in source and not text.startswith("{"):
+            with open(source) as fp:
+                source = fp.read()
+        source = source.splitlines()
+    for line in source:
+        line = line.strip()
+        if line:
+            yield line
+
+
+def write_text(destination: Union[str, IO[str]], text: str) -> None:
+    """Write ``text`` to a path or an open file (every ``dump``)."""
+    if hasattr(destination, "write"):
+        destination.write(text)
+    else:
+        with open(destination, "w") as fp:
+            fp.write(text)
 
 
 class AuditLog:
@@ -324,12 +349,7 @@ class AuditLog:
 
         Returns the number of events written.
         """
-        text = self.to_jsonl()
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w") as fp:
-                fp.write(text)
+        write_text(destination, self.to_jsonl())
         return len(self._events)
 
     @classmethod
@@ -339,21 +359,8 @@ class AuditLog:
         Sequence numbers, causal links, and chains are reconstructed
         exactly; emitting into a replayed log continues the sequence.
         """
-        if isinstance(source, str):
-            if not source.strip():
-                lines = []
-            elif "\n" not in source and not source.lstrip().startswith("{"):
-                with open(source) as fp:
-                    lines: Iterable[str] = fp.read().splitlines()
-            else:
-                lines = source.splitlines()
-        else:
-            lines = source
         log = cls()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
+        for line in jsonl_lines(source):
             event = AuditEvent.from_json_line(line)
             if event.seq <= log._seq:
                 raise TelemetryError(

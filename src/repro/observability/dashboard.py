@@ -285,10 +285,10 @@ def render_dashboard(
             lines.append("  (no ticks sampled yet)")
         else:
             for name in _SPARK_SERIES:
-                buckets = store.range(name, max(0, last - _SPARK_WINDOW + 1))
-                if not buckets:
+                samples = store.range(name, max(0, last - _SPARK_WINDOW + 1))
+                if not samples:
                     continue
-                spark = sparkline([bucket.mean for bucket in buckets])
+                spark = sparkline([value for _tick, value in samples])
                 latest = store.latest(name)
                 unit = SAMPLE_CATALOG[name].unit
                 if unit == "ratio":

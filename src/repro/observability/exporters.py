@@ -160,7 +160,7 @@ def json_export(
         ]
     if history is not None:
         # Accepts a TelemetryHistory or its TimeSeriesStore.  The
-        # tiered snapshot is deterministic for deterministic series;
+        # snapshot is deterministic for deterministic series;
         # wall-flagged series are host-dependent by design.
         store = getattr(history, "store", history)
         out["history"] = store.export()

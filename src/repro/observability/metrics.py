@@ -84,9 +84,9 @@ CATALOG: Dict[str, MetricSpec] = dict(
               "Watchdog alerts raised, by rule name."),
         _spec("alerts_firing", "gauge", "alerts",
               "Whether each watchdog alert rule is currently firing (0/1)."),
-        _spec("telemetry_history_samples", "gauge", "buckets",
-              "Buckets currently retained across every series and tier "
-              "of the telemetry-history store (memory-bound evidence)."),
+        _spec("telemetry_history_samples", "gauge", "samples",
+              "Samples currently retained across every series of the "
+              "telemetry-history store (memory-bound evidence)."),
         _spec("telemetry_anomalies_total", "counter", "anomalies",
               "EWMA/z-score excursions detected on sampled telemetry "
               "series, by series name."),
@@ -106,7 +106,7 @@ CATALOG: Dict[str, MetricSpec] = dict(
         _spec("fleet_tick_wall_seconds", "histogram", "seconds",
               "Wall-clock seconds per fleet tick (dispatch through "
               "finalize); the streaming whole-run complement of the "
-              "capped tick_wall_seconds window."),
+              "ring-bounded tick_wall_seconds history series."),
         _spec("fleet_ticks_total", "counter", "ticks",
               "Fleet-parallel ticks executed (dispatch + merge rounds)."),
         _spec("fleet_phase_seconds", "histogram", "seconds",

@@ -13,16 +13,14 @@ table shows both the model's cost and the host's.
 Profilers form a stack: the default global profiler aggregates across
 every engine in the process (exactly what the fleet dashboard wants),
 and tests swap in a fresh one with :func:`use_profiler`.  The stack is
-**thread-local** so code on different threads can each install its own
-profiler without racing: every thread starts from the shared default
-profiler and pushes/pops independently.
+one list per process: the program is single-threaded, and each shard
+worker process has its own.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import threading
 import time
 from typing import Dict, Iterator, List, Tuple
 
@@ -115,36 +113,23 @@ class Profiler:
         self._stats.clear()
 
 
-#: The process-wide default profiler every thread's stack starts from.
-_default_profiler = Profiler()
-
-
-class _ThreadStack(threading.local):
-    """Per-thread profiler stack, rooted at the shared default."""
-
-    def __init__(self) -> None:
-        self.frames: List[Profiler] = [_default_profiler]
-
-
-_stack = _ThreadStack()
+#: The profiler stack, rooted at the process-wide default profiler.
+_stack: List[Profiler] = [Profiler()]
 
 
 def active() -> Profiler:
-    """The profiler hot-path hooks currently record into (this thread)."""
-    return _stack.frames[-1]
+    """The profiler hot-path hooks currently record into."""
+    return _stack[-1]
 
 
 @contextlib.contextmanager
 def use_profiler(profiler: Profiler) -> Iterator[Profiler]:
-    """Temporarily make ``profiler`` the active one (tests, CLI runs).
-
-    Scoped to the calling thread: worker threads that never call this
-    still record into the shared default profiler."""
-    _stack.frames.append(profiler)
+    """Temporarily make ``profiler`` the active one (tests, CLI runs)."""
+    _stack.append(profiler)
     try:
         yield profiler
     finally:
-        _stack.frames.pop()
+        _stack.pop()
 
 
 @contextlib.contextmanager
@@ -159,11 +144,9 @@ def profile(name: str) -> Iterator[_ProfileHandle]:
     try:
         yield handle
     finally:
-        _stack.frames[-1].record(
-            name, time.perf_counter() - start, handle.sim_ms
-        )
+        _stack[-1].record(name, time.perf_counter() - start, handle.sim_ms)
 
 
 def count(name: str, sim_ms: float = 0.0) -> None:
     """Tick ``name`` on the active profiler without timing."""
-    _stack.frames[-1].count(name, sim_ms)
+    _stack[-1].count(name, sim_ms)

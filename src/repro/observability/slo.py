@@ -21,10 +21,11 @@ never hits burns infinitely fast.  Burn 2.0 means the budget burns
 twice as fast as allowed.
 
 Every SLO reads a series from
-:data:`~repro.observability.timeseries.SAMPLE_CATALOG` (validated at
-import), so the evaluation works over rollup tiers and stays exact:
-buckets carry ``sum``/``count``, and window means lose nothing to
-downsampling.  Non-advisory SLOs also feed the existing
+:data:`~repro.observability.timeseries.SAMPLE_CATALOG`, and no window is
+longer than the history ring
+(:data:`~repro.observability.timeseries.RING_CAPACITY`) — both validated
+at import — so every window mean is exact over the samples the store
+retains.  Non-advisory SLOs also feed the existing
 :class:`~repro.observability.alerts.AlertWatchdog` via
 :func:`burn_alert_rules`, so SLO pages join the same transition-only
 audit stream (``alert_raised`` / ``alert_resolved``) the dashboard and
@@ -41,7 +42,12 @@ from typing import Dict, IO, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import TelemetryError
 from repro.observability.alerts import AlertRule
-from repro.observability.timeseries import SAMPLE_CATALOG, TimeSeriesStore
+from repro.observability.audit import jsonl_lines, write_text
+from repro.observability.timeseries import (
+    RING_CAPACITY,
+    SAMPLE_CATALOG,
+    TimeSeriesStore,
+)
 
 #: Version of the JSONL status schema below.  Bump when a record's
 #: meaning changes; :func:`replay_statuses` refuses newer ones.
@@ -145,6 +151,11 @@ for _slo in SLO_CATALOG.values():
         raise TelemetryError(
             f"SLO {_slo.name!r} reads series {_slo.series!r} which is "
             "not in SAMPLE_CATALOG"
+        )
+    if max(_slo.short_window, _slo.long_window) > RING_CAPACITY:
+        raise TelemetryError(
+            f"SLO {_slo.name!r} has a window longer than the history "
+            f"ring ({RING_CAPACITY} ticks); its mean could not be exact"
         )
     if _slo.kind not in ("max", "min"):
         raise TelemetryError(f"SLO {_slo.name!r} kind must be max|min")
@@ -322,32 +333,15 @@ def dump_statuses(
         json.dumps(status.to_payload(), sort_keys=True) + "\n"
         for status in statuses
     )
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as fp:
-            fp.write(text)
+    write_text(destination, text)
     return len(statuses)
 
 
 def replay_statuses(source: Union[str, Iterable[str]]) -> List[SloStatus]:
     """Rebuild statuses from JSONL text, lines, or a file path."""
-    if isinstance(source, str):
-        if not source.strip():
-            lines: Iterable[str] = []
-        elif "\n" not in source and not source.lstrip().startswith("{"):
-            with open(source) as fp:
-                lines = fp.read().splitlines()
-        else:
-            lines = source.splitlines()
-    else:
-        lines = source
     fields = {f.name for f in dataclasses.fields(SloStatus)}
     statuses = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
+    for line in jsonl_lines(source):
         raw = json.loads(line)
         version = raw.get("schema_version", 0)
         if version > SLO_SCHEMA_VERSION:

@@ -1,4 +1,4 @@
-"""Telemetry history: a memory-bounded, tier-rolled-up time-series store.
+"""Telemetry history: one memory-bounded ring of samples per series.
 
 The :class:`~repro.observability.metrics.MetricsRegistry` only holds
 *current* values — it answers "what is the revert rate now", never "is
@@ -6,13 +6,10 @@ the revert rate rising".  This module adds the missing time axis the
 paper's operators lean on (continuously monitored validation/revert
 telemetry, Section 8) without unbounded memory: every control-plane
 tick the full registry is reduced to a small set of cataloged samples
-and appended to a :class:`TimeSeriesStore` whose retention is **tiered**
-— recent ticks at raw resolution, older history as 16-tick and 256-tick
-rollup buckets, each bucket keeping ``min/max/sum/count/last``.  Ring
-buffers cap every tier, so a million-tick run retains a fixed number of
-buckets while rate/quantile queries still answer over the whole horizon
-(the AIM-at-Meta production-practicality posture: bounded state, tiered
-retention).
+and appended to a :class:`TimeSeriesStore`, which keeps the last
+:data:`RING_CAPACITY` ``(tick, value)`` samples of every series in a
+ring buffer.  A run of any length retains a fixed number of samples
+(the AIM-at-Meta production-practicality posture: bounded state).
 
 Determinism contract: samples are keyed by the **virtual tick index**
 and carry only virtual-time-derived values; wall-clock readings live in
@@ -20,10 +17,6 @@ series explicitly marked ``wall=True`` in :data:`SAMPLE_CATALOG` and are
 excluded from anomaly detection (and therefore from the audit stream),
 so parallel fleet runs stay byte-identical to serial ones with sampling
 enabled.
-
-``SAMPLE_CATALOG`` is the sampled-series taxonomy, linted by
-``scripts/check_observability_names.py`` alongside the metric, audit,
-alert, and SLO catalogs.
 """
 
 from __future__ import annotations
@@ -35,15 +28,20 @@ import math
 from typing import Deque, Dict, IO, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import TelemetryError
+from repro.observability.audit import jsonl_lines, write_text
 from repro.observability.metrics import Histogram, MetricsRegistry
 
-#: Version of the JSONL bucket schema below.  Bump when a record's
+#: Version of the JSONL record schema below.  Bump when a record's
 #: meaning changes; :meth:`TimeSeriesStore.replay` refuses newer ones.
-HISTORY_SCHEMA_VERSION = 1
+#: v1 wrote three records per series (a raw ring plus two derived
+#: tiers); v2 writes the ring alone.
+HISTORY_SCHEMA_VERSION = 2
 
-#: Rollup tier widths in ticks.  Raw samples roll into 16-tick buckets,
-#: which roll into 256-tick buckets (tiers must be listed ascending).
-ROLLUP_WIDTHS: Tuple[int, ...] = (16, 256)
+#: Samples retained per series.  Every reader asks about a trailing
+#: window (SLO burn rates 16 and 256 ticks, the dashboard sparkline 64);
+#: ``slo.py`` checks at import that none exceeds this, so every window
+#: mean is exact.
+RING_CAPACITY = 512
 
 #: Database label for fleet-level history events (matches the alert
 #: watchdog's fleet scope so explain timelines join both).
@@ -116,456 +114,139 @@ SAMPLE_CATALOG: Dict[str, SampleSpec] = dict(
 _LIVE_STATES = ("active", "implementing", "validating", "reverting", "retry")
 
 
-def _validate_series(name: str) -> SampleSpec:
-    spec = SAMPLE_CATALOG.get(name)
-    if spec is None:
+def _validate_series(name: str) -> None:
+    if name not in SAMPLE_CATALOG:
         raise TelemetryError(
             f"sampled series {name!r} is not in SAMPLE_CATALOG "
             "(src/repro/observability/timeseries.py)"
         )
-    return spec
-
-
-class Bucket:
-    """One rollup bucket: tick range plus min/max/sum/count/last."""
-
-    __slots__ = ("start", "end", "min", "max", "sum", "count", "last")
-
-    def __init__(self, tick: int, value: float) -> None:
-        self.start = tick
-        self.end = tick
-        self.min = value
-        self.max = value
-        self.sum = value
-        self.count = 1
-        self.last = value
-
-    def observe(self, tick: int, value: float) -> None:
-        self.end = tick
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        self.sum += value
-        self.count += 1
-        self.last = value
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def to_row(self) -> List[float]:
-        """Compact export row (schema: start,end,min,max,sum,count,last)."""
-        return [self.start, self.end, self.min, self.max, self.sum,
-                self.count, self.last]
-
-    @classmethod
-    def from_row(cls, row: List[float]) -> "Bucket":
-        bucket = cls(int(row[0]), float(row[2]))
-        bucket.end = int(row[1])
-        bucket.max = float(row[3])
-        bucket.sum = float(row[4])
-        bucket.count = int(row[5])
-        bucket.last = float(row[6])
-        return bucket
-
-
-class _Tier:
-    """One rollup tier: a ring of closed buckets plus the open one."""
-
-    __slots__ = ("width", "closed", "open")
-
-    def __init__(self, width: int, capacity: int) -> None:
-        self.width = width
-        self.closed: Deque[Bucket] = collections.deque(maxlen=capacity)
-        self.open: Optional[Bucket] = None
-
-    def observe(self, tick: int, value: float) -> None:
-        index = tick // self.width
-        if self.open is not None and self.open.start // self.width != index:
-            self.closed.append(self.open)
-            self.open = None
-        if self.open is None:
-            self.open = Bucket(tick, value)
-        else:
-            self.open.observe(tick, value)
-
-    def buckets(self) -> List[Bucket]:
-        out = list(self.closed)
-        if self.open is not None:
-            out.append(self.open)
-        return out
-
-    def oldest_tick(self) -> Optional[int]:
-        if self.closed:
-            return self.closed[0].start
-        if self.open is not None:
-            return self.open.start
-        return None
-
-    def __len__(self) -> int:
-        return len(self.closed) + (1 if self.open is not None else 0)
-
-
-class SeriesHistory:
-    """All retention tiers for one sampled series."""
-
-    __slots__ = ("name", "raw", "tiers")
-
-    def __init__(
-        self,
-        name: str,
-        raw_capacity: int,
-        rollup_capacity: int,
-        widths: Tuple[int, ...] = ROLLUP_WIDTHS,
-    ) -> None:
-        self.name = name
-        self.raw: Deque[Bucket] = collections.deque(maxlen=raw_capacity)
-        self.tiers = [_Tier(width, rollup_capacity) for width in widths]
-
-    def observe(self, tick: int, value: float) -> None:
-        self.raw.append(Bucket(tick, float(value)))
-        for tier in self.tiers:
-            tier.observe(tick, float(value))
-
-    # -- queries -------------------------------------------------------
-
-    def latest(self) -> Optional[float]:
-        return self.raw[-1].last if self.raw else None
-
-    def last_tick(self) -> Optional[int]:
-        return self.raw[-1].end if self.raw else None
-
-    def retained(self) -> int:
-        return len(self.raw) + sum(len(tier) for tier in self.tiers)
-
-    def covering_buckets(self, start: int, end: int) -> List[Bucket]:
-        """Buckets overlapping ``[start, end]`` from the finest tier
-        whose retention still reaches back to ``start``.
-
-        The raw ring answers recent-window queries exactly; queries past
-        its horizon degrade to 16-tick, then 256-tick resolution — the
-        whole-horizon query always has an answer as long as the coarsest
-        tier's ring has not wrapped.
-        """
-        candidates: List[List[Bucket]] = [list(self.raw)]
-        candidates.extend(tier.buckets() for tier in self.tiers)
-        chosen: List[Bucket] = []
-        for buckets in candidates:
-            if not buckets:
-                continue
-            chosen = buckets
-            if buckets[0].start <= start:
-                break
-        return [b for b in chosen if b.end >= start and b.start <= end]
-
-    def value_at(self, tick: int) -> Optional[float]:
-        """Last sampled value at or before ``tick``, answered by the
-        finest tier whose retention reaches back to ``tick`` (exact
-        while the raw ring covers it; clamped to the oldest retained
-        bucket for ticks past every horizon)."""
-        tick = max(0, tick)
-        candidates: List[List[Bucket]] = [list(self.raw)]
-        candidates.extend(tier.buckets() for tier in self.tiers)
-        chosen: List[Bucket] = []
-        for buckets in candidates:
-            if not buckets:
-                continue
-            chosen = buckets
-            if buckets[0].start <= tick:
-                break
-        if not chosen:
-            return None
-        best = chosen[0]
-        for bucket in chosen:
-            if bucket.start <= tick:
-                best = bucket
-            else:
-                break
-        return best.last
-
-    def window_stats(self, window: int) -> Tuple[float, float, float, int]:
-        """(min, max, sum, count) over the trailing ``window`` ticks."""
-        end = self.last_tick()
-        if end is None:
-            return 0.0, 0.0, 0.0, 0
-        start = max(0, end - window + 1)
-        buckets = self.covering_buckets(start, end)
-        if not buckets:
-            return 0.0, 0.0, 0.0, 0
-        lo = min(b.min for b in buckets)
-        hi = max(b.max for b in buckets)
-        total = sum(b.sum for b in buckets)
-        count = sum(b.count for b in buckets)
-        return lo, hi, total, count
 
 
 class TimeSeriesStore:
-    """Memory-bounded store of per-tick samples with tiered rollups.
+    """Memory-bounded store: the last ``ring_capacity`` ``(tick, value)``
+    samples per series.
 
-    ``raw_capacity`` raw buckets plus ``rollup_capacity`` closed buckets
-    per rollup tier bound every series; :meth:`retained_samples` against
-    :meth:`capacity` is the provable memory bound the test suite drives
-    10,000+ ticks through.
+    :meth:`retained_samples` against :meth:`capacity` is the provable
+    memory bound the test suite drives 10,000+ ticks through.
     """
 
-    def __init__(
-        self,
-        raw_capacity: int = 512,
-        rollup_capacity: int = 256,
-        widths: Tuple[int, ...] = ROLLUP_WIDTHS,
-    ) -> None:
-        if raw_capacity < 1 or rollup_capacity < 1:
-            raise TelemetryError("history capacities must be >= 1")
-        if tuple(sorted(set(widths))) != tuple(widths):
-            raise TelemetryError("rollup widths must be ascending and distinct")
-        self.raw_capacity = raw_capacity
-        self.rollup_capacity = rollup_capacity
-        self.widths = tuple(widths)
-        self._series: Dict[str, SeriesHistory] = {}
-
-    # -- writes --------------------------------------------------------
+    def __init__(self, ring_capacity: int = RING_CAPACITY) -> None:
+        if ring_capacity < 1:
+            raise TelemetryError("history ring capacity must be >= 1")
+        self.ring_capacity = ring_capacity
+        self._series: Dict[str, Deque[Tuple[int, float]]] = {}
 
     def observe(self, name: str, tick: int, value: float) -> None:
         """Append one sample; ``name`` must be in :data:`SAMPLE_CATALOG`."""
         _validate_series(name)
-        series = self._series.get(name)
-        if series is None:
-            series = SeriesHistory(
-                name, self.raw_capacity, self.rollup_capacity, self.widths
+        ring = self._series.get(name)
+        if ring is None:
+            ring = self._series[name] = collections.deque(
+                maxlen=self.ring_capacity
             )
-            self._series[name] = series
-        series.observe(tick, value)
-
-    # -- introspection -------------------------------------------------
+        ring.append((tick, float(value)))
 
     def series_names(self) -> List[str]:
         return sorted(self._series)
 
     def last_tick(self) -> Optional[int]:
-        ticks = [s.last_tick() for s in self._series.values()]
-        ticks = [t for t in ticks if t is not None]
-        return max(ticks) if ticks else None
+        # Rings are created by their first sample, so none is empty.
+        return max((r[-1][0] for r in self._series.values()), default=None)
 
     def retained_samples(self) -> int:
-        """Total buckets currently held across every series and tier."""
-        return sum(series.retained() for series in self._series.values())
+        """Total samples currently held across every series."""
+        return sum(len(ring) for ring in self._series.values())
 
     def capacity(self) -> int:
-        """Upper bound on :meth:`retained_samples` for the current series
-        set (each tier's ring plus its open bucket)."""
-        per_series = self.raw_capacity + len(self.widths) * (
-            self.rollup_capacity + 1
-        )
-        return per_series * max(1, len(self._series))
+        """Upper bound on :meth:`retained_samples` for the current
+        series set."""
+        return self.ring_capacity * max(1, len(self._series))
 
-    # -- queries -------------------------------------------------------
-
-    def _get(self, name: str) -> Optional[SeriesHistory]:
+    def _ring(self, name: str) -> Iterable[Tuple[int, float]]:
         _validate_series(name)
-        return self._series.get(name)
+        return self._series.get(name, ())
 
     def latest(self, name: str) -> Optional[float]:
-        series = self._get(name)
-        return series.latest() if series else None
+        ring = self._ring(name)
+        return ring[-1][1] if ring else None
 
-    def range(
-        self, name: str, start: int, end: Optional[int] = None
-    ) -> List[Bucket]:
-        """Buckets overlapping ``[start, end]`` at the finest retained
-        resolution (see :meth:`SeriesHistory.covering_buckets`)."""
-        series = self._get(name)
-        if series is None:
-            return []
-        last = series.last_tick()
-        if last is None:
-            return []
-        return series.covering_buckets(start, last if end is None else end)
-
-    def delta(self, name: str, window: int) -> float:
-        """Change in the series value over the trailing ``window`` ticks
-        (clamped to the retained horizon)."""
-        series = self._get(name)
-        if series is None:
-            return 0.0
-        end = series.last_tick()
-        if end is None:
-            return 0.0
-        latest = series.latest()
-        earlier = series.value_at(max(0, end - window))
-        if latest is None or earlier is None:
-            return 0.0
-        return latest - earlier
-
-    def rate(self, name: str, window: int) -> float:
-        """Per-tick rate of change over the trailing ``window`` ticks.
-
-        Uses the *effective* span — windows reaching past the retained
-        horizon divide by the span actually covered, never by ticks the
-        store no longer holds.
-        """
-        series = self._get(name)
-        if series is None:
-            return 0.0
-        end = series.last_tick()
-        if end is None:
-            return 0.0
-        target = max(0, end - window)
-        buckets = series.covering_buckets(0, end)
-        oldest = buckets[0].start if buckets else end
-        start = max(target, oldest)
-        span = end - start
-        if span <= 0:
-            return 0.0
-        latest = series.latest()
-        earlier = series.value_at(start)
-        if latest is None or earlier is None:
-            return 0.0
-        return (latest - earlier) / span
+    def range(self, name: str, start: int) -> List[Tuple[int, float]]:
+        """Retained samples at or after tick ``start``, oldest first."""
+        return [sample for sample in self._ring(name) if sample[0] >= start]
 
     def mean(self, name: str, window: int) -> Tuple[float, int]:
         """(mean, sample count) over the trailing ``window`` ticks.
 
-        Exact regardless of which tier answers: rollup buckets carry
-        ``sum`` and ``count``, so downsampling never loses the mean.
+        Exact while the ring covers the window; a longer window answers
+        over what is retained and the count reports how much that was.
         """
-        series = self._get(name)
-        if series is None:
+        ring = self._ring(name)
+        if not ring:
             return 0.0, 0
-        _lo, _hi, total, count = series.window_stats(window)
-        return (total / count if count else 0.0), count
-
-    def quantile(self, name: str, q: float, window: int) -> float:
-        """Estimated q-quantile over the trailing ``window`` ticks.
-
-        Each bucket is treated as ``count`` observations spread uniformly
-        between its ``min`` and ``max`` — exact for raw buckets (one
-        sample each), a bounded-error estimate for rollups.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise TelemetryError(f"quantile {q} outside [0, 1]")
-        series = self._get(name)
-        if series is None:
-            return 0.0
-        end = series.last_tick()
-        if end is None:
-            return 0.0
-        buckets = series.covering_buckets(max(0, end - window + 1), end)
-        if not buckets:
-            return 0.0
-        ordered = sorted(buckets, key=lambda b: (b.min, b.max))
-        total = sum(b.count for b in ordered)
-        target = q * total
-        cumulative = 0.0
-        for bucket in ordered:
-            if cumulative + bucket.count >= target:
-                fraction = (target - cumulative) / bucket.count
-                return bucket.min + fraction * (bucket.max - bucket.min)
-            cumulative += bucket.count
-        return ordered[-1].max
-
-    # -- export / persistence ------------------------------------------
+        start = ring[-1][0] - window + 1
+        values = [value for tick, value in ring if tick >= start]
+        count = len(values)
+        return (sum(values) / count if count else 0.0), count
 
     def export(self) -> dict:
         """A JSON-serializable, deterministic snapshot of the store."""
-        series_out = []
-        for name in self.series_names():
-            series = self._series[name]
-            spec = SAMPLE_CATALOG[name]
-            tiers = [{"width": 1, "buckets": [b.to_row() for b in series.raw]}]
-            for tier in series.tiers:
-                tiers.append(
-                    {
-                        "width": tier.width,
-                        "buckets": [b.to_row() for b in tier.buckets()],
-                    }
-                )
-            series_out.append(
-                {
-                    "name": name,
-                    "unit": spec.unit,
-                    "wall": spec.wall,
-                    "latest": series.latest(),
-                    "tiers": tiers,
-                }
-            )
         return {
-            "schema": "repro-history-v1",
+            "schema": f"repro-history-v{HISTORY_SCHEMA_VERSION}",
             "schema_version": HISTORY_SCHEMA_VERSION,
             "last_tick": self.last_tick(),
             "retained_samples": self.retained_samples(),
-            "series": series_out,
+            "series": [
+                {
+                    "name": name,
+                    "unit": SAMPLE_CATALOG[name].unit,
+                    "wall": SAMPLE_CATALOG[name].wall,
+                    "latest": self.latest(name),
+                    "samples": [list(s) for s in self._series[name]],
+                }
+                for name in self.series_names()
+            ],
         }
 
     def to_jsonl(self) -> str:
-        """The store as JSON lines: one record per (series, tier) ring.
+        """The store as JSON lines: one record per series.
 
         Mirrors :meth:`repro.observability.audit.AuditLog.to_jsonl`:
         deterministic ordering, schema-versioned records, no wall-clock
         timestamps beyond series explicitly cataloged as wall series.
         """
-        lines = []
-        for name in self.series_names():
-            series = self._series[name]
-            tiers = [("raw", 1, [b.to_row() for b in series.raw])]
-            tiers += [
-                (f"rollup_{tier.width}", tier.width,
-                 [b.to_row() for b in tier.buckets()])
-                for tier in series.tiers
-            ]
-            for tier_name, width, rows in tiers:
-                lines.append(
-                    json.dumps(
-                        {
-                            "schema_version": HISTORY_SCHEMA_VERSION,
-                            "series": name,
-                            "tier": tier_name,
-                            "width": width,
-                            # Ring capacities ride along so a replayed
-                            # store evicts exactly like the original
-                            # when appended to.
-                            "raw_capacity": self.raw_capacity,
-                            "rollup_capacity": self.rollup_capacity,
-                            "buckets": rows,
-                        },
-                        sort_keys=True,
-                    )
-                )
-        return "".join(line + "\n" for line in lines)
+        return "".join(
+            json.dumps(
+                {
+                    "schema_version": HISTORY_SCHEMA_VERSION,
+                    "series": name,
+                    # The ring capacity rides along so a replayed store
+                    # evicts exactly like the original when appended to.
+                    "capacity": self.ring_capacity,
+                    "samples": [list(s) for s in self._series[name]],
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for name in self.series_names()
+        )
 
     def dump(self, destination: Union[str, IO[str]]) -> int:
         """Write the store as JSONL; returns the record count."""
-        text = self.to_jsonl()
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w") as fp:
-                fp.write(text)
-        return sum(1 for line in text.splitlines() if line)
+        write_text(destination, self.to_jsonl())
+        return len(self._series)
 
     @classmethod
     def replay(cls, source: Union[str, Iterable[str]]) -> "TimeSeriesStore":
         """Rebuild a store from JSONL text, lines, or a file path.
 
-        Bucket contents round-trip exactly: the final bucket of each
-        rollup record becomes the tier's open bucket again, so
-        ``replay(to_jsonl()).to_jsonl()`` is byte-identical and
-        appending to a replayed store continues the same rollups.
+        Samples round-trip exactly: ``replay(to_jsonl()).to_jsonl()`` is
+        byte-identical and appending to a replayed store evicts like the
+        original.  A schema-v1 dump loads from its ``tier == "raw"``
+        records (one ``start,end,min,max,sum,count,last`` row per
+        sample); its other records were derived from those.
         """
-        if isinstance(source, str):
-            if not source.strip():
-                lines: Iterable[str] = []
-            elif "\n" not in source and not source.lstrip().startswith("{"):
-                with open(source) as fp:
-                    lines = fp.read().splitlines()
-            else:
-                lines = source.splitlines()
-        else:
-            lines = source
         store = cls()
-        widths = set()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
+        for line in jsonl_lines(source):
             raw = json.loads(line)
             version = raw.get("schema_version", 0)
             if version > HISTORY_SCHEMA_VERSION:
@@ -575,39 +256,20 @@ class TimeSeriesStore:
                 )
             name = raw["series"]
             _validate_series(name)
-            if not store._series:
-                # First record configures the store's ring capacities
-                # (older dumps without them keep the defaults).
-                store.raw_capacity = int(
-                    raw.get("raw_capacity", store.raw_capacity)
-                )
-                store.rollup_capacity = int(
-                    raw.get("rollup_capacity", store.rollup_capacity)
-                )
-            series = store._series.get(name)
-            if series is None:
-                series = SeriesHistory(
-                    name, store.raw_capacity, store.rollup_capacity,
-                    store.widths,
-                )
-                store._series[name] = series
-            buckets = [Bucket.from_row(row) for row in raw["buckets"]]
-            if raw["tier"] == "raw":
-                series.raw.extend(buckets)
+            if version < 2:
+                if raw["tier"] != "raw":
+                    continue
+                capacity = raw.get("raw_capacity")
+                samples = [(row[0], row[6]) for row in raw["buckets"]]
             else:
-                width = int(raw["width"])
-                widths.add(width)
-                for tier in series.tiers:
-                    if tier.width == width:
-                        if buckets:
-                            tier.closed.extend(buckets[:-1])
-                            tier.open = buckets[-1]
-                        break
-                else:
-                    raise TelemetryError(
-                        f"history record tier width {width} is not one of "
-                        f"the reader's rollup widths {store.widths}"
-                    )
+                capacity = raw.get("capacity")
+                samples = raw["samples"]
+            if not store._series and capacity is not None:
+                # First record configures the ring capacity (dumps
+                # without one keep the default).
+                store.ring_capacity = int(capacity)
+            for tick, value in samples:
+                store.observe(name, int(tick), value)
         return store
 
 
@@ -774,22 +436,13 @@ class TelemetryHistory:
     what keeps parallel runs byte-identical to serial.
     """
 
-    def __init__(
-        self,
-        store: Optional[TimeSeriesStore] = None,
-        sampler: Optional[FleetSampler] = None,
-        detector: Optional[AnomalyDetector] = None,
-    ) -> None:
-        self.store = store if store is not None else TimeSeriesStore()
-        self.sampler = sampler if sampler is not None else FleetSampler()
-        self.detector = detector if detector is not None else AnomalyDetector()
+    def __init__(self) -> None:
+        self.store = TimeSeriesStore()
+        self.sampler = FleetSampler()
+        self.detector = AnomalyDetector()
         self.anomalies: List[Anomaly] = []
-        self._ticks = 0
-
-    @property
-    def ticks(self) -> int:
-        """Ticks sampled so far (the next sample's tick index)."""
-        return self._ticks
+        #: Ticks sampled so far (the next sample's tick index).
+        self.ticks = 0
 
     def observe_tick(
         self,
@@ -804,8 +457,8 @@ class TelemetryHistory:
         ``telemetry_anomaly`` audit events at ``now``, joining the same
         provenance chain ``repro explain`` renders.
         """
-        tick = self._ticks
-        self._ticks += 1
+        tick = self.ticks
+        self.ticks += 1
         values = self.sampler.sample(registry)
         for name in sorted(values):
             value = values[name]

@@ -48,8 +48,8 @@ class TickDelta:
     #: Audit events with local seq / parent_seq / rec_id.
     audit: List[AuditEvent]
     #: Span operations from the worker's recording tracer:
-    #: ("start", span_id, kind, database, at, parent_id, attributes) or
-    #: ("end", span_id, at, outcome, attributes).
+    #: ("start", span_id, kind, database, at, parent_id, attributes,
+    #: wall) or ("end", span_id, at, outcome, attributes, wall).
     spans: List[tuple]
     #: Registry snapshot diff (see :func:`diff_snapshots`).
     metrics: Dict[SeriesKey, object]

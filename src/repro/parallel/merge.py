@@ -115,13 +115,12 @@ class DeterministicMerger:
         return mapped
 
     def _apply_span_op(self, database: str, op: tuple) -> None:
-        # Wall-clock elements are optional trailing fields: older dumps
-        # (and unit-test fixtures) ship the bare 7/5-tuples, live workers
-        # append a rebased ``perf_counter`` reading.  Wall values never
-        # participate in determinism comparisons — sim-time fields do.
+        # Each op's last element is a rebased ``perf_counter`` reading
+        # (or None).  Wall values never participate in determinism
+        # comparisons — sim-time fields do.
         if op[0] == "start":
-            _kind, local_id, kind, span_db, at, local_parent, attributes = op[:7]
-            wall_start = op[7] if len(op) > 7 else None
+            (_kind, local_id, kind, span_db, at, local_parent, attributes,
+             wall_start) = op
             parent_id: Optional[int] = None
             if local_parent is not None:
                 parent_id = self._span_ids.get((database, local_parent))
@@ -146,8 +145,7 @@ class DeterministicMerger:
             self._open_spans[(database, local_id)] = span
             self.recorder.record(span)
         else:
-            _kind, local_id, at, outcome, attributes = op[:5]
-            wall_end = op[5] if len(op) > 5 else None
+            _kind, local_id, at, outcome, attributes, wall_end = op
             span = self._open_spans.pop((database, local_id), None)
             if span is None:
                 raise TelemetryError(

@@ -69,11 +69,9 @@ from repro.parallel.timing import (
 )
 from repro.validation import ValidationSettings
 
-#: Per-tick wall times kept in memory for p95 derivation.  Long runs
-#: used to grow ``tick_wall_seconds`` without bound; the ring buffer
-#: keeps the recent window while ``tick_wall_total``/``ticks_completed``
-#: and the ``fleet_tick_wall_seconds`` histogram carry whole-run truth.
-TICK_WALL_WINDOW = 4096
+#: Sampled ticks kept for the Perfetto counter tracks (the trace shows
+#: the recent window of a long run; memory stays bounded).
+COUNTER_TRACK_TICKS = 4096
 
 
 class ShardedFleetService:
@@ -177,12 +175,9 @@ class ShardedFleetService:
         self._shard_busy: Dict[int, float] = {
             payload.shard_index: 0.0 for payload in self.payloads
         }
-        #: Recent per-tick wall-clock seconds (dispatch + merge); the
-        #: fleet benchmark derives p95 tick latency from this window.
-        self.tick_wall_seconds: Deque[float] = collections.deque(
-            maxlen=TICK_WALL_WINDOW
-        )
-        #: Whole-run totals (the window above is capped).
+        #: Whole-run wall-clock totals (dispatch + merge); per-tick values
+        #: live in the ``tick_wall_seconds`` history series, the
+        #: ``fleet_tick_wall_seconds`` histogram and ``phase_timer.ticks``.
         self.tick_wall_total = 0.0
         self.ticks_completed = 0
         self._pending_classifier_state: Optional[dict] = None
@@ -191,7 +186,7 @@ class ShardedFleetService:
         #: Perfetto counter tracks (wall clocks live only here and in
         #: the wall-flagged series — never in the audit stream).
         self._counter_samples: Deque[Tuple[float, Dict[str, float]]] = (
-            collections.deque(maxlen=TICK_WALL_WINDOW)
+            collections.deque(maxlen=COUNTER_TRACK_TICKS)
         )
 
     # ------------------------------------------------------------------
@@ -305,8 +300,7 @@ class ShardedFleetService:
         )
 
     def _observe_tick_wall(self, wall: float) -> None:
-        """Record one tick's wall time: capped window + running totals."""
-        self.tick_wall_seconds.append(wall)
+        """Record one tick's wall time: running totals + histogram."""
         self.tick_wall_total += wall
         self.ticks_completed += 1
         self.telemetry.registry.histogram(

@@ -118,10 +118,8 @@ def rebase_span_ops(
     """
     rebased = []
     for op in ops:
-        if op[0] == "start" and len(op) > 7 and op[7] is not None:
-            op = op[:7] + (anchor + (op[7] - started_wall),)
-        elif op[0] == "end" and len(op) > 5 and op[5] is not None:
-            op = op[:5] + (anchor + (op[5] - started_wall),)
+        if op[-1] is not None:
+            op = op[:-1] + (anchor + (op[-1] - started_wall),)
         rebased.append(op)
     return rebased
 

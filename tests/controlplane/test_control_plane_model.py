@@ -44,7 +44,7 @@ from repro.recommender.recommendation import Action
 from repro.validation import ValidationSettings
 from repro.workload import make_profile
 
-FAULT_OPS = ("analyze", "implement", "validate", "revert")
+FAULT_OPS = ("analyze", "analyze_drops", "implement", "validate", "revert")
 MINUTES = st.sampled_from((30, 60, 120, 240))
 #: The smallest database ``make_profile`` builds for seeds 1-79.
 SEED = 78

@@ -86,3 +86,28 @@ def test_drop_recommend_only_keeps_indexes():
     assert profile.engine.index_exists(
         profile.schema_spec.fact_tables()[0].name, "ix_dup_b"
     )
+
+
+def test_analyze_drops_fault_defers_and_the_job_keeps_its_period():
+    """Regression: an injected ``analyze_drops`` fault used to escape
+    ``service.run()`` as ``TransientError`` with the drop-analysis job
+    popped and never re-armed (0 runs over the following 8 hours)."""
+    from repro.service import build_service
+
+    service = build_service(
+        1,
+        seed=3,
+        control_settings=ControlPlaneSettings(drop_analysis_period=2 * HOURS),
+    )
+    plane = service.plane
+    events = plane.telemetry.registry
+
+    plane.faults.configure("analyze_drops", transient=1.0)
+    service.run(4)
+    assert events.total("events_total", kind="analysis_deferred") == 2
+    assert events.total("events_total", kind="drop_analysis_completed") == 0
+
+    plane.faults.configure("analyze_drops")
+    service.run(8)
+    assert events.total("events_total", kind="analysis_deferred") == 2
+    assert events.total("events_total", kind="drop_analysis_completed") == 4

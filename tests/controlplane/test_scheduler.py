@@ -8,6 +8,8 @@ tests pin the fixed semantics: disabled jobs are skipped but kept.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.controlplane.scheduler import JobScheduler
 
 
@@ -82,3 +84,23 @@ def test_enable_is_idempotent_for_running_jobs():
     scheduler.enable("snap")
     assert scheduler.run_due(10.0) == 1
     assert runs == [10.0]
+
+
+def test_periodic_job_whose_callback_raises_is_rearmed():
+    """Regression: ``run_due`` pops the job before calling it, so a
+    raising callback used to take a periodic job off the heap for good."""
+    scheduler = JobScheduler()
+    runs = []
+
+    def flaky(now: float) -> None:
+        runs.append(now)
+        if len(runs) == 1:
+            raise RuntimeError("boom")
+
+    job = scheduler.schedule("drops", flaky, first_run=10.0, period=10.0)
+    with pytest.raises(RuntimeError):
+        scheduler.run_due(10.0)
+    assert job.runs == 0, "a failed call is not a run"
+    assert job.next_run == 20.0
+    assert scheduler.run_due(20.0) == 1
+    assert runs == [10.0, 20.0]

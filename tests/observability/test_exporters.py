@@ -142,7 +142,7 @@ class TestJsonExport:
         history.observe_tick(registry, now=0.0)
         history.observe_tick(registry, now=120.0)
         out = json_export(registry, history=history)
-        assert out["history"]["schema"] == "repro-history-v1"
+        assert out["history"]["schema"] == "repro-history-v2"
         assert out["history"]["last_tick"] == 1
         # A bare TimeSeriesStore is accepted too (replay consumers).
         out = json_export(registry, history=history.store)

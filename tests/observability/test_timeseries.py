@@ -1,35 +1,25 @@
-"""Telemetry history: ring-buffer TSDB, rollups, sampling, anomalies."""
+"""Telemetry history: ring-buffer TSDB, sampling, anomalies."""
 
 from __future__ import annotations
+
+import json
+import pathlib
 
 import pytest
 
 from repro.errors import TelemetryError
 from repro.observability import MetricsRegistry
 from repro.observability.audit import AuditLog
+from repro.observability.slo import SLO_CATALOG
 from repro.observability.timeseries import (
     HISTORY_SCOPE,
+    RING_CAPACITY,
     SAMPLE_CATALOG,
     AnomalyDetector,
-    Bucket,
     FleetSampler,
     TelemetryHistory,
     TimeSeriesStore,
 )
-
-
-class TestBucket:
-    def test_aggregates_and_roundtrips(self):
-        bucket = Bucket(10, 3.0)
-        bucket.observe(11, 1.0)
-        bucket.observe(12, 5.0)
-        assert (bucket.min, bucket.max) == (1.0, 5.0)
-        assert bucket.sum == 9.0
-        assert bucket.count == 3
-        assert bucket.last == 5.0
-        assert bucket.mean == 3.0
-        clone = Bucket.from_row(bucket.to_row())
-        assert clone.to_row() == bucket.to_row()
 
 
 class TestStoreBasics:
@@ -40,19 +30,18 @@ class TestStoreBasics:
         with pytest.raises(TelemetryError, match="SAMPLE_CATALOG"):
             store.latest("made_up_series")
 
-    def test_bad_capacities_rejected(self):
+    def test_bad_capacity_rejected(self):
         with pytest.raises(TelemetryError):
-            TimeSeriesStore(raw_capacity=0)
-        with pytest.raises(TelemetryError):
-            TimeSeriesStore(widths=(256, 16))
+            TimeSeriesStore(ring_capacity=0)
 
-    def test_latest_and_delta_over_recent_window(self):
+    def test_latest_and_range_over_recent_window(self):
         store = TimeSeriesStore()
         for tick in range(100):
             store.observe("records_live", tick, float(tick))
         assert store.latest("records_live") == 99.0
-        assert store.delta("records_live", 10) == 10.0
-        assert store.rate("records_live", 10) == pytest.approx(1.0)
+        assert store.range("records_live", 97) == [
+            (97, 97.0), (98, 98.0), (99, 99.0),
+        ]
 
     def test_mean_is_exact_and_counts_samples(self):
         store = TimeSeriesStore()
@@ -62,70 +51,68 @@ class TestStoreBasics:
         assert mean == pytest.approx(0.25)
         assert count == 16
 
-    def test_quantile_validates_q(self):
-        store = TimeSeriesStore()
-        store.observe("revert_rate", 0, 0.5)
-        with pytest.raises(TelemetryError, match="quantile"):
-            store.quantile("revert_rate", 1.5, 16)
-
     def test_empty_store_answers_neutrally(self):
         store = TimeSeriesStore()
         assert store.last_tick() is None
         assert store.latest("revert_rate") is None
         assert store.range("revert_rate", 0) == []
-        assert store.delta("revert_rate", 16) == 0.0
-        assert store.rate("revert_rate", 16) == 0.0
         assert store.mean("revert_rate", 16) == (0.0, 0)
-        assert store.quantile("revert_rate", 0.95, 16) == 0.0
+
+    def test_slo_window_means_match_recorded_values(self):
+        """Burn rates (and so alert audit events) must not move: these
+        literals were recorded from the tiered store this ring replaced,
+        on the same 300-tick series."""
+        store = TimeSeriesStore()
+        for spec in SLO_CATALOG.values():
+            if spec.series in store.series_names():
+                continue
+            for tick in range(300):
+                store.observe(
+                    spec.series, tick, (tick * 7919 % 13) / 13.0 + tick / 1000.0
+                )
+        for spec in SLO_CATALOG.values():
+            assert store.mean(spec.series, spec.short_window) == (
+                0.7626538461538461, 16,
+            )
+            assert store.mean(spec.series, spec.long_window) == (
+                0.634240384615385, 256,
+            )
+            assert max(spec.short_window, spec.long_window) <= RING_CAPACITY
 
 
 class TestMemoryBound:
-    """The acceptance bound: >=10,000 ticks under the cap while
-    whole-horizon queries still answer through the rollup tiers."""
+    """The acceptance bound: >=10,000 ticks under the cap, every SLO-sized
+    window still exact, longer windows answered over what is retained."""
 
     TICKS = 12_000
 
-    def test_retention_capped_and_queries_cover_horizon(self):
+    def test_retention_capped_and_windows_answer(self):
         store = TimeSeriesStore()
         for tick in range(self.TICKS):
             store.observe("records_live", tick, float(tick))
             store.observe("revert_rate", tick, 0.2)
-        # The bound: far fewer buckets retained than samples observed.
         assert store.retained_samples() <= store.capacity()
         assert store.capacity() < self.TICKS
         assert store.last_tick() == self.TICKS - 1
+        # A 256-tick mean (the longest SLO window) is exact.
+        mean, count = store.mean("records_live", 256)
+        assert (mean, count) == (self.TICKS - 1 - 127.5, 256)
+        # A window past the ring answers over the 512 retained samples
+        # and says so through the count.
+        mean, count = store.mean("records_live", 4096)
+        assert (mean, count) == (self.TICKS - 1 - 255.5, 512)
 
-        # rate() over the whole horizon: the identity series moves one
-        # per tick; coarse buckets answer with bounded error, and the
-        # effective-span clamp never divides by evicted ticks.
-        assert store.rate("records_live", self.TICKS) == pytest.approx(
-            1.0, rel=0.1
-        )
-        # mean() stays *exact* under downsampling (sum/count buckets)
-        # for windows the coarsest tier fully covers.
-        mean, count = store.mean("revert_rate", 4096)
-        assert mean == pytest.approx(0.2)
-        assert count >= 4096
-        # quantile() over a horizon only the rollups still cover.
-        p95 = store.quantile("records_live", 0.95, self.TICKS)
-        assert p95 == pytest.approx(0.95 * self.TICKS, rel=0.1)
 
-    def test_range_degrades_to_coarser_tiers(self):
-        store = TimeSeriesStore(raw_capacity=32, rollup_capacity=16)
-        for tick in range(600):
-            store.observe("records_live", tick, float(tick))
-        # Recent window: raw resolution, one bucket per tick.
-        recent = store.range("records_live", 590)
-        assert all(b.count == 1 for b in recent)
-        # A window past the raw ring answers from a rollup tier.
-        older = store.range("records_live", 400, 500)
-        assert older
-        assert all(b.count > 1 for b in older)
+#: A schema-v1 dump written by the tiered store this ring replaced (20
+#: ticks, two series): per series one ``raw`` record (one
+#: ``start,end,min,max,sum,count,last`` row per sample) and derived
+#: ``rollup_16`` / ``rollup_256`` records, which the ring reader skips.
+V1_DUMP = pathlib.Path(__file__).parents[1] / "data" / "history_v1.jsonl"
 
 
 class TestPersistence:
     def _filled_store(self) -> TimeSeriesStore:
-        store = TimeSeriesStore(raw_capacity=32, rollup_capacity=8)
+        store = TimeSeriesStore(ring_capacity=32)
         for tick in range(200):
             store.observe("revert_rate", tick, (tick % 7) / 10.0)
             store.observe("records_live", tick, float(tick))
@@ -139,7 +126,7 @@ class TestPersistence:
         assert replayed.retained_samples() == store.retained_samples()
         assert replayed.last_tick() == store.last_tick()
 
-    def test_appending_after_replay_continues_rollups(self):
+    def test_appending_after_replay_evicts_like_the_original(self):
         store = self._filled_store()
         replayed = TimeSeriesStore.replay(store.to_jsonl())
         for tick in range(200, 240):
@@ -151,14 +138,29 @@ class TestPersistence:
         store = self._filled_store()
         path = tmp_path / "history.jsonl"
         count = store.dump(str(path))
-        assert count == len(path.read_text().splitlines())
+        assert count == len(path.read_text().splitlines()) == 2
         replayed = TimeSeriesStore.replay(str(path))
         assert replayed.to_jsonl() == store.to_jsonl()
+
+    def test_replay_reads_a_v1_dump_from_its_raw_records(self):
+        tiers = [json.loads(line)["tier"] for line in V1_DUMP.open()]
+        assert tiers == ["raw", "rollup_16", "rollup_256"] * 2
+        store = TimeSeriesStore.replay(str(V1_DUMP))
+        assert store.series_names() == ["records_live", "revert_rate"]
+        assert store.ring_capacity == 512
+        assert store.retained_samples() == 40
+        assert store.range("records_live", 17) == [
+            (17, 2.0), (18, 3.0), (19, 4.0),
+        ]
+        # The means the tiered store answered before writing the dump.
+        assert store.mean("revert_rate", 16) == (0.9000000000000002, 16)
+        assert store.mean("revert_rate", 256) == (0.7200000000000002, 20)
+        assert store.mean("records_live", 16) == (2.125, 16)
 
     def test_replay_refuses_newer_schema(self):
         line = (
             '{"schema_version": 999, "series": "revert_rate", '
-            '"tier": "raw", "width": 1, "buckets": []}'
+            '"capacity": 512, "samples": []}'
         )
         with pytest.raises(TelemetryError, match="newer"):
             TimeSeriesStore.replay([line])
@@ -166,13 +168,16 @@ class TestPersistence:
     def test_export_is_json_shaped(self):
         store = self._filled_store()
         doc = store.export()
-        assert doc["schema"] == "repro-history-v1"
+        assert doc["schema"] == "repro-history-v2"
         assert doc["last_tick"] == 199
+        assert doc["retained_samples"] == 64
         names = [series["name"] for series in doc["series"]]
         assert names == sorted(names)
         for series in doc["series"]:
-            widths = [tier["width"] for tier in series["tiers"]]
-            assert widths == [1, 16, 256]
+            assert [tick for tick, _value in series["samples"]] == list(
+                range(168, 200)
+            )
+            assert series["latest"] == series["samples"][-1][1]
 
 
 class TestFleetSampler:

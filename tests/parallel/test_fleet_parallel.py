@@ -29,7 +29,7 @@ from repro.controlplane import ControlPlaneSettings
 from repro.engine.engine import EngineSettings
 from repro.errors import ShardCrashError
 from repro.parallel import ParallelSettings, build_fleet_service
-from repro.parallel.service import TICK_WALL_WINDOW, ShardedFleetService
+from repro.parallel.service import ShardedFleetService
 from repro.parallel.settings import BACKENDS
 from repro.parallel.spec import (
     DatabaseSpec,
@@ -181,7 +181,7 @@ class TestFleetGauges:
             assert registry.total("fleet_ticks_total") == 3
             assert registry.total("fleet_merge_queue_depth") == 2
             assert len(registry.series_for("fleet_shard_busy")) == 2
-            assert len(service.tick_wall_seconds) == 3
+            assert service.ticks_completed == 3
         finally:
             service.close()
 
@@ -489,23 +489,20 @@ class TestBusyAttribution:
 
 
 class TestTickWallWindow:
-    """tick_wall_seconds is a capped window; totals keep whole-run truth."""
+    """Per-tick wall time is kept as totals plus a streaming histogram."""
 
-    def test_window_capped_and_totals_unbounded(self):
+    def test_totals_and_histogram_keep_whole_run_truth(self):
         service = build_fleet_service(1, workers=1, backend="serial", seed=0)
         try:
-            n = TICK_WALL_WINDOW + 500
+            n = 4596
             for _ in range(n):
                 service._observe_tick_wall(0.001)
-            assert len(service.tick_wall_seconds) == TICK_WALL_WINDOW
             assert service.ticks_completed == n
             assert service.tick_wall_total == pytest.approx(n * 0.001)
             histogram = service.telemetry.registry.histogram(
                 "fleet_tick_wall_seconds"
             )
             assert histogram.count == n
-            # A p95 derived from the window keeps working.
-            assert sorted(service.tick_wall_seconds)[-1] == 0.001
         finally:
             service.close()
 

@@ -205,12 +205,12 @@ class TestDeterministicMerger:
     def test_span_ops_replayed_with_global_ids(self):
         merger = make_merger()
         ops_a = [
-            ("start", 10, "recommend", "db-a", 1.0, None, {}),
-            ("end", 10, 2.0, "ok", {}),
+            ("start", 10, "recommend", "db-a", 1.0, None, {}, 0.5),
+            ("end", 10, 2.0, "ok", {}, 0.75),
         ]
         ops_b = [
-            ("start", 10, "recommend", "db-b", 1.0, None, {}),
-            ("end", 10, 3.0, "ok", {}),
+            ("start", 10, "recommend", "db-b", 1.0, None, {}, None),
+            ("end", 10, 3.0, "ok", {}, None),
         ]
         merger.merge(
             [

@@ -170,7 +170,7 @@ class TestCrossProcessPropagation:
         ops = [
             ("start", 1, "recommend", "db-a", 10.0, None, {}, 105.0),
             ("end", 1, 20.0, "ok", {}, 106.5),
-            ("start", 2, "validate", "db-a", 10.0, None, {}),  # no wall
+            ("start", 2, "validate", "db-a", 10.0, None, {}, None),  # no wall
         ]
         rebased = rebase_span_ops(ops, started_wall=100.0, anchor=2.0)
         assert rebased[0][7] == pytest.approx(7.0)

@@ -131,7 +131,7 @@ class TestTelemetryGolden:
         # that is what makes the snapshot reproducible anywhere.
         payload = normalized_telemetry_payload(capsys)
         history = payload["history"]
-        assert history["schema"] == "repro-history-v1"
+        assert history["schema"] == "repro-history-v2"
         assert history["last_tick"] >= 0
         assert all(not series["wall"] for series in history["series"])
 
@@ -156,6 +156,19 @@ class TestSloCommand:
         assert "slo_revert_rate" in out
         assert "ALERTING" in out
         assert "burn-rate alerts: slo_revert_rate" in out
+
+    def test_replay_reports_from_a_v1_dump(self, capsys):
+        # Written by the tiered (schema v1) store; the report is the one
+        # that store's own `repro slo --history` printed.
+        history = GOLDEN_DIR / "history_v1.jsonl"
+        assert main(["slo", "--history", str(history)]) == 0
+        captured = capsys.readouterr()
+        assert "replayed 2 history series" in captured.err
+        assert (
+            "  slo_revert_rate                      0.9000/0.7200      "
+            "       3.00/2.40      <= 0.3      ALERTING"
+        ) in captured.out
+        assert "burn-rate alerts: slo_revert_rate" in captured.out
 
     def test_fail_on_alert_exits_nonzero(self, capsys, tmp_path):
         from repro.observability.timeseries import TimeSeriesStore
