@@ -10,9 +10,6 @@ One static check over the whole observability taxonomy:
 - **Audit events** — ``audit.emit(at, "...", ...)`` call sites must use
   event types declared in
   :data:`repro.observability.audit.AUDIT_CATALOG`;
-- **Alert rules** — ``AlertRule(name="...")`` construction sites must
-  use rule names declared in
-  :data:`repro.observability.alerts.ALERT_CATALOG`;
 - **Tick phases** — ``timer.phase("...")`` / ``trace.observe_phase("...")``
   call sites must use phase names declared in
   :data:`repro.parallel.timing.PHASE_CATALOG`;
@@ -24,9 +21,8 @@ One static check over the whole observability taxonomy:
   :data:`repro.observability.timeseries.SAMPLE_CATALOG`;
 - **SLOs** — **any** string literal starting with ``slo_`` must name an
   :data:`repro.observability.slo.SLO_CATALOG` entry (the namespace is
-  reserved, like ``fleet_*`` below), and every non-advisory SLO must
-  also appear in ALERT_CATALOG so its burn-rate alert passes AlertRule
-  validation.
+  reserved, like ``fleet_*`` below).  The SLO catalog is also the alert
+  catalog: the watchdog pages on its non-advisory entries by name.
 
 Call sites whose name argument is not a string literal are flagged too,
 because the lint (and the exporters'/explain renderers' help text) can
@@ -84,7 +80,6 @@ SNAKE_CASE = re.compile(r"^[a-z][a-z0-9_]*$")
 CATALOGS = {
     "CATALOG": ("repro.observability.metrics", "metrics"),
     "AUDIT_CATALOG": ("repro.observability.audit", "audit events"),
-    "ALERT_CATALOG": ("repro.observability.alerts", "alert rules"),
     "PHASE_CATALOG": ("repro.parallel.timing", "tick phases"),
     "SPAN_KIND_CATALOG": ("repro.observability.spans", "span kinds"),
     "SAMPLE_CATALOG": ("repro.observability.timeseries", "sampled series"),
@@ -150,10 +145,6 @@ RULES = (
     Rule(
         "AUDIT_CATALOG", "audit event type",
         **_call(r"\baudit\.emit\(\s*(?P<at>[^,()]+?),"),
-    ),
-    Rule(
-        "ALERT_CATALOG", "alert rule name",
-        **_call(r"\bAlertRule\(\s*name=", dynamic=False),
     ),
     Rule("CATALOG", "fleet_* metric", **_reserved("fleet_[a-z0-9_]*")),
     Rule(
@@ -274,7 +265,6 @@ def main(argv=None) -> int:
     paths = argv or DEFAULT_PATHS
     catalogs = load_catalogs()
     metrics = catalogs["CATALOG"]
-    rules = catalogs["ALERT_CATALOG"]
     samples = catalogs["SAMPLE_CATALOG"]
     slos = catalogs["SLO_CATALOG"]
     errors = []
@@ -312,21 +302,13 @@ def main(argv=None) -> int:
                 f"publishes {gauge.name!r} but the metrics CATALOG "
                 "(src/repro/observability/metrics.py) does not declare it"
             )
-    # Cross-catalog invariants: every SLO reads a cataloged series
-    # (enforced again at import), and every non-advisory SLO must have
-    # an ALERT_CATALOG entry so burn_alert_rules() passes AlertRule
-    # validation.
+    # Cross-catalog invariant: every SLO reads a cataloged series
+    # (enforced again at import).
     for name, spec in sorted(slos.items()):
         if spec.series not in samples:
             errors.append(
                 f"SLO_CATALOG[{name!r}] reads series {spec.series!r} "
                 "which is not in SAMPLE_CATALOG"
-            )
-        if not spec.advisory and name not in rules:
-            errors.append(
-                f"SLO_CATALOG[{name!r}] is non-advisory but has no "
-                "ALERT_CATALOG entry (src/repro/observability/alerts.py) "
-                "for its burn-rate alert"
             )
     checked = 0
     for path in iter_py_files(paths):

@@ -23,9 +23,7 @@ from repro.engine.engine import SqlEngine
 from repro.engine.exec.dispatch import FALLBACK_GAUGES, FALLBACK_REASONS
 from repro.errors import PermanentError, TransientError
 from repro.observability import AlertWatchdog, Telemetry
-from repro.observability.alerts import default_rules
 from repro.observability.audit import AuditLog
-from repro.observability.slo import burn_alert_rules
 from repro.observability.spans import Span
 from repro.observability.timeseries import TelemetryHistory
 from repro.recommender import (
@@ -249,19 +247,16 @@ class ControlPlane:
         self.mi_settings = mi_settings
         self.telemetry = Telemetry()
         #: ``enable_watchdog=False`` is used by per-shard worker planes:
-        #: alert rules are fleet-level, so the region service evaluates
-        #: one watchdog over the *merged* registry instead.  History
-        #: sampling is likewise a region-level duty (it reads merged
-        #: fleet rates), so it follows the watchdog flag.
+        #: SLOs are fleet-level, so the region service evaluates one
+        #: watchdog over the *merged* history instead.  History sampling
+        #: is likewise a region-level duty (it reads merged fleet
+        #: rates), so it follows the watchdog flag.
         self.history = TelemetryHistory() if enable_watchdog else None
-        rules = default_rules()
-        if self.history is not None:
-            rules += burn_alert_rules(self.history.store)
         self.watchdog = (
             AlertWatchdog(
                 self.telemetry.registry,
+                self.history.store,
                 audit=self.telemetry.audit,
-                rules=rules,
             )
             if enable_watchdog
             else None

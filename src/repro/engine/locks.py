@@ -98,10 +98,6 @@ class LockManager:
             return
         holds[:] = [hold for hold in holds if hold.end > now]
 
-    def active_shared(self, obj: str, now: float) -> int:
-        self._expire(obj, now)
-        return len(self._shared.get(obj, ()))
-
     def _last_shared_end(self, obj: str, now: float) -> float:
         self._expire(obj, now)
         holds = self._shared.get(obj, ())

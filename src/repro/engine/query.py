@@ -1,8 +1,7 @@
 """Query AST.
 
-The engine does not parse arbitrary SQL; workloads build structured query
-objects (a parser for the rendered T-SQL-ish subset exists in
-:mod:`repro.engine.parser` for replay-from-text scenarios).  The AST covers
+The engine does not parse SQL; workloads build structured query objects,
+and replay and tuning reuse those objects rather than text.  The AST covers
 the shapes the paper's recommenders care about: sargable equality and range
 predicates, a single equi-join, GROUP BY with aggregates, ORDER BY, TOP,
 and the three DML forms.

@@ -138,9 +138,6 @@ class TableSchema:
     def column_names(self) -> List[str]:
         return [column.name for column in self.columns]
 
-    def has_column(self, name: str) -> bool:
-        return name in self._positions
-
     def position(self, name: str) -> int:
         """Ordinal position of a column; raises if unknown."""
         try:

@@ -1,7 +1,7 @@
 """Render query ASTs to T-SQL-ish text.
 
-Query Store persists query text (Section 3); the recommenders display it
-and the mini parser can round-trip it.  Rendering is deterministic, so the
+Query Store persists query text (Section 3); the recommenders display
+it.  Rendering is deterministic, so the
 same template always yields the same normalized text.
 """
 

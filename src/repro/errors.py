@@ -50,10 +50,6 @@ class QueryError(ReproError):
     """Query is malformed or references unknown objects."""
 
 
-class ParseError(QueryError):
-    """The SQL text could not be parsed by the mini T-SQL parser."""
-
-
 class OptimizeError(QueryError):
     """The optimizer could not produce a plan for the statement.
 

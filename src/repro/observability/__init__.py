@@ -11,13 +11,7 @@ A :class:`Telemetry` object bundles one registry + tracer + recorder;
 the control plane owns one and threads it through every micro-service.
 """
 
-from repro.observability.alerts import (
-    ALERT_CATALOG,
-    Alert,
-    AlertRule,
-    AlertWatchdog,
-    default_rules,
-)
+from repro.observability.alerts import Alert, AlertWatchdog
 from repro.observability.audit import (
     AUDIT_CATALOG,
     AUDIT_SCHEMA_VERSION,
@@ -56,7 +50,6 @@ from repro.observability.slo import (
     SLO_CATALOG,
     SloSpec,
     SloStatus,
-    burn_alert_rules,
     evaluate_catalog,
     render_slo_report,
 )
@@ -104,11 +97,9 @@ class Telemetry:
 
 
 __all__ = [
-    "ALERT_CATALOG",
     "AUDIT_CATALOG",
     "AUDIT_SCHEMA_VERSION",
     "Alert",
-    "AlertRule",
     "AlertWatchdog",
     "AnomalyDetector",
     "AuditEvent",
@@ -139,10 +130,8 @@ __all__ = [
     "active",
     "attribution_summary",
     "build_timeline",
-    "burn_alert_rules",
     "count",
     "decision_index",
-    "default_rules",
     "evaluate_catalog",
     "ensure_compliant",
     "find_forbidden_keys",

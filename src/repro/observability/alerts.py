@@ -1,124 +1,44 @@
-"""Alert-rules watchdog over the fleet's :class:`MetricsRegistry`.
+"""The alert watchdog: pages on the SLO catalog.
 
 The paper's service pages an engineer when fleet-level rates drift
 (Section 8: revert rates, validation outcomes); this module reproduces
-that loop.  A :class:`AlertWatchdog` evaluates declarative threshold
-rules against the registry on every ``ControlPlane.process()`` tick.
-When a rule crosses its threshold the watchdog raises an alert, records
-the evidence into the audit stream (``alert_raised`` /
-``alert_resolved`` events), and exposes the firing set to the dashboard
-panel.
-
-Rule names live in :data:`ALERT_CATALOG` — the single observability
-taxonomy shared with the metric catalog and the audit event catalog,
-linted by ``scripts/check_observability_names.py``.
+that loop.  The one alert policy is
+:data:`~repro.observability.slo.SLO_CATALOG`: on every
+``ControlPlane.process()`` tick the :class:`AlertWatchdog` evaluates
+each non-advisory SLO's multi-window burn rate over the telemetry
+history, raises an alert when the SLO starts alerting and resolves it
+when it stops.  Transitions are recorded into the audit stream
+(``alert_raised`` / ``alert_resolved`` events) and the firing set backs
+the dashboard panel.  A one-tick jump in a sampled rate is the anomaly
+detector's to report (``telemetry_anomaly``), not the pager's.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.errors import TelemetryError
 from repro.observability.audit import AuditLog
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.slo import SLO_CATALOG, evaluate_slo
+from repro.observability.timeseries import TimeSeriesStore
 
 #: Database label used for fleet-level (cross-database) audit events.
 FLEET_SCOPE = "<fleet>"
 
 
-@dataclasses.dataclass(frozen=True)
-class AlertRuleSpec:
-    """One catalog entry: the contract for an alert rule name."""
-
-    name: str
-    description: str
-
-
-def _spec(name: str, description: str) -> tuple:
-    return name, AlertRuleSpec(name, description)
-
-
-#: The alert-rule taxonomy.  Names are stable public API: audit events,
-#: the dashboard panel, and the observability-name lint key on them.
-ALERT_CATALOG: Dict[str, AlertRuleSpec] = dict(
-    [
-        _spec("revert_rate_spike",
-              "Share of decided recommendations that ended REVERTED "
-              "exceeds the threshold."),
-        _spec("validation_failure_spike",
-              "Share of completed validations that judged REGRESSED "
-              "exceeds the threshold."),
-        _spec("plan_cache_hit_rate_collapse",
-              "Fleet-wide optimizer plan-cache hit rate fell below the "
-              "threshold."),
-        # SLO burn-rate rules (repro.observability.slo builds these via
-        # burn_alert_rules; the SLO_CATALOG entry of the same name holds
-        # the objective and windows).
-        _spec("slo_revert_rate",
-              "Multi-window revert-rate burn exceeds the SLO's error "
-              "budget in both the short and long window."),
-        _spec("slo_validation_failure_rate",
-              "Multi-window validation-failure burn exceeds the SLO's "
-              "error budget in both windows."),
-        _spec("slo_plan_cache_hit_rate",
-              "Multi-window plan-cache miss burn exceeds the SLO's "
-              "error budget in both windows."),
-        _spec("slo_time_to_implement",
-              "Multi-window p95 time-to-implement burn exceeds the "
-              "SLO's error budget in both windows."),
-    ]
-)
-
-
-@dataclasses.dataclass
-class AlertRule:
-    """A threshold rule over the metrics registry.
-
-    ``value(registry)`` returns ``(value, samples)``; the rule fires
-    when ``samples >= min_samples`` and the value is past ``threshold``
-    in ``direction`` ("above" fires on ``value >= threshold``, "below"
-    on ``value <= threshold``).
-    """
-
-    name: str
-    threshold: float
-    direction: str  # "above" | "below"
-    min_samples: float
-    value: Callable[[MetricsRegistry], Tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        if self.name not in ALERT_CATALOG:
-            raise TelemetryError(
-                f"alert rule {self.name!r} is not in ALERT_CATALOG "
-                "(src/repro/observability/alerts.py)"
-            )
-        if self.direction not in ("above", "below"):
-            raise TelemetryError(
-                f"alert rule {self.name!r} direction must be "
-                "'above' or 'below'"
-            )
-
-    def evaluate(self, registry: MetricsRegistry) -> Tuple[bool, float, float]:
-        """(firing, value, samples) for the current registry state."""
-        value, samples = self.value(registry)
-        if samples < self.min_samples:
-            return False, value, samples
-        if self.direction == "above":
-            return value >= self.threshold, value, samples
-        return value <= self.threshold, value, samples
-
-
 @dataclasses.dataclass
 class Alert:
-    """One firing (or resolved) instance of a rule."""
+    """One firing (or resolved) instance of an SLO's burn-rate alert."""
 
     rule: str
     raised_at: float
+    #: The governing burn rate (the lower of the SLO's two windows).
     value: float
-    samples: float
+    #: Samples in the short window.
+    samples: int
+    #: The SLO's burn threshold.
     threshold: float
-    direction: str
     resolved_at: Optional[float] = None
 
     @property
@@ -126,63 +46,8 @@ class Alert:
         return self.resolved_at is None
 
 
-# ----------------------------------------------------------------------
-# Default rules
-
-def _revert_rate(registry: MetricsRegistry) -> Tuple[float, float]:
-    reverted = registry.total("state_transitions_total", to_state="reverted")
-    success = registry.total("state_transitions_total", to_state="success")
-    decided = reverted + success
-    return (reverted / decided if decided else 0.0), decided
-
-
-def _validation_failure_rate(registry: MetricsRegistry) -> Tuple[float, float]:
-    regressed = registry.total("state_transitions_total", to_state="reverting")
-    success = registry.total("state_transitions_total", to_state="success")
-    validated = regressed + success
-    return (regressed / validated if validated else 0.0), validated
-
-
-def _plan_cache_hit_rate(registry: MetricsRegistry) -> Tuple[float, float]:
-    hits = registry.total("plan_cache_hits")
-    misses = registry.total("plan_cache_misses")
-    lookups = hits + misses
-    return (hits / lookups if lookups else 1.0), lookups
-
-
-def default_rules(
-    revert_rate_threshold: float = 0.30,
-    validation_failure_threshold: float = 0.50,
-    plan_cache_hit_rate_floor: float = 0.20,
-) -> List[AlertRule]:
-    """The three fleet rules the paper's on-call would want first."""
-    return [
-        AlertRule(
-            name="revert_rate_spike",
-            threshold=revert_rate_threshold,
-            direction="above",
-            min_samples=1,
-            value=_revert_rate,
-        ),
-        AlertRule(
-            name="validation_failure_spike",
-            threshold=validation_failure_threshold,
-            direction="above",
-            min_samples=2,
-            value=_validation_failure_rate,
-        ),
-        AlertRule(
-            name="plan_cache_hit_rate_collapse",
-            threshold=plan_cache_hit_rate_floor,
-            direction="below",
-            min_samples=500,
-            value=_plan_cache_hit_rate,
-        ),
-    ]
-
-
 class AlertWatchdog:
-    """Evaluates alert rules each control-plane tick.
+    """Evaluates the non-advisory SLOs each control-plane tick.
 
     State transitions (inactive -> firing, firing -> resolved) emit
     audit events and bump the ``alerts_raised_total`` counter; the
@@ -192,57 +57,62 @@ class AlertWatchdog:
     def __init__(
         self,
         registry: MetricsRegistry,
+        store: TimeSeriesStore,
         audit: Optional[AuditLog] = None,
-        rules: Optional[List[AlertRule]] = None,
     ) -> None:
         self.registry = registry
+        self.store = store
         self.audit = audit
-        self.rules = rules if rules is not None else default_rules()
-        names = [rule.name for rule in self.rules]
-        if len(set(names)) != len(names):
-            raise TelemetryError(f"duplicate alert rule names: {names}")
+        #: The SLOs that page, in catalog-name order.
+        self.slos = [
+            spec for _name, spec in sorted(SLO_CATALOG.items())
+            if not spec.advisory
+        ]
         self._active: Dict[str, Alert] = {}
         self.history: List[Alert] = []
 
     def evaluate(self, now: float) -> List[Alert]:
         """One evaluation pass; returns alerts newly raised at ``now``."""
         raised: List[Alert] = []
-        for rule in self.rules:
-            firing, value, samples = rule.evaluate(self.registry)
-            active = self._active.get(rule.name)
-            if firing and active is None:
+        for spec in self.slos:
+            status = evaluate_slo(self.store, spec)
+            value, samples = status.burn, status.samples
+            active = self._active.get(spec.name)
+            if status.alerting and active is None:
                 alert = Alert(
-                    rule=rule.name,
+                    rule=spec.name,
                     raised_at=now,
                     value=value,
                     samples=samples,
-                    threshold=rule.threshold,
-                    direction=rule.direction,
+                    threshold=spec.burn_threshold,
                 )
-                self._active[rule.name] = alert
+                self._active[spec.name] = alert
                 self.history.append(alert)
                 raised.append(alert)
-                self.registry.counter("alerts_raised_total", rule=rule.name).inc()
-                self.registry.gauge("alerts_firing", rule=rule.name).set(1.0)
+                self.registry.counter("alerts_raised_total", rule=spec.name).inc()
+                self.registry.gauge("alerts_firing", rule=spec.name).set(1.0)
                 if self.audit is not None:
+                    # ``direction`` is constant (a burn alerts at or
+                    # above its threshold) but stays in the payload, so
+                    # recorded audit streams and digests keep their bytes.
                     self.audit.emit(
                         now, "alert_raised", FLEET_SCOPE,
-                        rule=rule.name, value=value, samples=samples,
-                        threshold=rule.threshold, direction=rule.direction,
+                        rule=spec.name, value=value, samples=samples,
+                        threshold=spec.burn_threshold, direction="above",
                     )
-            elif firing and active is not None:
+            elif status.alerting:
                 # Keep the evidence current while the alert stays up.
                 active.value = value
                 active.samples = samples
-            elif not firing and active is not None:
+            elif active is not None:
                 active.resolved_at = now
-                del self._active[rule.name]
-                self.registry.gauge("alerts_firing", rule=rule.name).set(0.0)
+                del self._active[spec.name]
+                self.registry.gauge("alerts_firing", rule=spec.name).set(0.0)
                 if self.audit is not None:
                     self.audit.emit(
                         now, "alert_resolved", FLEET_SCOPE,
-                        rule=rule.name, value=value, samples=samples,
-                        threshold=rule.threshold,
+                        rule=spec.name, value=value, samples=samples,
+                        threshold=spec.burn_threshold,
                     )
         return raised
 

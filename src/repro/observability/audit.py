@@ -110,10 +110,10 @@ AUDIT_CATALOG: Dict[str, AuditEventSpec] = dict(
               "The health service corrected a stuck record or raised an "
               "incident.", None),
         _spec("alert_raised",
-              "The alert-rules watchdog crossed a threshold.", None),
+              "A non-advisory SLO started alerting: both burn-rate "
+              "windows reached its burn threshold.", None),
         _spec("alert_resolved",
-              "A previously firing alert rule fell back under its "
-              "threshold.", None),
+              "A previously alerting SLO stopped alerting.", None),
         _spec("telemetry_anomaly",
               "The telemetry-history EWMA/z-score detector flagged an "
               "excursion on a sampled fleet series.", None),

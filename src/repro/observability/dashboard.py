@@ -91,7 +91,7 @@ def render_dashboard(
     ``watchdog`` (an :class:`~repro.observability.alerts.AlertWatchdog`)
     adds the firing-alerts panel; without one the panel falls back to
     the ``alerts_firing`` gauges so a replayed registry still shows
-    which rules were up.  ``history`` (a
+    which SLOs were paging.  ``history`` (a
     :class:`~repro.observability.timeseries.TelemetryHistory` or its
     store) adds trailing-window sparkline panels per sampled series.
     """
@@ -105,10 +105,9 @@ def render_dashboard(
         if not firing:
             lines.append("  (none firing)")
         for alert in firing:
-            comparator = ">=" if alert.direction == "above" else "<="
             lines.append(
                 f"  FIRING {alert.rule:<30} value {alert.value:.3f} "
-                f"{comparator} {alert.threshold:.3f} "
+                f">= {alert.threshold:.3f} "
                 f"(samples {int(alert.samples)}, raised t+{alert.raised_at:.0f}m)"
             )
     else:

@@ -14,8 +14,7 @@ deterministic and independent of wall-clock time.
 declared there with its kind, unit, and description.  The
 ``scripts/check_observability_names.py`` lint fails the build when
 source code uses a name that is missing from the catalog or not
-``snake_case`` (the same lint covers audit event types and alert rule
-names).
+``snake_case`` (the same lint covers audit event types and SLO names).
 """
 
 from __future__ import annotations
@@ -81,9 +80,10 @@ CATALOG: Dict[str, MetricSpec] = dict(
         _spec("plan_cache_evictions", "gauge", "entries",
               "Plan-cache entries removed per database (capacity + invalidation)."),
         _spec("alerts_raised_total", "counter", "alerts",
-              "Watchdog alerts raised, by rule name."),
+              "Watchdog alerts raised, by SLO name (label rule)."),
         _spec("alerts_firing", "gauge", "alerts",
-              "Whether each watchdog alert rule is currently firing (0/1)."),
+              "Whether each non-advisory SLO's burn-rate alert is "
+              "currently firing (0/1), by SLO name (label rule)."),
         _spec("telemetry_history_samples", "gauge", "samples",
               "Samples currently retained across every series of the "
               "telemetry-history store (memory-bound evidence)."),
@@ -171,14 +171,6 @@ CATALOG: Dict[str, MetricSpec] = dict(
               "What-if substrate builds per database: the "
               "configuration-invariant plan space had to be enumerated "
               "(monotone)."),
-        _spec("bench_duration_ms", "gauge", "milliseconds",
-              "Micro-benchmark wall-clock duration, by benchmark name."),
-        _spec("bench_pages_touched", "gauge", "pages",
-              "Micro-benchmark pages touched, by benchmark name."),
-        _spec("bench_tree_height", "gauge", "levels",
-              "B+ tree height in the engine micro-benchmark."),
-        _spec("bench_tree_pages", "gauge", "pages",
-              "B+ tree total page count in the engine micro-benchmark."),
     ]
 )
 

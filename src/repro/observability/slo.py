@@ -25,13 +25,13 @@ Every SLO reads a series from
 longer than the history ring
 (:data:`~repro.observability.timeseries.RING_CAPACITY`) — both validated
 at import — so every window mean is exact over the samples the store
-retains.  Non-advisory SLOs also feed the existing
-:class:`~repro.observability.alerts.AlertWatchdog` via
-:func:`burn_alert_rules`, so SLO pages join the same transition-only
-audit stream (``alert_raised`` / ``alert_resolved``) the dashboard and
-``repro explain`` already render.  Advisory SLOs (wall-clock budgets)
-appear in reports but never page — wall time is host-dependent and
-excluded from the determinism contract.
+retains.  This catalog is the one alert policy: the
+:class:`~repro.observability.alerts.AlertWatchdog` pages on every
+non-advisory SLO, recording each transition in the audit stream
+(``alert_raised`` / ``alert_resolved``) the dashboard and ``repro
+explain`` render.  Advisory SLOs (wall-clock budgets) appear in reports
+but never page — wall time is host-dependent and excluded from the
+determinism contract.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import json
 from typing import Dict, IO, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import TelemetryError
-from repro.observability.alerts import AlertRule
 from repro.observability.audit import jsonl_lines, write_text
 from repro.observability.timeseries import (
     RING_CAPACITY,
@@ -84,10 +83,9 @@ def _spec(**kwargs) -> Tuple[str, SloSpec]:
     return spec.name, spec
 
 
-#: The SLO taxonomy.  Names are stable public API: the watchdog rules,
-#: the `repro slo` report, the JSONL dump, and the observability-name
-#: lint all key on them.  Non-advisory names must also appear in
-#: ALERT_CATALOG so burn alerts pass AlertRule validation.
+#: The SLO taxonomy.  Names are stable public API: the watchdog's
+#: alerts, the `repro slo` report, the JSONL dump, and the
+#: observability-name lint all key on them.
 SLO_CATALOG: Dict[str, SloSpec] = dict(
     [
         _spec(
@@ -248,46 +246,6 @@ def evaluate_catalog(
     """Evaluate every cataloged SLO, in stable name order."""
     specs = catalog if catalog is not None else SLO_CATALOG
     return [evaluate_slo(store, specs[name]) for name in sorted(specs)]
-
-
-# ----------------------------------------------------------------------
-# Watchdog integration
-
-
-def burn_alert_rules(
-    store: TimeSeriesStore,
-    catalog: Optional[Dict[str, SloSpec]] = None,
-) -> List[AlertRule]:
-    """AlertRules for every non-advisory SLO, bound to ``store``.
-
-    Each rule's value is the governing (minimum-of-windows) burn rate;
-    it fires at ``burn_threshold``, so SLO pages ride the existing
-    watchdog transition machinery: raised/resolved audit events, the
-    ``alerts_firing`` gauge, the dashboard panel, explain timelines.
-    The registry argument the watchdog passes is ignored — burn rates
-    read history, not point-in-time gauges.
-    """
-    specs = catalog if catalog is not None else SLO_CATALOG
-    rules = []
-    for name in sorted(specs):
-        spec = specs[name]
-        if spec.advisory:
-            continue
-
-        def value(_registry, spec=spec):
-            status = evaluate_slo(store, spec)
-            return status.burn, status.samples
-
-        rules.append(
-            AlertRule(
-                name=spec.name,
-                threshold=spec.burn_threshold,
-                direction="above",
-                min_samples=spec.min_samples,
-                value=value,
-            )
-        )
-    return rules
 
 
 # ----------------------------------------------------------------------

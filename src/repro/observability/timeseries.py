@@ -100,7 +100,7 @@ SAMPLE_CATALOG: Dict[str, SampleSpec] = dict(
               "Recommendation records currently in a non-terminal state.",
               anomaly=True),
         _spec("alerts_firing_count", "alerts",
-              "Watchdog alert rules currently firing.", anomaly=True),
+              "SLO burn-rate alerts currently firing.", anomaly=True),
         _spec("time_to_implement_minutes", "minutes",
               "p95 simulated minutes records spent IMPLEMENTING "
               "(from the state_duration_minutes histogram)."),
@@ -431,7 +431,7 @@ class TelemetryHistory:
 
     One per region-level service (the serial control plane owns one;
     the sharded fleet service owns one fed at its post-merge point).
-    Shard worker planes never sample — history, like alert rules, is a
+    Shard worker planes never sample — history, like SLO alerts, is a
     fleet-level responsibility evaluated over merged state, which is
     what keeps parallel runs byte-identical to serial.
     """

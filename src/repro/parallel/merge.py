@@ -57,10 +57,10 @@ class DeterministicMerger:
         self.profiler = profiler
         #: (database, local rec_id) -> global rec_id, stable for the run.
         self.rec_ids: Dict[Tuple[str, int], int] = {}
-        #: (database, local span_id) -> the merged Span object, while open.
+        #: (database, local span_id) -> the merged Span object, while
+        #: open.  Children only start under an open parent, so this is
+        #: also where a child's global ``parent_id`` comes from.
         self._open_spans: Dict[Tuple[str, int], Span] = {}
-        #: (database, local span_id) -> global span_id (kept for parents).
-        self._span_ids: Dict[Tuple[str, int], int] = {}
         self._next_rec_id = itertools.count(1)
         self._next_span_id = itertools.count(1)
 
@@ -123,16 +123,15 @@ class DeterministicMerger:
              wall_start) = op
             parent_id: Optional[int] = None
             if local_parent is not None:
-                parent_id = self._span_ids.get((database, local_parent))
-                if parent_id is None:
+                parent = self._open_spans.get((database, local_parent))
+                if parent is None:
                     raise TelemetryError(
                         f"merge saw child span before parent {local_parent} "
                         f"of {database!r}"
                     )
-            global_id = next(self._next_span_id)
-            self._span_ids[(database, local_id)] = global_id
+                parent_id = parent.span_id
             span = Span(
-                span_id=global_id,
+                span_id=next(self._next_span_id),
                 kind=kind,
                 database=span_db,
                 start=at,

@@ -36,9 +36,7 @@ from repro.controlplane.control_plane import Incident, incidents_from_audit
 from repro.controlplane.store import StateStore
 from repro.engine.engine import EngineSettings
 from repro.observability import AlertWatchdog, Telemetry
-from repro.observability.alerts import default_rules
 from repro.observability.profiling import Profiler
-from repro.observability.slo import burn_alert_rules
 from repro.observability.timeseries import SAMPLE_CATALOG, TelemetryHistory
 from repro.observability.trace_export import (
     TraceEvent,
@@ -105,9 +103,10 @@ class ShardedFleetService:
         #: every tick, over merged virtual-time state only, so runs stay
         #: byte-identical across backends with sampling enabled.
         self.history = TelemetryHistory()
-        rules = default_rules() + burn_alert_rules(self.history.store)
         self.watchdog = AlertWatchdog(
-            self.telemetry.registry, audit=self.telemetry.audit, rules=rules
+            self.telemetry.registry,
+            self.history.store,
+            audit=self.telemetry.audit,
         )
         #: Region-level hot-path aggregate, merged from worker profilers
         #: in stable db order each tick (``repro profile`` ranks these).

@@ -39,9 +39,6 @@ class DtaReport:
     iterations: int
     unsupported_query_ids: Tuple[int, ...]
 
-    def analyzed_count(self) -> int:
-        return sum(1 for s in self.statements if s.analyzed)
-
 
 def build_report(
     workload: TuningWorkload,

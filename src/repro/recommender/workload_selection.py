@@ -41,10 +41,6 @@ class TuningWorkload:
     window_hours: float
     candidate_count: int
 
-    @property
-    def query_ids(self) -> Tuple[int, ...]:
-        return tuple(s.query_id for s in self.statements)
-
 
 def window_for_tier(tier: str) -> Tuple[float, int]:
     """(N hours, K statements) by service tier (Section 5.3.2: N and K are

@@ -78,11 +78,6 @@ class StatementVerdict:
     executions_before: int
     executions_after: int
 
-    def worst_relative_change(self) -> float:
-        if not self.tests:
-            return 0.0
-        return max(result.relative_change for result in self.tests.values())
-
     # The raw Welch evidence, surfaced so audit events and ``repro
     # explain`` can show the numbers that drove the verdict (not just
     # the enum).  ``cpu_time_ms`` is the authoritative metric.

@@ -9,7 +9,7 @@ with semantic suffixes) so joined row dictionaries never collide.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -161,8 +161,3 @@ def _build_table(
         primary_key=[columns[0].name],
     )
     return TableSpec(schema=schema, columns=columns, row_count=rows, is_fact=is_fact)
-
-
-def dimension_cardinalities(spec: SchemaSpec) -> Dict[str, int]:
-    """Row counts of dimension tables, used by FK generation."""
-    return {t.name: t.row_count for t in spec.dimension_tables()}

@@ -1,11 +1,8 @@
-"""Candidate selection for experiments + text-level replay round trip."""
+"""Candidate selection for experiments + the text recorded statements leave."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.engine.parser import parse
-from repro.engine.sqlgen import render
+from repro.engine.sqlgen import render, template_text
 from repro.experiment.compare import select_experiment_candidates
 from repro.fleet import Fleet, FleetSpec
 from repro.rng import derive
@@ -43,26 +40,28 @@ class TestCandidateSelection:
         assert a == b
 
 
-class TestTextLevelReplay:
-    """Recorded streams survive a render -> parse round trip.
+class TestRecordedStatementText:
+    """Replay forks ``Query`` objects, so text is only what Query Store
+    keeps: the rendered statement and its literal-free template text."""
 
-    Production replay crosses a wire as text; the mini parser must carry
-    every generated statement shape losslessly.
-    """
-
-    def test_recorded_statements_round_trip(self):
+    def test_one_normalized_text_per_template(self):
         profile = make_profile(
-            "text-replay", seed=94, tier="premium", archetype="analytics"
+            "text-templates", seed=94, tier="premium", archetype="analytics"
         )
         recording = profile.workload.generate_recording(
             start=0.0, hours=6, max_statements=300
         )
-        assert recording.statements
+        texts = {}
         for statement in recording.statements:
-            text = render(statement.query)
-            assert parse(text) == statement.query, text
+            texts.setdefault(statement.query.template_key(), set()).add(
+                template_text(statement.query)
+            )
+        assert len(texts) > 1
+        assert all(len(group) == 1 for group in texts.values())
+        # ... and distinct templates never share one.
+        assert len({text for (text,) in texts.values()}) == len(texts)
 
-    def test_parsed_statements_execute_identically(self):
+    def test_query_store_records_the_rendered_text(self):
         profile = make_profile(
             "text-exec", seed=95, tier="standard", archetype="webshop"
         )
@@ -70,7 +69,18 @@ class TestTextLevelReplay:
             start=0.0, hours=2, max_statements=60
         )
         engine = profile.engine
+        first = {}
         for statement in recording.statements:
-            reparsed = parse(render(statement.query))
-            result = engine.execute(reparsed)
-            assert result.metrics.cpu_time_ms >= 0
+            if statement.at > engine.clock.now:
+                engine.clock.advance_to(statement.at)
+            result = engine.execute(statement.query)
+            first.setdefault(result.query_id, statement.query)
+        infos = engine.query_store.queries()
+        assert {info.query_id for info in infos} == set(first)
+        for info in infos:
+            query = first[info.query_id]
+            assert info.template_text == template_text(query)
+            if info.text_complete:
+                assert info.text == render(query)
+            else:
+                assert render(query).startswith(info.text)

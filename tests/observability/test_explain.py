@@ -7,7 +7,8 @@ ControlPlane and asserts the full decision-provenance story:
   (what-if estimates, build timings, Welch t-test statistics, trigger
   statements);
 - the rendered timeline joins audit + spans chronologically;
-- the watchdog raises ``revert_rate_spike`` and the dashboard shows it;
+- the anomaly detector flags the revert-rate jump at the revert, and
+  the watchdog's SLO alert shows on the dashboard;
 - the JSONL dump replays into the same timeline offline.
 """
 
@@ -159,18 +160,29 @@ class TestExplainRendering:
 
 
 class TestWatchdogOnScenario:
-    def test_revert_rate_alert_fires(self, scenario):
-        active = {a.rule: a for a in scenario.plane.watchdog.active()}
-        # The point-in-time spike rule and the cold-cache burn-rate SLO
-        # (this staged scenario's plan cache never hits) both fire.
-        assert set(active) == {"revert_rate_spike", "slo_plan_cache_hit_rate"}
-        alert = active["revert_rate_spike"]
-        assert alert.value == 1.0 and alert.samples == 1
-        raised = {
+    def test_cold_cache_slo_is_the_firing_alert(self, scenario):
+        # This staged scenario's plan cache never hits, so its burn-rate
+        # SLO pages; one revert is too short a burn for slo_revert_rate.
+        (alert,) = scenario.plane.watchdog.active()
+        assert alert.rule == "slo_plan_cache_hit_rate"
+        raised = [
             e.payload["rule"]
             for e in scenario.plane.audit.events(event_type="alert_raised")
-        }
-        assert "revert_rate_spike" in raised
+        ]
+        assert raised == ["slo_plan_cache_hit_rate"]
+
+    def test_revert_rate_jump_is_an_anomaly_at_the_revert(self, scenario):
+        # Fast detection of the revert is the anomaly detector's job.
+        entries = build_timeline(
+            scenario.plane.audit, scenario.database, scenario.rec_id
+        )
+        (decided,) = [e for e in entries if "revert_decided" in e.title]
+        anomalies = [
+            e for e in entries
+            if e.title.startswith("[fleet] telemetry_anomaly")
+            and "series=revert_rate" in e.title
+        ]
+        assert [e.at for e in anomalies] == [decided.at]
 
     def test_dashboard_shows_the_firing_alert(self, scenario):
         telemetry = scenario.plane.telemetry
@@ -181,7 +193,7 @@ class TestWatchdogOnScenario:
                 watchdog=scenario.plane.watchdog,
             )
         )
-        assert "FIRING revert_rate_spike" in text
+        assert "FIRING slo_plan_cache_hit_rate" in text
 
 
 class TestExecutorPanel:

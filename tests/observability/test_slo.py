@@ -1,4 +1,4 @@
-"""SLO catalog: burn-rate math, multi-window gating, watchdog wiring."""
+"""SLO catalog: burn-rate math, multi-window gating, reports."""
 
 from __future__ import annotations
 
@@ -6,13 +6,9 @@ import io
 
 import pytest
 
-from repro.observability import MetricsRegistry
-from repro.observability.alerts import ALERT_CATALOG, AlertWatchdog
-from repro.observability.audit import AuditLog
 from repro.observability.slo import (
     SLO_CATALOG,
     SloSpec,
-    burn_alert_rules,
     dump_statuses,
     evaluate_catalog,
     evaluate_slo,
@@ -46,11 +42,6 @@ class TestCatalogInvariants:
     def test_every_slo_reads_a_cataloged_series(self):
         for spec in SLO_CATALOG.values():
             assert spec.series in SAMPLE_CATALOG
-
-    def test_non_advisory_slos_have_alert_catalog_entries(self):
-        for name, spec in SLO_CATALOG.items():
-            if not spec.advisory:
-                assert name in ALERT_CATALOG
 
     def test_windows_ordered_and_objectives_sane(self):
         for spec in SLO_CATALOG.values():
@@ -127,36 +118,6 @@ class TestMultiWindowGating:
         assert status.short_burn > 1.0
         assert status.advisory
         assert not status.alerting
-
-
-class TestWatchdogWiring:
-    def test_rules_cover_non_advisory_slos_only(self):
-        rules = burn_alert_rules(TimeSeriesStore())
-        names = {rule.name for rule in rules}
-        assert names == {
-            name for name, spec in SLO_CATALOG.items() if not spec.advisory
-        }
-
-    def test_burn_alert_rides_the_audit_stream(self):
-        store = TimeSeriesStore()
-        audit = AuditLog()
-        watchdog = AlertWatchdog(
-            MetricsRegistry(), audit=audit, rules=burn_alert_rules(store)
-        )
-        _fill(store, "revert_rate", [0.9] * 300)
-        _fill(store, "validation_failure_rate", [0.0] * 300)
-        _fill(store, "plan_cache_hit_rate", [0.5] * 300)
-        _fill(store, "time_to_implement_minutes", [10.0] * 300)
-        raised = watchdog.evaluate(1000.0)
-        assert [alert.rule for alert in raised] == ["slo_revert_rate"]
-        events = [e.event_type for e in audit.events()]
-        assert events == ["alert_raised"]
-        # Recovery: refill the window with healthy samples -> resolved.
-        for tick in range(300, 900):
-            store.observe("revert_rate", tick, 0.0)
-        watchdog.evaluate(2000.0)
-        events = [e.event_type for e in audit.events()]
-        assert events == ["alert_raised", "alert_resolved"]
 
 
 class TestReportAndPersistence:

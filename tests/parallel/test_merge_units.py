@@ -224,3 +224,61 @@ class TestDeterministicMerger:
             (2, "db-b"),
         ]
         assert all(s.end is not None for s in spans)
+
+    def test_ended_spans_leave_no_span_state(self):
+        """Children resolve their parent among the open spans, and a span
+        that has ended is forgotten: merging a tree that has fully ended
+        leaves the merger holding nothing but the rec-id map."""
+        merger = make_merger()
+        root = ("start", 1, "recommendation", "db-a", 1.0, None, {}, None)
+        merger.merge(
+            [
+                delta_for(
+                    "db-a",
+                    [],
+                    spans=[
+                        root,
+                        ("start", 2, "recommend", "db-a", 1.0, 1, {}, None),
+                        ("end", 2, 2.0, "ok", {}, None),
+                        ("start", 3, "implement", "db-a", 2.0, 1, {}, None),
+                    ],
+                )
+            ]
+        )
+        merger.merge(
+            [
+                delta_for(
+                    "db-a",
+                    [],
+                    spans=[
+                        ("end", 3, 3.0, "ok", {}, None),
+                        ("end", 1, 3.0, "ok", {}, None),
+                    ],
+                )
+            ]
+        )
+        spans = sorted(merger.recorder.spans(), key=lambda s: s.span_id)
+        assert [(s.span_id, s.parent_id) for s in spans] == [
+            (1, None),
+            (2, 1),
+            (3, 1),
+        ]
+        span_state = {
+            name: value
+            for name, value in vars(merger).items()
+            if isinstance(value, dict) and name != "rec_ids" and value
+        }
+        assert span_state == {}
+        # A child of an ended parent is a stream out of order.
+        with pytest.raises(TelemetryError, match="child span before parent"):
+            merger.merge(
+                [
+                    delta_for(
+                        "db-a",
+                        [],
+                        spans=[
+                            ("start", 4, "validate", "db-a", 4.0, 1, {}, None)
+                        ],
+                    )
+                ]
+            )

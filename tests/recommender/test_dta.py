@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import pytest
 
 from repro.clock import HOURS
@@ -46,6 +43,7 @@ from tests.conftest import (
     populate_orders,
 )
 from tests.engine.test_optimizer import perfect_engine
+from tests.observability.test_alerts import audit_digest
 from repro.engine.engine import Database, SqlEngine
 
 
@@ -467,45 +465,18 @@ class TestPinnedAcrossProjection:
         assert not whatif._relevance
 
 
-def _without_plan_cache_series(events):
-    """The audit stream minus anomaly/alert events on the
-    ``plan_cache_hit_rate`` series, sequence fields renumbered."""
-    kept = [
-        event
-        for event in events
-        if not (
-            (
-                event["event_type"] == "telemetry_anomaly"
-                or event["event_type"].startswith("alert_")
-            )
-            and event["payload"].get("series") == "plan_cache_hit_rate"
-        )
-    ]
-    renumbered = {event["seq"]: i for i, event in enumerate(kept)}
-    return [
-        dict(
-            event,
-            seq=renumbered[event["seq"]],
-            parent_seq=(
-                None
-                if event["parent_seq"] is None
-                else renumbered[event["parent_seq"]]
-            ),
-        )
-        for event in kept
-    ]
-
-
 def test_premium_fleet_audit_equals_parent_but_for_plan_cache_series():
     """What-if pricings are plan-cache lookups, so pricing fewer of them
     lifts the fleet's ``plan_cache_hit_rate`` series.  On the benchmark's
-    ``fleet_premium`` recipe the parent commit raised one
-    ``telemetry_anomaly`` on that series (tick 12, value 0.0167 against
-    an EWMA of 0.045: the dip *was* DTA's what-if traffic) which no
-    longer fires.  Everything else in the audit stream — every state
-    change, implementation, recommendation and DTA event — must equal
-    the parent's: the digest below was recorded there, over the stream
-    with that series' events removed (one, at the parent; none, now)."""
+    ``fleet_premium`` recipe the last commit that priced every
+    configuration raised one ``telemetry_anomaly`` on that series (tick
+    12, value 0.0167 against an EWMA of 0.045: the dip *was* DTA's
+    what-if traffic) which no longer fires.  Everything else in the
+    audit stream — every state change, implementation, recommendation
+    and DTA event — must equal that run's: the digest below was
+    recorded over the stream with that series' anomalies and the
+    retired fixed-threshold alert rules' events removed (the
+    plan-cache floor paged at 4.5 h while those rules existed)."""
     service = build_service(
         3,
         tier="premium",
@@ -515,16 +486,8 @@ def test_premium_fleet_audit_equals_parent_but_for_plan_cache_series():
     service.run(0.4657879960582425)  # the benchmark's seed-11 phase tick
     for _tick in range(14):
         service.run(1.0)
-    events = [
-        json.loads(line)
-        for line in service.telemetry.audit.to_jsonl().splitlines()
-    ]
     assert sum(p.dta_sessions for p in service.plane.databases.values()) == 3
-    normalized = _without_plan_cache_series(events)
-    digest = hashlib.sha256(
-        json.dumps(normalized, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    assert len(normalized) == 35
-    assert digest == (
-        "1cb0f8e756f0d848b0a09beecd8915e362e0019f34809f1c1eba8dac77aea3e9"
+    assert audit_digest(service.telemetry.audit, {"plan_cache_hit_rate"}) == (
+        34,
+        "f82d8c2dd6bf5948b8e52f6c7261071e6d1b449a4168aade439dee6cc40fd73f",
     )

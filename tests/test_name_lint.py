@@ -8,6 +8,7 @@ in ``BENCHMARK.json["paths"]`` are never scanned.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -41,7 +42,6 @@ NAMESPACES = {
         'audit.emit(now, "no_such_event", db)',
         "audit.emit(now, kind, db)",
     ),
-    "alert rule name": ('AlertRule(name="no_such_rule")', None),
     "fleet_* metric": ('x = "fleet_no_such_gauge"', None),
     "whatif_batch_* metric": ('x = "whatif_batch_no_such"', None),
     "phase name": ('timer.phase("no_such_phase")', "trace.observe_phase(p, d)"),
@@ -87,6 +87,30 @@ def test_cataloged_names_and_table_driven_loop_pass(lint, catalogs, tmp_path):
         'timer.phase(\n    "merge")\n'
     )
     assert lint.check_file(path, catalogs) == []
+
+
+def test_repository_passes(lint, capsys):
+    assert lint.main([]) == 0
+    assert " 0 violation(s)" in capsys.readouterr().out
+
+
+def test_slo_reading_an_uncatalogued_series_is_a_violation(
+    lint, catalogs, monkeypatch, capsys
+):
+    slos = dict(catalogs["SLO_CATALOG"])
+    slos["slo_orphan"] = dataclasses.replace(
+        slos["slo_revert_rate"], name="slo_orphan", series="no_such_series"
+    )
+    monkeypatch.setattr(
+        lint, "load_catalogs", lambda: dict(catalogs, SLO_CATALOG=slos)
+    )
+    assert lint.main([]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "SLO_CATALOG['slo_orphan'] reads series 'no_such_series' "
+        "which is not in SAMPLE_CATALOG"
+    ) in out
+    assert " 1 violation(s)" in out
 
 
 def test_frozen_benchmark_dirs_are_skipped(lint, tmp_path, monkeypatch):
