@@ -6,11 +6,12 @@ exposing the surfaces the auto-indexing service consumes:
 
 - ``execute(query)`` — optimize + execute, recording Query Store runtime
   stats, MI candidates, and index usage;
-- ``whatif_optimize(query, extra_indexes, excluded)`` — the what-if API:
-  the same planner ``execute`` uses, asked about a hypothetical
-  configuration and metered against the tuning resource pool (Section
-  5.3.1); ``whatif_batch`` / ``whatif_cost_many`` ask about many
-  configurations of one statement through one :class:`WhatIfBatch`;
+- ``whatif_optimize(query, extra_indexes)`` — the what-if API: the
+  statement substrate ``execute``'s planning uses, asked about a
+  hypothetical configuration (no plan-cache traffic, no MI emission) and
+  metered against the tuning resource pool (Section 5.3.1);
+  ``whatif_batch`` / ``whatif_cost_many`` ask about many configurations
+  of one statement through one :class:`WhatIfBatch`;
 - ``create_index`` / ``drop_index`` — immediate DDL (the control plane
   wraps these in online build jobs and the low-priority drop protocol);
 - ``restart()`` / ``failover()`` — clear the MI DMV, exercising the
@@ -65,9 +66,9 @@ class EngineSettings:
     #: fragment (procedural T-SQL), exercising DTA's workload-completion
     #: logic (Section 5.3.2).
     incomplete_text_rate: float = 0.08
-    #: Fraction of incomplete-text templates whose full text is recoverable
-    #: from the plan cache.
-    plan_cache_hit_rate: float = 0.6
+    #: Fraction of incomplete-text templates whose full text the plan
+    #: cache retains, so DTA can recover it (Section 5.3.2).
+    plan_cache_text_retention: float = 0.6
     #: Virtual CPU ms charged to the tuning pool per what-if optimize call.
     whatif_call_cpu_ms: float = 6.0
 
@@ -152,7 +153,7 @@ class SqlEngine:
         #: for "the application's statements"); access rules below model what
         #: Query Store / the plan cache actually captured.
         self._query_objects: Dict[int, object] = {}
-        self._plan_cache: Dict[int, object] = {}
+        self._plan_cache_text: Dict[int, object] = {}
         self.restarts = 0
 
     # ------------------------------------------------------------------
@@ -165,7 +166,7 @@ class SqlEngine:
     @property
     def plan_cache(self):
         """The optimizer's memoized plan cache (distinct from the
-        statement-text ``_plan_cache`` DTA reads fragments from)."""
+        statement-text ``_plan_cache_text`` DTA reads fragments from)."""
         return self.optimizer.plan_cache
 
     def execute(self, query, at_time: Optional[float] = None) -> ExecutionResult:
@@ -249,10 +250,11 @@ class SqlEngine:
         )
         # Plan cache: bounded, holds full statement context for recent
         # templates; DTA falls back to it for incomplete QS text.
-        if self._text_is_complete(query, query_id) or self._plan_cache_holds(query_id):
-            self._plan_cache[query_id] = query
-            if len(self._plan_cache) > 512:
-                self._plan_cache.pop(next(iter(self._plan_cache)))
+        complete = self._text_is_complete(query, query_id)
+        if complete or self._plan_cache_retains_text(query_id):
+            self._plan_cache_text[query_id] = query
+            if len(self._plan_cache_text) > 512:
+                self._plan_cache_text.pop(next(iter(self._plan_cache_text)))
 
     def _text_is_complete(self, query, query_id: int) -> bool:
         if isinstance(query, InsertQuery) and query.bulk:
@@ -260,9 +262,9 @@ class SqlEngine:
         draw = stable_uniform(self.database.seed, "qstext", query_id)
         return draw >= self.settings.incomplete_text_rate
 
-    def _plan_cache_holds(self, query_id: int) -> bool:
+    def _plan_cache_retains_text(self, query_id: int) -> bool:
         draw = stable_uniform(self.database.seed, "plancache", query_id)
-        return draw < self.settings.plan_cache_hit_rate
+        return draw < self.settings.plan_cache_text_retention
 
     def _record_usage(self, plan: PlanNode, query, now: float) -> None:
         table = query.table
@@ -283,25 +285,17 @@ class SqlEngine:
     # What-if API (Section 5.3)
 
     def whatif_optimize(
-        self,
-        query,
-        extra_indexes: Sequence[IndexDefinition] = (),
-        excluded: Sequence[str] = (),
+        self, query, extra_indexes: Sequence[IndexDefinition] = ()
     ) -> PlanNode:
         """Optimize under a hypothetical configuration; metered."""
-        return WhatIfBatch(self, query, excluded).price(extra_indexes)
+        return WhatIfBatch(self, query).price(extra_indexes)
 
     def whatif_cost(
-        self,
-        query,
-        extra_indexes: Sequence[IndexDefinition] = (),
-        excluded: Sequence[str] = (),
+        self, query, extra_indexes: Sequence[IndexDefinition] = ()
     ) -> float:
-        return self.whatif_optimize(query, extra_indexes, excluded).est_cost
+        return self.whatif_optimize(query, extra_indexes).est_cost
 
-    def whatif_batch(
-        self, query, excluded: Sequence[str] = ()
-    ) -> "WhatIfBatch":
+    def whatif_batch(self, query) -> "WhatIfBatch":
         """A metered pricer for many configurations of one statement.
 
         Every configuration priced through it produces the exact plan
@@ -309,13 +303,10 @@ class SqlEngine:
         tuning pool the same way; the statement's plan substrate is
         built once for all of them.
         """
-        return WhatIfBatch(self, query, excluded)
+        return WhatIfBatch(self, query)
 
     def whatif_cost_many(
-        self,
-        query,
-        configurations: Sequence[Sequence[IndexDefinition]],
-        excluded: Sequence[str] = (),
+        self, query, configurations: Sequence[Sequence[IndexDefinition]]
     ) -> List[float]:
         """Estimated costs of one statement under many configurations.
 
@@ -323,7 +314,7 @@ class SqlEngine:
         configuration, but the query-invariant optimizer work is done
         once per statement rather than once per configuration.
         """
-        batch = self.whatif_batch(query, excluded)
+        batch = self.whatif_batch(query)
         return [batch.cost(configuration) for configuration in configurations]
 
     # ------------------------------------------------------------------
@@ -350,7 +341,7 @@ class SqlEngine:
             return None
         if info.text_complete:
             return self._query_objects.get(query_id)
-        return self._plan_cache.get(query_id)
+        return self._plan_cache_text.get(query_id)
 
     # ------------------------------------------------------------------
     # DDL
@@ -381,7 +372,7 @@ class SqlEngine:
     def restart(self) -> None:
         """Server restart: volatile DMVs (MI, plan caches) are lost."""
         self.missing_indexes.reset()
-        self._plan_cache.clear()
+        self._plan_cache_text.clear()
         self.plan_cache.invalidate()
         self.restarts += 1
 
@@ -422,9 +413,10 @@ class SqlEngine:
 
 
 class WhatIfBatch:
-    """The metered what-if API for one statement under one exclusion set:
-    governor accounting around the optimizer's
-    :class:`repro.engine.optimizer.BatchPricer`.
+    """The metered what-if API for one statement: governor accounting
+    around the optimizer's :class:`repro.engine.optimizer.BatchPricer`,
+    which prices off the statement's substrate (no plan-cache lookups
+    or stores).
 
     Each :meth:`price` call charges ``whatif_call_cpu_ms`` to the tuning
     pool *before* pricing — so the charge does not depend on how calls
@@ -440,9 +432,9 @@ class WhatIfBatch:
     work avoided) and pays it through :meth:`charge`.
     """
 
-    def __init__(self, engine: SqlEngine, query, excluded: Sequence[str] = ()):
+    def __init__(self, engine: SqlEngine, query):
         self._engine = engine
-        self._pricer = engine.optimizer.batch_pricer(query, frozenset(excluded))
+        self._pricer = engine.optimizer.batch_pricer(query)
 
     def _meter(self) -> float:
         engine = self._engine

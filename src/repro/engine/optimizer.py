@@ -8,9 +8,9 @@ the :class:`repro.engine.cost_model.CostModel`.
 
 SELECT planning costs the **complete** plan — access + join + aggregate +
 sort + top — independently for every access candidate and returns the true
-argmin.  That makes plan choice monotone by construction: hiding indexes
-only removes candidates (the minimum can only rise), and hypothetical
-indexes only add candidates (the minimum can only fall).  An earlier
+argmin.  That makes plan choice monotone by construction: an index only
+adds candidates, so the minimum can only fall when one is created (or
+supplied hypothetically) and only rise when one is dropped.  An earlier
 "effective cost" heuristic credited order-providing access paths with an
 avoided-sort bonus derived from an arbitrary candidate's cardinality,
 which both violated monotonicity and mispriced ordered plans under
@@ -22,19 +22,21 @@ There is one planner.  Every statement is planned by building its
 hypothetical configuration: the base access candidates over existing
 indexes, each finished into a complete plan, and the join context — and
 then asking the substrate to price a tuple of hypothetical index
-definitions.  Normal-mode planning is the empty tuple; a what-if call
-(Section 5.3) is one tuple; DTA's enumeration prices a whole frontier of
-tuples against one substrate through :class:`BatchPricer`.  ``excluded``
-hides existing indexes (how index *drops* are costed) and is part of the
-substrate's identity.  Hypothetical indexes are costed from closed-form
-shape estimates without materializing anything.
+definitions.  Statement planning (:meth:`Optimizer.optimize`) is the empty
+tuple; the what-if API (Section 5.3) prices one tuple or a whole DTA
+frontier of them against one substrate through :class:`BatchPricer`.
+Hypothetical indexes are costed from closed-form shape estimates without
+materializing anything.
 
-Results are memoized in a :class:`repro.engine.plan_cache.PlanCache` keyed
-by (query, per-table version fingerprint, what-if configuration), and
-substrates beside them; see that module for the staleness rules.
+Each question has one memo in a :class:`repro.engine.plan_cache.PlanCache`:
+executed statements' plans keyed by (query, per-table version
+fingerprint), and statement substrates beside them under the same key;
+see that module for the staleness rules.  What-if pricing never reads or
+writes plans — the caller that repeats a configuration (DTA's
+``WhatIfSession``) memoizes its costs itself.
 
-**Missing-index emission** (Section 5.2): during normal (non-what-if)
-optimization, the optimizer compares the chosen plan against an ideal
+**Missing-index emission** (Section 5.2): while planning an executed
+statement, the optimizer compares the chosen plan against an ideal
 single-table index built from the query's own sargable predicates and, if
 the ideal index would beat the plan, reports a missing-index candidate to
 the DMV sink.  Deliberately local: join, GROUP BY and ORDER BY columns
@@ -123,7 +125,7 @@ class _JoinContext:
 class BatchPricingStats:
     """Monotone counters for :class:`BatchPricer` traffic (per engine)."""
 
-    #: Pricers created (one per (statement, excluded-set) batch).
+    #: Pricers created (one per statement batch).
     batches: int = 0
     #: Configurations priced through a pricer.
     configurations: int = 0
@@ -142,89 +144,39 @@ class Optimizer:
     def __init__(self, tables: Dict[str, Table], cost_model: CostModel) -> None:
         self._tables = tables
         self._cost_model = cost_model
-        #: Number of optimizations performed in what-if mode (metered for
-        #: DTA resource accounting).
-        self.whatif_calls = 0
-        #: Memoized plans (normal mode and what-if mode alike).
+        #: Memoized plans of executed statements, and their substrates.
         self.plan_cache = PlanCache()
         #: Counters for :class:`BatchPricer` traffic.
         self.batch_stats = BatchPricingStats()
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Entry points
 
-    def optimize(
-        self,
-        query,
-        extra_indexes: Sequence[IndexDefinition] = (),
-        excluded: frozenset = frozenset(),
-        mi_sink: Optional[MiSink] = None,
-    ) -> PlanNode:
-        """Produce the cheapest estimated plan for ``query``.
+    def optimize(self, query, mi_sink: Optional[MiSink] = None) -> PlanNode:
+        """Plan an executed statement: the cheapest estimated plan over
+        existing indexes.
 
-        ``extra_indexes``/``excluded`` put the optimizer in what-if mode
-        (hypothetical configuration); MI candidates are only emitted in
-        normal mode (``mi_sink`` provided and no hypothetical config).
-        Results are memoized in :attr:`plan_cache`; on a hit the MI
-        emissions recorded at compute time are replayed into ``mi_sink``
-        so the DMV accounting is cache-transparent.
+        The only code that reads or writes :attr:`plan_cache` plans.  On
+        a miss the statement's substrate is built, priced with no
+        hypothetical index and dropped (a miss at the same table versions
+        will not recur), and the plan's MI candidates go to ``mi_sink``;
+        on a hit the emissions recorded at compute time are replayed into
+        ``mi_sink`` so the DMV accounting is cache-transparent.
         """
-        return self._plan(
-            query, tuple(extra_indexes), frozenset(excluded), mi_sink
-        )
-
-    def batch_pricer(
-        self, query, excluded: frozenset = frozenset()
-    ) -> "BatchPricer":
-        """A pricer that costs many hypothetical configurations of ``query``.
-
-        Every configuration gets exactly the plan :meth:`optimize` would
-        return; the pricer only keeps the statement's substrate alive
-        between calls (and shares it through the plan cache's substrate
-        store), see :class:`BatchPricer`.
-        """
-        return BatchPricer(self, query, frozenset(excluded))
-
-    def _plan(
-        self,
-        query,
-        extras: Tuple[IndexDefinition, ...],
-        excluded: frozenset,
-        mi_sink: Optional[MiSink] = None,
-        pricer: Optional["BatchPricer"] = None,
-    ) -> PlanNode:
-        """The one planning body: cache lookup, substrate, price, store.
-
-        ``pricer`` supplies a substrate that outlives the call; without
-        one the substrate is built for this call and dropped, since a
-        plan-cache miss at the same table versions will not recur.
-        """
-        whatif = bool(extras) or bool(excluded)
-        if whatif:
-            self.whatif_calls += 1
-        key = self._cache_key(query, extras, excluded)
+        key = self._cache_key(query)
         if key is not None:
             entry = self.plan_cache.lookup(key)
             if entry is not None:
                 count("plan_cache_hit")
-                if mi_sink is not None and not whatif:
+                if mi_sink is not None:
                     for emission in entry.mi_emissions:
                         mi_sink(*emission)
                 return entry.plan
             count("plan_cache_miss")
-        if whatif and _rejects_hypotheticals(query):
-            raise OptimizeError(
-                "BULK INSERT cannot be optimized in what-if mode"
-            )
         emissions: List[tuple] = []
         with profile("optimizer_plan_search"):
-            if pricer is not None:
-                substrate = pricer.substrate()
-            else:
-                substrate = _build_substrate(self, query, excluded)
-            plan = substrate.price(extras)
-            if not whatif:
-                self._emit_missing_indexes(query, plan, emissions.append)
+            plan = _build_substrate(self, query).price(())
+            self._emit_missing_indexes(query, plan, emissions.append)
         if mi_sink is not None:
             for emission in emissions:
                 mi_sink(*emission)
@@ -239,17 +191,18 @@ class Optimizer:
             )
         return plan
 
-    def _cache_key(
-        self,
-        query,
-        extra_indexes: Tuple[IndexDefinition, ...],
-        excluded: frozenset,
-    ) -> Optional[Hashable]:
-        """The memoization key, or None when the query is not cacheable.
+    def batch_pricer(self, query) -> "BatchPricer":
+        """A pricer that costs many hypothetical configurations of ``query``
+        off one substrate, see :class:`BatchPricer`."""
+        return BatchPricer(self, query)
 
-        Queries and index definitions are frozen dataclasses, so the key
-        hashes structurally; anything unhashable (e.g. exotic predicate
-        values) simply bypasses the cache rather than erroring.
+    def _cache_key(self, query) -> Optional[Hashable]:
+        """The plan and substrate memoization key, or None when the query
+        is not cacheable.
+
+        Queries are frozen dataclasses, so the key hashes structurally;
+        anything unhashable (e.g. exotic predicate values) simply bypasses
+        the cache rather than erroring.
         """
         fingerprint = []
         for name in self._referenced_tables(query):
@@ -260,7 +213,7 @@ class Optimizer:
                 (name, table.schema_version, table.stats_version,
                  table.data_version)
             )
-        key = (query, tuple(fingerprint), tuple(sorted(excluded)), extra_indexes)
+        key = (query, tuple(fingerprint))
         try:
             hash(key)
         except TypeError:
@@ -283,14 +236,11 @@ class Optimizer:
         except KeyError:
             raise UnknownTableError(f"table {name!r} does not exist") from None
 
-    def _visible_indexes(
-        self, table: Table, excluded: frozenset
-    ) -> List[Tuple[IndexDefinition, IndexStatsView]]:
-        """Existing indexes the configuration has not hidden."""
+    @staticmethod
+    def _existing_indexes(table: Table) -> List[Tuple[IndexDefinition, IndexStatsView]]:
         return [
             (index.definition, index.stats_view())
             for index in table.indexes.values()
-            if index.name not in excluded
         ]
 
     # ------------------------------------------------------------------
@@ -301,7 +251,6 @@ class Optimizer:
         table: Table,
         predicates: Tuple[Predicate, ...],
         needed_columns: Tuple[str, ...],
-        excluded: frozenset,
     ) -> Tuple[float, List[_AccessCandidate]]:
         """Output-row estimate and every access path over existing structures.
 
@@ -337,7 +286,7 @@ class Optimizer:
             candidates.append(pk_candidate)
 
         # 3. Secondary indexes: seeks (covering or + lookup) and covering scans.
-        for definition, view in self._visible_indexes(table, excluded):
+        for definition, view in self._existing_indexes(table):
             candidates.extend(
                 self._index_candidates(
                     table, definition, view, predicates, needed_columns, out_rows
@@ -518,7 +467,6 @@ class Optimizer:
         table: Table,
         predicates: Tuple[Predicate, ...],
         needed_columns: Tuple[str, ...],
-        excluded: frozenset,
     ) -> _AccessCandidate:
         """Cheapest existing access path by its own cost (no downstream context).
 
@@ -527,7 +475,7 @@ class Optimizer:
         plan per candidate in :class:`_SelectSubstrate`.
         """
         _out_rows, candidates = self._access_candidates(
-            table, predicates, needed_columns, excluded
+            table, predicates, needed_columns
         )
         return min(candidates, key=lambda c: c.cost)
 
@@ -581,9 +529,7 @@ class Optimizer:
             )
         return plan, cost
 
-    def _join_context(
-        self, query: SelectQuery, excluded: frozenset
-    ) -> "_JoinContext":
+    def _join_context(self, query: SelectQuery) -> "_JoinContext":
         """Inner-side planning shared by every outer access candidate.
 
         The inner side's best per-probe seek and best build-side access do
@@ -611,7 +557,7 @@ class Optimizer:
             join.predicates
         )
         nl_out_rows, nl_candidates = self._access_candidates(
-            right, nl_preds, right_needed, excluded
+            right, nl_preds, right_needed
         )
         nl_inner = min(
             filter(_param_seekable, nl_candidates),
@@ -620,7 +566,7 @@ class Optimizer:
         )
         # Hash join: scan both sides, build on inner.
         hash_out_rows, hash_candidates = self._access_candidates(
-            right, tuple(join.predicates), right_needed, excluded
+            right, tuple(join.predicates), right_needed
         )
         return _JoinContext(
             join=join,
@@ -717,12 +663,11 @@ class Optimizer:
     def _maintained_indexes(
         self,
         table: Table,
-        excluded: frozenset,
         changed_columns: Optional[Sequence[str]] = None,
     ) -> List[Tuple[IndexDefinition, IndexStatsView]]:
         return [
             (definition, view)
-            for definition, view in self._visible_indexes(table, excluded)
+            for definition, view in self._existing_indexes(table)
             if _maintains(table, definition, changed_columns)
         ]
 
@@ -839,9 +784,7 @@ class Optimizer:
         if candidate is None:
             return
         # Compare against the best access over *existing* structures only.
-        best_existing = self._best_access(
-            table, predicates, referenced, frozenset()
-        )
+        best_existing = self._best_access(table, predicates, referenced)
         if candidate.cost >= best_existing.cost * (1.0 - MI_REPORT_THRESHOLD):
             return
         impact = 100.0 * (1.0 - candidate.cost / best_existing.cost)
@@ -884,19 +827,16 @@ def _first_min(results, best=None):
 
 
 class _SelectSubstrate:
-    """Plan space of one SELECT under one exclusion set."""
+    """Plan space of one SELECT."""
 
-    def __init__(
-        self, opt: Optimizer, query: SelectQuery, excluded: frozenset
-    ) -> None:
+    def __init__(self, opt: Optimizer, query: SelectQuery) -> None:
         self._opt = opt
         self._query = query
-        self._excluded = excluded
         table = opt._table(query.table)
         self._table = table
         self._needed = query.referenced_columns()
         self._out_rows, candidates = opt._access_candidates(
-            table, query.predicates, self._needed, excluded
+            table, query.predicates, self._needed
         )
         if query.index_hint is not None:
             candidates = [
@@ -905,7 +845,7 @@ class _SelectSubstrate:
         self._base_candidates = candidates
         self._base_ctx: Optional[_JoinContext] = None
         if query.join is not None:
-            self._base_ctx = opt._join_context(query, excluded)
+            self._base_ctx = opt._join_context(query)
         #: Cheapest finished base plan; None only when an index hint
         #: names no existing index (an extra may still carry the name).
         self._base_best = _first_min(
@@ -937,8 +877,6 @@ class _SelectSubstrate:
 
     def _sides(self, definition: IndexDefinition) -> Tuple[bool, bool]:
         """Whether the outer access and the join's inner side can see it."""
-        if definition.name in self._excluded:
-            return False, False
         query = self._query
         hint = query.index_hint
         outer = definition.table == self._table.name and (
@@ -1061,17 +999,14 @@ class _SelectSubstrate:
 class _InsertSubstrate:
     """Maintenance-cost prefix for an INSERT."""
 
-    def __init__(
-        self, opt: Optimizer, query: InsertQuery, excluded: frozenset
-    ) -> None:
+    def __init__(self, opt: Optimizer, query: InsertQuery) -> None:
         self._opt = opt
         self._query = query
-        self._excluded = excluded
         table = opt._table(query.table)
         self._table = table
         model = opt._cost_model
         self._rows = float(len(query.rows))
-        maintained = opt._maintained_indexes(table, excluded)
+        maintained = opt._maintained_indexes(table)
         cview = table.clustered_stats_view()
         # Left-to-right accumulation: clustered tree first, then existing
         # indexes; extras append in price().
@@ -1084,10 +1019,7 @@ class _InsertSubstrate:
 
     def contributes(self, definition: IndexDefinition) -> bool:
         """Whether the INSERT must maintain the definition."""
-        return (
-            definition.table == self._table.name
-            and definition.name not in self._excluded
-        )
+        return definition.table == self._table.name
 
     def price(self, extras: Tuple[IndexDefinition, ...]) -> PlanNode:
         table = self._table
@@ -1123,15 +1055,14 @@ class _DmlSubstrate:
     maintenance terms are summed per price() from memoized tree heights.
     """
 
-    def __init__(self, opt: Optimizer, query, excluded: frozenset) -> None:
+    def __init__(self, opt: Optimizer, query) -> None:
         self._opt = opt
         self._query = query
-        self._excluded = excluded
         table = opt._table(query.table)
         self._table = table
         self._needed = tuple(table.schema.column_names)
         self._out_rows, candidates = opt._access_candidates(
-            table, query.predicates, self._needed, excluded
+            table, query.predicates, self._needed
         )
         self._base_best = min(candidates, key=lambda c: c.cost)
         #: UPDATE maintains only indexes its SET list touches, and pays a
@@ -1142,9 +1073,7 @@ class _DmlSubstrate:
         self._factor = 1 if self._changed is None else 2
         self._base_maintained = tuple(
             (d.name, view.height)
-            for d, view in opt._maintained_indexes(
-                table, excluded, self._changed
-            )
+            for d, view in opt._maintained_indexes(table, self._changed)
         )
         self._cview_height = table.clustered_stats_view().height
         #: definition -> (access candidates, maintained tree height or
@@ -1163,7 +1092,7 @@ class _DmlSubstrate:
 
     def _compute_extra(self, definition: IndexDefinition) -> tuple:
         table = self._table
-        if definition.table != table.name or definition.name in self._excluded:
+        if definition.table != table.name:
             return ()
         view = table.hypothetical_stats_view(definition)
         candidates = self._opt._index_candidates(
@@ -1251,43 +1180,42 @@ def _param_seekable(candidate: _AccessCandidate) -> bool:
     return any(p.value is PARAM for p in seek.eq_predicates)
 
 
-def _build_substrate(opt: Optimizer, query, excluded: frozenset):
+def _build_substrate(opt: Optimizer, query):
     if isinstance(query, SelectQuery):
-        return _SelectSubstrate(opt, query, excluded)
+        return _SelectSubstrate(opt, query)
     if isinstance(query, InsertQuery):
-        return _InsertSubstrate(opt, query, excluded)
+        return _InsertSubstrate(opt, query)
     if isinstance(query, (UpdateQuery, DeleteQuery)):
-        return _DmlSubstrate(opt, query, excluded)
+        return _DmlSubstrate(opt, query)
     raise OptimizeError(f"cannot optimize {type(query).__name__}")
 
 
 class BatchPricer:
-    """Prices many configurations of one statement under one exclusion set.
+    """Prices many hypothetical configurations of one statement.
 
-    ``price(extra_indexes)`` is ``optimize(query, extra_indexes,
-    excluded)`` — the same planning body, hence the same floats, argmin
-    winner, ``whatif_calls`` metering, per-configuration plan-cache
-    lookups/stores and exceptions — except that the statement's substrate
-    is built at most once for the pricer's lifetime and shared, through
-    the plan cache's substrate store, with later pricers for the same
-    statement at the same table versions.
+    ``price(extra_indexes)`` asks the statement's substrate directly —
+    the same substrate :meth:`Optimizer.optimize` prices with no extras,
+    hence the same floats, argmin winner and exceptions — without
+    touching the plan cache's plans or emitting MI candidates.  The
+    substrate is built at most once for the pricer's lifetime and
+    shared, through the plan cache's substrate store, with later pricers
+    for the same statement at the same table versions.
     """
 
-    def __init__(
-        self, optimizer: Optimizer, query, excluded: frozenset
-    ) -> None:
+    def __init__(self, optimizer: Optimizer, query) -> None:
         self._optimizer = optimizer
         self._query = query
-        self._excluded = excluded
         self._substrate = None
         optimizer.batch_stats.batches += 1
 
     def price(self, extra_indexes: Sequence[IndexDefinition] = ()) -> PlanNode:
-        opt = self._optimizer
-        opt.batch_stats.configurations += 1
-        return opt._plan(
-            self._query, tuple(extra_indexes), self._excluded, pricer=self
-        )
+        extras = tuple(extra_indexes)
+        self._optimizer.batch_stats.configurations += 1
+        if extras and _rejects_hypotheticals(self._query):
+            raise OptimizeError(
+                "BULK INSERT cannot be optimized in what-if mode"
+            )
+        return self.substrate().price(extras)
 
     def contributes(self, definition: IndexDefinition) -> bool:
         """Whether ``definition`` can change what :meth:`price` returns.
@@ -1311,13 +1239,13 @@ class BatchPricer:
         if self._substrate is not None:
             return self._substrate
         opt = self._optimizer
-        skey = opt._cache_key(self._query, (), self._excluded)
+        skey = opt._cache_key(self._query)
         substrate = (
             opt.plan_cache.lookup_substrate(skey) if skey is not None else None
         )
         if substrate is None:
             opt.batch_stats.substrate_misses += 1
-            substrate = _build_substrate(opt, self._query, self._excluded)
+            substrate = _build_substrate(opt, self._query)
             if skey is not None:
                 opt.plan_cache.store_substrate(
                     skey, substrate, opt._referenced_tables(self._query)

@@ -1,19 +1,19 @@
 """Memoized plan cache for the optimizer.
 
 Plan search is the engine's hottest profiled path: every executed
-statement optimizes, and DTA/MI recommendation sweeps re-optimize the
-same templates against dozens of hypothetical configurations
-(Section 5.3).  The cache memoizes ``optimize()`` results keyed by
+statement optimizes.  The cache memoizes the plans of executed
+statements (``Optimizer.optimize``) keyed by
 
 - the **query** itself (queries are frozen, hashable dataclasses, so the
-  full query — including literal values — is its own signature),
+  full query — including literal values — is its own signature), and
 - a per-referenced-table **fingerprint** ``(name, schema_version,
   stats_version, data_version)`` capturing everything cost estimation
-  reads: the visible index set, the statistics snapshot, and the live
-  tree shape / row count, and
-- the **what-if configuration**: the sorted ``excluded`` names plus the
-  ``extra_indexes`` tuple, so hypothetical configurations are cached
-  independently of normal mode and of each other.
+  reads: the index set, the statistics snapshot, and the live tree
+  shape / row count.
+
+What-if pricing (Section 5.3) never looks up or stores plans; it only
+shares statement substrates through the store beside them, under the
+same key.
 
 Staleness is handled twice over.  Version counters inside the key mean a
 DDL change, statistics rebuild, or DML mutation makes every affected key
@@ -39,7 +39,7 @@ from repro.engine.plans import PlanNode
 #: Default maximum number of cached plans per engine.
 DEFAULT_CAPACITY = 1024
 
-#: Default maximum number of memoized what-if substrates per engine.
+#: Maximum number of memoized what-if substrates per engine.
 #: Substrates (see :class:`repro.engine.optimizer.BatchPricer`) are much
 #: larger than plans — they hold every base access candidate and the
 #: per-definition memos — so their store is bounded separately and more
@@ -53,7 +53,7 @@ class PlanCacheEntry:
 
     plan: PlanNode
     #: MI sink argument tuples recorded when the plan was computed; replayed
-    #: into the sink on every cache hit (normal mode only).
+    #: into the sink on every cache hit.
     mi_emissions: Tuple[tuple, ...]
     #: Tables the plan reads or writes — the invalidation granularity.
     tables: Tuple[str, ...]
@@ -63,38 +63,25 @@ class PlanCache:
     """A bounded LRU mapping cache keys to :class:`PlanCacheEntry`.
 
     Counters are monotone over the cache's lifetime: ``hits``/``misses``
-    count :meth:`lookup` outcomes, ``evictions`` counts entries removed
-    for any reason (capacity pressure *and* invalidation), and
-    ``invalidations`` counts :meth:`invalidate` calls.
+    count :meth:`lookup` outcomes and ``evictions`` counts entries
+    removed for any reason (capacity pressure *and* invalidation).
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        substrate_capacity: int = DEFAULT_SUBSTRATE_CAPACITY,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
-        self.substrate_capacity = substrate_capacity
         self._entries: "OrderedDict[Hashable, PlanCacheEntry]" = OrderedDict()
         #: Memoized what-if substrates: key -> (substrate, tables).
-        #: Keyed by the base-configuration plan key, so the same version
-        #: fingerprints that gate plan staleness gate substrate staleness.
-        #: Hit/miss accounting lives in the optimizer's BatchPricingStats,
-        #: not in the plan counters below, so plan-cache hit rates do not
-        #: depend on how what-if calls are grouped into pricers.
+        #: Keyed by the plan key, so the same version fingerprints that
+        #: gate plan staleness gate substrate staleness.  Hit/miss
+        #: accounting lives in the optimizer's BatchPricingStats, not in
+        #: the plan counters below, which count statement planning only.
         self._substrates: "OrderedDict[Hashable, tuple]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
 
     # ------------------------------------------------------------------
 
@@ -130,11 +117,9 @@ class PlanCache:
     def store_substrate(
         self, key: Hashable, substrate, tables: Tuple[str, ...]
     ) -> None:
-        if self.substrate_capacity <= 0:
-            return
         self._substrates[key] = (substrate, tuple(tables))
         self._substrates.move_to_end(key)
-        while len(self._substrates) > self.substrate_capacity:
+        while len(self._substrates) > DEFAULT_SUBSTRATE_CAPACITY:
             self._substrates.popitem(last=False)
 
     def substrate_count(self) -> int:
@@ -150,7 +135,6 @@ class PlanCache:
         entries removed.  Memoized substrates touching the table are
         dropped too (they embed stats views and finished plans).
         """
-        self.invalidations += 1
         if table is None:
             removed = len(self._entries)
             self._entries.clear()

@@ -80,10 +80,10 @@ class TestRestartSemantics:
         )
         eng.execute(query)
         assert len(eng.missing_indexes) == 1
-        assert eng._plan_cache
+        assert eng._plan_cache_text
         eng.restart()
         assert len(eng.missing_indexes) == 0
-        assert not eng._plan_cache
+        assert not eng._plan_cache_text
         assert eng.restarts == 1
         # Query Store survives restarts (it is persistent by design).
         assert eng.query_store.queries()
@@ -91,7 +91,7 @@ class TestRestartSemantics:
     def test_statement_for_tuning_after_restart(self):
         eng = perfect_engine(seed=505)
         eng.settings.incomplete_text_rate = 1.0
-        eng.settings.plan_cache_hit_rate = 1.0
+        eng.settings.plan_cache_text_retention = 1.0
         query = SelectQuery("orders", ("o_id",), (Predicate("o_cust", Op.EQ, 2),))
         eng.execute(query)
         query_id = query.template_key()

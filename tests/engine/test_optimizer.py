@@ -270,7 +270,7 @@ class TestJoins:
         hyp = IndexDefinition(
             "hyp_reg", "customers", ("c_region",), ("c_name",), hypothetical=True
         )
-        plan = eng.optimizer.optimize(query, extra_indexes=(hyp,))
+        plan = eng.whatif_optimize(query, extra_indexes=(hyp,))
         assert isinstance(plan, (NestedLoopJoinNode, HashJoinNode))
 
 
@@ -283,32 +283,38 @@ class TestWhatIf:
         hyp = IndexDefinition(
             "hyp", "orders", ("o_cust",), ("o_amount",), hypothetical=True
         )
-        whatif = eng.optimizer.optimize(query, extra_indexes=(hyp,))
+        whatif = eng.whatif_optimize(query, extra_indexes=(hyp,))
         assert whatif.est_cost < base
         assert "hyp" in whatif.referenced_indexes()
 
     def test_excluding_index_restores_scan(self, eng):
+        """Twin engines, same seed: the one without ``ix_cust`` scans, and
+        creating the index never raises the estimate."""
+        without_eng = perfect_engine()
         eng.create_index(IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_amount",)))
         query = SelectQuery(
             "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),)
         )
         with_index = eng.optimizer.optimize(query)
         assert "ix_cust" in with_index.referenced_indexes()
-        without = eng.optimizer.optimize(query, excluded=frozenset({"ix_cust"}))
+        without = without_eng.optimizer.optimize(query)
         assert "ix_cust" not in without.referenced_indexes()
+        assert without.est_cost >= with_index.est_cost
 
     def test_whatif_counts_calls(self, eng):
         query = SelectQuery("orders", ("o_id",), (Predicate("o_cust", Op.EQ, 1),))
-        before = eng.optimizer.whatif_calls
         hyp = IndexDefinition("h", "orders", ("o_cust",), hypothetical=True)
-        eng.optimizer.optimize(query, extra_indexes=(hyp,))
-        assert eng.optimizer.whatif_calls == before + 1
+        eng.whatif_optimize(query, extra_indexes=(hyp,))
+        assert eng.optimizer.batch_stats.configurations == 1
+        assert eng.governor.tuning.usage.whatif_calls == 1
+        # Statement-planning counters do not see what-if traffic.
+        assert eng.plan_cache.misses == 0
 
     def test_bulk_insert_not_whatif_optimizable(self, eng):
         bulk = InsertQuery("orders", ((99999, 1, 1, 1.0, 1, "x"),), bulk=True)
         hyp = IndexDefinition("h", "orders", ("o_cust",), hypothetical=True)
         with pytest.raises(OptimizeError):
-            eng.optimizer.optimize(bulk, extra_indexes=(hyp,))
+            eng.whatif_optimize(bulk, extra_indexes=(hyp,))
 
     def test_dml_whatif_includes_maintenance(self, eng):
         update = UpdateQuery(
@@ -318,7 +324,7 @@ class TestWhatIf:
         )
         base = eng.optimizer.optimize(update).est_cost
         hyp = IndexDefinition("h", "orders", ("o_amount",), hypothetical=True)
-        with_hyp = eng.optimizer.optimize(update, extra_indexes=(hyp,))
+        with_hyp = eng.whatif_optimize(update, extra_indexes=(hyp,))
         assert with_hyp.est_cost > base
         assert "h" in with_hyp.maintained_indexes
 
@@ -375,18 +381,15 @@ class TestMiEmission:
         assert eq == ("o_cust",) and ineq == ("o_date",)
 
     def test_whatif_call_does_not_emit(self, eng):
-        hits = []
-
-        def sink(*args):
-            hits.append(args)
-
         hyp = IndexDefinition("h", "orders", ("o_note",), hypothetical=True)
-        eng.optimizer.optimize(
-            SelectQuery("orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),)),
-            extra_indexes=(hyp,),
-            mi_sink=sink,
+        query = SelectQuery(
+            "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),)
         )
-        assert hits == []
+        eng.whatif_cost_many(query, [(), (hyp,)])
+        assert len(eng.missing_indexes) == 0
+        # The statement itself does produce a candidate when executed.
+        eng.execute(query)
+        assert len(eng.missing_indexes) == 1
 
     def test_join_emits_for_both_tables(self, eng):
         query = SelectQuery(

@@ -26,7 +26,6 @@ class TestHitMiss:
         second = eng.optimizer.optimize(QUERY)
         assert second is first  # memoized object, not a re-plan
         assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate == 0.5
 
     def test_different_literals_are_different_entries(self, eng):
         eng.optimizer.optimize(QUERY)
@@ -37,17 +36,24 @@ class TestHitMiss:
         assert eng.plan_cache.misses == 2
         assert len(eng.plan_cache) == 2
 
-    def test_whatif_configurations_are_keyed_separately(self, eng):
+    def test_whatif_pricing_never_touches_plans(self, eng):
+        """What-if pricing prices off the statement's substrate: no plan
+        lookups, no stores, no evictions — and so the statement's first
+        execution still plans for real."""
         hyp = IndexDefinition(
             "hyp", "orders", ("o_cust",), ("o_amount",), hypothetical=True
         )
-        normal = eng.optimizer.optimize(QUERY)
-        with_hyp = eng.optimizer.optimize(QUERY, extra_indexes=(hyp,))
-        assert eng.plan_cache.misses == 2  # distinct keys, no cross-talk
-        again = eng.optimizer.optimize(QUERY, extra_indexes=(hyp,))
-        assert again is with_hyp
-        assert eng.optimizer.optimize(QUERY) is normal
-        assert eng.plan_cache.hits == 2
+        cache = eng.plan_cache
+        frontier = [(), (hyp,), (), (hyp,)]
+        batch = eng.whatif_batch(QUERY)
+        batch_costs = [batch.cost(config) for config in frontier]
+        assert eng.whatif_cost_many(QUERY, frontier) == batch_costs
+        assert (cache.hits, cache.misses, cache.evictions, len(cache)) == (
+            0, 0, 0, 0
+        )
+        plan = eng.execute(QUERY).plan
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
+        assert plan.est_cost == batch_costs[0]
 
     def test_mi_emissions_replay_on_hit(self, eng):
         def collect():

@@ -3,12 +3,11 @@
 There is one planner; what varies is how much of its work is reused.
 The contract is that reuse is unobservable: pricing a whole frontier
 through one ``whatif_batch`` — warm per-definition memos, substrate-store
-hits, plan-cache hits — yields the same cost floats, plan choices,
-errors, MI-DMV silence and governor charges as recomputing everything
-for every configuration.  The Hypothesis suite drives twin engines with
-identical call sequences: the *fresh* twin empties its plan cache (plans
-and substrates) before every single ``whatif_optimize``, the *shared*
-twin never does.  ``test_optimizer_regressions.py`` pins the absolute
+hits — yields the same cost floats, plan choices, errors, MI-DMV silence
+and governor charges as recomputing everything for every configuration.
+The Hypothesis suite drives twin engines with identical call sequences:
+the *fresh* twin empties its plan cache (plans and substrates) before
+every single ``whatif_optimize``, the *shared* twin never does.  ``test_optimizer_regressions.py`` pins the absolute
 values; this suite pins that sharing cannot move them.
 """
 
@@ -143,7 +142,7 @@ def _observable(eng):
         len(eng.missing_indexes.snapshot(eng.now).entries),
         usage.whatif_calls,
         usage.cpu_ms,
-        eng.optimizer.whatif_calls,
+        eng.optimizer.batch_stats.configurations,
     )
 
 
@@ -175,7 +174,8 @@ def test_property_shared_equals_fresh(twins, query, frontier):
 @given(query=statements(), frontier=configurations())
 def test_property_frontier_order_is_unobservable(twins, query, frontier):
     """Warm memos carry no history: pricing the frontier backwards through
-    a second batch (substrate-store hit, plan-cache hits) changes nothing."""
+    a second batch (a substrate-store hit, every per-definition memo
+    warm) changes nothing."""
     _fresh_eng, shared_eng = twins
     forward = shared_eng.whatif_batch(query)
     first = [_outcome(forward.price, config) for config in frontier]
@@ -192,26 +192,30 @@ class TestBatchPricerParity:
     )
 
     def test_empty_configuration_is_normal_mode_planning(self):
+        """Pricing no hypothetical index gives the statement's own plan
+        cost; it is what-if traffic all the same — priced and charged
+        once, leaving no plan for statement planning to hit."""
         fresh_eng, shared_eng = perfect_engine(11), perfect_engine(11)
         expected = _fresh_plan(fresh_eng, self.QUERY).est_cost
         assert shared_eng.whatif_cost_many(self.QUERY, [()]) == [expected]
         assert shared_eng.optimizer.optimize(self.QUERY).est_cost == expected
-        # Zero configurations is not what-if mode.
-        assert shared_eng.optimizer.whatif_calls == 0
+        assert shared_eng.optimizer.batch_stats.configurations == 1
+        assert shared_eng.governor.tuning.usage.whatif_calls == 1
+        cache = shared_eng.plan_cache
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_counters_do_not_depend_on_grouping(self):
-        """One call per configuration and one batch for all of them count
-        the same plan-cache lookups and charge the same pool."""
+        """One call per configuration and one batch for all of them charge
+        the same pool, and neither touches the plan cache."""
         single_eng, batch_eng = perfect_engine(12), perfect_engine(12)
         frontier = [(_definition(0),), (_definition(2),), (_definition(0), _definition(2))]
-        for _round in range(2):  # second round exercises cache hits
+        for _round in range(2):  # second round re-asks every configuration
             for config in frontier:
                 single_eng.whatif_cost(self.QUERY, extra_indexes=config)
             batch_eng.whatif_cost_many(self.QUERY, frontier)
-        assert (
-            batch_eng.plan_cache.hits,
-            batch_eng.plan_cache.misses,
-        ) == (single_eng.plan_cache.hits, single_eng.plan_cache.misses)
+        for eng in (single_eng, batch_eng):
+            cache = eng.plan_cache
+            assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
         assert _observable(batch_eng) == _observable(single_eng)
         assert batch_eng.optimizer.batch_stats.scalar_fallbacks == 0
 
@@ -376,14 +380,15 @@ costable = st.one_of(statements(), writes())
 @pytest.fixture(scope="module")
 def session_twins():
     """Their own pair: a session reaches the optimizer less often than
-    its oracle, so ``Optimizer.whatif_calls`` diverges by design and must
-    not leak into the lifetime totals the substrate properties compare."""
+    its oracle, so ``batch_stats.configurations`` diverges by design and
+    must not leak into the lifetime totals the substrate properties
+    compare."""
     return _twin(), _twin()
 
 
 def _metered(eng):
     """MI-DMV entries and tuning-pool usage: ``_observable`` without the
-    optimizer's own what-if count."""
+    optimizer's count of priced configurations."""
     return _observable(eng)[:3]
 
 
@@ -534,8 +539,9 @@ class TestProjection:
 
     def test_bulk_insert_fails_whatever_the_configuration_holds(self):
         """The projection of a configuration that cannot touch the table
-        is empty, and the empty configuration is not what-if mode: the
-        statement must still fail, charged, as the parent's did."""
+        is empty, and the empty configuration prices as statement planning
+        does: the statement must still fail, charged, as the unprojected
+        configuration would."""
         eng = perfect_engine(42)
         session = WhatIfSession(eng)
         bulk = InsertQuery("orders", ((10_003, 1, 1, 1.0, 1, "x"),), bulk=True)

@@ -100,7 +100,7 @@ class TestWorkloadAcquisition:
         settings = EngineSettings(
             cost_model=CostModelSettings(error_sigma=0.0, severe_error_rate=0.0),
             incomplete_text_rate=1.0,
-            plan_cache_hit_rate=0.0,
+            plan_cache_text_retention=0.0,
         )
         engine = SqlEngine(db, settings=settings)
         engine.build_all_statistics()
@@ -115,7 +115,7 @@ class TestWorkloadAcquisition:
         settings = EngineSettings(
             cost_model=CostModelSettings(error_sigma=0.0, severe_error_rate=0.0),
             incomplete_text_rate=1.0,
-            plan_cache_hit_rate=1.0,
+            plan_cache_text_retention=1.0,
         )
         engine = SqlEngine(db, settings=settings)
         engine.build_all_statistics()
@@ -466,8 +466,9 @@ class TestPinnedAcrossProjection:
 
 
 def test_premium_fleet_audit_equals_parent_but_for_plan_cache_series():
-    """What-if pricings are plan-cache lookups, so pricing fewer of them
-    lifts the fleet's ``plan_cache_hit_rate`` series.  On the benchmark's
+    """What-if pricings once were plan-cache lookups, so pricing fewer of
+    them (and later, none) lifted the fleet's ``plan_cache_hit_rate``
+    series.  On the benchmark's
     ``fleet_premium`` recipe the last commit that priced every
     configuration raised one ``telemetry_anomaly`` on that series (tick
     12, value 0.0167 against an EWMA of 0.045: the dip *was* DTA's
