@@ -22,39 +22,39 @@ from repro.controlplane import (
     ControlPlaneSettings,
 )
 from repro.experiment.emulate_user import seed_user_indexes
-from repro.fleet import Fleet, FleetSpec
 from repro.reporting import operational_report
 from repro.rng import derive
-from repro.service import AutoIndexingService, ServiceSettings
+from repro.service import ServiceSettings, build_service
 
 
 def run_operational_loop():
-    fleet = Fleet(FleetSpec(n_databases=fleet_size(5), tier="standard", seed=71))
-    # Give databases a tuning history (user indexes), some of which will
-    # be duplicates/unused -> drop candidates.
-    for profile in fleet:
-        seed_user_indexes(
-            profile,
-            derive(71, "ops-user", profile.name),
-            learn_hours=8,
-            max_statements=300,
-        )
-    service = AutoIndexingService(
-        fleet,
+    service = build_service(
+        fleet_size(5),
+        tier="standard",
+        seed=71,
         control_settings=ControlPlaneSettings(
             snapshot_period=2 * HOURS,
             analysis_period=8 * HOURS,
             validation_window=6 * HOURS,
             drop_analysis_period=2 * DAYS,
+            # Long enough for the drop analysis horizon to engage.
+            stuck_threshold=30 * DAYS,
         ),
         service_settings=ServiceSettings(max_statements_per_step=80),
         default_config=AutoIndexingConfig(
             create_mode=AutoMode.AUTO, drop_mode=AutoMode.RECOMMEND_ONLY
         ),
     )
-    # Long enough for the drop analysis horizon to engage.
-    service.plane.settings.stuck_threshold = 30 * DAYS
-    for managed in service.plane.databases.values():
+    # Give databases a tuning history (user indexes), some of which will
+    # be duplicates/unused -> drop candidates.
+    for profile in service.fleet:
+        seed_user_indexes(
+            profile,
+            derive(71, "ops-user", profile.name),
+            learn_hours=8,
+            max_statements=300,
+        )
+        managed = service.database_plane(profile.name).databases[profile.name]
         managed.drops.settings.observation_days = 3.0
     service.run(hours=6 * 24)
     return service
@@ -62,12 +62,12 @@ def run_operational_loop():
 
 def test_operational_stats(benchmark):
     service = benchmark.pedantic(run_operational_loop, rounds=1, iterations=1)
-    report = operational_report(service.plane, window_hours=24)
+    report = operational_report(service, window_hours=24)
     emit(["== Operational snapshot (Section 8.1 style) =="] + [
         "  " + line for line in report.lines()
     ])
     databases_with_recs = {
-        r.database for r in service.plane.store.all_records()
+        r.database for r in service.store.all_records()
     }
     assert len(databases_with_recs) == len(service.fleet), (
         "recommendations must be generated for every database"

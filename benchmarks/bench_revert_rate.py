@@ -26,18 +26,18 @@ from repro.controlplane import (
     ControlPlaneSettings,
     RecommendationState,
 )
-from repro.fleet import Fleet, FleetSpec
 from repro.recommender import MiRecommenderSettings
 from repro.reporting import operational_report
-from repro.service import AutoIndexingService, ServiceSettings
+from repro.service import ServiceSettings, build_service
 
 PAPER_REVERT_RATE = 0.11
 
 
 def run_closed_loop(verify_with_whatif: bool):
-    fleet = Fleet(FleetSpec(n_databases=fleet_size(6), tier="standard", seed=41))
-    service = AutoIndexingService(
-        fleet,
+    service = build_service(
+        fleet_size(6),
+        tier="standard",
+        seed=41,
         control_settings=ControlPlaneSettings(
             snapshot_period=2 * HOURS,
             analysis_period=8 * HOURS,
@@ -65,7 +65,7 @@ def test_revert_rate(benchmark):
     lines = ["== Revert rate (Section 8.1) =="]
     reports = {}
     for label, service in services.items():
-        report = operational_report(service.plane)
+        report = operational_report(service)
         reports[label] = report
         lines.extend(
             [
@@ -94,5 +94,5 @@ def test_revert_rate(benchmark):
         <= baseline.validated_success + baseline.reverted
     )
     assert verified.reverted > 0
-    states = services["paper pipeline"].plane.store.count_by_state()
+    states = services["paper pipeline"].store.count_by_state()
     assert states.get(RecommendationState.SUCCESS, 0) > 0

@@ -41,11 +41,11 @@ def main() -> None:
             create_mode=AutoMode.RECOMMEND_ONLY, drop_mode=AutoMode.RECOMMEND_ONLY
         ),
     )
-    for name in service.fleet.names():
+    for name in service.database_names:
         api.assign_database(name, "contoso-server")
 
     print("== Figure 1: settings (inherited from the logical server) ==")
-    database = service.fleet.names()[0]
+    database = service.database_names[0]
     for option, state in api.settings_view(database).items():
         print(f"  {option:<14} {state}")
 
@@ -54,7 +54,7 @@ def main() -> None:
 
     print("\n== Figure 2: current recommendations ==")
     recommendations = []
-    for name in service.fleet.names():
+    for name in service.database_names:
         recommendations.extend(api.current_recommendations(name))
     for view in recommendations:
         print("  " + view.render())

@@ -44,7 +44,7 @@ def main() -> None:
           f"({', '.join(sorted({p.archetype for p in service.fleet}))})")
     for day in range(7):
         service.run(hours=24)
-        counts = service.plane.store.count_by_state()
+        counts = service.store.count_by_state()
         summary = ", ".join(
             f"{state.value}={count}" for state, count in sorted(
                 counts.items(), key=lambda item: item[0].value
@@ -53,8 +53,8 @@ def main() -> None:
         print(f"day {day + 1}: {summary or 'no recommendations yet'}")
 
     print("\n== recommendation history (transparency view) ==")
-    for name in service.fleet.names():
-        history = service.plane.recommendation_history(name)
+    for name in service.database_names:
+        history = service.store.records_for(database=name)
         if not history:
             continue
         print(f"{name}:")
@@ -71,7 +71,7 @@ def main() -> None:
                 )
 
     print("\n== operational report (Section 8.1 style) ==")
-    for line in operational_report(service.plane, window_hours=24).lines():
+    for line in operational_report(service, window_hours=24).lines():
         print(line)
 
 

@@ -17,10 +17,9 @@ __version__ = "1.0.0"
 
 from repro.clock import DAYS, HOURS, MINUTES, SimClock
 from repro.fleet import Fleet, FleetSpec
-from repro.service import AutoIndexingService, ServiceSettings, build_service
+from repro.service import ServiceSettings, build_service
 
 __all__ = [
-    "AutoIndexingService",
     "DAYS",
     "Fleet",
     "FleetSpec",

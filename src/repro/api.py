@@ -2,8 +2,9 @@
 
 Azure exposes the auto-indexing controls through the portal, a REST API,
 and T-SQL; this module is that surface for the simulator: a
-:class:`ManagementApi` over a running :class:`~repro.service.AutoIndexingService`
-offering exactly the views the paper's Figures 1-3 show —
+:class:`ManagementApi` over a running region service
+(:func:`repro.service.build_service`) offering exactly the views the
+paper's Figures 1-3 show —
 
 - **settings** per logical server and per database, with databases
   inheriting the server default until they override it (Figure 1);
@@ -24,11 +25,12 @@ from typing import Dict, List, Optional
 
 from repro.controlplane import (
     AutoIndexingConfig,
+    ManagedDatabase,
     RecommendationState,
 )
 from repro.controlplane.store import RecommendationRecord
+from repro.parallel.service import ShardedFleetService
 from repro.recommender.recommendation import Action
-from repro.service import AutoIndexingService
 
 
 @dataclasses.dataclass
@@ -71,9 +73,14 @@ class HistoryView:
 
 
 class ManagementApi:
-    """Portal/REST-style access to one region's service."""
+    """Portal/REST-style access to one region's service.
 
-    def __init__(self, service: AutoIndexingService) -> None:
+    Views read the region's merged store; settings and user-initiated
+    applies reach each database's plane in process, so the service must
+    run on the serial backend.
+    """
+
+    def __init__(self, service: ShardedFleetService) -> None:
         self.service = service
         #: Logical-server default settings; databases inherit these until
         #: they set an explicit override (Figure 1's "inherited" markers).
@@ -92,7 +99,7 @@ class ManagementApi:
     def assign_database(self, database: str, server: str) -> None:
         if server not in self._server_defaults:
             raise KeyError(f"unknown logical server {server!r}")
-        if database not in self.service.plane.databases:
+        if database not in self.service.database_names:
             raise KeyError(f"unknown database {database!r}")
         self._server_of[database] = server
         self._apply_effective(database)
@@ -122,7 +129,7 @@ class ManagementApi:
         if server is not None:
             default = self._server_defaults[server]
             return dataclasses.replace(default, inherited=True)
-        return self.service.configs[database]
+        return self._managed(database).config
 
     def _apply_effective(self, database: str) -> None:
         self.service.set_config(database, self.effective_config(database))
@@ -140,7 +147,7 @@ class ManagementApi:
     # Recommendation views (Figures 2-3)
 
     def current_recommendations(self, database: str) -> List[RecommendationView]:
-        records = self.service.plane.store.records_for(
+        records = self.service.store.records_for(
             database=database, state=RecommendationState.ACTIVE
         )
         return [self._view(record) for record in records]
@@ -149,10 +156,10 @@ class ManagementApi:
         """The Figure 3 detail blade, including impacted statements."""
         record = self._record(rec_id)
         recommendation = record.recommendation
-        managed = self.service.plane.databases[record.database]
+        query_store = self._managed(record.database).engine.query_store
         statements = []
         for query_id in recommendation.impacted_queries:
-            info = managed.engine.query_store.query_info(query_id)
+            info = query_store.query_info(query_id)
             if info is not None:
                 statements.append(info.template_text)
         return {
@@ -194,14 +201,14 @@ class ManagementApi:
 
     def apply_recommendation(self, rec_id: int) -> None:
         """User-initiated apply; the system implements and validates it."""
-        self.service.plane.request_implementation(rec_id)
+        self.service.request_implementation(rec_id)
 
     # ------------------------------------------------------------------
     # History (transparency, Section 8.2)
 
     def history(self, database: str) -> List[HistoryView]:
         views = []
-        for record in self.service.plane.recommendation_history(database):
+        for record in self.service.store.records_for(database=database):
             views.append(
                 HistoryView(
                     rec_id=record.rec_id,
@@ -221,10 +228,13 @@ class ManagementApi:
     # ------------------------------------------------------------------
 
     def _record(self, rec_id: int) -> RecommendationRecord:
-        record = self.service.plane.store.get(rec_id)
+        record = self.service.store.get(rec_id)
         if record is None:
             raise KeyError(f"unknown recommendation {rec_id}")
         return record
+
+    def _managed(self, database: str) -> ManagedDatabase:
+        return self.service.database_plane(database).databases[database]
 
     def _view(self, record: RecommendationRecord) -> RecommendationView:
         recommendation = record.recommendation

@@ -55,12 +55,10 @@ from repro.experiment.compare import ComparisonSettings, compare_fleet
 from repro.fleet import Fleet, FleetSpec
 from repro.observability import (
     AuditLog,
-    Profiler,
     json_text,
     prometheus_text,
     render_dashboard,
     render_explain,
-    use_profiler,
 )
 from repro.observability.explain import render_index
 from repro.parallel.settings import BACKENDS
@@ -150,22 +148,22 @@ def cmd_ops(args: argparse.Namespace) -> int:
           f"{args.days} simulated days")
     for day in range(args.days):
         service.run(hours=24)
-        counts = service.plane.store.count_by_state()
+        counts = service.store.count_by_state()
         summary = ", ".join(
             f"{state.value}={count}"
             for state, count in sorted(counts.items(), key=lambda i: i[0].value)
         )
         print(f"  day {day + 1}: {summary or '(quiet)'}")
     print()
-    for line in operational_report(service.plane).lines():
+    for line in operational_report(service).lines():
         print(line)
-    _maybe_dump_audit(service.plane, args)
+    _maybe_dump_audit(service.audit, args)
     return 0
 
 
-def _maybe_dump_audit(plane, args: argparse.Namespace) -> None:
+def _maybe_dump_audit(audit: AuditLog, args: argparse.Namespace) -> None:
     if getattr(args, "audit_out", None):
-        count = plane.audit.dump(args.audit_out)
+        count = audit.dump(args.audit_out)
         print(f"wrote {count} audit events to {args.audit_out}")
 
 
@@ -212,9 +210,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"incidents: {len(service.incidents)}")
         firing = service.watchdog.active()
         print(f"firing alerts: {', '.join(a.rule for a in firing) or 'none'}")
-        if getattr(args, "audit_out", None):
-            count = service.telemetry.audit.dump(args.audit_out)
-            print(f"wrote {count} audit events to {args.audit_out}")
+        _maybe_dump_audit(service.audit, args)
     finally:
         service.close()
     return 0
@@ -286,25 +282,23 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_telemetry(args: argparse.Namespace) -> int:
     """Closed-loop run rendered through the observability layer."""
-    profiler = Profiler()
-    with use_profiler(profiler):
-        service = build_service(**_fleet_recipe(args))
-        # Progress goes to stderr so `--format json` / `--format prom`
-        # stdout stays machine-parseable.
-        print(
-            f"collecting fleet telemetry: {args.dbs} {args.tier} databases, "
-            f"{args.days} simulated days",
-            file=sys.stderr,
-        )
-        service.run(hours=args.days * 24)
+    service = build_service(**_fleet_recipe(args))
+    # Progress goes to stderr so `--format json` / `--format prom`
+    # stdout stays machine-parseable.
+    print(
+        f"collecting fleet telemetry: {args.dbs} {args.tier} databases, "
+        f"{args.days} simulated days",
+        file=sys.stderr,
+    )
+    service.run(hours=args.days * 24)
     telemetry = service.telemetry
     if args.format == "json":
         print(
             json_text(
                 telemetry.registry,
                 telemetry.recorder,
-                profiler,
-                history=service.plane.history,
+                service.profiler,
+                history=service.history,
             )
         )
     elif args.format == "prom":
@@ -314,13 +308,13 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         for line in render_dashboard(
             telemetry.registry,
             telemetry.recorder,
-            profiler,
+            service.profiler,
             top_n=args.top,
-            watchdog=service.plane.watchdog,
-            history=service.plane.history,
+            watchdog=service.watchdog,
+            history=service.history,
         ):
             print(line)
-    _maybe_dump_audit(service.plane, args)
+    _maybe_dump_audit(service.audit, args)
     return 0
 
 
@@ -355,11 +349,10 @@ def cmd_slo(args: argparse.Namespace) -> int:
         # budget keeps burning until the long window concedes too —
         # exactly the multi-window confirmation the SLO machinery
         # requires before paging.
-        plane = scenario.plane
         for _ in range(160):
-            plane.clock.advance(3.0)
-            plane.process()
-        store = plane.history.store
+            scenario.plane.clock.advance(3.0)
+            scenario.process()
+        store = scenario.history.store
     else:
         from repro.parallel import build_fleet_service
 
@@ -429,14 +422,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
         # deterministic create->validate->revert chain, not a sweep.
         print("staging the seeded create->validate->revert scenario...")
         scenario = run_regression_scenario()
-        plane = scenario.plane
-        audit = plane.audit
-        recorder = plane.telemetry.recorder
+        audit = scenario.plane.audit
+        recorder = scenario.plane.telemetry.recorder
         database = args.database or scenario.database
         if args.rec_id is None:
             args.rec_id = str(scenario.rec_id)
+        firing = scenario.watchdog.active()
         print(f"final state: {scenario.final_state.value}; firing alerts: "
-              f"{', '.join(a.rule for a in plane.watchdog.active()) or 'none'}")
+              f"{', '.join(a.rule for a in firing) or 'none'}")
         print()
     else:
         if args.database is None:
@@ -448,9 +441,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
               f"{args.days} simulated days")
         service.run(hours=args.days * 24)
         print()
-        plane = service.plane
-        audit = plane.audit
-        recorder = plane.telemetry.recorder
+        audit = service.audit
+        recorder = service.telemetry.recorder
     if args.rec_id is None:
         for line in render_index(audit, database):
             print(line)

@@ -17,7 +17,7 @@ from repro.controlplane.control_plane import (
     ControlPlaneSettings,
     ManagedDatabase,
 )
-from repro.controlplane.states import DatabaseState, RecommendationState
+from repro.controlplane.states import RecommendationState
 from repro.controlplane.store import RecommendationRecord, StateStore
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "AutoMode",
     "ControlPlane",
     "ControlPlaneSettings",
-    "DatabaseState",
     "ManagedDatabase",
     "RecommendationRecord",
     "RecommendationState",

@@ -17,15 +17,14 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from repro.clock import DAYS, HOURS, SimClock
 from repro.controlplane.faults import FaultInjector
 from repro.controlplane.scheduler import JobScheduler
-from repro.controlplane.states import DatabaseState, RecommendationState
+from repro.controlplane.states import RecommendationState
 from repro.controlplane.store import RecommendationRecord, StateStore
 from repro.engine.engine import SqlEngine
 from repro.engine.exec.dispatch import FALLBACK_GAUGES, FALLBACK_REASONS
 from repro.errors import PermanentError, TransientError
-from repro.observability import AlertWatchdog, Telemetry
+from repro.observability import Telemetry
 from repro.observability.audit import AuditLog
 from repro.observability.spans import Span
-from repro.observability.timeseries import TelemetryHistory
 from repro.recommender import (
     DropRecommender,
     MiRecommender,
@@ -98,11 +97,9 @@ class ManagedDatabase:
     mi: MiRecommender
     drops: DropRecommender
     validator: Validator
-    state: DatabaseState = DatabaseState.IDLE
     #: Active index build jobs keyed by recommendation id.
     build_jobs: Dict[int, object] = dataclasses.field(default_factory=dict)
     drop_protocols: Dict[int, object] = dataclasses.field(default_factory=dict)
-    last_driven: float = 0.0
     dta_sessions: int = 0
     analysis_runs: int = 0
 
@@ -237,7 +234,6 @@ class ControlPlane:
         classifier: Optional[LowImpactClassifier] = None,
         mi_settings: Optional[MiRecommenderSettings] = None,
         fault_seed: int = 0,
-        enable_watchdog: bool = True,
     ) -> None:
         self.clock = clock
         self.settings = settings or ControlPlaneSettings()
@@ -246,21 +242,6 @@ class ControlPlane:
         self.classifier = classifier or LowImpactClassifier()
         self.mi_settings = mi_settings
         self.telemetry = Telemetry()
-        #: ``enable_watchdog=False`` is used by per-shard worker planes:
-        #: SLOs are fleet-level, so the region service evaluates one
-        #: watchdog over the *merged* history instead.  History sampling
-        #: is likewise a region-level duty (it reads merged fleet
-        #: rates), so it follows the watchdog flag.
-        self.history = TelemetryHistory() if enable_watchdog else None
-        self.watchdog = (
-            AlertWatchdog(
-                self.telemetry.registry,
-                self.history.store,
-                audit=self.telemetry.audit,
-            )
-            if enable_watchdog
-            else None
-        )
         self.store = StateStore()
         self.store.on_insert = self._telemetry_on_insert
         self.store.on_transition = self._telemetry_on_transition
@@ -435,7 +416,6 @@ class ControlPlane:
             ),
             drops=DropRecommender(engine),
             validator=Validator(engine, self.validation_settings),
-            last_driven=self.clock.now,
         )
         self.databases[name] = managed
         now = self.clock.now
@@ -489,18 +469,7 @@ class ControlPlane:
             if managed is None:
                 continue
             self._drive(record, managed, now)
-        for managed in self.databases.values():
-            managed.last_driven = now
         self._publish_engine_gauges()
-        # History samples after the gauge publish (so this tick's state
-        # is visible) and before the watchdog pass (so burn-rate rules
-        # read a store that includes the current tick).
-        if self.history is not None:
-            self.history.observe_tick(
-                self.telemetry.registry, now, audit=self.telemetry.audit
-            )
-        if self.watchdog is not None:
-            self.watchdog.evaluate(now)
 
     def _publish_engine_gauges(self) -> None:
         """Surface each engine's counters (:data:`ENGINE_GAUGES`) as gauges.
@@ -678,13 +647,6 @@ class ControlPlane:
             raise PermanentError(f"recommendation {rec_id} is not applicable")
         managed = self.databases[record.database]
         self.implement_service.begin(record, managed, self.clock.now)
-
-    def recommendation_history(self, database: str) -> List[RecommendationRecord]:
-        """The transparency view: every action and its state (Section 2)."""
-        return sorted(
-            self.store.records_for(database=database),
-            key=lambda r: r.rec_id,
-        )
 
     # ------------------------------------------------------------------
     # Aggregate reporting

@@ -1,4 +1,4 @@
-"""State machines for databases and recommendations (Section 4)."""
+"""The recommendation state machine (Section 4)."""
 
 from __future__ import annotations
 
@@ -92,14 +92,3 @@ def check_transition(
         raise InvalidStateTransitionError(
             f"illegal recommendation transition {current.value} -> {new.value}"
         )
-
-
-class DatabaseState(enum.Enum):
-    """Auto-indexing state of a managed database."""
-
-    IDLE = "idle"
-    ANALYZING = "analyzing"
-    DTA_SESSION_RUNNING = "dta_session_running"
-    IMPLEMENTING = "implementing"
-    VALIDATING = "validating"
-    DISABLED = "disabled"

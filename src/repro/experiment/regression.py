@@ -8,7 +8,9 @@ Welch t-tests detect the regression; and the control plane reverts the
 index.  Because the whole lifecycle runs through :class:`ControlPlane`,
 every decision lands in the audit stream — this is the fixture behind
 ``repro explain --regression-demo``, the explain acceptance test, and the
-watchdog alert test.
+watchdog alert test.  There is no region service around the one bare
+plane, so the scenario samples its own telemetry history and runs its
+own SLO watchdog after every plane pass.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from repro.engine import (
     SqlType,
     TableSchema,
 )
+from repro.observability import AlertWatchdog
+from repro.observability.timeseries import TelemetryHistory
 from repro.recommender.recommendation import Action, IndexRecommendation
 from repro.validation import ValidationSettings
 
@@ -46,10 +50,23 @@ class RegressionScenario:
     """Everything the explain/alert consumers need from one run."""
 
     plane: ControlPlane
+    history: TelemetryHistory
+    watchdog: AlertWatchdog
     engine: SqlEngine
     database: str
-    rec_id: int
-    final_state: RecommendationState
+    rec_id: int = 0
+    final_state: RecommendationState = RecommendationState.ACTIVE
+
+    def process(self) -> None:
+        """One plane pass, then history sampling and the SLO watchdog at
+        the same virtual time."""
+        plane = self.plane
+        now = plane.clock.now
+        plane.process(now)
+        self.history.observe_tick(
+            plane.telemetry.registry, now, audit=plane.audit
+        )
+        self.watchdog.evaluate(now)
 
 
 def _build_engine(clock: SimClock, seed: int) -> SqlEngine:
@@ -90,6 +107,16 @@ def run_regression_scenario(
             validation_window=2 * HOURS,
         ),
         validation_settings=ValidationSettings(min_resource_share=0.01),
+    )
+    history = TelemetryHistory()
+    scenario = RegressionScenario(
+        plane=plane,
+        history=history,
+        watchdog=AlertWatchdog(
+            plane.telemetry.registry, history.store, audit=plane.audit
+        ),
+        engine=engine,
+        database=database,
     )
     managed = plane.add_database(
         database,
@@ -146,23 +173,19 @@ def run_regression_scenario(
     interval = engine.query_store.interval_minutes
     boundary = (int(clock.now // interval) + 1) * interval
     clock.advance(boundary - 3.0 - clock.now)
-    plane.process()  # begins the online build
+    scenario.process()  # begins the online build
     clock.advance(3.0)
-    plane.process()  # completes it at the boundary
+    scenario.process()  # completes it at the boundary
 
     # Phase 2: keep the workload running while the control plane carries
     # the record through implement -> validate -> revert.
     for i in range(160):
         if record.terminal:
             break
-        plane.process()
+        scenario.process()
         workload_round(i, start_id=200_000)
-    plane.process()
+    scenario.process()
 
-    return RegressionScenario(
-        plane=plane,
-        engine=engine,
-        database=database,
-        rec_id=record.rec_id,
-        final_state=record.state,
-    )
+    scenario.rec_id = record.rec_id
+    scenario.final_state = record.state
+    return scenario

@@ -32,8 +32,10 @@ class Fleet:
 
     Every database owns its clock; :meth:`run_workloads` advances each one
     over the same window and then aligns laggards, so per-database times
-    agree at window boundaries.  :attr:`clock` is the fleet's master clock
-    (the control plane reads it).
+    agree at window boundaries.  :attr:`clock` is the fleet's master clock.
+    The region service builds the same profiles from
+    :func:`repro.parallel.spec.database_specs`; a :class:`Fleet` serves
+    the experiments that drive profiles without a control plane.
     """
 
     def __init__(
@@ -73,13 +75,5 @@ class Fleet:
         """Advance every database's workload by ``hours`` of virtual time."""
         end = self.clock.now + hours * 60.0
         for profile in self.profiles.values():
-            remaining = (end - profile.engine.clock.now) / 60.0
-            if remaining > 0:
-                profile.workload.run(
-                    profile.engine,
-                    remaining,
-                    max_statements=max_statements_per_db,
-                )
-            if profile.engine.clock.now < end:
-                profile.engine.clock.advance_to(end)
+            profile.run_until(end, max_statements_per_db)
         self.clock.advance_to(end)

@@ -3,8 +3,8 @@
 The paper's service pages an engineer when fleet-level rates drift
 (Section 8: revert rates, validation outcomes); this module reproduces
 that loop.  The one alert policy is
-:data:`~repro.observability.slo.SLO_CATALOG`: on every
-``ControlPlane.process()`` tick the :class:`AlertWatchdog` evaluates
+:data:`~repro.observability.slo.SLO_CATALOG`: on every region-service
+tick, after the merge, the :class:`AlertWatchdog` evaluates
 each non-advisory SLO's multi-window burn rate over the telemetry
 history, raises an alert when the SLO starts alerting and resolves it
 when it stops.  Transitions are recorded into the audit stream

@@ -429,9 +429,9 @@ class AnomalyDetector:
 class TelemetryHistory:
     """Samples a registry each tick, stores history, detects anomalies.
 
-    One per region-level service (the serial control plane owns one;
-    the sharded fleet service owns one fed at its post-merge point).
-    Shard worker planes never sample — history, like SLO alerts, is a
+    One per region service, fed at its post-merge point (the seeded
+    regression scenario, which drives one bare plane, owns its own).
+    Control planes never sample — history, like SLO alerts, is a
     fleet-level responsibility evaluated over merged state, which is
     what keeps parallel runs byte-identical to serial.
     """
@@ -494,7 +494,7 @@ class TelemetryHistory:
         """Record one tick's wall time into the (wall-flagged) series.
 
         Kept separate from :meth:`observe_tick` so callers without a
-        wall measurement (the serial control plane) never create the
+        wall measurement (the regression scenario) never create the
         series, and the anomaly/audit path can never see wall values.
         """
         self.store.observe("tick_wall_seconds", tick, wall_seconds)

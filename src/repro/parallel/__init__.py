@@ -15,10 +15,11 @@ serial run under the same seed.
 
 Entry points:
 
-- :class:`ShardedFleetService` — the region service facade
+- :class:`ShardedFleetService` — the one region service
   (``repro run --workers N`` on the CLI);
 - :class:`ParallelSettings` — worker count + backend selection;
-- :func:`repro.service.build_fleet_service` — convenience constructor.
+- :func:`build_fleet_service` — the service with N shards on a backend;
+  :func:`repro.service.build_service` is the same on the serial backend.
 """
 
 from repro.parallel.delta import (

@@ -1,11 +1,11 @@
-"""The sharded fleet service: dispatch ticks, merge deterministically.
+"""The region service: dispatch ticks, merge deterministically.
 
-:class:`ShardedFleetService` is the fleet-parallel counterpart of
-:class:`repro.service.AutoIndexingService`.  Databases are sharded
-across a worker pool (process or serial — see
+:class:`ShardedFleetService` is the one region loop
+(:func:`repro.service.build_service` runs it on the serial backend).
+Databases are sharded across a worker pool (process or serial — see
 :class:`~repro.parallel.settings.ParallelSettings`); each virtual-time
-tick every shard advances its databases' workloads and control planes
-concurrently, and the parent replays the resulting per-database deltas
+tick every shard advances its databases' workloads and single-database
+control planes, and the parent replays the resulting per-database deltas
 through the :class:`~repro.parallel.merge.DeterministicMerger` into one
 region-level store/audit/registry/span history.
 
@@ -14,11 +14,15 @@ Because global ordering is assigned at merge time in stable
 and span trees are byte-identical across backends and worker counts for
 the same seed.
 
-Cross-database services stay at the parent, where they see the same
-merged state at the same virtual time in every backend: the alert
-watchdog evaluates over the merged registry, and the low-impact
-classifier retrains on the merged validation history (the new state is
-broadcast to workers with the *next* tick command).
+Region duties live only at the parent, where they see the same merged
+state at the same virtual time in every backend: telemetry history
+samples the merged registry, the alert watchdog pages on that history,
+and the low-impact classifier retrains on the merged validation history
+(the new state is broadcast to workers with the *next* tick command).
+
+On the serial backend the workers' live state is in this process too;
+:attr:`ShardedFleetService.fleet`, :meth:`~ShardedFleetService.database_plane`
+and the two portal calls reach it, and raise on the process backend.
 """
 
 from __future__ import annotations
@@ -30,11 +34,13 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.clock import HOURS, SimClock
 from repro.controlplane import (
     AutoIndexingConfig,
+    ControlPlane,
     ControlPlaneSettings,
 )
 from repro.controlplane.control_plane import Incident, incidents_from_audit
 from repro.controlplane.store import StateStore
 from repro.engine.engine import EngineSettings
+from repro.errors import PermanentError
 from repro.observability import AlertWatchdog, Telemetry
 from repro.observability.profiling import Profiler
 from repro.observability.timeseries import SAMPLE_CATALOG, TelemetryHistory
@@ -50,10 +56,9 @@ from repro.recommender.classifier import (
     examples_from_history,
 )
 from repro.recommender.policy import RecommenderPolicy
-from repro.service import ServiceSettings
 from repro.parallel.merge import DeterministicMerger
 from repro.parallel.pool import make_pool
-from repro.parallel.settings import ParallelSettings
+from repro.parallel.settings import ParallelSettings, ServiceSettings
 from repro.parallel.spec import (
     SharedSettings,
     database_specs,
@@ -65,7 +70,9 @@ from repro.parallel.timing import (
     TickPhaseTimer,
     rebase_span_ops,
 )
+from repro.parallel.worker import DatabaseWorker
 from repro.validation import ValidationSettings
+from repro.workload.app_profiles import ApplicationProfile
 
 #: Sampled ticks kept for the Perfetto counter tracks (the trace shows
 #: the recent window of a long run; memory stays bounded).
@@ -94,8 +101,8 @@ class ShardedFleetService:
         self.parallel = parallel or ParallelSettings()
         self.settings = service_settings or ServiceSettings()
         self.clock = SimClock()
-        # Region-level merged state: same shapes the serial service's
-        # control plane exposes, so reporting/CLI code reads either.
+        # Region-level merged state: the same shapes a control plane
+        # exposes (telemetry, store), folded from every database's plane.
         self.telemetry = Telemetry()
         self.store = StateStore()
         self.classifier = LowImpactClassifier()
@@ -167,6 +174,16 @@ class ShardedFleetService:
             for payload in self.payloads
             for spec in payload.databases
         }
+        #: Database name -> its in-process worker (serial backend only).
+        self._local: Optional[Dict[str, DatabaseWorker]] = (
+            {
+                worker.spec.name: worker
+                for runner in self.pool.runners
+                for worker in runner.workers
+            }
+            if self.backend == "serial"
+            else None
+        )
         registry = self.telemetry.registry
         registry.gauge("fleet_databases").set(len(self.specs))
         registry.gauge("fleet_workers").set(len(self.payloads))
@@ -337,6 +354,44 @@ class ShardedFleetService:
         """Classifier examples of the whole fleet, from the merged journal."""
         return self.store.validation_history()
 
+    # ------------------------------------------------------------------
+    # In-process reach into the workers (serial backend only)
+
+    def _worker(self, database: str) -> DatabaseWorker:
+        if self._local is None:
+            raise RuntimeError(
+                f"database {database!r} lives in a {self.backend} worker; "
+                "in-process access needs the serial backend"
+            )
+        return self._local[database]
+
+    @property
+    def fleet(self) -> List[ApplicationProfile]:
+        """Every database's profile (engine + workload), in name order."""
+        return [
+            self._worker(name).profile for name in sorted(self.database_names)
+        ]
+
+    def database_plane(self, database: str) -> ControlPlane:
+        """The single-database control plane that manages ``database``."""
+        return self._worker(database).plane
+
+    def set_config(self, database: str, config: AutoIndexingConfig) -> None:
+        """Update a database's automation settings (the Section 2 portal)."""
+        self.database_plane(database).databases[database].config = config
+
+    def request_implementation(self, rec_id: int) -> None:
+        """User-initiated apply of a recommendation, by its merged id.
+
+        The plane that owns it begins the implementation now; the merged
+        store shows it after the next tick.
+        """
+        for (database, local_id), merged_id in self.merger.rec_ids.items():
+            if merged_id == rec_id:
+                self.database_plane(database).request_implementation(local_id)
+                return
+        raise PermanentError(f"recommendation {rec_id} is not applicable")
+
     def attribution(self) -> dict:
         """Where the wall-clock went: per-phase totals and coverage."""
         return attribution_summary(self.phase_timer.ticks, PARENT_PHASES)
@@ -381,7 +436,7 @@ def build_fleet_service(
     instrument: bool = True,
     **kwargs,
 ) -> ShardedFleetService:
-    """Convenience constructor mirroring :func:`repro.service.build_service`."""
+    """The region service with ``workers`` shards on ``backend``."""
     parallel = ParallelSettings(
         workers=workers, backend=backend, instrument=instrument
     )

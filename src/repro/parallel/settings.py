@@ -1,12 +1,24 @@
-"""Execution settings for the fleet-parallel layer."""
+"""Settings of the region service: loop cadence and execution backend."""
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 
 #: Recognized execution backends.
 BACKENDS = ("auto", "serial", "process")
+
+
+@dataclasses.dataclass
+class ServiceSettings:
+    """Closed-loop cadence settings."""
+
+    step_hours: float = 2.0
+    #: Statement cap per database per step (None = rate-driven).
+    max_statements_per_step: Optional[int] = None
+    #: Retrain the low-impact classifier every this many hours.
+    classifier_retrain_hours: float = 48.0
 
 
 @dataclasses.dataclass(frozen=True)

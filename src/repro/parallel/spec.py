@@ -31,10 +31,10 @@ class DatabaseSpec:
     #: :class:`repro.fleet.Fleet` uses, so profiles match exactly.
     profile_seed: int
     tier: str
-    #: Per-database fault seed: the serial plane shares one injector
-    #: RNG across databases (draw order depends on interleaving), which
-    #: can never be deterministic under sharding — so the parallel layer
-    #: derives an independent stream per database instead.
+    #: Per-database fault seed: one injector RNG shared across databases
+    #: would make draw order depend on interleaving, which can never be
+    #: deterministic under sharding — so every database's plane gets an
+    #: independent stream instead.
     fault_seed: int
     config: AutoIndexingConfig = dataclasses.field(
         default_factory=AutoIndexingConfig

@@ -106,7 +106,6 @@ class DatabaseWorker:
             validation_settings=shared.validation_settings,
             mi_settings=shared.mi_settings,
             fault_seed=spec.fault_seed,
-            enable_watchdog=False,
         )
         # Journal span activity instead of only recording it; the merge
         # replays the ops into the region-level recorder.
@@ -130,14 +129,7 @@ class DatabaseWorker:
         the plane once, and drain everything emitted."""
         run_started = time.perf_counter()
         with use_profiler(self.profiler):
-            engine = self.profile.engine
-            remaining_hours = (end - engine.clock.now) / 60.0
-            if remaining_hours > 0:
-                self.profile.workload.run(
-                    engine, remaining_hours, max_statements=max_statements
-                )
-            if engine.clock.now < end:
-                engine.clock.advance_to(end)
+            self.profile.run_until(end, max_statements)
             self.plane.process(end)
         drain_started = time.perf_counter()
         delta = self._drain()

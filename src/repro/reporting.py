@@ -6,13 +6,15 @@ validated / reverted counts, revert rate, the split of revert causes,
 queries whose CPU or reads improved by more than 2x, and databases whose
 aggregate CPU consumption dropped by more than half.
 
-The counts are read from the control plane's
+The counts are read from the region service's merged
 :class:`~repro.observability.MetricsRegistry` — the same counters the
 ``repro telemetry`` dashboard renders — so the end-of-run snapshot and
 the live telemetry can never disagree.  (Terminal-state transition
 counters equal record counts because terminal states have no exits.)
 Only the query-improvement statistics still aggregate Query Store data
-directly, since they compare per-query windows no counter carries.
+directly, since they compare per-query windows no counter carries; they
+read the engines in process, so the service must run on the serial
+backend.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import dataclasses
 from typing import Dict, List, Tuple
 
 from repro.clock import HOURS
-from repro.controlplane import ControlPlane
+from repro.parallel.service import ShardedFleetService
 
 
 @dataclasses.dataclass
@@ -65,7 +67,7 @@ class OperationalReport:
 
 
 def _query_improvements(
-    plane: ControlPlane, window_hours: float
+    service: ShardedFleetService, window_hours: float
 ) -> Tuple[int, int, int]:
     """(queries improved >2x, dbs improved >50%, dbs observed).
 
@@ -75,8 +77,8 @@ def _query_improvements(
     improved_queries = 0
     improved_dbs = 0
     observed_dbs = 0
-    for managed in plane.databases.values():
-        engine = managed.engine
+    for profile in service.fleet:
+        engine = profile.engine
         now = engine.now
         if now <= 2 * window_hours * HOURS:
             continue
@@ -115,10 +117,10 @@ def _query_improvements(
 
 
 def operational_report(
-    plane: ControlPlane, window_hours: float = 24.0
+    service: ShardedFleetService, window_hours: float = 24.0
 ) -> OperationalReport:
     """Build the Section 8.1-style operational report for a service run."""
-    registry = plane.telemetry.registry
+    registry = service.telemetry.registry
     creates = int(registry.total("recommendations_created_total", action="create"))
     drops = int(registry.total("recommendations_created_total", action="drop"))
     implemented = int(registry.total("implementations_completed_total"))
@@ -134,7 +136,7 @@ def operational_report(
         registry.total("validation_reverts_total", regression="select")
     )
     improved_queries, improved_dbs, observed_dbs = _query_improvements(
-        plane, window_hours
+        service, window_hours
     )
     return OperationalReport(
         create_recommendations=creates,

@@ -103,6 +103,21 @@ class ApplicationProfile:
     workload: Workload
     schema_spec: SchemaSpec
 
+    def run_until(
+        self, end: float, max_statements: Optional[int] = None
+    ) -> None:
+        """Run the workload up to ``end`` (simulated minutes), then align
+        the engine clock there, so every database in a fleet agrees on
+        the time at a window boundary."""
+        clock = self.engine.clock
+        remaining_hours = (end - clock.now) / 60.0
+        if remaining_hours > 0:
+            self.workload.run(
+                self.engine, remaining_hours, max_statements=max_statements
+            )
+        if clock.now < end:
+            clock.advance_to(end)
+
 
 def make_profile(
     name: str,

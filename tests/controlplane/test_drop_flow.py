@@ -99,8 +99,8 @@ def test_analyze_drops_fault_defers_and_the_job_keeps_its_period():
         seed=3,
         control_settings=ControlPlaneSettings(drop_analysis_period=2 * HOURS),
     )
-    plane = service.plane
-    events = plane.telemetry.registry
+    plane = service.database_plane(service.database_names[0])
+    events = service.telemetry.registry
 
     plane.faults.configure("analyze_drops", transient=1.0)
     service.run(4)

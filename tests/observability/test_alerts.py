@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
+import re
 
 import pytest
 
-from repro.clock import SimClock
-from repro.controlplane import ControlPlane
 from repro.observability import (
     SLO_CATALOG,
     AlertWatchdog,
@@ -20,19 +20,7 @@ from repro.observability import (
 )
 from repro.observability.alerts import FLEET_SCOPE
 from repro.observability.slo import evaluate_slo
-from repro.parallel.service import ShardedFleetService
 from repro.service import ServiceSettings, build_service
-
-#: The fixed-threshold rules the watchdog paged on before the SLO
-#: catalog became its one policy.  Audit digests recorded while they
-#: existed drop their events to compare against today's stream.
-RETIRED_RULES = frozenset(
-    {
-        "revert_rate_spike",
-        "validation_failure_spike",
-        "plan_cache_hit_rate_collapse",
-    }
-)
 
 #: Well inside every non-advisory objective.
 HEALTHY = {
@@ -197,22 +185,16 @@ class TestWatchdog:
 
 
 class TestWiring:
-    def test_a_plane_pages_on_its_own_history(self):
-        plane = ControlPlane(SimClock())
-        watchdog = plane.watchdog
-        assert watchdog.store is plane.history.store
-        assert watchdog.registry is plane.telemetry.registry
-        assert watchdog.audit is plane.audit
-        # Shard workers leave paging to the region service.
-        worker = ControlPlane(SimClock(), enable_watchdog=False)
-        assert worker.watchdog is None and worker.history is None
-
     def test_the_region_service_pages_on_the_merged_history(self):
-        service = ShardedFleetService(2, seed=3)
+        service = build_service(2, seed=3)
         watchdog = service.watchdog
         assert watchdog.store is service.history.store
         assert watchdog.registry is service.telemetry.registry
         assert watchdog.audit is service.telemetry.audit
+        # Planes leave history and paging to the region service.
+        plane = service.database_plane("db-standard-0")
+        assert not hasattr(plane, "history")
+        assert not hasattr(plane, "watchdog")
 
 
 class TestDashboardPanel:
@@ -244,62 +226,73 @@ class TestDashboardPanel:
         assert lines[lines.index("alerts:") + 1] == "  (none firing)"
 
 
-def audit_digest(audit: AuditLog, anomaly_series) -> tuple:
-    """(count, sha256) of the audit stream minus the retired rules'
-    alert events and the ``telemetry_anomaly`` events on
-    ``anomaly_series``, with ``seq`` / ``parent_seq`` renumbered."""
+#: Index names end in the id of the recommendation that built them.
+_AUTO_INDEX_SUFFIX = re.compile(r"(nci_auto_\w*?)_\d+\b")
+
+
+def unordered_audit_digest(audit: AuditLog) -> tuple:
+    """(count, sha256) of the audit stream as a multiset of events.
+
+    What a region run decides does not depend on the order in which its
+    per-database streams interleave, but ids do.  So each event drops
+    ``seq``, its ``parent_seq`` becomes the parent event's (type, at,
+    database), its ``rec_id`` becomes (database, per-database ordinal),
+    and the rec-id suffix of ``nci_auto_*`` index names is dropped."""
     events = [json.loads(line) for line in audit.to_jsonl().splitlines()]
-    kept = [
-        event
-        for event in events
-        if not (
-            event["event_type"].startswith("alert_")
-            and event["payload"].get("rule") in RETIRED_RULES
-        )
-        and not (
-            event["event_type"] == "telemetry_anomaly"
-            and event["payload"].get("series") in anomaly_series
-        )
-    ]
-    renumbered = {event["seq"]: i for i, event in enumerate(kept)}
-    normalized = [
-        dict(
-            event,
-            seq=renumbered[event["seq"]],
-            parent_seq=(
-                None
-                if event["parent_seq"] is None
-                else renumbered[event["parent_seq"]]
+    by_seq = {event["seq"]: event for event in events}
+    rec_ids = collections.defaultdict(set)
+    for event in events:
+        if event["rec_id"] is not None:
+            rec_ids[event["database"]].add(event["rec_id"])
+    ordinals = {
+        database: {rec_id: i for i, rec_id in enumerate(sorted(ids))}
+        for database, ids in rec_ids.items()
+    }
+    normalized = []
+    for event in events:
+        parent = by_seq.get(event["parent_seq"])
+        rec_id = event["rec_id"]
+        line = json.dumps(
+            dict(
+                {k: v for k, v in event.items() if k != "seq"},
+                parent_seq=None if parent is None else [
+                    parent["event_type"], parent["at"], parent["database"]
+                ],
+                rec_id=None if rec_id is None else [
+                    event["database"], ordinals[event["database"]][rec_id]
+                ],
             ),
+            sort_keys=True,
         )
-        for event in kept
-    ]
-    text = json.dumps(normalized, sort_keys=True).encode("utf-8")
+        normalized.append(_AUTO_INDEX_SUFFIX.sub(r"\1", line))
+    text = "\n".join(sorted(normalized)).encode("utf-8")
     return len(normalized), hashlib.sha256(text).hexdigest()
 
 
-def test_standard_fleet_audit_equals_parent_but_for_retired_rules():
-    """The benchmark's ``fleet_standard`` recipe: 48 ticks, through the
-    26.5 h revert spike to the ``slo_revert_rate`` page at 47.5 h.
-    While the fixed-threshold rules existed they paged three times (the
-    plan-cache floor at 3.5 h, the revert and validation spikes at
-    26.5 h), and the jump to three firing alerts raised a
-    ``telemetry_anomaly`` on ``alerts_firing_count`` at 27.5 h; today
-    the SLO page raises that anomaly at 48.5 h instead.  Every other
-    event — the SLO page's payload included — must be what it was: the
-    digest below was recorded with those rules in place, over the
-    stream with the retired rules' alerts and the
-    ``alerts_firing_count`` anomalies removed."""
+def run_benchmark_fleet(n_databases: int, tier: str):
+    """The benchmark's fleet recipe at seed 11: 40 statements per tick,
+    the seed-11 phase tick, then 48 one-hour ticks."""
     service = build_service(
-        4,
-        tier="standard",
+        n_databases,
+        tier=tier,
         seed=11,
         service_settings=ServiceSettings(max_statements_per_step=40),
     )
     service.run(0.4657879960582425)  # the benchmark's seed-11 phase tick
     for _tick in range(48):
         service.run(1.0)
-    assert audit_digest(service.telemetry.audit, {"alerts_firing_count"}) == (
-        258,
-        "f588090a27721a46433165d11e2a56f3805a41df2c52e450b31ea76f70712004",
+    return service
+
+
+def test_standard_fleet_audit_equals_parent_but_for_order():
+    """The benchmark's ``fleet_standard`` recipe, through the 26.5 h
+    revert spike to the ``slo_revert_rate`` page at 47.5 h.  The region
+    service used to drive one multi-database plane here; it now merges
+    single-database planes, which interleave the same events
+    differently.  The digest below was recorded with the multi-database
+    driver: every event and payload must be what it was."""
+    service = run_benchmark_fleet(4, "standard")
+    assert unordered_audit_digest(service.telemetry.audit) == (
+        259,
+        "3d6aeadc4b6a5159d08edefca7f5e552919a43e6b7e593e28cb478515278193d",
     )

@@ -163,7 +163,7 @@ class TestWatchdogOnScenario:
     def test_cold_cache_slo_is_the_firing_alert(self, scenario):
         # This staged scenario's plan cache never hits, so its burn-rate
         # SLO pages; one revert is too short a burn for slo_revert_rate.
-        (alert,) = scenario.plane.watchdog.active()
+        (alert,) = scenario.watchdog.active()
         assert alert.rule == "slo_plan_cache_hit_rate"
         raised = [
             e.payload["rule"]
@@ -190,7 +190,7 @@ class TestWatchdogOnScenario:
             render_dashboard(
                 telemetry.registry,
                 telemetry.recorder,
-                watchdog=scenario.plane.watchdog,
+                watchdog=scenario.watchdog,
             )
         )
         assert "FIRING slo_plan_cache_hit_rate" in text

@@ -1,15 +1,24 @@
 """End-to-end: one closed-loop run, checked against spans + counters.
 
 The same run is measured three ways — the StateStore (ground truth), the
-MetricsRegistry, and the OperationalReport built *from* the registry —
-and all three must agree exactly.  This is the "report and telemetry can
+MetricsRegistry, and the OperationalReport built *from* the region
+service's merged registry — and all three must agree exactly.  This is the "report and telemetry can
 never disagree" invariant the observability subsystem exists for.
 """
 
 from __future__ import annotations
 
-from repro.controlplane import RecommendationState
+from repro.clock import HOURS
+from repro.controlplane import (
+    AutoIndexingConfig,
+    AutoMode,
+    ControlPlaneSettings,
+    RecommendationState,
+)
+from repro.engine.cost_model import CostModelSettings
+from repro.engine.engine import EngineSettings
 from repro.reporting import operational_report
+from repro.service import ServiceSettings, build_service
 from tests.controlplane.test_control_plane import advance, build_loop
 
 TERMINAL = (
@@ -120,11 +129,26 @@ class TestSpanTree:
 
 class TestReportEqualsRegistry:
     def test_operational_report_is_a_registry_view(self):
-        _clock, _profile, plane = run_loop()
-        registry = plane.telemetry.registry
-        report = operational_report(plane)
-        records = plane.store.all_records()
-        by_state = plane.store.count_by_state()
+        service = build_service(
+            2,
+            seed=21,
+            engine_settings=EngineSettings(
+                cost_model=CostModelSettings(error_sigma=0.85)
+            ),
+            control_settings=ControlPlaneSettings(
+                snapshot_period=2 * HOURS,
+                analysis_period=8 * HOURS,
+                validation_window=6 * HOURS,
+            ),
+            service_settings=ServiceSettings(max_statements_per_step=90),
+            default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
+        )
+        service.run(hours=72)
+        registry = service.telemetry.registry
+        report = operational_report(service)
+        records = service.store.all_records()
+        by_state = service.store.count_by_state()
+        assert report.validated_success + report.reverted > 0
 
         # Report vs registry (the report is now *built from* the registry).
         assert report.create_recommendations + report.drop_recommendations \

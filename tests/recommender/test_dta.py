@@ -30,7 +30,6 @@ from repro.recommender.dta.enumeration import (
     greedy_enumerate,
 )
 from repro.recommender.dta.whatif import WhatIfSession
-from repro.service import ServiceSettings, build_service
 from repro.recommender.workload_selection import (
     acquire_workload,
     coverage_for_k,
@@ -43,7 +42,10 @@ from tests.conftest import (
     populate_orders,
 )
 from tests.engine.test_optimizer import perfect_engine
-from tests.observability.test_alerts import audit_digest
+from tests.observability.test_alerts import (
+    run_benchmark_fleet,
+    unordered_audit_digest,
+)
 from repro.engine.engine import Database, SqlEngine
 
 
@@ -465,30 +467,18 @@ class TestPinnedAcrossProjection:
         assert not whatif._relevance
 
 
-def test_premium_fleet_audit_equals_parent_but_for_plan_cache_series():
-    """What-if pricings once were plan-cache lookups, so pricing fewer of
-    them (and later, none) lifted the fleet's ``plan_cache_hit_rate``
-    series.  On the benchmark's
-    ``fleet_premium`` recipe the last commit that priced every
-    configuration raised one ``telemetry_anomaly`` on that series (tick
-    12, value 0.0167 against an EWMA of 0.045: the dip *was* DTA's
-    what-if traffic) which no longer fires.  Everything else in the
-    audit stream — every state change, implementation, recommendation
-    and DTA event — must equal that run's: the digest below was
-    recorded over the stream with that series' anomalies and the
-    retired fixed-threshold alert rules' events removed (the
-    plan-cache floor paged at 4.5 h while those rules existed)."""
-    service = build_service(
-        3,
-        tier="premium",
-        seed=11,
-        service_settings=ServiceSettings(max_statements_per_step=40),
-    )
-    service.run(0.4657879960582425)  # the benchmark's seed-11 phase tick
-    for _tick in range(14):
-        service.run(1.0)
-    assert sum(p.dta_sessions for p in service.plane.databases.values()) == 3
-    assert audit_digest(service.telemetry.audit, {"plan_cache_hit_rate"}) == (
-        34,
-        "f82d8c2dd6bf5948b8e52f6c7261071e6d1b449a4168aade439dee6cc40fd73f",
+def test_premium_fleet_audit_equals_parent_but_for_order():
+    """The benchmark's ``fleet_premium`` recipe, with policy-forced DTA
+    sessions on every database.  The digest below was recorded while the
+    region service drove one multi-database plane: merging
+    single-database planes may reorder events, but every state change,
+    implementation, recommendation and DTA event must be what it was."""
+    service = run_benchmark_fleet(3, "premium")
+    assert sum(
+        service.database_plane(name).databases[name].dta_sessions
+        for name in service.database_names
+    ) == 12
+    assert unordered_audit_digest(service.telemetry.audit) == (
+        168,
+        "b87a760a8a0e8b5b7adaf87e778d46b9e46b1a7b806c4e8f8e82ef502d26cf7e",
     )

@@ -33,7 +33,7 @@ def api():
     api.register_server(
         "server-1", AutoIndexingConfig(create_mode=AutoMode.RECOMMEND_ONLY)
     )
-    for name in service.fleet.names():
+    for name in service.database_names:
         api.assign_database(name, "server-1")
     service.run(hours=36)
     return api
@@ -41,13 +41,13 @@ def api():
 
 class TestSettingsInheritance:
     def test_databases_inherit_server_default(self, api):
-        name = api.service.fleet.names()[0]
+        name = api.service.database_names[0]
         view = api.settings_view(name)
         assert "(inherited)" in view["CREATE INDEX"]
         assert view["CREATE INDEX"].startswith("recommend_only")
 
     def test_server_default_change_propagates(self, api):
-        name = api.service.fleet.names()[0]
+        name = api.service.database_names[0]
         api.set_server_default(
             "server-1", AutoIndexingConfig(create_mode=AutoMode.OFF)
         )
@@ -58,7 +58,7 @@ class TestSettingsInheritance:
         )
 
     def test_database_override_stops_inheritance(self, api):
-        name = api.service.fleet.names()[1]
+        name = api.service.database_names[1]
         api.set_database_config(
             name, AutoIndexingConfig(create_mode=AutoMode.AUTO)
         )
@@ -76,13 +76,13 @@ class TestSettingsInheritance:
 
     def test_unknown_server_rejected(self, api):
         with pytest.raises(KeyError):
-            api.assign_database(api.service.fleet.names()[0], "nope")
+            api.assign_database(api.service.database_names[0], "nope")
 
 
 class TestViews:
     def test_current_recommendations_listed(self, api):
         found = []
-        for name in api.service.fleet.names():
+        for name in api.service.database_names:
             found.extend(api.current_recommendations(name))
         assert found, "expected active recommendations in recommend-only mode"
         view = found[0]
@@ -90,7 +90,7 @@ class TestViews:
         assert view.render().startswith(f"#{view.rec_id}")
 
     def test_details_include_statements(self, api):
-        for name in api.service.fleet.names():
+        for name in api.service.database_names:
             for view in api.current_recommendations(name):
                 details = api.recommendation_details(view.rec_id)
                 assert details["action"] in ("create", "drop")
@@ -99,7 +99,7 @@ class TestViews:
         pytest.skip("no active recommendation to inspect")
 
     def test_script_out_is_tsql(self, api):
-        for name in api.service.fleet.names():
+        for name in api.service.database_names:
             for view in api.current_recommendations(name):
                 script = api.script_out(view.rec_id)
                 assert script.startswith("CREATE NONCLUSTERED INDEX")
@@ -112,7 +112,7 @@ class TestViews:
             api.recommendation_details(10_000_000)
 
     def test_apply_then_history(self, api):
-        name = api.service.fleet.names()[0]
+        name = api.service.database_names[0]
         recommendations = api.current_recommendations(name)
         if not recommendations:
             pytest.skip("nothing to apply")

@@ -19,15 +19,40 @@ TELEMETRY_GOLDEN_ARGS = [
 ]
 
 
-def normalized_telemetry_payload(capsys) -> dict:
-    """Run ``repro telemetry --format json`` and strip the one
-    host-dependent field (hot-path wall time) from the payload."""
-    assert main(TELEMETRY_GOLDEN_ARGS) == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{"):])
+#: Region-service metrics that read the host's wall clock.
+WALL_CLOCK_METRICS = frozenset(
+    {
+        "fleet_phase_seconds",
+        "fleet_shard_busy",
+        "fleet_tick_attribution_ratio",
+        "fleet_tick_skew_seconds",
+        "fleet_tick_wall_seconds",
+    }
+)
+
+
+def telemetry_payload(out: str) -> dict:
+    return json.loads(out[out.index("{"):])
+
+
+def without_wall_clock(payload: dict) -> dict:
+    """The payload minus every host-dependent value: hot-path wall time,
+    the wall-clock ``fleet_*`` metrics and wall-flagged history series."""
     for row in payload.get("hot_paths", []):
         row.pop("real_ms", None)
+    payload["metrics"] = [
+        metric for metric in payload["metrics"]
+        if metric["name"] not in WALL_CLOCK_METRICS
+    ]
+    history = payload["history"]
+    history["series"] = [s for s in history["series"] if not s["wall"]]
     return payload
+
+
+def run_telemetry_golden_args(capsys) -> dict:
+    """Run ``repro telemetry --format json`` at the golden's arguments."""
+    assert main(TELEMETRY_GOLDEN_ARGS) == 0
+    return telemetry_payload(capsys.readouterr().out)
 
 
 class TestParser:
@@ -111,29 +136,31 @@ class TestTelemetryGolden:
     """``repro telemetry --format json`` is byte-stable under a pinned
     seed: same simulator, same history, same payload.
 
-    The golden pins everything except hot-path wall time (host clock).
-    When a simulator change legitimately shifts the payload, regenerate
-    with ``PYTHONPATH=src python tests/test_cli.py`` and review the
-    diff like any other golden update.
+    The golden pins everything except what reads the host clock:
+    hot-path wall time, the region service's wall-clock ``fleet_*``
+    metrics and its wall-flagged history series.  When a simulator
+    change legitimately shifts the payload, regenerate with
+    ``PYTHONPATH=src python tests/test_cli.py`` and review the diff like
+    any other golden update.
     """
 
     GOLDEN = GOLDEN_DIR / "telemetry_golden.json"
 
     def test_matches_golden_snapshot(self, capsys):
-        payload = normalized_telemetry_payload(capsys)
+        payload = without_wall_clock(run_telemetry_golden_args(capsys))
         golden = json.loads(self.GOLDEN.read_text())
         assert payload["schema"] == golden["schema"]
         assert payload == golden
 
-    def test_history_section_is_wall_free(self, capsys):
-        # The serial control plane never samples wall time, so the
-        # history section carries no host-dependent series at all —
-        # that is what makes the snapshot reproducible anywhere.
-        payload = normalized_telemetry_payload(capsys)
-        history = payload["history"]
+    def test_only_tick_wall_time_is_a_wall_series(self, capsys):
+        # Wall time is sampled into its own flagged series, so dropping
+        # that one series leaves a history reproducible anywhere.
+        history = run_telemetry_golden_args(capsys)["history"]
         assert history["schema"] == "repro-history-v2"
         assert history["last_tick"] >= 0
-        assert all(not series["wall"] for series in history["series"])
+        assert [s["name"] for s in history["series"] if s["wall"]] == [
+            "tick_wall_seconds"
+        ]
 
 
 class TestSloCommand:
@@ -212,10 +239,7 @@ def _regenerate_golden() -> None:  # pragma: no cover - manual tool
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         assert main(TELEMETRY_GOLDEN_ARGS) == 0
-    out = buffer.getvalue()
-    payload = json.loads(out[out.index("{"):])
-    for row in payload.get("hot_paths", []):
-        row.pop("real_ms", None)
+    payload = without_wall_clock(telemetry_payload(buffer.getvalue()))
     GOLDEN_DIR.mkdir(exist_ok=True)
     target = GOLDEN_DIR / "telemetry_golden.json"
     target.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
