@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from repro.engine.plans import PARAM
 from repro.engine.query import Predicate
 from repro.engine.table import Table
 from repro.rng import stable_hash
@@ -120,8 +121,6 @@ class CostModel:
 
     def predicate_selectivity(self, table: Table, predicate: Predicate) -> float:
         """Estimated selectivity of one predicate, error included."""
-        from repro.engine.plans import PARAM
-
         stats = table.statistics.get(predicate.column)
         if predicate.value is PARAM:
             # Join-parameterized equality: estimated at the column density.
@@ -148,9 +147,18 @@ class CostModel:
         self, table: Table, predicates: Sequence[Predicate]
     ) -> float:
         """Independence-assumption product of predicate selectivities."""
+        return self.combine_selectivities(
+            table, [self.predicate_selectivity(table, p) for p in predicates]
+        )
+
+    @staticmethod
+    def combine_selectivities(table: Table, factors: Iterable[float]) -> float:
+        """The product of per-predicate ``factors`` in the order given,
+        clamped to the table: the one combination rule, shared with the
+        optimizer's per-statement memo of those factors."""
         selectivity = 1.0
-        for predicate in predicates:
-            selectivity *= self.predicate_selectivity(table, predicate)
+        for factor in factors:
+            selectivity *= factor
         return _clamp_selectivity(selectivity, table.row_count)
 
     # ------------------------------------------------------------------

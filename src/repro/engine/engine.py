@@ -179,7 +179,8 @@ class SqlEngine:
         with profile("engine_execute") as prof:
             rows, metrics = self.executor.execute(plan, effective)
             prof.sim_ms = metrics.cpu_time_ms
-        self._register(query, plan, query_id)
+        plan_id = plan.plan_id()
+        self._register(query, plan, query_id, plan_id)
         # Schema lock integration: statements hold Sch-S for their duration;
         # a queued normal-priority Sch-M delays them (convoy, Section 8.3).
         duration_min = metrics.duration_ms / 60000.0
@@ -188,7 +189,7 @@ class SqlEngine:
             metrics.duration_ms += (delayed_start - now) * 60000.0
         self.query_store.record(
             query_id,
-            plan.plan_id(),
+            plan_id,
             metrics.cpu_time_ms,
             metrics.logical_reads,
             metrics.duration_ms,
@@ -198,7 +199,7 @@ class SqlEngine:
         self.governor.user.charge_cpu(metrics.cpu_time_ms, now)
         return ExecutionResult(
             query_id=query_id,
-            plan_id=plan.plan_id(),
+            plan_id=plan_id,
             plan=plan,
             rows=rows,
             metrics=metrics,
@@ -226,7 +227,9 @@ class SqlEngine:
 
         return sink
 
-    def _register(self, query, plan: PlanNode, query_id: int) -> None:
+    def _register(
+        self, query, plan: PlanNode, query_id: int, plan_id: int
+    ) -> None:
         if query_id not in self._query_objects:
             self._query_objects[query_id] = query
             text = render(query)
@@ -243,7 +246,7 @@ class SqlEngine:
             )
         self.query_store.register_plan(
             PlanInfo(
-                plan_id=plan.plan_id(),
+                plan_id=plan_id,
                 signature=plan.signature(),
                 referenced_indexes=plan.referenced_indexes(),
             )

@@ -41,6 +41,9 @@ single-table index built from the query's own sargable predicates and, if
 the ideal index would beat the plan, reports a missing-index candidate to
 the DMV sink.  Deliberately local: join, GROUP BY and ORDER BY columns
 are *not* considered — exactly the MI limitation the paper describes.
+Emission is a by-product of the plan search, as in the paper: it reads
+the substrate's predicate analysis, output estimate and existing access
+candidates rather than planning the statement a second time.
 """
 
 from __future__ import annotations
@@ -78,7 +81,12 @@ from repro.engine.query import (
 )
 from repro.engine.schema import IndexDefinition
 from repro.engine.table import IndexStatsView, Table
-from repro.errors import ExecutionError, OptimizeError, UnknownTableError
+from repro.errors import (
+    ExecutionError,
+    OptimizeError,
+    UnknownColumnError,
+    UnknownTableError,
+)
 from repro.observability.profiling import count, profile
 
 #: Minimum relative improvement for the optimizer to report an MI candidate.
@@ -101,12 +109,49 @@ class _AccessCandidate:
     index_name: Optional[str] = None
 
 
+class _PredicateAnalysis:
+    """One statement's predicate analysis over one table.
+
+    Each predicate's selectivity is estimated once, on first use, and a
+    combination multiplies the memoized factors in predicate order, so it
+    is the float :meth:`CostModel.combined_selectivity` would compute.
+    The memo is keyed by predicate identity rather than by hashing the
+    dataclass; each entry holds its predicate, so the id cannot be reused
+    while the entry lives.  It is valid for the owning substrate's whole
+    life, which the plan key bounds by the table's (schema, stats, data)
+    versions.
+    """
+
+    __slots__ = ("table", "_model", "_memo")
+
+    def __init__(self, model: CostModel, table: Table) -> None:
+        self.table = table
+        self._model = model
+        self._memo: Dict[int, Tuple[Predicate, float]] = {}
+
+    def selectivity(self, predicates: Sequence[Predicate]) -> float:
+        """Combined selectivity of ``predicates``."""
+        return self._model.combine_selectivities(
+            self.table, [self._factor(p) for p in predicates]
+        )
+
+    def _factor(self, predicate: Predicate) -> float:
+        entry = self._memo.get(id(predicate))
+        if entry is None:
+            entry = self._memo[id(predicate)] = (
+                predicate,
+                self._model.predicate_selectivity(self.table, predicate),
+            )
+        return entry[1]
+
+
 @dataclasses.dataclass
 class _JoinContext:
     """Outer-candidate-independent join planning state (computed once)."""
 
     join: object
-    right: Table
+    #: The inner table's predicate analysis (its ``table`` is the inner table).
+    right: _PredicateAnalysis
     right_needed: Tuple[str, ...]
     right_rows: float
     distinct: float
@@ -148,6 +193,10 @@ class Optimizer:
         self.plan_cache = PlanCache()
         #: Counters for :class:`BatchPricer` traffic.
         self.batch_stats = BatchPricingStats()
+        #: MI's ideal index per (table, key columns, included columns): a
+        #: definition is a value, so it is built once per shape, not once
+        #: per statement.
+        self._ideal_indexes: Dict[tuple, IndexDefinition] = {}
 
     # ------------------------------------------------------------------
     # Entry points
@@ -175,8 +224,9 @@ class Optimizer:
             count("plan_cache_miss")
         emissions: List[tuple] = []
         with profile("optimizer_plan_search"):
-            plan = _build_substrate(self, query).price(())
-            self._emit_missing_indexes(query, plan, emissions.append)
+            substrate = _build_substrate(self, query)
+            plan = substrate.price(())
+            substrate.emit_missing_indexes(emissions.append)
         if mi_sink is not None:
             for emission in emissions:
                 mi_sink(*emission)
@@ -248,7 +298,7 @@ class Optimizer:
 
     def _access_candidates(
         self,
-        table: Table,
+        analysis: _PredicateAnalysis,
         predicates: Tuple[Predicate, ...],
         needed_columns: Tuple[str, ...],
     ) -> Tuple[float, List[_AccessCandidate]]:
@@ -258,8 +308,9 @@ class Optimizer:
         :meth:`_index_candidates`, one definition at a time.
         """
         model = self._cost_model
+        table = analysis.table
         rows = table.row_count
-        all_sel = model.combined_selectivity(table, predicates)
+        all_sel = analysis.selectivity(predicates)
         out_rows = max(0.0, all_sel * rows) if predicates else float(rows)
         candidates: List[_AccessCandidate] = []
 
@@ -281,7 +332,9 @@ class Optimizer:
         )
 
         # 2. Clustered seek on a PK prefix.
-        pk_candidate = self._clustered_seek_candidate(table, predicates, out_rows)
+        pk_candidate = self._clustered_seek_candidate(
+            analysis, predicates, out_rows
+        )
         if pk_candidate is not None:
             candidates.append(pk_candidate)
 
@@ -289,14 +342,15 @@ class Optimizer:
         for definition, view in self._existing_indexes(table):
             candidates.extend(
                 self._index_candidates(
-                    table, definition, view, predicates, needed_columns, out_rows
+                    analysis, definition, view, predicates, needed_columns,
+                    out_rows,
                 )
             )
         return out_rows, candidates
 
     def _index_candidates(
         self,
-        table: Table,
+        analysis: _PredicateAnalysis,
         definition: IndexDefinition,
         view: IndexStatsView,
         predicates: Tuple[Predicate, ...],
@@ -305,20 +359,22 @@ class Optimizer:
     ) -> List[_AccessCandidate]:
         """The seek and the covering scan one index offers, in that order."""
         seek = self._index_seek_candidate(
-            table, definition, view, predicates, needed_columns, out_rows
+            analysis, definition, view, predicates, needed_columns, out_rows
         )
         scan = self._index_scan_candidate(
-            table, definition, view, predicates, needed_columns, out_rows
+            analysis.table, definition, view, predicates, needed_columns,
+            out_rows,
         )
         return [c for c in (seek, scan) if c is not None]
 
     def _clustered_seek_candidate(
         self,
-        table: Table,
+        analysis: _PredicateAnalysis,
         predicates: Tuple[Predicate, ...],
         out_rows: float,
     ) -> Optional[_AccessCandidate]:
         model = self._cost_model
+        table = analysis.table
         pk = table.schema.primary_key
         by_column = _predicates_by_column(predicates)
         eq_preds: List[Predicate] = []
@@ -334,7 +390,7 @@ class Optimizer:
         if not eq_preds and range_pred is None:
             return None
         seek_preds = tuple(eq_preds) + ((range_pred,) if range_pred else ())
-        seek_sel = model.combined_selectivity(table, seek_preds)
+        seek_sel = analysis.selectivity(seek_preds)
         view = table.clustered_stats_view()
         matched = seek_sel * table.row_count
         pages = max(1.0, seek_sel * view.leaf_pages)
@@ -356,7 +412,7 @@ class Optimizer:
 
     def _index_seek_candidate(
         self,
-        table: Table,
+        analysis: _PredicateAnalysis,
         definition: IndexDefinition,
         view: IndexStatsView,
         predicates: Tuple[Predicate, ...],
@@ -364,6 +420,7 @@ class Optimizer:
         out_rows: float,
     ) -> Optional[_AccessCandidate]:
         model = self._cost_model
+        table = analysis.table
         by_column = _predicates_by_column(predicates)
         eq_preds: List[Predicate] = []
         for column in definition.key_columns:
@@ -378,7 +435,7 @@ class Optimizer:
         if not eq_preds and range_pred is None:
             return None
         seek_preds = tuple(eq_preds) + ((range_pred,) if range_pred else ())
-        seek_sel = model.combined_selectivity(table, seek_preds)
+        seek_sel = analysis.selectivity(seek_preds)
         matched = seek_sel * table.row_count
         leaf_pages = max(1.0, seek_sel * view.leaf_pages)
         index_columns = set(definition.all_columns) | set(table.schema.primary_key)
@@ -386,8 +443,8 @@ class Optimizer:
         index_residual = tuple(p for p in leftover if p.column in index_columns)
         lookup_residual = tuple(p for p in leftover if p.column not in index_columns)
         covering = all(column in index_columns for column in needed_columns)
-        rows_after_index = matched * model.combined_selectivity(
-            table, index_residual
+        rows_after_index = matched * analysis.selectivity(
+            index_residual
         ) if index_residual else matched
         cost = model.seek_cost(view.height, leaf_pages, matched)
         cost += matched * model.settings.row_cpu * len(index_residual)
@@ -462,22 +519,35 @@ class Optimizer:
             index_name=definition.name,
         )
 
-    def _best_access(
+    def _cheapest_existing(
         self,
-        table: Table,
+        analysis: _PredicateAnalysis,
         predicates: Tuple[Predicate, ...],
+        out_rows: float,
+        candidates: Sequence[_AccessCandidate],
         needed_columns: Tuple[str, ...],
-    ) -> _AccessCandidate:
-        """Cheapest existing access path by its own cost (no downstream context).
+        columns: Tuple[str, ...],
+    ) -> float:
+        """Own cost of the cheapest existing access path for a read of
+        ``columns`` — the MI baseline (no downstream context).
 
-        Used where the access path *is* the whole read — hash-join build
-        side, MI baseline.  SELECT planning instead costs the complete
-        plan per candidate in :class:`_SelectSubstrate`.
+        ``candidates`` are every existing path enumerated for
+        ``needed_columns``.  Clustered paths do not depend on the columns
+        read, so when the column sets differ only the secondary indexes'
+        candidates (whose covering depends on them) are derived again,
+        off the same predicate analysis.
         """
-        _out_rows, candidates = self._access_candidates(
-            table, predicates, needed_columns
-        )
-        return min(candidates, key=lambda c: c.cost)
+        if columns == needed_columns:
+            return min(c.cost for c in candidates)
+        costs = [c.cost for c in candidates if c.index_name is None]
+        for definition, view in self._existing_indexes(analysis.table):
+            costs.extend(
+                c.cost
+                for c in self._index_candidates(
+                    analysis, definition, view, predicates, columns, out_rows
+                )
+            )
+        return min(costs)
 
     # ------------------------------------------------------------------
     # SELECT planning
@@ -529,16 +599,23 @@ class Optimizer:
             )
         return plan, cost
 
-    def _join_context(self, query: SelectQuery) -> "_JoinContext":
+    def _join_context(
+        self, query: SelectQuery, outer: _PredicateAnalysis
+    ) -> "_JoinContext":
         """Inner-side planning shared by every outer access candidate.
 
         The inner side's best per-probe seek and best build-side access do
         not depend on the outer candidate, so they are computed once per
-        SELECT rather than once per candidate.
+        SELECT rather than once per candidate.  A self-join shares the
+        outer side's predicate analysis.
         """
         join = query.join
         right = self._table(join.table)
-        model = self._cost_model
+        analysis = (
+            outer
+            if right is outer.table
+            else _PredicateAnalysis(self._cost_model, right)
+        )
         right_needed = tuple(
             dict.fromkeys(
                 (join.right_column,)
@@ -546,7 +623,7 @@ class Optimizer:
                 + tuple(join.select_columns)
             )
         )
-        right_sel = model.combined_selectivity(right, join.predicates)
+        right_sel = analysis.selectivity(join.predicates)
         right_rows = right_sel * right.row_count
         distinct = _distinct_estimate(right, join.right_column)
         # Nested loop: parameterized seek on the inner side.  A nested
@@ -557,7 +634,7 @@ class Optimizer:
             join.predicates
         )
         nl_out_rows, nl_candidates = self._access_candidates(
-            right, nl_preds, right_needed
+            analysis, nl_preds, right_needed
         )
         nl_inner = min(
             filter(_param_seekable, nl_candidates),
@@ -566,11 +643,11 @@ class Optimizer:
         )
         # Hash join: scan both sides, build on inner.
         hash_out_rows, hash_candidates = self._access_candidates(
-            right, tuple(join.predicates), right_needed
+            analysis, tuple(join.predicates), right_needed
         )
         return _JoinContext(
             join=join,
-            right=right,
+            right=analysis,
             right_needed=right_needed,
             right_rows=right_rows,
             distinct=distinct,
@@ -674,60 +751,13 @@ class Optimizer:
     # ------------------------------------------------------------------
     # Missing-index emission
 
-    def _emit_missing_indexes(
-        self, query, plan: PlanNode, record: Callable[[tuple], None]
-    ) -> None:
-        if isinstance(query, InsertQuery):
-            return
-        if not isinstance(query, SelectQuery):
-            # UPDATE / DELETE: the read that locates the rows.
-            self._emit_for_table(
-                query.table,
-                query.predicates,
-                tuple(p.column for p in query.predicates),
-                plan.est_cost,
-                record,
-            )
-            return
-        # MI's analysis is local, "predominantly in the leaf node of a
-        # plan" (Section 5.1.1): the include list captures the plan leaf's
-        # output — selected and filtered columns — but NOT columns needed
-        # by upstream joins, aggregations, or sorts.
-        leaf_columns = tuple(
-            dict.fromkeys(
-                tuple(query.select_columns)
-                + tuple(p.column for p in query.predicates)
-            )
-        )
-        self._emit_for_table(
-            query.table,
-            query.predicates,
-            leaf_columns,
-            plan.est_cost,
-            record,
-        )
-        if query.join is not None:
-            join_needed = tuple(
-                dict.fromkeys(
-                    (query.join.right_column,)
-                    + tuple(p.column for p in query.join.predicates)
-                    + tuple(query.join.select_columns)
-                )
-            )
-            self._emit_for_table(
-                query.join.table,
-                tuple(query.join.predicates),
-                join_needed,
-                plan.est_cost,
-                record,
-            )
-
     def _emit_for_table(
         self,
-        table_name: str,
+        analysis: _PredicateAnalysis,
         predicates: Tuple[Predicate, ...],
         referenced: Tuple[str, ...],
-        plan_cost: float,
+        out_rows: float,
+        existing_cost: Callable[[], float],
         record: Callable[[tuple], None],
     ) -> None:
         """Compare the current plan to an ideal local index; report if better.
@@ -735,11 +765,14 @@ class Optimizer:
         MI semantics (Section 5.2): equality predicate columns become
         EQUALITY columns, range predicate columns become INEQUALITY columns,
         other referenced columns become INCLUDE columns.  No join/group-by/
-        order-by awareness and no maintenance costing.
+        order-by awareness and no maintenance costing.  The caller is the
+        statement's substrate: ``analysis`` and ``out_rows`` are the ones
+        its plan search used, and ``existing_cost`` gives the cheapest
+        existing access path's own cost for ``referenced``.
         """
         if not predicates:
             return
-        table = self._table(table_name)
+        table = analysis.table
         if table.row_count == 0:
             return
         eq_cols = tuple(
@@ -759,42 +792,41 @@ class Optimizer:
             c for c in referenced if c not in key_cols
         ) + ineq_cols[1:]
         include_cols = tuple(dict.fromkeys(include_cols))
-        ideal = IndexDefinition(
-            name="_mi_ideal",
-            table=table_name,
-            key_columns=key_cols,
-            included_columns=tuple(
-                c for c in include_cols if c not in key_cols
-            ),
-            hypothetical=True,
+        shape = (
+            table.name,
+            key_cols,
+            tuple(c for c in include_cols if c not in key_cols),
         )
+        ideal = self._ideal_indexes.get(shape)
+        if ideal is None:
+            ideal = self._ideal_indexes[shape] = IndexDefinition(
+                name="_mi_ideal",
+                table=shape[0],
+                key_columns=shape[1],
+                included_columns=shape[2],
+                hypothetical=True,
+            )
         try:
             view = table.hypothetical_stats_view(ideal)
-        except Exception:
-            return
+        except UnknownColumnError:
+            return  # a column the table does not have: no index to suggest
         candidate = self._index_seek_candidate(
-            table,
-            ideal,
-            view,
-            predicates,
-            referenced,
-            out_rows=self._cost_model.combined_selectivity(table, predicates)
-            * table.row_count,
+            analysis, ideal, view, predicates, referenced, out_rows
         )
         if candidate is None:
             return
         # Compare against the best access over *existing* structures only.
-        best_existing = self._best_access(table, predicates, referenced)
-        if candidate.cost >= best_existing.cost * (1.0 - MI_REPORT_THRESHOLD):
+        best_existing = existing_cost()
+        if candidate.cost >= best_existing * (1.0 - MI_REPORT_THRESHOLD):
             return
-        impact = 100.0 * (1.0 - candidate.cost / best_existing.cost)
+        impact = 100.0 * (1.0 - candidate.cost / best_existing)
         record(
             (
-                table_name,
+                table.name,
                 eq_cols,
                 ineq_cols,
                 ideal.included_columns,
-                best_existing.cost,
+                best_existing,
                 impact,
             )
         )
@@ -834,10 +866,12 @@ class _SelectSubstrate:
         self._query = query
         table = opt._table(query.table)
         self._table = table
+        self._analysis = _PredicateAnalysis(opt._cost_model, table)
         self._needed = query.referenced_columns()
-        self._out_rows, candidates = opt._access_candidates(
-            table, query.predicates, self._needed
+        self._out_rows, self._existing = opt._access_candidates(
+            self._analysis, query.predicates, self._needed
         )
+        candidates = self._existing
         if query.index_hint is not None:
             candidates = [
                 c for c in candidates if c.index_name == query.index_hint
@@ -845,7 +879,7 @@ class _SelectSubstrate:
         self._base_candidates = candidates
         self._base_ctx: Optional[_JoinContext] = None
         if query.join is not None:
-            self._base_ctx = opt._join_context(query)
+            self._base_ctx = opt._join_context(query, self._analysis)
         #: Cheapest finished base plan; None only when an index hint
         #: names no existing index (an extra may still carry the name).
         self._base_best = _first_min(
@@ -865,6 +899,47 @@ class _SelectSubstrate:
                 f"not exist on table {self._table.name!r}"
             )
         return best[0]
+
+    def emit_missing_indexes(self, record: Callable[[tuple], None]) -> None:
+        """MI candidates for the outer table and the join's inner table.
+
+        MI's analysis is local, "predominantly in the leaf node of a
+        plan" (Section 5.1.1): the include list captures the plan leaf's
+        output — selected and filtered columns — but NOT columns needed
+        by upstream joins, aggregations, or sorts.  Both baselines ignore
+        an index hint.
+        """
+        opt = self._opt
+        query = self._query
+        predicates = query.predicates
+        leaf_columns = tuple(
+            dict.fromkeys(
+                tuple(query.select_columns) + tuple(p.column for p in predicates)
+            )
+        )
+        opt._emit_for_table(
+            self._analysis,
+            predicates,
+            leaf_columns,
+            self._out_rows,
+            lambda: opt._cheapest_existing(
+                self._analysis, predicates, self._out_rows, self._existing,
+                self._needed, leaf_columns,
+            ),
+            record,
+        )
+        ctx = self._base_ctx
+        if ctx is not None:
+            # The inner side's leaf read is the hash build side's: the
+            # same predicates and the same columns.
+            opt._emit_for_table(
+                ctx.right,
+                tuple(ctx.join.predicates),
+                ctx.right_needed,
+                ctx.hash_out_rows,
+                lambda: ctx.hash_inner.cost,
+                record,
+            )
 
     def contributes(self, definition: IndexDefinition) -> bool:
         """Whether the definition offers this statement an outer or a
@@ -927,11 +1002,10 @@ class _SelectSubstrate:
     def _outer_candidates(self, definition: IndexDefinition) -> list:
         cached = self._outer_memo.get(definition)
         if cached is None:
-            table = self._table
             cached = self._outer_memo[definition] = self._opt._index_candidates(
-                table,
+                self._analysis,
                 definition,
-                table.hypothetical_stats_view(definition),
+                self._table.hypothetical_stats_view(definition),
                 self._query.predicates,
                 self._needed,
                 self._out_rows,
@@ -955,18 +1029,17 @@ class _SelectSubstrate:
         if cached is None:
             opt = self._opt
             ctx = self._base_ctx
-            right = ctx.right
-            view = right.hypothetical_stats_view(definition)
+            view = ctx.right.table.hypothetical_stats_view(definition)
             nl = [
                 c
                 for c in opt._index_candidates(
-                    right, definition, view,
+                    ctx.right, definition, view,
                     ctx.nl_preds, ctx.right_needed, ctx.nl_out_rows,
                 )
                 if _param_seekable(c)
             ]
             hashes = opt._index_candidates(
-                right, definition, view,
+                ctx.right, definition, view,
                 tuple(ctx.join.predicates), ctx.right_needed, ctx.hash_out_rows,
             )
             cached = self._inner_memo[definition] = (nl, hashes)
@@ -1017,6 +1090,9 @@ class _InsertSubstrate:
         self._base_names = tuple(d.name for d, _v in maintained)
         self._extra_memo: Dict[IndexDefinition, float] = {}
 
+    def emit_missing_indexes(self, record: Callable[[tuple], None]) -> None:
+        """An INSERT reads no rows, so it misses no index."""
+
     def contributes(self, definition: IndexDefinition) -> bool:
         """Whether the INSERT must maintain the definition."""
         return definition.table == self._table.name
@@ -1060,11 +1136,12 @@ class _DmlSubstrate:
         self._query = query
         table = opt._table(query.table)
         self._table = table
+        self._analysis = _PredicateAnalysis(opt._cost_model, table)
         self._needed = tuple(table.schema.column_names)
-        self._out_rows, candidates = opt._access_candidates(
-            table, query.predicates, self._needed
+        self._out_rows, self._existing = opt._access_candidates(
+            self._analysis, query.predicates, self._needed
         )
-        self._base_best = min(candidates, key=lambda c: c.cost)
+        self._base_best = min(self._existing, key=lambda c: c.cost)
         #: UPDATE maintains only indexes its SET list touches, and pays a
         #: delete plus an insert in each; DELETE maintains every index.
         self._changed = (
@@ -1096,13 +1173,30 @@ class _DmlSubstrate:
             return ()
         view = table.hypothetical_stats_view(definition)
         candidates = self._opt._index_candidates(
-            table, definition, view,
+            self._analysis, definition, view,
             self._query.predicates, self._needed, self._out_rows,
         )
         maintained = _maintains(table, definition, self._changed)
         if not candidates and not maintained:
             return ()
         return candidates, view.height if maintained else None
+
+    def emit_missing_indexes(self, record: Callable[[tuple], None]) -> None:
+        """MI candidates for the read that locates the rows."""
+        opt = self._opt
+        predicates = self._query.predicates
+        referenced = tuple(p.column for p in predicates)
+        opt._emit_for_table(
+            self._analysis,
+            predicates,
+            referenced,
+            self._out_rows,
+            lambda: opt._cheapest_existing(
+                self._analysis, predicates, self._out_rows, self._existing,
+                self._needed, referenced,
+            ),
+            record,
+        )
 
     def contributes(self, definition: IndexDefinition) -> bool:
         """Whether the definition offers an access path to the rows or

@@ -15,6 +15,12 @@ What-if pricing (Section 5.3) never looks up or stores plans; it only
 shares statement substrates through the store beside them, under the
 same key.
 
+Because the key carries literal values, executed statements rarely
+repeat one: most statements are misses whatever the version part of the
+key is, since the literals differ (DESIGN §12 gives the counts).  The
+cache serves the repeats there are; plan search is kept cheap on a miss
+instead — see :mod:`repro.engine.optimizer`.
+
 Staleness is handled twice over.  Version counters inside the key mean a
 DDL change, statistics rebuild, or DML mutation makes every affected key
 unreachable, so a stale plan can never be returned.  Explicit

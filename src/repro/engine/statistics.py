@@ -9,6 +9,7 @@ sample fraction to model that.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from typing import List, Optional, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 from repro.engine.types import sort_key
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class HistogramBucket:
     """One equi-depth bucket: values in (previous upper bound, upper]."""
 
@@ -31,6 +32,14 @@ class ColumnStatistics:
 
     Selectivity queries return fractions of the table's rows.  All
     estimates degrade gracefully on empty tables (selectivity 0).
+
+    Immutable once built: ``buckets`` (ordered by upper bound, as
+    :func:`build_column_statistics` makes them) is a tuple of frozen
+    buckets, so the lookup tables derived from it at construction — each
+    bucket's ``sort_key`` and the left-to-right running sum of bucket
+    rows — cannot go stale.  A lookup bisects them and adds in the order
+    a bucket-by-bucket scan would, so every estimate is bit-identical to
+    that scan.
     """
 
     def __init__(
@@ -39,15 +48,20 @@ class ColumnStatistics:
         row_count: int,
         null_count: int,
         distinct_count: int,
-        buckets: List[HistogramBucket],
+        buckets: Sequence[HistogramBucket],
         sampled_fraction: float = 1.0,
     ) -> None:
         self.column = column
         self.row_count = row_count
         self.null_count = null_count
         self.distinct_count = max(1, distinct_count) if row_count else 0
-        self.buckets = buckets
+        self.buckets = tuple(buckets)
         self.sampled_fraction = sampled_fraction
+        self._upper_keys = [sort_key(bucket.upper) for bucket in self.buckets]
+        #: ``_rows_before[i]``: rows of buckets ``0..i-1``, summed left to right.
+        self._rows_before = [0.0]
+        for bucket in self.buckets:
+            self._rows_before.append(self._rows_before[-1] + bucket.rows)
 
     @property
     def density(self) -> float:
@@ -90,30 +104,31 @@ class ColumnStatistics:
         return min(1.0, max(0.0, rows / self.row_count))
 
     def _bucket_for(self, value: object) -> Optional[HistogramBucket]:
-        vkey = sort_key(value)
-        for bucket in self.buckets:
-            if vkey <= sort_key(bucket.upper):
-                return bucket
-        return None
+        """The first bucket whose upper bound is at or above ``value``."""
+        i = bisect.bisect_left(self._upper_keys, sort_key(value))
+        return self.buckets[i] if i < len(self.buckets) else None
 
     def _rows_below(self, value: object, inclusive: bool) -> float:
         """Estimated count of non-null rows with column value below ``value``."""
         vkey = sort_key(value)
-        total = 0.0
-        lower_key = None
-        for bucket in self.buckets:
-            upper_key = sort_key(bucket.upper)
-            if vkey >= upper_key:
+        keys = self._upper_keys
+        # Buckets [0, end) lie wholly at or below the value.
+        end = bisect.bisect_right(keys, vkey)
+        if inclusive:
+            total = self._rows_before[end]
+        else:
+            # Buckets whose upper bound *is* the value lose that value's
+            # share, each right after its rows are added.
+            start = bisect.bisect_left(keys, vkey, 0, end)
+            total = self._rows_before[start]
+            for bucket in self.buckets[start:end]:
                 total += bucket.rows
-                if vkey == upper_key and not inclusive:
-                    # Remove this value's share of the boundary bucket.
-                    total -= bucket.rows / max(1.0, bucket.distinct)
-                lower_key = upper_key
-                continue
+                total -= bucket.rows / max(1.0, bucket.distinct)
+        if end < len(keys):
             # value falls inside this bucket: linear interpolation.
-            frac = _interpolate(lower_key, upper_key, vkey)
-            total += bucket.rows * frac
-            break
+            lower_key = keys[end - 1] if end else None
+            frac = _interpolate(lower_key, keys[end], vkey)
+            total += self.buckets[end].rows * frac
         return total
 
     def __repr__(self) -> str:

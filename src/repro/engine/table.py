@@ -149,6 +149,9 @@ class Table:
         #: lazily on first vectorized scan.  ``clone()`` builds a fresh
         #: Table, so B-instance forks never share projections.
         self._columnar = None
+        #: (all columns, key length) -> (entry width, key width) of a
+        #: hypothetical index; see :meth:`hypothetical_stats_view`.
+        self._hypothetical_widths: Dict[tuple, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -213,12 +216,23 @@ class Table:
         return 0 if cache is None else cache.delta_rows
 
     def hypothetical_stats_view(self, definition: IndexDefinition) -> IndexStatsView:
-        """Estimated shape for an index that does not exist."""
-        entry_width = self.schema.row_width(
-            definition.all_columns
-        ) + self.schema.row_width(self.schema.primary_key)
-        key_width = self.schema.row_width(definition.key_columns)
-        return IndexStatsView.estimate(self.row_count, entry_width, key_width)
+        """Estimated shape for an index that does not exist.
+
+        Raises :class:`UnknownColumnError` for a column the table lacks.
+        The entry and key widths depend only on the definition's columns
+        and the schema, so they are memoized per column list; the shape
+        follows the live row count.
+        """
+        columns = (definition.all_columns, len(definition.key_columns))
+        widths = self._hypothetical_widths.get(columns)
+        if widths is None:
+            schema = self.schema
+            widths = self._hypothetical_widths[columns] = (
+                schema.row_width(definition.all_columns)
+                + schema.row_width(schema.primary_key),
+                schema.row_width(definition.key_columns),
+            )
+        return IndexStatsView.estimate(self.row_count, *widths)
 
     # ------------------------------------------------------------------
     # DML (metered)

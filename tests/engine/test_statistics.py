@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.statistics import (
     TableStatistics,
+    _interpolate,
     build_column_statistics,
 )
+from repro.engine.types import sort_key
 
 
 class TestBuild:
@@ -25,8 +30,6 @@ class TestBuild:
         assert stats.row_count == 5
         assert stats.null_count == 1
         assert stats.distinct_count == 3
-
-    def test_density(self):
         stats = build_column_statistics("c", list(range(100)))
         assert stats.density == pytest.approx(0.01)
 
@@ -60,8 +63,6 @@ class TestSelectivityRange:
     def test_full_range(self):
         stats = build_column_statistics("c", list(range(100)))
         assert stats.selectivity_range(0, 99) == pytest.approx(1.0, rel=0.05)
-
-    def test_half_range(self):
         stats = build_column_statistics("c", list(range(1000)))
         sel = stats.selectivity_range(0, 499)
         assert sel == pytest.approx(0.5, rel=0.15)
@@ -73,9 +74,6 @@ class TestSelectivityRange:
     def test_unbounded_low(self):
         stats = build_column_statistics("c", list(range(1000)))
         assert stats.selectivity_range(None, 99) == pytest.approx(0.1, rel=0.3)
-
-    def test_unbounded_high(self):
-        stats = build_column_statistics("c", list(range(1000)))
         assert stats.selectivity_range(900, None) == pytest.approx(0.1, rel=0.3)
 
     @given(
@@ -120,8 +118,151 @@ class TestTableStatistics:
         table_stats.rows_at_build = 100
         assert table_stats.staleness(150) == pytest.approx(0.5)
         assert table_stats.staleness(100) == 0.0
+        never_built = TableStatistics("t")
+        assert never_built.staleness(0) == 0.0
+        assert never_built.staleness(10) == 1.0
 
-    def test_staleness_never_built(self):
-        table_stats = TableStatistics("t")
-        assert table_stats.staleness(0) == 0.0
-        assert table_stats.staleness(10) == 1.0
+
+# ----------------------------------------------------------------------
+# Bisected lookups against the bucket-by-bucket scan they replaced
+
+
+def _scan_bucket_for(stats, value):
+    vkey = sort_key(value)
+    for bucket in stats.buckets:
+        if vkey <= sort_key(bucket.upper):
+            return bucket
+    return None
+
+
+def _scan_rows_below(stats, value, inclusive):
+    vkey = sort_key(value)
+    total = 0.0
+    lower_key = None
+    for bucket in stats.buckets:
+        upper_key = sort_key(bucket.upper)
+        if vkey >= upper_key:
+            total += bucket.rows
+            if vkey == upper_key and not inclusive:
+                total -= bucket.rows / max(1.0, bucket.distinct)
+            lower_key = upper_key
+            continue
+        frac = _interpolate(lower_key, upper_key, vkey)
+        total += bucket.rows * frac
+        break
+    return total
+
+
+def _scan_eq(stats, value):
+    if not stats.row_count:
+        return 0.0
+    if value is None:
+        return stats.null_count / stats.row_count
+    bucket = _scan_bucket_for(stats, value)
+    if bucket is None:
+        return min(1.0, stats.density)
+    per_value = bucket.rows / max(1.0, bucket.distinct)
+    return min(1.0, per_value / stats.row_count)
+
+
+def _scan_range(stats, low, high, low_inclusive, high_inclusive):
+    if not stats.row_count:
+        return 0.0
+    non_null = stats.row_count - stats.null_count
+    if non_null <= 0:
+        return 0.0
+    below_high = (
+        float(non_null) if high is None
+        else _scan_rows_below(stats, high, high_inclusive)
+    )
+    below_low = 0.0 if low is None else _scan_rows_below(stats, low, not low_inclusive)
+    rows = below_high - below_low
+    return min(1.0, max(0.0, rows / stats.row_count))
+
+
+def _probes(values):
+    """Bucket bounds, points between and beside them, and far outside."""
+    present = sorted({v for v in values if v is not None}, key=sort_key)
+    probes = [None, -1e18, 1e18, "", "~" * 8]
+    for value in present:
+        probes.append(value)
+        if isinstance(value, str):
+            probes.extend((value + "0", value[:-1]))
+        else:
+            probes.extend((value - 1, value + 0.5, value - 1e-9))
+    for left, right in zip(present, present[1:]):
+        if not isinstance(left, str) and not isinstance(right, str):
+            probes.append((left + right) / 2)
+    return probes
+
+
+_COLUMN_VALUES = st.one_of(
+    st.lists(st.one_of(st.none(), st.integers(-50, 50)), max_size=120),
+    st.lists(st.one_of(st.none(), st.integers(0, 3)), max_size=120),
+    st.lists(
+        st.one_of(
+            st.none(),
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        ),
+        max_size=120,
+    ),
+    st.lists(
+        st.one_of(st.none(), st.text("abc", max_size=3)), max_size=120
+    ),
+    st.lists(st.sampled_from([None, 0, 1, 2.5, "x", "y"]), max_size=120),
+)
+
+
+def _same(left, right):
+    return type(left) is type(right) and float(left).hex() == float(right).hex()
+
+
+class TestBisectedLookups:
+    # Heavy duplicates at bucket bounds: an exclusive bound drops exactly
+    # that value's share of its bucket, as the scan does.
+    @example(
+        values=[1] * 40 + [2] * 3 + [3] * 40 + list(range(4, 30)),
+        bucket_count=6,
+        sample_fraction=1.0,
+    )
+    # Sampled (fractional) counts, where summation order shows in the
+    # last bit: bucket rows and the bound value's share added as one
+    # step, or a prefix summed exactly, round differently from the scan.
+    @example(values=[20, 2, 20, 15, 13], bucket_count=5, sample_fraction=0.7)
+    @example(values=[0, 2, 6, 4, 12, 2, 17], bucket_count=3, sample_fraction=0.9)
+    @given(
+        values=_COLUMN_VALUES,
+        bucket_count=st.integers(1, 12),
+        sample_fraction=st.sampled_from([1.0, 1.0, 0.5, 0.3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_estimates_bit_identical_to_scan(
+        self, values, bucket_count, sample_fraction
+    ):
+        stats = build_column_statistics(
+            "c",
+            values,
+            bucket_count=bucket_count,
+            sample_fraction=sample_fraction,
+            rng=np.random.default_rng(5),
+        )
+        assert isinstance(stats.buckets, tuple)
+        if stats.buckets:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                stats.buckets[0].rows = 99.0
+        probes = _probes(values)
+        for value in probes:
+            assert _same(stats.selectivity_eq(value), _scan_eq(stats, value))
+        # Every probe bounds one side; pairs of bounds are a spread sample.
+        picks = probes[:: max(1, len(probes) // 14)] + probes[1:5]
+        for low, high in itertools.product(picks, picks):
+            for low_inc, high_inc in itertools.product((True, False), repeat=2):
+                got = stats.selectivity_range(low, high, low_inc, high_inc)
+                want = _scan_range(stats, low, high, low_inc, high_inc)
+                assert _same(got, want), (low, high, low_inc, high_inc)
+        for value in probes[1:]:
+            for inclusive in (True, False):
+                assert _same(
+                    stats._rows_below(value, inclusive),
+                    _scan_rows_below(stats, value, inclusive),
+                )
