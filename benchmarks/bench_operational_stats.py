@@ -54,8 +54,8 @@ def run_operational_loop():
             learn_hours=8,
             max_statements=300,
         )
-        managed = service.database_plane(profile.name).databases[profile.name]
-        managed.drops.settings.observation_days = 3.0
+        plane = service.database_plane(profile.name)
+        plane.drops.settings.observation_days = 3.0
     service.run(hours=6 * 24)
     return service
 

@@ -23,11 +23,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-from repro.controlplane import (
-    AutoIndexingConfig,
-    ManagedDatabase,
-    RecommendationState,
-)
+from repro.controlplane import AutoIndexingConfig, RecommendationState
 from repro.controlplane.store import RecommendationRecord
 from repro.parallel.service import ShardedFleetService
 from repro.recommender.recommendation import Action
@@ -129,7 +125,7 @@ class ManagementApi:
         if server is not None:
             default = self._server_defaults[server]
             return dataclasses.replace(default, inherited=True)
-        return self._managed(database).config
+        return self.service.database_plane(database).config
 
     def _apply_effective(self, database: str) -> None:
         self.service.set_config(database, self.effective_config(database))
@@ -156,7 +152,8 @@ class ManagementApi:
         """The Figure 3 detail blade, including impacted statements."""
         record = self._record(rec_id)
         recommendation = record.recommendation
-        query_store = self._managed(record.database).engine.query_store
+        plane = self.service.database_plane(record.database)
+        query_store = plane.engine.query_store
         statements = []
         for query_id in recommendation.impacted_queries:
             info = query_store.query_info(query_id)
@@ -232,9 +229,6 @@ class ManagementApi:
         if record is None:
             raise KeyError(f"unknown recommendation {rec_id}")
         return record
-
-    def _managed(self, database: str) -> ManagedDatabase:
-        return self.service.database_plane(database).databases[database]
 
     def _view(self, record: RecommendationRecord) -> RecommendationView:
         recommendation = record.recommendation

@@ -1,6 +1,6 @@
-"""The control plane facade: managed databases plus the micro-services.
+"""The control plane facade: one managed database plus the micro-services.
 
-``ControlPlane.process()`` is one pass of the region's automation: due
+``ControlPlane.process()`` is one pass of the database's automation: due
 scheduler jobs fire (MI snapshots, analysis sessions, drop analysis,
 health checks) and every non-terminal recommendation record is driven one
 step through its state machine by the implementation and validation
@@ -84,24 +84,6 @@ class ControlPlaneSettings:
     #: before/after windows, so only one change may be in flight at a time
     #: for the attribution to be clean.
     max_concurrent_implementations: int = 1
-
-
-@dataclasses.dataclass
-class ManagedDatabase:
-    """Everything the control plane tracks for one database."""
-
-    name: str
-    tier: str
-    engine: SqlEngine
-    config: AutoIndexingConfig
-    mi: MiRecommender
-    drops: DropRecommender
-    validator: Validator
-    #: Active index build jobs keyed by recommendation id.
-    build_jobs: Dict[int, object] = dataclasses.field(default_factory=dict)
-    drop_protocols: Dict[int, object] = dataclasses.field(default_factory=dict)
-    dta_sessions: int = 0
-    analysis_runs: int = 0
 
 
 @dataclasses.dataclass
@@ -223,11 +205,16 @@ ENGINE_GAUGES: Tuple[EngineGauge, ...] = (
 
 
 class ControlPlane:
-    """Per-region auto-indexing automation."""
+    """One database's auto-indexing automation (the Section 4 state machine)."""
 
     def __init__(
         self,
         clock: SimClock,
+        name: str,
+        engine: SqlEngine,
+        tier: str = "standard",
+        config: Optional[AutoIndexingConfig] = None,
+        *,
         settings: Optional[ControlPlaneSettings] = None,
         policy: Optional[RecommenderPolicy] = None,
         validation_settings: Optional[ValidationSettings] = None,
@@ -238,27 +225,36 @@ class ControlPlane:
         self.clock = clock
         self.settings = settings or ControlPlaneSettings()
         self.policy = policy or RecommenderPolicy()
-        self.validation_settings = validation_settings or ValidationSettings()
         self.classifier = classifier or LowImpactClassifier()
-        self.mi_settings = mi_settings
+        self.name = name
+        self.tier = tier
+        self.engine = engine
+        self.config = config or AutoIndexingConfig()
+        self.mi = MiRecommender(
+            engine, settings=mi_settings, classifier=self.classifier
+        )
+        self.drops = DropRecommender(engine)
+        self.validator = Validator(engine, validation_settings)
+        #: Active index build jobs keyed by recommendation id.
+        self.build_jobs: Dict[int, object] = {}
+        self.drop_protocols: Dict[int, object] = {}
         self.telemetry = Telemetry()
         self.store = StateStore()
         self.store.on_insert = self._telemetry_on_insert
         self.store.on_transition = self._telemetry_on_transition
         #: Non-terminal record ids — the due-set :meth:`process` drives.
-        #: Maintained by the store hooks so a quiescent fleet costs O(live),
-        #: not O(all records ever created).
+        #: Maintained by the store hooks so a quiescent database costs
+        #: O(live), not O(all records ever created).
         self._live: set = set()
-        #: Last-published ENGINE_GAUGES values per database, so the
-        #: per-tick publish skips engines whose counters did not move.
-        self._engine_gauges_published: Dict[str, tuple] = {}
+        #: Last-published ENGINE_GAUGES values, so the per-tick publish
+        #: skips an engine whose counters did not move.
+        self._engine_gauges_published: Optional[tuple] = None
         #: Open root span per live recommendation, keyed by rec_id.
         self._record_spans: Dict[int, Span] = {}
         #: Open state-occupancy span per live recommendation.
         self._phase_spans: Dict[int, Span] = {}
         self.scheduler = JobScheduler()
         self.faults = FaultInjector(fault_seed)
-        self.databases: Dict[str, ManagedDatabase] = {}
         # Lazy service imports avoid a module cycle.
         from repro.controlplane.services.recommend_service import (
             RecommendationService,
@@ -277,6 +273,35 @@ class ControlPlane:
         self.validate_service = ValidationService(self)
         self.dta_service = DtaSessionManager(self)
         self.health_service = HealthService(self)
+        # The jobs look the service method up when they fire, so a
+        # class-level wrapper installed after construction still sees
+        # every call.  Equal due times fire in scheduling order.
+        now = clock.now
+        settings = self.settings
+        self.scheduler.schedule(
+            f"{name}:snapshot",
+            lambda at: self.recommend_service.snapshot(at),
+            first_run=now + settings.snapshot_period,
+            period=settings.snapshot_period,
+        )
+        self.scheduler.schedule(
+            f"{name}:analyze",
+            lambda at: self.recommend_service.analyze(at),
+            first_run=now + settings.analysis_period,
+            period=settings.analysis_period,
+        )
+        self.scheduler.schedule(
+            f"{name}:drop-analyze",
+            lambda at: self.recommend_service.analyze_drops(at),
+            first_run=now + settings.drop_analysis_period,
+            period=settings.drop_analysis_period,
+        )
+        self.scheduler.schedule(
+            f"{name}:health",
+            lambda at: self.health_service.check(at),
+            first_run=now + settings.health_period,
+            period=settings.health_period,
+        )
 
     @property
     def audit(self):
@@ -396,57 +421,6 @@ class ControlPlane:
             )
 
     # ------------------------------------------------------------------
-    # Registration
-
-    def add_database(
-        self,
-        name: str,
-        engine: SqlEngine,
-        tier: str = "standard",
-        config: Optional[AutoIndexingConfig] = None,
-    ) -> ManagedDatabase:
-        config = config or AutoIndexingConfig()
-        managed = ManagedDatabase(
-            name=name,
-            tier=tier,
-            engine=engine,
-            config=config,
-            mi=MiRecommender(
-                engine, settings=self.mi_settings, classifier=self.classifier
-            ),
-            drops=DropRecommender(engine),
-            validator=Validator(engine, self.validation_settings),
-        )
-        self.databases[name] = managed
-        now = self.clock.now
-        settings = self.settings
-        self.scheduler.schedule(
-            f"{name}:snapshot",
-            lambda at, db=managed: self.recommend_service.snapshot(db, at),
-            first_run=now + settings.snapshot_period,
-            period=settings.snapshot_period,
-        )
-        self.scheduler.schedule(
-            f"{name}:analyze",
-            lambda at, db=managed: self.recommend_service.analyze(db, at),
-            first_run=now + settings.analysis_period,
-            period=settings.analysis_period,
-        )
-        self.scheduler.schedule(
-            f"{name}:drop-analyze",
-            lambda at, db=managed: self.recommend_service.analyze_drops(db, at),
-            first_run=now + settings.drop_analysis_period,
-            period=settings.drop_analysis_period,
-        )
-        self.scheduler.schedule(
-            f"{name}:health",
-            lambda at, db=managed: self.health_service.check(db, at),
-            first_run=now + settings.health_period,
-            period=settings.health_period,
-        )
-        return managed
-
-    # ------------------------------------------------------------------
     # The main loop step
 
     def process(self, now: Optional[float] = None) -> None:
@@ -454,9 +428,9 @@ class ControlPlane:
 
         Driving iterates the *due set* — the non-terminal record ids the
         store hooks maintain — in ascending ``rec_id`` order (insertion
-        order, matching the old full-table scan exactly).  A fleet of
-        quiescent databases therefore costs O(live records), not
-        O(records ever created).
+        order, matching the old full-table scan exactly).  A quiescent
+        database therefore costs O(live records), not O(records ever
+        created).
         """
         now = self.clock.now if now is None else now
         self.scheduler.run_due(now)
@@ -465,87 +439,82 @@ class ControlPlane:
             if record is None or record.terminal:
                 self._live.discard(rec_id)
                 continue
-            managed = self.databases.get(record.database)
-            if managed is None:
-                continue
-            self._drive(record, managed, now)
+            self._drive(record, now)
         self._publish_engine_gauges()
 
     def _publish_engine_gauges(self) -> None:
-        """Surface each engine's counters (:data:`ENGINE_GAUGES`) as gauges.
+        """Surface the engine's counters (:data:`ENGINE_GAUGES`) as gauges.
 
         The engine-side counters are monotone; publishing them as gauges
         (current value, per database) keeps the dashboard a pure read of
-        the telemetry substrate.  The last published values are memoized
-        per database, so idle engines (nothing planned, executed or
-        priced since the previous tick) skip every gauge lookup.
+        the telemetry substrate.  The last published values are memoized,
+        so an idle engine (nothing planned, executed or priced since the
+        previous tick) skips every gauge lookup.
         """
+        engine = self.engine
+        values = tuple(gauge.read(engine) for gauge in ENGINE_GAUGES)
+        if self._engine_gauges_published == values:
+            return
+        self._engine_gauges_published = values
         registry = self.telemetry.registry
-        for name, managed in self.databases.items():
-            engine = managed.engine
-            values = tuple(gauge.read(engine) for gauge in ENGINE_GAUGES)
-            if self._engine_gauges_published.get(name) == values:
-                continue
-            self._engine_gauges_published[name] = values
-            for engine_gauge, value in zip(ENGINE_GAUGES, values):
-                if engine_gauge.when is None or engine_gauge.when(engine):
-                    registry.gauge(
-                        engine_gauge.name, database=name, **engine_gauge.labels
-                    ).set(value)
+        for engine_gauge, value in zip(ENGINE_GAUGES, values):
+            if engine_gauge.when is None or engine_gauge.when(engine):
+                registry.gauge(
+                    engine_gauge.name, database=self.name, **engine_gauge.labels
+                ).set(value)
 
     # ------------------------------------------------------------------
     # Record driving
 
-    def _drive(
-        self, record: RecommendationRecord, managed: ManagedDatabase, now: float
-    ) -> None:
+    def _drive(self, record: RecommendationRecord, now: float) -> None:
         try:
             if record.state is RecommendationState.ACTIVE:
-                self._drive_active(record, managed, now)
+                self._drive_active(record, now)
             elif record.state is RecommendationState.IMPLEMENTING:
-                self.implement_service.drive(record, managed, now)
+                self.implement_service.drive(record, now)
             elif record.state is RecommendationState.VALIDATING:
-                self.validate_service.drive(record, managed, now)
+                self.validate_service.drive(record, now)
             elif record.state is RecommendationState.REVERTING:
-                self.implement_service.drive_revert(record, managed, now)
+                self.implement_service.drive_revert(record, now)
             elif record.state is RecommendationState.RETRY:
-                self._drive_retry(record, managed, now)
+                self._drive_retry(record, now)
         except TransientError as exc:
-            self._to_retry(record, managed, now, str(exc))
+            self._to_retry(record, now, str(exc))
         except PermanentError as exc:
-            self._to_error(record, managed, now, str(exc))
+            self._to_error(record, now, str(exc))
 
-    def _drive_active(
-        self, record: RecommendationRecord, managed: ManagedDatabase, now: float
-    ) -> None:
+    def _drive_active(self, record: RecommendationRecord, now: float) -> None:
         if now - record.recommendation.created_at > self.settings.recommendation_expiry:
             self.store.transition(record, RecommendationState.EXPIRED, now, "aged out")
-            self.telemetry.count_event("recommendation_expired", managed.name)
+            self.telemetry.count_event("recommendation_expired", self.name)
             return
         mode = (
-            managed.config.create_mode
+            self.config.create_mode
             if record.recommendation.action is Action.CREATE
-            else managed.config.drop_mode
+            else self.config.drop_mode
         )
         if mode is not AutoMode.AUTO:
             return  # waits for the user (request_implementation) or expiry
         if not self._implementation_window_open(now):
             return
-        if self._in_flight(managed) >= self.settings.max_concurrent_implementations:
+        if self._in_flight() >= self.settings.max_concurrent_implementations:
             return
-        self.implement_service.begin(record, managed, now)
+        self.implement_service.begin(record, now)
 
-    def _in_flight(self, managed: ManagedDatabase) -> int:
-        busy_states = (
-            RecommendationState.IMPLEMENTING,
-            RecommendationState.VALIDATING,
-            RecommendationState.REVERTING,
-            RecommendationState.RETRY,
-        )
+    #: Non-terminal states that hold an index change in flight.
+    _BUSY_STATES = (
+        RecommendationState.IMPLEMENTING,
+        RecommendationState.VALIDATING,
+        RecommendationState.REVERTING,
+        RecommendationState.RETRY,
+    )
+
+    def _in_flight(self) -> int:
+        """Records holding an index change in flight (busy states are
+        non-terminal, so the due set holds every one of them)."""
+        get = self.store.get
         return sum(
-            1
-            for record in self.store.records_for(database=managed.name)
-            if record.state in busy_states
+            1 for rec_id in self._live if get(rec_id).state in self._BUSY_STATES
         )
 
     def _implementation_window_open(self, now: float) -> bool:
@@ -557,35 +526,29 @@ class ControlPlane:
             return start <= hour < end
         return hour >= start or hour < end
 
-    def _drive_retry(
-        self, record: RecommendationRecord, managed: ManagedDatabase, now: float
-    ) -> None:
+    def _drive_retry(self, record: RecommendationRecord, now: float) -> None:
         if record.retry_at is not None and now < record.retry_at:
             return
         target = record.retry_target or RecommendationState.IMPLEMENTING
         needs_begin = (
             target is RecommendationState.IMPLEMENTING
             and record.implemented_at is None
-            and record.rec_id not in managed.build_jobs
-            and record.rec_id not in managed.drop_protocols
+            and record.rec_id not in self.build_jobs
+            and record.rec_id not in self.drop_protocols
         )
         if needs_begin:
             # The failure happened before implementation started; re-run
             # the begin step (it performs the RETRY -> IMPLEMENTING move).
-            self.implement_service.begin(record, managed, now)
+            self.implement_service.begin(record, now)
             return
         self.store.transition(record, target, now, "retrying")
 
     def _to_retry(
-        self,
-        record: RecommendationRecord,
-        managed: ManagedDatabase,
-        now: float,
-        reason: str,
+        self, record: RecommendationRecord, now: float, reason: str
     ) -> None:
         self.store.update(record, now, attempts=record.attempts + 1)
         if record.attempts > self.settings.max_retries:
-            self._to_error(record, managed, now, f"retries exhausted: {reason}")
+            self._to_error(record, now, f"retries exhausted: {reason}")
             return
         previous = record.state
         self.store.update(
@@ -606,35 +569,31 @@ class ControlPlane:
         self.telemetry.audit.emit(
             now,
             "retry_scheduled",
-            managed.name,
+            self.name,
             rec_id=record.rec_id,
             reason=reason,
             attempt=record.attempts,
             retry_at=record.retry_at,
             retry_target=(record.retry_target.value if record.retry_target else None),
         )
-        self.telemetry.count_event("recommendation_retry", managed.name)
+        self.telemetry.count_event("recommendation_retry", self.name)
 
     def _to_error(
-        self,
-        record: RecommendationRecord,
-        managed: ManagedDatabase,
-        now: float,
-        reason: str,
+        self, record: RecommendationRecord, now: float, reason: str
     ) -> None:
         if record.state is not RecommendationState.ERROR:
             self.store.transition(record, RecommendationState.ERROR, now, reason)
         self.telemetry.audit.emit(
             now,
             "error_raised",
-            managed.name,
+            self.name,
             rec_id=record.rec_id,
             reason=reason,
             attempts=record.attempts,
         )
-        self.telemetry.count_event("recommendation_error", managed.name)
+        self.telemetry.count_event("recommendation_error", self.name)
         self.telemetry.registry.counter(
-            "incidents_total", database=managed.name
+            "incidents_total", database=self.name
         ).inc()
 
     # ------------------------------------------------------------------
@@ -645,39 +604,31 @@ class ControlPlane:
         record = self.store.get(rec_id)
         if record is None or record.state is not RecommendationState.ACTIVE:
             raise PermanentError(f"recommendation {rec_id} is not applicable")
-        managed = self.databases[record.database]
-        self.implement_service.begin(record, managed, self.clock.now)
+        self.implement_service.begin(record, self.clock.now)
 
     # ------------------------------------------------------------------
     # Aggregate reporting
 
     def register_recommendations(
-        self,
-        managed: ManagedDatabase,
-        recommendations: List[IndexRecommendation],
-        now: float,
+        self, recommendations: List[IndexRecommendation], now: float
     ) -> List[RecommendationRecord]:
         """Insert new ACTIVE records, expiring superseded duplicates."""
         records = []
-        existing_active = {
-            r.recommendation.structure_key(): r
-            for r in self.store.records_for(
-                database=managed.name, state=RecommendationState.ACTIVE
-            )
-        }
+        existing_active = {}
         # Validation verdicts are sticky: re-proposing an index that was
         # just reverted (or errored) would thrash (Section 8.1's revert
-        # statistics count each action once).
+        # statistics count each action once).  An index currently being
+        # implemented/validated is also not re-proposed.
         suppressed = {}
-        for r in self.store.records_for(database=managed.name):
-            if r.state in (RecommendationState.REVERTED, RecommendationState.ERROR):
+        for r in self.store.all_records():
+            state = r.state
+            if state is RecommendationState.ACTIVE:
+                existing_active[r.recommendation.structure_key()] = r
+            elif state in (RecommendationState.REVERTED, RecommendationState.ERROR):
                 when = r.state_history[-1][0] if r.state_history else 0.0
                 key = r.recommendation.structure_key()
                 suppressed[key] = max(suppressed.get(key, 0.0), when)
-        # An index currently being implemented/validated is also not
-        # re-proposed.
-        for r in self.store.records_for(database=managed.name):
-            if not r.terminal and r.state is not RecommendationState.ACTIVE:
+            elif not state.terminal:
                 suppressed[r.recommendation.structure_key()] = float("inf")
         for recommendation in recommendations:
             key = recommendation.structure_key()
@@ -690,7 +641,7 @@ class ControlPlane:
                 self.telemetry.audit.emit(
                     now,
                     "recommendation_suppressed",
-                    managed.name,
+                    self.name,
                     reason="in_flight" if in_flight else "revert_cooldown",
                     table=recommendation.table,
                     key_columns=list(recommendation.key_columns),
@@ -710,8 +661,8 @@ class ControlPlane:
                     now,
                     "superseded by newer recommendation",
                 )
-            record = self.store.insert(managed.name, recommendation, now)
+            record = self.store.insert(self.name, recommendation, now)
             records.append(record)
             existing_active[key] = record
-            self.telemetry.count_event("recommendation_created", managed.name)
+            self.telemetry.count_event("recommendation_created", self.name)
         return records

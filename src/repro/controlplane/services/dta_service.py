@@ -8,7 +8,7 @@ queries, and guarantees terminal states with cleanup.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import ResourceBudgetExceededError, SessionAbortedError
 from repro.observability.spans import Span
@@ -16,99 +16,92 @@ from repro.recommender.dta import DtaSession, DtaSettings
 from repro.recommender.recommendation import IndexRecommendation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controlplane.control_plane import ControlPlane, ManagedDatabase
+    from repro.controlplane.control_plane import ControlPlane
 
 
 class DtaSessionManager:
-    """Tracks at most one live DTA session per database."""
+    """Tracks the database's one live DTA session."""
 
     MAX_BUDGET_DEFERRALS = 8
 
     def __init__(self, plane: "ControlPlane") -> None:
         self.plane = plane
-        self._sessions: Dict[str, DtaSession] = {}
-        self._deferrals: Dict[str, int] = {}
-        #: Open telemetry span per resumable session; a budget-deferred
+        #: The resumable session a budget deferral left behind, if any.
+        self._session: Optional[DtaSession] = None
+        self._deferrals = 0
+        #: Open telemetry span of the resumable session; a budget-deferred
         #: session keeps its span open across analysis periods, so the
         #: recorded duration is the true wall-to-wall simulated time.
-        self._session_spans: Dict[str, Span] = {}
+        self._session_span: Optional[Span] = None
         #: What-if evidence of the most recent completed/aborted run —
         #: folded into the ``candidates_generated`` audit event.
         self.last_run_info: dict = {}
 
-    def settings_for(self, managed: "ManagedDatabase") -> DtaSettings:
-        return DtaSettings(tier=managed.tier)
-
-    def run(self, managed: "ManagedDatabase", now: float) -> List[IndexRecommendation]:
+    def run(self, now: float) -> List[IndexRecommendation]:
         """Run (or resume) a session; raises TransientError on budget."""
-        telemetry = self.plane.telemetry
-        session = self._sessions.get(managed.name)
+        plane = self.plane
+        telemetry = plane.telemetry
+        session = self._session
         if session is None:
             session = DtaSession(
-                managed.engine,
-                self.settings_for(managed),
-                interference_check=lambda: self._interfering(managed),
+                plane.engine,
+                DtaSettings(tier=plane.tier),
+                interference_check=self._interfering,
             )
-            self._sessions[managed.name] = session
-            self._deferrals[managed.name] = 0
-            self._session_spans[managed.name] = telemetry.tracer.start(
-                "dta_session", managed.name, now, source="DTA",
-                tier=managed.tier,
+            self._session = session
+            self._deferrals = 0
+            self._session_span = telemetry.tracer.start(
+                "dta_session", plane.name, now, source="DTA", tier=plane.tier,
             )
         try:
             recommendations = session.run()
         except ResourceBudgetExceededError:
-            self._deferrals[managed.name] += 1
-            self.plane.telemetry.count_event("dta_budget_exhausted", managed.name)
-            if self._deferrals[managed.name] >= self.MAX_BUDGET_DEFERRALS:
+            self._deferrals += 1
+            telemetry.count_event("dta_budget_exhausted", plane.name)
+            if self._deferrals >= self.MAX_BUDGET_DEFERRALS:
                 # Give up: clean up and surface an analysis failure.
-                del self._sessions[managed.name]
-                self._close_session_span(managed, now, "abandoned")
+                self._session = None
+                self._close_session_span(now, "abandoned")
                 self.last_run_info = {"session_outcome": "abandoned"}
-                self.plane.telemetry.count_event("dta_abandoned", managed.name)
+                telemetry.count_event("dta_abandoned", plane.name)
                 return []
             raise  # transient: the next analysis period resumes the session
         except SessionAbortedError:
-            del self._sessions[managed.name]
-            self._close_session_span(managed, now, "aborted")
+            self._session = None
+            self._close_session_span(now, "aborted")
             self.last_run_info = {"session_outcome": "aborted"}
-            self.plane.telemetry.count_event("dta_aborted", managed.name)
+            telemetry.count_event("dta_aborted", plane.name)
             return []
-        managed.dta_sessions += 1
-        del self._sessions[managed.name]
+        self._session = None
         whatif_calls = session.whatif.stats.calls
         self.last_run_info = {
             "session_outcome": "completed",
             "whatif_calls": whatif_calls,
             "workload_coverage": session.report.coverage if session.report else 0.0,
         }
-        self._close_session_span(
-            managed, now, "completed", whatif_calls=whatif_calls
-        )
+        self._close_session_span(now, "completed", whatif_calls=whatif_calls)
         telemetry.registry.counter(
-            "dta_whatif_calls_total", database=managed.name
+            "dta_whatif_calls_total", database=plane.name
         ).inc(whatif_calls)
-        self.plane.telemetry.count_event("dta_completed", managed.name)
+        telemetry.count_event("dta_completed", plane.name)
         return recommendations
 
-    def _close_session_span(
-        self, managed: "ManagedDatabase", now: float, outcome: str, **attributes
-    ) -> None:
-        span = self._session_spans.pop(managed.name, None)
+    def _close_session_span(self, now: float, outcome: str, **attributes) -> None:
+        span, self._session_span = self._session_span, None
         if span is None:
             return
-        self.plane.telemetry.tracer.end(span, now, outcome=outcome, **attributes)
-        self.plane.telemetry.registry.histogram(
+        telemetry = self.plane.telemetry
+        telemetry.tracer.end(span, now, outcome=outcome, **attributes)
+        telemetry.registry.histogram(
             "tuning_session_duration_minutes", source="DTA",
         ).observe(span.duration or 0.0)
 
-    def _interfering(self, managed: "ManagedDatabase") -> bool:
+    def _interfering(self) -> bool:
         """Detect that tuning is slowing user queries (Section 5.3.1).
 
         Uses the tuning pool's headroom as the interference proxy: a pool
         pushed to its limit while the user pool is busy indicates pressure.
         """
-        headroom = managed.engine.governor.tuning.window_headroom(
-            managed.engine.now
-        )
+        engine = self.plane.engine
+        headroom = engine.governor.tuning.window_headroom(engine.now)
         return headroom is not None and headroom <= 0.0

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 from repro.controlplane.states import RecommendationState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controlplane.control_plane import ControlPlane, ManagedDatabase
+    from repro.controlplane.control_plane import ControlPlane
 
 
 class HealthService:
@@ -23,9 +23,12 @@ class HealthService:
     def __init__(self, plane: "ControlPlane") -> None:
         self.plane = plane
 
-    def check(self, managed: "ManagedDatabase", now: float) -> None:
-        threshold = self.plane.settings.stuck_threshold
-        for record in self.plane.store.records_for(database=managed.name):
+    def check(self, now: float) -> None:
+        plane = self.plane
+        telemetry = plane.telemetry
+        audit = telemetry.audit
+        threshold = plane.settings.stuck_threshold
+        for record in plane.store.all_records():
             if record.terminal:
                 continue
             last_change = (
@@ -34,56 +37,55 @@ class HealthService:
             age = now - last_change
             if age < threshold:
                 continue
-            audit = self.plane.telemetry.audit
             if record.state is RecommendationState.RETRY:
                 # Known condition: retries stopped being scheduled.
                 audit.emit(
                     now,
                     "health_action",
-                    managed.name,
+                    plane.name,
                     rec_id=record.rec_id,
                     action="error_stuck_retry",
                     state=record.state.value,
                     age_minutes=age,
                     stuck_threshold_minutes=threshold,
                 )
-                self.plane.store.transition(
+                plane.store.transition(
                     record,
                     RecommendationState.ERROR,
                     now,
                     "health: stuck in retry",
                 )
-                self.plane.telemetry.count_event("health_corrected", managed.name)
+                telemetry.count_event("health_corrected", plane.name)
             elif record.state is RecommendationState.ACTIVE:
                 audit.emit(
                     now,
                     "health_action",
-                    managed.name,
+                    plane.name,
                     rec_id=record.rec_id,
                     action="expire_stale_active",
                     state=record.state.value,
                     age_minutes=age,
                     stuck_threshold_minutes=threshold,
                 )
-                self.plane.store.transition(
+                plane.store.transition(
                     record,
                     RecommendationState.EXPIRED,
                     now,
                     "health: stale active recommendation",
                 )
-                self.plane.telemetry.count_event("health_corrected", managed.name)
+                telemetry.count_event("health_corrected", plane.name)
             else:
                 audit.emit(
                     now,
                     "health_action",
-                    managed.name,
+                    plane.name,
                     rec_id=record.rec_id,
                     action="incident_raised",
                     state=record.state.value,
                     age_minutes=age,
                     stuck_threshold_minutes=threshold,
                 )
-                self.plane.telemetry.registry.counter(
-                    "incidents_total", database=managed.name
+                telemetry.registry.counter(
+                    "incidents_total", database=plane.name
                 ).inc()
-                self.plane.telemetry.count_event("incident", managed.name)
+                telemetry.count_event("incident", plane.name)

@@ -22,7 +22,7 @@ from repro.errors import PermanentError, TransientError
 from repro.recommender.recommendation import Action
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controlplane.control_plane import ControlPlane, ManagedDatabase
+    from repro.controlplane.control_plane import ControlPlane
 
 
 def _lock_evidence(protocol: LowPriorityDropProtocol) -> dict:
@@ -43,15 +43,11 @@ class ImplementationService:
     # ------------------------------------------------------------------
     # Starting
 
-    def begin(
-        self,
-        record: RecommendationRecord,
-        managed: "ManagedDatabase",
-        now: float,
-    ) -> None:
-        self.plane.faults.check("implement")
+    def begin(self, record: RecommendationRecord, now: float) -> None:
+        plane = self.plane
+        plane.faults.check("implement")
         recommendation = record.recommendation
-        engine = managed.engine
+        engine = plane.engine
         if recommendation.action is Action.CREATE:
             if recommendation.table not in engine.database.tables:
                 raise PermanentError(
@@ -75,8 +71,8 @@ class ImplementationService:
                 )
             table = engine.database.table(recommendation.table)
             job = OnlineIndexBuildJob(table, definition, resumable=True)
-            managed.build_jobs[record.rec_id] = (job, now)
-            self.plane.store.update(record, now, index_name=definition.name)
+            plane.build_jobs[record.rec_id] = (job, now)
+            plane.store.update(record, now, index_name=definition.name)
         else:
             index_name = recommendation.existing_index_name
             if not engine.index_exists(recommendation.table, index_name):
@@ -88,102 +84,84 @@ class ImplementationService:
                 engine.database.table(recommendation.table),
                 index_name,
             )
-            managed.drop_protocols[record.rec_id] = protocol
-            self.plane.store.update(record, now, index_name=index_name)
-        self.plane.store.transition(
+            plane.drop_protocols[record.rec_id] = protocol
+            plane.store.update(record, now, index_name=index_name)
+        plane.store.transition(
             record, RecommendationState.IMPLEMENTING, now, "implementation started"
         )
         if recommendation.action is Action.CREATE:
-            job, _ = managed.build_jobs[record.rec_id]
+            job, _ = plane.build_jobs[record.rec_id]
             method = {"method": "online_resumable_build", "rows_total": job.rows_total}
         else:
             method = {"method": "low_priority_drop"}
-        self.plane.telemetry.audit.emit(
+        plane.telemetry.audit.emit(
             now,
             "implementation_started",
-            managed.name,
+            plane.name,
             rec_id=record.rec_id,
             action=recommendation.action.value,
             index_name=record.index_name,
             table=recommendation.table,
             **method,
         )
-        self.plane.telemetry.count_event("implement_started", managed.name)
+        plane.telemetry.count_event("implement_started", plane.name)
 
     # ------------------------------------------------------------------
     # Advancing
 
-    def drive(
-        self,
-        record: RecommendationRecord,
-        managed: "ManagedDatabase",
-        now: float,
-    ) -> None:
+    def drive(self, record: RecommendationRecord, now: float) -> None:
         if record.recommendation.action is Action.CREATE:
-            self._advance_build(record, managed, now)
+            self._advance_build(record, now)
         else:
-            self._advance_drop(record, managed, now)
+            self._advance_drop(record, now)
 
-    def _advance_build(
-        self,
-        record: RecommendationRecord,
-        managed: "ManagedDatabase",
-        now: float,
-    ) -> None:
-        entry = managed.build_jobs.get(record.rec_id)
+    def _advance_build(self, record: RecommendationRecord, now: float) -> None:
+        plane = self.plane
+        entry = plane.build_jobs.get(record.rec_id)
         if entry is None:
             # Control plane restarted mid-build: restart the build.
-            self.begin_rebuild(record, managed, now)
+            self.begin_rebuild(record, now)
             return
         job, last_advance = entry
         elapsed = max(0.0, now - last_advance)
-        rows = int(elapsed * self.plane.settings.build_rows_per_minute) + 1
+        rows = int(elapsed * plane.settings.build_rows_per_minute) + 1
         progress = job.advance(rows, now=now)
-        managed.build_jobs[record.rec_id] = (job, now)
-        managed.engine.governor.index_build.charge_cpu(
+        plane.build_jobs[record.rec_id] = (job, now)
+        plane.engine.governor.index_build.charge_cpu(
             rows * OnlineIndexBuildJob.CPU_MS_PER_ROW, now
         )
         if progress.state is BuildState.COMPLETED:
-            del managed.build_jobs[record.rec_id]
-            managed.engine.missing_indexes.reset()  # schema change
+            del plane.build_jobs[record.rec_id]
+            plane.engine.missing_indexes.reset()  # schema change
             self._implemented(
                 record,
-                managed,
                 now,
                 rows_built=progress.rows_total,
                 build_cpu_ms=progress.cpu_ms_spent,
                 log_bytes_generated=progress.log_bytes_generated,
             )
 
-    def begin_rebuild(
-        self,
-        record: RecommendationRecord,
-        managed: "ManagedDatabase",
-        now: float,
-    ) -> None:
+    def begin_rebuild(self, record: RecommendationRecord, now: float) -> None:
         """Re-create the build job after a control-plane crash."""
+        plane = self.plane
         definition = record.recommendation.to_definition(record.index_name)
-        if managed.engine.index_exists(record.recommendation.table, definition.name):
-            self._implemented(record, managed, now)
+        if plane.engine.index_exists(record.recommendation.table, definition.name):
+            self._implemented(record, now)
             return
-        table = managed.engine.database.table(record.recommendation.table)
+        table = plane.engine.database.table(record.recommendation.table)
         job = OnlineIndexBuildJob(table, definition, resumable=True)
-        managed.build_jobs[record.rec_id] = (job, now)
+        plane.build_jobs[record.rec_id] = (job, now)
 
-    def _advance_drop(
-        self,
-        record: RecommendationRecord,
-        managed: "ManagedDatabase",
-        now: float,
-    ) -> None:
-        protocol = managed.drop_protocols.get(record.rec_id)
+    def _advance_drop(self, record: RecommendationRecord, now: float) -> None:
+        plane = self.plane
+        protocol = plane.drop_protocols.get(record.rec_id)
         if protocol is None:
             raise TransientError("drop protocol lost; retrying")
         if protocol.attempt(now):
-            del managed.drop_protocols[record.rec_id]
-            managed.engine.usage_stats.drop_index(record.index_name)
-            managed.engine.missing_indexes.reset()
-            self._implemented(record, managed, now, **_lock_evidence(protocol))
+            del plane.drop_protocols[record.rec_id]
+            plane.engine.usage_stats.drop_index(record.index_name)
+            plane.engine.missing_indexes.reset()
+            self._implemented(record, now, **_lock_evidence(protocol))
             return
         if protocol.exhausted():
             raise TransientError(
@@ -191,70 +169,63 @@ class ImplementationService:
             )
 
     def _implemented(
-        self,
-        record: RecommendationRecord,
-        managed: "ManagedDatabase",
-        now: float,
-        **evidence,
+        self, record: RecommendationRecord, now: float, **evidence
     ) -> None:
-        settings = self.plane.settings
+        plane = self.plane
+        settings = plane.settings
         first_time = record.implemented_at is None
-        self.plane.store.update(
+        plane.store.update(
             record,
             now,
             implemented_at=now,
             validate_after=now + settings.validation_settle,
         )
         if first_time:
-            self.plane.telemetry.registry.counter(
+            plane.telemetry.registry.counter(
                 "implementations_completed_total",
-                database=managed.name,
+                database=plane.name,
                 action=record.recommendation.action.value,
             ).inc()
-        self.plane.telemetry.audit.emit(
+        plane.telemetry.audit.emit(
             now,
             "implementation_completed",
-            managed.name,
+            plane.name,
             rec_id=record.rec_id,
             action=record.recommendation.action.value,
             index_name=record.index_name,
             validation_window_opens=now + settings.validation_settle,
             **evidence,
         )
-        self.plane.store.transition(
+        plane.store.transition(
             record, RecommendationState.VALIDATING, now, "implemented"
         )
-        self.plane.telemetry.count_event("implement_completed", managed.name)
+        plane.telemetry.count_event("implement_completed", plane.name)
 
     # ------------------------------------------------------------------
     # Reverting (Section 6)
 
-    def drive_revert(
-        self,
-        record: RecommendationRecord,
-        managed: "ManagedDatabase",
-        now: float,
-    ) -> None:
-        self.plane.faults.check("revert")
-        engine = managed.engine
+    def drive_revert(self, record: RecommendationRecord, now: float) -> None:
+        plane = self.plane
+        plane.faults.check("revert")
+        engine = plane.engine
         recommendation = record.recommendation
         evidence = {}
         if recommendation.action is Action.CREATE:
             # Revert a create: drop the index (low priority, Section 8.3).
             if engine.index_exists(recommendation.table, record.index_name):
-                protocol = managed.drop_protocols.get(record.rec_id)
+                protocol = plane.drop_protocols.get(record.rec_id)
                 if protocol is None:
                     protocol = LowPriorityDropProtocol(
                         engine.locks,
                         engine.database.table(recommendation.table),
                         record.index_name,
                     )
-                    managed.drop_protocols[record.rec_id] = protocol
+                    plane.drop_protocols[record.rec_id] = protocol
                 if not protocol.attempt(now):
                     if protocol.exhausted():
                         raise TransientError("revert drop kept timing out")
                     return
-                del managed.drop_protocols[record.rec_id]
+                del plane.drop_protocols[record.rec_id]
                 engine.usage_stats.drop_index(record.index_name)
                 engine.missing_indexes.reset()
                 evidence = {"method": "low_priority_drop", **_lock_evidence(protocol)}
@@ -267,16 +238,16 @@ class ImplementationService:
                 job.advance(table.row_count + 1, now=now)
                 engine.missing_indexes.reset()
                 evidence = {"method": "recreate_index", "rows_built": job.rows_total}
-        self.plane.telemetry.audit.emit(
+        plane.telemetry.audit.emit(
             now,
             "revert_completed",
-            managed.name,
+            plane.name,
             rec_id=record.rec_id,
             action=recommendation.action.value,
             index_name=record.index_name,
             **evidence,
         )
-        self.plane.store.transition(
+        plane.store.transition(
             record, RecommendationState.REVERTED, now, "reverted"
         )
-        self.plane.telemetry.count_event("reverted", managed.name)
+        plane.telemetry.count_event("reverted", plane.name)

@@ -7,94 +7,88 @@ from typing import TYPE_CHECKING
 from repro.errors import ReproError, TransientError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controlplane.control_plane import ControlPlane, ManagedDatabase
+    from repro.controlplane.control_plane import ControlPlane
 
 
 class RecommendationService:
-    """Drives MI snapshots and analysis sessions per database."""
+    """Drives the database's MI snapshots and analysis sessions."""
 
     def __init__(self, plane: "ControlPlane") -> None:
         self.plane = plane
 
-    def snapshot(self, managed: "ManagedDatabase", now: float) -> None:
+    def snapshot(self, now: float) -> None:
         """Periodic MI DMV snapshot (reset tolerance, Section 5.2)."""
-        managed.mi.take_snapshot()
-        self.plane.telemetry.count_event("mi_snapshot", managed.name)
+        plane = self.plane
+        plane.mi.take_snapshot()
+        plane.telemetry.count_event("mi_snapshot", plane.name)
 
-    def analyze(self, managed: "ManagedDatabase", now: float) -> None:
+    def analyze(self, now: float) -> None:
         """One analysis pass: pick the source by policy and run it."""
-        managed.analysis_runs += 1
-        decision = self.plane.policy.decide(managed.engine, managed.tier)
+        plane = self.plane
+        decision = plane.policy.decide(plane.engine, plane.tier)
         source = decision.source
-        telemetry = self.plane.telemetry
+        telemetry = plane.telemetry
         telemetry.audit.emit(
             now,
             "source_selected",
-            managed.name,
+            plane.name,
             source=source,
             rule=decision.rule,
             evidence=decision.evidence,
         )
-        span = telemetry.tracer.start(
-            "analysis", managed.name, now, source=source
-        )
+        span = telemetry.tracer.start("analysis", plane.name, now, source=source)
         try:
             # Inside the try: a fault here defers or fails this pass like
             # any other analysis error instead of escaping ``process()``
             # with the scheduler job popped and never re-armed.
-            self.plane.faults.check("analyze")
+            plane.faults.check("analyze")
             if source == "DTA":
-                recommendations = self.plane.dta_service.run(managed, now)
+                recommendations = plane.dta_service.run(now)
             else:
-                recommendations = managed.mi.recommend()
+                recommendations = plane.mi.recommend()
         except TransientError:
             # Budget exhaustion and friends: the scheduler will try again
             # on the next analysis period; DTA's own cache keeps progress.
-            telemetry.tracer.end(span, self.plane.clock.now, outcome="deferred")
+            telemetry.tracer.end(span, plane.clock.now, outcome="deferred")
             telemetry.registry.counter(
-                "analysis_runs_total", database=managed.name, source=source,
+                "analysis_runs_total", database=plane.name, source=source,
                 outcome="deferred",
             ).inc()
-            self.plane.telemetry.count_event("analysis_deferred", managed.name)
+            telemetry.count_event("analysis_deferred", plane.name)
             return
         except ReproError:
-            telemetry.tracer.end(span, self.plane.clock.now, outcome="failed")
+            telemetry.tracer.end(span, plane.clock.now, outcome="failed")
             telemetry.registry.counter(
-                "analysis_runs_total", database=managed.name, source=source,
+                "analysis_runs_total", database=plane.name, source=source,
                 outcome="failed",
             ).inc()
-            self.plane.telemetry.count_event("analysis_failed", managed.name)
+            telemetry.count_event("analysis_failed", plane.name)
             return
         telemetry.tracer.end(
             span,
-            self.plane.clock.now,
+            plane.clock.now,
             outcome="completed",
             recommendations=len(recommendations),
         )
         telemetry.registry.counter(
-            "analysis_runs_total", database=managed.name, source=source,
+            "analysis_runs_total", database=plane.name, source=source,
             outcome="completed",
         ).inc()
-        self._audit_analysis(managed, now, source, recommendations)
+        self._audit_analysis(now, source, recommendations)
         if source != "DTA":
             # DTA sessions observe their own (resumable) span duration;
             # MI analyses are instantaneous passes over the DMV snapshots.
             telemetry.registry.histogram(
                 "tuning_session_duration_minutes", source=source,
             ).observe(span.duration or 0.0)
-        self.plane.telemetry.count_event("analysis_completed", managed.name)
+        telemetry.count_event("analysis_completed", plane.name)
         if recommendations:
-            self.plane.register_recommendations(managed, recommendations, now)
+            plane.register_recommendations(recommendations, now)
 
-    def _audit_analysis(
-        self,
-        managed: "ManagedDatabase",
-        now: float,
-        source: str,
-        recommendations,
-    ) -> None:
+    def _audit_analysis(self, now: float, source: str, recommendations) -> None:
         """Record the per-candidate evidence behind one analysis pass."""
-        audit = self.plane.telemetry.audit
+        plane = self.plane
+        audit = plane.telemetry.audit
         candidates = [
             {
                 "table": rec.table,
@@ -111,33 +105,34 @@ class RecommendationService:
             "candidates": candidates,
         }
         if source == "DTA":
-            payload.update(self.plane.dta_service.last_run_info)
-        audit.emit(now, "candidates_generated", managed.name, **payload)
+            payload.update(plane.dta_service.last_run_info)
+        audit.emit(now, "candidates_generated", plane.name, **payload)
         if source != "DTA":
-            for decision in managed.mi.last_decisions:
+            for decision in plane.mi.last_decisions:
                 if decision.get("accepted"):
                     continue
                 audit.emit(
                     now,
                     "candidate_rejected",
-                    managed.name,
+                    plane.name,
                     source=source,
                     **decision,
                 )
 
-    def analyze_drops(self, managed: "ManagedDatabase", now: float) -> None:
+    def analyze_drops(self, now: float) -> None:
         """Long-horizon drop analysis (Section 5.4)."""
-        telemetry = self.plane.telemetry
+        plane = self.plane
+        telemetry = plane.telemetry
         try:
-            self.plane.faults.check("analyze_drops")
-            recommendations = managed.drops.recommend()
+            plane.faults.check("analyze_drops")
+            recommendations = plane.drops.recommend()
         except TransientError:
             # As in analyze(): the next drop-analysis period tries again.
-            telemetry.count_event("analysis_deferred", managed.name)
+            telemetry.count_event("analysis_deferred", plane.name)
             return
         except ReproError:
-            telemetry.count_event("analysis_failed", managed.name)
+            telemetry.count_event("analysis_failed", plane.name)
             return
-        telemetry.count_event("drop_analysis_completed", managed.name)
+        telemetry.count_event("drop_analysis_completed", plane.name)
         if recommendations:
-            self.plane.register_recommendations(managed, recommendations, now)
+            plane.register_recommendations(recommendations, now)

@@ -10,7 +10,7 @@ from repro.recommender.recommendation import Action
 from repro.validation.validator import Verdict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controlplane.control_plane import ControlPlane, ManagedDatabase
+    from repro.controlplane.control_plane import ControlPlane
 
 
 class ValidationService:
@@ -19,17 +19,13 @@ class ValidationService:
     def __init__(self, plane: "ControlPlane") -> None:
         self.plane = plane
 
-    def drive(
-        self,
-        record: RecommendationRecord,
-        managed: "ManagedDatabase",
-        now: float,
-    ) -> None:
-        settings = self.plane.settings
+    def drive(self, record: RecommendationRecord, now: float) -> None:
+        plane = self.plane
+        settings = plane.settings
         window_end = record.validate_after + settings.validation_window
         if now < window_end:
             return  # still observing
-        self.plane.faults.check("validate")
+        plane.faults.check("validate")
         before = (
             max(0.0, record.implemented_at - settings.validation_window),
             record.implemented_at,
@@ -38,26 +34,26 @@ class ValidationService:
         action = (
             "create" if record.recommendation.action is Action.CREATE else "drop"
         )
-        outcome = managed.validator.validate(
+        outcome = plane.validator.validate(
             record.index_name, action, before, after
         )
-        example = self._classifier_example(record, managed, outcome)
+        example = self._classifier_example(record, outcome)
         if outcome.should_revert:
-            registry = self.plane.telemetry.registry
+            registry = plane.telemetry.registry
             kinds = set(example["regressed_kinds"])
             if kinds & {"INSERT", "UPDATE", "DELETE"}:
                 registry.counter(
                     "validation_reverts_total",
-                    database=managed.name,
+                    database=plane.name,
                     regression="write",
                 ).inc()
             if "SELECT" in kinds:
                 registry.counter(
                     "validation_reverts_total",
-                    database=managed.name,
+                    database=plane.name,
                     regression="select",
                 ).inc()
-        self.plane.store.update(
+        plane.store.update(
             record,
             now,
             validation_summary=(
@@ -68,11 +64,11 @@ class ValidationService:
             aggregate_change=outcome.aggregate_change,
             validation_example=example,
         )
-        audit = self.plane.telemetry.audit
+        audit = plane.telemetry.audit
         audit.emit(
             now,
             "validation_completed",
-            managed.name,
+            plane.name,
             rec_id=record.rec_id,
             window_before_minutes=before[1] - before[0],
             window_after_minutes=window_end - record.validate_after,
@@ -82,7 +78,7 @@ class ValidationService:
             audit.emit(
                 now,
                 "revert_decided",
-                managed.name,
+                plane.name,
                 rec_id=record.rec_id,
                 predicate=outcome.details or "regression detected",
                 verdict=outcome.verdict.value,
@@ -93,23 +89,23 @@ class ValidationService:
                     if statement.verdict is Verdict.REGRESSED
                 ],
             )
-            self.plane.store.transition(
+            plane.store.transition(
                 record,
                 RecommendationState.REVERTING,
                 now,
                 outcome.details or "regression detected",
             )
-            self.plane.telemetry.count_event("validation_regression", managed.name)
+            plane.telemetry.count_event("validation_regression", plane.name)
             # Revert promptly rather than waiting a full process pass.
-            self.plane.implement_service.drive_revert(record, managed, now)
+            plane.implement_service.drive_revert(record, now)
             return
-        self.plane.store.transition(
+        plane.store.transition(
             record, RecommendationState.SUCCESS, now, "validated"
         )
-        self.plane.telemetry.count_event("validation_success", managed.name)
+        plane.telemetry.count_event("validation_success", plane.name)
 
     def _classifier_example(
-        self, record: RecommendationRecord, managed: "ManagedDatabase", outcome
+        self, record: RecommendationRecord, outcome
     ) -> dict:
         """The labeled example this outcome gives the low-impact classifier.
 
@@ -117,16 +113,17 @@ class ValidationService:
         what ``StateStore.validation_history`` reads back — after a
         crash and across the shard boundary alike.
         """
+        plane = self.plane
         recommendation = record.recommendation
-        table = managed.engine.database.tables.get(recommendation.table)
-        usage = managed.engine.usage_stats.get(record.index_name or "")
+        table = plane.engine.database.tables.get(recommendation.table)
+        usage = plane.engine.usage_stats.get(record.index_name or "")
         regressed_kinds = []
         for statement in outcome.statements:
             if statement.verdict is Verdict.REGRESSED:
-                info = managed.engine.query_store.query_info(statement.query_id)
+                info = plane.engine.query_store.query_info(statement.query_id)
                 regressed_kinds.append(info.kind if info else "?")
         return {
-            "database": managed.name,
+            "database": plane.name,
             "action": recommendation.action.value,
             "source": recommendation.source,
             "estimated_impact_pct": recommendation.estimated_improvement_pct,

@@ -102,6 +102,10 @@ def run_regression_scenario(
     engine = _build_engine(clock, seed)
     plane = ControlPlane(
         clock,
+        database,
+        engine,
+        tier="standard",
+        config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
         settings=ControlPlaneSettings(
             validation_settle=30.0,
             validation_window=2 * HOURS,
@@ -117,12 +121,6 @@ def run_regression_scenario(
         ),
         engine=engine,
         database=database,
-    )
-    managed = plane.add_database(
-        database,
-        engine,
-        tier="standard",
-        config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
     )
 
     hot = SelectQuery(
@@ -163,7 +161,7 @@ def run_regression_scenario(
         details="seeded regression scenario",
         created_at=clock.now,
     )
-    records = plane.register_recommendations(managed, [recommendation], clock.now)
+    records = plane.register_recommendations([recommendation], clock.now)
     record = records[0]
 
     # Let the implementation land exactly on a Query Store interval

@@ -378,7 +378,7 @@ class ShardedFleetService:
 
     def set_config(self, database: str, config: AutoIndexingConfig) -> None:
         """Update a database's automation settings (the Section 2 portal)."""
-        self.database_plane(database).databases[database].config = config
+        self.database_plane(database).config = config
 
     def request_implementation(self, rec_id: int) -> None:
         """User-initiated apply of a recommendation, by its merged id.

@@ -1,6 +1,6 @@
 """Shard workers: per-database planes that buffer their tick output.
 
-Each managed database gets its **own** single-database
+Each managed database gets its **own**
 :class:`~repro.controlplane.ControlPlane` (local rec ids, local journal
 seqs, local audit seqs, local span ids).  That is what makes the merge
 order canonical: a database's stream is identical no matter which shard
@@ -81,7 +81,7 @@ class RecordingTracer(Tracer):
 
 
 class DatabaseWorker:
-    """One managed database: profile + single-database control plane."""
+    """One managed database: profile + its control plane."""
 
     def __init__(self, spec: DatabaseSpec, shared: SharedSettings) -> None:
         self.spec = spec
@@ -101,6 +101,10 @@ class DatabaseWorker:
         )
         self.plane = ControlPlane(
             self.profile.engine.clock,
+            spec.name,
+            self.profile.engine,
+            tier=spec.tier,
+            config=spec.config,
             settings=shared.control_settings,
             policy=shared.policy,
             validation_settings=shared.validation_settings,
@@ -111,9 +115,6 @@ class DatabaseWorker:
         # replays the ops into the region-level recorder.
         self.plane.telemetry.tracer = RecordingTracer(
             self.plane.telemetry.recorder
-        )
-        self.plane.add_database(
-            spec.name, self.profile.engine, tier=spec.tier, config=spec.config
         )
         self._journal_cursor = 0
         self._audit_cursor = 0

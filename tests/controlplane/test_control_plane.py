@@ -14,6 +14,7 @@ from repro.controlplane import (
 )
 from repro.engine.cost_model import CostModelSettings
 from repro.engine.engine import EngineSettings
+from repro.recommender.recommendation import Action, IndexRecommendation
 from repro.workload import make_profile
 
 
@@ -39,12 +40,14 @@ def build_loop(
         validation_window=6 * HOURS,
         **plane_kwargs.pop("settings_overrides", {}),
     )
-    plane = ControlPlane(clock, settings=settings, fault_seed=fault_seed)
-    plane.add_database(
+    plane = ControlPlane(
+        clock,
         profile.name,
         profile.engine,
         tier=tier,
         config=AutoIndexingConfig(create_mode=create_mode),
+        settings=settings,
+        fault_seed=fault_seed,
     )
     return clock, profile, plane
 
@@ -53,6 +56,19 @@ def advance(profile, plane, steps, hours=2, max_statements=90):
     for _ in range(steps):
         profile.workload.run(profile.engine, hours, max_statements=max_statements)
         plane.process()
+
+
+def recommend(profile, key_column=2, created_at=0.0):
+    fact = profile.schema_spec.fact_tables()[0]
+    return IndexRecommendation(
+        action=Action.CREATE,
+        table=fact.name,
+        key_columns=(fact.columns[key_column].name,),
+        included_columns=(fact.columns[3].name,),
+        source="MI",
+        estimated_improvement_pct=80.0,
+        created_at=created_at,
+    )
 
 
 class TestClosedLoop:
@@ -197,3 +213,82 @@ class TestClosedLoop:
         for event in events:
             assert "query_text" not in event.payload
             assert "text" not in event.payload
+
+
+class TestRegistration:
+    """``register_recommendations``: supersession and suppression."""
+
+    def test_newer_duplicate_supersedes_the_active_record(self):
+        clock, profile, plane = build_loop(create_mode=AutoMode.RECOMMEND_ONLY)
+        [first] = plane.register_recommendations([recommend(profile)], 0.0)
+        [other] = plane.register_recommendations(
+            [recommend(profile, key_column=4)], 0.0
+        )
+        [second] = plane.register_recommendations(
+            [recommend(profile, created_at=60.0)], 60.0
+        )
+        assert first.state is RecommendationState.EXPIRED
+        assert first.state_history[-1] == (
+            60.0, RecommendationState.EXPIRED,
+            "superseded by newer recommendation",
+        )
+        assert second.state is RecommendationState.ACTIVE
+        assert other.state is RecommendationState.ACTIVE
+        assert plane.telemetry.registry.total(
+            "events_total", kind="recommendation_created"
+        ) == 3
+        assert not plane.audit.events("recommendation_suppressed")
+
+    def test_index_in_flight_is_not_reproposed(self):
+        clock, profile, plane = build_loop(create_mode=AutoMode.RECOMMEND_ONLY)
+        [record] = plane.register_recommendations([recommend(profile)], 0.0)
+        plane.implement_service.begin(record, 0.0)
+        assert record.state is RecommendationState.IMPLEMENTING
+        assert plane.register_recommendations([recommend(profile)], 30.0) == []
+        [event] = plane.audit.events("recommendation_suppressed")
+        assert event.payload["reason"] == "in_flight"
+        assert event.payload["cooldown_until"] is None
+        assert record.state is RecommendationState.IMPLEMENTING
+        assert len(plane.store.all_records()) == 1
+
+    def test_failed_index_is_suppressed_until_its_cooldown_ends(self):
+        """The latest failure among the twins starts the cooldown, whatever
+        their insertion order."""
+        clock, profile, plane = build_loop(create_mode=AutoMode.RECOMMEND_ONLY)
+        cooldown = plane.settings.revert_cooldown
+        older = plane.store.insert(profile.name, recommend(profile), 0.0)
+        newer = plane.store.insert(profile.name, recommend(profile), 0.0)
+        plane.store.transition(newer, RecommendationState.ERROR, 10.0)
+        plane.store.transition(older, RecommendationState.ERROR, 50.0)
+        assert plane.register_recommendations(
+            [recommend(profile)], 50.0 + cooldown - 1.0
+        ) == []
+        [event] = plane.audit.events("recommendation_suppressed")
+        assert event.payload["reason"] == "revert_cooldown"
+        assert event.payload["cooldown_until"] == 50.0 + cooldown
+        [record] = plane.register_recommendations(
+            [recommend(profile)], 50.0 + cooldown
+        )
+        assert record.state is RecommendationState.ACTIVE
+
+    def test_implementation_cap_counts_busy_records_only(self):
+        """ACTIVE and terminal records do not hold the one implementation
+        slot; a record that leaves the busy band frees it."""
+        clock, profile, plane = build_loop(
+            settings_overrides={"max_concurrent_implementations": 1},
+        )
+        [done] = plane.register_recommendations(
+            [recommend(profile, key_column=5)], 0.0
+        )
+        plane.store.transition(done, RecommendationState.EXPIRED, 0.0)
+        first, second = plane.register_recommendations(
+            [recommend(profile), recommend(profile, key_column=4)], 0.0
+        )
+        plane.process(0.0)
+        assert first.state is RecommendationState.IMPLEMENTING
+        assert second.state is RecommendationState.ACTIVE
+        plane.process(1.0)
+        assert second.state is RecommendationState.ACTIVE
+        plane.store.transition(first, RecommendationState.ERROR, 2.0)
+        plane.process(2.0)
+        assert second.state is RecommendationState.IMPLEMENTING

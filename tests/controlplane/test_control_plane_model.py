@@ -80,6 +80,9 @@ class ControlPlaneMachine(RuleBasedStateMachine):
         self.profile = make_profile("model-db", seed=SEED, clock=self.clock)
         self.plane = ControlPlane(
             self.clock,
+            self.profile.name,
+            self.profile.engine,
+            config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
             settings=ControlPlaneSettings(
                 snapshot_period=30.0,
                 analysis_period=1 * HOURS,
@@ -96,11 +99,6 @@ class ControlPlaneMachine(RuleBasedStateMachine):
             ),
             validation_settings=VALIDATION,
             fault_seed=5,
-        )
-        self.managed = self.plane.add_database(
-            self.profile.name,
-            self.profile.engine,
-            config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
         )
         self.baseline_indexes = self.index_names()
         #: rec_id -> (state, len(state_history)) once terminal.
@@ -167,7 +165,7 @@ class ControlPlaneMachine(RuleBasedStateMachine):
 
     @rule(minutes=MINUTES)
     def flip_create_mode(self, minutes: int) -> None:
-        config = self.managed.config
+        config = self.plane.config
         config.create_mode = (
             AutoMode.RECOMMEND_ONLY
             if config.create_mode is AutoMode.AUTO

@@ -33,16 +33,17 @@ def build_drop_loop():
         drop_analysis_period=12 * HOURS,
         validation_window=6 * HOURS,
     )
-    plane = ControlPlane(clock, settings=settings)
-    managed = plane.add_database(
+    plane = ControlPlane(
+        clock,
         profile.name,
         profile.engine,
         tier="standard",
         config=AutoIndexingConfig(
             create_mode=AutoMode.OFF, drop_mode=AutoMode.AUTO
         ),
+        settings=settings,
     )
-    managed.drops.settings.observation_days = 0.5
+    plane.drops.settings.observation_days = 0.5
     return clock, profile, plane
 
 
@@ -75,8 +76,7 @@ def test_duplicate_dropped_and_validated():
 
 def test_drop_recommend_only_keeps_indexes():
     clock, profile, plane = build_drop_loop()
-    managed = plane.databases[profile.name]
-    managed.config.drop_mode = AutoMode.RECOMMEND_ONLY
+    plane.config.drop_mode = AutoMode.RECOMMEND_ONLY
     for _ in range(20):
         profile.workload.run(profile.engine, hours=2, max_statements=50)
         plane.process()

@@ -1,9 +1,9 @@
 """The process() due-set and the plan-cache gauge memoization.
 
 ``ControlPlane.process`` used to scan every record ever created on every
-tick — O(fleet history) even when the whole fleet is quiescent.  The
-store hooks now maintain a live set of non-terminal rec_ids, and the
-plan-cache gauges are only re-published for engines whose counters
+tick — O(history) even when the database is quiescent.  The store
+hooks now maintain a live set of non-terminal rec_ids, and the
+plan-cache gauges are only re-published when the engine's counters
 moved.  These tests pin both the bookkeeping and the equivalence with
 the old full-scan semantics.
 """
@@ -27,16 +27,14 @@ def build_plane(create_mode=AutoMode.AUTO, seed=31):
     profile = make_profile(f"due-{seed}", seed=seed, tier="standard", clock=clock)
     plane = ControlPlane(
         clock,
+        profile.name,
+        profile.engine,
+        config=AutoIndexingConfig(create_mode=create_mode),
         settings=ControlPlaneSettings(
             snapshot_period=2 * HOURS,
             analysis_period=8 * HOURS,
             validation_window=6 * HOURS,
         ),
-    )
-    plane.add_database(
-        profile.name,
-        profile.engine,
-        config=AutoIndexingConfig(create_mode=create_mode),
     )
     return clock, profile, plane
 
@@ -76,7 +74,7 @@ class TestDueSet:
         record = plane.store.insert("due-31", make_recommendation(), at=0.0)
         plane.store.transition(record, RecommendationState.EXPIRED, 1.0)
         driven = []
-        plane._drive = lambda rec, managed, now: driven.append(rec.rec_id)
+        plane._drive = lambda rec, now: driven.append(rec.rec_id)
         plane.process(plane.clock.now)
         assert driven == []
 
@@ -94,7 +92,7 @@ class TestPlanCacheMemo:
             registry.gauge("plan_cache_misses", database=name).value
             == cache.misses
         )
-        published = dict(plane._engine_gauges_published)
+        published = plane._engine_gauges_published
 
         # An idle tick (no workload) leaves the memo untouched, and the
         # gauges still read correctly.
@@ -105,7 +103,7 @@ class TestPlanCacheMemo:
         # More workload moves the counters; the next tick re-publishes.
         profile.workload.run(profile.engine, 2, max_statements=40)
         plane.process()
-        assert plane._engine_gauges_published[name] != published[name]
+        assert plane._engine_gauges_published != published
         assert registry.gauge("plan_cache_hits", database=name).value == cache.hits
 
     def test_memo_skip_detectable_via_gauge_identity(self):

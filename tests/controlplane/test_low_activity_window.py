@@ -21,21 +21,21 @@ def build(implement_low_activity_only=True, low_activity_hours=(22, 6)):
     profile = make_profile("low-act", seed=71, tier="standard", clock=clock)
     plane = ControlPlane(
         clock,
+        profile.name,
+        profile.engine,
+        tier="standard",
+        config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
         settings=ControlPlaneSettings(
             implement_low_activity_only=implement_low_activity_only,
             low_activity_hours=low_activity_hours,
         ),
     )
-    managed = plane.add_database(
-        profile.name, profile.engine, tier="standard",
-        config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
-    )
-    return clock, profile, plane, managed
+    return clock, profile, plane
 
 
 class TestWindow:
     def test_window_open_detection_wrapping(self):
-        clock, profile, plane, managed = build(low_activity_hours=(22, 6))
+        clock, profile, plane = build(low_activity_hours=(22, 6))
         clock.advance(23 * HOURS)  # 23:00
         assert plane._implementation_window_open(clock.now)
         clock.advance(4 * HOURS)  # 03:00
@@ -44,14 +44,14 @@ class TestWindow:
         assert not plane._implementation_window_open(clock.now)
 
     def test_window_open_detection_non_wrapping(self):
-        clock, profile, plane, managed = build(low_activity_hours=(2, 5))
+        clock, profile, plane = build(low_activity_hours=(2, 5))
         clock.advance(3 * HOURS)
         assert plane._implementation_window_open(clock.now)
         clock.advance(3 * HOURS)
         assert not plane._implementation_window_open(clock.now)
 
     def test_daytime_recommendation_waits_for_night(self):
-        clock, profile, plane, managed = build()
+        clock, profile, plane = build()
         clock.advance(10 * HOURS)  # 10:00 — busy hours
         record = plane.store.insert(
             profile.name, make_recommendation(profile), clock.now
@@ -66,7 +66,7 @@ class TestWindow:
         )
 
     def test_disabled_window_implements_immediately(self):
-        clock, profile, plane, managed = build(implement_low_activity_only=False)
+        clock, profile, plane = build(implement_low_activity_only=False)
         clock.advance(10 * HOURS)
         record = plane.store.insert(
             profile.name, make_recommendation(profile), clock.now

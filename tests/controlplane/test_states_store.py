@@ -7,7 +7,6 @@ import pytest
 from repro.clock import SimClock
 from repro.controlplane import ControlPlane
 from repro.controlplane.faults import FaultInjector
-from repro.controlplane.scheduler import JobScheduler
 from repro.controlplane.states import RecommendationState, check_transition
 from repro.controlplane.store import StateStore
 from repro.errors import InvalidStateTransitionError, PermanentError, TransientError
@@ -127,8 +126,7 @@ class TestStore:
         exhaust them."""
         clock = SimClock()
         profile = make_profile("retry-db", seed=78, clock=clock)
-        plane = ControlPlane(clock)
-        plane.add_database(profile.name, profile.engine)
+        plane = ControlPlane(clock, profile.name, profile.engine)
         record = plane.store.insert(profile.name, make_rec(), at=clock.now)
         plane.faults.configure("implement", transient=1.0)
         plane.process()
@@ -140,34 +138,6 @@ class TestStore:
     def test_recovery_of_empty_store(self):
         recovered = StateStore().recover()
         assert recovered.all_records() == []
-
-
-class TestScheduler:
-    def test_one_shot_job(self):
-        scheduler = JobScheduler()
-        runs = []
-        scheduler.schedule("j", lambda at: runs.append(at), first_run=5.0)
-        assert scheduler.run_due(4.0) == 0
-        assert scheduler.run_due(5.0) == 1
-        assert scheduler.run_due(10.0) == 0
-        assert runs == [5.0]
-
-    def test_periodic_job(self):
-        scheduler = JobScheduler()
-        runs = []
-        scheduler.schedule("j", lambda at: runs.append(at), first_run=1.0, period=10.0)
-        scheduler.run_due(1.0)
-        scheduler.run_due(11.0)
-        scheduler.run_due(25.0)
-        assert len(runs) == 3
-
-    def test_disabled_job_skipped(self):
-        scheduler = JobScheduler()
-        runs = []
-        job = scheduler.schedule("j", lambda at: runs.append(at), first_run=1.0)
-        job.enabled = False
-        scheduler.run_due(5.0)
-        assert runs == []
 
 
 class TestFaults:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.clock import SimClock
 from repro.controlplane import ControlPlane, RecommendationState
 from repro.controlplane.states import check_transition
+from repro.engine import Database, SqlEngine
 from repro.errors import InvalidStateTransitionError, TelemetryError
 from repro.observability import AUDIT_CATALOG, AUDIT_SCHEMA_VERSION, AuditLog
 from repro.recommender.recommendation import Action, IndexRecommendation
@@ -200,7 +201,10 @@ def test_replayed_stream_matches_live_audit_and_recovered_store(steps):
     chains and per-state counts, and both must match the store's own
     crash-recovery view.
     """
-    plane = ControlPlane(SimClock())
+    clock = SimClock()
+    plane = ControlPlane(
+        clock, "db-prop", SqlEngine(Database("db-prop"), clock=clock)
+    )
     store = plane.store
     at = 0.0
     for choice, pick in steps:

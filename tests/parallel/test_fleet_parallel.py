@@ -254,6 +254,62 @@ class TestSpecsAndSettings:
             9 * 1_000_003 + i for i in range(3)
         ]
 
+    def test_worker_plane_is_built_around_its_database(self, monkeypatch):
+        """A worker's plane carries its spec's database and the profile's
+        engine; its four jobs fire in scheduling order when due together,
+        and look the service method up when they fire, so a class-level
+        wrapper installed after construction (the end-to-end tracer's)
+        sees every call."""
+        from repro.controlplane import AutoIndexingConfig, AutoMode
+        from repro.controlplane.services.health_service import HealthService
+        from repro.controlplane.services.recommend_service import (
+            RecommendationService,
+        )
+        from repro.parallel.worker import DatabaseWorker
+
+        config = AutoIndexingConfig(
+            create_mode=AutoMode.RECOMMEND_ONLY, inherited=False
+        )
+        spec = DatabaseSpec(
+            name="db-premium-0", profile_seed=7, tier="premium",
+            fault_seed=1, config=config,
+        )
+        period = 1 * HOURS
+        worker = DatabaseWorker(spec, SharedSettings(
+            control_settings=ControlPlaneSettings(
+                snapshot_period=period,
+                analysis_period=period,
+                drop_analysis_period=period,
+                health_period=period,
+            ),
+        ))
+        plane = worker.plane
+        assert (plane.name, plane.tier) == ("db-premium-0", "premium")
+        assert plane.config is config
+        assert plane.engine is worker.profile.engine
+
+        fired = []
+        for cls, method in (
+            (RecommendationService, "snapshot"),
+            (RecommendationService, "analyze"),
+            (RecommendationService, "analyze_drops"),
+            (HealthService, "check"),
+        ):
+            monkeypatch.setattr(
+                cls, method,
+                lambda _self, at, method=method: fired.append((method, at)),
+            )
+        due = plane.clock.now + period
+        plane.process(due - 1.0)
+        assert fired == []
+        plane.process(due)
+        assert fired == [
+            ("snapshot", due),
+            ("analyze", due),
+            ("analyze_drops", due),
+            ("check", due),
+        ]
+
     def test_parallel_settings_validation(self):
         with pytest.raises(ValueError):
             ParallelSettings(backend="gpu")

@@ -474,9 +474,8 @@ def test_premium_fleet_audit_equals_parent_but_for_order():
     single-database planes may reorder events, but every state change,
     implementation, recommendation and DTA event must be what it was."""
     service = run_benchmark_fleet(3, "premium")
-    assert sum(
-        service.database_plane(name).databases[name].dta_sessions
-        for name in service.database_names
+    assert service.telemetry.registry.total(
+        "events_total", kind="dta_completed"
     ) == 12
     assert unordered_audit_digest(service.telemetry.audit) == (
         168,

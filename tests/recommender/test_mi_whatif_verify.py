@@ -79,22 +79,24 @@ def test_dry_tuning_budget_defers_the_analysis():
     """
     eng = perfect_engine(seed=135)
     plane = ControlPlane(
-        eng.clock, mi_settings=MiRecommenderSettings(verify_with_whatif=True)
+        eng.clock,
+        "opt",
+        eng,
+        mi_settings=MiRecommenderSettings(verify_with_whatif=True),
     )
-    managed = plane.add_database("opt", eng)
     other_reads = [
         SelectQuery("orders", ("o_amount",), (Predicate("o_cust", Op.EQ, c),))
         for c in (5, 7)
     ]
     for query in [SELECTIVE] + other_reads:
-        run_and_snapshot(eng, managed.mi, query)
+        run_and_snapshot(eng, plane.mi, query)
     call_ms = eng.settings.whatif_call_cpu_ms
     tuning = eng.governor.tuning
     # Room for the first statement's base configuration only: its second
     # configuration is the first refusal.
     tuning.budget_cpu_ms = 1.5 * call_ms
     before = tuning.usage.cpu_ms
-    plane.recommend_service.analyze(managed, eng.now)
+    plane.recommend_service.analyze(eng.now)
     registry = plane.telemetry.registry
     assert {
         kind: registry.total("events_total", kind=kind)

@@ -96,7 +96,7 @@ class TestService:
         assert [p.name for p in fleet] == sorted(small_service.database_names)
         for profile in fleet:
             plane = small_service.database_plane(profile.name)
-            assert plane.databases[profile.name].engine is profile.engine
+            assert plane.engine is profile.engine
 
         service = build_service(
             n_databases=2,

@@ -29,17 +29,15 @@ def test_steady_state_then_drift_reopens_recommendations():
     profile = make_profile("steady", seed=47, tier="standard", clock=clock)
     plane = ControlPlane(
         clock,
+        profile.name,
+        profile.engine,
+        tier="standard",
+        config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
         settings=ControlPlaneSettings(
             snapshot_period=2 * HOURS,
             analysis_period=8 * HOURS,
             validation_window=6 * HOURS,
         ),
-    )
-    plane.add_database(
-        profile.name,
-        profile.engine,
-        tier="standard",
-        config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
     )
 
     def run_days(days: float) -> None:
