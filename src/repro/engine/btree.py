@@ -6,9 +6,9 @@ indexes.  Every traversal counts the pages (nodes) it touches into a
 the metric the paper's validator treats as a primary plan-quality signal
 (Section 6).
 
-Keys are tuples of column values.  NULL-safe total ordering is provided by
-:func:`repro.engine.types.row_sort_key`; each entry stores its normalized
-key alongside the original so comparisons never see raw ``None``.
+Keys are tuples of column values, compared as themselves, with the order
+key :func:`repro.engine.types.key_of` stored alongside: the key itself
+unless it holds a NULL, so comparisons never see raw ``None``.
 
 Deletion removes entries from leaves without rebalancing (underflowed nodes
 are merged only when they become empty).  This keeps the implementation
@@ -22,11 +22,10 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.engine.types import row_sort_key
+from repro.engine.types import key_of
 from repro.observability.profiling import count
 
 Key = Tuple[object, ...]
-NKey = Tuple[tuple, ...]
 Payload = Tuple[object, ...]
 
 
@@ -55,7 +54,7 @@ class _Node:
 
     def __init__(self, leaf: bool) -> None:
         self.leaf = leaf
-        self.nkeys: List[NKey] = []
+        self.nkeys: List[Key] = []
         # Internal nodes only:
         self.children: List["_Node"] = []
         # Leaf nodes only:
@@ -117,7 +116,7 @@ class BPlusTree:
         """
         tree = cls(leaf_capacity=leaf_capacity, internal_capacity=internal_capacity)
         decorated = sorted(
-            ((row_sort_key(key), key, payload) for key, payload in entries),
+            ((key_of(key), key, payload) for key, payload in entries),
             key=lambda item: item[0],
         )
         if not decorated:
@@ -161,7 +160,7 @@ class BPlusTree:
     def insert(self, key: Key, payload: Payload) -> None:
         """Insert an entry; duplicates are stored adjacent to equals."""
         count("btree_insert")
-        nkey = row_sort_key(key)
+        nkey = key_of(key)
         split = self._insert(self._root, nkey, key, payload)
         if split is not None:
             sep, right = split
@@ -174,8 +173,8 @@ class BPlusTree:
         self._size += 1
 
     def _insert(
-        self, node: _Node, nkey: NKey, key: Key, payload: Payload
-    ) -> Optional[Tuple[NKey, _Node]]:
+        self, node: _Node, nkey: Key, key: Key, payload: Payload
+    ) -> Optional[Tuple[Key, _Node]]:
         if node.leaf:
             pos = bisect.bisect_right(node.nkeys, nkey)
             node.nkeys.insert(pos, nkey)
@@ -195,7 +194,7 @@ class BPlusTree:
             return self._split_internal(node)
         return None
 
-    def _split_leaf(self, node: _Node) -> Tuple[NKey, _Node]:
+    def _split_leaf(self, node: _Node) -> Tuple[Key, _Node]:
         mid = len(node.nkeys) // 2
         right = _Node(leaf=True)
         right.nkeys = node.nkeys[mid:]
@@ -209,7 +208,7 @@ class BPlusTree:
         self._leaf_count += 1
         return right.nkeys[0], right
 
-    def _split_internal(self, node: _Node) -> Tuple[NKey, _Node]:
+    def _split_internal(self, node: _Node) -> Tuple[Key, _Node]:
         mid = len(node.children) // 2
         sep = node.nkeys[mid - 1]
         right = _Node(leaf=False)
@@ -228,7 +227,7 @@ class BPlusTree:
         carries the row locator).  Returns the number of entries removed.
         """
         count("btree_delete")
-        nkey = row_sort_key(key)
+        nkey = key_of(key)
         removed = 0
         leaf: Optional[_Node] = self._descend_to_leaf(nkey, _NULL_METER)
         pos = bisect.bisect_left(leaf.nkeys, nkey)
@@ -252,7 +251,7 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Lookup
 
-    def _descend_to_leaf(self, nkey: NKey, meter: PageMeter) -> _Node:
+    def _descend_to_leaf(self, nkey: Key, meter: PageMeter) -> _Node:
         """Descend to the leftmost leaf that can contain ``nkey``.
 
         Uses ``bisect_left`` on separators so duplicate keys spanning a
@@ -279,7 +278,7 @@ class BPlusTree:
     ) -> Iterator[Tuple[Key, Payload]]:
         """Yield all entries whose key begins with ``prefix``."""
         count("btree_seek")
-        nprefix = row_sort_key(prefix)
+        nprefix = key_of(prefix)
         width = len(nprefix)
         meter = meter if meter is not None else _NULL_METER
         leaf = self._descend_to_leaf(nprefix, meter)
@@ -325,15 +324,15 @@ class BPlusTree:
                 if leaf is None:
                     return
                 meter.charge()
-        nlow: Optional[NKey] = None
+        nlow: Optional[Key] = None
         if low is not None:
-            nlow = row_sort_key(low)
+            nlow = key_of(low)
             leaf = self._descend_to_leaf(nlow, meter)
             pos = bisect.bisect_left(leaf.nkeys, nlow)
         else:
             leaf = self._leftmost_leaf(meter)
             pos = 0
-        nhigh = row_sort_key(high) if high is not None else None
+        nhigh = key_of(high) if high is not None else None
         high_width = len(nhigh) if nhigh is not None else 0
         low_width = len(nlow) if nlow is not None else 0
         skipping_low = nlow is not None and not low_inclusive
@@ -366,16 +365,16 @@ class BPlusTree:
         """Unmetered full scan (for snapshots and tests)."""
         return self.scan()
 
-    def snapshot(self) -> Tuple[List[NKey], List[Key], List[Payload]]:
+    def snapshot(self) -> Tuple[List[Key], List[Key], List[Payload]]:
         """Unmetered copy of every entry, in key order, as three parallel
-        lists: normalized keys, keys and payloads.
+        lists: order keys (:func:`key_of`), keys and payloads.
 
         Walks the leaf chain and extends each list a whole leaf at a
-        time, so the copy runs at C speed.  The normalized keys are the
+        time, so the copy runs at C speed.  The order keys are the
         tree's own, which lets a caller ``bisect`` the copy to the
         position of any key it later sees inserted or deleted.
         """
-        nkeys: List[NKey] = []
+        nkeys: List[Key] = []
         keys: List[Key] = []
         payloads: List[Payload] = []
         leaf: Optional[_Node] = self._leftmost_leaf(_NULL_METER)
@@ -387,7 +386,7 @@ class BPlusTree:
         return nkeys, keys, payloads
 
 
-def _min_nkey(node: _Node) -> NKey:
+def _min_nkey(node: _Node) -> Key:
     while not node.leaf:
         node = node.children[0]
     return node.nkeys[0]

@@ -21,6 +21,7 @@ exposing the surfaces the auto-indexing service consumes:
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Dict, List, Optional, Sequence
 
 from repro.clock import SimClock
@@ -34,6 +35,7 @@ from repro.engine.locks import LockManager
 from repro.engine.missing_index import MissingIndexDmv
 from repro.engine.optimizer import Optimizer
 from repro.engine.plans import (
+    PARAM,
     IndexScanNode,
     IndexSeekNode,
     KeyLookupNode,
@@ -46,7 +48,7 @@ from repro.engine.schema import IndexDefinition, TableSchema
 from repro.engine.sqlgen import render, template_text
 from repro.engine.table import Table
 from repro.engine.usage_stats import IndexUsageStats
-from repro.errors import DuplicateObjectError, UnknownTableError
+from repro.errors import DuplicateObjectError, UnknownColumnError, UnknownTableError
 from repro.observability.profiling import count, profile
 from repro.rng import derive, stable_uniform
 
@@ -113,6 +115,46 @@ class Database:
         return clone
 
 
+def bind_literals(query, tables: Dict[str, Table]):
+    """``query`` with each predicate literal (join side too, :data:`PARAM`
+    aside) converted by its column's :meth:`SqlType.coerce`, as SQL Server
+    does before comparing: one that cannot convert raises
+    :class:`QueryError` before planning.  ``query`` itself comes back when
+    no literal changes type; unknown tables and columns are left to planning.
+    """
+    predicates = query.predicates
+    bound = _bind(tables.get(query.table), predicates)
+    join = getattr(query, "join", None)
+    if join is not None:
+        join_bound = _bind(tables.get(join.table), join.predicates)
+        if join_bound is not join.predicates:
+            join = dataclasses.replace(join, predicates=join_bound)
+            return dataclasses.replace(query, predicates=bound, join=join)
+    if bound is predicates:
+        return query
+    return dataclasses.replace(query, predicates=bound)
+
+
+def _bind(table: Optional[Table], predicates):
+    """``predicates`` itself, or a tuple of them with literals bound."""
+    if table is None:
+        return predicates
+    bound = tuple(_bind_predicate(table, p) for p in predicates)
+    return predicates if all(map(operator.is_, bound, predicates)) else bound
+
+
+def _bind_predicate(table: Table, predicate):
+    try:
+        coerce = table.schema.column(predicate.column).sql_type.coerce
+    except UnknownColumnError:
+        return predicate
+    old = (predicate.value, predicate.value2)
+    new = [value if value is PARAM else coerce(value) for value in old]
+    if all(type(n) is type(o) for n, o in zip(new, old)):
+        return predicate
+    return dataclasses.replace(predicate, value=new[0], value2=new[1])
+
+
 @dataclasses.dataclass
 class ExecutionResult:
     """Outcome of one statement execution."""
@@ -170,7 +212,9 @@ class SqlEngine:
         return self.optimizer.plan_cache
 
     def execute(self, query, at_time: Optional[float] = None) -> ExecutionResult:
-        """Optimize and execute a statement, recording all telemetry."""
+        """Bind (:func:`bind_literals`), optimize and execute a statement,
+        recording all telemetry."""
+        query = bind_literals(query, self.database.tables)
         now = self.now if at_time is None else at_time
         # Forcing changes the executed plan, never the query's identity.
         query_id = query.template_key()

@@ -10,7 +10,7 @@ The images are *maintained*, not thrown away, when rows change.  Every
 site in ``Table`` that bumps ``data_version`` hands the changed rows to
 :meth:`ColumnarCache.log_changes`; the next :meth:`ColumnarCache.projection`
 call folds the pending log into every live projection — positions found
-by ``bisect`` on the tree's own normalized keys, then one batched patch,
+by ``bisect`` on the tree's own order keys, then one batched patch,
 masked drop and masked insert per built vector — before serving one.  A
 projection is therefore valid only until the next write to its table.
 
@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.exec.interp import index_entry_layout
-from repro.engine.types import SqlType, row_sort_key
+from repro.engine.types import SqlType, key_of
 
 #: SQL types stored as int64 arrays (BOOL uses 0/1; DATE is an int day).
 _INT_KINDS = (SqlType.INT, SqlType.BIGINT, SqlType.DATE, SqlType.BOOL)
@@ -76,7 +76,7 @@ class ColumnVector:
 
     def codes(self) -> np.ndarray:
         """Dense sort ranks (int64); NULLs are coded -1 so they sort
-        first ascending, matching ``sort_key``'s NULLs-first order."""
+        first ascending, as :data:`~repro.engine.types.NULL` does."""
         if self._codes is None:
             _uniq, inverse = np.unique(self.values, return_inverse=True)
             codes = inverse.reshape(len(self.values)).astype(np.int64)
@@ -240,7 +240,7 @@ class Projection:
             self._tree = index.tree
             self._entry_for_row = index.entry_for_row
             self._layout = index_entry_layout(table, index.definition)
-        #: The tree's normalized keys, keys and payloads, in scan order.
+        #: The tree's order keys, keys and payloads, in scan order.
         self._nkeys, self._keys, self._payloads = self._tree.snapshot()
         self._raw: Dict[str, List[object]] = {}
         self._vectors: Dict[str, ColumnVector] = {}
@@ -316,7 +316,7 @@ class Projection:
         added: List[Tuple[tuple, Tuple[tuple, tuple]]] = []
         for old, new in chains:
             if old is not None:
-                nkey = row_sort_key(old[0])
+                nkey = key_of(old[0])
                 position = bisect_left(nkeys, nkey)
                 if position == len(nkeys) or nkeys[position] != nkey:
                     return False
@@ -327,7 +327,7 @@ class Projection:
                     continue
                 removed.append(position)
             if new is not None:
-                added.append((row_sort_key(new[0]), new))
+                added.append((key_of(new[0]), new))
         if patched:
             self._patch(patched, before, after)
         if removed:
@@ -399,7 +399,7 @@ class Projection:
                 del values[position]
 
     def _add(self, added: List[Tuple[tuple, Tuple[tuple, tuple]]]) -> None:
-        """Insert ``(nkey, entry)`` pairs, ascending by normalized key."""
+        """Insert ``(nkey, entry)`` pairs, ascending by order key."""
         nkeys = self._nkeys
         # Every position refers to the lists as they are now; editing
         # them back to front keeps the earlier positions valid.

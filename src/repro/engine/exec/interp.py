@@ -53,7 +53,7 @@ from repro.engine.query import (
     UpdateQuery,
 )
 from repro.engine.table import Table
-from repro.engine.types import sort_key
+from repro.engine.types import NULL, SqlType
 from repro.errors import ExecutionError
 
 RowDict = Dict[str, object]
@@ -105,7 +105,7 @@ class InterpExecutor:
     ) -> Iterator[RowDict]:
         table = self._table(node.table)
         schema = table.schema
-        checks = compile_predicates(node.residual, schema)
+        checks = compile_predicates(node.residual, schema.position)
         names, positions = meters.columns_for(table)
         columns = tuple(zip(names, positions))
         processed = 0
@@ -129,7 +129,7 @@ class InterpExecutor:
         table = self._table(node.table)
         schema = table.schema
         names, positions = meters.columns_for(table)
-        checks = compile_predicates(node.residual, schema)
+        checks = compile_predicates(node.residual, schema.position)
         entries = _seek_entries(
             table.clustered,
             node.eq_predicates,
@@ -154,15 +154,17 @@ class InterpExecutor:
         out_columns = [
             (name,) + sources[name] for name in names if name in sources
         ]
-        checks = compile_entry_predicates(
-            node.residual, sources, table.schema
-        )
+        # Residuals read an entry as one tuple: key, then payload.
+        width = len(index.definition.key_columns) + len(table.schema.primary_key)
+        flat = {c: i if in_key else width + i for c, (in_key, i) in sources.items()}
+        checks = compile_predicates(node.residual, flat.__getitem__)
         processed = 0
         try:
             for key, payload in entries:
                 processed += 1
+                entry = key + payload if checks else key
                 for check in checks:
-                    if not check(key, payload):
+                    if not check(entry):
                         break
                 else:
                     yield {
@@ -203,7 +205,7 @@ class InterpExecutor:
         schema = table.schema
         names, positions = meters.columns_for(table)
         pk = schema.primary_key
-        checks = compile_predicates(node.residual, schema)
+        checks = compile_predicates(node.residual, schema.position)
         for partial in self.iterate(node.child, meters, binding):
             pk_values = tuple(partial[column] for column in pk)
             row = table.fetch_by_pk(pk_values, meter=meters.page_meter)
@@ -270,9 +272,13 @@ class InterpExecutor:
         self, node: NestedLoopJoinNode, meters: Meterings
     ) -> Iterator[RowDict]:
         join = node.join
+        # Text never equals a number (the hash join's rule) and cannot
+        # be ordered against one in a seek: such probes match nothing.
+        inner = self._table(join.table).schema.column(join.right_column)
+        text_key = inner.sql_type is SqlType.TEXT
         for outer_row in self.iterate(node.outer, meters):
             bind_value = outer_row.get(join.left_column)
-            if bind_value is None:
+            if bind_value is None or isinstance(bind_value, str) is not text_key:
                 continue
             for inner_row in self.iterate(node.inner, meters, binding=bind_value):
                 yield {**inner_row, **outer_row}
@@ -362,24 +368,26 @@ class _DescKey:
 
     __slots__ = ("key",)
 
-    def __init__(self, key: tuple) -> None:
+    def __init__(self, key: object) -> None:
         self.key = key
 
     def __lt__(self, other: "_DescKey") -> bool:
         return other.key < self.key
 
-    def __le__(self, other: "_DescKey") -> bool:
-        return other.key <= self.key
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _DescKey) and other.key == self.key
+
+
+def _order_value(value: object) -> object:
+    """One ORDER BY value's key: the value itself, NULL first."""
+    return NULL if value is None else value
 
 
 def _composite_sort_key(order_by):
     def key(row: RowDict) -> tuple:
         parts = []
         for item in order_by:
-            part = sort_key(row.get(item.column))
+            part = _order_value(row.get(item.column))
             parts.append(part if item.ascending else _DescKey(part))
         return tuple(parts)
 
@@ -394,7 +402,7 @@ def sort_rows_inplace(rows: List[RowDict], order_by) -> None:
     """
     for item in reversed(order_by):
         rows.sort(
-            key=lambda r: sort_key(r.get(item.column)),
+            key=lambda r: _order_value(r.get(item.column)),
             reverse=not item.ascending,
         )
 
@@ -412,55 +420,19 @@ def topn_rows(rows: List[RowDict], order_by, limit: int) -> List[RowDict]:
 # Predicate compilation
 
 
-def compile_entry_predicates(predicates, sources, schema):
-    """Compile predicates into checks over raw (key, payload) entries."""
-    checks = []
-    for predicate in predicates:
-        in_key, i = sources[predicate.column]
-        sql_type = schema.column(predicate.column).sql_type
-        v = sql_type.coerce(predicate.value)
-        v2 = (
-            sql_type.coerce(predicate.value2)
-            if predicate.op is Op.BETWEEN
-            else None
-        )
-        op = predicate.op
+def compile_predicates(predicates, position):
+    """Compile predicates into specialized row-tuple checks;
+    ``position(column)`` is the column's index in the tuple.
 
-        def check(key, payload, in_key=in_key, i=i, op=op, v=v, v2=v2):
-            value = key[i] if in_key else payload[i]
-            if value is None:
-                return False
-            if op is Op.EQ:
-                return value == v
-            if op is Op.NEQ:
-                return value != v
-            if op is Op.LT:
-                return value < v
-            if op is Op.LE:
-                return value <= v
-            if op is Op.GT:
-                return value > v
-            if op is Op.GE:
-                return value >= v
-            return v <= value <= v2
-
-        checks.append(check)
-    return checks
-
-
-def compile_predicates(predicates, schema):
-    """Compile predicates into specialized row-tuple checks.
-
-    Values are coerced to the column type once here, so the per-row
-    closures can use native comparisons without type guards (SQL NULL is
-    the only special case: it never matches).
+    Literals already have their column's type (``SqlEngine.execute``
+    binds them), so the per-row closures use native comparisons without
+    type guards (SQL NULL is the only special case: it never matches).
     """
     checks = []
     for predicate in predicates:
-        i = schema.position(predicate.column)
-        sql_type = schema.column(predicate.column).sql_type
+        i = position(predicate.column)
         op = predicate.op
-        v = sql_type.coerce(predicate.value)
+        v = predicate.value
         if op is Op.EQ:
             checks.append(lambda row, i=i, v=v: row[i] == v and v is not None)
         elif op is Op.NEQ:
@@ -484,7 +456,7 @@ def compile_predicates(predicates, schema):
                 lambda row, i=i, v=v: row[i] is not None and row[i] >= v
             )
         elif op is Op.BETWEEN:
-            v2 = sql_type.coerce(predicate.value2)
+            v2 = predicate.value2
             checks.append(
                 lambda row, i=i, v=v, v2=v2: row[i] is not None
                 and v <= row[i] <= v2
@@ -574,9 +546,9 @@ def aggregate_values(aggregate, values: List[object], count: int):
     if aggregate.func is AggFunc.AVG:
         return stable_sum(values) / len(values)
     if aggregate.func is AggFunc.MIN:
-        return min(values, key=sort_key)
+        return min(values)
     if aggregate.func is AggFunc.MAX:
-        return max(values, key=sort_key)
+        return max(values)
     raise ExecutionError(f"unhandled aggregate {aggregate.func}")
 
 

@@ -23,9 +23,9 @@ Two invariants keep it indistinguishable from the interpreter:
   hash aggregates, and ``hash_join_meter_rows`` per hash-join side.
 
 Anything the path cannot reproduce exactly (NULL or parameterized
-predicate values, NaN join keys, unsupported operators, columns outside
-a projection) raises :class:`VectorUnsupported` before any table state
-changes; the dispatcher resets the meters and re-runs the interpreter.
+predicate values, unsupported operators, columns outside a projection)
+raises :class:`VectorUnsupported` before any table state changes; the
+dispatcher resets the meters and re-runs the interpreter.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ def supports(plan: PlanNode) -> bool:
     ``Top`` directly over a scan or join is excluded on purpose (see
     :func:`_source_of`); nested-loop joins and seek-fed hash joins stay
     interpreted.  Runtime obstacles (NULL predicate values, oversized
-    integers, NaN join keys) are discovered later and raise
-    ``VectorUnsupported``.
+    integers) are discovered later and raise ``VectorUnsupported``.
     """
     node = _source_of(plan)
     if isinstance(node, _SCAN_NODES):
@@ -380,7 +379,7 @@ class _Runner:
         # Build every predicate mask before charging: a VectorUnsupported
         # after this point would leak partial meters into the fallback.
         masks = [
-            self._mask(projection, predicate, table.schema)
+            self._mask(projection, predicate)
             for predicate in node.residual
         ]
         self._meters.page_meter.charge(projection.scan_pages)
@@ -396,18 +395,15 @@ class _Runner:
             selected = np.arange(projection.row_count, dtype=np.int64)
         return _ScanBatch(table, projection, selected, names)
 
-    def _mask(
-        self, projection: Projection, predicate, schema
-    ) -> np.ndarray:
+    def _mask(self, projection: Projection, predicate) -> np.ndarray:
         if not projection.has(predicate.column):
             # The interpreter would raise (KeyError on the entry layout);
             # keep that behavior by falling back.
             raise VectorUnsupported(
                 f"column {predicate.column!r} not in projection"
             )
-        sql_type = schema.column(predicate.column).sql_type
-        value = sql_type.coerce(predicate.value)
-        if value is None or predicate.value is PARAM:
+        value = predicate.value
+        if value is None or value is PARAM:
             raise VectorUnsupported("NULL/parameterized predicate value")
         vector = projection.vector(predicate.column)
         values, valid = vector.values, ~vector.nulls
@@ -425,10 +421,7 @@ class _Runner:
         if op is Op.GE:
             return (values >= value) & valid
         if op is Op.BETWEEN:
-            value2 = sql_type.coerce(predicate.value2)
-            if value2 is None:
-                raise VectorUnsupported("NULL BETWEEN bound")
-            return (values >= value) & (values <= value2) & valid
+            return (values >= value) & (values <= predicate.value2) & valid
         raise VectorUnsupported(f"unsupported operator {op}")
 
     # -- hash join ------------------------------------------------------
@@ -601,14 +594,10 @@ def _join_key_arrays(
     same-kind arrays compare directly; int64 vs float64 casts the int
     side to float64 (exact below 2**53, else fall back — the
     interpreter's dict handles it fine); string vs numeric never match.
-    NaN keys fall back: NaN equality is identity-dependent in a dict.
+    (FLOAT columns hold no NaN: ``SqlType.coerce`` rejects it.)
     """
     order, sorted_vals = inner_vec.equi_index()
     pk, bk = probe_vals.dtype.kind, sorted_vals.dtype.kind
-    if pk == "f" and np.isnan(probe_vals).any():
-        raise VectorUnsupported("NaN join key")
-    if bk == "f" and np.isnan(sorted_vals).any():
-        raise VectorUnsupported("NaN join key")
     if pk == bk:
         return probe_vals, sorted_vals, order
     if pk in "if" and bk in "if":

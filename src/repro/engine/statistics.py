@@ -15,8 +15,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.types import sort_key
-
 
 @dataclasses.dataclass(frozen=True)
 class HistogramBucket:
@@ -36,10 +34,10 @@ class ColumnStatistics:
     Immutable once built: ``buckets`` (ordered by upper bound, as
     :func:`build_column_statistics` makes them) is a tuple of frozen
     buckets, so the lookup tables derived from it at construction — each
-    bucket's ``sort_key`` and the left-to-right running sum of bucket
-    rows — cannot go stale.  A lookup bisects them and adds in the order
-    a bucket-by-bucket scan would, so every estimate is bit-identical to
-    that scan.
+    bucket's upper bound and the left-to-right running sum of bucket
+    rows — cannot go stale.  A lookup bisects them (values, never NULL,
+    compare as themselves) and adds in the order a bucket-by-bucket scan
+    would, so every estimate is bit-identical to that scan.
     """
 
     def __init__(
@@ -57,7 +55,7 @@ class ColumnStatistics:
         self.distinct_count = max(1, distinct_count) if row_count else 0
         self.buckets = tuple(buckets)
         self.sampled_fraction = sampled_fraction
-        self._upper_keys = [sort_key(bucket.upper) for bucket in self.buckets]
+        self._upper_keys = [bucket.upper for bucket in self.buckets]
         #: ``_rows_before[i]``: rows of buckets ``0..i-1``, summed left to right.
         self._rows_before = [0.0]
         for bucket in self.buckets:
@@ -105,29 +103,28 @@ class ColumnStatistics:
 
     def _bucket_for(self, value: object) -> Optional[HistogramBucket]:
         """The first bucket whose upper bound is at or above ``value``."""
-        i = bisect.bisect_left(self._upper_keys, sort_key(value))
+        i = bisect.bisect_left(self._upper_keys, value)
         return self.buckets[i] if i < len(self.buckets) else None
 
     def _rows_below(self, value: object, inclusive: bool) -> float:
         """Estimated count of non-null rows with column value below ``value``."""
-        vkey = sort_key(value)
         keys = self._upper_keys
         # Buckets [0, end) lie wholly at or below the value.
-        end = bisect.bisect_right(keys, vkey)
+        end = bisect.bisect_right(keys, value)
         if inclusive:
             total = self._rows_before[end]
         else:
             # Buckets whose upper bound *is* the value lose that value's
             # share, each right after its rows are added.
-            start = bisect.bisect_left(keys, vkey, 0, end)
+            start = bisect.bisect_left(keys, value, 0, end)
             total = self._rows_before[start]
             for bucket in self.buckets[start:end]:
                 total += bucket.rows
                 total -= bucket.rows / max(1.0, bucket.distinct)
         if end < len(keys):
             # value falls inside this bucket: linear interpolation.
-            lower_key = keys[end - 1] if end else None
-            frac = _interpolate(lower_key, keys[end], vkey)
+            lower = keys[end - 1] if end else None
+            frac = _interpolate(lower, keys[end], value)
             total += self.buckets[end].rows * frac
         return total
 
@@ -138,21 +135,18 @@ class ColumnStatistics:
         )
 
 
-def _interpolate(lower_key, upper_key, value_key) -> float:
-    """Fraction of a bucket below ``value_key`` (crude linear model)."""
-    try:
-        low = lower_key[1] if lower_key is not None else None
-        high = upper_key[1]
-        val = value_key[1]
-        if (
-            isinstance(high, float)
-            and isinstance(val, float)
-            and isinstance(low, float)
-            and high > low
-        ):
+def _interpolate(lower, upper, value) -> float:
+    """Fraction of a bucket below ``value`` (crude linear model).
+
+    Only INT, BIGINT, FLOAT and DATE bounds interpolate, converted to
+    float before subtracting; BIT and TEXT buckets, and the first bucket
+    (no lower bound), take half.
+    """
+    bounds = (lower, upper, value)
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in bounds):
+        low, high, val = map(float, bounds)
+        if high > low:
             return min(1.0, max(0.0, (val - low) / (high - low)))
-    except (TypeError, IndexError):
-        pass
     return 0.5
 
 
@@ -181,9 +175,7 @@ def build_column_statistics(
         sampled = list(values)
         scale = 1.0
     null_count = sum(1 for value in sampled if value is None)
-    non_null = sorted(
-        (value for value in sampled if value is not None), key=sort_key
-    )
+    non_null = sorted(value for value in sampled if value is not None)
     distinct_total = len(set(non_null))
     buckets: List[HistogramBucket] = []
     if non_null:
@@ -193,8 +185,8 @@ def build_column_statistics(
             end = min(len(non_null), start + per_bucket)
             # Extend to include all duplicates of the boundary value so a
             # value never straddles two buckets.
-            boundary = sort_key(non_null[end - 1])
-            while end < len(non_null) and sort_key(non_null[end]) == boundary:
+            boundary = non_null[end - 1]
+            while end < len(non_null) and non_null[end] == boundary:
                 end += 1
             chunk = non_null[start:end]
             buckets.append(

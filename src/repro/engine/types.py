@@ -8,6 +8,7 @@ rows-per-page, which in turn drives logical-read accounting.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Optional
 
 from repro.errors import QueryError
@@ -31,8 +32,9 @@ class SqlType(enum.Enum):
     def coerce(self, value: object) -> object:
         """Coerce a Python value to this SQL type's canonical Python form.
 
-        Raises :class:`QueryError` if the value is not representable.
-        ``None`` (SQL NULL) passes through unchanged.
+        Raises :class:`QueryError` if the value is not representable, NaN
+        included (SQL's FLOAT has none, and it would break bisected
+        order).  ``None`` (SQL NULL) passes through unchanged.
         """
         if value is None:
             return None
@@ -40,7 +42,10 @@ class SqlType(enum.Enum):
             if self in (SqlType.INT, SqlType.BIGINT, SqlType.DATE):
                 return int(value)
             if self is SqlType.FLOAT:
-                return float(value)
+                coerced = float(value)
+                if coerced != coerced:
+                    raise ValueError("NaN")
+                return coerced
             if self is SqlType.BOOL:
                 return bool(value)
             return str(value)
@@ -80,34 +85,27 @@ def rows_per_page(row_width: int) -> int:
     return max(1, PAGE_SIZE // (row_width + ROW_OVERHEAD))
 
 
-def sort_key(value: object) -> tuple:
-    """Total-order key placing NULLs first, then by type group.
+@functools.total_ordering
+class _Null:
+    """SQL NULL inside a key: equal only to itself, below every value."""
 
-    SQL orders NULLs before other values in ascending sorts; we mimic that
-    while remaining comparable across Python types.
-    """
-    if value is None:
-        return (0, 0)
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, (int, float)):
-        return (1, float(value))
-    return (2, str(value))
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        return other is not self
 
 
-def row_sort_key(values: tuple) -> tuple:
-    """Sort key for a composite key tuple."""
-    return tuple(sort_key(value) for value in values)
+#: The one NULL stand-in; SQL orders NULLs before other values ascending.
+NULL = _Null()
 
 
-def compare(left: object, right: object) -> int:
-    """Three-way compare with NULLs-first semantics."""
-    lkey, rkey = sort_key(left), sort_key(right)
-    if lkey < rkey:
-        return -1
-    if lkey > rkey:
-        return 1
-    return 0
+def key_of(key: tuple) -> tuple:
+    """``key``'s order key: values compare as themselves (Python compares
+    int and float exactly), NULL first.  A key without NULL is returned
+    itself, else a copy with each NULL replaced by :data:`NULL`."""
+    if None not in key:
+        return key
+    return tuple(NULL if value is None else value for value in key)
 
 
 def type_for_value(value: object) -> Optional[SqlType]:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.btree import BPlusTree, PageMeter
-from repro.engine.types import row_sort_key
+from repro.engine.types import NULL, key_of
 
 
 def build_tree(entries, leaf_capacity=8, internal_capacity=8):
@@ -67,7 +69,12 @@ class TestSnapshot:
         nkeys, snapshot_keys, payloads = tree.snapshot()
         assert list(zip(snapshot_keys, payloads)) == list(tree.scan())
         assert nkeys == sorted(nkeys)
-        assert nkeys == [row_sort_key(key) for key in snapshot_keys]
+        assert nkeys == [key_of(key) for key in snapshot_keys]
+        # Keys are stored once: a NULL-free key is its own order key.
+        assert nkeys[0] == (NULL, "x") and snapshot_keys[0] == (None, "x")
+        assert all(
+            nkey is key for nkey, key in zip(nkeys[1:], snapshot_keys[1:])
+        )
 
     def test_snapshot_is_a_copy_and_unmetered(self):
         tree = build_tree([((i,), (i,)) for i in range(50)])
@@ -206,10 +213,45 @@ class TestPageMeter:
         assert meter.pages == 0
 
 
+#: Integer key regions: small keys, BIGINT either side of ±2**53 (where
+#: a float image of a key collides with its neighbour's) and the BIGINT
+#: extremes.
+_INT_REGIONS = [
+    st.integers(-1000, 1000),
+    st.integers(2**53 - 3, 2**53 + 3),
+    st.integers(-(2**53) - 3, -(2**53) + 3),
+    st.sampled_from([2**63 - 1, -(2**63 - 1), 0]),
+]
+_INTS = st.one_of(_INT_REGIONS)
+
+#: One column type's key values each: an integer region; FLOAT with
+#: -0.0, ±inf and subnormals; TEXT with quotes and non-ASCII.
+_DOMAINS = st.sampled_from(
+    _INT_REGIONS
+    + [
+        st.one_of(
+            st.floats(-1000, 1000),
+            st.sampled_from(
+                [-0.0, 0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.5e-310]
+            ),
+        ),
+        st.text(alphabet="ab'é字😀", max_size=3),
+    ]
+)
+
+
+@st.composite
+def keys_and_bounds(draw, max_size):
+    """Keys of one column type, plus two probes of that type."""
+    values = draw(_DOMAINS)
+    keys = draw(st.lists(values, min_size=1, max_size=max_size))
+    return keys, draw(values), draw(values)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(-1000, 1000), st.integers(0, 5)),
+        st.tuples(_INTS, st.integers(0, 5)),
         min_size=0,
         max_size=300,
     )
@@ -225,13 +267,10 @@ def test_property_contents_match_sorted_multiset(pairs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(0, 200), min_size=1, max_size=200),
-    st.integers(0, 200),
-    st.integers(0, 200),
-)
-def test_property_range_scan_matches_filter(keys, lo, hi):
+@given(keys_and_bounds(max_size=200))
+def test_property_range_scan_matches_filter(drawn):
     """Range scan equals a brute-force filter over the inserted keys."""
+    keys, lo, hi = drawn
     lo, hi = min(lo, hi), max(lo, hi)
     tree = BPlusTree(leaf_capacity=4)
     for k in keys:
@@ -242,9 +281,10 @@ def test_property_range_scan_matches_filter(keys, lo, hi):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 50), min_size=1, max_size=120))
-def test_property_delete_then_absent(keys):
+@given(keys_and_bounds(max_size=120))
+def test_property_delete_then_absent(drawn):
     """After deleting every copy of a key, seeks find nothing."""
+    keys, _lo, _hi = drawn
     tree = BPlusTree(leaf_capacity=4)
     for k in keys:
         tree.insert((k,), (k,))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.engine import (
@@ -11,8 +13,15 @@ from repro.engine import (
     Predicate,
     SelectQuery,
 )
+from repro.engine.engine import bind_literals
 from repro.engine.locks import LockPriority
-from repro.engine.plans import KeyLookupNode, NestedLoopJoinNode
+from repro.engine.plans import (
+    ClusteredScanNode,
+    ClusteredSeekNode,
+    KeyLookupNode,
+    NestedLoopJoinNode,
+)
+from repro.errors import QueryError
 from tests.engine.test_executor import brute_force, norm
 from tests.engine.test_optimizer import perfect_engine
 
@@ -42,6 +51,67 @@ class TestNestedLoopWithLookup:
             # Plan shape depends on costing; correctness must hold anyway.
             result = eng.execute(query)
             assert norm(result.rows) == norm(brute_force(eng, query))
+
+
+class TestLiteralBinding:
+    def test_literals_bind_to_column_types_before_planning(self, monkeypatch):
+        """``execute`` converts each literal to its column's type once;
+        the bound statement is planned, run and registered."""
+        eng = perfect_engine(seed=503)
+        tables = eng.database.tables
+        typed = SelectQuery("orders", ("o_id",), (Predicate("o_id", Op.EQ, 5),))
+        assert bind_literals(typed, tables) is typed  # the workload case
+        # A numeric-text literal on an INT column is its number, on the
+        # seek path and the scan path alike.
+        for column, text, number, node in (
+            ("o_id", "5", 5, ClusteredSeekNode),
+            ("o_cust", "7", 7, ClusteredScanNode),
+        ):
+            as_text = SelectQuery("orders", ("o_id",), (Predicate(column, Op.EQ, text),))
+            as_number = SelectQuery(
+                "orders", ("o_id",), (Predicate(column, Op.EQ, number),)
+            )
+            got = eng.execute(as_text)
+            assert isinstance(got.plan, node)
+            assert got.rows == eng.execute(as_number).rows
+            assert norm(got.rows) == norm(brute_force(eng, as_number)) != []
+            registered = eng.observed_statement(got.query_id)
+            assert registered.predicates[0].value == number
+            assert type(registered.predicates[0].value) is int
+        joined = SelectQuery(
+            "orders",
+            ("o_id",),
+            (Predicate("o_amount", Op.LT, 10),),
+            join=JoinSpec(
+                "customers", "o_cust", "c_id",
+                predicates=(Predicate("c_region", Op.EQ, "3"),),
+            ),
+        )
+        bound = bind_literals(joined, tables)
+        assert bound.predicates[0].value == 10.0
+        assert type(bound.predicates[0].value) is float
+        assert bound.join.predicates[0].value == 3
+        # A literal that cannot convert fails before planning (no plan,
+        # no MI emission), on either side of a join.
+        def no_planning(*_args, **_kwargs):
+            raise AssertionError("planned an unbindable statement")
+
+        monkeypatch.setattr(eng.optimizer, "optimize", no_planning)
+        for bad in (
+            SelectQuery("orders", ("o_id",), (Predicate("o_id", Op.EQ, "abc"),)),
+            SelectQuery(
+                "orders", ("o_id",), (Predicate("o_amount", Op.GT, float("nan")),)
+            ),
+            dataclasses.replace(
+                joined,
+                join=dataclasses.replace(
+                    joined.join,
+                    predicates=(Predicate("c_region", Op.BETWEEN, 1, "x"),),
+                ),
+            ),
+        ):
+            with pytest.raises(QueryError):
+                eng.execute(bad)
 
 
 class TestLockIntegration:

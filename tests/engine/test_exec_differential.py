@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import sys
 
 import pytest
@@ -23,6 +24,12 @@ from hypothesis import strategies as st
 
 from repro.engine import Op, OrderItem, Predicate, SelectQuery
 from repro.engine.exec import InterpExecutor, Meterings
+from repro.engine.plans import (
+    ClusteredScanNode,
+    ClusteredSeekNode,
+    IndexSeekNode,
+    NestedLoopJoinNode,
+)
 from repro.engine.query import (
     Aggregate,
     AggFunc,
@@ -34,13 +41,35 @@ from repro.engine.query import (
 from repro.errors import ReproError
 from tests.engine.test_optimizer import perfect_engine
 
+#: Boundary literals, drawn half the time: BIGINT either side of
+#: ±2**53 and at ±(2**63-1); FLOAT -0.0, ±inf and subnormals; TEXT with
+#: quotes and non-ASCII characters.
+_BIG_INTS = st.sampled_from(
+    [2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, -(2**53), 2**63 - 1, -(2**63 - 1)]
+)
+_ODD_FLOATS = st.sampled_from([-0.0, math.inf, -math.inf, 5e-324, -2.5e-310])
+_ODD_TEXTS = st.text(alphabet="note-'é字😀0", max_size=6)
+
+
+def ints(low, high):
+    return st.one_of(st.integers(low, high), _BIG_INTS)
+
+
+def floats(low, high):
+    return st.one_of(st.floats(low, high, allow_nan=False), _ODD_FLOATS)
+
+
+def texts(values):
+    return st.one_of(st.sampled_from(values), _ODD_TEXTS)
+
+
 COLUMNS = {
-    "o_id": st.integers(0, 4100),
-    "o_cust": st.integers(0, 210),
-    "o_status": st.integers(0, 6),
-    "o_amount": st.floats(0, 1100, allow_nan=False),
-    "o_date": st.integers(0, 370),
-    "o_note": st.sampled_from([f"note-{i}" for i in range(18)]),
+    "o_id": ints(0, 4100),
+    "o_cust": ints(0, 210),
+    "o_status": ints(0, 6),
+    "o_amount": floats(0, 1100),
+    "o_date": ints(0, 370),
+    "o_note": texts([f"note-{i}" for i in range(18)]),
 }
 
 #: Non-key columns only: primary-key predicates optimize into seeks,
@@ -282,16 +311,16 @@ F_COLUMNS = sorted(["f_id", "f_key", "f_val", "f_note"])
 D_COLUMNS = sorted(["d_id", "d_key", "d_num", "d_cat"])
 
 D_VALUES = {
-    "d_id": st.integers(0, 125),
-    "d_key": st.integers(-5, 62),
-    "d_num": st.integers(-5, 9),
-    "d_cat": st.sampled_from([f"c-{i}" for i in range(9)]),
+    "d_id": ints(0, 125),
+    "d_key": ints(-5, 62),
+    "d_num": ints(-5, 9),
+    "d_cat": texts([f"c-{i}" for i in range(9)]),
 }
 F_VALUES = {
-    "f_id": st.integers(0, 950),
-    "f_key": st.integers(-5, 62),
-    "f_val": st.floats(0, 110, allow_nan=False),
-    "f_note": st.sampled_from([f"n-{i}" for i in range(15)]),
+    "f_id": ints(0, 950),
+    "f_key": ints(-5, 62),
+    "f_val": floats(0, 110),
+    "f_note": texts([f"n-{i}" for i in range(15)]),
 }
 
 
@@ -448,6 +477,104 @@ def test_join_empty_build_side(joined_pair):
     assert got.metrics == expected.metrics
 
 
+def _exact_engine(min_rows: int):
+    """``t`` keyed by BIGINT ids 2**53 + i — consecutive ids a float
+    image of the key would collide — with an indexed twin ``w`` of
+    ``id``, an indexed ``v`` and its unindexed twin ``u``; ``n`` holds
+    numeric text ``n_s`` to join to ``v``."""
+    from repro.engine import (
+        Column,
+        Database,
+        IndexDefinition,
+        SqlEngine,
+        SqlType,
+        TableSchema,
+    )
+
+    db = Database("exact", seed=5)
+    table = db.create_table(
+        TableSchema(
+            "t",
+            [
+                Column("id", SqlType.BIGINT, nullable=False),
+                Column("v", SqlType.INT),
+                Column("w", SqlType.BIGINT),
+                Column("u", SqlType.INT),
+            ],
+            primary_key=["id"],
+        )
+    )
+    for i in range(3000):
+        table.insert((2**53 + i, i % 100, 2**53 + i, i % 100))
+    text = db.create_table(
+        TableSchema(
+            "n",
+            [
+                Column("n_id", SqlType.INT, nullable=False),
+                Column("n_s", SqlType.TEXT),
+            ],
+        )
+    )
+    for i in range(50):
+        text.insert((i, str(i)))
+    eng = SqlEngine(db)
+    eng.settings.execution.vector_min_rows = min_rows
+    eng.create_index(IndexDefinition("ix_v", "t", ("v",)))
+    eng.create_index(IndexDefinition("ix_w", "t", ("w",)))
+    eng.build_all_statistics()
+    return eng
+
+
+def test_exact_keys_and_bound_literals_on_every_access_path():
+    """BIGINT keys past 2**53 stay distinct, and a literal is converted
+    to its column's type once, so the clustered seek, index seek, range
+    seek and scan return the rows a filter over the data does — on the
+    interpreter and the vector executor alike."""
+    big = 2**53
+    data = [
+        {"id": big + i, "v": i % 100, "w": big + i, "u": i % 100}
+        for i in range(3000)
+    ]
+    cases = [
+        # (predicate, index hint, node the plan must contain, filter)
+        (Predicate("id", Op.EQ, big + 3), None, ClusteredSeekNode,
+         lambda r: r["id"] == big + 3),
+        (Predicate("id", Op.BETWEEN, big + 3, big + 5), None,
+         ClusteredSeekNode, lambda r: big + 3 <= r["id"] <= big + 5),
+        (Predicate("w", Op.EQ, big + 1), "ix_w", IndexSeekNode,
+         lambda r: r["w"] == big + 1),
+        (Predicate("w", Op.GT, big + 2996), "ix_w", IndexSeekNode,
+         lambda r: r["w"] > big + 2996),
+        (Predicate("id", Op.EQ, str(big + 3)), None, ClusteredSeekNode,
+         lambda r: r["id"] == big + 3),
+        (Predicate("v", Op.GE, "95"), "ix_v", IndexSeekNode,
+         lambda r: r["v"] >= 95),
+        (Predicate("u", Op.EQ, "5"), None, ClusteredScanNode,
+         lambda r: r["u"] == 5),
+    ]
+    for eng in (_exact_engine(sys.maxsize), _exact_engine(0)):
+        for predicate, hint, node, keep in cases:
+            query = SelectQuery(
+                "t", ("id",), (predicate,), index_hint=hint
+            )
+            result = eng.execute(query)
+            assert any(isinstance(n, node) for n in result.plan.walk())
+            want = sorted(r["id"] for r in data if keep(r))
+            assert sorted(r["id"] for r in result.rows) == want != []
+        # A text value never equals a number: a nested-loop join probing
+        # the INT index with TEXT values matches nothing (and no seek
+        # orders a string against the index's ints).
+        joined = SelectQuery(
+            "n",
+            ("n_id",),
+            (Predicate("n_id", Op.EQ, 7),),
+            join=JoinSpec("t", left_column="n_s", right_column="v"),
+        )
+        result = eng.execute(joined)
+        assert isinstance(result.plan, NestedLoopJoinNode)
+        assert result.rows == []
+
+
 @st.composite
 def dml_statements(draw):
     kind = draw(st.sampled_from(["insert", "update", "delete", "bulk"]))
@@ -455,12 +582,10 @@ def dml_statements(draw):
         n = draw(st.integers(1, 12)) if kind == "bulk" else 1
         rows = tuple(
             (
-                draw(st.integers(0, 5000)),
-                draw(st.one_of(st.none(), st.integers(0, 25))),
-                draw(
-                    st.one_of(st.none(), st.floats(0, 50, allow_nan=False))
-                ),
-                draw(st.sampled_from([f"w-{i}" for i in range(13)])),
+                draw(ints(0, 5000)),
+                draw(st.one_of(st.none(), ints(0, 25))),
+                draw(st.one_of(st.none(), floats(0, 50))),
+                draw(texts([f"w-{i}" for i in range(13)])),
             )
             for _ in range(n)
         )
@@ -470,9 +595,9 @@ def dml_statements(draw):
             st.lists(
                 side_predicates(
                     {
-                        "w_id": st.integers(0, 5200),
-                        "w_a": st.integers(-2, 27),
-                        "w_b": st.floats(0, 55, allow_nan=False),
+                        "w_id": ints(0, 5200),
+                        "w_a": ints(-2, 27),
+                        "w_b": floats(0, 55),
                     },
                     ["w_id", "w_a", "w_b"],
                 ),
@@ -485,13 +610,13 @@ def dml_statements(draw):
         return DeleteQuery("w", predicates=preds)
     column = draw(st.sampled_from(["w_a", "w_b", "w_c", "w_id"]))
     if column == "w_a":
-        value = draw(st.one_of(st.none(), st.integers(0, 25)))
+        value = draw(st.one_of(st.none(), ints(0, 25)))
     elif column == "w_b":
-        value = draw(st.one_of(st.none(), st.floats(0, 50, allow_nan=False)))
+        value = draw(st.one_of(st.none(), floats(0, 50)))
     elif column == "w_c":
-        value = draw(st.sampled_from([f"w-{i}" for i in range(13)]))
+        value = draw(texts([f"w-{i}" for i in range(13)]))
     else:
-        value = draw(st.integers(6000, 9000))
+        value = draw(ints(6000, 9000))
     return UpdateQuery("w", assignments=((column, value),), predicates=preds)
 
 

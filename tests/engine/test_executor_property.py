@@ -13,16 +13,17 @@ from hypothesis import strategies as st
 
 from repro.engine import IndexDefinition, Op, OrderItem, Predicate, SelectQuery
 from repro.engine.query import AggFunc, Aggregate
+from tests.engine.test_exec_differential import floats, ints, texts
 from tests.engine.test_executor import brute_force, norm
 from tests.engine.test_optimizer import perfect_engine
 
 COLUMNS = {
-    "o_id": st.integers(0, 4100),
-    "o_cust": st.integers(0, 210),
-    "o_status": st.integers(0, 6),
-    "o_amount": st.floats(0, 1100, allow_nan=False),
-    "o_date": st.integers(0, 370),
-    "o_note": st.sampled_from([f"note-{i}" for i in range(18)]),
+    "o_id": ints(0, 4100),
+    "o_cust": ints(0, 210),
+    "o_status": ints(0, 6),
+    "o_amount": floats(0, 1100),
+    "o_date": ints(0, 370),
+    "o_note": texts([f"note-{i}" for i in range(18)]),
 }
 
 OPS = [Op.EQ, Op.NEQ, Op.LT, Op.LE, Op.GT, Op.GE, Op.BETWEEN]

@@ -12,24 +12,14 @@ from repro.engine.schema import (
     TableSchema,
     auto_index_name,
 )
-from repro.engine.types import (
-    SqlType,
-    compare,
-    row_sort_key,
-    rows_per_page,
-    sort_key,
-)
+from repro.engine.types import NULL, SqlType, key_of, rows_per_page
 from repro.errors import QueryError, SchemaError, UnknownColumnError
 
 
 class TestSqlType:
-    def test_coerce_int(self):
+    def test_coerce_to_canonical_form(self):
         assert SqlType.INT.coerce("42") == 42
-
-    def test_coerce_float(self):
         assert SqlType.FLOAT.coerce(3) == 3.0
-
-    def test_coerce_text(self):
         assert SqlType.TEXT.coerce(42) == "42"
 
     def test_coerce_null_passthrough(self):
@@ -38,6 +28,16 @@ class TestSqlType:
     def test_coerce_invalid_raises(self):
         with pytest.raises(QueryError):
             SqlType.INT.coerce("not-a-number")
+        # SQL's FLOAT has no NaN; a NaN key would break bisected order.
+        for value in (float("nan"), "nan"):
+            with pytest.raises(QueryError):
+                SqlType.FLOAT.coerce(value)
+        schema = TableSchema(
+            "t", [Column("a", SqlType.INT), Column("b", SqlType.FLOAT)]
+        )
+        with pytest.raises(QueryError):
+            schema.validate_row((1, float("nan")))
+        assert SqlType.FLOAT.coerce(float("inf")) == float("inf")
 
     def test_render_text_escapes_quotes(self):
         assert SqlType.TEXT.render("a'b") == "N'a''b'"
@@ -51,21 +51,34 @@ class TestSqlType:
 
 
 class TestOrdering:
-    def test_nulls_sort_first(self):
-        assert sort_key(None) < sort_key(-(10 ** 12))
+    def test_null_sorts_first(self):
+        assert key_of((None,)) < key_of((-(10 ** 12),)) < key_of((0,))
+        assert key_of((None, 5)) < key_of((None, 6)) < key_of((1, None))
+        assert key_of((None,)) == key_of((None,)) == (NULL,)
+        assert not NULL > NULL and NULL <= NULL and NULL >= NULL
+        assert sorted(["b", NULL, "a"]) == [NULL, "a", "b"]
 
-    def test_numbers_before_strings(self):
-        assert sort_key(10 ** 9) < sort_key("a")
+    def test_null_free_key_is_returned_itself(self):
+        for key in ((1, "x"), (2.5,), (), (True, 0)):
+            assert key_of(key) is key
 
-    def test_compare_three_way(self):
-        assert compare(1, 2) == -1
-        assert compare(2, 1) == 1
-        assert compare(None, None) == 0
+    def test_bigint_keys_stay_exact(self):
+        low, high = key_of((2**53,)), key_of((2**53 + 1,))
+        assert low != high and low < high
+        assert key_of((2**63 - 1,)) > key_of((2**63 - 2,))
+        assert key_of((-(2**53) - 1,)) < key_of((-(2**53),))
 
-    @given(st.lists(st.one_of(st.none(), st.integers(), st.text()), max_size=6))
-    def test_row_sort_key_total_order(self, values):
-        key = row_sort_key(tuple(values))
-        assert len(key) == len(values)
+    @given(
+        st.one_of(
+            st.lists(st.one_of(st.none(), st.integers()), max_size=6),
+            st.lists(st.one_of(st.none(), st.text()), max_size=6),
+            st.lists(st.one_of(st.none(), st.floats(allow_nan=False)), max_size=6),
+        )
+    )
+    def test_key_of_orders_nulls_first_then_values(self, values):
+        keys = sorted((value,) for value in values if value is not None)
+        nulls = [(None,)] * values.count(None)
+        assert sorted(((v,) for v in values), key=key_of) == nulls + keys
 
     def test_rows_per_page_minimum_one(self):
         assert rows_per_page(10 ** 6) == 1
