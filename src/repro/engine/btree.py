@@ -15,6 +15,12 @@ are merged only when they become empty).  This keeps the implementation
 compact while preserving exact key/payload contents; page counts may
 slightly overstate an aggressively shrunk tree, which is harmless for the
 cost accounting this simulator needs.
+
+:meth:`BPlusTree.replace` overwrites one entry of a unique-keyed tree in
+place: one descent, no leaf edit, the structure ``delete`` + ``insert``
+of the same key would leave.  The mutators are per-entry hot paths and
+tick no profiler; :class:`~repro.engine.table.Table` counts the entries
+each DML batch maintained at once.  Seeks and scans tick per call.
 """
 
 from __future__ import annotations
@@ -159,7 +165,6 @@ class BPlusTree:
 
     def insert(self, key: Key, payload: Payload) -> None:
         """Insert an entry; duplicates are stored adjacent to equals."""
-        count("btree_insert")
         nkey = key_of(key)
         split = self._insert(self._root, nkey, key, payload)
         if split is not None:
@@ -226,7 +231,6 @@ class BPlusTree:
         removed (needed for non-unique secondary indexes where the payload
         carries the row locator).  Returns the number of entries removed.
         """
-        count("btree_delete")
         nkey = key_of(key)
         removed = 0
         leaf: Optional[_Node] = self._descend_to_leaf(nkey, _NULL_METER)
@@ -247,6 +251,31 @@ class BPlusTree:
                 pos += 1
         self._size -= removed
         return removed
+
+    def replace(self, key: Key, payload: Payload) -> bool:
+        """Overwrite the entry whose key equals ``key`` with ``(key,
+        payload)``; False, changing nothing, if there is none.
+
+        For unique keys only (the clustered index; a secondary index,
+        whose keys end in the primary key).  There it leaves what
+        ``delete(key)`` + ``insert(key, payload)`` leaves: the delete
+        never rebalances, and the insert routes the key back into the
+        same leaf, now one entry shorter, at the same position, so it
+        cannot split.  Snapshot, height and page counts are identical;
+        only the second descent and the two list edits are saved.
+        """
+        nkey = key_of(key)
+        node = self._root
+        while not node.leaf:
+            # Insert's routing: every unique key lives where it sends it.
+            node = node.children[bisect.bisect_right(node.nkeys, nkey)]
+        pos = bisect.bisect_left(node.nkeys, nkey)
+        if pos == len(node.nkeys) or node.nkeys[pos] != nkey:
+            return False
+        node.nkeys[pos] = nkey
+        node.keys[pos] = key
+        node.payloads[pos] = payload
+        return True
 
     # ------------------------------------------------------------------
     # Lookup

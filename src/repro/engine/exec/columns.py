@@ -268,6 +268,12 @@ class Projection:
         self._raw[column] = values
         return values
 
+    def payloads_at(self, indices: np.ndarray) -> List[tuple]:
+        """The stored payloads at ``indices``, in that order; for the
+        clustered image these are the table's row tuples themselves."""
+        payloads = self._payloads
+        return [payloads[i] for i in indices.tolist()]
+
     def vector(self, column: str) -> ColumnVector:
         vec = self._vectors.get(column)
         if vec is None:
@@ -296,7 +302,7 @@ class Projection:
             new = None if new_row is None else entry_for_row(new_row)
             if old == new:
                 # The change left this tree's columns alone, so the table
-                # did not maintain the tree either (touches_columns).
+                # did not maintain the tree either (``maintained``).
                 continue
             chain = None if old is None else live.pop(old[0], None)
             if chain is None:

@@ -4,10 +4,13 @@ A SELECT is vectorized when its plan shape is supported
 (:func:`repro.engine.exec.vector.supports`) and its gating table holds
 at least ``vector_min_rows`` rows, enough to amortize the projection
 build; seeks, key lookups, nested-loop joins and TOP-over-lazy-source
-always interpret.  DML has one path (grouped index maintenance in
-:class:`~repro.engine.table.Table`) and is counted with the vectorized
-statements.  Whatever the path, metering is byte-identical — see
-:mod:`repro.engine.exec.metering`.
+always interpret.  DML targets follow the SELECT gate: an UPDATE/DELETE
+whose child is a clustered scan that gate would vectorize reads its
+target rows off the clustered projection (:func:`vector.target_rows`),
+any other child is interpreted.  Maintenance has one path (grouped
+index maintenance in :class:`~repro.engine.table.Table`), and every DML
+statement is counted with the vectorized ones.  Whatever the path,
+metering is byte-identical — see :mod:`repro.engine.exec.metering`.
 
 Every statement that lands on the interpreter is attributed to exactly
 one reason in :data:`FALLBACK_REASONS`, published as the
@@ -37,6 +40,7 @@ from repro.engine.exec.columns import VectorUnsupported
 from repro.engine.exec.interp import InterpExecutor, RowDict
 from repro.engine.exec.metering import ExecutionMetrics, Meterings
 from repro.engine.plans import (
+    ClusteredScanNode,
     DeletePlanNode,
     HashJoinNode,
     InsertPlanNode,
@@ -152,15 +156,37 @@ class Executor:
     def _execute_dml(
         self, plan: PlanNode, query, meters: Meterings
     ) -> List[RowDict]:
+        interp = self._interp
         if isinstance(plan, InsertPlanNode):
-            affected = self._interp.execute_insert(plan, query, meters)
-        elif isinstance(plan, UpdatePlanNode):
-            affected = self._interp.execute_update(plan, query, meters)
+            affected = interp.execute_insert(plan, query, meters)
         else:
-            affected = self._interp.execute_delete(plan, query, meters)
+            targets = self._target_rows(plan, query, meters)
+            if isinstance(plan, UpdatePlanNode):
+                affected = interp.execute_update(plan, query, targets, meters)
+            else:
+                affected = interp.execute_delete(plan, query, targets, meters)
         self.vector_statements += 1
         self.batch_rows += affected
         return []
+
+    def _target_rows(
+        self, plan: PlanNode, query, meters: Meterings
+    ) -> List[tuple]:
+        """An UPDATE/DELETE's target rows: off the clustered projection
+        when its child is a clustered scan the SELECT gate would
+        vectorize, else interpreted; same rows and charges either way."""
+        child = plan.child
+        if (
+            isinstance(child, ClusteredScanNode)
+            and self._fallback_reason(child, query) is None
+        ):
+            try:
+                return vector.target_rows(child, self._tables, meters)
+            except VectorUnsupported:
+                # As for a SELECT: undo partial charges, then interpret.
+                meters.reset_counters()
+        table = self._tables[plan.table]
+        return self._interp.collect_target_rows(child, table, meters)
 
     # ------------------------------------------------------------------
 

@@ -322,9 +322,11 @@ class InterpExecutor:
         meters.rows_processed += inserted
         return inserted
 
-    def _collect_target_rows(
+    def collect_target_rows(
         self, child: PlanNode, table: Table, meters: Meterings
     ) -> List[tuple]:
+        """The full rows an UPDATE/DELETE's ``child`` plan yields, in
+        plan order, charged as that plan reads them."""
         names = table.schema.column_names
         rows = []
         for row_map in self.iterate(child, meters):
@@ -332,14 +334,18 @@ class InterpExecutor:
         return rows
 
     def execute_update(
-        self, plan: UpdatePlanNode, query: UpdateQuery, meters: Meterings
+        self,
+        plan: UpdatePlanNode,
+        query: UpdateQuery,
+        targets: List[tuple],
+        meters: Meterings,
     ) -> int:
         table = self._table(plan.table)
-        targets = self._collect_target_rows(plan.child, table, meters)
+        assigned = query.assigned_columns
         affected = sum(
             1
             for index in table.indexes.values()
-            if index.touches_columns(query.assigned_columns)
+            if not index.maintained.isdisjoint(assigned)
         )
         table.update_rows(targets, query.assignments, meter=meters.page_meter)
         meters.maintained_entries += update_meter_entries(len(targets), affected)
@@ -347,10 +353,13 @@ class InterpExecutor:
         return len(targets)
 
     def execute_delete(
-        self, plan: DeletePlanNode, query: DeleteQuery, meters: Meterings
+        self,
+        plan: DeletePlanNode,
+        query: DeleteQuery,
+        targets: List[tuple],
+        meters: Meterings,
     ) -> int:
         table = self._table(plan.table)
-        targets = self._collect_target_rows(plan.child, table, meters)
         table.delete_rows(targets, meter=meters.page_meter)
         meters.maintained_entries += delete_meter_entries(
             len(targets), len(table.indexes)

@@ -6,8 +6,9 @@ scans, a cached sorted equi-index for hash-join build sides probed with
 ``np.searchsorted``, rank-code grouping for stream/hash aggregates,
 ``np.lexsort`` for ORDER BY, and ``argpartition`` TOP-N selection.  Key
 lookups, seeks, and nested-loop joins stay on the interpreter (their
-metering is inherently lazy/per-binding); DML maintenance is batched
-separately in :mod:`repro.engine.exec.dispatch`.
+metering is inherently lazy/per-binding).  An UPDATE/DELETE over a
+clustered scan takes its target rows from :func:`target_rows`; the
+maintenance itself is batched in :class:`~repro.engine.table.Table`.
 
 Two invariants keep it indistinguishable from the interpreter:
 
@@ -157,6 +158,21 @@ def run(
     runner = _Runner(tables, meters, project_columns)
     rows = runner.run(plan)
     return rows, runner.batch_rows
+
+
+def target_rows(
+    node: ClusteredScanNode, tables: Dict[str, Table], meters: Meterings
+) -> List[tuple]:
+    """The rows an UPDATE/DELETE fed by ``node`` targets, in scan order.
+
+    The scan's residual mask over the table's clustered projection
+    selects them, charged exactly as a vectorized SELECT's scan is; the
+    rows are the projection's own row tuples.  Raises
+    :class:`VectorUnsupported`, before any charge, where :func:`run`
+    would.
+    """
+    batch = _Runner(tables, meters)._scan_batch(node)
+    return batch.projection.payloads_at(batch.selected)
 
 
 class _ScanBatch:

@@ -7,6 +7,13 @@ the leaf.  DML maintains every secondary index, and the page charges of
 that maintenance are metered — this is the mechanism by which an
 over-eager index recommendation makes writes measurably slower, the main
 source of MI-recommendation reverts reported in Section 8.1.
+
+An UPDATE rewrites an entry whose key stays put in place
+(:meth:`BPlusTree.replace`, structurally the delete + insert it stands
+for) and deletes + re-inserts only an entry whose key moves; either way
+the page charge is the same arithmetic.  Each DML batch ticks the
+``btree_insert`` / ``btree_delete`` / ``btree_replace`` profiler rows
+once, with the number of tree entries it maintained.
 """
 
 from __future__ import annotations
@@ -29,6 +36,13 @@ from repro.errors import (
     SchemaError,
     UnknownIndexError,
 )
+from repro.observability.profiling import active
+
+
+def _tick(name: str, entries: int) -> None:
+    """Count ``entries`` B+ tree operations on the active profiler."""
+    if entries:
+        active().absorb(name, entries, 0.0)
 
 
 class IndexStatsView:
@@ -80,7 +94,7 @@ class SecondaryIndex:
             schema.position(column)  # validates existence
         self.definition = definition
         #: Columns whose update forces maintenance of this index.
-        self._maintained = frozenset(definition.all_columns) | frozenset(
+        self.maintained = frozenset(definition.all_columns) | frozenset(
             schema.primary_key
         )
         self._key_of = schema.projector(
@@ -113,11 +127,6 @@ class SecondaryIndex:
     def entry_for_row(self, row: tuple) -> Tuple[tuple, tuple]:
         """(key, payload): key = key columns + PK, payload = included columns."""
         return self._key_of(row), self._payload_of(row)
-
-    def touches_columns(self, columns: Iterable[str]) -> bool:
-        """True if updating any of ``columns`` requires index maintenance."""
-        maintained = self._maintained
-        return any(column in maintained for column in columns)
 
     def stats_view(self) -> IndexStatsView:
         return IndexStatsView.from_tree(self.tree)
@@ -295,6 +304,7 @@ class Table:
                     tree_insert(*entry_for_row(row))
                 # NC maintenance is ~one leaf write: upper levels are hot.
                 pages += len(inserted)
+            _tick("btree_insert", len(inserted) * (1 + len(self.indexes)))
             if meter is not None:
                 meter.charge(pages)
         return inserted
@@ -325,6 +335,7 @@ class Table:
                 for row in deleted:
                     tree_delete(*entry_for_row(row))
                 pages += len(deleted)
+            _tick("btree_delete", len(deleted) * (1 + len(self.indexes)))
             if meter is not None:
                 meter.charge(pages)
 
@@ -341,7 +352,9 @@ class Table:
         a row the assignments leave unchanged is skipped.  A row whose
         primary key moves is a delete plus an insert (two version steps;
         the insert may raise on a duplicate key with the rows before it
-        already updated and this one deleted).
+        already updated and this one deleted).  Any other row is
+        replaced in place; one that is not in the table raises after
+        the rows before it are updated.
         """
         if not old_rows:
             return []
@@ -352,30 +365,52 @@ class Table:
             for column, value in assignments
         ]
         clustered = self.clustered
+        pk_values = schema.pk_values
+        pk_columns = frozenset(schema.primary_key)
         in_place: List[Tuple[tuple, tuple, List[str]]] = []
 
         def flush() -> None:
             """Apply the in-place updates collected so far."""
             if not in_place:
                 return
-            pages = 0
-            for old_row, new_row, _columns in in_place:
-                # One write to the clustered leaf.
-                pk = schema.pk_values(old_row)
-                clustered.delete(pk)
-                clustered.insert(pk, new_row)
-                pages += clustered.height + 2
-            self._changed([(old, new) for old, new, _columns in in_place])
-            for index in self.indexes.values():
-                entry_for_row = index.entry_for_row
-                for old_row, new_row, changed_columns in in_place:
-                    if index.touches_columns(changed_columns):
-                        index.tree.delete(*entry_for_row(old_row))
-                        index.tree.insert(*entry_for_row(new_row))
+            pages = updated = 0
+            try:
+                for old_row, new_row, _columns in in_place:
+                    # One write to the clustered leaf.
+                    pk = pk_values(old_row)
+                    if not clustered.replace(pk, new_row):
+                        raise ExecutionError(
+                            f"row with pk {pk!r} vanished during update"
+                        )
+                    pages += clustered.height + 2
+                    updated += 1
+            finally:
+                done = in_place[:updated]
+                in_place.clear()
+                self._changed([(old, new) for old, new, _columns in done])
+                replaced, moved = len(done), 0
+                for index in self.indexes.values():
+                    maintained = index.maintained
+                    entry_for_row = index.entry_for_row
+                    tree = index.tree
+                    for old_row, new_row, changed_columns in done:
+                        if maintained.isdisjoint(changed_columns):
+                            continue
+                        old_key, old_payload = entry_for_row(old_row)
+                        key, payload = entry_for_row(new_row)
+                        if key == old_key:
+                            tree.replace(key, payload)
+                            replaced += 1
+                        else:
+                            tree.delete(old_key, old_payload)
+                            tree.insert(key, payload)
+                            moved += 1
                         pages += 2
-            if meter is not None:
-                meter.charge(pages)
-            in_place.clear()
+                _tick("btree_replace", replaced)
+                _tick("btree_delete", moved)
+                _tick("btree_insert", moved)
+                if meter is not None:
+                    meter.charge(pages)
 
         results: List[tuple] = []
         for old_row in old_rows:
@@ -390,7 +425,7 @@ class Table:
                 continue
             new_row = tuple(new_values)
             results.append(new_row)
-            if any(column in schema.primary_key for column in changed_columns):
+            if not pk_columns.isdisjoint(changed_columns):
                 flush()
                 self.delete_rows((old_row,), meter)
                 self.insert_rows((new_row,), meter)

@@ -6,7 +6,9 @@ operations, Query Store aggregation) must be visible without attaching
 an external profiler.  Call sites wrap work in :func:`profile` (a
 context manager timing real ``perf_counter`` seconds) or tick
 :func:`count` (a bare invocation counter for paths too hot to time,
-like per-row B+ tree maintenance).  Both also accumulate *simulated*
+like B+ tree seeks); a path too hot even for that, like per-entry
+B+ tree maintenance, adds a whole batch's calls with
+:meth:`Profiler.absorb`.  Both also accumulate *simulated*
 cost where the caller knows it (e.g. charged what-if CPU ms), so one
 table shows both the model's cost and the host's.
 

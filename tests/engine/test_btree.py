@@ -283,8 +283,12 @@ def test_property_range_scan_matches_filter(drawn):
 @settings(max_examples=40, deadline=None)
 @given(keys_and_bounds(max_size=120))
 def test_property_delete_then_absent(drawn):
-    """After deleting every copy of a key, seeks find nothing."""
-    keys, _lo, _hi = drawn
+    """After deleting every copy of a key, seeks find nothing.  On
+    unique keys, ``replace`` then leaves exactly what ``delete`` +
+    ``insert`` of the same key leaves — for every surviving key, those
+    equal to a separator included, beside leaves deletes emptied — and
+    a deleted key is not replaced."""
+    keys, lo, hi = drawn
     tree = BPlusTree(leaf_capacity=4)
     for k in keys:
         tree.insert((k,), (k,))
@@ -293,3 +297,23 @@ def test_property_delete_then_absent(drawn):
     assert tree.delete((target,)) == expected_removed
     assert list(tree.seek_prefix((target,))) == []
     assert len(tree) == len(keys) - expected_removed
+
+    def shape(t):
+        return t.snapshot(), t.height, t.leaf_page_count
+
+    # Unique keys, as a secondary index's end in the primary key.
+    entries = [(k, i) for i, k in enumerate(keys)]
+    replaced, reference = (build_tree((e, (0,)) for e in entries) for _ in "ab")
+    lo, hi = min(lo, hi), max(lo, hi)
+    gone = [e for e in entries if lo <= e[0] <= hi]
+    for e in gone:
+        replaced.delete(e)
+        reference.delete(e)
+    for e in gone:
+        assert replaced.replace(e, (1,)) is False
+    assert shape(replaced) == shape(reference)
+    for e in sorted(set(entries) - set(gone), key=key_of):
+        assert replaced.replace(e, (e[1] + 2,)) is True
+        reference.delete(e)
+        reference.insert(e, (e[1] + 2,))
+        assert shape(replaced) == shape(reference)

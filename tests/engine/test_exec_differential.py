@@ -6,9 +6,11 @@ pinned to the interpreter and one to the vector path (through
 ``vector_min_rows``).  For each query the row lists must be equal
 (values, order, and float bits) and the ExecutionMetrics must be equal
 with ``==`` — including the noise multipliers, which only agree if both
-paths consume the executor RNG identically.  DML has one path and so no
-pair: it is held to literals recorded from the row loop it replaced and
-to the property that grouping rows into a statement is unobservable.
+paths consume the executor RNG identically.  DML maintenance has one
+path and so no pair: it is held to literals recorded from the row loop
+it replaced and to the property that grouping rows into a statement is
+unobservable.  DML target collection follows the SELECT gate, and that
+property runs each statement with the gate open and shut.
 """
 
 from __future__ import annotations
@@ -646,6 +648,36 @@ def read_side(eng, statement):
     return rows, meters.page_meter.pages, meters.rows_processed
 
 
+def dml_targets(eng, statement):
+    """An UPDATE/DELETE's target rows as the executor collects them (the
+    vector gate picks how), and the pages and rows reading them charges."""
+    if isinstance(statement, InsertQuery):
+        return [], 0, 0
+    meters = Meterings()
+    plan = eng.optimizer.optimize(statement)
+    targets = eng.executor._target_rows(plan, statement, meters)
+    return targets, meters.page_meter.pages, meters.rows_processed
+
+
+def keep_counters(eng):
+    """``eng``, its executor keeping the (pages, rows processed,
+    maintained entries) of the last statement it finished metering as
+    ``last_counters``."""
+    executor = eng.executor
+    finalize = executor._finalize_metrics
+
+    def finalize_and_keep(meters, rows_returned):
+        executor.last_counters = (
+            meters.page_meter.pages,
+            meters.rows_processed,
+            meters.maintained_entries,
+        )
+        return finalize(meters, rows_returned)
+
+    executor._finalize_metrics = finalize_and_keep
+    return eng
+
+
 def one_row_statements(eng, statement):
     """The rows ``statement`` carries, as one statement each."""
     if isinstance(statement, InsertQuery):
@@ -677,11 +709,14 @@ def write_side(eng, statements):
 
 
 @pytest.fixture(scope="module")
-def twin_pair():
-    pair = _joined_engine(seed=91), _joined_engine(seed=91)
-    for eng in pair:
+def dml_engines():
+    """(grouped with the vector gate open, one-row, grouped with it shut)."""
+    engines = tuple(keep_counters(_joined_engine(seed=91)) for _ in range(3))
+    for eng in engines:
         eng.settings.execution.noise_sigma = 0.0
-    return pair
+    engines[0].settings.execution.vector_min_rows = 0
+    engines[2].settings.execution.vector_min_rows = sys.maxsize
+    return engines
 
 
 @settings(
@@ -690,43 +725,54 @@ def twin_pair():
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(statement=dml_statements())
-def test_property_grouping_is_unobservable(twin_pair, statement):
+def test_property_grouping_is_unobservable(dml_engines, statement):
     """A statement carrying N rows leaves the state, and charges the
     write-side pages and CPU, of the same rows sent one statement each;
     one that raises part-way leaves what the one-row statements up to
-    the first failure leave.  (Both engines see every example.)"""
-    grouped, single = twin_pair
+    the first failure leave.  With the vector gate open or shut, the
+    statement reads the same targets for the same pages and rows, and
+    charges and leaves the same.  (Every engine sees every example.)"""
+    grouped, single, shut = dml_engines
     pieces = one_row_statements(single, statement)
+    assert dml_targets(grouped, statement) == dml_targets(shut, statement)
     error, pages, cpu = write_side(grouped, [statement])
+    assert write_side(shut, [statement]) == (error, pages, cpu)
     piece_error, piece_pages, piece_cpu = write_side(single, pieces)
     assert error == piece_error
     if error is None:
+        assert grouped.executor.last_counters == shut.executor.last_counters
         assert pages == piece_pages
         assert cpu == pytest.approx(piece_cpu, rel=1e-9, abs=1e-9)
-    assert w_state(grouped) == w_state(single)
+    assert w_state(grouped) == w_state(single) == w_state(shut)
 
 
 def test_batched_dml_path_was_exercised(joined_pair):
     """A DML statement adds 1 to ``vector_statements`` and its affected
-    rows to ``batch_rows``, whatever ``vector_min_rows`` says."""
+    rows to ``batch_rows``, whatever ``vector_min_rows`` says, and
+    meters the same either way — a scan-fed UPDATE whose NULL literal
+    sends the open gate's target read back to the interpreter too."""
     rows = tuple((9000 + i, i % 5, float(i), f"w-{i % 13}") for i in range(10))
     in_batch = (Predicate("w_id", Op.GE, 9000),)
     steps = (
         (InsertQuery("w", rows, bulk=True), 10),
         (InsertQuery("w", ((9010, 1, 1.0, "w-1"),)), 1),
         (UpdateQuery("w", (("w_a", 3),), in_batch), 11),
+        (UpdateQuery("w", (("w_a", 3),), (Predicate("w_c", Op.EQ, None),)), 0),
         (DeleteQuery("w", in_batch), 11),
     )
+    metrics = []
     # Mutate both engines identically so later tests stay comparable.
     for engine in joined_pair:
         executor = engine.executor
+        metrics.append([])
         for statement, affected in steps:
             vector, batch = executor.vector_statements, executor.batch_rows
             interpreted = executor.interp_statements
-            engine.execute(statement)
+            metrics[-1].append(engine.execute(statement).metrics)
             assert executor.vector_statements == vector + 1
             assert executor.batch_rows == batch + affected
             assert executor.interp_statements == interpreted
+    assert metrics[0] == metrics[1]
 
 
 # ----------------------------------------------------------------------

@@ -70,11 +70,21 @@ class TestInsert:
 class TestUpdate:
     def test_update_changes_value(self):
         table = make_table()
+        table.create_index(IndexDefinition("ix_grp", "t", ("grp",)))
         fill(table, 10)
         row = next(r for r in table.rows() if r[0] == 3)
         table.update_rows((row,), [("val", 99.0)])
         updated = next(r for r in table.rows() if r[0] == 3)
         assert updated[2] == 99.0
+        # A row that is not in the table raises and is not inserted; the
+        # rows before it stay updated, in the table and its index.
+        with pytest.raises(ExecutionError, match="vanished during update"):
+            table.update_rows((updated, (999, 1, 1.0)), [("grp", 5)])
+        assert (table.row_count, table.data_version) == (10, 12)
+        assert table.fetch_by_pk((999,)) is None
+        assert table.fetch_by_pk((3,)) == (3, 5, 99.0)
+        grp_index = table.get_index("ix_grp")
+        assert [k for k, _p in grp_index.tree.seek_prefix((5,))] == [(5, 3), (5, 5)]
 
     def test_update_maintains_affected_index_only(self):
         table = make_table()

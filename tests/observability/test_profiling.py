@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.engine import Op, Predicate, SelectQuery
+from repro.engine import IndexDefinition, Op, Predicate, SelectQuery
 from repro.observability import (
     Profiler,
     active,
@@ -95,9 +95,13 @@ class TestEngineHooks:
         assert any(name.startswith("btree_") for name in stats)
 
     def test_btree_counters_tick(self, orders_db):
+        table = orders_db.tables["orders"]
+        table.create_index(IndexDefinition("ix_cust", "orders", ("o_cust",)))
         profiler = Profiler()
         with use_profiler(profiler):
-            orders_db.tables["orders"].insert(
-                (999_999, 1, 0, 1.0, 10, "note-x")
+            table.insert_rows(
+                [(999_990 + i, 1, 0, 1.0, 10, "note-x") for i in range(3)]
             )
-        assert profiler.stats()["btree_insert"].calls >= 1
+        # One tick for the batch, counting every entry it wrote: three
+        # rows, each into the clustered tree and the one index.
+        assert profiler.stats()["btree_insert"].calls == 6
