@@ -150,9 +150,6 @@ def _fallback_count(reason: str) -> Callable[[SqlEngine], int]:
 #: O(reasons actually exercised) rather than O(7 x fleet); the what-if
 #: pricer's gauges appear once an engine has priced its first batch.
 ENGINE_GAUGES: Tuple[EngineGauge, ...] = (
-    EngineGauge("plan_cache_hits", {}, lambda e: e.plan_cache.hits),
-    EngineGauge("plan_cache_misses", {}, lambda e: e.plan_cache.misses),
-    EngineGauge("plan_cache_evictions", {}, lambda e: e.plan_cache.evictions),
     EngineGauge(
         "executor_vector_dispatch_total", {"path": "vector"},
         lambda e: e.executor.vector_statements,

@@ -8,7 +8,7 @@ exposing the surfaces the auto-indexing service consumes:
   stats, MI candidates, and index usage;
 - ``whatif_optimize(query, extra_indexes)`` — the what-if API: the
   statement substrate ``execute``'s planning uses, asked about a
-  hypothetical configuration (no plan-cache traffic, no MI emission) and
+  hypothetical configuration (no MI emission) and
   metered against the tuning resource pool (Section 5.3.1);
   ``whatif_batch`` / ``whatif_cost_many`` ask about many configurations
   of one statement through one :class:`WhatIfBatch`;
@@ -207,7 +207,7 @@ class SqlEngine:
 
     @property
     def plan_cache(self):
-        """The optimizer's memoized plan cache (distinct from the
+        """The optimizer's what-if substrate store (distinct from the
         statement-text ``_plan_cache_text`` DTA reads fragments from)."""
         return self.optimizer.plan_cache
 
@@ -397,7 +397,7 @@ class SqlEngine:
         table = self.database.table(definition.table)
         table.create_index(definition, created_at=self.now)
         # Index creation is a schema change: the MI DMV resets (Section 5.2)
-        # and every cached plan against the table is stale.
+        # and every memoized substrate of the table is stale.
         self.missing_indexes.reset()
         self.plan_cache.invalidate(definition.table)
 
@@ -437,7 +437,8 @@ class SqlEngine:
                 rng=derive(self.database.seed, "stats", table.name),
                 at_time=self.now,
             )
-        # Fresh statistics change every cost estimate; drop cached plans.
+        # Fresh statistics change every cost estimate; drop memoized
+        # substrates.
         self.plan_cache.invalidate()
 
     def workload_coverage(
@@ -462,8 +463,7 @@ class SqlEngine:
 class WhatIfBatch:
     """The metered what-if API for one statement: governor accounting
     around the optimizer's :class:`repro.engine.optimizer.BatchPricer`,
-    which prices off the statement's substrate (no plan-cache lookups
-    or stores).
+    which prices off the statement's substrate.
 
     Each :meth:`price` call charges ``whatif_call_cpu_ms`` to the tuning
     pool *before* pricing — so the charge does not depend on how calls

@@ -1,4 +1,4 @@
-"""Cost-based query optimizer with a what-if API, MI emission, and a plan cache.
+"""Cost-based query optimizer with a what-if API and MI emission.
 
 The optimizer enumerates access paths (clustered scan/seek, secondary index
 seek with optional key lookup, covering index scan), join strategies
@@ -28,12 +28,12 @@ frontier of them against one substrate through :class:`BatchPricer`.
 Hypothetical indexes are costed from closed-form shape estimates without
 materializing anything.
 
-Each question has one memo in a :class:`repro.engine.plan_cache.PlanCache`:
-executed statements' plans keyed by (query, per-table version
-fingerprint), and statement substrates beside them under the same key;
-see that module for the staleness rules.  What-if pricing never reads or
-writes plans — the caller that repeats a configuration (DTA's
-``WhatIfSession``) memoizes its costs itself.
+Executed statements are planned afresh: their literals make almost every
+(query, per-table version fingerprint) key unique, so nothing memoizes
+their plans.  What-if pricing reuses statement substrates through the
+store in :class:`repro.engine.plan_cache.PlanCache`, keyed the same way;
+see that module for the staleness rules.  The caller that repeats a
+configuration (DTA's ``WhatIfSession``) memoizes its costs itself.
 
 **Missing-index emission** (Section 5.2): while planning an executed
 statement, the optimizer compares the chosen plan against an ideal
@@ -52,7 +52,7 @@ import dataclasses
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.engine.cost_model import CostModel
-from repro.engine.plan_cache import PlanCache, PlanCacheEntry
+from repro.engine.plan_cache import PlanCache
 from repro.engine.plans import (
     PARAM,
     ClusteredScanNode,
@@ -87,7 +87,7 @@ from repro.errors import (
     UnknownColumnError,
     UnknownTableError,
 )
-from repro.observability.profiling import count, profile
+from repro.observability.profiling import profile
 
 #: Minimum relative improvement for the optimizer to report an MI candidate.
 MI_REPORT_THRESHOLD = 0.05
@@ -189,7 +189,7 @@ class Optimizer:
     def __init__(self, tables: Dict[str, Table], cost_model: CostModel) -> None:
         self._tables = tables
         self._cost_model = cost_model
-        #: Memoized plans of executed statements, and their substrates.
+        #: Memoized what-if substrates (see :class:`BatchPricer`).
         self.plan_cache = PlanCache()
         #: Counters for :class:`BatchPricer` traffic.
         self.batch_stats = BatchPricingStats()
@@ -205,40 +205,17 @@ class Optimizer:
         """Plan an executed statement: the cheapest estimated plan over
         existing indexes.
 
-        The only code that reads or writes :attr:`plan_cache` plans.  On
-        a miss the statement's substrate is built, priced with no
-        hypothetical index and dropped (a miss at the same table versions
-        will not recur), and the plan's MI candidates go to ``mi_sink``;
-        on a hit the emissions recorded at compute time are replayed into
-        ``mi_sink`` so the DMV accounting is cache-transparent.
+        The statement's substrate is built, priced with no hypothetical
+        index and dropped (the same key at the same table versions will
+        not recur), and the plan's MI candidates go to ``mi_sink``.
         """
-        key = self._cache_key(query)
-        if key is not None:
-            entry = self.plan_cache.lookup(key)
-            if entry is not None:
-                count("plan_cache_hit")
-                if mi_sink is not None:
-                    for emission in entry.mi_emissions:
-                        mi_sink(*emission)
-                return entry.plan
-            count("plan_cache_miss")
-        emissions: List[tuple] = []
         with profile("optimizer_plan_search"):
             substrate = _build_substrate(self, query)
             plan = substrate.price(())
-            substrate.emit_missing_indexes(emissions.append)
-        if mi_sink is not None:
-            for emission in emissions:
-                mi_sink(*emission)
-        if key is not None:
-            self.plan_cache.store(
-                key,
-                PlanCacheEntry(
-                    plan=plan,
-                    mi_emissions=tuple(emissions),
-                    tables=self._referenced_tables(query),
-                ),
-            )
+            if mi_sink is not None:
+                substrate.emit_missing_indexes(
+                    lambda emission: mi_sink(*emission)
+                )
         return plan
 
     def batch_pricer(self, query) -> "BatchPricer":
@@ -247,8 +224,8 @@ class Optimizer:
         return BatchPricer(self, query)
 
     def _cache_key(self, query) -> Optional[Hashable]:
-        """The plan and substrate memoization key, or None when the query
-        is not cacheable.
+        """The substrate memoization key, or None when the query is not
+        cacheable.
 
         Queries are frozen dataclasses, so the key hashes structurally;
         anything unhashable (e.g. exotic predicate values) simply bypasses
@@ -1290,10 +1267,10 @@ class BatchPricer:
     ``price(extra_indexes)`` asks the statement's substrate directly —
     the same substrate :meth:`Optimizer.optimize` prices with no extras,
     hence the same floats, argmin winner and exceptions — without
-    touching the plan cache's plans or emitting MI candidates.  The
-    substrate is built at most once for the pricer's lifetime and
-    shared, through the plan cache's substrate store, with later pricers
-    for the same statement at the same table versions.
+    emitting MI candidates.  The substrate is built at most once for the
+    pricer's lifetime and shared, through the optimizer's substrate
+    store, with later pricers for the same statement at the same table
+    versions.
     """
 
     def __init__(self, optimizer: Optimizer, query) -> None:

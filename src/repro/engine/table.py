@@ -148,7 +148,8 @@ class Table:
         #: Bumped on every index create/drop; resets the MI DMV (Section 5.2).
         self.schema_version = 0
         #: Bumped on every statistics (re)build; part of the optimizer's
-        #: plan-cache fingerprint, so cached plans go stale on stats refresh.
+        #: substrate fingerprint, so memoized substrates go stale on stats
+        #: refresh.
         self.stats_version = 0
         #: Bumped once per row a DML mutation changes (see ``_changed``);
         #: cost estimates depend on live tree shape and row count, so

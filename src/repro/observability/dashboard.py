@@ -25,7 +25,6 @@ _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 _SPARK_SERIES = (
     "revert_rate",
     "validation_failure_rate",
-    "plan_cache_hit_rate",
     "records_live",
     "alerts_firing_count",
     "tick_wall_seconds",
@@ -153,19 +152,6 @@ def render_dashboard(
         f"({int(reverted)} of {int(decided)} decided)"
     )
     lines.append(f"  incidents:       {int(incidents)}")
-
-    # --- optimizer plan cache ----------------------------------------
-    hits = registry.total("plan_cache_hits")
-    misses = registry.total("plan_cache_misses")
-    evictions = registry.total("plan_cache_evictions")
-    lookups = hits + misses
-    if lookups:
-        hit_rate = hits / lookups
-        lines.append("optimizer plan cache:")
-        lines.append(
-            f"  lookups:         {int(lookups)} (hit rate {hit_rate:.1%})"
-        )
-        lines.append(f"  evictions:       {int(evictions)}")
 
     # --- vectorized executor (present once any statement dispatched) -
     vector_stmts = registry.total(

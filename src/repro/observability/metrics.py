@@ -73,12 +73,6 @@ CATALOG: Dict[str, MetricSpec] = dict(
               "Analysis passes invoked, by recommender source and outcome."),
         _spec("dta_whatif_calls_total", "counter", "calls",
               "What-if optimizer calls consumed by completed DTA sessions."),
-        _spec("plan_cache_hits", "gauge", "lookups",
-              "Optimizer plan-cache hits per database (monotone engine counter)."),
-        _spec("plan_cache_misses", "gauge", "lookups",
-              "Optimizer plan-cache misses per database (monotone engine counter)."),
-        _spec("plan_cache_evictions", "gauge", "entries",
-              "Plan-cache entries removed per database (capacity + invalidation)."),
         _spec("alerts_raised_total", "counter", "alerts",
               "Watchdog alerts raised, by SLO name (label rule)."),
         _spec("alerts_firing", "gauge", "alerts",

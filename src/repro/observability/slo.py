@@ -2,8 +2,8 @@
 
 The paper's operators do not stare at raw telemetry — they hold the
 fleet to objectives ("reverts stay rare", "validation rarely fails",
-"the plan cache stays warm") and page when the error budget burns too
-fast.  This module declares those objectives in a linted
+"accepted indexes land promptly") and page when the error budget burns
+too fast.  This module declares those objectives in a linted
 :data:`SLO_CATALOG` and evaluates each with the standard *multi-window
 burn rate* recipe: an SLO alerts only when **both** a short window
 (recent ticks — is it burning *now*?) and a long window (has enough
@@ -11,14 +11,9 @@ budget actually burned?) exceed the burn threshold.  Short windows
 alone page on blips; long windows alone page hours late; requiring
 both is the SRE-workbook compromise.
 
-Burn rate is distance-from-objective, normalized so 1.0 always means
-"the window ran exactly at objective".  For a "stay below" objective
-(``kind="max"``, e.g. revert rate ≤ 0.30) that is ``burn = mean /
-objective``; for a "stay above" objective (``kind="min"``, e.g.
-plan-cache hit rate ≥ 0.005) it is the symmetric ``burn = objective /
-mean`` — halving the hit rate doubles the burn, and a window that
-never hits burns infinitely fast.  Burn 2.0 means the budget burns
-twice as fast as allowed.
+Every objective is a ceiling (e.g. revert rate ≤ 0.30), and burn rate
+is ``burn = mean / objective``: 1.0 means "the window ran exactly at
+objective", and 2.0 means the budget burns twice as fast as allowed.
 
 Every SLO reads a series from
 :data:`~repro.observability.timeseries.SAMPLE_CATALOG`, and no window is
@@ -49,8 +44,10 @@ from repro.observability.timeseries import (
 )
 
 #: Version of the JSONL status schema below.  Bump when a record's
-#: meaning changes; :func:`replay_statuses` refuses newer ones.
-SLO_SCHEMA_VERSION = 1
+#: meaning changes; :func:`replay_statuses` refuses newer ones.  v1
+#: records also said whether the objective was a floor or a ceiling; v2
+#: objectives are all ceilings, and replay drops that key.
+SLO_SCHEMA_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,10 +58,8 @@ class SloSpec:
     description: str
     #: Sampled series (must be in SAMPLE_CATALOG) the objective reads.
     series: str
-    #: The objective value (threshold the window mean is held to).
+    #: The ceiling the window mean is held to.
     objective: float
-    #: "max": window mean must stay <= objective; "min": >= objective.
-    kind: str
     unit: str
     #: Burn-rate windows, in ticks (short = paging speed, long = paging
     #: confidence); both must exceed ``burn_threshold`` to alert.
@@ -95,7 +90,6 @@ SLO_CATALOG: Dict[str, SloSpec] = dict(
             "(the paper's Section 8.1 headline guarantee).",
             series="revert_rate",
             objective=0.30,
-            kind="max",
             unit="ratio",
         ),
         _spec(
@@ -105,19 +99,6 @@ SLO_CATALOG: Dict[str, SloSpec] = dict(
             "under the objective.",
             series="validation_failure_rate",
             objective=0.50,
-            kind="max",
-            unit="ratio",
-        ),
-        _spec(
-            name="slo_plan_cache_hit_rate",
-            description="The optimizer plan cache stays warm: the "
-            "fleet-wide hit rate holds at or above the objective "
-            "(calibrated to the simulator's closed-loop workloads, "
-            "where constant schema churn keeps absolute hit rates in "
-            "the low percents).",
-            series="plan_cache_hit_rate",
-            objective=0.005,
-            kind="min",
             unit="ratio",
         ),
         _spec(
@@ -127,7 +108,6 @@ SLO_CATALOG: Dict[str, SloSpec] = dict(
             "the objective.",
             series="time_to_implement_minutes",
             objective=240.0,
-            kind="max",
             unit="minutes",
             burn_threshold=1.5,
         ),
@@ -137,7 +117,6 @@ SLO_CATALOG: Dict[str, SloSpec] = dict(
             "(advisory: wall time is host-dependent and never pages).",
             series="tick_wall_seconds",
             objective=5.0,
-            kind="max",
             unit="seconds",
             advisory=True,
         ),
@@ -155,13 +134,6 @@ for _slo in SLO_CATALOG.values():
             f"SLO {_slo.name!r} has a window longer than the history "
             f"ring ({RING_CAPACITY} ticks); its mean could not be exact"
         )
-    if _slo.kind not in ("max", "min"):
-        raise TelemetryError(f"SLO {_slo.name!r} kind must be max|min")
-    if _slo.kind == "min" and not _slo.objective > 0.0:
-        raise TelemetryError(
-            f"SLO {_slo.name!r}: min-kind objectives must be positive "
-            "so the objective-over-mean burn rate is well defined"
-        )
 del _slo
 
 
@@ -172,7 +144,6 @@ class SloStatus:
     name: str
     series: str
     objective: float
-    kind: str
     unit: str
     advisory: bool
     short_window: int
@@ -199,13 +170,9 @@ class SloStatus:
 
 
 def _burn(mean: float, spec: SloSpec) -> float:
-    if spec.kind == "max":
-        if spec.objective <= 0.0:
-            return float("inf") if mean > 0.0 else 0.0
-        return mean / spec.objective
-    if mean <= 0.0:
-        return float("inf")
-    return spec.objective / mean
+    if spec.objective <= 0.0:
+        return float("inf") if mean > 0.0 else 0.0
+    return mean / spec.objective
 
 
 def evaluate_slo(store: TimeSeriesStore, spec: SloSpec) -> SloStatus:
@@ -224,7 +191,6 @@ def evaluate_slo(store: TimeSeriesStore, spec: SloSpec) -> SloStatus:
         name=spec.name,
         series=spec.series,
         objective=spec.objective,
-        kind=spec.kind,
         unit=spec.unit,
         advisory=spec.advisory,
         short_window=spec.short_window,
@@ -268,12 +234,11 @@ def render_slo_report(statuses: List[SloStatus]) -> List[str]:
             state = "no data"
         else:
             state = "ok"
-        bound = "<=" if status.kind == "max" else ">="
         lines.append(
             f"  {status.name:<30} "
             f"{status.short_mean:>12.4f}/{status.long_mean:<13.4f} "
             f"{status.short_burn:>9.2f}/{status.long_burn:<9.2f} "
-            f"{bound} {status.objective:<7g}  {state}"
+            f"<= {status.objective:<7g}  {state}"
         )
     alerting = [s.name for s in statuses if s.alerting]
     if alerting:

@@ -85,9 +85,6 @@ SAMPLE_CATALOG: Dict[str, SampleSpec] = dict(
         _spec("validation_failure_rate", "ratio",
               "Share of completed validations that judged REGRESSED "
               "(cumulative).", anomaly=True),
-        _spec("plan_cache_hit_rate", "ratio",
-              "Fleet-wide optimizer plan-cache hit rate (cumulative).",
-              anomaly=True),
         _spec("recommendations_created", "recommendations",
               "Recommendations registered so far (cumulative counter)."),
         _spec("implementations_completed", "implementations",
@@ -296,9 +293,6 @@ class FleetSampler:
         )
         decided = reverted + success
         validated = reverting + success
-        hits = registry.total("plan_cache_hits")
-        misses = registry.total("plan_cache_misses")
-        lookups = hits + misses
         live = sum(
             registry.total("records_in_state", state=state)
             for state in _LIVE_STATES
@@ -320,7 +314,6 @@ class FleetSampler:
             "validation_failure_rate": (
                 (reverting / validated) if validated else 0.0
             ),
-            "plan_cache_hit_rate": (hits / lookups) if lookups else 1.0,
             "recommendations_created": registry.total(
                 "recommendations_created_total"
             ),

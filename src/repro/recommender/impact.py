@@ -14,7 +14,7 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Tuple
 
-from scipy import stats as scipy_stats
+import numpy as np
 
 from repro.engine.missing_index import (
     MissingIndexGroup,
@@ -120,6 +120,23 @@ class SlopeTest:
     passed: bool
 
 
+def _slope_and_stderr(xs: List[float], ys: List[float]) -> Tuple[float, float]:
+    """Least-squares slope and its standard error, for n >= 3 points.
+
+    The arithmetic of ``scipy.stats.linregress`` (scipy 1.17), step for
+    step, so both values are bit-identical to it, NaN included: a
+    constant ``ys`` has an undefined correlation and a NaN stderr.
+    """
+    ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(xs) - 2))
+    return float(slope), float(stderr)
+
+
 def impact_slope_test(
     points: List[ImpactPoint],
     min_slope: float = 0.0,
@@ -137,9 +154,7 @@ def impact_slope_test(
     ys = [p.cumulative_score for p in points]
     if len(set(xs)) < 2:
         return SlopeTest(slope=0.0, t_statistic=0.0, n_points=len(points), passed=False)
-    result = scipy_stats.linregress(xs, ys)
-    slope = float(result.slope)
-    stderr = float(result.stderr) if result.stderr else 0.0
+    slope, stderr = _slope_and_stderr(xs, ys)
     if stderr <= 1e-12:
         # A perfectly linear accumulation: infinitely confident slope.
         t_stat = math.inf if slope > 0 else 0.0

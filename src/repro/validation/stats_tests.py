@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from scipy import stats as scipy_stats
+from scipy.special import stdtr
 
 
 @dataclasses.dataclass
@@ -73,7 +73,9 @@ def welch_t_test(
     dof_num = (se_a + se_b) ** 2
     dof_den = se_a ** 2 / (n_a - 1) + se_b ** 2 / (n_b - 1)
     dof = dof_num / max(dof_den, 1e-300)
-    p_value = float(2.0 * scipy_stats.t.sf(abs(t_stat), dof))
+    # Two-sided p-value: stdtr is Student's t CDF, so stdtr(dof, -|t|) is
+    # the survival function scipy.stats.t.sf(|t|, dof) evaluates.
+    p_value = float(2.0 * stdtr(dof, -abs(t_stat)))
     return WelchResult(
         t_statistic=float(t_stat),
         degrees_of_freedom=float(dof),

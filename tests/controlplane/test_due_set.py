@@ -1,10 +1,10 @@
-"""The process() due-set and the plan-cache gauge memoization.
+"""The process() due-set and the engine-gauge memoization.
 
 ``ControlPlane.process`` used to scan every record ever created on every
 tick — O(history) even when the database is quiescent.  The store
-hooks now maintain a live set of non-terminal rec_ids, and the
-plan-cache gauges are only re-published when the engine's counters
-moved.  These tests pin both the bookkeeping and the equivalence with
+hooks now maintain a live set of non-terminal rec_ids, and the engine
+gauges (``ENGINE_GAUGES``) are only re-published when the engine's
+counters moved.  These tests pin both the bookkeeping and the equivalence with
 the old full-scan semantics.
 """
 
@@ -79,32 +79,35 @@ class TestDueSet:
         assert driven == []
 
 
-class TestPlanCacheMemo:
+class TestEngineGaugeMemo:
     def test_gauges_published_once_per_change(self):
         _clock, profile, plane = build_plane(create_mode=AutoMode.OFF)
         profile.workload.run(profile.engine, 2, max_statements=40)
         plane.process()
-        cache = profile.engine.plan_cache
+        executor = profile.engine.executor
         registry = plane.telemetry.registry
         name = profile.name
-        assert registry.gauge("plan_cache_hits", database=name).value == cache.hits
-        assert (
-            registry.gauge("plan_cache_misses", database=name).value
-            == cache.misses
-        )
+
+        def dispatched(path):
+            return registry.gauge(
+                "executor_vector_dispatch_total", database=name, path=path
+            ).value
+
+        assert dispatched("vector") == executor.vector_statements
+        assert dispatched("interp") == executor.interp_statements
         published = plane._engine_gauges_published
 
         # An idle tick (no workload) leaves the memo untouched, and the
         # gauges still read correctly.
         plane.process(plane.clock.now)
         assert plane._engine_gauges_published == published
-        assert registry.gauge("plan_cache_hits", database=name).value == cache.hits
+        assert dispatched("vector") == executor.vector_statements
 
         # More workload moves the counters; the next tick re-publishes.
         profile.workload.run(profile.engine, 2, max_statements=40)
         plane.process()
         assert plane._engine_gauges_published != published
-        assert registry.gauge("plan_cache_hits", database=name).value == cache.hits
+        assert dispatched("vector") == executor.vector_statements
 
     def test_memo_skip_detectable_via_gauge_identity(self):
         """The skip is real: when nothing changed, .set() is not called."""
@@ -116,12 +119,12 @@ class TestPlanCacheMemo:
         original = registry.gauge
 
         def counting_gauge(name, **labels):
-            if name.startswith("plan_cache"):
+            if name == "executor_vector_dispatch_total":
                 calls.append(name)
             return original(name, **labels)
 
         registry.gauge = counting_gauge
-        plane.process(plane.clock.now)  # idle: no plan-cache movement
+        plane.process(plane.clock.now)  # idle: no dispatch movement
         assert calls == []
         profile.workload.run(profile.engine, 1, max_statements=20)
         plane.process()

@@ -307,8 +307,8 @@ class TestWhatIf:
         eng.whatif_optimize(query, extra_indexes=(hyp,))
         assert eng.optimizer.batch_stats.configurations == 1
         assert eng.governor.tuning.usage.whatif_calls == 1
-        # Statement-planning counters do not see what-if traffic.
-        assert eng.plan_cache.misses == 0
+        # What-if traffic is priced off a memoized substrate.
+        assert eng.plan_cache.substrate_count() == 1
 
     def test_bulk_insert_not_whatif_optimizable(self, eng):
         bulk = InsertQuery("orders", ((99999, 1, 1, 1.0, 1, "x"),), bulk=True)
@@ -379,6 +379,25 @@ class TestMiEmission:
         assert len(hits) == 1
         _t, eq, ineq, _incl, _c, _i = hits[0]
         assert eq == ("o_cust",) and ineq == ("o_date",)
+
+    def test_repeat_execution_replans_to_the_same_plan_and_emissions(self, eng):
+        """Nothing memoizes executed plans: a statement run twice at the
+        same table versions is planned twice, to the same plan, and
+        charges the MI DMV's ``user_seeks`` the same on each run."""
+        query = SelectQuery(
+            "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),)
+        )
+
+        def seeks():
+            return sum(entry.user_seeks for entry in eng.missing_indexes.entries())
+
+        start = seeks()
+        first = eng.execute(query).plan
+        after_first = seeks()
+        second = eng.execute(query).plan
+        assert second.plan_id() == first.plan_id()
+        assert after_first - start > 0  # the o_cust predicate emits
+        assert seeks() - after_first == after_first - start
 
     def test_whatif_call_does_not_emit(self, eng):
         hyp = IndexDefinition("h", "orders", ("o_note",), hypothetical=True)

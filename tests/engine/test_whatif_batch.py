@@ -6,9 +6,11 @@ through one ``whatif_batch`` — warm per-definition memos, substrate-store
 hits — yields the same cost floats, plan choices, errors, MI-DMV silence
 and governor charges as recomputing everything for every configuration.
 The Hypothesis suite drives twin engines with identical call sequences:
-the *fresh* twin empties its plan cache (plans and substrates) before
-every single ``whatif_optimize``, the *shared* twin never does.  ``test_optimizer_regressions.py`` pins the absolute
-values; this suite pins that sharing cannot move them.
+the *fresh* twin empties its substrate store before every single
+``whatif_optimize``, the *shared* twin never does.
+``test_optimizer_regressions.py`` pins the absolute values; this suite
+pins that sharing cannot move them.  The store itself (keys, LRU bound,
+invalidation) is covered in :class:`TestBatchPricerParity`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from repro.engine import (
     UpdateQuery,
 )
 from repro.engine.optimizer import BatchPricingStats
+from repro.engine.plan_cache import DEFAULT_SUBSTRATE_CAPACITY, PlanCache
+from repro.engine.plans import IndexSeekNode
 from repro.errors import (
     ExecutionError,
     OptimizeError,
@@ -121,7 +125,7 @@ def twins():
 
 
 def _fresh_plan(eng, query, config=()):
-    """One configuration with nothing to reuse: no plans, no substrates."""
+    """One configuration with nothing to reuse: no stored substrate."""
     eng.plan_cache.invalidate()
     return eng.whatif_optimize(query, extra_indexes=config)
 
@@ -194,19 +198,21 @@ class TestBatchPricerParity:
     def test_empty_configuration_is_normal_mode_planning(self):
         """Pricing no hypothetical index gives the statement's own plan
         cost; it is what-if traffic all the same — priced and charged
-        once, leaving no plan for statement planning to hit."""
+        once — and statement planning neither reads nor adds to the
+        substrate store it filled."""
         fresh_eng, shared_eng = perfect_engine(11), perfect_engine(11)
         expected = _fresh_plan(fresh_eng, self.QUERY).est_cost
         assert shared_eng.whatif_cost_many(self.QUERY, [()]) == [expected]
         assert shared_eng.optimizer.optimize(self.QUERY).est_cost == expected
         assert shared_eng.optimizer.batch_stats.configurations == 1
         assert shared_eng.governor.tuning.usage.whatif_calls == 1
-        cache = shared_eng.plan_cache
-        assert (cache.hits, cache.misses) == (0, 1)
+        stats = shared_eng.optimizer.batch_stats
+        assert (stats.substrate_misses, stats.substrate_hits) == (1, 0)
+        assert shared_eng.plan_cache.substrate_count() == 1
 
     def test_counters_do_not_depend_on_grouping(self):
         """One call per configuration and one batch for all of them charge
-        the same pool, and neither touches the plan cache."""
+        the same pool, and neither counts a statement-plan lookup."""
         single_eng, batch_eng = perfect_engine(12), perfect_engine(12)
         frontier = [(_definition(0),), (_definition(2),), (_definition(0), _definition(2))]
         for _round in range(2):  # second round re-asks every configuration
@@ -233,18 +239,125 @@ class TestBatchPricerParity:
 
     def test_statement_execution_leaves_no_substrate(self):
         """Normal-mode planning prices zero configurations and keeps
-        nothing: a plan-cache miss at the same versions will not recur."""
+        nothing: the same key at the same table versions will not recur."""
         eng = perfect_engine(17)
         eng.execute(self.QUERY)
         assert eng.plan_cache.substrate_count() == 0
         assert eng.optimizer.batch_stats == BatchPricingStats()
 
-    def test_invalidation_drops_substrates(self):
+    def test_different_literals_are_different_substrates(self):
         eng = perfect_engine(14)
+        stats = eng.optimizer.batch_stats
+        other_literal = SelectQuery(
+            "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 4),)
+        )
+        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
+        eng.whatif_cost_many(other_literal, [(_definition(0),)])
+        # The literals are part of the key: two orders substrates.
+        assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
+        assert eng.plan_cache.substrate_count() == 2
+
+    def test_invalidation_is_per_table(self):
+        eng = perfect_engine(14)
+        other_literal = SelectQuery(
+            "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 4),)
+        )
+        customers = SelectQuery("customers", ("c_name",))
+        for query in (self.QUERY, other_literal, customers):
+            eng.whatif_cost_many(query, [(_definition(0),)])
+        assert eng.plan_cache.substrate_count() == 3
+        assert eng.plan_cache.invalidate("customers") == 1
+        assert eng.plan_cache.substrate_count() == 2
+        assert eng.plan_cache.invalidate("orders") == 2
+        assert eng.plan_cache.substrate_count() == 0
+
+    def test_create_index_drops_substrates_and_replans(self):
+        eng = perfect_engine(18)
+        eng.whatif_cost_many(self.QUERY, [(_definition(1),)])
+        eng.create_index(
+            IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_amount",))
+        )
+        assert eng.plan_cache.substrate_count() == 0
+        assert isinstance(eng.optimizer.optimize(self.QUERY), IndexSeekNode)
+
+    def test_drop_index_drops_substrates(self):
+        eng = perfect_engine(18)
+        eng.create_index(
+            IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_amount",))
+        )
+        eng.whatif_cost_many(self.QUERY, [(_definition(1),)])
+        eng.drop_index("orders", "ix_cust")
+        assert eng.plan_cache.substrate_count() == 0
+        assert not isinstance(eng.optimizer.optimize(self.QUERY), IndexSeekNode)
+
+    def test_dml_moves_the_key(self):
+        eng = perfect_engine(19)
+        stats = eng.optimizer.batch_stats
+        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
+        eng.execute(InsertQuery("orders", ((999_999, 3, 0, 1.0, 10, "note-x"),)))
+        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
+        # data_version changed: the stored substrate is unreachable.
+        assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
+
+    def test_statistics_refresh_clears_the_store(self):
+        eng = perfect_engine(20)
+        stats = eng.optimizer.batch_stats
+        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
+        eng.build_all_statistics()
+        assert eng.plan_cache.substrate_count() == 0
+        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
+        # stats_version changed: a new key, built afresh.
+        assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
+
+    def test_restart_clears_the_store(self):
+        eng = perfect_engine(20)
         eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
         assert eng.plan_cache.substrate_count() == 1
-        eng.plan_cache.invalidate("orders")
+        eng.restart()
         assert eng.plan_cache.substrate_count() == 0
+
+    def test_store_is_bounded_at_256(self):
+        cache = PlanCache()
+        for key in range(DEFAULT_SUBSTRATE_CAPACITY + 1):
+            cache.store_substrate(key, f"substrate-{key}", ("t",))
+        assert cache.substrate_count() == DEFAULT_SUBSTRATE_CAPACITY == 256
+        assert cache.lookup_substrate(0) is None  # the oldest went first
+        assert cache.lookup_substrate(256) == "substrate-256"
+
+    def test_store_is_an_lru_of_256(self):
+        cache = PlanCache()
+        for key in range(DEFAULT_SUBSTRATE_CAPACITY):
+            cache.store_substrate(key, f"substrate-{key}", ("t",))
+        assert cache.lookup_substrate(0) == "substrate-0"  # now 1 is LRU
+        cache.store_substrate("new", "substrate-new", ("t",))
+        assert cache.substrate_count() == DEFAULT_SUBSTRATE_CAPACITY
+        assert cache.lookup_substrate(1) is None
+        assert cache.lookup_substrate(0) == "substrate-0"
+        assert cache.lookup_substrate("new") == "substrate-new"
+
+    def test_evicted_substrate_is_rebuilt_to_the_same_costs(self):
+        eng = perfect_engine(21)
+        stats = eng.optimizer.batch_stats
+        frontier = [(_definition(0),), (_definition(2),)]
+        first = eng.whatif_cost_many(self.QUERY, frontier)
+        for key in range(DEFAULT_SUBSTRATE_CAPACITY):
+            eng.plan_cache.store_substrate(("filler", key), object(), ("t",))
+        assert eng.whatif_cost_many(self.QUERY, frontier) == first
+        assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
+
+    def test_statement_plan_counters_stay_zero(self):
+        """``hits``/``misses``/``evictions`` count a statement-plan memo
+        that no longer exists: neither execution nor what-if pricing nor
+        a store eviction moves them, and an executed plan costs what the
+        empty configuration priced."""
+        eng = perfect_engine(7001)
+        cache = eng.plan_cache
+        (empty_cost,) = eng.whatif_cost_many(self.QUERY, [()])
+        plans = [eng.execute(self.QUERY).plan for _ in range(2)]
+        for key in range(DEFAULT_SUBSTRATE_CAPACITY + 1):
+            cache.store_substrate(("filler", key), object(), ("t",))
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
+        assert [plan.est_cost for plan in plans] == [empty_cost] * 2
 
     def test_dml_frontier_matches_fresh(self):
         fresh_eng, shared_eng = perfect_engine(16), perfect_engine(16)

@@ -26,7 +26,6 @@ from repro.service import ServiceSettings, build_service
 HEALTHY = {
     "revert_rate": 0.0,
     "validation_failure_rate": 0.0,
-    "plan_cache_hit_rate": 0.5,
     "time_to_implement_minutes": 10.0,
 }
 
@@ -120,32 +119,32 @@ class TestWatchdog:
         assert registry.series_for("alerts_firing") == []
         assert watchdog.audit.events() == []
 
-    def test_min_kind_slo_pages_when_the_cache_goes_cold(self):
-        # A "stay above" objective burns as objective / mean: a 0.001 hit
-        # rate against 0.005 is a 5x burn, recorded like any other page.
+    def test_slo_pages_with_its_own_burn_threshold(self):
+        # Burn is mean / objective: a p95 of 1 200 minutes against 240 is
+        # a 5x burn, past slo_time_to_implement's 1.5 gate.
         audit = AuditLog()
         store = _healthy_store()
-        _observe(store, "plan_cache_hit_rate", 300, [0.001] * 300)
+        _observe(store, "time_to_implement_minutes", 300, [1200.0] * 300)
         watchdog = AlertWatchdog(MetricsRegistry(), store, audit=audit)
         (alert,) = watchdog.evaluate(7.0)
-        assert alert.rule == "slo_plan_cache_hit_rate"
+        assert alert.rule == "slo_time_to_implement"
         assert alert.value == pytest.approx(5.0)
         (event,) = audit.events(event_type="alert_raised")
         assert event.payload["direction"] == "above"
         assert event.payload["threshold"] == (
-            SLO_CATALOG["slo_plan_cache_hit_rate"].burn_threshold
-        )
+            SLO_CATALOG["slo_time_to_implement"].burn_threshold
+        ) == 1.5
 
     def test_simultaneous_pages_raise_in_catalog_name_order(self):
         audit = AuditLog()
         store = _healthy_store()
         _observe(store, "validation_failure_rate", 300, [1.0] * 300)
         _observe(store, "revert_rate", 300, [0.9] * 300)
-        _observe(store, "plan_cache_hit_rate", 300, [0.001] * 300)
+        _observe(store, "time_to_implement_minutes", 300, [1200.0] * 300)
         watchdog = AlertWatchdog(MetricsRegistry(), store, audit=audit)
         expected = [
-            "slo_plan_cache_hit_rate",
             "slo_revert_rate",
+            "slo_time_to_implement",
             "slo_validation_failure_rate",
         ]
         assert [a.rule for a in watchdog.evaluate(0.0)] == expected

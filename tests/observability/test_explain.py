@@ -8,7 +8,7 @@ ControlPlane and asserts the full decision-provenance story:
   statements);
 - the rendered timeline joins audit + spans chronologically;
 - the anomaly detector flags the revert-rate jump at the revert, and
-  the watchdog's SLO alert shows on the dashboard;
+  the watchdog pages on nothing (one revert is too short a burn);
 - the JSONL dump replays into the same timeline offline.
 """
 
@@ -19,6 +19,7 @@ import pytest
 from repro.controlplane import RecommendationState
 from repro.experiment.regression import run_regression_scenario
 from repro.observability import AuditLog, render_dashboard, render_explain
+from repro.observability.alerts import FLEET_SCOPE
 from repro.observability.explain import build_timeline, decision_index, render_index
 
 
@@ -104,23 +105,26 @@ class TestExplainRendering:
         assert [e.at for e in entries] == sorted(e.at for e in entries)
 
     def test_fleet_scope_events_join_by_time(self, scenario):
-        # The plan-cache burn-rate alert raises while this record is
-        # alive; it carries no rec_id, so it joins the timeline by time
-        # as ambient [fleet] context.
-        entries = build_timeline(
-            scenario.plane.audit, scenario.database, scenario.rec_id
+        # Fleet-scope events carry no rec_id, so they join the timeline
+        # by time as ambient [fleet] context: the scenario's own
+        # anomalies, and an alert raised while this record is alive.
+        audit = AuditLog.replay(scenario.plane.audit.to_jsonl())
+        chain = audit.chain(scenario.rec_id)
+        first, last = chain[0].at, chain[-1].at
+        audit.emit(
+            (first + last) / 2.0, "alert_raised", FLEET_SCOPE,
+            rule="slo_revert_rate", value=2.0, samples=16, threshold=1.0,
+            direction="above",
         )
+        entries = build_timeline(audit, scenario.database, scenario.rec_id)
         fleet = [e for e in entries if e.source == "fleet"]
         assert fleet, "expected fleet-scope context entries"
         assert all(e.title.startswith("[fleet]") for e in fleet)
         assert any("alert_raised" in e.title for e in fleet)
-        chain = scenario.plane.audit.chain(scenario.rec_id)
-        first, last = chain[0].at, chain[-1].at
+        assert any("telemetry_anomaly" in e.title for e in fleet)
         assert all(first <= e.at <= last for e in fleet)
         text = "\n".join(
-            render_explain(
-                scenario.plane.audit, scenario.database, scenario.rec_id
-            )
+            render_explain(audit, scenario.database, scenario.rec_id)
         )
         assert "[fleet] alert_raised" in text
 
@@ -160,16 +164,15 @@ class TestExplainRendering:
 
 
 class TestWatchdogOnScenario:
-    def test_cold_cache_slo_is_the_firing_alert(self, scenario):
-        # This staged scenario's plan cache never hits, so its burn-rate
-        # SLO pages; one revert is too short a burn for slo_revert_rate.
-        (alert,) = scenario.watchdog.active()
-        assert alert.rule == "slo_plan_cache_hit_rate"
+    def test_no_slo_pages_on_the_scenario(self, scenario):
+        # One revert is too short a burn for slo_revert_rate, and no
+        # other objective is near its ceiling: nothing pages.
+        assert scenario.watchdog.active() == []
         raised = [
             e.payload["rule"]
             for e in scenario.plane.audit.events(event_type="alert_raised")
         ]
-        assert raised == ["slo_plan_cache_hit_rate"]
+        assert raised == []
 
     def test_revert_rate_jump_is_an_anomaly_at_the_revert(self, scenario):
         # Fast detection of the revert is the anomaly detector's job.
@@ -184,7 +187,7 @@ class TestWatchdogOnScenario:
         ]
         assert [e.at for e in anomalies] == [decided.at]
 
-    def test_dashboard_shows_the_firing_alert(self, scenario):
+    def test_dashboard_shows_no_firing_alert(self, scenario):
         telemetry = scenario.plane.telemetry
         text = "\n".join(
             render_dashboard(
@@ -193,7 +196,8 @@ class TestWatchdogOnScenario:
                 watchdog=scenario.watchdog,
             )
         )
-        assert "FIRING slo_plan_cache_hit_rate" in text
+        assert "alerts:\n  (none firing)" in text
+        assert "FIRING" not in text
 
 
 class TestExecutorPanel:

@@ -84,12 +84,9 @@ class TestEngineHooks:
         stats = profiler.stats()
         assert stats["engine_execute"].calls == 3
         assert stats["engine_execute"].sim_ms > 0.0
-        # The first execution plans for real and the repeats hit the
-        # memoized plan cache; the what-if call prices off the statement
-        # substrate and touches neither.
-        assert stats["optimizer_plan_search"].calls == 1
-        assert stats["plan_cache_miss"].calls == 1
-        assert stats["plan_cache_hit"].calls == 2
+        # Every execution plans for real (nothing memoizes plans); the
+        # what-if call prices off the statement substrate instead.
+        assert stats["optimizer_plan_search"].calls == 3
         assert stats["engine_whatif_cost"].calls == 1
         # Executing a range query walks the B+ tree one way or another.
         assert any(name.startswith("btree_") for name in stats)

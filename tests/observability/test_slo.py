@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -29,7 +30,6 @@ def _max_spec(**overrides) -> SloSpec:
         description="test",
         series="revert_rate",
         objective=0.30,
-        kind="max",
         unit="ratio",
         short_window=16,
         long_window=64,
@@ -48,8 +48,7 @@ class TestCatalogInvariants:
             assert spec.short_window < spec.long_window
             assert spec.burn_threshold >= 1.0
             assert spec.min_samples >= 1
-            if spec.kind == "min":
-                assert spec.objective > 0.0
+            assert spec.objective > 0.0
 
 
 class TestBurnMath:
@@ -62,22 +61,25 @@ class TestBurnMath:
         assert status.burn == pytest.approx(2.0)
         assert status.alerting
 
-    def test_min_kind_burn_is_objective_over_mean(self):
+    def test_catalog_burn_is_mean_over_objective(self):
         store = TimeSeriesStore()
-        spec = SLO_CATALOG["slo_plan_cache_hit_rate"]
-        # Hit rate at half the objective burns at 2x.
-        _fill(store, "plan_cache_hit_rate", [spec.objective / 2.0] * 300)
+        spec = SLO_CATALOG["slo_time_to_implement"]
+        # A p95 at twice the objective burns at 2x, past its 1.5 gate.
+        _fill(store, "time_to_implement_minutes", [spec.objective * 2.0] * 300)
         status = evaluate_slo(store, spec)
         assert status.short_burn == pytest.approx(2.0)
         assert status.long_burn == pytest.approx(2.0)
         assert status.alerting
 
-    def test_min_kind_zero_mean_burns_infinitely(self):
+    def test_zero_objective_burns_infinitely_on_any_excess(self):
         store = TimeSeriesStore()
-        _fill(store, "plan_cache_hit_rate", [0.0] * 300)
-        status = evaluate_slo(store, SLO_CATALOG["slo_plan_cache_hit_rate"])
+        _fill(store, "revert_rate", [0.01] * 64)
+        status = evaluate_slo(store, _max_spec(objective=0.0))
         assert status.short_burn == float("inf")
         assert status.alerting
+        quiet = TimeSeriesStore()
+        _fill(quiet, "revert_rate", [0.0] * 64)
+        assert evaluate_slo(quiet, _max_spec(objective=0.0)).short_burn == 0.0
 
     def test_at_objective_means_burn_one(self):
         store = TimeSeriesStore()
@@ -125,7 +127,6 @@ class TestReportAndPersistence:
         store = TimeSeriesStore()
         _fill(store, "revert_rate", [0.9] * 300)
         _fill(store, "validation_failure_rate", [0.1] * 300)
-        _fill(store, "plan_cache_hit_rate", [0.5] * 300)
         _fill(store, "time_to_implement_minutes", [10.0] * 300)
         _fill(store, "tick_wall_seconds", [0.5] * 300)
         return evaluate_catalog(store)
@@ -147,6 +148,10 @@ class TestReportAndPersistence:
         assert dump_statuses(statuses, buffer) == len(statuses)
         replayed = replay_statuses(buffer.getvalue())
         assert replayed == statuses
+        # A v1 record also said whether its objective was a floor or a
+        # ceiling; replay drops the key.
+        v1 = dict(statuses[0].to_payload(), schema_version=1, kind="max")
+        assert replay_statuses([json.dumps(v1)]) == statuses[:1]
 
     def test_replay_refuses_newer_schema(self):
         from repro.errors import TelemetryError

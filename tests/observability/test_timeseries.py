@@ -29,6 +29,13 @@ class TestStoreBasics:
             store.observe("made_up_series", 0, 1.0)
         with pytest.raises(TelemetryError, match="SAMPLE_CATALOG"):
             store.latest("made_up_series")
+        # A series the catalog dropped fails a replayed dump the same way.
+        dropped = (
+            '{"schema_version": 2, "series": "plan_cache_hit_rate", '
+            '"capacity": 512, "samples": [[0, 0.5]]}'
+        )
+        with pytest.raises(TelemetryError, match="SAMPLE_CATALOG"):
+            TimeSeriesStore.replay([dropped])
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(TelemetryError):
@@ -203,15 +210,12 @@ class TestFleetSampler:
                 "state_transitions_total", database="db",
                 from_state="validating", to_state="success",
             ).inc()
-        registry.gauge("plan_cache_hits", database="db").set(30)
-        registry.gauge("plan_cache_misses", database="db").set(70)
         registry.gauge("records_in_state", state="active").set(2)
         registry.gauge("records_in_state", state="implementing").set(1)
         registry.gauge("records_in_state", state="success").set(9)
         values = FleetSampler().sample(registry)
         assert values["revert_rate"] == pytest.approx(0.25)
         assert values["validation_failure_rate"] == pytest.approx(0.25)
-        assert values["plan_cache_hit_rate"] == pytest.approx(0.30)
         assert values["records_live"] == 3.0
         assert values["validation_reverts"] == 1.0
 

@@ -171,7 +171,6 @@ class TestSloCommand:
         for tick in range(300):
             store.observe("revert_rate", tick, 0.9)
             store.observe("validation_failure_rate", tick, 0.1)
-            store.observe("plan_cache_hit_rate", tick, 0.5)
             store.observe("time_to_implement_minutes", tick, 10.0)
         history = tmp_path / "history.jsonl"
         store.dump(str(history))
