@@ -23,9 +23,10 @@ Six subcommands mirror the repo's main entry points:
   for the seeded revert-rate regression, and ``--fail-on-alert`` for
   CI gating;
 - ``repro explain <db> [rec-id]`` — the decision-provenance timeline for
-  one recommendation (audit events + spans), from
-  a fresh closed-loop run, a replayed ``--audit`` JSONL dump, or the
-  seeded ``--regression-demo`` create->validate->revert scenario;
+  one recommendation (its audit chain and the phase timings derived
+  from it), from a fresh closed-loop run, a replayed ``--audit`` JSONL
+  dump, or the seeded ``--regression-demo`` create->validate->revert
+  scenario;
 - ``repro profile --dbs K --workers N`` — a short fleet-parallel run
   with per-tick phase timing on both sides of the process pipe,
   printing the critical-path table (where the wall-clock goes, the
@@ -402,7 +403,6 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """Reconstruct why one recommendation was created/validated/reverted."""
-    recorder = None
     if args.audit:
         audit = AuditLog.replay(args.audit)
         database = args.database
@@ -423,7 +423,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print("staging the seeded create->validate->revert scenario...")
         scenario = run_regression_scenario()
         audit = scenario.plane.audit
-        recorder = scenario.plane.telemetry.recorder
         database = args.database or scenario.database
         if args.rec_id is None:
             args.rec_id = str(scenario.rec_id)
@@ -442,7 +441,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         service.run(hours=args.days * 24)
         print()
         audit = service.audit
-        recorder = service.telemetry.recorder
     if args.rec_id is None:
         for line in render_index(audit, database):
             print(line)
@@ -456,7 +454,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         rec_id = rec_ids[-1]
     else:
         rec_id = int(args.rec_id)
-    for line in render_explain(audit, database, rec_id, recorder=recorder):
+    for line in render_explain(audit, database, rec_id):
         print(line)
     return 0
 

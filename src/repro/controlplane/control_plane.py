@@ -24,7 +24,6 @@ from repro.engine.exec.dispatch import FALLBACK_GAUGES, FALLBACK_REASONS
 from repro.errors import PermanentError, TransientError
 from repro.observability import Telemetry
 from repro.observability.audit import AuditLog
-from repro.observability.spans import Span
 from repro.recommender import (
     DropRecommender,
     MiRecommender,
@@ -246,10 +245,6 @@ class ControlPlane:
         #: Last-published ENGINE_GAUGES values, so the per-tick publish
         #: skips an engine whose counters did not move.
         self._engine_gauges_published: Optional[tuple] = None
-        #: Open root span per live recommendation, keyed by rec_id.
-        self._record_spans: Dict[int, Span] = {}
-        #: Open state-occupancy span per live recommendation.
-        self._phase_spans: Dict[int, Span] = {}
         self.scheduler = JobScheduler()
         self.faults = FaultInjector(fault_seed)
         # Lazy service imports avoid a module cycle.
@@ -316,16 +311,7 @@ class ControlPlane:
         return self.store.validation_history()
 
     # ------------------------------------------------------------------
-    # Telemetry (state-machine spans + metrics, Section 3's observability)
-
-    #: Span kind for each non-terminal state a record can occupy.
-    _PHASE_KINDS = {
-        RecommendationState.ACTIVE: "recommend",
-        RecommendationState.IMPLEMENTING: "implement",
-        RecommendationState.VALIDATING: "validate",
-        RecommendationState.REVERTING: "revert",
-        RecommendationState.RETRY: "retry",
-    }
+    # Telemetry (state-machine metrics + audit, Section 3's observability)
 
     def _telemetry_on_insert(self, record: RecommendationRecord, at: float) -> None:
         self._live.add(record.rec_id)
@@ -338,22 +324,6 @@ class ControlPlane:
             source=recommendation.source or "unknown",
         ).inc()
         registry.gauge("records_in_state", state=record.state.value).inc()
-        root = self.telemetry.tracer.start(
-            "recommendation",
-            record.database,
-            at,
-            rec_id=record.rec_id,
-            action=recommendation.action.value,
-            source=recommendation.source or "unknown",
-        )
-        self._record_spans[record.rec_id] = root
-        self._phase_spans[record.rec_id] = self.telemetry.tracer.start(  # observability-names: allow-dynamic
-            self._PHASE_KINDS[record.state],
-            record.database,
-            at,
-            parent=root,
-            rec_id=record.rec_id,
-        )
         self.telemetry.audit.emit(
             at,
             "recommendation_registered",
@@ -396,26 +366,11 @@ class ControlPlane:
             to_state=new_state.value,
             note=note,
         )
-        tracer = self.telemetry.tracer
-        phase = self._phase_spans.pop(record.rec_id, None)
-        if phase is not None:
-            tracer.end(phase, at, outcome=new_state.value)
-            registry.histogram(
-                "state_duration_minutes", state=old_state.value
-            ).observe(at - phase.start)
-        root = self._record_spans.get(record.rec_id)
-        if new_state.terminal:
-            if root is not None and root.open:
-                tracer.end(root, at, outcome=new_state.value)
-            self._record_spans.pop(record.rec_id, None)
-        else:
-            self._phase_spans[record.rec_id] = tracer.start(  # observability-names: allow-dynamic
-                self._PHASE_KINDS[new_state],
-                record.database,
-                at,
-                parent=root,
-                rec_id=record.rec_id,
-            )
+        # The hook runs after the store applied the transition, so the
+        # second-to-last history entry is when ``old_state`` was entered.
+        registry.histogram(
+            "state_duration_minutes", state=old_state.value
+        ).observe(at - record.state_history[-2][0])
 
     # ------------------------------------------------------------------
     # The main loop step

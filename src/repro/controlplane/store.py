@@ -64,10 +64,10 @@ class StateStore:
     """Journaled store of recommendation records.
 
     ``on_insert(record, at)`` and ``on_transition(record, old_state,
-    new_state, at, note)`` are optional observer hooks; the control plane
-    uses them to open/close telemetry spans and keep state-machine
-    metrics in lockstep with the store — the store itself stays the
-    single source of truth for transitions.
+    new_state, at, note)`` are optional observer hooks, called after the
+    entry is applied; the control plane uses them to write the audit
+    chain and keep state-machine metrics in lockstep with the store —
+    the store itself stays the single source of truth for transitions.
     """
 
     def __init__(self) -> None:

@@ -3,7 +3,7 @@
 The measurement substrate for the whole reproduction (the operational
 prerequisite the paper leans on in Sections 1.2, 3, and 8): a
 :class:`MetricsRegistry` of counters/gauges/histograms, a span-based
-:class:`Tracer` over the recommendation state machine and tuning
+:class:`Tracer` over recommender analysis passes and DTA tuning
 sessions, :mod:`profiling` hooks on engine hot paths, and exporters
 (Prometheus text, JSON, and the ``repro telemetry`` dashboard).
 

@@ -1,23 +1,21 @@
 """``repro explain``: a human-readable decision timeline for one record.
 
-Joins two sources into one chronological view of a recommendation's
-life — the audit stream (decision evidence, including every state
-change) and the span recorder (phase timings) — so an engineer can
-answer the paper's trust question: *why* did the service create,
-validate, and possibly revert this index (Sections 2, 6, 8)?
+Reads one chronological view of a recommendation's life off the audit
+stream — decision evidence, every state change, and the phase timings
+derived from those state changes — so an engineer can answer the
+paper's trust question: *why* did the service create, validate, and
+possibly revert this index (Sections 2, 6, 8)?
 
-The audit stream is the only required source: the same renderer works
-against a replayed JSONL file (``repro explain --audit``) where no live
-spans exist.
+The audit stream is the only source, so a replayed JSONL file
+(``repro explain --audit``) explains exactly like the live run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.observability.audit import AuditEvent, AuditLog
-from repro.observability.spans import SpanRecorder
 
 
 @dataclasses.dataclass
@@ -29,6 +27,36 @@ class TimelineEntry:
     title: str
     details: List[str] = dataclasses.field(default_factory=list)
 
+
+@dataclasses.dataclass
+class Phase:
+    """One stay of a record in a non-terminal state, read off its chain."""
+
+    name: str
+    start: float  # simulated minutes
+    end: Optional[float] = None
+    #: The state the record moved to when the phase closed.
+    outcome: str = ""
+
+    @property
+    def open(self) -> bool:
+        return self.end is None
+
+    @property
+    def duration(self) -> Optional[float]:
+        """Simulated minutes from start to end; None while still open."""
+        return None if self.end is None else self.end - self.start
+
+
+#: Phase name of each non-terminal state; a state missing here is
+#: terminal and opens no phase.
+PHASE_NAMES = {
+    "active": "recommend",
+    "implementing": "implement",
+    "validating": "validate",
+    "reverting": "revert",
+    "retry": "retry",
+}
 
 #: Fleet-scope event types (``rec_id=None``) joined into a record's
 #: timeline when they fire inside its lifetime: alerts opening/closing
@@ -51,9 +79,11 @@ def _fmt_val(value) -> str:
 
 
 def _payload_summary(payload: dict, skip=("statements",)) -> str:
+    # Sorted keys: a replayed dump's payloads come back in the dump's
+    # sorted order, the live ones in emission order.
     parts = [
         f"{key}={_fmt_val(value)}"
-        for key, value in payload.items()
+        for key, value in sorted(payload.items())
         if key not in skip and not isinstance(value, (dict, list))
     ]
     return " ".join(parts)
@@ -98,10 +128,33 @@ def _audit_entry(event: AuditEvent) -> TimelineEntry:
                 "triggering statements: "
                 + ", ".join(str(q) for q in triggers)
             )
-    for key, value in payload.items():
+    for key, value in sorted(payload.items()):
         if isinstance(value, dict):
             details.append(f"{key}: {_payload_summary(value)}")
     return TimelineEntry(at=event.at, source="audit", title=title, details=details)
+
+
+def lifecycle_phases(chain: Iterable[AuditEvent]) -> List[Phase]:
+    """A record's state phases, in visit order, derived from its chain.
+
+    ``recommendation_registered`` opens the first phase; each
+    ``state_changed`` closes the open phase with the state entered as
+    its outcome and, unless that state is terminal, opens the next.
+    """
+    phases: List[Phase] = []
+    for event in chain:
+        if event.event_type == "recommendation_registered":
+            state = event.payload.get("state")
+        elif event.event_type == "state_changed":
+            state = event.payload.get("to_state")
+            if phases and phases[-1].open:
+                phases[-1].end = event.at
+                phases[-1].outcome = state
+        else:
+            continue
+        if state in PHASE_NAMES:
+            phases.append(Phase(name=PHASE_NAMES[state], start=event.at))
+    return phases
 
 
 def decision_index(audit: AuditLog, database: str) -> List[dict]:
@@ -131,17 +184,15 @@ def decision_index(audit: AuditLog, database: str) -> List[dict]:
 
 
 def build_timeline(
-    audit: AuditLog,
-    database: str,
-    rec_id: int,
-    recorder: Optional[SpanRecorder] = None,
+    audit: AuditLog, database: str, rec_id: int
 ) -> List[TimelineEntry]:
-    """The joined, chronologically sorted timeline for one record.
+    """The chronologically sorted timeline for one record.
 
-    Chain events (audit) and spans are joined by ``rec_id``; fleet-scope
-    alert/anomaly events carry no rec_id, so they join by *time* — any
-    that fired within the record's first-to-last audit window appear as
-    ``[fleet]`` context lines.
+    The record's chain gives its audit lines and, through
+    :func:`lifecycle_phases`, one ``[span]`` line per state phase;
+    fleet-scope alert/anomaly events carry no rec_id, so they join by
+    *time* — any that fired within the record's first-to-last audit
+    window appear as ``[fleet]`` context lines.
     """
     entries: List[TimelineEntry] = []
     chain = [e for e in audit.chain(rec_id) if e.database == database]
@@ -164,38 +215,26 @@ def build_timeline(
             entries.append(
                 TimelineEntry(at=event.at, source="fleet", title=title)
             )
-    if recorder is not None:
-        for span in recorder.spans():
-            if span.attributes.get("rec_id") != rec_id:
-                continue
-            if span.kind == "recommendation":
-                continue  # the root span duplicates the whole timeline
-            duration = (
-                f"{span.duration:.1f}m" if span.duration is not None else "open"
+    for phase in lifecycle_phases(chain):
+        duration = "open" if phase.open else f"{phase.duration:.1f}m"
+        entries.append(
+            TimelineEntry(
+                at=phase.start,
+                source="span",
+                title=(
+                    f"[span] {phase.name} {duration}"
+                    + (f" -> {phase.outcome}" if phase.outcome else "")
+                ),
             )
-            entries.append(
-                TimelineEntry(
-                    at=span.start,
-                    source="span",
-                    title=(
-                        f"[span] {span.kind} {duration}"
-                        + (f" -> {span.outcome}" if span.outcome else "")
-                    ),
-                )
-            )
-    # Stable order: by time, audit evidence before span timings before
+        )
+    # Stable order: by time, audit evidence before phase timings before
     # ambient fleet context at equal timestamps.
     source_rank = {"audit": 0, "span": 1, "fleet": 2}
     entries.sort(key=lambda e: (e.at, source_rank[e.source]))
     return entries
 
 
-def render_explain(
-    audit: AuditLog,
-    database: str,
-    rec_id: int,
-    recorder: Optional[SpanRecorder] = None,
-) -> List[str]:
+def render_explain(audit: AuditLog, database: str, rec_id: int) -> List[str]:
     """The printable ``repro explain <db> <rec-id>`` output."""
     chain = audit.chain(rec_id)
     chain = [e for e in chain if e.database == database]
@@ -219,7 +258,7 @@ def render_explain(
     what = _payload_summary(registered.payload)
     if what:
         lines.append(f"recommendation: {what}")
-    for entry in build_timeline(audit, database, rec_id, recorder):
+    for entry in build_timeline(audit, database, rec_id):
         lines.append(f"  {_fmt_t(entry.at):>9}  {entry.title}")
         for detail in entry.details:
             lines.append(f"{'':>13}{detail}")

@@ -128,12 +128,11 @@ def json_export(
                 p99=metric.p99,
             )
         metrics.append(entry)
-    out = {"schema": "repro-telemetry-v1", "metrics": metrics}
+    out = {"schema": "repro-telemetry-v2", "metrics": metrics}
     if recorder is not None:
         out["spans"] = [
             {
                 "span_id": s.span_id,
-                "parent_id": s.parent_id,
                 "kind": s.kind,
                 "database": s.database,
                 "start": s.start,

@@ -1,16 +1,14 @@
-"""Span-based tracing of the control plane's state machines.
+"""Span-based tracing of the control plane's tuning work.
 
-The paper's engineers debug stuck state machines by following one
-recommendation's journey through the micro-services (Sections 3, 4, 8).
-A :class:`Tracer` reproduces that view: every recommendation gets a root
-span, every state it occupies (Recommend -> Implement -> Validate ->
-Revert/Complete) gets a child span, and every DTA/MI tuning session gets
-its own span — all timestamped in *simulated* minutes so traces are
-deterministic.
+Every recommender analysis pass and every DTA tuning session gets one
+flat span, timestamped in *simulated* minutes so traces are
+deterministic, with the host's wall clock captured alongside.  A
+recommendation's lifecycle is not traced here: its phase durations are
+a view of the audit chain (:mod:`repro.observability.explain`).
 
 Spans are recorded into a :class:`SpanRecorder`, queryable by database
-or kind, which the ``repro telemetry`` dashboard uses to render span
-trees and the top-N slowest tuning sessions.
+or kind, which the ``repro telemetry`` dashboard uses to rank the top-N
+slowest tuning sessions.
 """
 
 from __future__ import annotations
@@ -28,12 +26,6 @@ from repro.observability.compliance import ensure_compliant
 #: are: a ``tracer.start("...")`` call site with a literal kind must use
 #: a name declared here.
 SPAN_KIND_CATALOG: Dict[str, str] = {
-    "recommendation": "Root span: one recommendation's full lifecycle.",
-    "recommend": "The record's stay in the ACTIVE (recommended) state.",
-    "implement": "The record's stay in the IMPLEMENTING state.",
-    "validate": "The record's stay in the VALIDATING state.",
-    "revert": "The record's stay in the REVERTING state.",
-    "retry": "The record's stay in the RETRY state.",
     "dta_session": "One DTA tuning session over a managed database.",
     "analysis": "One recommender analysis pass (MI or DTA source).",
 }
@@ -41,22 +33,21 @@ SPAN_KIND_CATALOG: Dict[str, str] = {
 
 @dataclasses.dataclass
 class Span:
-    """One timed unit of state-machine or tuning work.
+    """One timed unit of tuning work.
 
     Spans carry **dual clocks**: ``start``/``end`` are simulated minutes
-    (deterministic, what the state-machine assertions and the merge
-    compare), while ``wall_start``/``wall_end`` are real
-    ``perf_counter`` seconds captured as a side channel so the trace
-    exporter and :meth:`SpanRecorder.slowest` can rank by the host's
-    actual time.  Wall values never participate in determinism checks —
-    they differ run to run by construction.
+    (deterministic, what the determinism checks and the merge compare),
+    while ``wall_start``/``wall_end`` are real ``perf_counter`` seconds
+    captured as a side channel so the trace exporter and
+    :meth:`SpanRecorder.slowest` can rank by the host's actual time.
+    Wall values never participate in determinism checks — they differ
+    run to run by construction.
     """
 
     span_id: int
     kind: str
     database: str
     start: float  # simulated minutes
-    parent_id: Optional[int] = None
     end: Optional[float] = None
     outcome: str = ""
     attributes: Dict[str, object] = dataclasses.field(default_factory=dict)
@@ -80,65 +71,41 @@ class Span:
         return self.wall_end - self.wall_start
 
 
+#: Retention cap of every :class:`SpanRecorder`.
+MAX_SPANS = 50_000
+
+
 class SpanRecorder:
     """Store of finished and in-flight spans with query helpers.
 
-    Retention is bounded by ``max_spans``: when the store exceeds the
-    cap, the oldest *finished* root trees — a root plus all its
-    descendants, every span closed — are evicted whole, oldest root
-    first, until the store is back at or under the cap.  Trees with any
-    open span are never evicted (the tracer still holds them), so the
-    store can transiently exceed the cap while everything in it is live.
+    Retention is bounded by :data:`MAX_SPANS`: when the store exceeds
+    the cap, the oldest *closed* spans are evicted until it is back at
+    or under the cap.  Open spans are never evicted (the tracer still
+    holds them), so the store can transiently exceed the cap while
+    everything in it is live.
     """
 
-    def __init__(self, max_spans: Optional[int] = 50_000) -> None:
-        if max_spans is not None and max_spans < 1:
-            raise TelemetryError("max_spans must be at least 1 (or None)")
-        self.max_spans = max_spans
+    def __init__(self) -> None:
         self._spans: List[Span] = []
-        self._by_id: Dict[int, Span] = {}
-        self._children: Dict[int, List[int]] = {}
 
     def record(self, span: Span) -> None:
         self._spans.append(span)
-        self._by_id[span.span_id] = span
-        if span.parent_id is not None:
-            self._children.setdefault(span.parent_id, []).append(span.span_id)
-        if self.max_spans is not None and len(self._spans) > self.max_spans:
+        if len(self._spans) > MAX_SPANS:
             self._evict()
 
-    def _tree_ids(self, span_id: int) -> List[int]:
-        ids = [span_id]
-        for child in self._children.get(span_id, ()):
-            ids.extend(self._tree_ids(child))
-        return ids
-
     def _evict(self) -> None:
-        """Drop oldest finished root trees until at/under the cap."""
-        overflow = len(self._spans) - self.max_spans
-        evicted: set = set()
+        """Drop the oldest closed spans until at/under the cap."""
+        overflow = len(self._spans) - MAX_SPANS
+        kept: List[Span] = []
         for span in self._spans:
-            if overflow <= 0:
-                break
-            if span.parent_id is not None:
-                continue
-            tree = self._tree_ids(span.span_id)
-            if any(self._by_id[i].open for i in tree):
-                continue
-            evicted.update(tree)
-            overflow -= len(tree)
-        if not evicted:
-            return
-        self._spans = [s for s in self._spans if s.span_id not in evicted]
-        for span_id in evicted:
-            del self._by_id[span_id]
-            self._children.pop(span_id, None)
+            if overflow > 0 and not span.open:
+                overflow -= 1
+            else:
+                kept.append(span)
+        self._spans = kept
 
     # ------------------------------------------------------------------
     # Queries
-
-    def get(self, span_id: int) -> Optional[Span]:
-        return self._by_id.get(span_id)
 
     def spans(
         self,
@@ -156,22 +123,6 @@ class SpanRecorder:
                 continue
             out.append(span)
         return out
-
-    def roots(self, database: Optional[str] = None) -> List[Span]:
-        return [
-            s
-            for s in self._spans
-            if s.parent_id is None
-            and (database is None or s.database == database)
-        ]
-
-    def children(self, span_id: int) -> List[Span]:
-        return [self._by_id[i] for i in self._children.get(span_id, ())]
-
-    def tree(self, span_id: int) -> Tuple[Span, List]:
-        """(span, [subtrees]) rooted at ``span_id``."""
-        span = self._by_id[span_id]
-        return span, [self.tree(child) for child in self._children.get(span_id, ())]
 
     def slowest(
         self,
@@ -222,7 +173,6 @@ class Tracer:
         kind: str,
         database: str,
         at: float,
-        parent: Optional[Span] = None,
         **attributes,
     ) -> Span:
         ensure_compliant(attributes, f"attributes of span {kind!r}")
@@ -231,7 +181,6 @@ class Tracer:
             kind=kind,
             database=database,
             start=at,
-            parent_id=parent.span_id if parent is not None else None,
             attributes=dict(attributes),
             wall_start=time.perf_counter(),
         )

@@ -3,7 +3,7 @@
 A :class:`TickDelta` is everything one database produced during one
 virtual-time tick, in emission order: its two histories (state-store
 journal entries, audit events) plus what neither of them carries — span
-operations (wall clocks, non-record spans), the metric diff
+operations (tuning-work wall clocks), the metric diff
 (histograms, gauges) and hot-path profiler rows.  Incidents, classifier
 examples and ``events_total`` are views of those and are not shipped.
 Deltas are picklable (they cross the process pipe) and *positional* —
@@ -21,7 +21,7 @@ inc/dec, which sums correctly.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.controlplane.store import JournalEntry
 from repro.errors import TelemetryError
@@ -47,9 +47,10 @@ class TickDelta:
     journal: List[JournalEntry]
     #: Audit events with local seq / parent_seq / rec_id.
     audit: List[AuditEvent]
-    #: Span operations from the worker's recording tracer:
-    #: ("start", span_id, kind, database, at, parent_id, attributes,
-    #: wall) or ("end", span_id, at, outcome, attributes, wall).
+    #: Span operations from the worker's recording tracer (analysis
+    #: passes and DTA sessions; lifecycle phases live in ``audit``):
+    #: ("start", span_id, kind, database, at, attributes, wall) or
+    #: ("end", span_id, at, outcome, attributes, wall).
     spans: List[tuple]
     #: Registry snapshot diff (see :func:`diff_snapshots`).
     metrics: Dict[SeriesKey, object]
@@ -166,17 +167,3 @@ def apply_metric_diff(
             histogram.min = min(histogram.min, vmin)
             histogram.max = max(histogram.max, vmax)
 
-
-def remap_payload_rec_id(
-    payload: dict, mapping: Dict[Tuple[str, int], int], database: str
-) -> dict:
-    """Copy ``payload`` with a local ``rec_id`` value remapped to global."""
-    local = payload.get("rec_id")
-    if local is None:
-        return payload
-    mapped = mapping.get((database, local))
-    if mapped is None:
-        return payload
-    fixed = dict(payload)
-    fixed["rec_id"] = mapped
-    return fixed

@@ -12,9 +12,9 @@ byte-identical global output regardless of worker count or backend.
 Ordering guarantee, precisely: within one tick, database A's entire
 stream lands before database B's iff ``A < B`` lexicographically;
 across ticks, tick T lands before tick T+1.  Journal entries are
-replayed before the same database's audit events and span operations
-so that events referencing records inserted in the same tick always
-find their global id already assigned.
+replayed before the same database's audit events so that events
+referencing records inserted in the same tick always find their global
+id already assigned.
 """
 
 from __future__ import annotations
@@ -28,11 +28,7 @@ from repro.observability.audit import AuditLog
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.profiling import Profiler
 from repro.observability.spans import Span, SpanRecorder
-from repro.parallel.delta import (
-    TickDelta,
-    apply_metric_diff,
-    remap_payload_rec_id,
-)
+from repro.parallel.delta import TickDelta, apply_metric_diff
 
 
 class DeterministicMerger:
@@ -58,8 +54,7 @@ class DeterministicMerger:
         #: (database, local rec_id) -> global rec_id, stable for the run.
         self.rec_ids: Dict[Tuple[str, int], int] = {}
         #: (database, local span_id) -> the merged Span object, while
-        #: open.  Children only start under an open parent, so this is
-        #: also where a child's global ``parent_id`` comes from.
+        #: open.
         self._open_spans: Dict[Tuple[str, int], Span] = {}
         self._next_rec_id = itertools.count(1)
         self._next_span_id = itertools.count(1)
@@ -119,26 +114,13 @@ class DeterministicMerger:
         # (or None).  Wall values never participate in determinism
         # comparisons — sim-time fields do.
         if op[0] == "start":
-            (_kind, local_id, kind, span_db, at, local_parent, attributes,
-             wall_start) = op
-            parent_id: Optional[int] = None
-            if local_parent is not None:
-                parent = self._open_spans.get((database, local_parent))
-                if parent is None:
-                    raise TelemetryError(
-                        f"merge saw child span before parent {local_parent} "
-                        f"of {database!r}"
-                    )
-                parent_id = parent.span_id
+            _kind, local_id, kind, span_db, at, attributes, wall_start = op
             span = Span(
                 span_id=next(self._next_span_id),
                 kind=kind,
                 database=span_db,
                 start=at,
-                parent_id=parent_id,
-                attributes=remap_payload_rec_id(
-                    dict(attributes), self.rec_ids, database
-                ),
+                attributes=dict(attributes),
                 wall_start=wall_start,
             )
             self._open_spans[(database, local_id)] = span
@@ -154,6 +136,4 @@ class DeterministicMerger:
             span.end = at
             span.outcome = outcome
             span.wall_end = wall_end
-            span.attributes.update(
-                remap_payload_rec_id(dict(attributes), self.rec_ids, database)
-            )
+            span.attributes.update(attributes)

@@ -11,8 +11,8 @@ region-level store/audit/registry/span history.
 
 Because global ordering is assigned at merge time in stable
 ``(db_name, seq)`` order, a run's audit JSONL, recovered store state,
-and span trees are byte-identical across backends and worker counts for
-the same seed.
+and spans' simulated clocks are byte-identical across backends and
+worker counts for the same seed.
 
 Region duties live only at the parent, where they see the same merged
 state at the same virtual time in every backend: telemetry history

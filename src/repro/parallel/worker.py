@@ -50,10 +50,9 @@ class RecordingTracer(Tracer):
         kind: str,
         database: str,
         at: float,
-        parent: Optional[Span] = None,
         **attributes,
     ) -> Span:
-        span = super().start(kind, database, at, parent=parent, **attributes)
+        span = super().start(kind, database, at, **attributes)
         self.ops.append(
             (
                 "start",
@@ -61,7 +60,6 @@ class RecordingTracer(Tracer):
                 kind,
                 database,
                 at,
-                span.parent_id,
                 dict(attributes),
                 span.wall_start,
             )

@@ -6,10 +6,11 @@ ControlPlane and asserts the full decision-provenance story:
 - the audit chain carries every lifecycle event with its evidence
   (what-if estimates, build timings, Welch t-test statistics, trigger
   statements);
-- the rendered timeline joins audit + spans chronologically;
+- the rendered timeline joins the chain's evidence, the phase timings
+  derived from it, and fleet context chronologically;
 - the anomaly detector flags the revert-rate jump at the revert, and
   the watchdog pages on nothing (one revert is too short a burn);
-- the JSONL dump replays into the same timeline offline.
+- the JSONL dump replays into the same rendered timeline offline.
 """
 
 from __future__ import annotations
@@ -95,10 +96,7 @@ class TestScenario:
 class TestExplainRendering:
     def test_timeline_joins_all_three_sources(self, scenario):
         entries = build_timeline(
-            scenario.plane.audit,
-            scenario.database,
-            scenario.rec_id,
-            recorder=scenario.plane.telemetry.recorder,
+            scenario.plane.audit, scenario.database, scenario.rec_id
         )
         sources = {entry.source for entry in entries}
         assert sources == {"audit", "span", "fleet"}
@@ -131,10 +129,7 @@ class TestExplainRendering:
     def test_rendered_explain_tells_the_whole_story(self, scenario):
         text = "\n".join(
             render_explain(
-                scenario.plane.audit,
-                scenario.database,
-                scenario.rec_id,
-                recorder=scenario.plane.telemetry.recorder,
+                scenario.plane.audit, scenario.database, scenario.rec_id
             )
         )
         for kind in LIFECYCLE_EVENTS:
@@ -143,8 +138,22 @@ class TestExplainRendering:
         assert "t=" in text and "dof=" in text and "p=" in text
         assert "cpu_time_ms: mean" in text
         assert "triggering statements:" in text
-        assert "state_changed  from_state=reverting to_state=reverted" in text
-        assert "[span] validate" in text
+        assert (
+            "state_changed  from_state=reverting note=reverted "
+            "to_state=reverted" in text
+        )
+        # One phase line per state visited, derived from the chain.
+        phases = [
+            line.split("[span] ", 1)[1]
+            for line in text.splitlines()
+            if "[span] " in line
+        ]
+        assert phases == [
+            "recommend 42.0m -> implementing",
+            "implement 3.0m -> validating",
+            "validate 150.0m -> reverting",
+            "revert 0.0m -> reverted",
+        ]
 
     def test_decision_index_lists_the_reverted_chain(self, scenario):
         (row,) = decision_index(scenario.plane.audit, scenario.database)
@@ -157,10 +166,13 @@ class TestExplainRendering:
     def test_jsonl_replay_reconstructs_the_timeline_offline(self, scenario):
         replayed = AuditLog.replay(scenario.plane.audit.to_jsonl())
         assert replayed.state_counts() == {"reverted": 1}
-        text = "\n".join(
-            render_explain(replayed, scenario.database, scenario.rec_id)
-        )
+        offline = render_explain(replayed, scenario.database, scenario.rec_id)
+        text = "\n".join(offline)
         assert "revert_decided" in text and "p=" in text
+        # The replay explains exactly like the live run, line for line.
+        assert offline == render_explain(
+            scenario.plane.audit, scenario.database, scenario.rec_id
+        )
 
 
 class TestWatchdogOnScenario:

@@ -87,7 +87,7 @@ class TestPrometheusText:
 class TestJsonExport:
     def test_metrics_payload(self):
         out = json_export(build_registry())
-        assert out["schema"] == "repro-telemetry-v1"
+        assert out["schema"] == "repro-telemetry-v2"
         by_name = {}
         for entry in out["metrics"]:
             by_name.setdefault(entry["name"], []).append(entry)
@@ -112,7 +112,6 @@ class TestJsonExport:
         assert out["spans"] == [
             {
                 "span_id": span.span_id,
-                "parent_id": None,
                 "kind": "analysis",
                 "database": "db1",
                 "start": 10.0,
@@ -132,7 +131,7 @@ class TestJsonExport:
 
     def test_json_text_round_trips(self):
         text = json_text(build_registry())
-        assert json.loads(text)["schema"] == "repro-telemetry-v1"
+        assert json.loads(text)["schema"] == "repro-telemetry-v2"
 
     def test_history_section(self):
         from repro.observability.timeseries import TelemetryHistory

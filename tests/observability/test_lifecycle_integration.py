@@ -1,4 +1,4 @@
-"""End-to-end: one closed-loop run, checked against spans + counters.
+"""End-to-end: one closed-loop run, checked against phases + counters.
 
 The same run is measured three ways — the StateStore (ground truth), the
 MetricsRegistry, and the OperationalReport built *from* the region
@@ -7,6 +7,8 @@ never disagree" invariant the observability subsystem exists for.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.clock import HOURS
 from repro.controlplane import (
@@ -17,6 +19,7 @@ from repro.controlplane import (
 )
 from repro.engine.cost_model import CostModelSettings
 from repro.engine.engine import EngineSettings
+from repro.observability.explain import lifecycle_phases
 from repro.reporting import operational_report
 from repro.service import ServiceSettings, build_service
 from tests.controlplane.test_control_plane import advance, build_loop
@@ -81,50 +84,64 @@ class TestCountersMatchStore:
 
 
 class TestSpanTree:
-    def test_terminal_record_has_complete_span_tree(self):
+    """Phase durations are a view of the audit chain."""
+
+    def test_terminal_record_has_complete_phase_timeline(self):
         _clock, _profile, plane = run_loop()
-        recorder = plane.telemetry.recorder
         terminal = [
             r for r in plane.store.all_records() if r.state in TERMINAL
         ]
         assert terminal, "no recommendation reached a terminal state"
 
-        roots = {
-            s.attributes["rec_id"]: s for s in recorder.spans(kind="recommendation")
-        }
         for record in terminal:
-            root = roots[record.rec_id]
-            assert not root.open
-            assert root.database == record.database
-
-            children = recorder.children(root.span_id)
-            assert children, "terminal record has no phase spans"
-            assert all(c.parent_id == root.span_id for c in children)
-            # One phase span per non-terminal state visited, in visit order.
+            chain = plane.audit.chain(record.rec_id)
+            assert all(e.database == record.database for e in chain)
+            phases = lifecycle_phases(chain)
+            assert phases, "terminal record has no phases"
+            # One phase per non-terminal state visited, in visit order.
             visited = [
                 state for _at, state, _note in record.state_history
                 if state in PHASE_KINDS
             ]
-            assert [c.kind for c in children] == [
+            assert [p.name for p in phases] == [
                 PHASE_KINDS[state] for state in visited
             ]
             # Each phase closes with the state the record moved to next.
-            for child, (_at, next_state, _note) in zip(
-                children, record.state_history[1:]
+            for phase, (at, state, _note), (next_at, next_state, _) in zip(
+                phases, record.state_history, record.state_history[1:]
             ):
-                assert not child.open
-                assert child.outcome == next_state.value
-            assert children[-1].outcome == record.state.value
+                assert not phase.open
+                assert (phase.start, phase.end) == (at, next_at)
+                assert phase.outcome == next_state.value
+            assert phases[-1].outcome == record.state.value
 
-    def test_open_records_have_open_spans(self):
+        # state_duration_minutes observes exactly the history's intervals.
+        registry = plane.telemetry.registry
+        for state in PHASE_KINDS:
+            intervals = [
+                next_at - at
+                for record in plane.store.all_records()
+                for (at, entered, _), (next_at, _s, _n) in zip(
+                    record.state_history, record.state_history[1:]
+                )
+                if entered is state
+            ]
+            series = [
+                s.metric for s in registry.all_series()
+                if s.name == "state_duration_minutes"
+                and dict(s.labels)["state"] == state.value
+            ]
+            count = sum(h.count for h in series)
+            total = sum(h.sum for h in series)
+            assert count == len(intervals), state
+            assert total == pytest.approx(sum(intervals)), state
+
+    def test_open_records_have_open_phases(self):
         _clock, _profile, plane = run_loop(steps=12)
-        recorder = plane.telemetry.recorder
         for record in plane.store.all_records():
-            root = next(
-                s for s in recorder.spans(kind="recommendation")
-                if s.attributes["rec_id"] == record.rec_id
-            )
-            assert root.open == (record.state not in TERMINAL)
+            phases = lifecycle_phases(plane.audit.chain(record.rec_id))
+            assert phases[-1].open == (record.state not in TERMINAL)
+            assert all(not p.open for p in phases[:-1])
 
 
 class TestReportEqualsRegistry:

@@ -1,11 +1,12 @@
-"""Tracer/SpanRecorder: nesting, double-close, queries, and retention."""
+"""Tracer/SpanRecorder: lifecycle, double-close, queries, and retention."""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.observability.spans as spans
 from repro.errors import TelemetryError
-from repro.observability import SpanRecorder, Tracer
+from repro.observability import SpanRecorder, Telemetry, Tracer
 
 
 @pytest.fixture
@@ -40,21 +41,15 @@ class TestSpanLifecycle:
         assert span.attributes == {"tier": "standard", "whatif_calls": 42}
 
 
-class TestNesting:
-    def test_parent_child_links(self, tracer):
-        root = tracer.start("recommendation", "db1", at=0.0)
-        child_a = tracer.start("recommend", "db1", at=0.0, parent=root)
-        child_b = tracer.start("implement", "db1", at=5.0, parent=root)
-        grandchild = tracer.start("build", "db1", at=6.0, parent=child_b)
-        recorder = tracer.recorder
-        assert [s.span_id for s in recorder.children(root.span_id)] == [
-            child_a.span_id, child_b.span_id,
-        ]
-        span, subtrees = recorder.tree(root.span_id)
-        assert span is root
-        assert subtrees[1][0] is child_b
-        assert subtrees[1][1][0][0] is grandchild
-        assert recorder.roots() == [root]
+class TestQueries:
+    def test_spans_are_flat_and_kept_in_start_order(self, tracer):
+        first = tracer.start("analysis", "db1", at=0.0)
+        second = tracer.start("dta_session", "db1", at=5.0)
+        third = tracer.start("analysis", "db2", at=6.0)
+        tracer.end(second, at=7.0)
+        assert [s.span_id for s in (first, second, third)] == [1, 2, 3]
+        assert tracer.recorder.spans() == [first, second, third]
+        assert len(tracer.recorder) == 3
 
     def test_query_by_kind_database_open(self, tracer):
         a = tracer.start("analysis", "db1", at=0.0)
@@ -87,75 +82,64 @@ class TestSlowest:
 
 
 class TestRetention:
-    def _finished_tree(self, tracer, at, database="db1"):
-        """One closed root with one closed child; returns the root."""
-        root = tracer.start("recommendation", database, at=at)
-        child = tracer.start("implement", database, at=at, parent=root)
-        tracer.end(child, at=at + 1.0)
-        tracer.end(root, at=at + 1.0)
-        return root
+    @pytest.fixture
+    def cap(self, monkeypatch):
+        monkeypatch.setattr(spans, "MAX_SPANS", 4)
+        return 4
 
-    def test_max_spans_must_be_positive(self):
-        with pytest.raises(TelemetryError):
-            SpanRecorder(max_spans=0)
-        with pytest.raises(TelemetryError):
-            SpanRecorder(max_spans=-5)
+    def _finished(self, tracer, at, database="db1"):
+        span = tracer.start("analysis", database, at=at)
+        tracer.end(span, at=at + 1.0)
+        return span
 
-    def test_none_disables_the_cap(self):
-        recorder = SpanRecorder(max_spans=None)
+    def test_every_recorder_keeps_the_module_cap(self, cap):
+        # The telemetry bundle's recorder, like any other, evicts at
+        # MAX_SPANS: retention is not a per-recorder setting.
+        tracer = Telemetry().tracer
+        recorded = [self._finished(tracer, at=float(i)) for i in range(cap + 1)]
+        assert tracer.recorder.spans() == recorded[1:]
+
+    def test_under_the_cap_nothing_is_evicted(self, cap):
+        tracer = Tracer(SpanRecorder())
+        kept = [self._finished(tracer, at=float(i)) for i in range(cap)]
+        assert tracer.recorder.spans() == kept
+
+    def test_record_2x_cap_evicts_oldest_closed_spans(self, cap):
+        # Record twice the cap: the store holds only the newest spans.
+        recorder = SpanRecorder()
         tracer = Tracer(recorder)
-        for i in range(200):
-            self._finished_tree(tracer, at=float(i))
-        assert len(recorder) == 400
-
-    def test_record_2x_cap_evicts_oldest_finished_trees_whole(self):
-        # The regression scenario from the cap's introduction: record
-        # twice the cap and check the store holds only the newest trees,
-        # each kept or dropped as a unit.
-        cap = 8  # 4 two-span trees
-        recorder = SpanRecorder(max_spans=cap)
-        tracer = Tracer(recorder)
-        roots = [self._finished_tree(tracer, at=float(i)) for i in range(8)]
+        recorded = [self._finished(tracer, at=float(i)) for i in range(2 * cap)]
         assert len(recorder) == cap
-        survivors = roots[4:]
-        assert recorder.roots() == survivors
-        for root in roots[:4]:
-            assert recorder.get(root.span_id) is None
-            assert recorder.children(root.span_id) == []
-        # Surviving trees are intact: root and child both queryable.
-        for root in survivors:
-            assert recorder.get(root.span_id) is root
-            (child,) = recorder.children(root.span_id)
-            assert recorder.get(child.span_id) is child
+        assert recorder.spans() == recorded[cap:]
+        for span in recorded[:cap]:
+            assert span not in recorder.spans()
 
-    def test_open_trees_are_never_evicted(self):
-        recorder = SpanRecorder(max_spans=2)
+    def test_open_spans_are_never_evicted(self, cap):
+        recorder = SpanRecorder()
         tracer = Tracer(recorder)
-        open_root = tracer.start("recommendation", "db1", at=0.0)
-        open_child = tracer.start("validate", "db1", at=0.0, parent=open_root)
-        # The live tree already fills the cap; finished trees flow
-        # through and are evicted, the open tree stays.
+        open_spans = [
+            tracer.start("dta_session", "db1", at=float(i)) for i in range(cap)
+        ]
+        # The open spans already fill the cap; closed spans flow through
+        # and are evicted, the open ones stay.
         for i in range(5):
-            self._finished_tree(tracer, at=10.0 + i)
-        assert recorder.get(open_root.span_id) is open_root
-        assert recorder.get(open_child.span_id) is open_child
+            self._finished(tracer, at=10.0 + i)
+        assert recorder.spans(open_only=True) == open_spans
         # A transient overshoot is allowed while nothing is evictable:
-        # the open tree plus the newest finished tree exceed the cap.
-        assert len(recorder) > 2
-        assert all(
-            s.open or s.start == 14.0 for s in recorder.spans()
-        )
+        # the open spans plus the newest closed span exceed the cap.
+        assert len(recorder) == cap + 1
+        assert all(s.open or s.start == 14.0 for s in recorder.spans())
 
-    def test_closing_the_open_tree_makes_it_evictable(self):
-        recorder = SpanRecorder(max_spans=2)
+    def test_closing_an_open_span_makes_it_evictable(self, cap):
+        recorder = SpanRecorder()
         tracer = Tracer(recorder)
-        old_root = tracer.start("recommendation", "db1", at=0.0)
-        for i in range(3):
-            self._finished_tree(tracer, at=10.0 + i)
-        tracer.end(old_root, at=50.0)
-        # Eviction runs on record(): the next tree pushes the
-        # now-finished old root (the oldest) out.
-        newest = self._finished_tree(tracer, at=60.0)
-        assert recorder.get(old_root.span_id) is None
-        assert recorder.get(newest.span_id) is newest
-        assert len(recorder) == 2
+        old = tracer.start("dta_session", "db1", at=0.0)
+        for i in range(cap - 1):
+            self._finished(tracer, at=10.0 + i)
+        tracer.end(old, at=50.0)
+        # Eviction runs on record(): the next span pushes the now-closed
+        # old span (the oldest) out.
+        newest = self._finished(tracer, at=60.0)
+        assert old not in recorder.spans()
+        assert recorder.spans()[-1] is newest
+        assert len(recorder) == cap

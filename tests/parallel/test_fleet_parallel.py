@@ -86,7 +86,7 @@ def run_fleet(
                 for r in service.store.recover().all_records()
             },
             "spans": [
-                (s.span_id, s.kind, s.database, s.start, s.end, s.outcome, s.parent_id)
+                (s.span_id, s.kind, s.database, s.start, s.end, s.outcome)
                 for s in service.telemetry.recorder.spans()
             ],
             "history": service.validation_history,

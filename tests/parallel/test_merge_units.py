@@ -205,11 +205,11 @@ class TestDeterministicMerger:
     def test_span_ops_replayed_with_global_ids(self):
         merger = make_merger()
         ops_a = [
-            ("start", 10, "recommend", "db-a", 1.0, None, {}, 0.5),
+            ("start", 10, "analysis", "db-a", 1.0, {"source": "MI"}, 0.5),
             ("end", 10, 2.0, "ok", {}, 0.75),
         ]
         ops_b = [
-            ("start", 10, "recommend", "db-b", 1.0, None, {}, None),
+            ("start", 10, "analysis", "db-b", 1.0, {"source": "MI"}, None),
             ("end", 10, 3.0, "ok", {}, None),
         ]
         merger.merge(
@@ -224,23 +224,22 @@ class TestDeterministicMerger:
             (2, "db-b"),
         ]
         assert all(s.end is not None for s in spans)
+        assert [s.attributes for s in spans] == [{"source": "MI"}] * 2
 
     def test_ended_spans_leave_no_span_state(self):
-        """Children resolve their parent among the open spans, and a span
-        that has ended is forgotten: merging a tree that has fully ended
-        leaves the merger holding nothing but the rec-id map."""
+        """A span that has ended is forgotten: merging spans that have
+        all ended leaves the merger holding nothing but the rec-id map."""
         merger = make_merger()
-        root = ("start", 1, "recommendation", "db-a", 1.0, None, {}, None)
         merger.merge(
             [
                 delta_for(
                     "db-a",
                     [],
                     spans=[
-                        root,
-                        ("start", 2, "recommend", "db-a", 1.0, 1, {}, None),
+                        ("start", 1, "dta_session", "db-a", 1.0, {}, None),
+                        ("start", 2, "analysis", "db-a", 1.0, {}, None),
                         ("end", 2, 2.0, "ok", {}, None),
-                        ("start", 3, "implement", "db-a", 2.0, 1, {}, None),
+                        ("start", 3, "analysis", "db-a", 2.0, {}, None),
                     ],
                 )
             ]
@@ -252,33 +251,30 @@ class TestDeterministicMerger:
                     [],
                     spans=[
                         ("end", 3, 3.0, "ok", {}, None),
-                        ("end", 1, 3.0, "ok", {}, None),
+                        ("end", 1, 3.0, "completed", {"whatif_calls": 7}, None),
                     ],
                 )
             ]
         )
         spans = sorted(merger.recorder.spans(), key=lambda s: s.span_id)
-        assert [(s.span_id, s.parent_id) for s in spans] == [
-            (1, None),
-            (2, 1),
-            (3, 1),
+        assert [(s.span_id, s.kind, s.end) for s in spans] == [
+            (1, "dta_session", 3.0),
+            (2, "analysis", 2.0),
+            (3, "analysis", 3.0),
         ]
+        assert spans[0].attributes == {"whatif_calls": 7}
         span_state = {
             name: value
             for name, value in vars(merger).items()
             if isinstance(value, dict) and name != "rec_ids" and value
         }
         assert span_state == {}
-        # A child of an ended parent is a stream out of order.
-        with pytest.raises(TelemetryError, match="child span before parent"):
+        # An end for a span that already ended is a stream out of order.
+        with pytest.raises(TelemetryError, match="end for unknown span"):
             merger.merge(
                 [
                     delta_for(
-                        "db-a",
-                        [],
-                        spans=[
-                            ("start", 4, "validate", "db-a", 4.0, 1, {}, None)
-                        ],
+                        "db-a", [], spans=[("end", 1, 4.0, "ok", {}, None)]
                     )
                 ]
             )

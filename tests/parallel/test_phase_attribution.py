@@ -168,14 +168,14 @@ class TestCrossProcessPropagation:
 
     def test_rebase_span_ops_shifts_only_wall(self):
         ops = [
-            ("start", 1, "recommend", "db-a", 10.0, None, {}, 105.0),
+            ("start", 1, "analysis", "db-a", 10.0, {}, 105.0),
             ("end", 1, 20.0, "ok", {}, 106.5),
-            ("start", 2, "validate", "db-a", 10.0, None, {}, None),  # no wall
+            ("start", 2, "dta_session", "db-a", 10.0, {}, None),  # no wall
         ]
         rebased = rebase_span_ops(ops, started_wall=100.0, anchor=2.0)
-        assert rebased[0][7] == pytest.approx(7.0)
+        assert rebased[0][6] == pytest.approx(7.0)
         assert rebased[1][5] == pytest.approx(8.5)
-        assert rebased[0][:7] == ops[0][:7]
+        assert rebased[0][:6] == ops[0][:6]
         assert rebased[2] == ops[2]
 
 

@@ -120,7 +120,7 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
-        assert payload["schema"] == "repro-telemetry-v1"
+        assert payload["schema"] == "repro-telemetry-v2"
         assert payload["metrics"]
         assert "spans" in payload and "hot_paths" in payload
 
