@@ -20,7 +20,7 @@ cost accounting this simulator needs.
 place: one descent, no leaf edit, the structure ``delete`` + ``insert``
 of the same key would leave.  The mutators are per-entry hot paths and
 tick no profiler; :class:`~repro.engine.table.Table` counts the entries
-each DML batch maintained at once.  Seeks and scans tick per call.
+each DML batch maintained at once.  Seeks and scans tick per walk.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.observability.profiling import count
 
 Key = Tuple[object, ...]
 Payload = Tuple[object, ...]
+Span = Tuple["_Node", int, int]
 
 
 class PageMeter:
@@ -284,7 +285,8 @@ class BPlusTree:
         """Descend to the leftmost leaf that can contain ``nkey``.
 
         Uses ``bisect_left`` on separators so duplicate keys spanning a
-        separator boundary are found from their first occurrence.
+        separator boundary are found from their first; ``()`` finds the
+        first leaf.
         """
         node = self._root
         meter.charge()
@@ -294,39 +296,59 @@ class BPlusTree:
             meter.charge()
         return node
 
-    def _leftmost_leaf(self, meter: PageMeter) -> _Node:
-        node = self._root
-        meter.charge()
-        while not node.leaf:
-            node = node.children[0]
+    def spans(
+        self,
+        low: Optional[Key] = None,
+        high: Optional[Key] = None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+        meter: Optional[PageMeter] = None,
+        counter: str = "btree_range_scan",
+    ) -> Iterator[Span]:
+        """Yield ``(leaf, a, b)`` spans, non-empty and in key order, whose
+        entries ``leaf.keys[a:b]`` lie within :meth:`range_scan`'s bounds.
+
+        The one walk behind every seek and scan; ticks ``counter`` once.
+        It charges a page per level descended and one per leaf hop, a
+        hop only when the consumer pulls past a span that ends its leaf
+        (a key lookup taking one entry never pays for the next leaf).
+        Empty leaves are hopped over; an exclusive low bound skips the
+        entries equal to it across leaves."""
+        count(counter)
+        meter = meter if meter is not None else _NULL_METER
+        nlow = () if low is None else key_of(low)
+        leaf = self._descend_to_leaf(nlow, meter)
+        a = bisect.bisect_left(leaf.nkeys, nlow)
+        # ``bound + (_TOP,)`` sorts after every key beginning with
+        # ``bound`` and before every later one: C bisects find the ends.
+        skip = nlow + (_TOP,) if low is not None and not low_inclusive else None
+        stop = None if high is None else nlow if high is low else key_of(high)
+        if stop is not None and high_inclusive:
+            stop += (_TOP,)
+        while True:
+            nkeys = leaf.nkeys
+            if skip is not None:
+                a = bisect.bisect_left(nkeys, skip, a)
+                if a < len(nkeys):
+                    skip = None
+            b = len(nkeys) if stop is None else bisect.bisect_left(nkeys, stop, a)
+            if a < b:
+                yield leaf, a, b
+            if b < len(nkeys):
+                return
+            leaf = leaf.next
+            if leaf is None:
+                return
             meter.charge()
-        return node
+            a = 0
 
     def seek_prefix(
         self, prefix: Key, meter: Optional[PageMeter] = None
     ) -> Iterator[Tuple[Key, Payload]]:
         """Yield all entries whose key begins with ``prefix``."""
-        count("btree_seek")
-        nprefix = key_of(prefix)
-        width = len(nprefix)
-        meter = meter if meter is not None else _NULL_METER
-        leaf = self._descend_to_leaf(nprefix, meter)
-        pos = bisect.bisect_left(leaf.nkeys, nprefix)
-        while True:
-            if pos >= len(leaf.nkeys):
-                leaf = leaf.next
-                if leaf is None:
-                    return
-                meter.charge()
-                pos = 0
-                continue
-            nkey = leaf.nkeys[pos]
-            head = nkey[:width]
-            if head > nprefix:
-                return
-            if head == nprefix:
-                yield leaf.keys[pos], leaf.payloads[pos]
-            pos += 1
+        return span_entries(
+            self.spans(prefix, prefix, meter=meter, counter="btree_seek")
+        )
 
     def range_scan(
         self,
@@ -342,49 +364,11 @@ class BPlusTree:
         semantics apply (a 1-column bound against a 2-column key compares
         the first column only at the boundary).
         """
-        meter = meter if meter is not None else _NULL_METER
-        count("btree_scan" if low is None and high is None else "btree_range_scan")
-        if low is None and high is None:
-            # Fast path for full scans: stream whole leaves.
-            leaf = self._leftmost_leaf(meter)
-            while True:
-                yield from zip(leaf.keys, leaf.payloads)
-                leaf = leaf.next
-                if leaf is None:
-                    return
-                meter.charge()
-        nlow: Optional[Key] = None
-        if low is not None:
-            nlow = key_of(low)
-            leaf = self._descend_to_leaf(nlow, meter)
-            pos = bisect.bisect_left(leaf.nkeys, nlow)
-        else:
-            leaf = self._leftmost_leaf(meter)
-            pos = 0
-        nhigh = key_of(high) if high is not None else None
-        high_width = len(nhigh) if nhigh is not None else 0
-        low_width = len(nlow) if nlow is not None else 0
-        skipping_low = nlow is not None and not low_inclusive
-        while True:
-            if pos >= len(leaf.nkeys):
-                leaf = leaf.next
-                if leaf is None:
-                    return
-                meter.charge()
-                pos = 0
-                continue
-            nkey = leaf.nkeys[pos]
-            if skipping_low:
-                if nkey[:low_width] == nlow:
-                    pos += 1
-                    continue
-                skipping_low = False
-            if nhigh is not None:
-                head = nkey[:high_width]
-                if head > nhigh or (head == nhigh and not high_inclusive):
-                    return
-            yield leaf.keys[pos], leaf.payloads[pos]
-            pos += 1
+        full = low is None and high is None
+        return span_entries(self.spans(
+            low, high, low_inclusive, high_inclusive, meter,
+            counter="btree_scan" if full else "btree_range_scan",
+        ))
 
     def scan(self, meter: Optional[PageMeter] = None) -> Iterator[Tuple[Key, Payload]]:
         """Full in-order scan of all entries."""
@@ -406,13 +390,29 @@ class BPlusTree:
         nkeys: List[Key] = []
         keys: List[Key] = []
         payloads: List[Payload] = []
-        leaf: Optional[_Node] = self._leftmost_leaf(_NULL_METER)
+        leaf: Optional[_Node] = self._descend_to_leaf((), _NULL_METER)
         while leaf is not None:
             nkeys.extend(leaf.nkeys)
             keys.extend(leaf.keys)
             payloads.extend(leaf.payloads)
             leaf = leaf.next
         return nkeys, keys, payloads
+
+
+def span_entries(spans: Iterator[Span]) -> Iterator[Tuple[Key, Payload]]:
+    """The entries of a :meth:`BPlusTree.spans` walk, leaf slice by slice."""
+    for leaf, a, b in spans:
+        yield from zip(leaf.keys[a:b], leaf.payloads[a:b])
+
+
+class _Top:
+    """Above every key column value and NULL (see :meth:`BPlusTree.spans`)."""
+
+    def __gt__(self, other: object) -> bool:
+        return other is not self
+
+
+_TOP = _Top()
 
 
 def _min_nkey(node: _Node) -> Key:

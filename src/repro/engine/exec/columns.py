@@ -268,6 +268,11 @@ class Projection:
         self._raw[column] = values
         return values
 
+    def position(self, nkey: tuple) -> int:
+        """The position of the first entry whose order key is ``nkey``
+        or above: a ``bisect`` on the tree's own order keys."""
+        return bisect_left(self._nkeys, nkey)
+
     def payloads_at(self, indices: np.ndarray) -> List[tuple]:
         """The stored payloads at ``indices``, in that order; for the
         clustered image these are the table's row tuples themselves."""

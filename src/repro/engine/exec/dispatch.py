@@ -3,14 +3,15 @@
 A SELECT is vectorized when its plan shape is supported
 (:func:`repro.engine.exec.vector.supports`) and its gating table holds
 at least ``vector_min_rows`` rows, enough to amortize the projection
-build; seeks, key lookups, nested-loop joins and TOP-over-lazy-source
-always interpret.  DML targets follow the SELECT gate: an UPDATE/DELETE
-whose child is a clustered scan that gate would vectorize reads its
-target rows off the clustered projection (:func:`vector.target_rows`),
-any other child is interpreted.  Maintenance has one path (grouped
-index maintenance in :class:`~repro.engine.table.Table`), and every DML
-statement is counted with the vectorized ones.  Whatever the path,
-metering is byte-identical — see :mod:`repro.engine.exec.metering`.
+build; clustered seeks, key lookups, nested-loop joins and
+TOP-over-lazy-source always interpret.  DML targets follow the SELECT
+gate: an UPDATE/DELETE whose child is a clustered scan that gate would
+vectorize reads its target rows off the clustered projection
+(:func:`vector.target_rows`), any other child is interpreted.
+Maintenance has one path (grouped index maintenance in
+:class:`~repro.engine.table.Table`), and every DML statement is counted
+with the vectorized ones.  Whatever the path, metering is
+byte-identical — see :mod:`repro.engine.exec.metering`.
 
 Every statement that lands on the interpreter is attributed to exactly
 one reason in :data:`FALLBACK_REASONS`, published as the
@@ -18,10 +19,10 @@ one reason in :data:`FALLBACK_REASONS`, published as the
 observable per fleet:
 
 - ``threshold`` — too few rows to amortize batching;
-- ``shape`` — unsupported single-table plan shape (seeks, key lookups,
-  TOP over a lazy source);
-- ``join`` — unsupported join shape (nested-loop, seek-fed hash join,
-  TOP directly over a join);
+- ``shape`` — unsupported single-table plan shape (clustered seeks,
+  key lookups, TOP over a lazy source);
+- ``join`` — unsupported join shape (nested-loop, a hash join with a
+  clustered seek or key lookup side, TOP directly over a join);
 - ``hinted`` — an index-hinted query produced an unsupported shape;
 - ``runtime`` — the vector path bailed out mid-plan
   (:class:`VectorUnsupported`) and charges were rolled back.

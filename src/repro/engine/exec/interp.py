@@ -18,6 +18,7 @@ import heapq
 import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.engine.btree import PageMeter, Span, span_entries
 from repro.engine.exec.metering import (
     Meterings,
     delete_meter_entries,
@@ -49,7 +50,6 @@ from repro.engine.query import (
     DeleteQuery,
     InsertQuery,
     Op,
-    Predicate,
     UpdateQuery,
 )
 from repro.engine.table import Table
@@ -130,12 +130,8 @@ class InterpExecutor:
         schema = table.schema
         names, positions = meters.columns_for(table)
         checks = compile_predicates(node.residual, schema.position)
-        entries = _seek_entries(
-            table.clustered,
-            node.eq_predicates,
-            node.range_predicate,
-            meters,
-            binding,
+        entries = span_entries(
+            seek_spans(table.clustered, node, meters.page_meter, binding)
         )
         for _key, row in entries:
             meters.rows_processed += 1
@@ -182,8 +178,8 @@ class InterpExecutor:
     ) -> Iterator[RowDict]:
         table = self._table(node.table)
         index = table.get_index(node.index_name)
-        entries = _seek_entries(
-            index.tree, node.eq_predicates, node.range_predicate, meters, binding
+        entries = span_entries(
+            seek_spans(index.tree, node, meters.page_meter, binding)
         )
         return self._iter_index_entries(node, meters, entries)
 
@@ -496,29 +492,26 @@ def _bind(value: object, binding: Optional[object]) -> object:
     return value
 
 
-def _seek_entries(
-    tree,
-    eq_predicates: Tuple[Predicate, ...],
-    range_predicate: Optional[Predicate],
-    meters: Meterings,
-    binding: Optional[object],
-):
-    """Iterate index entries matching an equality prefix + optional range."""
-    prefix = tuple(_bind(p.value, binding) for p in eq_predicates)
-    if range_predicate is None:
-        if not prefix:
-            return tree.scan(meter=meters.page_meter)
-        return tree.seek_prefix(prefix, meter=meters.page_meter)
-    low, high, low_inc, high_inc = range_predicate.range_bounds()
-    low_key = prefix + ((_bind(low, binding),) if low is not None else ())
-    high_key = prefix + ((_bind(high, binding),) if high is not None else ())
-    return tree.range_scan(
-        low=low_key if (low is not None or prefix) else None,
-        high=high_key if (high is not None or prefix) else None,
-        low_inclusive=low_inc if low is not None else True,
-        high_inclusive=high_inc if high is not None else True,
-        meter=meters.page_meter,
-    )
+def seek_spans(
+    tree, node, meter: PageMeter, binding: Optional[object] = None
+) -> Iterator[Span]:
+    """The :meth:`~repro.engine.btree.BPlusTree.spans` walk a clustered
+    or index seek ``node`` reads: its equality prefix plus optional
+    range."""
+    prefix = tuple(_bind(p.value, binding) for p in node.eq_predicates)
+    low = high = prefix or None
+    low_inclusive = high_inclusive = True
+    counter = "btree_seek"
+    if node.range_predicate is not None:
+        counter = "btree_range_scan"
+        lo, hi, lo_inclusive, hi_inclusive = node.range_predicate.range_bounds()
+        if lo is not None:
+            low, low_inclusive = prefix + (_bind(lo, binding),), lo_inclusive
+        if hi is not None:
+            high, high_inclusive = prefix + (_bind(hi, binding),), hi_inclusive
+    if low is None and high is None:
+        counter = "btree_scan"
+    return tree.spans(low, high, low_inclusive, high_inclusive, meter, counter)
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 The vector path executes a whole plan subtree as array operations over
 the columnar projection cache: predicate masks for clustered/index
-scans, a cached sorted equi-index for hash-join build sides probed with
+scans, index seeks as the contiguous projection slice their leaf-span
+walk (:meth:`~repro.engine.btree.BPlusTree.spans`) covers, a cached
+sorted equi-index for hash-join build sides probed with
 ``np.searchsorted``, rank-code grouping for stream/hash aggregates,
-``np.lexsort`` for ORDER BY, and ``argpartition`` TOP-N selection.  Key
-lookups, seeks, and nested-loop joins stay on the interpreter (their
-metering is inherently lazy/per-binding).  An UPDATE/DELETE over a
-clustered scan takes its target rows from :func:`target_rows`; the
-maintenance itself is batched in :class:`~repro.engine.table.Table`.
+``np.lexsort`` for ORDER BY, and ``argpartition`` TOP-N selection.
+Clustered seeks (point lookups), key lookups, parameterized seeks and
+nested-loop joins stay on the interpreter (their metering is lazy or
+per-binding).  An UPDATE/DELETE over a clustered scan takes its target
+rows from :func:`target_rows`; the maintenance itself is batched in
+:class:`~repro.engine.table.Table`.
 
 Two invariants keep it indistinguishable from the interpreter:
 
@@ -19,14 +22,15 @@ Two invariants keep it indistinguishable from the interpreter:
 - **Metering**: the same charges land on the same counters through the
   shared formulas in :mod:`repro.engine.exec.metering` — a full scan
   charges ``height + leaf_pages - 1`` pages (what the B+ tree's
-  leftmost descent plus leaf hops would have metered), per-entry
+  leftmost descent plus leaf hops would have metered), a seek the pages
+  of the very span walk the interpreter's seek drains, per-entry
   ``rows_processed``, ``sort_meter_rows`` for sorts, ``hash_rows`` for
   hash aggregates, and ``hash_join_meter_rows`` per hash-join side.
 
 Anything the path cannot reproduce exactly (NULL or parameterized
-predicate values, unsupported operators, columns outside a projection)
-raises :class:`VectorUnsupported` before any table state changes; the
-dispatcher resets the meters and re-runs the interpreter.
+predicate or seek values, unsupported operators, columns outside a
+projection) raises :class:`VectorUnsupported` before any table state
+changes; the dispatcher resets the meters and re-runs the interpreter.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from repro.engine.exec.columns import (
 from repro.engine.exec.interp import (
     RowDict,
     aggregate_values,
+    seek_spans,
     sort_rows_inplace,
     topn_rows,
 )
@@ -60,6 +65,7 @@ from repro.engine.plans import (
     HashAggregateNode,
     HashJoinNode,
     IndexScanNode,
+    IndexSeekNode,
     PlanNode,
     SortNode,
     StreamAggregateNode,
@@ -70,7 +76,18 @@ from repro.engine.table import Table
 from repro.observability.profiling import count
 
 _AGG_NODES = (StreamAggregateNode, HashAggregateNode)
-_SCAN_NODES = (ClusteredScanNode, IndexScanNode)
+#: Batch sources: full scans and index seeks.
+_SOURCE_NODES = (ClusteredScanNode, IndexScanNode, IndexSeekNode)
+
+#: Residual comparisons as array operators (BETWEEN is two of them).
+_COMPARE = {
+    Op.EQ: operator.eq,
+    Op.NEQ: operator.ne,
+    Op.LT: operator.lt,
+    Op.LE: operator.le,
+    Op.GT: operator.gt,
+    Op.GE: operator.ge,
+}
 
 #: Largest integer magnitude float64 represents exactly; int/float join
 #: keys beyond it cannot be cast for comparison without losing equality.
@@ -81,10 +98,10 @@ def _source_of(plan: PlanNode) -> Optional[PlanNode]:
     """The source node under the supported operator chain, or None.
 
     Strips ``[Top] -> [Sort] -> [Agg]`` and returns what remains.  A
-    ``Top`` directly over a lazy source (scan or join) returns None: the
-    interpreter stops pulling after ``limit`` rows, so its early-exit
-    page/row/hash charges depend on lazy consumption the batch path
-    cannot replicate.
+    ``Top`` directly over a lazy source (scan, seek or join) returns
+    None: the interpreter stops pulling after ``limit`` rows, so its
+    early-exit page/row/hash charges depend on lazy consumption the
+    batch path cannot replicate.
     """
     node = plan
     if isinstance(node, TopNode):
@@ -101,39 +118,41 @@ def _source_of(plan: PlanNode) -> Optional[PlanNode]:
 def supports(plan: PlanNode) -> bool:
     """Structural check: can this plan shape run vectorized?
 
-    The supported grammar (``Source`` is a full scan, or a hash join
-    whose build and probe sides are both full scans):
+    The supported grammar (``Access`` is a clustered or index scan, or
+    an index seek; ``Source`` is an ``Access``, or a hash join whose
+    build and probe sides are both ``Access`` nodes):
 
     - ``Source``
     - ``[Top] -> Sort -> Source``
     - ``[Top] -> (Stream|Hash)Agg -> Source``
     - ``[Top] -> Sort -> (Stream|Hash)Agg -> Source``
 
-    ``Top`` directly over a scan or join is excluded on purpose (see
-    :func:`_source_of`); nested-loop joins and seek-fed hash joins stay
-    interpreted.  Runtime obstacles (NULL predicate values, oversized
-    integers) are discovered later and raise ``VectorUnsupported``.
+    ``Top`` directly over a scan, seek or join is excluded on purpose
+    (see :func:`_source_of`); clustered seeks, key lookups and
+    nested-loop joins stay interpreted.  Runtime obstacles (NULL or
+    parameterized predicate and seek values, oversized integers) are
+    discovered later and raise ``VectorUnsupported``.
     """
     node = _source_of(plan)
-    if isinstance(node, _SCAN_NODES):
+    if isinstance(node, _SOURCE_NODES):
         return True
     return (
         isinstance(node, HashJoinNode)
-        and isinstance(node.outer, _SCAN_NODES)
-        and isinstance(node.inner, _SCAN_NODES)
+        and isinstance(node.outer, _SOURCE_NODES)
+        and isinstance(node.inner, _SOURCE_NODES)
     )
 
 
 def gate_table(plan: PlanNode) -> Optional[str]:
     """The table whose row count gates auto-mode vectorization.
 
-    For scans this is the scanned table; for hash joins the probe
-    (outer) side, which dominates the work.
+    For scans and seeks this is the table read; for hash joins the
+    probe (outer) side, which dominates the work.
     """
     node = _source_of(plan)
-    if isinstance(node, _SCAN_NODES):
+    if isinstance(node, _SOURCE_NODES):
         return node.table
-    if isinstance(node, HashJoinNode) and isinstance(node.outer, _SCAN_NODES):
+    if isinstance(node, HashJoinNode) and isinstance(node.outer, _SOURCE_NODES):
         return node.outer.table
     return None
 
@@ -176,13 +195,16 @@ def target_rows(
 
 
 class _ScanBatch:
-    """Filtered rows of one scanned tree, as projection positions.
+    """Filtered rows of one scanned or seeked tree, as projection
+    positions.
 
     ``selected`` holds the positions (in scan order) of rows passing the
-    node's residual predicates.  ``has`` mirrors the interpreter's row
-    dictionaries exactly: a column is visible only when it is in the
-    statement's needed set for this table *and* the projection carries
-    it (index projections carry only their entry layout).
+    node's residual predicates: over the whole projection for a scan,
+    over the seek's slice of it for a seek.  ``has`` mirrors the
+    interpreter's row dictionaries exactly: a column is visible only
+    when it is in the statement's needed set for this table *and* the
+    projection carries it (index projections carry only their entry
+    layout).
     """
 
     __slots__ = ("table", "projection", "selected", "_carried", "_sel_list")
@@ -372,7 +394,7 @@ class _Runner:
         return self._materialize_batch(self._source_batch(node))
 
     def _source_batch(self, node: PlanNode):
-        if isinstance(node, _SCAN_NODES):
+        if isinstance(node, _SOURCE_NODES):
             return self._scan_batch(node)
         if isinstance(node, HashJoinNode):
             return self._run_join(node)
@@ -384,61 +406,77 @@ class _Runner:
         table = self._tables.get(node.table)
         if table is None:
             raise VectorUnsupported(f"unknown table {node.table!r}")
-        if isinstance(node, IndexScanNode):
-            table.get_index(node.index_name)  # UnknownIndexError, as interp
-            projection = table.columnar().projection(node.index_name)
-        else:
+        if isinstance(node, ClusteredScanNode):
             projection = table.columnar().projection(None)
+        else:
+            # UnknownIndexError, as in the interpreter.
+            index = table.get_index(node.index_name)
+            projection = table.columnar().projection(node.index_name)
         # Raises on unknown needed columns exactly as the interpreter's
         # per-scan columns_for call does.
         names, _positions = self._meters.columns_for(table)
-        # Build every predicate mask before charging: a VectorUnsupported
+        # Check every predicate before charging: a VectorUnsupported
         # after this point would leak partial meters into the fallback.
-        masks = [
-            self._mask(projection, predicate)
-            for predicate in node.residual
+        operands = [
+            self._operand(projection, predicate) for predicate in node.residual
         ]
-        self._meters.page_meter.charge(projection.scan_pages)
-        self._meters.rows_processed += projection.row_count
-        self.batch_rows += projection.row_count
-        count("vector_batch")
-        if masks:
-            mask = masks[0]
-            for extra in masks[1:]:
-                mask = mask & extra
-            selected = np.flatnonzero(mask)
+        if isinstance(node, IndexSeekNode):
+            start, stop = self._seek_range(node, index.tree, projection)
         else:
-            selected = np.arange(projection.row_count, dtype=np.int64)
+            self._meters.page_meter.charge(projection.scan_pages)
+            start, stop = 0, projection.row_count
+        self._meters.rows_processed += stop - start
+        self.batch_rows += stop - start
+        count("vector_batch")
+        if operands:
+            mask = _mask(*operands[0], start, stop)
+            for extra in operands[1:]:
+                mask &= _mask(*extra, start, stop)
+            selected = np.flatnonzero(mask) + start
+        else:
+            selected = np.arange(start, stop, dtype=np.int64)
         return _ScanBatch(table, projection, selected, names)
 
-    def _mask(self, projection: Projection, predicate) -> np.ndarray:
+    def _seek_range(
+        self, node: IndexSeekNode, tree, projection: Projection
+    ) -> Tuple[int, int]:
+        """The seek's entries as the projection slice ``[start, stop)``.
+
+        The tree's span walk counts them and charges its pages, as the
+        interpreter's seek does when drained; the first entry's order
+        key, bisected in the projection's (the same entries, in the
+        same order), places the slice.
+        """
+        literals = [predicate.value for predicate in node.eq_predicates]
+        if node.range_predicate is not None:
+            literals.append(node.range_predicate.value)
+            if node.range_predicate.op is Op.BETWEEN:
+                literals.append(node.range_predicate.value2)
+        if any(value is None or value is PARAM for value in literals):
+            raise VectorUnsupported("NULL/parameterized seek value")
+        start = rows = 0
+        for leaf, a, b in seek_spans(tree, node, self._meters.page_meter):
+            if not rows:
+                start = projection.position(leaf.nkeys[a])
+            rows += b - a
+        return start, start + rows
+
+    def _operand(
+        self, projection: Projection, predicate
+    ) -> Tuple[object, ColumnVector]:
+        """A residual predicate and the column vector it filters, or
+        VectorUnsupported where no array comparison reproduces it."""
         if not projection.has(predicate.column):
             # The interpreter would raise (KeyError on the entry layout);
             # keep that behavior by falling back.
             raise VectorUnsupported(
                 f"column {predicate.column!r} not in projection"
             )
-        value = predicate.value
-        if value is None or value is PARAM:
+        if predicate.value is None or predicate.value is PARAM:
             raise VectorUnsupported("NULL/parameterized predicate value")
-        vector = projection.vector(predicate.column)
-        values, valid = vector.values, ~vector.nulls
-        op = predicate.op
-        if op is Op.EQ:
-            return (values == value) & valid
-        if op is Op.NEQ:
-            return (values != value) & valid
-        if op is Op.LT:
-            return (values < value) & valid
-        if op is Op.LE:
-            return (values <= value) & valid
-        if op is Op.GT:
-            return (values > value) & valid
-        if op is Op.GE:
-            return (values >= value) & valid
-        if op is Op.BETWEEN:
-            return (values >= value) & (values <= predicate.value2) & valid
-        raise VectorUnsupported(f"unsupported operator {op}")
+        if predicate.op not in _COMPARE and predicate.op is not Op.BETWEEN:
+            raise VectorUnsupported(f"unsupported operator {predicate.op}")
+        return predicate, projection.vector(predicate.column)
 
     # -- hash join ------------------------------------------------------
 
@@ -555,46 +593,50 @@ class _Runner:
         if isinstance(node, HashAggregateNode):
             self._meters.hash_rows += n
         if not group_by:
-            members = np.arange(n, dtype=np.int64)
-            groups = [members]
+            groups = [list(range(n))]
         elif n == 0:
             groups = []
         else:
             groups = _group_members(
                 [batch.codes(column) for column in group_by], n
             )
-        out_rows: List[RowDict] = []
-        agg_present = {
-            aggregate.column: batch.has(aggregate.column)
+        # Once per statement: each aggregate's output label, and its
+        # column, or None where it reads as NULL on every row (a missing
+        # column reads so in the interpreter, via row.get).
+        reducers = [
+            (
+                aggregate,
+                aggregate.label(),
+                aggregate.column
+                if aggregate.column is not None and batch.has(aggregate.column)
+                else None,
+            )
             for aggregate in node.aggregates
-            if aggregate.column is not None
-        }
-        for members in groups:
-            positions = members.tolist()
+        ]
+        out_rows: List[RowDict] = []
+        for positions in groups:
             out: RowDict = {}
             if positions:
-                first = [positions[0]]
+                first = positions[:1]
                 for column in group_by:
                     out[column] = batch.values_at(column, first)[0]
-            for aggregate in node.aggregates:
-                column = aggregate.column
-                if column is None or not agg_present[column]:
-                    # Missing aggregate columns read as NULL in the
-                    # interpreter (row.get), yielding COUNT 0 / None.
-                    out[aggregate.label()] = aggregate_values(
-                        aggregate, [], len(positions)
-                    )
-                    continue
-                values = [
-                    v
-                    for v in batch.values_at(column, positions)
-                    if v is not None
+            for aggregate, label, column in reducers:
+                values = [] if column is None else [
+                    v for v in batch.values_at(column, positions) if v is not None
                 ]
-                out[aggregate.label()] = aggregate_values(
-                    aggregate, values, len(positions)
-                )
+                out[label] = aggregate_values(aggregate, values, len(positions))
             out_rows.append(out)
         return out_rows
+
+
+def _mask(predicate, vector: ColumnVector, start: int, stop: int) -> np.ndarray:
+    """Which rows ``[start, stop)`` of ``vector`` pass ``predicate``
+    (a NULL passes none)."""
+    values = vector.values[start:stop]
+    valid = ~vector.nulls[start:stop]
+    if predicate.op is Op.BETWEEN:
+        return (values >= predicate.value) & (values <= predicate.value2) & valid
+    return _COMPARE[predicate.op](values, predicate.value) & valid
 
 
 # ----------------------------------------------------------------------
@@ -654,10 +696,8 @@ def _expand_matches(
 # Grouping and ordering
 
 
-def _group_members(
-    code_columns: List[np.ndarray], n: int
-) -> List[np.ndarray]:
-    """Member batch-position arrays per group, groups in first-appearance
+def _group_members(code_columns: List[np.ndarray], n: int) -> List[List[int]]:
+    """Member batch positions per group, groups in first-appearance
     order and members in input order — the dict-insertion order the
     interpreter produces."""
     if len(code_columns) == 1:
@@ -670,12 +710,10 @@ def _group_members(
     first_seen = np.full(group_count, n, dtype=np.int64)
     np.minimum.at(first_seen, inverse, np.arange(n, dtype=np.int64))
     appearance = np.argsort(first_seen, kind="stable")
-    by_input = np.argsort(inverse, kind="stable")
-    ordered_gids = inverse[by_input]
-    boundaries = np.flatnonzero(np.diff(ordered_gids)) + 1
-    chunks = np.split(by_input, boundaries)
-    members_by_gid = {int(inverse[c[0]]): c for c in chunks}
-    return [members_by_gid[int(g)] for g in appearance]
+    # Stably by group id, group g is the run members[bounds[g]:bounds[g + 1]].
+    members = np.argsort(inverse, kind="stable").tolist()
+    bounds = [0] + np.cumsum(np.bincount(inverse, minlength=group_count)).tolist()
+    return [members[bounds[g]:bounds[g + 1]] for g in appearance.tolist()]
 
 
 def _ordering(

@@ -284,7 +284,7 @@ class Table:
             for row in rows:
                 row = schema.validate_row(row)
                 pk = schema.pk_values(row)
-                if pk in valid or next(clustered.seek_prefix(pk), None) is not None:
+                if pk in valid or self.fetch_by_pk(pk) is not None:
                     raise ExecutionError(
                         f"duplicate primary key {pk!r} in table {self.name!r}"
                     )
@@ -436,9 +436,13 @@ class Table:
         return results
 
     def fetch_by_pk(self, pk: tuple, meter: Optional[PageMeter] = None) -> Optional[tuple]:
-        """Key lookup: fetch a full row through the clustered index."""
-        for _key, row in self.clustered.seek_prefix(pk, meter=meter):
-            return row
+        """Key lookup: fetch a full row through the clustered index.
+
+        Takes the first entry of the seek's span walk and stops, so the
+        walk never pays for a leaf hop past it."""
+        spans = self.clustered.spans(pk, pk, meter=meter, counter="btree_seek")
+        for leaf, a, _b in spans:
+            return leaf.payloads[a]
         return None
 
     # ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -266,10 +267,86 @@ def test_property_contents_match_sorted_multiset(pairs):
     assert len(tree) == len(pairs)
 
 
+def reference_walk(
+    tree, low=None, high=None, low_inclusive=True, high_inclusive=True, meter=None
+):
+    """The per-entry range walk :meth:`BPlusTree.spans` replaced, kept as
+    its oracle: one step per entry, a page per level descended and one
+    per leaf hop, charged as the consumer pulls."""
+    meter = meter if meter is not None else PageMeter()
+    nlow = () if low is None else key_of(low)
+    leaf = tree._descend_to_leaf(nlow, meter)
+    pos = bisect.bisect_left(leaf.nkeys, nlow)
+    nhigh = None if high is None else key_of(high)
+    skipping = low is not None and not low_inclusive
+    while True:
+        if pos >= len(leaf.nkeys):
+            leaf = leaf.next
+            if leaf is None:
+                return
+            meter.charge()
+            pos = 0
+            continue
+        nkey = leaf.nkeys[pos]
+        if skipping:
+            if nkey[: len(nlow)] == nlow:
+                pos += 1
+                continue
+            skipping = False
+        if nhigh is not None:
+            head = nkey[: len(nhigh)]
+            if head > nhigh or (head == nhigh and not high_inclusive):
+                return
+        yield leaf.keys[pos], leaf.payloads[pos]
+        pos += 1
+
+
+def pulls(walk, *bounds):
+    """Each entry ``walk(*bounds, meter=...)`` yields with the pages
+    charged by the time it was pulled, then the pages charged in all."""
+    meter = PageMeter()
+    return [(entry, meter.pages) for entry in walk(*bounds, meter=meter)], meter.pages
+
+
+def first_then_close(walk, *bounds):
+    """A key lookup's use of a walk: take the first entry, then close."""
+    meter = PageMeter()
+    entries = walk(*bounds, meter=meter)
+    first = next(entries, None)
+    entries.close()
+    return first, meter.pages
+
+
+def assert_walks_match(tree, low, high, low_inclusive=True, high_inclusive=True):
+    """``range_scan`` (and ``seek_prefix`` for a one-key range) yields
+    what the reference walk yields, charging the same pages at every
+    pull and in all."""
+    bounds = (low, high, low_inclusive, high_inclusive)
+    want = pulls(reference_walk, tree, *bounds)
+    assert pulls(tree.range_scan, *bounds) == want
+    if low is not None and low == high and low_inclusive and high_inclusive:
+        assert pulls(tree.seek_prefix, low) == want
+        assert first_then_close(tree.seek_prefix, low) == first_then_close(
+            reference_walk, tree, *bounds
+        )
+
+
 @settings(max_examples=60, deadline=None)
-@given(keys_and_bounds(max_size=200))
-def test_property_range_scan_matches_filter(drawn):
-    """Range scan equals a brute-force filter over the inserted keys."""
+@given(
+    keys_and_bounds(max_size=200),
+    st.sets(st.integers(0, 199)),
+    st.sampled_from([None, 1, 2]),
+    st.sampled_from([None, 1, 2]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_property_range_scan_matches_filter(
+    drawn, deleted, low_width, high_width, low_inclusive, high_inclusive
+):
+    """Range scan equals a brute-force filter over the inserted keys.
+    Over composite keys, with deletes leaving empty leaves and stale
+    separators, inclusive, exclusive and open bounds of either width,
+    it also yields and charges exactly what the reference walk does."""
     keys, lo, hi = drawn
     lo, hi = min(lo, hi), max(lo, hi)
     tree = BPlusTree(leaf_capacity=4)
@@ -278,6 +355,18 @@ def test_property_range_scan_matches_filter(drawn):
     got = sorted(k[0] for k, _p in tree.range_scan((lo,), (hi,)))
     expected = sorted(k for k in keys if lo <= k <= hi)
     assert got == expected
+
+    entries = [(k, i) for i, k in enumerate(keys)]
+    tree = build_tree(((e, (e[1],)) for e in entries), leaf_capacity=4)
+    for i in sorted(deleted):
+        if i < len(entries):
+            assert tree.delete(entries[i]) == 1
+    low = None if low_width is None else (lo, len(keys) // 2)[:low_width]
+    high = None if high_width is None else (hi, len(keys) // 2)[:high_width]
+    assert_walks_match(tree, low, high, low_inclusive, high_inclusive)
+    for probe in {(lo,), (hi,), entries[0]}:
+        assert_walks_match(tree, probe, probe)
+        assert_walks_match(tree, probe, probe, False, high_inclusive)
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,6 +386,11 @@ def test_property_delete_then_absent(drawn):
     assert tree.delete((target,)) == expected_removed
     assert list(tree.seek_prefix((target,))) == []
     assert len(tree) == len(keys) - expected_removed
+    # Every seek around the hole, and past the ends, walks as the
+    # reference does; a key lookup stopping at a leaf's last entry
+    # never pays for the hop beyond it.
+    for probe in {target, lo, hi, *keys[1:]}:
+        assert_walks_match(tree, (probe,), (probe,))
 
     def shape(t):
         return t.snapshot(), t.height, t.leaf_page_count
@@ -312,6 +406,8 @@ def test_property_delete_then_absent(drawn):
     for e in gone:
         assert replaced.replace(e, (1,)) is False
     assert shape(replaced) == shape(reference)
+    for probe in {lo, hi, *keys}:  # across the leaves the deletes emptied
+        assert_walks_match(replaced, (probe,), (probe,))
     for e in sorted(set(entries) - set(gone), key=key_of):
         assert replaced.replace(e, (e[1] + 2,)) is True
         reference.delete(e)

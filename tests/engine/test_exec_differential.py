@@ -74,9 +74,19 @@ COLUMNS = {
     "o_note": texts([f"note-{i}" for i in range(18)]),
 }
 
-#: Non-key columns only: primary-key predicates optimize into seeks,
-#: which both modes interpret — legal but not interesting here.
+#: Non-key columns only: primary-key predicates optimize into clustered
+#: seeks, which both modes interpret.  Predicates on the columns that
+#: lead ``ORDERS_INDEXES`` give index seeks: equality prefixes, ranges,
+#: residuals, sorts and aggregates over them, vectorized.
 FILTER_COLUMNS = sorted(set(COLUMNS) - {"o_id"})
+
+#: Secondary indexes of both engines' ``orders``.  Each covers some
+#: queries (a bare seek) and not others (a key lookup, interpreted).
+ORDERS_INDEXES = (
+    ("ix_cust", ("o_cust",), ("o_amount", "o_note")),
+    ("ix_date_status", ("o_date", "o_status"), ("o_amount",)),
+    ("ix_note", ("o_note",), ("o_cust", "o_status", "o_date")),
+)
 
 OPS = [Op.EQ, Op.NEQ, Op.LT, Op.LE, Op.GT, Op.GE, Op.BETWEEN]
 
@@ -164,10 +174,19 @@ def select_queries(draw):
     )
 
 
+def _indexed_orders_engine():
+    from repro.engine import IndexDefinition
+
+    eng = perfect_engine(seed=4242)
+    for name, keys, included in ORDERS_INDEXES:
+        eng.create_index(IndexDefinition(name, "orders", keys, included))
+    return eng
+
+
 @pytest.fixture(scope="module")
 def engine_pair():
-    interp = perfect_engine(seed=4242)
-    vector = perfect_engine(seed=4242)
+    interp = _indexed_orders_engine()
+    vector = _indexed_orders_engine()
     interp.settings.execution.vector_min_rows = sys.maxsize
     vector.settings.execution.vector_min_rows = 0
     # Noise on: metric equality then also proves RNG-draw parity.
@@ -199,6 +218,15 @@ def test_vector_path_was_exercised(engine_pair):
     vector.execute(query)
     assert vector.executor.vector_statements > 0
     assert interp.executor.vector_statements == 0
+    # A seek-sourced statement vectorizes too, and matches the interpreter.
+    seek = SelectQuery(
+        "orders", ("o_cust", "o_amount"), (Predicate("o_cust", Op.EQ, 7),)
+    )
+    before = vector.executor.vector_statements
+    expected, got = interp.execute(seek), vector.execute(seek)
+    assert isinstance(got.plan, IndexSeekNode)
+    assert vector.executor.vector_statements == before + 1
+    assert got.rows == expected.rows != [] and got.metrics == expected.metrics
     for engine in engine_pair:  # each interpreted statement has one reason
         counts = engine.executor.fallback_counts
         assert tuple(counts) == ("threshold", "shape", "join", "hinted", "runtime")
@@ -212,8 +240,10 @@ def test_vector_path_was_exercised(engine_pair):
 # NULL join keys on both sides, duplicate keys (one-to-many fan-out),
 # key ranges that miss entirely (empty build side), and a secondary
 # index on the dim key so the optimizer sometimes picks a nested-loop
-# join over the hash join.  The DML table carries two secondary indexes
-# so grouped maintenance totals have something to get wrong.
+# join over the hash join.  Indexes on ``f_note`` and ``d_cat`` let
+# either side of a hash join be an index seek.  The DML table carries
+# two secondary indexes so grouped maintenance totals have something to
+# get wrong.
 
 
 def _joined_engine(seed: int):
@@ -278,6 +308,16 @@ def _joined_engine(seed: int):
         )
         dim.insert((i, key, int(rng.integers(0, 8)), f"c-{i % 7}"))
     dim.create_index(IndexDefinition("ix_d_key", "d", ("d_key",)))
+    dim.create_index(
+        IndexDefinition(
+            "ix_d_cat", "d", ("d_cat",), included_columns=("d_key",)
+        )
+    )
+    fact.create_index(
+        IndexDefinition(
+            "ix_f_note", "f", ("f_note",), included_columns=("f_key", "f_val")
+        )
+    )
     for i in range(300):
         work.insert(
             (
@@ -459,6 +499,24 @@ def test_hash_join_vector_path_was_exercised(joined_pair):
     result = vector.execute(query)
     assert result.rows  # the join actually matched something
     assert vector.executor.vector_statements == before + 1
+    # Seeks on both sides: the probe and the build are index seeks.
+    query = SelectQuery(
+        "f",
+        select_columns=("f_id", "f_val"),
+        predicates=(Predicate("f_note", Op.EQ, "n-3"),),
+        join=JoinSpec(
+            "d",
+            left_column="f_key",
+            right_column="d_key",
+            predicates=(Predicate("d_cat", Op.EQ, "c-2"),),
+        ),
+    )
+    expected, result = interp.execute(query), vector.execute(query)
+    assert isinstance(result.plan.outer, IndexSeekNode)
+    assert isinstance(result.plan.inner, IndexSeekNode)
+    assert vector.executor.vector_statements == before + 2
+    assert result.rows == expected.rows != []
+    assert result.metrics == expected.metrics
 
 
 def test_join_empty_build_side(joined_pair):

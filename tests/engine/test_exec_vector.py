@@ -13,9 +13,15 @@ import sys
 
 import pytest
 
-from repro.engine import Op, OrderItem, Predicate, SelectQuery
+from repro.engine import IndexDefinition, Op, OrderItem, Predicate, SelectQuery
 from repro.engine.exec import sort_meter_rows
-from repro.engine.plans import SortNode, TopNode
+from repro.engine.plans import (
+    ClusteredSeekNode,
+    IndexSeekNode,
+    KeyLookupNode,
+    SortNode,
+    TopNode,
+)
 from repro.engine.query import Aggregate, AggFunc
 from tests.engine.test_optimizer import perfect_engine
 
@@ -125,12 +131,35 @@ class TestDispatch:
         assert eng.executor.batch_rows == N_ORDERS
 
     def test_seeks_stay_interpreted(self):
+        """An index seek vectorizes; a clustered seek, a key lookup and a
+        TOP over a bare seek interpret, charging what they charge."""
         eng = engine_in_mode("vector")
-        eng.execute(
-            SelectQuery("orders", ("o_id",), (Predicate("o_id", Op.EQ, 5),))
-        )
-        assert eng.executor.vector_statements == 0
-        assert eng.executor.interp_statements == 1
+        want = engine_in_mode("interp")
+        for engine in (eng, want):
+            engine.create_index(
+                IndexDefinition(
+                    "ix_cust", "orders", ("o_cust",), ("o_amount",)
+                )
+            )
+        cust = (Predicate("o_cust", Op.EQ, 5),)
+        cases = [
+            (SelectQuery("orders", ("o_amount",), cust), IndexSeekNode, True),
+            (SelectQuery("orders", ("o_id",), (Predicate("o_id", Op.EQ, 5),)),
+             ClusteredSeekNode, False),
+            (SelectQuery("orders", ("o_note",), cust), KeyLookupNode, False),
+            (SelectQuery("orders", ("o_amount",), cust, limit=3),
+             TopNode, False),
+        ]
+        for query, node, vectorized in cases:
+            before = eng.executor.vector_statements
+            got, expected = eng.execute(query), want.execute(query)
+            assert isinstance(got.plan, node)
+            assert eng.executor.vector_statements == before + vectorized
+            assert got.rows == expected.rows != []
+            assert metrics_tuple(got.metrics) == metrics_tuple(
+                expected.metrics
+            )
+        assert isinstance(got.plan.child, IndexSeekNode)  # TOP's bare seek
 
     def test_top_over_bare_scan_stays_interpreted(self):
         """TOP without ORDER BY keeps the interpreter's lazy early exit."""
