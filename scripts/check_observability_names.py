@@ -13,8 +13,6 @@ One static check over the whole observability taxonomy:
 - **Tick phases** — ``timer.phase("...")`` / ``trace.observe_phase("...")``
   call sites must use phase names declared in
   :data:`repro.parallel.timing.PHASE_CATALOG`;
-- **Span kinds** — ``tracer.start("...", ...)`` call sites must use span
-  kinds declared in :data:`repro.observability.spans.SPAN_KIND_CATALOG`;
 - **Sampled series** — history query calls with a literal series name
   (``.range("...")``, ``.mean("...")``, ``.latest("...")``,
   ``.observe("...")``) must use names declared in
@@ -81,7 +79,6 @@ CATALOGS = {
     "CATALOG": ("repro.observability.metrics", "metrics"),
     "AUDIT_CATALOG": ("repro.observability.audit", "audit events"),
     "PHASE_CATALOG": ("repro.parallel.timing", "tick phases"),
-    "SPAN_KIND_CATALOG": ("repro.observability.spans", "span kinds"),
     "SAMPLE_CATALOG": ("repro.observability.timeseries", "sampled series"),
     "SLO_CATALOG": ("repro.observability.slo", "SLOs"),
 }
@@ -155,7 +152,6 @@ RULES = (
         "PHASE_CATALOG", "phase name",
         **_call(r"\.(?:phase|observe_phase)\("),
     ),
-    Rule("SPAN_KIND_CATALOG", "span kind", **_call(r"\btracer\.start\(")),
     # History-store queries: only literal sites are checked — these verbs
     # (``.mean``, ``.observe``...) are common method names elsewhere.
     Rule(

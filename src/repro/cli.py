@@ -297,7 +297,6 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         print(
             json_text(
                 telemetry.registry,
-                telemetry.recorder,
                 service.profiler,
                 history=service.history,
             )
@@ -308,9 +307,7 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
         print()
         for line in render_dashboard(
             telemetry.registry,
-            telemetry.recorder,
             service.profiler,
-            top_n=args.top,
             watchdog=service.watchdog,
             history=service.history,
         ):
@@ -536,9 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(telemetry)
     telemetry.add_argument("--days", type=int, default=4)
-    telemetry.add_argument(
-        "--top", type=int, default=5, help="slowest tuning sessions to list"
-    )
     telemetry.add_argument(
         "--format",
         choices=("dashboard", "json", "prom"),

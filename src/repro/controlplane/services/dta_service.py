@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import ResourceBudgetExceededError, SessionAbortedError
-from repro.observability.spans import Span
 from repro.recommender.dta import DtaSession, DtaSettings
 from repro.recommender.recommendation import IndexRecommendation
 
@@ -29,10 +28,10 @@ class DtaSessionManager:
         #: The resumable session a budget deferral left behind, if any.
         self._session: Optional[DtaSession] = None
         self._deferrals = 0
-        #: Open telemetry span of the resumable session; a budget-deferred
-        #: session keeps its span open across analysis periods, so the
-        #: recorded duration is the true wall-to-wall simulated time.
-        self._session_span: Optional[Span] = None
+        #: Simulated start of the live session; a budget-deferred session
+        #: keeps it across analysis periods, so the observed duration is
+        #: the true first-start-to-close simulated time.
+        self._session_started: Optional[float] = None
         #: What-if evidence of the most recent completed/aborted run —
         #: folded into the ``candidates_generated`` audit event.
         self.last_run_info: dict = {}
@@ -50,9 +49,7 @@ class DtaSessionManager:
             )
             self._session = session
             self._deferrals = 0
-            self._session_span = telemetry.tracer.start(
-                "dta_session", plane.name, now, source="DTA", tier=plane.tier,
-            )
+            self._session_started = now
         try:
             recommendations = session.run()
         except ResourceBudgetExceededError:
@@ -61,14 +58,14 @@ class DtaSessionManager:
             if self._deferrals >= self.MAX_BUDGET_DEFERRALS:
                 # Give up: clean up and surface an analysis failure.
                 self._session = None
-                self._close_session_span(now, "abandoned")
+                self._observe_duration(now)
                 self.last_run_info = {"session_outcome": "abandoned"}
                 telemetry.count_event("dta_abandoned", plane.name)
                 return []
             raise  # transient: the next analysis period resumes the session
         except SessionAbortedError:
             self._session = None
-            self._close_session_span(now, "aborted")
+            self._observe_duration(now)
             self.last_run_info = {"session_outcome": "aborted"}
             telemetry.count_event("dta_aborted", plane.name)
             return []
@@ -79,22 +76,19 @@ class DtaSessionManager:
             "whatif_calls": whatif_calls,
             "workload_coverage": session.report.coverage if session.report else 0.0,
         }
-        self._close_session_span(now, "completed", whatif_calls=whatif_calls)
+        self._observe_duration(now)
         telemetry.registry.counter(
             "dta_whatif_calls_total", database=plane.name
         ).inc(whatif_calls)
         telemetry.count_event("dta_completed", plane.name)
         return recommendations
 
-    def _close_session_span(self, now: float, outcome: str, **attributes) -> None:
-        span, self._session_span = self._session_span, None
-        if span is None:
-            return
-        telemetry = self.plane.telemetry
-        telemetry.tracer.end(span, now, outcome=outcome, **attributes)
-        telemetry.registry.histogram(
+    def _observe_duration(self, now: float) -> None:
+        """Close the session's clock: one duration sample per session."""
+        started, self._session_started = self._session_started, None
+        self.plane.telemetry.registry.histogram(
             "tuning_session_duration_minutes", source="DTA",
-        ).observe(span.duration or 0.0)
+        ).observe(now - started)
 
     def _interfering(self) -> bool:
         """Detect that tuning is slowing user queries (Section 5.3.1).

@@ -36,7 +36,6 @@ class RecommendationService:
             rule=decision.rule,
             evidence=decision.evidence,
         )
-        span = telemetry.tracer.start("analysis", plane.name, now, source=source)
         try:
             # Inside the try: a fault here defers or fails this pass like
             # any other analysis error instead of escaping ``process()``
@@ -49,7 +48,6 @@ class RecommendationService:
         except TransientError:
             # Budget exhaustion and friends: the scheduler will try again
             # on the next analysis period; DTA's own cache keeps progress.
-            telemetry.tracer.end(span, plane.clock.now, outcome="deferred")
             telemetry.registry.counter(
                 "analysis_runs_total", database=plane.name, source=source,
                 outcome="deferred",
@@ -57,30 +55,23 @@ class RecommendationService:
             telemetry.count_event("analysis_deferred", plane.name)
             return
         except ReproError:
-            telemetry.tracer.end(span, plane.clock.now, outcome="failed")
             telemetry.registry.counter(
                 "analysis_runs_total", database=plane.name, source=source,
                 outcome="failed",
             ).inc()
             telemetry.count_event("analysis_failed", plane.name)
             return
-        telemetry.tracer.end(
-            span,
-            plane.clock.now,
-            outcome="completed",
-            recommendations=len(recommendations),
-        )
         telemetry.registry.counter(
             "analysis_runs_total", database=plane.name, source=source,
             outcome="completed",
         ).inc()
         self._audit_analysis(now, source, recommendations)
         if source != "DTA":
-            # DTA sessions observe their own (resumable) span duration;
-            # MI analyses are instantaneous passes over the DMV snapshots.
+            # DTA sessions observe their own (resumable) duration; MI
+            # analyses are instantaneous passes over the DMV snapshots.
             telemetry.registry.histogram(
                 "tuning_session_duration_minutes", source=source,
-            ).observe(span.duration or 0.0)
+            ).observe(plane.clock.now - now)
         telemetry.count_event("analysis_completed", plane.name)
         if recommendations:
             plane.register_recommendations(recommendations, now)

@@ -49,7 +49,7 @@ class SqlType(enum.Enum):
             if self is SqlType.BOOL:
                 return bool(value)
             return str(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise QueryError(f"cannot coerce {value!r} to {self.value}") from exc
 
     def render(self, value: object) -> str:

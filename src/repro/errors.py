@@ -79,8 +79,8 @@ class InvalidStateTransitionError(PermanentError):
 
 
 class TelemetryError(ReproError):
-    """Misuse of the observability layer (bad metric name, double-closed
-    span, kind conflict) — distinct from compliance violations, which
+    """Misuse of the observability layer (bad metric name, uncataloged
+    event type, kind conflict) — distinct from compliance violations, which
     raise ``ValueError`` at the emission boundary."""
 
 

@@ -1,14 +1,14 @@
-"""Fleet observability: metrics, spans, profiling, and exporters.
+"""Fleet observability: metrics, audit, profiling, and exporters.
 
 The measurement substrate for the whole reproduction (the operational
 prerequisite the paper leans on in Sections 1.2, 3, and 8): a
-:class:`MetricsRegistry` of counters/gauges/histograms, a span-based
-:class:`Tracer` over recommender analysis passes and DTA tuning
-sessions, :mod:`profiling` hooks on engine hot paths, and exporters
-(Prometheus text, JSON, and the ``repro telemetry`` dashboard).
+:class:`MetricsRegistry` of counters/gauges/histograms, the
+:class:`AuditLog` decision-provenance stream, :mod:`profiling` hooks on
+engine hot paths, and exporters (Prometheus text, JSON, and the
+``repro telemetry`` dashboard).
 
-A :class:`Telemetry` object bundles one registry + tracer + recorder;
-the control plane owns one and threads it through every micro-service.
+A :class:`Telemetry` object bundles one registry + audit log; the
+control plane owns one and threads it through every micro-service.
 """
 
 from repro.observability.alerts import Alert, AlertWatchdog
@@ -53,12 +53,6 @@ from repro.observability.slo import (
     evaluate_catalog,
     render_slo_report,
 )
-from repro.observability.spans import (
-    SPAN_KIND_CATALOG,
-    Span,
-    SpanRecorder,
-    Tracer,
-)
 from repro.observability.timeseries import (
     SAMPLE_CATALOG,
     AnomalyDetector,
@@ -71,18 +65,15 @@ from repro.observability.trace_export import (
     TraceEvent,
     attribution_summary,
     render_critical_path,
-    span_trace_events,
     trace_event_json,
 )
 
 
 class Telemetry:
-    """One bundle of telemetry state (registry + tracer + spans + audit)."""
+    """One bundle of telemetry state (registry + audit)."""
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.recorder = SpanRecorder()
-        self.tracer = Tracer(self.recorder)
         self.audit = AuditLog()
 
     def count_event(self, kind: str, database: str) -> None:
@@ -117,16 +108,12 @@ __all__ = [
     "Profiler",
     "SAMPLE_CATALOG",
     "SLO_CATALOG",
-    "SPAN_KIND_CATALOG",
     "SloSpec",
     "SloStatus",
-    "Span",
-    "SpanRecorder",
     "Telemetry",
     "TelemetryHistory",
     "TimeSeriesStore",
     "TraceEvent",
-    "Tracer",
     "active",
     "attribution_summary",
     "build_timeline",
@@ -143,7 +130,6 @@ __all__ = [
     "render_dashboard",
     "render_explain",
     "render_slo_report",
-    "span_trace_events",
     "trace_event_json",
     "use_profiler",
 ]

@@ -4,7 +4,7 @@ The paper's lesson is that auto-indexing earns trust only when every
 automated action is *auditable* — a customer (or an on-call engineer)
 must be able to reconstruct why an index was created, why validation
 judged it REGRESSED, and why a revert fired (Sections 2, 8).  The
-metrics/span layer answers "how much" and "how long"; this module
+metrics layer answers "how much" and "how long"; this module
 answers "why": every decision point in the lifecycle emits a typed
 :class:`AuditEvent` carrying the evidence behind the decision (what-if
 estimated costs, failed policy predicates, Welch t-test statistics,
@@ -27,7 +27,7 @@ Design points:
   round-trip the whole stream through JSON lines, which is how the
   ``repro explain --audit`` path reconstructs decisions offline.
 - **Compliant.**  Every payload passes the same recursive customer-data
-  scrub as metric labels and span attributes.
+  scrub as metric labels.
 """
 
 from __future__ import annotations

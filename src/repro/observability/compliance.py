@@ -3,8 +3,8 @@
 The paper's service is debuggable at fleet scale precisely because its
 telemetry is *anonymized*: events carry identifiers and aggregates, never
 query text, literals, or parameter values (Section 1.2).  This module is
-the single enforcement point — the event bus, metric labels, and span
-attributes all pass their payloads through :func:`ensure_compliant`,
+the single enforcement point — the event bus and metric labels both
+pass their payloads through :func:`ensure_compliant`,
 which recurses into nested containers so a forbidden key cannot hide one
 level down.
 """

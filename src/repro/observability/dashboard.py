@@ -2,11 +2,11 @@
 
 Renders what an on-call engineer for the paper's service would want on
 one screen (Section 8): where every state machine currently is, how
-often validation is reverting, which tuning sessions are slowest, and
+often validation is reverting, how long tuning sessions take, and
 where the engine itself is spending its time.  Everything is read from
-the telemetry substrate (registry + span recorder + profiler), never
-from the control plane's records directly, so the dashboard can only
-show what the telemetry actually captured.
+the telemetry substrate (registry + profiler), never from the control
+plane's records directly, so the dashboard can only show what the
+telemetry actually captured — and a replayed registry renders the same.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import List, Optional
 
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.profiling import Profiler, active
-from repro.observability.spans import SpanRecorder
 from repro.observability.timeseries import SAMPLE_CATALOG
 
 #: Unicode block ramp for history sparklines (low -> high).
@@ -67,9 +66,6 @@ _STATE_ORDER = (
     "success", "reverted", "expired", "error",
 )
 
-#: Span kinds that represent tuning work (Section 5.3's sessions).
-TUNING_KINDS = ("dta_session", "analysis")
-
 
 def _fmt_minutes(minutes: float) -> str:
     if minutes >= 60.0:
@@ -79,9 +75,7 @@ def _fmt_minutes(minutes: float) -> str:
 
 def render_dashboard(
     registry: MetricsRegistry,
-    recorder: SpanRecorder,
     profiler: Optional[Profiler] = None,
-    top_n: int = 5,
     watchdog=None,
     history=None,
 ) -> List[str]:
@@ -282,16 +276,19 @@ def render_dashboard(
                     shown = f"{latest:.3g} {unit}"
                 lines.append(f"  {name:<26} {spark} {shown}")
 
-    # --- slowest tuning sessions -------------------------------------
-    lines.append(f"slowest tuning sessions (top {top_n}):")
-    slowest = recorder.slowest(TUNING_KINDS, n=top_n)
-    if not slowest:
+    # --- tuning session duration (Section 5.3's sessions) ------------
+    lines.append("tuning session duration:")
+    sessions = registry.series_for("tuning_session_duration_minutes")
+    if not sessions:
         lines.append("  (no tuning sessions recorded)")
-    for rank, span in enumerate(slowest, start=1):
-        source = span.attributes.get("source", span.kind)
+    for series in sessions:
+        source = dict(series.labels).get("source", "?")
+        metric = series.metric
         lines.append(
-            f"  {rank}. {span.database:<12} {str(source):<4} "
-            f"{_fmt_minutes(span.duration or 0.0)}  {span.outcome or 'open'}"
+            f"  {source:<4} count {metric.count:>5}  "
+            f"p50 {_fmt_minutes(metric.p50)}  "
+            f"p95 {_fmt_minutes(metric.p95)}  "
+            f"max {_fmt_minutes(metric.max)}"
         )
 
     # --- engine hot paths --------------------------------------------

@@ -1,7 +1,7 @@
 """Exporters: Prometheus-style text exposition and a JSON dump.
 
 Both exporters render a :class:`~repro.observability.metrics.MetricsRegistry`
-(plus, for JSON, optional spans and profiler rows) deterministically:
+(plus, for JSON, optional profiler rows, audit and history) deterministically:
 series are ordered by name then labels, floats are emitted with
 ``repr``-stable formatting, and no wall-clock timestamps appear — the
 same run always produces byte-identical output, which the golden tests
@@ -21,7 +21,6 @@ from repro.observability.metrics import (
     MetricsRegistry,
 )
 from repro.observability.profiling import Profiler
-from repro.observability.spans import SpanRecorder
 
 
 def _format_value(value: float) -> str:
@@ -94,7 +93,6 @@ def prometheus_text(registry: MetricsRegistry) -> str:
 
 def json_export(
     registry: MetricsRegistry,
-    recorder: Optional[SpanRecorder] = None,
     profiler: Optional[Profiler] = None,
     audit=None,
     history=None,
@@ -128,20 +126,7 @@ def json_export(
                 p99=metric.p99,
             )
         metrics.append(entry)
-    out = {"schema": "repro-telemetry-v2", "metrics": metrics}
-    if recorder is not None:
-        out["spans"] = [
-            {
-                "span_id": s.span_id,
-                "kind": s.kind,
-                "database": s.database,
-                "start": s.start,
-                "end": s.end,
-                "outcome": s.outcome,
-                "attributes": s.attributes,
-            }
-            for s in recorder.spans()
-        ]
+    out = {"schema": "repro-telemetry-v3", "metrics": metrics}
     if profiler is not None:
         out["hot_paths"] = [
             {
@@ -168,14 +153,13 @@ def json_export(
 
 def json_text(
     registry: MetricsRegistry,
-    recorder: Optional[SpanRecorder] = None,
     profiler: Optional[Profiler] = None,
     indent: int = 2,
     audit=None,
     history=None,
 ) -> str:
     return json.dumps(
-        json_export(registry, recorder, profiler, audit=audit, history=history),
+        json_export(registry, profiler, audit=audit, history=history),
         indent=indent,
         sort_keys=False,
     )

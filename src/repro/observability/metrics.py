@@ -1,8 +1,9 @@
 """Fleet metrics: counters, gauges, and streaming histograms.
 
 A :class:`MetricsRegistry` is the numeric side of the observability
-layer (the span side lives in :mod:`repro.observability.spans`).  Every
-metric is identified by a ``snake_case`` name plus a label set (e.g.
+layer (the decision side is the :mod:`repro.observability.audit`
+stream).  Every metric is identified by a ``snake_case`` name plus a
+label set (e.g.
 ``database``, ``state``), mirroring the anonymized dimensions the
 paper's engineers aggregate over (Sections 1.2, 8).
 

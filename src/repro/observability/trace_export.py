@@ -1,13 +1,13 @@
 """Chrome/Perfetto ``trace_event`` export and critical-path rendering.
 
 The fleet-parallel service times every tick phase on both sides of the
-process pipe (:mod:`repro.parallel.timing`) and merges worker spans with
-dual sim/wall clocks.  This module renders that data three ways:
+process pipe (:mod:`repro.parallel.timing`) and samples its telemetry
+history after every merge.  This module renders that data three ways:
 
 - :func:`trace_event_json` — the Chrome ``trace_event`` JSON format
   (loadable in Perfetto / ``chrome://tracing``): one track per worker
-  process plus a parent control-plane track, phase brackets and spans as
-  complete ("X") events;
+  process plus a parent control-plane track, phase brackets as complete
+  ("X") events and history samples as counter events;
 - :func:`attribution_summary` — per-phase totals, the share of tick
   wall-clock the phase timers explain (the attribution-coverage figure),
   and a serial-fraction / Amdahl ceiling estimate;
@@ -21,10 +21,9 @@ are read, so rendering the same collected run twice is byte-stable.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.observability.profiling import HotPathStat
-from repro.observability.spans import Span
 
 #: Track index of the parent (dispatch + merge) timeline.
 PARENT_TRACK = 0
@@ -38,7 +37,7 @@ class TraceEvent:
     name: str
     ts: float  # seconds since the profiling epoch
     dur: float  # seconds (0.0 for counter samples)
-    category: str  # "phase" | "span" | "counter"
+    category: str  # "phase" | "counter"
     args: Dict[str, object] = dataclasses.field(default_factory=dict)
 
 
@@ -46,39 +45,6 @@ def default_track_name(track: int) -> str:
     if track == PARENT_TRACK:
         return "control plane (parent)"
     return f"shard-{track - 1} worker"
-
-
-def span_trace_events(
-    spans: Iterable[Span],
-    db_to_track: Optional[Dict[str, int]] = None,
-) -> List[TraceEvent]:
-    """Closed spans with wall clocks as trace events on their worker track.
-
-    Spans without captured wall timestamps (e.g. replayed from an old
-    audit dump) are skipped — the timeline only shows what was measured.
-    """
-    db_to_track = db_to_track or {}
-    events = []
-    for span in spans:
-        if span.wall_start is None or span.wall_end is None:
-            continue
-        events.append(
-            TraceEvent(
-                track=db_to_track.get(span.database, PARENT_TRACK),
-                name=span.kind,
-                ts=span.wall_start,
-                dur=max(0.0, span.wall_end - span.wall_start),
-                category="span",
-                args={
-                    "database": span.database,
-                    "span_id": span.span_id,
-                    "sim_start_min": span.start,
-                    "sim_end_min": span.end,
-                    "outcome": span.outcome,
-                },
-            )
-        )
-    return events
 
 
 def history_counter_events(

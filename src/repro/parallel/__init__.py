@@ -8,7 +8,7 @@ embarrassingly parallel.  This package shards the fleet across a worker
 pool (one process per shard, or inline as the serial reference), runs
 each virtual-time tick's per-database work concurrently, and merges the
 results **deterministically**: every worker buffers its journal entries,
-audit events, span operations, and metric deltas per
+audit events, metric deltas and hot-path rows per
 database, and the region service replays them in stable
 ``(db_name, seq)`` order — so a parallel run is byte-identical to a
 serial run under the same seed.
@@ -39,9 +39,8 @@ from repro.parallel.timing import (
     WORKER_PHASES,
     ShardTickTrace,
     TickPhaseTimer,
-    rebase_span_ops,
 )
-from repro.parallel.worker import DatabaseWorker, RecordingTracer, ShardRunner
+from repro.parallel.worker import DatabaseWorker, ShardRunner
 
 __all__ = [
     "DatabaseSpec",
@@ -50,7 +49,6 @@ __all__ = [
     "PARENT_PHASES",
     "PHASE_CATALOG",
     "ParallelSettings",
-    "RecordingTracer",
     "ShardPayload",
     "ShardRunner",
     "ShardTickTrace",
@@ -63,6 +61,5 @@ __all__ = [
     "build_fleet_service",
     "diff_snapshots",
     "make_pool",
-    "rebase_span_ops",
     "registry_snapshot",
 ]

@@ -2,10 +2,10 @@
 
 A :class:`TickDelta` is everything one database produced during one
 virtual-time tick, in emission order: its two histories (state-store
-journal entries, audit events) plus what neither of them carries — span
-operations (tuning-work wall clocks), the metric diff
-(histograms, gauges) and hot-path profiler rows.  Incidents, classifier
-examples and ``events_total`` are views of those and are not shipped.
+journal entries, audit events) plus what neither of them carries — the
+metric diff (histograms, gauges) and hot-path profiler rows.
+Incidents, classifier examples and ``events_total`` are views of those
+and are not shipped.
 Deltas are picklable (they cross the process pipe) and *positional* —
 all ids inside are the worker plane's local ids, remapped to global ids
 by the merger.
@@ -47,11 +47,6 @@ class TickDelta:
     journal: List[JournalEntry]
     #: Audit events with local seq / parent_seq / rec_id.
     audit: List[AuditEvent]
-    #: Span operations from the worker's recording tracer (analysis
-    #: passes and DTA sessions; lifecycle phases live in ``audit``):
-    #: ("start", span_id, kind, database, at, attributes, wall) or
-    #: ("end", span_id, at, outcome, attributes, wall).
-    spans: List[tuple]
     #: Registry snapshot diff (see :func:`diff_snapshots`).
     metrics: Dict[SeriesKey, object]
     #: Drained hot-path profiler rows ``(name, calls, real_seconds,

@@ -1,8 +1,8 @@
 """The deterministic merge: per-database streams → one global history.
 
-Workers emit per-database streams keyed by *local* ids (rec ids, span
-ids, journal seqs, audit seqs).  The merger replays them into the region
-service's store/audit/recorder/registry in **stable order**: deltas
+Workers emit per-database streams keyed by *local* ids (rec ids,
+journal seqs, audit seqs).  The merger replays them into the region
+service's store/audit/registry in **stable order**: deltas
 sorted by database name, each database's stream in its own emission
 (seq) order.  Global ids are assigned during replay, so two runs that
 produce the same per-database streams — which sharding guarantees,
@@ -27,7 +27,6 @@ from repro.errors import TelemetryError
 from repro.observability.audit import AuditLog
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.profiling import Profiler
-from repro.observability.spans import Span, SpanRecorder
 from repro.parallel.delta import TickDelta, apply_metric_diff
 
 
@@ -39,13 +38,11 @@ class DeterministicMerger:
         store: StateStore,
         audit: AuditLog,
         registry: MetricsRegistry,
-        recorder: SpanRecorder,
         profiler: Optional[Profiler] = None,
     ) -> None:
         self.store = store
         self.audit = audit
         self.registry = registry
-        self.recorder = recorder
         #: Region-level profiler that absorbs worker hot-path rows.  The
         #: rows arrive pre-sorted by name and deltas merge in stable db
         #: order, so the float accumulation order — hence the aggregate —
@@ -53,11 +50,7 @@ class DeterministicMerger:
         self.profiler = profiler
         #: (database, local rec_id) -> global rec_id, stable for the run.
         self.rec_ids: Dict[Tuple[str, int], int] = {}
-        #: (database, local span_id) -> the merged Span object, while
-        #: open.
-        self._open_spans: Dict[Tuple[str, int], Span] = {}
         self._next_rec_id = itertools.count(1)
-        self._next_span_id = itertools.count(1)
 
     # ------------------------------------------------------------------
 
@@ -88,8 +81,6 @@ class DeterministicMerger:
                 rec_id=rec_id,
                 **event.payload,
             )
-        for op in delta.spans:
-            self._apply_span_op(database, op)
         apply_metric_diff(self.registry, delta.metrics)
         if self.profiler is not None:
             for row in delta.hot_paths:
@@ -108,32 +99,3 @@ class DeterministicMerger:
                 "journal insert — shard stream out of order"
             )
         return mapped
-
-    def _apply_span_op(self, database: str, op: tuple) -> None:
-        # Each op's last element is a rebased ``perf_counter`` reading
-        # (or None).  Wall values never participate in determinism
-        # comparisons — sim-time fields do.
-        if op[0] == "start":
-            _kind, local_id, kind, span_db, at, attributes, wall_start = op
-            span = Span(
-                span_id=next(self._next_span_id),
-                kind=kind,
-                database=span_db,
-                start=at,
-                attributes=dict(attributes),
-                wall_start=wall_start,
-            )
-            self._open_spans[(database, local_id)] = span
-            self.recorder.record(span)
-        else:
-            _kind, local_id, at, outcome, attributes, wall_end = op
-            span = self._open_spans.pop((database, local_id), None)
-            if span is None:
-                raise TelemetryError(
-                    f"merge saw end for unknown span {local_id} of "
-                    f"{database!r}"
-                )
-            span.end = at
-            span.outcome = outcome
-            span.wall_end = wall_end
-            span.attributes.update(attributes)

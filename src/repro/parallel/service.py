@@ -7,12 +7,11 @@ Databases are sharded across a worker pool (process or serial — see
 tick every shard advances its databases' workloads and single-database
 control planes, and the parent replays the resulting per-database deltas
 through the :class:`~repro.parallel.merge.DeterministicMerger` into one
-region-level store/audit/registry/span history.
+region-level store/audit/registry history.
 
 Because global ordering is assigned at merge time in stable
-``(db_name, seq)`` order, a run's audit JSONL, recovered store state,
-and spans' simulated clocks are byte-identical across backends and
-worker counts for the same seed.
+``(db_name, seq)`` order, a run's audit JSONL and recovered store state
+are byte-identical across backends and worker counts for the same seed.
 
 Region duties live only at the parent, where they see the same merged
 state at the same virtual time in every backend: telemetry history
@@ -48,7 +47,6 @@ from repro.observability.trace_export import (
     TraceEvent,
     attribution_summary,
     history_counter_events,
-    span_trace_events,
 )
 from repro.recommender import MiRecommenderSettings
 from repro.recommender.classifier import (
@@ -68,7 +66,6 @@ from repro.parallel.timing import (
     PARENT_PHASES,
     PHASE_BOUNDS,
     TickPhaseTimer,
-    rebase_span_ops,
 )
 from repro.parallel.worker import DatabaseWorker
 from repro.validation import ValidationSettings
@@ -122,7 +119,6 @@ class ShardedFleetService:
             store=self.store,
             audit=self.telemetry.audit,
             registry=self.telemetry.registry,
-            recorder=self.telemetry.recorder,
             profiler=self.profiler,
         )
         self.specs = database_specs(
@@ -167,13 +163,6 @@ class ShardedFleetService:
 
     def _finish_init(self) -> None:
         """Construction after the pool exists (reaped on failure)."""
-        #: Database name -> export track (1 + shard index): spans from a
-        #: database render on the worker track that executed it.
-        self._db_track = {
-            spec.name: payload.shard_index + 1
-            for payload in self.payloads
-            for spec in payload.databases
-        }
         #: Database name -> its in-process worker (serial backend only).
         self._local: Optional[Dict[str, DatabaseWorker]] = (
             {
@@ -234,8 +223,7 @@ class ShardedFleetService:
         # ("wait") itself.  Each result is paired with where its tick
         # *start* lands on the parent timeline: receipt minus the tick's
         # busy time.  Anchoring the start at the receipt time would
-        # shift every tick by its own duration, and a span opened in a
-        # slow tick and closed in a fast one would end before it began.
+        # shift every tick's worker phases by its own duration.
         arrivals = [
             (result, timer.now() - result.busy_seconds)
             for result in self.pool.tick(
@@ -248,17 +236,7 @@ class ShardedFleetService:
             deltas = []
             for result, anchor in arrivals:
                 timer.absorb_shard(result, anchor)
-                for delta in result.deltas:
-                    if timer.enabled and delta.spans:
-                        # Shift span wall clocks from the shard's
-                        # perf_counter base onto the parent timeline
-                        # so the export shares one epoch.  Sim-time
-                        # fields are untouched — determinism is
-                        # unaffected.
-                        delta.spans = rebase_span_ops(
-                            delta.spans, result.started_wall, anchor
-                        )
-                    deltas.append(delta)
+                deltas.extend(result.deltas)
             registry.gauge("fleet_merge_queue_depth").set(len(deltas))
             self.merger.merge(deltas)
         with timer.phase("finalize"):
@@ -397,14 +375,10 @@ class ShardedFleetService:
         return attribution_summary(self.phase_timer.ticks, PARENT_PHASES)
 
     def trace_events(self) -> List[TraceEvent]:
-        """Phase brackets, merged-span events, and history counter
-        tracks for the trace export."""
-        return (
-            list(self.phase_timer.events)
-            + span_trace_events(
-                self.telemetry.recorder.spans(), self._db_track
-            )
-            + history_counter_events(self._counter_samples)
+        """Phase brackets and history counter tracks for the trace
+        export."""
+        return list(self.phase_timer.events) + history_counter_events(
+            self._counter_samples
         )
 
     def track_names(self) -> dict:

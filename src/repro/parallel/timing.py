@@ -20,9 +20,8 @@ Worker events carry offsets relative to the shard's own tick start;
 lands on the parent timeline (the result's receipt minus its busy
 time), which sidesteps any cross-process clock-base question
 (``perf_counter`` bases are not guaranteed comparable across
-processes).  The same anchoring rebases span wall clocks via
-:func:`rebase_span_ops` before the deterministic merge, so every
-exported timestamp shares one timeline rooted at the service's epoch.
+processes), so every exported timestamp shares one timeline rooted at
+the service's epoch.
 
 Phase names are a taxonomy (:data:`PHASE_CATALOG`) linted by
 ``scripts/check_observability_names.py`` exactly like metric names.
@@ -49,13 +48,13 @@ PHASE_CATALOG: Dict[str, str] = {
     "wait": "Parent: blocked on shard results — covers worker compute "
             "plus IPC serialization and transfer.",
     "merge": "Parent: DeterministicMerger replay of per-database deltas "
-             "into the region store/audit/registry/spans.",
+             "into the region store/audit/registry.",
     "finalize": "Parent: busy accounting, watchdog evaluation, and "
                 "classifier retraining after the merge.",
     "worker_run": "Worker: one database's workload advance plus "
                   "control-plane processing.",
     "worker_drain": "Worker: one database's tick-delta drain "
-                    "(journal/audit/span/metric snapshot diff).",
+                    "(journal/audit/metric snapshot diff).",
 }
 
 #: Parent-side phases; they partition the tick, so their per-tick sum is
@@ -104,24 +103,6 @@ class ShardTickTrace:
         for phase, _database, _offset, duration in self.events:
             out[phase] = out.get(phase, 0.0) + duration
         return out
-
-
-def rebase_span_ops(
-    ops: List[tuple], started_wall: float, anchor: float
-) -> List[tuple]:
-    """Shift span-op wall clocks from a shard's clock onto the parent's.
-
-    ``started_wall`` is the shard's tick start in its own clock;
-    ``anchor`` is where that instant lands on the parent timeline
-    (seconds since the profiling epoch).  Ops without wall values pass
-    through unchanged.
-    """
-    rebased = []
-    for op in ops:
-        if op[-1] is not None:
-            op = op[:-1] + (anchor + (op[-1] - started_wall),)
-        rebased.append(op)
-    return rebased
 
 
 class TickPhaseTimer:

@@ -2,10 +2,10 @@
 
 Each managed database gets its **own**
 :class:`~repro.controlplane.ControlPlane` (local rec ids, local journal
-seqs, local audit seqs, local span ids).  That is what makes the merge
-order canonical: a database's stream is identical no matter which shard
-or backend executed it, so replaying streams in sorted ``(db_name,
-seq)`` order yields one global, byte-stable history.
+seqs, local audit seqs).  That is what makes the merge order canonical:
+a database's stream is identical no matter which shard or backend
+executed it, so replaying streams in sorted ``(db_name, seq)`` order
+yields one global, byte-stable history.
 
 A :class:`ShardRunner` owns a list of :class:`DatabaseWorker` and runs
 one tick over all of them; :func:`shard_worker_main` is the process
@@ -23,59 +23,10 @@ from typing import Dict, List, Optional
 
 from repro.controlplane import ControlPlane
 from repro.observability.profiling import Profiler, use_profiler
-from repro.observability.spans import Span, Tracer
 from repro.parallel.delta import TickDelta, diff_snapshots, registry_snapshot
 from repro.parallel.spec import DatabaseSpec, ShardPayload, SharedSettings
 from repro.parallel.timing import ShardTickTrace
 from repro.workload.app_profiles import make_profile
-
-
-class RecordingTracer(Tracer):
-    """A tracer that also journals every start/end as a picklable op.
-
-    The ops (not the span objects) cross the process pipe; the merger
-    replays them against the region service's recorder with globally
-    remapped span ids.  Each op's final element is the span's wall-clock
-    ``perf_counter`` reading in *this* process's clock — the service
-    rebases it onto the parent timeline before the merge (see
-    :func:`repro.parallel.timing.rebase_span_ops`).
-    """
-
-    def __init__(self, recorder) -> None:
-        super().__init__(recorder)
-        self.ops: List[tuple] = []
-
-    def start(
-        self,
-        kind: str,
-        database: str,
-        at: float,
-        **attributes,
-    ) -> Span:
-        span = super().start(kind, database, at, **attributes)
-        self.ops.append(
-            (
-                "start",
-                span.span_id,
-                kind,
-                database,
-                at,
-                dict(attributes),
-                span.wall_start,
-            )
-        )
-        return span
-
-    def end(self, span: Span, at: float, outcome: str = "ok", **attributes) -> Span:
-        super().end(span, at, outcome, **attributes)
-        self.ops.append(
-            ("end", span.span_id, at, outcome, dict(attributes), span.wall_end)
-        )
-        return span
-
-    def drain(self) -> List[tuple]:
-        ops, self.ops = self.ops, []
-        return ops
 
 
 class DatabaseWorker:
@@ -108,11 +59,6 @@ class DatabaseWorker:
             validation_settings=shared.validation_settings,
             mi_settings=shared.mi_settings,
             fault_seed=spec.fault_seed,
-        )
-        # Journal span activity instead of only recording it; the merge
-        # replays the ops into the region-level recorder.
-        self.plane.telemetry.tracer = RecordingTracer(
-            self.plane.telemetry.recorder
         )
         self._journal_cursor = 0
         self._audit_cursor = 0
@@ -148,7 +94,6 @@ class DatabaseWorker:
         self._journal_cursor += len(journal)
         audit = plane.telemetry.audit.events_since(self._audit_cursor)
         self._audit_cursor += len(audit)
-        spans = plane.telemetry.tracer.drain()
         snapshot = registry_snapshot(plane.telemetry.registry)
         metrics = diff_snapshots(self._metric_snapshot, snapshot)
         self._metric_snapshot = snapshot
@@ -156,7 +101,6 @@ class DatabaseWorker:
             database=self.spec.name,
             journal=list(journal),
             audit=list(audit),
-            spans=spans,
             metrics=metrics,
             hot_paths=self.profiler.drain_rows(),
         )
@@ -169,8 +113,8 @@ class DatabaseWorker:
 class ShardResult:
     """One shard's tick output plus its wall-clock cost.
 
-    ``started_wall`` and the ``events`` offsets are in the *shard
-    process's* ``perf_counter`` clock; the parent re-anchors them on its
+    The ``events`` offsets are relative to the shard's tick start in
+    the *shard process's* clock; the parent re-anchors them on its
     own timeline (see :meth:`repro.parallel.timing.TickPhaseTimer
     .absorb_shard`) rather than comparing clock bases across processes.
     """
@@ -178,8 +122,6 @@ class ShardResult:
     deltas: List[TickDelta]
     busy_seconds: float
     shard_index: int = 0
-    #: The shard clock's reading at tick start (anchor for offsets).
-    started_wall: float = 0.0
     #: Seconds per worker-side phase, summed over this shard's databases.
     phase_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: ``(phase, database, start_offset_s, duration_s)`` trace rows.
@@ -214,7 +156,6 @@ class ShardRunner:
             deltas=deltas,
             busy_seconds=time.perf_counter() - started,
             shard_index=self.shard_index,
-            started_wall=started,
             phase_seconds=trace.totals() if trace is not None else {},
             events=trace.events if trace is not None else [],
         )

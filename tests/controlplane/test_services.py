@@ -13,7 +13,12 @@ from repro.controlplane import (
     ControlPlaneSettings,
     RecommendationState,
 )
-from repro.errors import ResourceBudgetExceededError
+from repro.errors import (
+    PermanentError,
+    ResourceBudgetExceededError,
+    SessionAbortedError,
+    TransientError,
+)
 from repro.recommender.dta import DtaSession
 from repro.recommender.recommendation import Action, IndexRecommendation
 from repro.workload import make_profile
@@ -32,6 +37,17 @@ def loop():
         settings=ControlPlaneSettings(validation_window=6 * HOURS),
     )
     return clock, profile, plane
+
+
+def duration_samples(plane, source: str):
+    """``(count, min, max)`` of the plane's
+    ``tuning_session_duration_minutes{source}`` histogram, if any."""
+    return [
+        (series.metric.count, series.metric.min, series.metric.max)
+        for series in plane.telemetry.registry.series_for(
+            "tuning_session_duration_minutes", source=source
+        )
+    ]
 
 
 def make_recommendation(profile) -> IndexRecommendation:
@@ -163,8 +179,9 @@ class TestDtaSessionManager:
         self, loop, monkeypatch
     ):
         """A budget-exhausted session is kept and resumed by the next run
-        (one span stays open across the deferrals) until the deferral cap
-        abandons it; the run after that starts a fresh session."""
+        (its start time survives the deferrals, and nothing is observed)
+        until the deferral cap abandons it with one duration sample; the
+        run after that starts a fresh session."""
         clock, profile, plane = loop
         profile.workload.run(profile.engine, hours=2, max_statements=120)
         manager = plane.dta_service
@@ -176,24 +193,94 @@ class TestDtaSessionManager:
 
         monkeypatch.setattr(DtaSession, "run", exhausted)
         cap = manager.MAX_BUDGET_DEFERRALS
-        recorder = plane.telemetry.tracer.recorder
+        started = clock.now
         for attempt in range(cap - 1):
             with pytest.raises(ResourceBudgetExceededError):
-                manager.run(clock.now + attempt)
-            assert len(recorder.spans(kind="dta_session", open_only=True)) == 1
-        assert manager.run(clock.now + cap) == []
+                manager.run(started + attempt)
+            assert manager._session_started == started
+            assert duration_samples(plane, "DTA") == []
+        closed = started + cap
+        assert manager.run(closed) == []
         assert len(attempts) == cap
         assert all(session is attempts[0] for session in attempts)
         assert manager.last_run_info == {"session_outcome": "abandoned"}
-        [span] = recorder.spans(kind="dta_session")
-        assert (span.outcome, span.start, span.end) == (
-            "abandoned", clock.now, clock.now + cap,
-        )
+        # One sample: the abandoning run's time minus the first start,
+        # i.e. ``cap`` minutes (up to the float subtraction itself).
+        duration = closed - started
+        assert duration == pytest.approx(cap)
+        assert duration_samples(plane, "DTA") == [(1, duration, duration)]
         registry = plane.telemetry.registry
         assert registry.total("events_total", kind="dta_budget_exhausted") == cap
         assert registry.total("events_total", kind="dta_abandoned") == 1
 
         with pytest.raises(ResourceBudgetExceededError):
-            manager.run(clock.now + cap + 1)
+            manager.run(started + cap + 1)
         assert attempts[-1] is not attempts[0]
-        assert len(recorder.spans(kind="dta_session", open_only=True)) == 1
+        assert manager._session_started == started + cap + 1
+        assert duration_samples(plane, "DTA") == [(1, duration, duration)]
+
+    @pytest.mark.parametrize("outcome", ["completed", "aborted", "abandoned"])
+    def test_terminal_outcome_observes_one_duration(
+        self, loop, monkeypatch, outcome
+    ):
+        """Every way a session ends observes one DTA sample: close time
+        minus the first start, across a budget deferral in between."""
+        clock, _profile, plane = loop
+        manager = plane.dta_service
+        monkeypatch.setattr(manager, "MAX_BUDGET_DEFERRALS", 2)
+        calls = []
+
+        def run(session):
+            calls.append(session)
+            if len(calls) == 1 or outcome == "abandoned":
+                raise ResourceBudgetExceededError("tuning budget spent")
+            if outcome == "aborted":
+                raise SessionAbortedError("tuning slowed user queries")
+            return []
+
+        monkeypatch.setattr(DtaSession, "run", run)
+        first_start = clock.now + 3.0
+        with pytest.raises(ResourceBudgetExceededError):
+            manager.run(first_start)
+        assert duration_samples(plane, "DTA") == []
+        close = first_start + 7.5
+        assert manager.run(close) == []
+        assert manager.last_run_info["session_outcome"] == outcome
+        duration = close - first_start
+        assert duration_samples(plane, "DTA") == [(1, duration, duration)]
+
+
+class TestRecommendationService:
+    @pytest.mark.parametrize(
+        "outcome, error",
+        [
+            ("completed", None),
+            ("deferred", TransientError("snapshot unavailable")),
+            ("failed", PermanentError("recommender broke")),
+        ],
+        ids=["completed", "deferred", "failed"],
+    )
+    def test_only_a_completed_mi_pass_observes_its_duration(
+        self, loop, monkeypatch, outcome, error
+    ):
+        """An MI pass observes ``clock.now - now`` once it completes; a
+        deferred or failed pass observes nothing."""
+        clock, _profile, plane = loop
+
+        def recommend():
+            clock.advance(4.0)  # the pass takes simulated time
+            if error is not None:
+                raise error
+            return []
+
+        monkeypatch.setattr(plane.mi, "recommend", recommend)
+        now = clock.now
+        plane.recommend_service.analyze(now)
+        registry = plane.telemetry.registry
+        assert registry.total(
+            "analysis_runs_total", source="MI", outcome=outcome
+        ) == 1
+        duration = clock.now - now
+        expected = [(1, duration, duration)] if outcome == "completed" else []
+        assert duration_samples(plane, "MI") == expected
+        assert duration_samples(plane, "DTA") == []

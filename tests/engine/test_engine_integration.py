@@ -113,6 +113,26 @@ class TestLiteralBinding:
             with pytest.raises(QueryError):
                 eng.execute(bad)
 
+    def test_infinite_literal_on_int_column_fails_before_planning(
+        self, monkeypatch
+    ):
+        """An INT predicate bound to ``inf`` raises QueryError (not a
+        bare OverflowError) before planning, and Query Store records
+        nothing."""
+        eng = perfect_engine(seed=503)
+        recorded = len(eng.query_store.queries())
+
+        def no_planning(*_args, **_kwargs):
+            raise AssertionError("planned an unbindable statement")
+
+        monkeypatch.setattr(eng.optimizer, "optimize", no_planning)
+        query = SelectQuery(
+            "orders", ("o_id",), (Predicate("o_id", Op.GT, float("inf")),)
+        )
+        with pytest.raises(QueryError, match="cannot coerce"):
+            eng.execute(query)
+        assert len(eng.query_store.queries()) == recorded
+
 
 class TestLockIntegration:
     def test_pending_schm_delays_statement_duration(self):

@@ -39,6 +39,18 @@ class TestSqlType:
             schema.validate_row((1, float("nan")))
         assert SqlType.FLOAT.coerce(float("inf")) == float("inf")
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "sql_type", [SqlType.INT, SqlType.BIGINT, SqlType.DATE]
+    )
+    def test_coerce_infinity_to_integer_type_raises_query_error(
+        self, sql_type, value
+    ):
+        # int(inf) raises OverflowError; coerce promises QueryError for
+        # every value its type cannot represent.
+        with pytest.raises(QueryError, match="cannot coerce"):
+            sql_type.coerce(value)
+
     def test_render_text_escapes_quotes(self):
         assert SqlType.TEXT.render("a'b") == "N'a''b'"
 

@@ -170,6 +170,54 @@ def test_property_shared_equals_fresh(twins, query, frontier):
     assert _observable(shared_eng)[0] == mi_before
 
 
+@pytest.fixture(scope="module")
+def twins_with():
+    """Twin pairs that carry a generated set of real indexes (positions
+    in ``_INDEX_POOL``, created as ``ix_<i>``), built once per set."""
+    built = {}
+
+    def build(positions: frozenset):
+        if positions not in built:
+            pair = []
+            for _twin_index in range(2):
+                eng = perfect_engine(seed=5001)
+                for i in sorted(positions):
+                    real = dataclasses.replace(
+                        _definition(i), name=f"ix_{i}", hypothetical=False
+                    )
+                    eng.create_index(real)
+                pair.append(eng)
+            built[positions] = tuple(pair)
+        return built[positions]
+
+    return build
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    real=st.frozensets(
+        st.integers(min_value=0, max_value=len(_INDEX_POOL) - 1), max_size=3
+    ),
+    query=statements(),
+    frontier=configurations(),
+)
+def test_property_shared_equals_fresh_over_generated_real_indexes(
+    twins_with, real, query, frontier
+):
+    """Sharing stays unobservable whatever real indexes sit under the
+    hypothetical ones: the twins carry a generated real index set."""
+    fresh_eng, shared_eng = twins_with(real)
+    fresh = [_outcome(_fresh_plan, fresh_eng, query, c) for c in frontier]
+    batch = shared_eng.whatif_batch(query)
+    shared = [_outcome(batch.price, config) for config in frontier]
+    assert shared == fresh  # exact float equality, not approx
+    assert _observable(shared_eng) == _observable(fresh_eng)
+
+
 @settings(
     max_examples=60,
     deadline=None,

@@ -14,7 +14,6 @@ from repro.observability import (
     AlertWatchdog,
     AuditLog,
     MetricsRegistry,
-    SpanRecorder,
     TimeSeriesStore,
     render_dashboard,
 )
@@ -207,7 +206,7 @@ class TestDashboardPanel:
 
     def test_firing_line_shows_burn_against_threshold(self):
         registry, watchdog = self._burning()
-        lines = render_dashboard(registry, SpanRecorder(), watchdog=watchdog)
+        lines = render_dashboard(registry, watchdog=watchdog)
         firing = [line for line in lines if "FIRING" in line]
         assert firing == [
             f"  FIRING {'slo_revert_rate':<30} value 3.000 >= 1.000 "
@@ -216,12 +215,12 @@ class TestDashboardPanel:
 
     def test_without_a_watchdog_the_gauges_name_the_paging_slos(self):
         registry, watchdog = self._burning()
-        lines = render_dashboard(registry, SpanRecorder())
+        lines = render_dashboard(registry)
         assert "  FIRING slo_revert_rate" in lines
         # Resolved: the gauge drops to 0 and the panel empties.
         _observe(watchdog.store, "revert_rate", 600, [0.0] * 300)
         watchdog.evaluate(20.0)
-        lines = render_dashboard(registry, SpanRecorder())
+        lines = render_dashboard(registry)
         assert lines[lines.index("alerts:") + 1] == "  (none firing)"
 
 

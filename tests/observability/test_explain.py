@@ -204,7 +204,6 @@ class TestWatchdogOnScenario:
         text = "\n".join(
             render_dashboard(
                 telemetry.registry,
-                telemetry.recorder,
                 watchdog=scenario.watchdog,
             )
         )
@@ -215,7 +214,6 @@ class TestWatchdogOnScenario:
 class TestExecutorPanel:
     def test_fallback_breakdown_lists_nonzero_reasons_in_order(self):
         from repro.observability.metrics import MetricsRegistry
-        from repro.observability.spans import SpanRecorder
 
         registry = MetricsRegistry()
         registry.gauge(
@@ -229,18 +227,48 @@ class TestExecutorPanel:
             "executor_fallback_threshold_total", database="db"
         ).set(4)
         registry.gauge("executor_fallback_join_total", database="db").set(3)
-        text = "\n".join(render_dashboard(registry, SpanRecorder()))
+        text = "\n".join(render_dashboard(registry))
         assert "vectorized executor:" in text
         assert "fallbacks:       threshold 4, join 3" in text
 
     def test_no_fallback_line_when_nothing_fell_back(self):
         from repro.observability.metrics import MetricsRegistry
-        from repro.observability.spans import SpanRecorder
 
         registry = MetricsRegistry()
         registry.gauge(
             "executor_vector_dispatch_total", database="db", path="vector"
         ).set(10)
-        text = "\n".join(render_dashboard(registry, SpanRecorder()))
+        text = "\n".join(render_dashboard(registry))
         assert "vectorized executor:" in text
         assert "fallbacks:" not in text
+
+
+class TestTuningSessionPanel:
+    """The panel reads ``tuning_session_duration_minutes`` only, so a
+    replayed registry renders it exactly like the live run."""
+
+    def test_one_line_per_source_with_count_quantiles_and_max(self):
+        from repro.observability.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        for minutes in (1.7, 2.5, 4.6, 95.0):
+            registry.histogram(
+                "tuning_session_duration_minutes", source="DTA"
+            ).observe(minutes)
+        registry.histogram(
+            "tuning_session_duration_minutes", source="MI"
+        ).observe(0.0)
+        lines = render_dashboard(registry)
+        start = lines.index("tuning session duration:")
+        assert lines[start + 1:start + 4] == [
+            "  DTA  count     4  p50     3.9 m  p95     1.5 h  max     1.6 h",
+            "  MI   count     1  p50     0.0 m  p95     0.0 m  max     0.0 m",
+            "engine hot paths:",
+        ]
+
+    def test_empty_registry_says_no_sessions(self):
+        from repro.observability.metrics import MetricsRegistry
+
+        lines = render_dashboard(MetricsRegistry())
+        start = lines.index("tuning session duration:")
+        assert lines[start + 1] == "  (no tuning sessions recorded)"

@@ -9,8 +9,6 @@ import pytest
 from repro.observability import (
     MetricsRegistry,
     Profiler,
-    SpanRecorder,
-    Tracer,
     json_export,
     json_text,
     prometheus_text,
@@ -87,7 +85,7 @@ class TestPrometheusText:
 class TestJsonExport:
     def test_metrics_payload(self):
         out = json_export(build_registry())
-        assert out["schema"] == "repro-telemetry-v2"
+        assert out["schema"] == "repro-telemetry-v3"
         by_name = {}
         for entry in out["metrics"]:
             by_name.setdefault(entry["name"], []).append(entry)
@@ -102,24 +100,11 @@ class TestJsonExport:
         assert hist["unit"] == "minutes"
         assert hist["p99"] == pytest.approx(20000.0)
 
-    def test_spans_and_hot_paths_sections(self):
-        tracer = Tracer(SpanRecorder())
-        span = tracer.start("analysis", "db1", at=10.0, source="qs")
-        tracer.end(span, at=22.0, outcome="completed")
+    def test_hot_paths_section(self):
         profiler = Profiler()
         profiler.record("optimizer_plan_search", 0.25, sim_ms=3.0)
-        out = json_export(MetricsRegistry(), tracer.recorder, profiler)
-        assert out["spans"] == [
-            {
-                "span_id": span.span_id,
-                "kind": "analysis",
-                "database": "db1",
-                "start": 10.0,
-                "end": 22.0,
-                "outcome": "completed",
-                "attributes": {"source": "qs"},
-            }
-        ]
+        out = json_export(MetricsRegistry(), profiler)
+        assert "spans" not in out
         assert out["hot_paths"] == [
             {
                 "name": "optimizer_plan_search",
@@ -131,7 +116,7 @@ class TestJsonExport:
 
     def test_json_text_round_trips(self):
         text = json_text(build_registry())
-        assert json.loads(text)["schema"] == "repro-telemetry-v2"
+        assert json.loads(text)["schema"] == "repro-telemetry-v3"
 
     def test_history_section(self):
         from repro.observability.timeseries import TelemetryHistory

@@ -2,8 +2,8 @@
 
 The hard guarantee under test: for the same fleet seed, the sharded
 service produces **byte-identical** merged output — audit JSONL, store
-journal, recovered record states, spans — no matter which backend
-(serial / process) or worker count executed the ticks.  Alongside it,
+journal, recovered record states, tuning-session histograms — no matter
+which backend (serial / process) or worker count executed the ticks.  Alongside it,
 the fleet-pool safety contracts: shard-crash detection, leak-free
 partial construction, busy attribution keyed by shard index, the capped
 tick-wall window, and out-of-order merge determinism.
@@ -85,9 +85,11 @@ def run_fleet(
                 r.rec_id: (r.database, r.state.name, tuple(r.state_history))
                 for r in service.store.recover().all_records()
             },
-            "spans": [
-                (s.span_id, s.kind, s.database, s.start, s.end, s.outcome)
-                for s in service.telemetry.recorder.spans()
+            "tuning_sessions": [
+                (s.labels, s.metric.count, s.metric.sum, s.metric.max)
+                for s in service.telemetry.registry.series_for(
+                    "tuning_session_duration_minutes"
+                )
             ],
             "history": service.validation_history,
             "incidents": service.incidents,
@@ -130,7 +132,7 @@ class TestBackendEquivalence:
         assert processed["jsonl"] == serial["jsonl"]
         assert processed["journal"] == serial["journal"]
         assert processed["recovered"] == serial["recovered"]
-        assert processed["spans"] == serial["spans"]
+        assert processed["tuning_sessions"] == serial["tuning_sessions"]
         assert processed["history"] == serial["history"]
         assert processed["incidents"] == serial["incidents"]
         assert processed["hot_paths"] == serial["hot_paths"]
@@ -149,7 +151,7 @@ class TestBackendEquivalence:
     def test_run_produced_real_work(self, serial):
         assert serial["recovered"], "no recommendations were generated"
         assert serial["jsonl"].count("\n") > 20
-        assert serial["spans"], "no spans recorded"
+        assert serial["tuning_sessions"], "no tuning sessions observed"
 
 
 @settings(max_examples=4, deadline=None)
@@ -591,7 +593,7 @@ class TestOutOfOrderMergeDeterminism:
         )
         assert shuffled["recovered"] == reference["recovered"]
         assert shuffled["journal"] == reference["journal"]
-        assert shuffled["spans"] == reference["spans"]
+        assert shuffled["tuning_sessions"] == reference["tuning_sessions"]
 
 
 class TestCli:

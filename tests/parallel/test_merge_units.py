@@ -8,7 +8,6 @@ from repro.controlplane.store import StateStore
 from repro.errors import TelemetryError
 from repro.observability.audit import AuditLog
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.spans import SpanRecorder
 from repro.parallel import (
     DeterministicMerger,
     TickDelta,
@@ -120,16 +119,14 @@ def make_merger():
         store=StateStore(),
         audit=AuditLog(),
         registry=MetricsRegistry(),
-        recorder=SpanRecorder(),
     )
 
 
-def delta_for(database: str, journal, audit=(), spans=()) -> TickDelta:
+def delta_for(database: str, journal, audit=()) -> TickDelta:
     return TickDelta(
         database=database,
         journal=list(journal),
         audit=list(audit),
-        spans=list(spans),
         metrics={},
     )
 
@@ -201,80 +198,3 @@ class TestDeterministicMerger:
         update_only = [e for e in entries if e.op != "insert"]
         with pytest.raises(TelemetryError, match="out of order"):
             merger.merge([delta_for("db-a", update_only)])
-
-    def test_span_ops_replayed_with_global_ids(self):
-        merger = make_merger()
-        ops_a = [
-            ("start", 10, "analysis", "db-a", 1.0, {"source": "MI"}, 0.5),
-            ("end", 10, 2.0, "ok", {}, 0.75),
-        ]
-        ops_b = [
-            ("start", 10, "analysis", "db-b", 1.0, {"source": "MI"}, None),
-            ("end", 10, 3.0, "ok", {}, None),
-        ]
-        merger.merge(
-            [
-                delta_for("db-b", [], spans=ops_b),
-                delta_for("db-a", [], spans=ops_a),
-            ]
-        )
-        spans = sorted(merger.recorder.spans(), key=lambda s: s.span_id)
-        assert [(s.span_id, s.database) for s in spans] == [
-            (1, "db-a"),
-            (2, "db-b"),
-        ]
-        assert all(s.end is not None for s in spans)
-        assert [s.attributes for s in spans] == [{"source": "MI"}] * 2
-
-    def test_ended_spans_leave_no_span_state(self):
-        """A span that has ended is forgotten: merging spans that have
-        all ended leaves the merger holding nothing but the rec-id map."""
-        merger = make_merger()
-        merger.merge(
-            [
-                delta_for(
-                    "db-a",
-                    [],
-                    spans=[
-                        ("start", 1, "dta_session", "db-a", 1.0, {}, None),
-                        ("start", 2, "analysis", "db-a", 1.0, {}, None),
-                        ("end", 2, 2.0, "ok", {}, None),
-                        ("start", 3, "analysis", "db-a", 2.0, {}, None),
-                    ],
-                )
-            ]
-        )
-        merger.merge(
-            [
-                delta_for(
-                    "db-a",
-                    [],
-                    spans=[
-                        ("end", 3, 3.0, "ok", {}, None),
-                        ("end", 1, 3.0, "completed", {"whatif_calls": 7}, None),
-                    ],
-                )
-            ]
-        )
-        spans = sorted(merger.recorder.spans(), key=lambda s: s.span_id)
-        assert [(s.span_id, s.kind, s.end) for s in spans] == [
-            (1, "dta_session", 3.0),
-            (2, "analysis", 2.0),
-            (3, "analysis", 3.0),
-        ]
-        assert spans[0].attributes == {"whatif_calls": 7}
-        span_state = {
-            name: value
-            for name, value in vars(merger).items()
-            if isinstance(value, dict) and name != "rec_ids" and value
-        }
-        assert span_state == {}
-        # An end for a span that already ended is a stream out of order.
-        with pytest.raises(TelemetryError, match="end for unknown span"):
-            merger.merge(
-                [
-                    delta_for(
-                        "db-a", [], spans=[("end", 1, 4.0, "ok", {}, None)]
-                    )
-                ]
-            )

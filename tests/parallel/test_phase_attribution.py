@@ -6,10 +6,11 @@ Covers the observability contract of the profiling layer:
   non-negative durations;
 - on the process backend the parent phases explain >= 95% of each
   tick's wall-clock (the attribution-coverage gate);
-- merged worker spans and profiler rows are identical serial vs
-  process (cross-process propagation loses nothing);
+- merged worker profiler rows are identical serial vs process
+  (cross-process propagation loses nothing);
 - the Chrome ``trace_event`` export round-trips ``json.loads`` with
-  monotonically non-decreasing ``ts`` per track;
+  monotonically non-decreasing ``ts`` per track, and carries only
+  phase and counter events;
 - disabling instrumentation (``--no-profile``) collects nothing and
   never perturbs merged output.
 """
@@ -25,11 +26,9 @@ import pytest
 
 from repro.clock import HOURS
 from repro.controlplane import ControlPlaneSettings
-from repro.observability.spans import SpanRecorder, Tracer
 from repro.observability.trace_export import (
     attribution_summary,
     render_critical_path,
-    span_trace_events,
     trace_event_json,
 )
 from repro.parallel import build_fleet_service
@@ -38,7 +37,6 @@ from repro.parallel.timing import (
     PHASE_CATALOG,
     WORKER_PHASES,
     TickPhaseTimer,
-    rebase_span_ops,
 )
 from repro.errors import TelemetryError
 from repro.service import ServiceSettings
@@ -70,14 +68,6 @@ def profiled_run(
             "ticks": list(service.phase_timer.ticks),
             "events": list(service.phase_timer.events),
             "summary": service.attribution(),
-            "spans": [
-                (s.span_id, s.kind, s.database, s.start, s.end, s.outcome)
-                for s in service.telemetry.recorder.spans()
-            ],
-            "span_walls": [
-                (s.wall_start, s.wall_end)
-                for s in service.telemetry.recorder.spans()
-            ],
             "hot_paths": sorted(
                 (s.name, s.calls, s.sim_ms) for s in service.profiler.rows()
             ),
@@ -148,35 +138,13 @@ class TestAttributionCoverage:
 
 
 class TestCrossProcessPropagation:
-    """Satellite (c): serial vs process merged spans/profiler identical."""
+    """Satellite (c): serial vs process merged profiler rows identical."""
 
-    def test_spans_and_hot_paths_byte_identical(self):
+    def test_hot_paths_byte_identical(self):
         serial = profiled_run("serial", 1, hours=30.0)
         process = profiled_run("process", WORKERS, hours=30.0)
-        assert serial["spans"] == process["spans"]
-        assert serial["spans"], "no spans merged"
         assert serial["hot_paths"] == process["hot_paths"]
         assert serial["hot_paths"], "profiler rows did not propagate"
-
-    def test_spans_carry_wall_clocks(self):
-        run = profiled_run("process", WORKERS, hours=30.0)
-        closed = [w for w in run["span_walls"] if w[1] is not None]
-        assert closed, "no closed spans with wall clocks"
-        for wall_start, wall_end in closed:
-            assert wall_start is not None
-            assert wall_end >= wall_start
-
-    def test_rebase_span_ops_shifts_only_wall(self):
-        ops = [
-            ("start", 1, "analysis", "db-a", 10.0, {}, 105.0),
-            ("end", 1, 20.0, "ok", {}, 106.5),
-            ("start", 2, "dta_session", "db-a", 10.0, {}, None),  # no wall
-        ]
-        rebased = rebase_span_ops(ops, started_wall=100.0, anchor=2.0)
-        assert rebased[0][6] == pytest.approx(7.0)
-        assert rebased[1][5] == pytest.approx(8.5)
-        assert rebased[0][:6] == ops[0][:6]
-        assert rebased[2] == ops[2]
 
 
 class TestTraceExport:
@@ -203,17 +171,14 @@ class TestTraceExport:
         }
         assert any("parent" in n for n in names)
 
-    def test_span_events_skip_missing_wall(self):
-        recorder = SpanRecorder()
-        tracer = Tracer(recorder)
-        span = tracer.start("analysis", "db-x", 0.0)
-        tracer.end(span, 5.0)
-        bare = tracer.start("analysis", "db-x", 6.0)
-        bare.wall_start = None  # simulate a replayed span
-        events = span_trace_events(recorder.spans(), {"db-x": 2})
-        assert len(events) == 1
-        assert events[0].track == 2
-        assert events[0].args["database"] == "db-x"
+    def test_process_trace_has_only_phase_and_counter_events(self):
+        # Tick phases and history samples are the whole timeline: no
+        # other event category reaches the export.
+        run = profiled_run("process", WORKERS)
+        categories = {
+            e["cat"] for e in run["doc"]["traceEvents"] if e["ph"] != "M"
+        }
+        assert categories == {"phase", "counter"}
 
     def test_render_critical_path_mentions_coverage(self):
         run = profiled_run("serial", WORKERS)

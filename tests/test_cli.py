@@ -75,14 +75,15 @@ class TestParser:
 
     def test_telemetry_args(self):
         args = build_parser().parse_args(
-            ["telemetry", "--days", "2", "--top", "3", "--format", "prom"]
+            ["telemetry", "--days", "2", "--format", "prom"]
         )
         assert args.days == 2
-        assert args.top == 3
         assert args.format == "prom"
         assert build_parser().parse_args(["telemetry"]).format == "dashboard"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["telemetry", "--format", "xml"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["telemetry", "--top", "3"])
 
     def test_slo_args(self):
         args = build_parser().parse_args(
@@ -120,9 +121,9 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
-        assert payload["schema"] == "repro-telemetry-v2"
+        assert payload["schema"] == "repro-telemetry-v3"
         assert payload["metrics"]
-        assert "spans" in payload and "hot_paths" in payload
+        assert "spans" not in payload and "hot_paths" in payload
 
     @pytest.mark.slow
     def test_fig6_runs(self, capsys):

@@ -45,7 +45,6 @@ NAMESPACES = {
     "fleet_* metric": ('x = "fleet_no_such_gauge"', None),
     "whatif_batch_* metric": ('x = "whatif_batch_no_such"', None),
     "phase name": ('timer.phase("no_such_phase")', "trace.observe_phase(p, d)"),
-    "span kind": ('tracer.start("no_such_kind", db)', "tracer.start(kind, db)"),
     "sampled-series name": ('store.mean("no_such_series", 16)', None),
     "executor_fallback_* metric": ('x = "executor_fallback_nope_total"', None),
     "slo_*": ('x = "slo_no_such_objective"', None),
