@@ -117,7 +117,7 @@ class Database:
 
 def bind_literals(query, tables: Dict[str, Table]):
     """``query`` with each predicate literal (join side too, :data:`PARAM`
-    aside) converted by its column's :meth:`SqlType.coerce`, as SQL Server
+    aside) converted by its column's :meth:`SqlType.convert`, as SQL Server
     does before comparing: one that cannot convert raises
     :class:`QueryError` before planning.  ``query`` itself comes back when
     no literal changes type; unknown tables and columns are left to planning.
@@ -145,11 +145,11 @@ def _bind(table: Optional[Table], predicates):
 
 def _bind_predicate(table: Table, predicate):
     try:
-        coerce = table.schema.column(predicate.column).sql_type.coerce
+        convert = table.schema.column(predicate.column).sql_type.convert
     except UnknownColumnError:
         return predicate
     old = (predicate.value, predicate.value2)
-    new = [value if value is PARAM else coerce(value) for value in old]
+    new = [value if value is PARAM else convert(value) for value in old]
     if all(type(n) is type(o) for n, o in zip(new, old)):
         return predicate
     return dataclasses.replace(predicate, value=new[0], value2=new[1])

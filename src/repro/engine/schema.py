@@ -14,8 +14,13 @@ import itertools
 import operator
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.engine.types import SqlType
-from repro.errors import SchemaError, UnknownColumnError
+from repro.engine.types import INT_RANGES, PYTHON_TYPES, SqlType
+from repro.errors import (
+    QueryError,
+    ReproError,
+    SchemaError,
+    UnknownColumnError,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,6 +135,21 @@ class TableSchema:
                     f"primary key column {column!r} not in table {name!r}"
                 )
         self.primary_key: Tuple[str, ...] = tuple(primary_key)
+        #: Per column: the column, the Python types its values may have as
+        #: they are (NoneType too if nullable) and its INT / BIGINT range.
+        self._domains = [
+            (
+                column,
+                {PYTHON_TYPES[column.sql_type]}
+                | ({type(None)} if column.nullable else set()),
+                INT_RANGES.get(column.sql_type),
+            )
+            for column in self.columns
+        ]
+        #: Primary-key values of a full row tuple (a compiled projector).
+        self.pk_values: Callable[[tuple], tuple] = self.projector(
+            self.primary_key
+        )
 
     def __repr__(self) -> str:
         return f"TableSchema({self.name!r}, {len(self.columns)} columns)"
@@ -174,27 +194,110 @@ class TableSchema:
             return lambda row: (row[only],)
         return operator.itemgetter(*positions)
 
-    def pk_values(self, row: tuple) -> tuple:
-        """Primary-key values of a full row tuple."""
-        return self.project(row, self.primary_key)
+    def validate_rows(
+        self, rows: Iterable[Sequence[object]]
+    ) -> Tuple[List[tuple], Optional[ReproError]]:
+        """Coerce and validate a batch of rows against column types and
+        nullability: returns the rows before the first invalid one,
+        coerced, and that row's error (``None`` when every row is valid).
 
-    def validate_row(self, row: Sequence[object]) -> tuple:
-        """Coerce and validate a row against column types and nullability."""
-        if len(row) != len(self.columns):
-            raise SchemaError(
-                f"row width {len(row)} != {len(self.columns)} "
+        A row's error is its width when wrong, else that of its first
+        column, in column order, whose value cannot coerce or is NULL
+        where the column is not nullable.  The batch is checked as
+        columns: see :meth:`validate_columns`.
+        """
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)
+        width = len(self.columns)
+        count, error = len(rows), None
+        if set(map(len, rows)) - {width}:
+            count = next(i for i, row in enumerate(rows) if len(row) != width)
+            error = SchemaError(
+                f"row width {len(rows[count])} != {width} "
                 f"for table {self.name!r}"
             )
-        coerced = []
-        for column, value in zip(self.columns, row):
-            value = column.sql_type.coerce(value)
-            if value is None and not column.nullable:
-                raise SchemaError(
-                    f"NULL in non-nullable column {column.name!r} "
-                    f"of table {self.name!r}"
-                )
-            coerced.append(value)
-        return tuple(coerced)
+            rows = rows[:count]
+        columns = list(zip(*rows)) if rows else [()] * width
+        return self._coerce_columns(columns, count, error)
+
+    def validate_columns(
+        self, columns: Sequence[Sequence[object]]
+    ) -> Tuple[List[tuple], Optional[ReproError]]:
+        """:meth:`validate_rows` for a batch given as one sequence of
+        values per column, in column order.
+
+        A column whose values all have their type's Python form
+        (:data:`~repro.engine.types.PYTHON_TYPES`: ``bool`` is no
+        ``int``), NULL only where the column is nullable, no NaN and
+        every INT / BIGINT inside :data:`~repro.engine.types.INT_RANGES`
+        is taken as it is, after one pass over its value types and one
+        ``min`` / ``max`` or sum; only another column is coerced value
+        by value, up to its first failure.
+        """
+        if len(columns) != len(self.columns):
+            raise SchemaError(
+                f"{len(columns)} columns != {len(self.columns)} "
+                f"for table {self.name!r}"
+            )
+        lengths = set(map(len, columns))
+        if len(lengths) > 1:
+            raise SchemaError(
+                f"columns of unequal length for table {self.name!r}"
+            )
+        return self._coerce_columns(list(columns), lengths.pop(), None)
+
+    def _coerce_columns(
+        self,
+        columns: List[Sequence[object]],
+        count: int,
+        error: Optional[ReproError],
+    ) -> Tuple[List[tuple], Optional[ReproError]]:
+        """Rows ``[0, count)`` of ``columns``, each column coerced, and
+        the first error: ``error`` (row ``count``'s) unless a value
+        before it fails.  A column only needs checking up to the first
+        failure found in the columns before it."""
+        for i, (column, python_types, bounds) in enumerate(self._domains):
+            values = columns[i]
+            if len(values) > count:
+                values = values[:count]
+            types = set(map(type, values))
+            if types <= python_types:
+                # Already typed: taken as it is unless a FLOAT holds NaN
+                # (the sum is NaN; ``inf`` with ``-inf`` also makes it
+                # NaN and only costs the value-by-value pass below) or an
+                # INT / BIGINT lies outside its range.
+                if type(None) in types:
+                    present = [v for v in values if v is not None]
+                else:
+                    present = values
+                if float in types:
+                    total = sum(present)
+                    if total == total:
+                        continue
+                elif not bounds or not present or (
+                    bounds[0] <= min(present) and max(present) <= bounds[1]
+                ):
+                    continue
+            coerce = column.sql_type.coerce
+            coerced = []
+            for value in values:
+                try:
+                    value = coerce(value)
+                except QueryError as exc:
+                    count, error = len(coerced), exc
+                    break
+                if value is None and not column.nullable:
+                    count = len(coerced)
+                    error = SchemaError(
+                        f"NULL in non-nullable column {column.name!r} "
+                        f"of table {self.name!r}"
+                    )
+                    break
+                coerced.append(value)
+            columns[i] = coerced
+        # Every column holds at least ``count`` values and one that
+        # failed last exactly ``count``: ``zip`` stops there.
+        return list(zip(*columns)), error
 
 
 _AUTO_INDEX_COUNTER = itertools.count(1)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
+import operator
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -174,26 +176,36 @@ def build_column_statistics(
     else:
         sampled = list(values)
         scale = 1.0
-    null_count = sum(1 for value in sampled if value is None)
-    non_null = sorted(value for value in sampled if value is not None)
-    distinct_total = len(set(non_null))
+    null_count = sampled.count(None)
+    if null_count:
+        non_null = sorted(value for value in sampled if value is not None)
+    else:
+        non_null = sorted(sampled)
+    # Positions where a new value starts: equal values sit together in
+    # sorted order, so a value's run ends at the next boundary.
+    boundaries = list(
+        itertools.compress(
+            range(1, len(non_null)),
+            map(operator.ne, itertools.islice(non_null, 1, None), non_null),
+        )
+    )
+    distinct_total = len(boundaries) + 1 if non_null else 0
     buckets: List[HistogramBucket] = []
     if non_null:
         per_bucket = max(1, len(non_null) // bucket_count)
         start = 0
         while start < len(non_null):
             end = min(len(non_null), start + per_bucket)
-            # Extend to include all duplicates of the boundary value so a
-            # value never straddles two buckets.
-            boundary = non_null[end - 1]
-            while end < len(non_null) and non_null[end] == boundary:
-                end += 1
-            chunk = non_null[start:end]
+            # Extend to the end of the boundary value's run so a value
+            # never straddles two buckets.
+            first = bisect.bisect_left(boundaries, end)
+            end = boundaries[first] if first < len(boundaries) else len(non_null)
+            distinct = first - bisect.bisect_right(boundaries, start) + 1
             buckets.append(
                 HistogramBucket(
-                    upper=chunk[-1],
-                    rows=len(chunk) * scale,
-                    distinct=max(1.0, len(set(chunk))),
+                    upper=non_null[end - 1],
+                    rows=(end - start) * scale,
+                    distinct=max(1.0, distinct),
                 )
             )
             start = end

@@ -272,43 +272,68 @@ class Table:
         meter: Optional[PageMeter] = None,
     ) -> List[tuple]:
         """Insert rows, maintaining every secondary index; returns the
-        validated rows.  Each row is validated and checked for a
-        duplicate primary key against the table and the rows before it;
-        the first failure is raised after the rows before it have been
-        inserted, which is the state a loop of one-row inserts leaves.
+        validated rows.
+
+        The batch is validated as columns (:meth:`TableSchema.validate_rows`)
+        and its primary keys checked as a set: against the rows before
+        each and, when the table is not empty, against the table, probed
+        in row order up to the first duplicate.  The first failure — a
+        row's width, NULL or coercion error before its duplicate key —
+        is raised after the rows before it have been inserted, which is
+        the state a loop of one-row inserts leaves.
         """
-        schema = self.schema
+        return self._insert_valid(*self.schema.validate_rows(rows), meter)
+
+    def insert_columns(
+        self,
+        columns: Sequence[Sequence[object]],
+        meter: Optional[PageMeter] = None,
+    ) -> List[tuple]:
+        """:meth:`insert_rows` for a batch given as one sequence of values
+        per column, in column order (:meth:`TableSchema.validate_columns`)."""
+        return self._insert_valid(*self.schema.validate_columns(columns), meter)
+
+    def _insert_valid(
+        self,
+        rows: List[tuple],
+        error: Optional[Exception],
+        meter: Optional[PageMeter],
+    ) -> List[tuple]:
+        """Insert validated ``rows`` up to the first duplicate key, then
+        raise that or ``error``, the failure of the row after them."""
         clustered = self.clustered
-        valid: Dict[tuple, tuple] = {}  # primary key -> row, in input order
-        try:
-            for row in rows:
-                row = schema.validate_row(row)
-                pk = schema.pk_values(row)
-                if pk in valid or self.fetch_by_pk(pk) is not None:
-                    raise ExecutionError(
+        keys = list(map(self.schema.pk_values, rows))
+        probe = len(clustered) > 0
+        if probe or len(set(keys)) != len(keys):
+            seen = set()
+            for i, pk in enumerate(keys):
+                if pk in seen or probe and self.fetch_by_pk(pk) is not None:
+                    error = ExecutionError(
                         f"duplicate primary key {pk!r} in table {self.name!r}"
                     )
-                valid[pk] = row
-        finally:
-            inserted = list(valid.values())
-            pages = 0
-            for pk, row in valid.items():
-                clustered.insert(pk, row)
-                # Base row insert: clustered traversal (at the height the
-                # insert left) plus row formatting/log.
-                pages += clustered.height + 2
-            self._changed([(None, row) for row in inserted])
-            for index in self.indexes.values():
-                entry_for_row = index.entry_for_row
-                tree_insert = index.tree.insert
-                for row in inserted:
-                    tree_insert(*entry_for_row(row))
-                # NC maintenance is ~one leaf write: upper levels are hot.
-                pages += len(inserted)
-            _tick("btree_insert", len(inserted) * (1 + len(self.indexes)))
-            if meter is not None:
-                meter.charge(pages)
-        return inserted
+                    del rows[i:], keys[i:]
+                    break
+                seen.add(pk)
+        pages = 0
+        for pk, row in zip(keys, rows):
+            clustered.insert(pk, row)
+            # Base row insert: clustered traversal (at the height the
+            # insert left) plus row formatting/log.
+            pages += clustered.height + 2
+        self._changed([(None, row) for row in rows])
+        for index in self.indexes.values():
+            entry_for_row = index.entry_for_row
+            tree_insert = index.tree.insert
+            for row in rows:
+                tree_insert(*entry_for_row(row))
+            # NC maintenance is ~one leaf write: upper levels are hot.
+            pages += len(rows)
+        _tick("btree_insert", len(rows) * (1 + len(self.indexes)))
+        if meter is not None:
+            meter.charge(pages)
+        if error is not None:
+            raise error
+        return rows
 
     def delete_rows(
         self, rows: Iterable[tuple], meter: Optional[PageMeter] = None
@@ -516,14 +541,14 @@ class Table:
         if columns is None:
             columns = self.schema.column_names
         all_rows = list(self.rows())
+        # One transpose: the values of every column, in PK order.
+        by_position = list(zip(*all_rows)) or [()] * len(self.schema.columns)
         built = 0
         for column in columns:
-            position = self.schema.position(column)
-            values = [row[position] for row in all_rows]
             self.statistics.set(
                 build_column_statistics(
                     column,
-                    values,
+                    by_position[self.schema.position(column)],
                     bucket_count=bucket_count,
                     sample_fraction=sample_fraction,
                     rng=rng,

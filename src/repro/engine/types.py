@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from typing import Optional
 
 from repro.errors import QueryError
@@ -30,11 +31,29 @@ class SqlType(enum.Enum):
         return _WIDTHS[self]
 
     def coerce(self, value: object) -> object:
-        """Coerce a Python value to this SQL type's canonical Python form.
+        """Coerce a Python value to a stored value of this SQL type: its
+        :meth:`convert`, which for INT and BIGINT must lie inside
+        :data:`INT_RANGES` (the int64 column vectors hold no more).
 
-        Raises :class:`QueryError` if the value is not representable, NaN
-        included (SQL's FLOAT has none, and it would break bisected
-        order).  ``None`` (SQL NULL) passes through unchanged.
+        Raises :class:`QueryError` if the value is not representable.
+        ``None`` (SQL NULL) passes through unchanged.
+        """
+        coerced = self.convert(value)
+        bounds = INT_RANGES.get(self)
+        if bounds and coerced is not None and not bounds[0] <= coerced <= bounds[1]:
+            raise QueryError(f"cannot coerce {value!r} to {self.value}: out of range")
+        return coerced
+
+    def convert(self, value: object) -> object:
+        """Convert a Python value to this SQL type's canonical Python form
+        (:data:`PYTHON_TYPES`), as T-SQL converts a literal compared with
+        a column of the type: an integer wider than INT or BIGINT is
+        compared as it is, so it converts unchecked.
+
+        Raises :class:`QueryError` if the value does not convert: NaN
+        (SQL's FLOAT has none, and it would break bisected order) and a
+        BIT that T-SQL would not convert included.  ``None`` (SQL NULL)
+        passes through unchanged.
         """
         if value is None:
             return None
@@ -42,12 +61,12 @@ class SqlType(enum.Enum):
             if self in (SqlType.INT, SqlType.BIGINT, SqlType.DATE):
                 return int(value)
             if self is SqlType.FLOAT:
-                coerced = float(value)
-                if coerced != coerced:
+                converted = float(value)
+                if converted != converted:
                     raise ValueError("NaN")
-                return coerced
+                return converted
             if self is SqlType.BOOL:
-                return bool(value)
+                return _to_bit(value)
             return str(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise QueryError(f"cannot coerce {value!r} to {self.value}") from exc
@@ -63,6 +82,41 @@ class SqlType(enum.Enum):
             return "1" if value else "0"
         return str(value)
 
+
+def _to_bit(value: object) -> bool:
+    """T-SQL's conversion to BIT: a number is nonzero, a string is
+    ``'true'`` / ``'false'`` (any case) or a number; NaN and anything
+    else raise ``ValueError`` / ``TypeError``."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        word = value.strip().lower()
+        if word in ("true", "false"):
+            return word == "true"
+        value = float(value)
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{type(value).__name__} is not a number")
+    if value != value:
+        raise ValueError("NaN")
+    return bool(value)
+
+
+#: The Python type of every non-NULL value :meth:`SqlType.coerce` returns.
+PYTHON_TYPES = {
+    SqlType.INT: int,
+    SqlType.BIGINT: int,
+    SqlType.FLOAT: float,
+    SqlType.BOOL: bool,
+    SqlType.DATE: int,
+    SqlType.TEXT: str,
+}
+
+#: Inclusive value range of the sized integer types: what the int64
+#: column vectors can hold, and no more than SQL Server's INT / BIGINT.
+INT_RANGES = {
+    SqlType.INT: (-(2**31), 2**31 - 1),
+    SqlType.BIGINT: (-(2**63), 2**63 - 1),
+}
 
 _WIDTHS = {
     SqlType.INT: 4,

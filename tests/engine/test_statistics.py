@@ -273,3 +273,89 @@ class TestBisectedLookups:
                     stats._rows_below(value, inclusive),
                     _scan_rows_below(stats, value, inclusive),
                 )
+
+
+# ----------------------------------------------------------------------
+# The histogram build against the per-value build it replaced
+
+
+def _reference_build(values, bucket_count, sample_fraction, rng):
+    """The generator-fed build with ``len(set(chunk))`` per bucket,
+    kept as an oracle: ``(row_count, null_count, distinct_count,
+    sampled_fraction, buckets)``."""
+    row_count = len(values)
+    if row_count == 0:
+        return (0, 0, 0, 1.0, [])
+    if sample_fraction < 1.0:
+        take = max(1, int(row_count * sample_fraction))
+        positions = rng.choice(row_count, size=take, replace=False)
+        sampled = [values[int(i)] for i in positions]
+        scale = row_count / take
+    else:
+        sampled = list(values)
+        scale = 1.0
+    null_count = sum(1 for value in sampled if value is None)
+    non_null = sorted(value for value in sampled if value is not None)
+    distinct_total = len(set(non_null))
+    buckets = []
+    if non_null:
+        per_bucket = max(1, len(non_null) // bucket_count)
+        start = 0
+        while start < len(non_null):
+            end = min(len(non_null), start + per_bucket)
+            boundary = non_null[end - 1]
+            while end < len(non_null) and non_null[end] == boundary:
+                end += 1
+            chunk = non_null[start:end]
+            buckets.append(
+                (chunk[-1], len(chunk) * scale, max(1.0, len(set(chunk))))
+            )
+            start = end
+    distinct = int(distinct_total * scale) or (1 if non_null else 0)
+    return (row_count, int(null_count * scale), distinct, sample_fraction, buckets)
+
+
+#: Ints and floats that compare equal across types (0 / -0.0 / 0.0,
+#: 2**53 and its float) and ones that only nearly do (2**53 + 1).
+_MIXED_NUMBERS = st.lists(
+    st.one_of(
+        st.none(),
+        st.integers(-6, 6),
+        st.sampled_from([0.0, -0.0, 2.0, 2**53, 2**53 + 1, float(2**53)]),
+        st.floats(-3, 3, allow_nan=False).map(lambda f: round(f, 1)),
+    ),
+    max_size=150,
+)
+
+
+@given(
+    values=st.one_of(_COLUMN_VALUES, _MIXED_NUMBERS),
+    bucket_count=st.integers(1, 12),
+    sample_fraction=st.sampled_from([1.0, 1.0, 0.5, 0.3]),
+    as_tuple=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_build_equals_per_value_build(
+    values, bucket_count, sample_fraction, as_tuple
+):
+    """Sorting the list directly and counting distinct values from run
+    boundaries builds, field by field and type by type, the statistics
+    the per-value build did."""
+    stats = build_column_statistics(
+        "c",
+        tuple(values) if as_tuple else values,
+        bucket_count=bucket_count,
+        sample_fraction=sample_fraction,
+        rng=np.random.default_rng(3),
+    )
+    rows, nulls, distinct, fraction, buckets = _reference_build(
+        values, bucket_count, sample_fraction, np.random.default_rng(3)
+    )
+    assert (stats.row_count, stats.null_count) == (rows, nulls)
+    assert stats.distinct_count == (max(1, distinct) if rows else 0)
+    assert stats.sampled_fraction == fraction
+    got = [(b.upper, b.rows, b.distinct) for b in stats.buckets]
+    assert got == buckets
+    assert [tuple(map(type, b)) for b in got] == [
+        tuple(map(type, b)) for b in buckets
+    ]

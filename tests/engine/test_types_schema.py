@@ -12,6 +12,7 @@ from repro.engine.schema import (
     TableSchema,
     auto_index_name,
 )
+from repro.engine.table import Table
 from repro.engine.types import NULL, SqlType, key_of, rows_per_page
 from repro.errors import QueryError, SchemaError, UnknownColumnError
 
@@ -21,8 +22,7 @@ class TestSqlType:
         assert SqlType.INT.coerce("42") == 42
         assert SqlType.FLOAT.coerce(3) == 3.0
         assert SqlType.TEXT.coerce(42) == "42"
-
-    def test_coerce_null_passthrough(self):
+        # NULL passes through.
         assert SqlType.INT.coerce(None) is None
 
     def test_coerce_invalid_raises(self):
@@ -35,9 +35,49 @@ class TestSqlType:
         schema = TableSchema(
             "t", [Column("a", SqlType.INT), Column("b", SqlType.FLOAT)]
         )
-        with pytest.raises(QueryError):
-            schema.validate_row((1, float("nan")))
+        valid, error = schema.validate_rows([(1, float("nan"))])
+        assert valid == [] and isinstance(error, QueryError)
         assert SqlType.FLOAT.coerce(float("inf")) == float("inf")
+
+    @pytest.mark.parametrize("sql_type", [SqlType.INT, SqlType.BIGINT])
+    def test_integer_range_is_checked(self, sql_type):
+        # The int64 column vectors hold no more than BIGINT; INT is
+        # SQL Server's 32-bit type.
+        bits = 32 if sql_type is SqlType.INT else 64
+        low, high = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        assert sql_type.coerce(low) == low and sql_type.coerce(high) == high
+        assert sql_type.coerce(str(high)) == high
+        for outside in (low - 1, high + 1, float(2**bits)):
+            with pytest.raises(QueryError, match="cannot coerce"):
+                sql_type.coerce(outside)
+        # A comparison converts a wider literal unchecked.
+        assert sql_type.convert(high + 1) == high + 1
+        table = Table(TableSchema("t", [Column("k", sql_type, nullable=False)]))
+        assert table.insert_rows([(low,), (high,)]) == [(low,), (high,)]
+        for before, outside in ((high - 2, high + 1), (low + 2, low - 1)):
+            with pytest.raises(QueryError, match="cannot coerce"):
+                table.insert_rows([(before,), (outside,), (0,)])
+        # Each failed batch inserted the row before the out-of-range one.
+        assert sorted(table.rows()) == sorted(
+            [(low,), (high,), (high - 2,), (low + 2,)]
+        )
+
+    def test_bit_converts_as_t_sql_does(self):
+        convert = SqlType.BOOL.coerce
+        for value in (True, False):
+            assert convert(value) is value
+        for value, bit in [(0, False), (1, True), (-3, True), (0.0, False),
+                           (0.25, True), (float("inf"), True)]:
+            assert convert(value) is bit
+        for value, bit in [("true", True), ("FALSE", False), (" True ", True),
+                           ("0", False), ("1", True), ("2.5", True),
+                           ("-0", False)]:
+            assert convert(value) is bit
+        for value in (float("nan"), "nan", "abc", "", "yes", [], b"1",
+                      object()):
+            with pytest.raises(QueryError, match="cannot coerce"):
+                convert(value)
+        assert convert(None) is None
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
     @pytest.mark.parametrize(
@@ -53,8 +93,6 @@ class TestSqlType:
 
     def test_render_text_escapes_quotes(self):
         assert SqlType.TEXT.render("a'b") == "N'a''b'"
-
-    def test_render_null(self):
         assert SqlType.INT.render(None) == "NULL"
 
     def test_widths_positive(self):
@@ -174,22 +212,29 @@ class TestTableSchema:
         schema = self.make()
         assert schema.position("b") == 1
         assert schema.column("b").sql_type is SqlType.TEXT
-
-    def test_position_unknown_raises(self):
         with pytest.raises(UnknownColumnError):
-            self.make().position("zz")
+            schema.position("zz")
 
-    def test_validate_row_coerces(self):
+    def test_validate_rows_coerces(self):
         schema = self.make()
-        assert schema.validate_row(("5", 7)) == (5, "7")
+        assert schema.validate_rows([("5", 7)]) == ([(5, "7")], None)
+        # The same batch given as columns, which must match the schema.
+        assert schema.validate_columns([[1, 2], ["x", None]]) == (
+            [(1, "x"), (2, None)], None
+        )
+        for columns in ([[1, 2]], [[1, 2], ["x"]]):
+            with pytest.raises(SchemaError):
+                schema.validate_columns(columns)
 
-    def test_validate_row_null_in_non_nullable(self):
-        with pytest.raises(SchemaError):
-            self.make().validate_row((None, "x"))
+    def test_validate_rows_null_in_non_nullable(self):
+        valid, error = self.make().validate_rows([(1, "a"), (None, "x")])
+        assert valid == [(1, "a")]
+        assert isinstance(error, SchemaError) and "NULL" in str(error)
 
-    def test_validate_row_wrong_width(self):
-        with pytest.raises(SchemaError):
-            self.make().validate_row((1,))
+    def test_validate_rows_wrong_width(self):
+        valid, error = self.make().validate_rows([(1, "a"), (1,), ("z", "b")])
+        assert valid == [(1, "a")]
+        assert isinstance(error, SchemaError) and "width" in str(error)
 
     def test_project_and_pk(self):
         schema = self.make()
