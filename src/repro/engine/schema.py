@@ -204,7 +204,14 @@ class TableSchema:
         A row's error is its width when wrong, else that of its first
         column, in column order, whose value cannot coerce or is NULL
         where the column is not nullable.  The batch is checked as
-        columns: see :meth:`validate_columns`.
+        columns.  A column whose values all have their type's Python
+        form (:data:`~repro.engine.types.PYTHON_TYPES`: ``bool`` is no
+        ``int``), NULL only where the column is nullable, no NaN and
+        every INT / BIGINT inside :data:`~repro.engine.types.INT_RANGES`
+        is taken as it is, after one pass over its value types and one
+        ``min`` / ``max`` or sum; only another column is coerced value
+        by value, up to its first failure.  A column only needs checking
+        up to the first failure found in the columns before it.
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
@@ -217,45 +224,8 @@ class TableSchema:
                 f"for table {self.name!r}"
             )
             rows = rows[:count]
-        columns = list(zip(*rows)) if rows else [()] * width
-        return self._coerce_columns(columns, count, error)
-
-    def validate_columns(
-        self, columns: Sequence[Sequence[object]]
-    ) -> Tuple[List[tuple], Optional[ReproError]]:
-        """:meth:`validate_rows` for a batch given as one sequence of
-        values per column, in column order.
-
-        A column whose values all have their type's Python form
-        (:data:`~repro.engine.types.PYTHON_TYPES`: ``bool`` is no
-        ``int``), NULL only where the column is nullable, no NaN and
-        every INT / BIGINT inside :data:`~repro.engine.types.INT_RANGES`
-        is taken as it is, after one pass over its value types and one
-        ``min`` / ``max`` or sum; only another column is coerced value
-        by value, up to its first failure.
-        """
-        if len(columns) != len(self.columns):
-            raise SchemaError(
-                f"{len(columns)} columns != {len(self.columns)} "
-                f"for table {self.name!r}"
-            )
-        lengths = set(map(len, columns))
-        if len(lengths) > 1:
-            raise SchemaError(
-                f"columns of unequal length for table {self.name!r}"
-            )
-        return self._coerce_columns(list(columns), lengths.pop(), None)
-
-    def _coerce_columns(
-        self,
-        columns: List[Sequence[object]],
-        count: int,
-        error: Optional[ReproError],
-    ) -> Tuple[List[tuple], Optional[ReproError]]:
-        """Rows ``[0, count)`` of ``columns``, each column coerced, and
-        the first error: ``error`` (row ``count``'s) unless a value
-        before it fails.  A column only needs checking up to the first
-        failure found in the columns before it."""
+        # One C pass per column; no per-row objects.
+        columns = [list(map(operator.itemgetter(i), rows)) for i in range(width)]
         for i, (column, python_types, bounds) in enumerate(self._domains):
             values = columns[i]
             if len(values) > count:

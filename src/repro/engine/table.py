@@ -19,6 +19,7 @@ once, with the number of tree entries it maintained.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -282,25 +283,7 @@ class Table:
         is raised after the rows before it have been inserted, which is
         the state a loop of one-row inserts leaves.
         """
-        return self._insert_valid(*self.schema.validate_rows(rows), meter)
-
-    def insert_columns(
-        self,
-        columns: Sequence[Sequence[object]],
-        meter: Optional[PageMeter] = None,
-    ) -> List[tuple]:
-        """:meth:`insert_rows` for a batch given as one sequence of values
-        per column, in column order (:meth:`TableSchema.validate_columns`)."""
-        return self._insert_valid(*self.schema.validate_columns(columns), meter)
-
-    def _insert_valid(
-        self,
-        rows: List[tuple],
-        error: Optional[Exception],
-        meter: Optional[PageMeter],
-    ) -> List[tuple]:
-        """Insert validated ``rows`` up to the first duplicate key, then
-        raise that or ``error``, the failure of the row after them."""
+        rows, error = self.schema.validate_rows(rows)
         clustered = self.clustered
         keys = list(map(self.schema.pk_values, rows))
         probe = len(clustered) > 0
@@ -541,14 +524,14 @@ class Table:
         if columns is None:
             columns = self.schema.column_names
         all_rows = list(self.rows())
-        # One transpose: the values of every column, in PK order.
-        by_position = list(zip(*all_rows)) or [()] * len(self.schema.columns)
         built = 0
         for column in columns:
+            # The column's values in PK order, extracted in one C pass.
+            position = operator.itemgetter(self.schema.position(column))
             self.statistics.set(
                 build_column_statistics(
                     column,
-                    by_position[self.schema.position(column)],
+                    list(map(position, all_rows)),
                     bucket_count=bucket_count,
                     sample_fraction=sample_fraction,
                     rng=rng,

@@ -56,7 +56,7 @@ def populate_table(
         _column_values(spec, table_spec.row_count, rng, dim_rows)
         for spec in table_spec.columns
     ]
-    table.insert_columns(columns)
+    table.insert_rows(zip(*columns))
 
 
 def populate_database(

@@ -287,14 +287,15 @@ class TestNoStaleReadsThroughExecution:
 # Oracle: a maintained projection equals one built from scratch
 #
 # A small table (so every example builds its own) carrying an index with
-# an included column, a single-column index, a string index and one
-# non-indexed column (``o_date``).  ``ROWS * _REBUILD_SHARE`` is the fold
+# an included column (``o_date``, which can hold a value past int64), a
+# single-column index, a string index and one non-indexed column
+# (``o_amount``).  ``ROWS * _REBUILD_SHARE`` is the fold
 # budget, so keyed statements fold and wide predicates exceed it — both
 # sides of the constant are exercised by the same generator.
 
 ROWS = 300
 INDEXES = (
-    IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_amount",)),
+    IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_date",)),
     IndexDefinition("ix_status", "orders", ("o_status",)),
     IndexDefinition("ix_note", "orders", ("o_note",)),
 )
@@ -360,7 +361,9 @@ def assert_equals_fresh(table, index_name) -> None:
 READS = (
     SelectQuery("orders", ("o_id", "o_note", "o_date"),
                 (Predicate("o_date", Op.GE, 100),)),
-    SelectQuery("orders", ("o_cust", "o_amount"),
+    SelectQuery("orders", ("o_cust", "o_date"),
+                (Predicate("o_date", Op.LT, 500),)),
+    SelectQuery("orders", ("o_id", "o_amount"),
                 (Predicate("o_amount", Op.LT, 500.0),)),
     SelectQuery("orders", ("o_id", "o_note"), (Predicate("o_note", Op.NEQ, "x"),),
                 order_by=(OrderItem("o_note"), OrderItem("o_id", False))),
@@ -407,7 +410,7 @@ NULLABLE = {
 ROWS_ST = st.tuples(KEYS, *(NULLABLE[c] for c in
                             ("o_cust", "o_status", "o_amount", "o_date", "o_note")))
 ASSIGNMENTS = st.one_of(
-    # a non-indexed column, indexed keys, an included column, the
+    # an included column, indexed keys, a non-indexed column, the
     # primary key, and two at once
     st.tuples(st.tuples(st.just("o_date"), NULLABLE["o_date"])),
     st.tuples(st.tuples(st.just("o_cust"), NULLABLE["o_cust"])),
@@ -594,6 +597,7 @@ class TestFoldAndRebuildTriggers:
         projection = table.columnar().projection()
         note, date = projection.vector("o_note"), projection.vector("o_date")
         cust = projection.vector("o_cust")
+        touch(table.columnar().projection("ix_cust"))
         eng.execute(
             UpdateQuery(
                 "orders",
@@ -620,3 +624,6 @@ class TestFoldAndRebuildTriggers:
         assert {"o_id": 4, "o_note": LONG_NOTE} in rows
         eng.settings.execution.vector_min_rows = sys.maxsize
         assert rows == eng.execute(scan).rows
+        # ``ix_cust`` includes ``o_date``: its built projection folds the
+        # value and refuses the vector as a fresh one does.
+        assert_equals_fresh(table, "ix_cust")

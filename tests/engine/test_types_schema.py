@@ -218,13 +218,10 @@ class TestTableSchema:
     def test_validate_rows_coerces(self):
         schema = self.make()
         assert schema.validate_rows([("5", 7)]) == ([(5, "7")], None)
-        # The same batch given as columns, which must match the schema.
-        assert schema.validate_columns([[1, 2], ["x", None]]) == (
+        # Typed columns pass as they are, NULL where nullable.
+        assert schema.validate_rows([(1, "x"), (2, None)]) == (
             [(1, "x"), (2, None)], None
         )
-        for columns in ([[1, 2]], [[1, 2], ["x"]]):
-            with pytest.raises(SchemaError):
-                schema.validate_columns(columns)
 
     def test_validate_rows_null_in_non_nullable(self):
         valid, error = self.make().validate_rows([(1, "a"), (None, "x")])
