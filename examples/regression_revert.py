@@ -75,10 +75,10 @@ def main() -> None:
 
     index = IndexDefinition("ix_kind", "events", ("e_kind",), ("e_payload",))
     hot = SelectQuery("events", ("e_payload",), (Predicate("e_kind", Op.EQ, 0),))
-    estimated_before = engine.whatif_cost(hot)
-    estimated_after = engine.whatif_cost(hot, extra_indexes=[
+    estimated_before = engine.whatif_optimize(hot).est_cost
+    estimated_after = engine.whatif_optimize(hot, [
         IndexDefinition("hyp", "events", ("e_kind",), ("e_payload",), hypothetical=True)
-    ])
+    ]).est_cost
     print(
         f"optimizer estimate: {estimated_before:.1f} -> {estimated_after:.1f} "
         "(the index looks like a clear win)"

@@ -147,7 +147,7 @@ def _fallback_count(reason: str) -> Callable[[SqlEngine], int]:
 #: names from here.  Fallback reasons a database never hit get no series
 #: (consumers read a missing gauge as 0), which keeps the registry
 #: O(reasons actually exercised) rather than O(7 x fleet); the what-if
-#: pricer's gauges appear once an engine has priced its first batch.
+#: batch gauges appear once an engine has priced its first batch.
 ENGINE_GAUGES: Tuple[EngineGauge, ...] = (
     EngineGauge(
         "executor_vector_dispatch_total", {"path": "vector"},

@@ -6,12 +6,11 @@ exposing the surfaces the auto-indexing service consumes:
 
 - ``execute(query)`` — optimize + execute, recording Query Store runtime
   stats, MI candidates, and index usage;
-- ``whatif_optimize(query, extra_indexes)`` — the what-if API: the
-  statement substrate ``execute``'s planning uses, asked about a
-  hypothetical configuration (no MI emission) and
+- ``whatif_batch(query)`` — the what-if API: one :class:`WhatIfBatch`
+  per statement asks the substrate ``execute``'s planning uses about any
+  number of hypothetical configurations (no MI emission), each costing
   metered against the tuning resource pool (Section 5.3.1);
-  ``whatif_batch`` / ``whatif_cost_many`` ask about many configurations
-  of one statement through one :class:`WhatIfBatch`;
+  ``whatif_optimize(query, extra_indexes)`` is one batch priced once;
 - ``create_index`` / ``drop_index`` — immediate DDL (the control plane
   wraps these in online build jobs and the low-priority drop protocol);
 - ``restart()`` / ``failover()`` — clear the MI DMV, exercising the
@@ -48,7 +47,12 @@ from repro.engine.schema import IndexDefinition, TableSchema
 from repro.engine.sqlgen import render, template_text
 from repro.engine.table import Table
 from repro.engine.usage_stats import IndexUsageStats
-from repro.errors import DuplicateObjectError, UnknownColumnError, UnknownTableError
+from repro.errors import (
+    DuplicateObjectError,
+    OptimizeError,
+    UnknownColumnError,
+    UnknownTableError,
+)
 from repro.observability.profiling import count, profile
 from repro.rng import derive, stable_uniform
 
@@ -331,38 +335,16 @@ class SqlEngine:
     # ------------------------------------------------------------------
     # What-if API (Section 5.3)
 
+    def whatif_batch(self, query) -> "WhatIfBatch":
+        """The metered what-if API for many configurations of one
+        statement, see :class:`WhatIfBatch`."""
+        return WhatIfBatch(self, query)
+
     def whatif_optimize(
         self, query, extra_indexes: Sequence[IndexDefinition] = ()
     ) -> PlanNode:
-        """Optimize under a hypothetical configuration; metered."""
-        return WhatIfBatch(self, query).price(extra_indexes)
-
-    def whatif_cost(
-        self, query, extra_indexes: Sequence[IndexDefinition] = ()
-    ) -> float:
-        return self.whatif_optimize(query, extra_indexes).est_cost
-
-    def whatif_batch(self, query) -> "WhatIfBatch":
-        """A metered pricer for many configurations of one statement.
-
-        Every configuration priced through it produces the exact plan
-        and cost :meth:`whatif_optimize` would and is charged to the
-        tuning pool the same way; the statement's plan substrate is
-        built once for all of them.
-        """
-        return WhatIfBatch(self, query)
-
-    def whatif_cost_many(
-        self, query, configurations: Sequence[Sequence[IndexDefinition]]
-    ) -> List[float]:
-        """Estimated costs of one statement under many configurations.
-
-        Bit-identical to calling :meth:`whatif_cost` once per
-        configuration, but the query-invariant optimizer work is done
-        once per statement rather than once per configuration.
-        """
-        batch = self.whatif_batch(query)
-        return [batch.cost(configuration) for configuration in configurations]
+        """Optimize under one hypothetical configuration; metered."""
+        return self.whatif_batch(query).price(extra_indexes)
 
     # ------------------------------------------------------------------
     # Workload text access (DTA's acquisition rules, Section 5.3.2)
@@ -461,9 +443,15 @@ class SqlEngine:
 
 
 class WhatIfBatch:
-    """The metered what-if API for one statement: governor accounting
-    around the optimizer's :class:`repro.engine.optimizer.BatchPricer`,
-    which prices off the statement's substrate.
+    """The metered what-if API for one statement (Section 5.3).
+
+    ``price(extra_indexes)`` asks the statement's substrate directly —
+    the same substrate :meth:`Optimizer.optimize` prices with no extras,
+    hence the same floats, argmin winner and exceptions — without
+    emitting MI candidates.  The substrate is found at most once for the
+    batch's lifetime, through :meth:`Optimizer.whatif_substrate`, which
+    shares it with later batches for the same statement at the same
+    table versions.
 
     Each :meth:`price` call charges ``whatif_call_cpu_ms`` to the tuning
     pool *before* pricing — so the charge does not depend on how calls
@@ -481,7 +469,12 @@ class WhatIfBatch:
 
     def __init__(self, engine: SqlEngine, query):
         self._engine = engine
-        self._pricer = engine.optimizer.batch_pricer(query)
+        self._query = query
+        #: BULK INSERT cannot be optimized under any hypothetical
+        #: configuration (Section 5.3.2), whatever the configuration holds.
+        self._rejects_extras = isinstance(query, InsertQuery) and query.bulk
+        self._substrate = None
+        engine.optimizer.batch_stats.batches += 1
 
     def _meter(self) -> float:
         engine = self._engine
@@ -496,16 +489,38 @@ class WhatIfBatch:
         count("engine_whatif_cost", self._meter())
 
     def contributes(self, definition: IndexDefinition) -> bool:
-        """Whether the definition can change this statement's plan or
-        cost; see :meth:`repro.engine.optimizer.BatchPricer.contributes`.
-        Unmetered: it asks about the statement, not a configuration."""
-        return self._pricer.contributes(definition)
+        """Whether ``definition`` can change what :meth:`price` returns.
+
+        False means ``price(extras)`` is the same plan, cost and error
+        with the definition removed from any position of ``extras`` — it
+        offers the statement no access candidate (outer or join inner
+        side) and adds no maintenance term.  The substrate answers from
+        the per-definition memos ``price`` itself fills, so a caller may
+        drop non-contributing definitions before pricing (DTA projects
+        configurations this way) without a second relevance rule to keep
+        in step.  A statement what-if rejects outright keeps every
+        definition: dropping one could turn the error into a plan.
+        Unmetered: it asks about the statement, not a configuration.
+        """
+        if self._rejects_extras:
+            return True
+        return self._held_substrate().contributes(definition)
 
     def price(self, extra_indexes: Sequence[IndexDefinition] = ()) -> PlanNode:
         rate = self._meter()
         with profile("engine_whatif_cost") as prof:
             prof.sim_ms = rate
-            return self._pricer.price(extra_indexes)
+            extras = tuple(extra_indexes)
+            self._engine.optimizer.batch_stats.configurations += 1
+            if extras and self._rejects_extras:
+                raise OptimizeError(
+                    "BULK INSERT cannot be optimized in what-if mode"
+                )
+            return self._held_substrate().price(extras)
 
-    def cost(self, extra_indexes: Sequence[IndexDefinition] = ()) -> float:
-        return self.price(extra_indexes).est_cost
+    def _held_substrate(self):
+        if self._substrate is None:
+            self._substrate = self._engine.optimizer.whatif_substrate(
+                self._query
+            )
+        return self._substrate

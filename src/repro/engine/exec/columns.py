@@ -155,12 +155,9 @@ def _build_vector(sql_type: SqlType, raw_values: List[object]) -> ColumnVector:
         raw_values = [fill if v is None else v for v in raw_values]
     else:
         nulls = np.zeros(len(raw_values), dtype=bool)
-    try:
-        values = np.array(raw_values, dtype=dtype)
-    except (OverflowError, ValueError, TypeError) as exc:
-        # e.g. a BIGINT beyond int64: the interpreter handles it fine.
-        raise VectorUnsupported(str(exc)) from exc
-    return ColumnVector(values, nulls)
+    # Stored values are coerced, and every integer type is range-checked
+    # to fit int64 (``types.INT_RANGES``), so the conversion cannot fail.
+    return ColumnVector(np.array(raw_values, dtype=dtype), nulls)
 
 
 def contiguous_slice(positions: np.ndarray) -> Optional[Tuple[int, int]]:
@@ -361,16 +358,12 @@ class Projection:
     ) -> Optional[ColumnVector]:
         """``cells`` in the form the column's built vector can absorb.
 
-        When it cannot — an int beyond int64, a string wider than the
-        array — the vector is dropped instead and ``None`` returned; the
-        lazy rebuild then widens it or raises ``VectorUnsupported``,
-        exactly as a first build would.
+        When it cannot — a string wider than the array — the vector is
+        dropped instead and ``None`` returned; the lazy rebuild then
+        widens it, exactly as a first build would.
         """
-        try:
-            fresh = _build_vector(self._schema.column(column).sql_type, cells)
-        except VectorUnsupported:
-            fresh = None
-        if fresh is None or not self._vectors[column].holds(fresh):
+        fresh = _build_vector(self._schema.column(column).sql_type, cells)
+        if not self._vectors[column].holds(fresh):
             del self._vectors[column]
             return None
         return fresh

@@ -130,8 +130,8 @@ def supports(plan: PlanNode) -> bool:
     ``Top`` directly over a scan, seek or join is excluded on purpose
     (see :func:`_source_of`); clustered seeks, key lookups and
     nested-loop joins stay interpreted.  Runtime obstacles (NULL or
-    parameterized predicate and seek values, oversized integers) are
-    discovered later and raise ``VectorUnsupported``.
+    parameterized predicate and seek values) are discovered later and
+    raise ``VectorUnsupported``.
     """
     node = _source_of(plan)
     if isinstance(node, _SOURCE_NODES):

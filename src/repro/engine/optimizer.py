@@ -24,16 +24,19 @@ indexes, each finished into a complete plan, and the join context — and
 then asking the substrate to price a tuple of hypothetical index
 definitions.  Statement planning (:meth:`Optimizer.optimize`) is the empty
 tuple; the what-if API (Section 5.3) prices one tuple or a whole DTA
-frontier of them against one substrate through :class:`BatchPricer`.
+frontier of them against one substrate held by the engine's
+:class:`repro.engine.engine.WhatIfBatch`.
 Hypothetical indexes are costed from closed-form shape estimates without
 materializing anything.
 
 Executed statements are planned afresh: their literals make almost every
 (query, per-table version fingerprint) key unique, so nothing memoizes
-their plans.  What-if pricing reuses statement substrates through the
-store in :class:`repro.engine.plan_cache.PlanCache`, keyed the same way;
-see that module for the staleness rules.  The caller that repeats a
-configuration (DTA's ``WhatIfSession``) memoizes its costs itself.
+their plans.  What-if pricing finds statement substrates through
+:meth:`Optimizer.whatif_substrate` — the key, the bounded store
+(:class:`repro.engine.plan_cache.PlanCache`) and the hit/miss counts in
+one method; see the plan-cache module for the staleness rules.  The
+caller that repeats a configuration (DTA's ``WhatIfSession``) memoizes
+its costs itself.
 
 **Missing-index emission** (Section 5.2): while planning an executed
 statement, the optimizer compares the chosen plan against an ideal
@@ -168,15 +171,15 @@ class _JoinContext:
 
 @dataclasses.dataclass
 class BatchPricingStats:
-    """Monotone counters for :class:`BatchPricer` traffic (per engine)."""
+    """Monotone counters for what-if batch traffic (per engine)."""
 
-    #: Pricers created (one per statement batch).
+    #: What-if batches created (one per statement batch).
     batches: int = 0
-    #: Configurations priced through a pricer.
+    #: Configurations priced through a batch.
     configurations: int = 0
-    #: Pricers that found their statement substrate memoized.
+    #: Batches that found their statement substrate memoized.
     substrate_hits: int = 0
-    #: Pricers that had to build the statement substrate.
+    #: Batches that had to build the statement substrate.
     substrate_misses: int = 0
     #: Always 0: there is no second planner to fall back to.  The field
     #: stays because ``benchmarks/e2e`` reads it by name.
@@ -189,9 +192,9 @@ class Optimizer:
     def __init__(self, tables: Dict[str, Table], cost_model: CostModel) -> None:
         self._tables = tables
         self._cost_model = cost_model
-        #: Memoized what-if substrates (see :class:`BatchPricer`).
+        #: Memoized what-if substrates (see :meth:`whatif_substrate`).
         self.plan_cache = PlanCache()
-        #: Counters for :class:`BatchPricer` traffic.
+        #: Counters for what-if batch traffic.
         self.batch_stats = BatchPricingStats()
         #: MI's ideal index per (table, key columns, included columns): a
         #: definition is a value, so it is built once per shape, not once
@@ -218,10 +221,29 @@ class Optimizer:
                 )
         return plan
 
-    def batch_pricer(self, query) -> "BatchPricer":
-        """A pricer that costs many hypothetical configurations of ``query``
-        off one substrate, see :class:`BatchPricer`."""
-        return BatchPricer(self, query)
+    def whatif_substrate(self, query):
+        """The statement's what-if substrate: stored under
+        :meth:`_cache_key`, else built and stored.
+
+        This is the one place substrates are reused.  The key carries
+        every referenced table's versions, so a stale substrate is never
+        found; the store is :class:`PlanCache`'s bounded LRU, which the
+        engine also invalidates on DDL, statistics refresh and restart.
+        """
+        key = self._cache_key(query)
+        substrate = (
+            self.plan_cache.lookup_substrate(key) if key is not None else None
+        )
+        if substrate is not None:
+            self.batch_stats.substrate_hits += 1
+            return substrate
+        self.batch_stats.substrate_misses += 1
+        substrate = _build_substrate(self, query)
+        if key is not None:
+            self.plan_cache.store_substrate(
+                key, substrate, self._referenced_tables(query)
+            )
+        return substrate
 
     def _cache_key(self, query) -> Optional[Hashable]:
         """The substrate memoization key, or None when the query is not
@@ -353,20 +375,10 @@ class Optimizer:
         model = self._cost_model
         table = analysis.table
         pk = table.schema.primary_key
-        by_column = _predicates_by_column(predicates)
-        eq_preds: List[Predicate] = []
-        for column in pk:
-            pred = _first_equality(by_column.get(column, ()))
-            if pred is None:
-                break
-            eq_preds.append(pred)
-        range_pred = None
-        if len(eq_preds) < len(pk):
-            next_column = pk[len(eq_preds)]
-            range_pred = _first_range(by_column.get(next_column, ()))
-        if not eq_preds and range_pred is None:
+        prefix = _seek_prefix(pk, predicates)
+        if prefix is None:
             return None
-        seek_preds = tuple(eq_preds) + ((range_pred,) if range_pred else ())
+        eq_preds, range_pred, seek_preds = prefix
         seek_sel = analysis.selectivity(seek_preds)
         view = table.clustered_stats_view()
         matched = seek_sel * table.row_count
@@ -378,7 +390,7 @@ class Optimizer:
             est_rows=out_rows,
             est_cost=cost,
             table=table.name,
-            eq_predicates=tuple(eq_preds),
+            eq_predicates=eq_preds,
             range_predicate=range_pred,
             residual=residual,
         )
@@ -398,20 +410,10 @@ class Optimizer:
     ) -> Optional[_AccessCandidate]:
         model = self._cost_model
         table = analysis.table
-        by_column = _predicates_by_column(predicates)
-        eq_preds: List[Predicate] = []
-        for column in definition.key_columns:
-            pred = _first_equality(by_column.get(column, ()))
-            if pred is None:
-                break
-            eq_preds.append(pred)
-        range_pred = None
-        if len(eq_preds) < len(definition.key_columns):
-            next_column = definition.key_columns[len(eq_preds)]
-            range_pred = _first_range(by_column.get(next_column, ()))
-        if not eq_preds and range_pred is None:
+        prefix = _seek_prefix(definition.key_columns, predicates)
+        if prefix is None:
             return None
-        seek_preds = tuple(eq_preds) + ((range_pred,) if range_pred else ())
+        eq_preds, range_pred, seek_preds = prefix
         seek_sel = analysis.selectivity(seek_preds)
         matched = seek_sel * table.row_count
         leaf_pages = max(1.0, seek_sel * view.leaf_pages)
@@ -431,7 +433,7 @@ class Optimizer:
             est_cost=cost,
             table=table.name,
             index_name=definition.name,
-            eq_predicates=tuple(eq_preds),
+            eq_predicates=eq_preds,
             range_predicate=range_pred,
             residual=index_residual,
             covering=covering and not lookup_residual,
@@ -1236,12 +1238,6 @@ def _maintains(
     return any(c in relevant for c in changed_columns)
 
 
-def _rejects_hypotheticals(query) -> bool:
-    """BULK INSERT cannot be optimized under any hypothetical
-    configuration (Section 5.3.2), whatever the configuration holds."""
-    return isinstance(query, InsertQuery) and query.bulk
-
-
 def _param_seekable(candidate: _AccessCandidate) -> bool:
     """A seek parameterized on the join key (usable once per outer probe)."""
     node = candidate.node
@@ -1261,97 +1257,39 @@ def _build_substrate(opt: Optimizer, query):
     raise OptimizeError(f"cannot optimize {type(query).__name__}")
 
 
-class BatchPricer:
-    """Prices many hypothetical configurations of one statement.
-
-    ``price(extra_indexes)`` asks the statement's substrate directly —
-    the same substrate :meth:`Optimizer.optimize` prices with no extras,
-    hence the same floats, argmin winner and exceptions — without
-    emitting MI candidates.  The substrate is built at most once for the
-    pricer's lifetime and shared, through the optimizer's substrate
-    store, with later pricers for the same statement at the same table
-    versions.
-    """
-
-    def __init__(self, optimizer: Optimizer, query) -> None:
-        self._optimizer = optimizer
-        self._query = query
-        self._substrate = None
-        optimizer.batch_stats.batches += 1
-
-    def price(self, extra_indexes: Sequence[IndexDefinition] = ()) -> PlanNode:
-        extras = tuple(extra_indexes)
-        self._optimizer.batch_stats.configurations += 1
-        if extras and _rejects_hypotheticals(self._query):
-            raise OptimizeError(
-                "BULK INSERT cannot be optimized in what-if mode"
-            )
-        return self.substrate().price(extras)
-
-    def contributes(self, definition: IndexDefinition) -> bool:
-        """Whether ``definition`` can change what :meth:`price` returns.
-
-        False means ``price(extras)`` is the same plan, cost and error
-        with the definition removed from any position of ``extras`` — it
-        offers the statement no access candidate (outer or join inner
-        side) and adds no maintenance term.  The substrate answers from
-        the per-definition memos ``price`` itself fills, so a caller may
-        drop non-contributing definitions before pricing (DTA projects
-        configurations this way) without a second relevance rule to keep
-        in step.  A statement what-if rejects outright keeps every
-        definition: dropping one could turn the error into a plan.
-        """
-        if _rejects_hypotheticals(self._query):
-            return True
-        return self.substrate().contributes(definition)
-
-    def substrate(self):
-        """The statement's substrate: held, else memoized, else built."""
-        if self._substrate is not None:
-            return self._substrate
-        opt = self._optimizer
-        skey = opt._cache_key(self._query)
-        substrate = (
-            opt.plan_cache.lookup_substrate(skey) if skey is not None else None
-        )
-        if substrate is None:
-            opt.batch_stats.substrate_misses += 1
-            substrate = _build_substrate(opt, self._query)
-            if skey is not None:
-                opt.plan_cache.store_substrate(
-                    skey, substrate, opt._referenced_tables(self._query)
-                )
-        else:
-            opt.batch_stats.substrate_hits += 1
-        self._substrate = substrate
-        return substrate
-
-
 # ----------------------------------------------------------------------
 # Small helpers
 
 
-def _predicates_by_column(
-    predicates: Sequence[Predicate],
-) -> Dict[str, List[Predicate]]:
-    by_column: Dict[str, List[Predicate]] = {}
-    for predicate in predicates:
-        by_column.setdefault(predicate.column, []).append(predicate)
-    return by_column
+def _seek_prefix(
+    key_columns: Tuple[str, ...], predicates: Sequence[Predicate]
+):
+    """``(equality prefix, range predicate, seek predicates)`` a seek on
+    ``key_columns`` can use, or None when it can use none.
 
-
-def _first_equality(predicates: Sequence[Predicate]) -> Optional[Predicate]:
+    The prefix is the first equality predicate on each leading key column
+    in turn; the range predicate is the first one on the key column after
+    it, if any; the seek predicates are both, in that order.
+    """
+    equalities: Dict[str, Predicate] = {}
+    ranges: Dict[str, Predicate] = {}
     for predicate in predicates:
         if predicate.is_equality:
-            return predicate
-    return None
-
-
-def _first_range(predicates: Sequence[Predicate]) -> Optional[Predicate]:
-    for predicate in predicates:
-        if predicate.is_range:
-            return predicate
-    return None
+            equalities.setdefault(predicate.column, predicate)
+        elif predicate.is_range:
+            ranges.setdefault(predicate.column, predicate)
+    eq_preds: List[Predicate] = []
+    for column in key_columns:
+        if column not in equalities:
+            break
+        eq_preds.append(equalities[column])
+    range_pred = None
+    if len(eq_preds) < len(key_columns):
+        range_pred = ranges.get(key_columns[len(eq_preds)])
+    if not eq_preds and range_pred is None:
+        return None
+    prefix = tuple(eq_preds)
+    return prefix, range_pred, prefix + ((range_pred,) if range_pred else ())
 
 
 def _order_satisfied(

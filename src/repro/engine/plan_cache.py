@@ -5,8 +5,9 @@ Executed statements are planned afresh every time
 almost every (query, table versions) pair unique, so a memo of finished
 plans would answer a few percent of lookups (DESIGN §12 gives the
 counts).  What is memoized is the statement *substrate* what-if pricing
-(Section 5.3) reuses across DTA configurations and sessions — see
-:class:`repro.engine.optimizer.BatchPricer` — keyed by
+(Section 5.3) reuses across DTA configurations and sessions.  This
+module is only the store; :meth:`repro.engine.optimizer.Optimizer
+.whatif_substrate` is the one place it is read and filled, keyed by
 
 - the **query** itself (queries are frozen, hashable dataclasses, so the
   full query — including literal values — is its own signature), and

@@ -136,7 +136,7 @@ class TableSchema:
                 )
         self.primary_key: Tuple[str, ...] = tuple(primary_key)
         #: Per column: the column, the Python types its values may have as
-        #: they are (NoneType too if nullable) and its INT / BIGINT range.
+        #: they are (NoneType too if nullable) and its integer range.
         self._domains = [
             (
                 column,
@@ -207,7 +207,7 @@ class TableSchema:
         columns.  A column whose values all have their type's Python
         form (:data:`~repro.engine.types.PYTHON_TYPES`: ``bool`` is no
         ``int``), NULL only where the column is nullable, no NaN and
-        every INT / BIGINT inside :data:`~repro.engine.types.INT_RANGES`
+        every INT / BIGINT / DATE inside :data:`~repro.engine.types.INT_RANGES`
         is taken as it is, after one pass over its value types and one
         ``min`` / ``max`` or sum; only another column is coerced value
         by value, up to its first failure.  A column only needs checking

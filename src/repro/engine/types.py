@@ -32,7 +32,7 @@ class SqlType(enum.Enum):
 
     def coerce(self, value: object) -> object:
         """Coerce a Python value to a stored value of this SQL type: its
-        :meth:`convert`, which for INT and BIGINT must lie inside
+        :meth:`convert`, which for INT, BIGINT and DATE must lie inside
         :data:`INT_RANGES` (the int64 column vectors hold no more).
 
         Raises :class:`QueryError` if the value is not representable.
@@ -47,8 +47,8 @@ class SqlType(enum.Enum):
     def convert(self, value: object) -> object:
         """Convert a Python value to this SQL type's canonical Python form
         (:data:`PYTHON_TYPES`), as T-SQL converts a literal compared with
-        a column of the type: an integer wider than INT or BIGINT is
-        compared as it is, so it converts unchecked.
+        a column of the type: an integer wider than INT, BIGINT or DATE
+        is compared as it is, so it converts unchecked.
 
         Raises :class:`QueryError` if the value does not convert: NaN
         (SQL's FLOAT has none, and it would break bisected order) and a
@@ -111,11 +111,13 @@ PYTHON_TYPES = {
     SqlType.TEXT: str,
 }
 
-#: Inclusive value range of the sized integer types: what the int64
+#: Inclusive value range of the integer-stored types: what the int64
 #: column vectors can hold, and no more than SQL Server's INT / BIGINT.
+#: DATE (a day number) is 4 bytes wide, so it takes INT's range.
 INT_RANGES = {
     SqlType.INT: (-(2**31), 2**31 - 1),
     SqlType.BIGINT: (-(2**63), 2**63 - 1),
+    SqlType.DATE: (-(2**31), 2**31 - 1),
 }
 
 _WIDTHS = {

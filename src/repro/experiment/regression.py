@@ -145,8 +145,8 @@ def run_regression_scenario(
     probe = IndexDefinition(
         "hyp", "events", ("e_kind",), ("e_payload",), hypothetical=True
     )
-    estimated_before = engine.whatif_cost(hot)
-    estimated_after = engine.whatif_cost(hot, extra_indexes=[probe])
+    estimated_before = engine.whatif_optimize(hot).est_cost
+    estimated_after = engine.whatif_optimize(hot, [probe]).est_cost
     improvement = 100.0 * (1.0 - estimated_after / max(estimated_before, 1e-9))
     recommendation = IndexRecommendation(
         action=Action.CREATE,

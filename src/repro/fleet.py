@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.clock import SimClock
 from repro.engine.engine import EngineSettings
+from repro.parallel.spec import database_specs
 from repro.workload.app_profiles import ApplicationProfile, make_profile
 
 
@@ -33,9 +34,10 @@ class Fleet:
     Every database owns its clock; :meth:`run_workloads` advances each one
     over the same window and then aligns laggards, so per-database times
     agree at window boundaries.  :attr:`clock` is the fleet's master clock.
-    The region service builds the same profiles from
-    :func:`repro.parallel.spec.database_specs`; a :class:`Fleet` serves
-    the experiments that drive profiles without a control plane.
+    Names and profile seeds come from
+    :func:`repro.parallel.spec.database_specs`, the recipe the region
+    service builds its databases from; a :class:`Fleet` serves the
+    experiments that drive profiles without a control plane.
     """
 
     def __init__(
@@ -46,16 +48,16 @@ class Fleet:
         self.spec = spec
         self.clock = SimClock()
         self.profiles: Dict[str, ApplicationProfile] = {}
-        for i in range(spec.n_databases):
-            name = f"{spec.name_prefix}-{spec.tier}-{i}"
-            profile = make_profile(
-                name,
-                seed=spec.seed * 1_000_003 + i,
-                tier=spec.tier,
+        for database in database_specs(
+            spec.n_databases, spec.tier, spec.seed, spec.name_prefix
+        ):
+            self.profiles[database.name] = make_profile(
+                database.name,
+                seed=database.profile_seed,
+                tier=database.tier,
                 clock=SimClock(),
                 engine_settings=engine_settings,
             )
-            self.profiles[name] = profile
 
     def __len__(self) -> int:
         return len(self.profiles)

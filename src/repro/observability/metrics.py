@@ -153,7 +153,7 @@ CATALOG: Dict[str, MetricSpec] = dict(
               "Row changes folded into live columnar projections per "
               "database instead of forcing a rebuild (monotone)."),
         _spec("whatif_batch_batches", "gauge", "batches",
-              "What-if pricers created per database (one per statement "
+              "What-if batches created per database (one per statement "
               "frontier; monotone engine counter)."),
         _spec("whatif_batch_configurations", "gauge", "configurations",
               "Hypothetical configurations priced through the what-if "

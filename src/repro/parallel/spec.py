@@ -26,9 +26,8 @@ class DatabaseSpec:
     """Everything needed to rebuild one managed database in a worker."""
 
     name: str
-    #: Seed for :func:`repro.workload.app_profiles.make_profile` — the
-    #: same ``fleet_seed * 1_000_003 + index`` formula the serial
-    #: :class:`repro.fleet.Fleet` uses, so profiles match exactly.
+    #: Seed for :func:`repro.workload.app_profiles.make_profile`:
+    #: ``fleet_seed * 1_000_003 + index`` (see :func:`database_specs`).
     profile_seed: int
     tier: str
     #: Per-database fault seed: one injector RNG shared across databases
@@ -72,7 +71,8 @@ def database_specs(
     fault_seed: int = 0,
     config: Optional[AutoIndexingConfig] = None,
 ) -> List[DatabaseSpec]:
-    """Specs for a fleet, mirroring :class:`repro.fleet.FleetSpec` naming."""
+    """Specs for a fleet: the one naming and profile-seed recipe, which
+    :class:`repro.fleet.Fleet` builds its profiles from too."""
     specs = []
     for i in range(n_databases):
         name = f"{name_prefix}-{tier}-{i}"

@@ -1,9 +1,10 @@
 """Per-tick phase timers: where the fleet tick's wall-clock goes.
 
-Sharding buys less than the worker count (``benchmarks/e2e`` measures
-``fleet_sharded`` at CPU 1.12x / wall 1.53x for 2 workers); this module
-makes the reason measurable.  A :class:`TickPhaseTimer` brackets every
-phase of a fleet tick **on both sides of the process pipe**:
+Sharding buys less than the worker count (``benchmarks/e2e`` reports
+what it costs and buys on ``fleet_sharded`` as
+``parallel.cpu_overhead_ratio`` and ``parallel.speedup_wall``); this
+module makes the reason measurable.  A :class:`TickPhaseTimer` brackets
+every phase of a fleet tick **on both sides of the process pipe**:
 
 - parent side — ``build`` (tick command construction), ``dispatch``
   (pipe send), ``wait`` (blocking on shard results),
@@ -97,13 +98,6 @@ class ShardTickTrace:
             (phase, database, started - self.started, max(0.0, ended - started))
         )
 
-    def totals(self) -> Dict[str, float]:
-        """Seconds per phase summed over this shard's databases."""
-        out: Dict[str, float] = {}
-        for phase, _database, _offset, duration in self.events:
-            out[phase] = out.get(phase, 0.0) + duration
-        return out
-
 
 class TickPhaseTimer:
     """Brackets and records the phases of each fleet tick.
@@ -182,13 +176,16 @@ class TickPhaseTimer:
         """Fold one :class:`ShardResult`'s worker-side phase events in.
 
         ``anchor`` is where the shard's tick start lands on the parent
-        timeline.
+        timeline.  Each phase's seconds, summed over the shard's
+        databases, are one ``fleet_phase_seconds`` observation.
         """
         if not self.enabled:
             return
         track = result.shard_index + 1
+        shard_seconds: Dict[str, float] = {}
         for phase, database, offset, duration in result.events:
             self._current[phase] = self._current.get(phase, 0.0) + duration
+            shard_seconds[phase] = shard_seconds.get(phase, 0.0) + duration
             self._add_event(
                 TraceEvent(
                     track=track,
@@ -200,7 +197,7 @@ class TickPhaseTimer:
                 )
             )
         if self.registry is not None:
-            for phase, seconds in sorted(result.phase_seconds.items()):
+            for phase, seconds in sorted(shard_seconds.items()):
                 self.registry.histogram(
                     "fleet_phase_seconds", bounds=PHASE_BOUNDS, phase=phase
                 ).observe(seconds)  # observability-names: allow-dynamic

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import time
 import traceback
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.controlplane import ControlPlane
 from repro.observability.profiling import Profiler, use_profiler
@@ -122,8 +122,6 @@ class ShardResult:
     deltas: List[TickDelta]
     busy_seconds: float
     shard_index: int = 0
-    #: Seconds per worker-side phase, summed over this shard's databases.
-    phase_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: ``(phase, database, start_offset_s, duration_s)`` trace rows.
     events: List[tuple] = dataclasses.field(default_factory=list)
 
@@ -156,7 +154,6 @@ class ShardRunner:
             deltas=deltas,
             busy_seconds=time.perf_counter() - started,
             shard_index=self.shard_index,
-            phase_seconds=trace.totals() if trace is not None else {},
             events=trace.events if trace is not None else [],
         )
 

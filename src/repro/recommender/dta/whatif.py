@@ -233,7 +233,7 @@ class WhatIfSession:
                 batch.charge()
             else:
                 try:
-                    cost = batch.cost(head_extras + tail_extras)
+                    cost = batch.price(head_extras + tail_extras).est_cost
                 except OptimizeError:
                     self.stats.failed_statements += 1
                     self._cost_cache[key] = _FAILED

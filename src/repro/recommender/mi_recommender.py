@@ -273,9 +273,9 @@ class MiRecommender:
             if query is None or getattr(query, "table", None) != candidate.table:
                 continue
             try:
-                base, with_index = engine.whatif_cost_many(
-                    query, [(), (definition,)]
-                )
+                batch = engine.whatif_batch(query)
+                base = batch.price().est_cost
+                with_index = batch.price((definition,)).est_cost
             except OptimizeError:
                 # Statements what-if cannot plan (Section 5.3.2) carry no
                 # evidence.  A dry tuning budget is not one of those: it

@@ -33,13 +33,9 @@ from repro.engine import (
 )
 from repro.engine.cost_model import CostModelSettings
 from repro.engine.engine import EngineSettings
-from repro.engine.exec.columns import (
-    _REBUILD_SHARE,
-    Projection,
-    VectorUnsupported,
-)
+from repro.engine.exec.columns import _REBUILD_SHARE, Projection
 from repro.engine.query import AggFunc, Aggregate
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, QueryError
 from tests.conftest import make_orders_schema, populate_orders
 from tests.engine.test_optimizer import perfect_engine
 
@@ -287,7 +283,7 @@ class TestNoStaleReadsThroughExecution:
 # Oracle: a maintained projection equals one built from scratch
 #
 # A small table (so every example builds its own) carrying an index with
-# an included column (``o_date``, which can hold a value past int64), a
+# an included column (``o_date``, drawn up to its range's extremes), a
 # single-column index, a string index and one non-indexed column
 # (``o_amount``).  ``ROWS * _REBUILD_SHARE`` is the fold
 # budget, so keyed statements fold and wide predicates exceed it — both
@@ -300,10 +296,10 @@ INDEXES = (
     IndexDefinition("ix_note", "orders", ("o_note",)),
 )
 PROJECTIONS = (None,) + tuple(definition.name for definition in INDEXES)
-#: A string longer than any present at build time, an int beyond int64
-#: (a DATE: INT and BIGINT reject it).
+#: A string longer than any present at build time, and the extremes of
+#: DATE's range (INT's: a 4-byte day number).
 LONG_NOTE = "n" * 40
-HUGE = 2 ** 70
+DATE_EXTREMES = (-(2**31), 2**31 - 1)
 
 
 def small_engine() -> SqlEngine:
@@ -324,10 +320,7 @@ def touch(projection: Projection) -> None:
     """Build every vector, rank code and equi-index the projection can
     carry, so later folds have all of them to maintain."""
     for column in projection._layout:
-        try:
-            vector = projection.vector(column)
-        except VectorUnsupported:
-            continue
+        vector = projection.vector(column)
         vector.codes()
         vector.equi_index()
 
@@ -343,12 +336,7 @@ def assert_equals_fresh(table, index_name) -> None:
     for column in fresh._layout:
         assert served.raw_column(column) == fresh.raw_column(column)
         assert repr(served.raw_column(column)) == repr(fresh.raw_column(column))
-        try:
-            expected = fresh.vector(column)
-        except VectorUnsupported:
-            with pytest.raises(VectorUnsupported):
-                served.vector(column)
-            continue
+        expected = fresh.vector(column)
         got = served.vector(column)
         assert got.values.dtype == expected.values.dtype
         assert np.array_equal(got.values, expected.values)
@@ -402,7 +390,9 @@ NULLABLE = {
     "o_cust": st.one_of(st.none(), st.integers(0, 16)),
     "o_status": st.one_of(st.none(), st.integers(0, 5)),
     "o_amount": st.one_of(st.none(), st.floats(-10, 1100, allow_nan=False)),
-    "o_date": st.one_of(st.none(), st.integers(0, 370), st.just(HUGE)),
+    "o_date": st.one_of(
+        st.none(), st.integers(0, 370), st.sampled_from(DATE_EXTREMES)
+    ),
     "o_note": st.one_of(
         st.none(), st.sampled_from(["note-1", "note-9", "z", LONG_NOTE])
     ),
@@ -598,10 +588,24 @@ class TestFoldAndRebuildTriggers:
         note, date = projection.vector("o_note"), projection.vector("o_date")
         cust = projection.vector("o_cust")
         touch(table.columnar().projection("ix_cust"))
+        # A DATE past its range raises before any row or projection moves.
+        rows_before, version = list(table.rows()), table.data_version
+        with pytest.raises(QueryError, match="cannot coerce"):
+            eng.execute(
+                UpdateQuery(
+                    "orders",
+                    (("o_note", LONG_NOTE), ("o_date", 2**70)),
+                    (Predicate("o_id", Op.EQ, 4),),
+                )
+            )
+        assert (list(table.rows()), table.data_version) == (rows_before, version)
+        assert table.columnar().projection() is projection
+        assert projection.vector("o_note") is note
+        assert projection.vector("o_date") is date
         eng.execute(
             UpdateQuery(
                 "orders",
-                (("o_note", LONG_NOTE), ("o_date", HUGE)),
+                (("o_note", LONG_NOTE), ("o_date", DATE_EXTREMES[1])),
                 (Predicate("o_id", Op.EQ, 4),),
             )
         )
@@ -611,19 +615,22 @@ class TestFoldAndRebuildTriggers:
         assert widened is not note
         assert widened.values.dtype.itemsize > note.values.dtype.itemsize
         assert LONG_NOTE in widened.values
-        with pytest.raises(VectorUnsupported):
-            projection.vector("o_date")
-        assert date is not None and table.columnar().invalidations == 0
-        # The scan still answers, through the interpreter.
+        assert DATE_EXTREMES[1] in projection.vector("o_date").values
+        assert table.columnar().invalidations == 0
+        # A NULL literal still sends the scan to the interpreter at run
+        # time; its rows and metrics equal a plainly interpreted run's.
         fallbacks = eng.executor.fallback_counts["runtime"]
         scan = SelectQuery(
-            "orders", ("o_id", "o_note"), (Predicate("o_date", Op.NEQ, 3),)
+            "orders", ("o_id", "o_note"),
+            (Predicate("o_date", Op.NEQ, 3), Predicate("o_note", Op.NEQ, None)),
         )
-        rows = eng.execute(scan).rows
+        result = eng.execute(scan)
         assert eng.executor.fallback_counts["runtime"] == fallbacks + 1
-        assert {"o_id": 4, "o_note": LONG_NOTE} in rows
+        assert {"o_id": 4, "o_note": LONG_NOTE} in result.rows
         eng.settings.execution.vector_min_rows = sys.maxsize
-        assert rows == eng.execute(scan).rows
+        interpreted = eng.execute(scan)
+        assert result.rows == interpreted.rows
+        assert result.metrics == interpreted.metrics
         # ``ix_cust`` includes ``o_date``: its built projection folds the
-        # value and refuses the vector as a fresh one does.
+        # value as a fresh one builds it.
         assert_equals_fresh(table, "ix_cust")

@@ -404,7 +404,9 @@ class TestMiEmission:
         query = SelectQuery(
             "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),)
         )
-        eng.whatif_cost_many(query, [(), (hyp,)])
+        batch = eng.whatif_batch(query)
+        batch.price()
+        batch.price((hyp,))
         assert len(eng.missing_indexes) == 0
         # The statement itself does produce a candidate when executed.
         eng.execute(query)

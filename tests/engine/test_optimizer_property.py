@@ -106,7 +106,7 @@ def test_property_hypothetical_superset_never_hurts(eng, query):
         ("o_amount", "o_note"),
         hypothetical=True,
     )
-    with_hyp = eng.whatif_cost(query, extra_indexes=(hyp,))
+    with_hyp = eng.whatif_optimize(query, (hyp,)).est_cost
     assert with_hyp <= base + 1e-9
 
 
@@ -144,10 +144,9 @@ def test_property_generated_hypothetical_superset_never_raises_cost(
     """The general case of the pinned covering-hypothetical regression:
     pricing a hypothetical superset of any generated set can only keep
     or lower the estimated cost."""
-    with_base = eng.whatif_cost(query, extra_indexes=hypothetical(base))
-    with_more = eng.whatif_cost(
-        query, extra_indexes=hypothetical(base | extra)
-    )
+    batch = eng.whatif_batch(query)
+    with_base = batch.price(hypothetical(base)).est_cost
+    with_more = batch.price(hypothetical(base | extra)).est_cost
     assert with_more <= with_base + 1e-9
 
 

@@ -113,7 +113,7 @@ class TestPlanSearchMonotonicity:
         group-order output attracted the bogus sort credit)."""
         query = agg_query(Predicate("o_id", Op.LT, 538), "o_status")
         base = eng.optimizer.optimize(query).est_cost
-        with_hyp = eng.whatif_cost(query, extra_indexes=(HYP_ALL,))
+        with_hyp = eng.whatif_optimize(query, (HYP_ALL,)).est_cost
         assert with_hyp <= base + 1e-9
 
     def test_chosen_plan_is_true_argmin_over_single_exclusions(self, engines):

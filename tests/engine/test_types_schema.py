@@ -42,8 +42,15 @@ class TestSqlType:
     @pytest.mark.parametrize("sql_type", [SqlType.INT, SqlType.BIGINT])
     def test_integer_range_is_checked(self, sql_type):
         # The int64 column vectors hold no more than BIGINT; INT is
-        # SQL Server's 32-bit type.
+        # SQL Server's 32-bit type, and DATE, a 4-byte day number, takes
+        # INT's range.
         bits = 32 if sql_type is SqlType.INT else 64
+        same_range = (sql_type, SqlType.DATE) if bits == 32 else (sql_type,)
+        for checked in same_range:
+            self._check_integer_range(checked, bits)
+
+    @staticmethod
+    def _check_integer_range(sql_type, bits):
         low, high = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
         assert sql_type.coerce(low) == low and sql_type.coerce(high) == high
         assert sql_type.coerce(str(high)) == high

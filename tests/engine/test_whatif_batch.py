@@ -124,6 +124,12 @@ def twins():
     return _twin(), _twin()
 
 
+def _costs(eng, query, frontier):
+    """The frontier's costs, priced through one batch."""
+    batch = eng.whatif_batch(query)
+    return [batch.price(config).est_cost for config in frontier]
+
+
 def _fresh_plan(eng, query, config=()):
     """One configuration with nothing to reuse: no stored substrate."""
     eng.plan_cache.invalidate()
@@ -237,7 +243,7 @@ def test_property_frontier_order_is_unobservable(twins, query, frontier):
 
 
 class TestBatchPricerParity:
-    """Deterministic spot checks of the shared-substrate pricer."""
+    """Deterministic spot checks of the shared-substrate batch."""
 
     QUERY = SelectQuery(
         "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),)
@@ -250,7 +256,7 @@ class TestBatchPricerParity:
         substrate store it filled."""
         fresh_eng, shared_eng = perfect_engine(11), perfect_engine(11)
         expected = _fresh_plan(fresh_eng, self.QUERY).est_cost
-        assert shared_eng.whatif_cost_many(self.QUERY, [()]) == [expected]
+        assert _costs(shared_eng, self.QUERY, [()]) == [expected]
         assert shared_eng.optimizer.optimize(self.QUERY).est_cost == expected
         assert shared_eng.optimizer.batch_stats.configurations == 1
         assert shared_eng.governor.tuning.usage.whatif_calls == 1
@@ -265,8 +271,8 @@ class TestBatchPricerParity:
         frontier = [(_definition(0),), (_definition(2),), (_definition(0), _definition(2))]
         for _round in range(2):  # second round re-asks every configuration
             for config in frontier:
-                single_eng.whatif_cost(self.QUERY, extra_indexes=config)
-            batch_eng.whatif_cost_many(self.QUERY, frontier)
+                single_eng.whatif_optimize(self.QUERY, config)
+            _costs(batch_eng, self.QUERY, frontier)
         for eng in (single_eng, batch_eng):
             cache = eng.plan_cache
             assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
@@ -275,13 +281,13 @@ class TestBatchPricerParity:
 
     def test_substrate_reused_across_batches(self):
         eng = perfect_engine(13)
-        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
+        _costs(eng, self.QUERY, [(_definition(0),)])
         stats = eng.optimizer.batch_stats
         assert (stats.substrate_misses, stats.substrate_hits) == (1, 0)
-        eng.whatif_cost_many(self.QUERY, [(_definition(1),)])
+        _costs(eng, self.QUERY, [(_definition(1),)])
         assert (stats.substrate_misses, stats.substrate_hits) == (1, 1)
         # The one-configuration API finds the same substrate.
-        eng.whatif_cost(self.QUERY, extra_indexes=(_definition(2),))
+        eng.whatif_optimize(self.QUERY, (_definition(2),))
         assert (stats.substrate_misses, stats.substrate_hits) == (1, 2)
         assert eng.plan_cache.substrate_count() == 1
 
@@ -299,8 +305,8 @@ class TestBatchPricerParity:
         other_literal = SelectQuery(
             "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 4),)
         )
-        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
-        eng.whatif_cost_many(other_literal, [(_definition(0),)])
+        _costs(eng, self.QUERY, [(_definition(0),)])
+        _costs(eng, other_literal, [(_definition(0),)])
         # The literals are part of the key: two orders substrates.
         assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
         assert eng.plan_cache.substrate_count() == 2
@@ -312,7 +318,7 @@ class TestBatchPricerParity:
         )
         customers = SelectQuery("customers", ("c_name",))
         for query in (self.QUERY, other_literal, customers):
-            eng.whatif_cost_many(query, [(_definition(0),)])
+            _costs(eng, query, [(_definition(0),)])
         assert eng.plan_cache.substrate_count() == 3
         assert eng.plan_cache.invalidate("customers") == 1
         assert eng.plan_cache.substrate_count() == 2
@@ -321,7 +327,7 @@ class TestBatchPricerParity:
 
     def test_create_index_drops_substrates_and_replans(self):
         eng = perfect_engine(18)
-        eng.whatif_cost_many(self.QUERY, [(_definition(1),)])
+        _costs(eng, self.QUERY, [(_definition(1),)])
         eng.create_index(
             IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_amount",))
         )
@@ -333,7 +339,7 @@ class TestBatchPricerParity:
         eng.create_index(
             IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_amount",))
         )
-        eng.whatif_cost_many(self.QUERY, [(_definition(1),)])
+        _costs(eng, self.QUERY, [(_definition(1),)])
         eng.drop_index("orders", "ix_cust")
         assert eng.plan_cache.substrate_count() == 0
         assert not isinstance(eng.optimizer.optimize(self.QUERY), IndexSeekNode)
@@ -341,25 +347,25 @@ class TestBatchPricerParity:
     def test_dml_moves_the_key(self):
         eng = perfect_engine(19)
         stats = eng.optimizer.batch_stats
-        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
+        _costs(eng, self.QUERY, [(_definition(0),)])
         eng.execute(InsertQuery("orders", ((999_999, 3, 0, 1.0, 10, "note-x"),)))
-        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
+        _costs(eng, self.QUERY, [(_definition(0),)])
         # data_version changed: the stored substrate is unreachable.
         assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
 
     def test_statistics_refresh_clears_the_store(self):
         eng = perfect_engine(20)
         stats = eng.optimizer.batch_stats
-        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
+        _costs(eng, self.QUERY, [(_definition(0),)])
         eng.build_all_statistics()
         assert eng.plan_cache.substrate_count() == 0
-        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
+        _costs(eng, self.QUERY, [(_definition(0),)])
         # stats_version changed: a new key, built afresh.
         assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
 
     def test_restart_clears_the_store(self):
         eng = perfect_engine(20)
-        eng.whatif_cost_many(self.QUERY, [(_definition(0),)])
+        _costs(eng, self.QUERY, [(_definition(0),)])
         assert eng.plan_cache.substrate_count() == 1
         eng.restart()
         assert eng.plan_cache.substrate_count() == 0
@@ -387,10 +393,10 @@ class TestBatchPricerParity:
         eng = perfect_engine(21)
         stats = eng.optimizer.batch_stats
         frontier = [(_definition(0),), (_definition(2),)]
-        first = eng.whatif_cost_many(self.QUERY, frontier)
+        first = _costs(eng, self.QUERY, frontier)
         for key in range(DEFAULT_SUBSTRATE_CAPACITY):
             eng.plan_cache.store_substrate(("filler", key), object(), ("t",))
-        assert eng.whatif_cost_many(self.QUERY, frontier) == first
+        assert _costs(eng, self.QUERY, frontier) == first
         assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
 
     def test_statement_plan_counters_stay_zero(self):
@@ -400,7 +406,7 @@ class TestBatchPricerParity:
         empty configuration priced."""
         eng = perfect_engine(7001)
         cache = eng.plan_cache
-        (empty_cost,) = eng.whatif_cost_many(self.QUERY, [()])
+        (empty_cost,) = _costs(eng, self.QUERY, [()])
         plans = [eng.execute(self.QUERY).plan for _ in range(2)]
         for key in range(DEFAULT_SUBSTRATE_CAPACITY + 1):
             cache.store_substrate(("filler", key), object(), ("t",))
@@ -436,9 +442,7 @@ class TestChargeRule:
     def test_every_configuration_pays_the_call_rate(self):
         eng = perfect_engine(21)
         before = eng.governor.tuning.usage.cpu_ms
-        eng.whatif_cost_many(
-            self.QUERY, [(_definition(0),), (_definition(1),)]
-        )
+        _costs(eng, self.QUERY, [(_definition(0),), (_definition(1),)])
         charged = eng.governor.tuning.usage.cpu_ms - before
         assert charged == 2 * eng.settings.whatif_call_cpu_ms
 
@@ -497,9 +501,9 @@ class TestWhatIfSessionRegressions:
         eng = perfect_engine(36)
         bulk = InsertQuery("orders", ({"o_id": 10_002},), bulk=True)
         with pytest.raises(OptimizeError):
-            eng.whatif_cost_many(bulk, [(_definition(0),)])
+            _costs(eng, bulk, [(_definition(0),)])
         with pytest.raises(OptimizeError):
-            eng.whatif_cost(bulk, extra_indexes=(_definition(0),))
+            eng.whatif_optimize(bulk, (_definition(0),))
         stats = eng.optimizer.batch_stats
         assert (stats.substrate_misses, stats.substrate_hits) == (0, 0)
         assert eng.plan_cache.substrate_count() == 0
@@ -736,7 +740,7 @@ class TestProjection:
         assert session.stats.priced == 1
         eng.clock.advance(61.0)
         assert session.cost_many(self.QUERY, frontier) == [
-            oracle.whatif_cost(self.QUERY, extra_indexes=c) for c in frontier
+            oracle.whatif_optimize(self.QUERY, c).est_cost for c in frontier
         ]
         assert (session.stats.calls, session.stats.priced) == (4, 2)
         # The reordered twin hits on both passes; the retry also hits on
