@@ -54,7 +54,7 @@ from repro.errors import (
     UnknownTableError,
 )
 from repro.observability.profiling import count, profile
-from repro.rng import derive, stable_uniform
+from repro.rng import derive, stable_hash, stable_uniform
 
 
 @dataclasses.dataclass
@@ -227,8 +227,9 @@ class SqlEngine:
         with profile("engine_execute") as prof:
             rows, metrics = self.executor.execute(plan, effective)
             prof.sim_ms = metrics.cpu_time_ms
-        plan_id = plan.plan_id()
-        self._register(query, plan, query_id, plan_id)
+        signature = plan.signature()
+        plan_id = stable_hash("plan", signature)
+        self._register(query, plan, query_id, plan_id, signature)
         # Schema lock integration: statements hold Sch-S for their duration;
         # a queued normal-priority Sch-M delays them (convoy, Section 8.3).
         duration_min = metrics.duration_ms / 60000.0
@@ -276,12 +277,12 @@ class SqlEngine:
         return sink
 
     def _register(
-        self, query, plan: PlanNode, query_id: int, plan_id: int
+        self, query, plan: PlanNode, query_id: int, plan_id: int, signature: str
     ) -> None:
+        complete = self._text_is_complete(query, query_id)
         if query_id not in self._query_objects:
             self._query_objects[query_id] = query
             text = render(query)
-            complete = self._text_is_complete(query, query_id)
             self.query_store.register_query(
                 QueryInfo(
                     query_id=query_id,
@@ -292,16 +293,16 @@ class SqlEngine:
                     table=query.table,
                 )
             )
-        self.query_store.register_plan(
-            PlanInfo(
-                plan_id=plan_id,
-                signature=plan.signature(),
-                referenced_indexes=plan.referenced_indexes(),
+        if self.query_store.plan_info(plan_id) is None:
+            self.query_store.register_plan(
+                PlanInfo(
+                    plan_id=plan_id,
+                    signature=signature,
+                    referenced_indexes=plan.referenced_indexes(),
+                )
             )
-        )
         # Plan cache: bounded, holds full statement context for recent
         # templates; DTA falls back to it for incomplete QS text.
-        complete = self._text_is_complete(query, query_id)
         if complete or self._plan_cache_retains_text(query_id):
             self._plan_cache_text[query_id] = query
             if len(self._plan_cache_text) > 512:

@@ -9,7 +9,9 @@ This is the reference semantics: the vectorized path in
 :mod:`repro.engine.exec.vector` must reproduce both its row sets and its
 meter charges bit for bit.  Helpers that define value semantics
 (:func:`stable_sum`, :func:`aggregate_values`, :func:`sort_rows_inplace`,
-:func:`topn_rows`) live here and are shared by both paths.
+:func:`topn_rows`) live here and are shared by both paths; so does
+:func:`aggregate_runs`, the vector path's per-slice reduction, which
+keeps to :func:`aggregate_values`' definition.
 """
 
 from __future__ import annotations
@@ -552,6 +554,50 @@ def aggregate_values(aggregate, values: List[object], count: int):
     if aggregate.func is AggFunc.MAX:
         return max(values)
     raise ExecutionError(f"unhandled aggregate {aggregate.func}")
+
+
+def aggregate_runs(
+    aggregate, cells: Optional[List[object]], starts: List[int], stops: List[int]
+) -> List[object]:
+    """Reduce each run ``cells[a:b]`` (``a``, ``b`` from ``starts``,
+    ``stops``) exactly as :func:`aggregate_values` reduces its members.
+
+    ``cells`` holds the aggregate column's values of every member, run
+    after run, or is None where the column reads as NULL on every row.
+    One type scan per call applies :func:`stable_sum`'s rule to the whole
+    column (``math.fsum`` if any cell is a float, else ``sum``), so each
+    run costs one C-level call on a slice; per run it picks the same,
+    since a column's stored values all have its type's one Python form.
+    Cells holding a NULL, and an empty batch's one empty run, go through
+    :func:`aggregate_values` run by run: NULL semantics stay defined
+    once.
+    """
+    func = aggregate.func
+    bounds = zip(starts, stops)
+    if func is AggFunc.COUNT and aggregate.column is None:
+        return [b - a for a, b in bounds]
+    if cells is None:
+        return [aggregate_values(aggregate, [], b - a) for a, b in bounds]
+    types = set(map(type, cells))
+    if not cells or type(None) in types:
+        return [
+            aggregate_values(
+                aggregate, [v for v in cells[a:b] if v is not None], b - a
+            )
+            for a, b in bounds
+        ]
+    if func is AggFunc.COUNT:
+        return [b - a for a, b in bounds]
+    if func is AggFunc.MIN:
+        return [min(cells[a:b]) for a, b in bounds]
+    if func is AggFunc.MAX:
+        return [max(cells[a:b]) for a, b in bounds]
+    total = math.fsum if any(issubclass(t, float) for t in types) else sum
+    if func is AggFunc.SUM:
+        return [total(cells[a:b]) for a, b in bounds]
+    if func is AggFunc.AVG:
+        return [total(cells[a:b]) / (b - a) for a, b in bounds]
+    raise ExecutionError(f"unhandled aggregate {func}")
 
 
 def compute_aggregate(aggregate, rows: List[RowDict]):

@@ -5,7 +5,7 @@ the columnar projection cache: predicate masks for clustered/index
 scans, index seeks as the contiguous projection slice their leaf-span
 walk (:meth:`~repro.engine.btree.BPlusTree.spans`) covers, a cached
 sorted equi-index for hash-join build sides probed with
-``np.searchsorted``, rank-code grouping for stream/hash aggregates,
+``np.searchsorted``, rank-code runs for stream/hash aggregates,
 ``np.lexsort`` for ORDER BY, and ``argpartition`` TOP-N selection.
 Clustered seeks (point lookups), key lookups, parameterized seeks and
 nested-loop joins stay on the interpreter (their metering is lazy or
@@ -15,10 +15,12 @@ rows from :func:`target_rows`; the maintenance itself is batched in
 
 Two invariants keep it indistinguishable from the interpreter:
 
-- **Values**: output values are gathered from the original Python entry
-  tuples and reduced through the shared helpers in
-  :mod:`repro.engine.exec.interp` (``aggregate_values`` etc.); NumPy
-  decides only *which* rows, in *what order*, in *which group*.
+- **Values**: output values are cells gathered from the original Python
+  entry tuples, once per column; an aggregate's reducer is chosen once
+  per statement by ``stable_sum``'s rule and applied per group slice
+  (:func:`~repro.engine.exec.interp.aggregate_runs`, which keeps to
+  ``aggregate_values``).  NumPy decides only *which* rows, in *what
+  order*, in *which group*.
 - **Metering**: the same charges land on the same counters through the
   shared formulas in :mod:`repro.engine.exec.metering` — a full scan
   charges ``height + leaf_pages - 1`` pages (what the B+ tree's
@@ -49,7 +51,7 @@ from repro.engine.exec.columns import (
 )
 from repro.engine.exec.interp import (
     RowDict,
-    aggregate_values,
+    aggregate_runs,
     seek_spans,
     sort_rows_inplace,
     topn_rows,
@@ -207,7 +209,7 @@ class _ScanBatch:
     layout).
     """
 
-    __slots__ = ("table", "projection", "selected", "_carried", "_sel_list")
+    __slots__ = ("table", "projection", "selected", "_carried")
 
     def __init__(
         self,
@@ -224,7 +226,6 @@ class _ScanBatch:
         self._carried = tuple(
             name for name in needed_names if projection.has(name)
         )
-        self._sel_list: Optional[List[int]] = None
 
     @property
     def count(self) -> int:
@@ -239,12 +240,11 @@ class _ScanBatch:
     def codes(self, column: str) -> np.ndarray:
         return self.projection.vector(column).codes()[self.selected]
 
-    def values_at(self, column: str, positions: List[int]) -> List[object]:
+    def gather(self, column: str, positions: np.ndarray) -> List[object]:
+        """The column's cells at batch ``positions``, read from the
+        entry tuples in one C-level pass."""
         raw = self.projection.raw_column(column)
-        if self._sel_list is None:
-            self._sel_list = self.selected.tolist()
-        sel = self._sel_list
-        return [raw[sel[p]] for p in positions]
+        return list(map(raw.__getitem__, self.selected[positions].tolist()))
 
     def materialize(
         self,
@@ -265,7 +265,7 @@ class _JoinBatch:
     carried by neither side read as missing.
     """
 
-    __slots__ = ("outer", "inner", "outer_pos", "inner_pos", "_pos_lists")
+    __slots__ = ("outer", "inner", "outer_pos", "inner_pos")
 
     def __init__(
         self,
@@ -278,7 +278,6 @@ class _JoinBatch:
         self.inner = inner
         self.outer_pos = outer_pos
         self.inner_pos = inner_pos
-        self._pos_lists: Dict[bool, List[int]] = {}
 
     @property
     def count(self) -> int:
@@ -287,10 +286,10 @@ class _JoinBatch:
     def has(self, column: str) -> bool:
         return self.outer.has(column) or self.inner.has(column)
 
-    def _side(self, column: str) -> Tuple[_ScanBatch, np.ndarray, bool]:
+    def _side(self, column: str) -> Tuple[_ScanBatch, np.ndarray]:
         if self.outer.has(column):
-            return self.outer, self.outer_pos, True
-        return self.inner, self.inner_pos, False
+            return self.outer, self.outer_pos
+        return self.inner, self.inner_pos
 
     def output_names(self) -> Tuple[str, ...]:
         """Merged-dict key order: inner carried names, then outer ones."""
@@ -300,16 +299,13 @@ class _JoinBatch:
         return tuple(names)
 
     def codes(self, column: str) -> np.ndarray:
-        side, pos, _is_outer = self._side(column)
+        side, pos = self._side(column)
         return side.projection.vector(column).codes()[pos]
 
-    def values_at(self, column: str, positions: List[int]) -> List[object]:
-        side, pos, is_outer = self._side(column)
+    def gather(self, column: str, positions: np.ndarray) -> List[object]:
+        side, pos = self._side(column)
         raw = side.projection.raw_column(column)
-        take = self._pos_lists.get(is_outer)
-        if take is None:
-            take = self._pos_lists[is_outer] = pos.tolist()
-        return [raw[take[p]] for p in positions]
+        return list(map(raw.__getitem__, pos[positions].tolist()))
 
     def materialize(
         self,
@@ -593,40 +589,35 @@ class _Runner:
         if isinstance(node, HashAggregateNode):
             self._meters.hash_rows += n
         if not group_by:
-            groups = [list(range(n))]
+            members = np.arange(n, dtype=np.int64)
+            starts, stops, keys = [0], [n], []
         elif n == 0:
-            groups = []
+            return []
         else:
-            groups = _group_members(
-                [batch.codes(column) for column in group_by], n
+            members, first, last = _group_runs(
+                [batch.codes(column) for column in group_by]
             )
-        # Once per statement: each aggregate's output label, and its
-        # column, or None where it reads as NULL on every row (a missing
-        # column reads so in the interpreter, via row.get).
-        reducers = [
-            (
-                aggregate,
-                aggregate.label(),
-                aggregate.column
-                if aggregate.column is not None and batch.has(aggregate.column)
-                else None,
+            keys = [batch.gather(column, members[first]) for column in group_by]
+            starts, stops = first.tolist(), last.tolist()
+        # Each aggregate column's cells, run after run, gathered once per
+        # statement; a column the batch lacks reads as NULL on every row
+        # (as the interpreter's row.get does) and gathers nothing.
+        cells: Dict[str, List[object]] = {}
+        results = []
+        for aggregate in node.aggregates:
+            column = aggregate.column
+            if column is not None and column not in cells and batch.has(column):
+                cells[column] = batch.gather(column, members)
+            results.append(
+                aggregate_runs(aggregate, cells.get(column), starts, stops)
             )
-            for aggregate in node.aggregates
-        ]
-        out_rows: List[RowDict] = []
-        for positions in groups:
-            out: RowDict = {}
-            if positions:
-                first = positions[:1]
-                for column in group_by:
-                    out[column] = batch.values_at(column, first)[0]
-            for aggregate, label, column in reducers:
-                values = [] if column is None else [
-                    v for v in batch.values_at(column, positions) if v is not None
-                ]
-                out[label] = aggregate_values(aggregate, values, len(positions))
-            out_rows.append(out)
-        return out_rows
+        names = group_by + tuple(aggregate.label() for aggregate in node.aggregates)
+        if len(set(names)) < len(names):
+            # A label naming a group column keeps the key's first
+            # position and takes the last value, as the interpreter's
+            # sequential assignments do.
+            return [dict(zip(names, row)) for row in zip(*keys, *results)]
+        return row_builder(names)(keys + results)
 
 
 def _mask(predicate, vector: ColumnVector, start: int, stop: int) -> np.ndarray:
@@ -696,24 +687,35 @@ def _expand_matches(
 # Grouping and ordering
 
 
-def _group_members(code_columns: List[np.ndarray], n: int) -> List[List[int]]:
-    """Member batch positions per group, groups in first-appearance
-    order and members in input order — the dict-insertion order the
-    interpreter produces."""
-    if len(code_columns) == 1:
-        _uniq, inverse = np.unique(code_columns[0], return_inverse=True)
-    else:
-        stacked = np.stack(code_columns, axis=1)
-        _uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    inverse = inverse.reshape(n)
-    group_count = int(inverse.max()) + 1
-    first_seen = np.full(group_count, n, dtype=np.int64)
-    np.minimum.at(first_seen, inverse, np.arange(n, dtype=np.int64))
-    appearance = np.argsort(first_seen, kind="stable")
-    # Stably by group id, group g is the run members[bounds[g]:bounds[g + 1]].
-    members = np.argsort(inverse, kind="stable").tolist()
-    bounds = [0] + np.cumsum(np.bincount(inverse, minlength=group_count)).tolist()
-    return [members[bounds[g]:bounds[g + 1]] for g in appearance.tolist()]
+def _group_runs(
+    code_columns: List[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch positions sorted into one run per group, and each run's
+    start and stop in ``members``, runs in first-appearance order.
+
+    A stable argsort keeps input order inside each run, so a run's first
+    member is its group's first appearance: ordered by it, the runs are
+    the groups in the dict-insertion order the interpreter produces.
+    Several code columns fold into one key first, the dense ranks of the
+    key so far times the next column's code width plus its codes (ranks
+    stay below the batch size, so the key fits int64).
+    """
+    key = code_columns[0]
+    for codes in code_columns[1:]:
+        _uniq, rank = np.unique(key, return_inverse=True)
+        key = rank.reshape(-1) * (int(codes.max()) + 2) + (codes + 1)
+    if int(key.max()) < 1 << 15:
+        # Same order, but NumPy's stable sort radix-sorts 16-bit keys.
+        key = key.astype(np.int16)
+    members = np.argsort(key, kind="stable")
+    ordered = key[members]
+    boundary = np.empty(len(key), dtype=bool)
+    boundary[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    stops = np.append(starts[1:], len(key))
+    appearance = np.argsort(members[starts])
+    return members, starts[appearance], stops[appearance]
 
 
 def _ordering(

@@ -3,14 +3,15 @@ interpreter.
 
 Two engines over identical data execute every generated query, one
 pinned to the interpreter and one to the vector path (through
-``vector_min_rows``).  For each query the row lists must be equal
-(values, order, and float bits) and the ExecutionMetrics must be equal
-with ``==`` — including the noise multipliers, which only agree if both
-paths consume the executor RNG identically.  DML maintenance has one
-path and so no pair: it is held to literals recorded from the row loop
-it replaced and to the property that grouping rows into a statement is
-unobservable.  DML target collection follows the SELECT gate, and that
-property runs each statement with the gate open and shut.
+``vector_min_rows``).  For each query the row lists must be equal as
+typed cells (values, value types, key and row order, and float bits)
+and the ExecutionMetrics must be equal with ``==`` — including the
+noise multipliers, which only agree if both paths consume the executor
+RNG identically.  DML maintenance has one path and so no pair: it is
+held to literals recorded from the row loop it replaced and to the
+property that grouping rows into a statement is unobservable.  DML
+target collection follows the SELECT gate, and that property runs each
+statement with the gate open and shut.
 """
 
 from __future__ import annotations
@@ -97,7 +98,27 @@ AGG_FUNCS = [
     Aggregate(AggFunc.AVG, "o_amount"),
     Aggregate(AggFunc.MIN, "o_note"),
     Aggregate(AggFunc.MAX, "o_date"),
+    Aggregate(AggFunc.SUM, "o_cust"),
+    Aggregate(AggFunc.MIN, "o_amount"),
+    Aggregate(AggFunc.MAX, "o_note"),
 ]
+
+#: Columns the ``engine_pair`` data holds NULL in, on a seeded share of
+#: rows: NULL group keys and NULL-bearing aggregate columns.
+NULLED_COLUMNS = ("o_amount", "o_cust", "o_note")
+NULL_SHARE = 0.05
+
+
+def typed(rows):
+    """Rows as typed cells, key order kept: ``==`` alone takes ``1``,
+    ``1.0`` and ``True`` for one value, and ``-0.0`` for ``0.0``."""
+    return [
+        [
+            (name, type(cell), cell.hex() if isinstance(cell, float) else cell)
+            for name, cell in row.items()
+        ]
+        for row in rows
+    ]
 
 
 @st.composite
@@ -175,9 +196,17 @@ def select_queries(draw):
 
 
 def _indexed_orders_engine():
+    import numpy as np
+
     from repro.engine import IndexDefinition
 
     eng = perfect_engine(seed=4242)
+    orders = eng.database.tables["orders"]
+    rng = np.random.default_rng(55)
+    for column in NULLED_COLUMNS:
+        rows = [row for row in orders.rows() if rng.random() < NULL_SHARE]
+        orders.update_rows(rows, [(column, None)])
+    eng.build_all_statistics()
     for name, keys, included in ORDERS_INDEXES:
         eng.create_index(IndexDefinition(name, "orders", keys, included))
     return eng
@@ -205,7 +234,7 @@ def test_property_paths_indistinguishable(engine_pair, query):
     interp, vector = engine_pair
     expected = interp.execute(query)
     got = vector.execute(query)
-    assert got.rows == expected.rows
+    assert typed(got.rows) == typed(expected.rows)
     assert got.metrics == expected.metrics
 
 
@@ -482,7 +511,7 @@ def test_property_join_paths_indistinguishable(joined_pair, query):
     interp, vector = joined_pair
     expected = interp.execute(query)
     got = vector.execute(query)
-    assert got.rows == expected.rows
+    assert typed(got.rows) == typed(expected.rows)
     assert got.metrics == expected.metrics
 
 
