@@ -129,18 +129,17 @@ class CostModel:
             return _clamp_selectivity(
                 _DEFAULT_SELECTIVITY["eq"], table.row_count
             )
+        kind = _op_kind(predicate)
         if stats is None:
-            base = _DEFAULT_SELECTIVITY[_op_kind(predicate)]
-        elif predicate.is_equality:
+            base = _DEFAULT_SELECTIVITY[kind]
+        elif kind == "eq":
             base = stats.selectivity_eq(predicate.value)
-        elif predicate.is_range:
+        elif kind == "range":
             low, high, low_inc, high_inc = predicate.range_bounds()
             base = stats.selectivity_range(low, high, low_inc, high_inc)
         else:  # NEQ
             base = max(0.0, 1.0 - stats.selectivity_eq(predicate.value))
-        error = self.error_multiplier(
-            table.name, predicate.column, _op_kind(predicate)
-        )
+        error = self.error_multiplier(table.name, predicate.column, kind)
         return _clamp_selectivity(base * error, table.row_count)
 
     def combined_selectivity(
@@ -148,18 +147,20 @@ class CostModel:
     ) -> float:
         """Independence-assumption product of predicate selectivities."""
         return self.combine_selectivities(
-            table, [self.predicate_selectivity(table, p) for p in predicates]
+            table.row_count,
+            [self.predicate_selectivity(table, p) for p in predicates],
         )
 
     @staticmethod
-    def combine_selectivities(table: Table, factors: Iterable[float]) -> float:
+    def combine_selectivities(row_count: int, factors: Iterable[float]) -> float:
         """The product of per-predicate ``factors`` in the order given,
-        clamped to the table: the one combination rule, shared with the
-        optimizer's per-statement memo of those factors."""
+        clamped to a table of ``row_count`` rows: the one combination
+        rule, shared with the optimizer's per-statement memo of those
+        factors."""
         selectivity = 1.0
         for factor in factors:
             selectivity *= factor
-        return _clamp_selectivity(selectivity, table.row_count)
+        return _clamp_selectivity(selectivity, row_count)
 
     # ------------------------------------------------------------------
     # Cost formulas (all return abstract optimizer units)

@@ -54,6 +54,8 @@ class IndexStatsView:
     or from closed-form estimates.
     """
 
+    __slots__ = ("rows", "leaf_pages", "height")
+
     def __init__(self, rows: int, leaf_pages: int, height: int) -> None:
         self.rows = rows
         self.leaf_pages = max(1, leaf_pages)
@@ -61,7 +63,7 @@ class IndexStatsView:
 
     @classmethod
     def from_tree(cls, tree: BPlusTree) -> "IndexStatsView":
-        return cls(rows=len(tree), leaf_pages=tree.leaf_page_count, height=tree.height)
+        return cls(len(tree), tree.leaf_page_count, tree.height)
 
     @classmethod
     def estimate(

@@ -41,13 +41,26 @@ class HotPathStat:
         return self.real_seconds * 1000.0
 
 
-class _ProfileHandle:
-    """Yielded by :func:`profile`; lets the body attach simulated cost."""
+class _Timed:
+    """What :func:`profile` returns: times its ``with`` block into the
+    active profiler, and lets the body attach simulated cost by setting
+    ``sim_ms``.  A plain class rather than a generator context manager,
+    because it wraps every statement's planning and execution."""
 
-    __slots__ = ("sim_ms",)
+    __slots__ = ("name", "sim_ms", "_start")
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.sim_ms = 0.0
+
+    def __enter__(self) -> "_Timed":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _stack[-1].record(
+            self.name, time.perf_counter() - self._start, self.sim_ms
+        )
 
 
 class Profiler:
@@ -134,19 +147,14 @@ def use_profiler(profiler: Profiler) -> Iterator[Profiler]:
         _stack.pop()
 
 
-@contextlib.contextmanager
-def profile(name: str) -> Iterator[_ProfileHandle]:
-    """Time a block into the active profiler.
+def profile(name: str) -> _Timed:
+    """Time a block into the active profiler: ``with profile(name) as
+    handle:``.
 
-    The yielded handle's ``sim_ms`` may be set by the body to attach the
+    The handle's ``sim_ms`` may be set by the body to attach the
     simulated cost discovered while the block ran.
     """
-    handle = _ProfileHandle()
-    start = time.perf_counter()
-    try:
-        yield handle
-    finally:
-        _stack[-1].record(name, time.perf_counter() - start, handle.sim_ms)
+    return _Timed(name)
 
 
 def count(name: str, sim_ms: float = 0.0) -> None:

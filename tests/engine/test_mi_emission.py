@@ -27,7 +27,13 @@ from repro.engine import (
     UpdateQuery,
 )
 from repro.engine.cost_model import CostModel
-from repro.engine.optimizer import MI_REPORT_THRESHOLD, _PredicateAnalysis
+from repro.engine.optimizer import (
+    MI_REPORT_THRESHOLD,
+    _Access,
+    _index_paths,
+    _PredicateAnalysis,
+    _table_paths,
+)
 from repro.engine.query import DeleteQuery, InsertQuery
 from repro.errors import ExecutionError, UnknownColumnError
 from tests.conftest import (
@@ -94,15 +100,19 @@ def _oracle_for_table(eng, table_name, preds, referenced, out):
         view = table.hypothetical_stats_view(ideal)
     except UnknownColumnError:
         return
-    out_rows = model.combined_selectivity(table, preds) * table.row_count
-    candidate = opt._index_seek_candidate(
-        _PredicateAnalysis(model, table), ideal, view, preds, referenced,
-        out_rows,
-    )
-    if candidate is None:
+    seeks = [
+        opt._price(_Access(_PredicateAnalysis(model, table), preds), path, view)
+        for path in _index_paths(
+            table.schema.primary_key, ideal, preds, referenced
+        )
+        if path.seek_pos
+    ]
+    if not seeks:
         return
-    _rows, existing = opt._access_candidates(
-        _PredicateAnalysis(model, table), preds, referenced
+    candidate = seeks[0]
+    existing = opt._price_all(
+        _Access(_PredicateAnalysis(model, table), preds),
+        _table_paths(table, preds, referenced),
     )
     best = min(existing, key=lambda c: c.cost).cost
     if candidate.cost >= best * (1.0 - MI_REPORT_THRESHOLD):

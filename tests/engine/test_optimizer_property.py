@@ -1,4 +1,5 @@
-"""Property tests on optimizer invariants."""
+"""Property tests on optimizer invariants, and warm plan skeletons
+against cold builds."""
 
 from __future__ import annotations
 
@@ -8,8 +9,32 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import IndexDefinition, Op, Predicate, SelectQuery
-from tests.engine.test_executor_property import predicates, select_queries
+from repro.engine import (
+    Database,
+    DeleteQuery,
+    IndexDefinition,
+    InsertQuery,
+    JoinSpec,
+    Op,
+    Predicate,
+    SelectQuery,
+    SqlEngine,
+    UpdateQuery,
+)
+from repro.engine.engine import bind_literals
+from repro.engine.optimizer import Optimizer
+from repro.errors import ExecutionError
+from tests.conftest import (
+    make_customers_schema,
+    make_orders_schema,
+    populate_customers,
+    populate_orders,
+)
+from tests.engine.test_executor_property import (
+    COLUMNS,
+    predicates,
+    select_queries,
+)
 from tests.engine.test_optimizer import perfect_engine
 
 
@@ -176,15 +201,265 @@ def test_property_plan_estimates_nonnegative(eng, query):
         assert node.est_rows >= 0
 
 
-@settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
+# ----------------------------------------------------------------------
+# A warm plan skeleton equals a cold build
+
+
+def _stream_engine() -> SqlEngine:
+    """A small orders/customers database at default settings, so the
+    estimation-error multipliers are live."""
+    db = Database("stream", seed=4003)
+    populate_orders(db.create_table(make_orders_schema()), n_rows=600)
+    populate_customers(db.create_table(make_customers_schema()))
+    engine = SqlEngine(db)
+    engine.build_all_statistics()
+    return engine
+
+
+_CUSTOMER_PREDICATES = st.builds(
+    Predicate,
+    st.sampled_from(["c_region", "c_id"]),
+    st.sampled_from([Op.EQ, Op.LT, Op.GE]),
+    st.integers(0, 12),
 )
-@given(query=select_queries())
-def test_property_plan_id_stable(eng, query):
-    """Re-optimizing the same statement yields the same plan identity."""
-    first = eng.optimizer.optimize(query)
-    second = eng.optimizer.optimize(query)
-    assert first.plan_id() == second.plan_id()
-    assert first.signature() == second.signature()
+
+
+#: Values an UPDATE may store, by column.
+_ASSIGNABLE = {
+    "o_date": st.integers(0, 370),
+    "o_note": st.sampled_from(["note-1", "x"]),
+    "o_status": st.integers(0, 6),
+}
+
+
+@st.composite
+def _twin_predicates(draw):
+    """A predicate on an indexed column and a second on the same
+    (column, op): the same literal or another one drawn for the column.
+    Only a twin the seek uses can be dropped from a residual, so the
+    columns are the clustered key and ``ix_cust``'s key."""
+    first = draw(predicates().filter(lambda p: p.column in ("o_id", "o_cust")))
+    if draw(st.booleans()):
+        return first, first
+    value = draw(COLUMNS[first.column])
+    if first.op is Op.BETWEEN:
+        return first, Predicate(first.column, Op.BETWEEN, value, value)
+    return first, Predicate(first.column, first.op, value)
+
+
+@st.composite
+def _repeat_statement(draw):
+    """A SELECT or UPDATE whose predicates repeat a (column, op) pair."""
+    preds = draw(_twin_predicates()) + tuple(
+        draw(st.lists(predicates(), max_size=1))
+    )
+    if draw(st.booleans()):
+        return UpdateQuery("orders", (("o_note", "x"),), preds)
+    return SelectQuery("orders", ("o_amount",), preds)
+
+
+@st.composite
+def _statement(draw):
+    kind = draw(st.sampled_from(
+        ["select", "repeat", "hint", "join", "update", "insert", "delete"]
+    ))
+    preds = tuple(draw(st.lists(predicates(), max_size=2)))
+    if kind == "repeat":
+        return draw(_repeat_statement())
+    if kind == "hint":
+        names = [d.name for d in INDEX_POOL] + ["ix_gone"]
+        return dataclasses.replace(
+            draw(select_queries()), index_hint=draw(st.sampled_from(names))
+        )
+    if kind == "join":
+        return SelectQuery(
+            "orders", ("o_id", "o_amount"), preds,
+            join=JoinSpec(
+                "customers", "o_cust", "c_id",
+                predicates=tuple(draw(st.lists(_CUSTOMER_PREDICATES, max_size=2))),
+                select_columns=("c_name",),
+            ),
+        )
+    if kind == "update":
+        column, values = draw(st.sampled_from(sorted(_ASSIGNABLE.items())))
+        return UpdateQuery("orders", ((column, draw(values)),), preds)
+    if kind == "insert":
+        return InsertQuery("orders", ())  # rows filled in by the runner
+    if kind == "delete":
+        return DeleteQuery("orders", preds)
+    return draw(select_queries())
+
+
+@st.composite
+def _relit(draw, query):
+    """``query`` with literals drawn afresh — the same shape, so the same
+    skeleton — each kept as it was half the time (so twins that were
+    equal may stay equal)."""
+
+    def redrawn(predicates, values):
+        out = []
+        for p in predicates:
+            if draw(st.booleans()):
+                out.append(p)
+            elif p.op is Op.BETWEEN:
+                low, high = sorted(
+                    (draw(values(p)), draw(values(p))),
+                    key=lambda v: (v is None, v),
+                )
+                out.append(Predicate(p.column, p.op, low, high))
+            else:
+                out.append(Predicate(p.column, p.op, draw(values(p))))
+        return tuple(out)
+
+    def orders(p):
+        return COLUMNS[p.column]
+
+    if isinstance(query, InsertQuery):
+        return query
+    query = dataclasses.replace(
+        query, predicates=redrawn(query.predicates, orders)
+    )
+    if isinstance(query, UpdateQuery):
+        ((column, _value),) = query.assignments
+        return dataclasses.replace(
+            query, assignments=((column, draw(_ASSIGNABLE[column])),)
+        )
+    if isinstance(query, SelectQuery) and query.join is not None:
+        join = query.join
+        return dataclasses.replace(
+            query,
+            join=dataclasses.replace(
+                join,
+                predicates=redrawn(
+                    join.predicates, lambda _p: st.integers(0, 12)
+                ),
+            ),
+        )
+    return query
+
+
+@st.composite
+def statement_streams(draw):
+    """6-14 steps over one engine: executions of 2-3 generated templates
+    (one repeating a (column, op) pair),
+    each with fresh literals and a hypothetical index set to price,
+    between index DDL, statistics refreshes and plan forcing."""
+    templates = [draw(_repeat_statement())] + draw(
+        st.lists(_statement(), min_size=1, max_size=2)
+    )
+    steps = []
+    for _ in range(draw(st.integers(6, 14))):
+        kind = draw(st.sampled_from(
+            ["run"] * 5 + ["create", "drop", "stats", "force"]
+        ))
+        if kind == "run":
+            template = draw(st.sampled_from(templates))
+            steps.append(("run", draw(_relit(template)), draw(index_sets())))
+        elif kind in ("create", "drop"):
+            pool = st.integers(0, len(INDEX_POOL) - 1)
+            steps.append((kind, draw(pool)))
+        else:
+            steps.append((kind,))
+    return steps
+
+
+def _hexed(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def _planned(optimizer, query):
+    """Everything planning shows: the plan id and signature, every
+    node's estimates as hex, and the MI emissions; or the error."""
+    emitted = []
+    try:
+        plan = optimizer.optimize(
+            query,
+            mi_sink=lambda *e: emitted.append(tuple(map(_hexed, e))),
+        )
+    except ExecutionError:
+        return ExecutionError
+    return (
+        plan.plan_id(),
+        plan.signature(),
+        [
+            (type(node).__name__, _hexed(node.est_rows), _hexed(node.est_cost))
+            for node in plan.walk()
+        ],
+        emitted,
+    )
+
+
+def _priced(engine, query, config):
+    """A what-if plan's signature and estimates as hex, or the error."""
+    try:
+        plan = engine.whatif_batch(query).price(config)
+    except ExecutionError:
+        return ExecutionError
+    return plan.signature(), [
+        (_hexed(node.est_rows), _hexed(node.est_cost)) for node in plan.walk()
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream=statement_streams())
+def test_property_warm_skeleton_equals_cold_build(stream):
+    """Plan skeletons are unobservable.  Over a generated stream that
+    executes SELECT/UPDATE/INSERT/DELETE statements (index hints, plan
+    forcing, and templates repeating a (column, op) pair with equal and
+    unequal literals) between index DDL and statistics refreshes, each
+    statement planned by the engine's long-lived optimizer equals it
+    planned by a fresh ``Optimizer`` over the same tables — plan,
+    estimates to the bit, MI emissions — and re-planning it yields the
+    same plan identity.  A generated hypothetical index set priced
+    through the engine's ``WhatIfBatch`` equals it priced by a fresh
+    engine over the same database (shared ≡ fresh)."""
+    eng = _stream_engine()
+    eng.create_index(INDEX_POOL[0])
+    tables = eng.database.tables
+    next_id = 10_000
+    forcible = []
+    for step in stream:
+        kind = step[0]
+        if kind == "create":
+            # As an online build does: on the table, with no engine hook
+            # to drop stored skeletons, so only their versions notice.
+            definition = INDEX_POOL[step[1]]
+            if not eng.index_exists("orders", definition.name):
+                tables["orders"].create_index(definition)
+            continue
+        if kind == "drop":
+            name = INDEX_POOL[step[1]].name
+            if eng.index_exists("orders", name):
+                eng.drop_index("orders", name)
+            continue
+        if kind == "stats":
+            eng.build_all_statistics()
+            continue
+        if kind == "force":
+            if forcible:
+                eng.query_store.force_plan(*forcible[-1])
+            continue
+        _kind, query, positions = step
+        if isinstance(query, InsertQuery):
+            query = InsertQuery(
+                "orders", ((next_id, 3, 1, 5.0, 40, "note-new"),)
+            )
+            next_id += 1
+        bound = bind_literals(query, tables)
+        effective = eng._apply_plan_forcing(bound, bound.template_key())
+        warm = _planned(eng.optimizer, effective)
+        cold = _planned(Optimizer(tables, eng.cost_model), effective)
+        assert warm == cold, effective
+        again = _planned(eng.optimizer, effective)
+        assert again == warm
+        config = hypothetical(positions)
+        fresh = SqlEngine(eng.database, settings=eng.settings)
+        assert _priced(eng, effective, config) == _priced(
+            fresh, effective, config
+        ), (effective, config)
+        try:
+            result = eng.execute(query)
+        except ExecutionError:
+            continue  # a hint (or forced plan) naming no existing index
+        if isinstance(query, SelectQuery) and result.plan.referenced_indexes():
+            forcible.append((result.query_id, result.plan_id))

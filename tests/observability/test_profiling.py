@@ -84,8 +84,9 @@ class TestEngineHooks:
         stats = profiler.stats()
         assert stats["engine_execute"].calls == 3
         assert stats["engine_execute"].sim_ms > 0.0
-        # Every execution plans for real (nothing memoizes plans); the
-        # what-if call prices off the statement substrate instead.
+        # Every execution runs its own plan search (only the literal-free
+        # skeleton is reused); the what-if call prices off the statement
+        # substrate instead.
         assert stats["optimizer_plan_search"].calls == 3
         assert stats["engine_whatif_cost"].calls == 1
         # Executing a range query walks the B+ tree one way or another.
