@@ -381,7 +381,7 @@ class TestMiEmission:
         assert eq == ("o_cust",) and ineq == ("o_date",)
 
     def test_repeat_execution_replans_to_the_same_plan_and_emissions(self, eng):
-        """Nothing memoizes executed plans: a statement run twice at the
+        """No executed plan is reused: a statement run twice at the
         same table versions is planned twice, to the same plan, and
         charges the MI DMV's ``user_seeks`` the same on each run."""
         query = SelectQuery(
