@@ -58,14 +58,14 @@ class DtaSessionManager:
             if self._deferrals >= self.MAX_BUDGET_DEFERRALS:
                 # Give up: clean up and surface an analysis failure.
                 self._session = None
-                self._observe_duration(now)
+                self._observe_duration()
                 self.last_run_info = {"session_outcome": "abandoned"}
                 telemetry.count_event("dta_abandoned", plane.name)
                 return []
             raise  # transient: the next analysis period resumes the session
         except SessionAbortedError:
             self._session = None
-            self._observe_duration(now)
+            self._observe_duration()
             self.last_run_info = {"session_outcome": "aborted"}
             telemetry.count_event("dta_aborted", plane.name)
             return []
@@ -76,19 +76,20 @@ class DtaSessionManager:
             "whatif_calls": whatif_calls,
             "workload_coverage": session.report.coverage if session.report else 0.0,
         }
-        self._observe_duration(now)
+        self._observe_duration()
         telemetry.registry.counter(
             "dta_whatif_calls_total", database=plane.name
         ).inc(whatif_calls)
         telemetry.count_event("dta_completed", plane.name)
         return recommendations
 
-    def _observe_duration(self, now: float) -> None:
-        """Close the session's clock: one duration sample per session."""
+    def _observe_duration(self) -> None:
+        """Close the session's clock: one duration sample per session,
+        read off the clock the session's analysis passes advanced."""
         started, self._session_started = self._session_started, None
         self.plane.telemetry.registry.histogram(
             "tuning_session_duration_minutes", source="DTA",
-        ).observe(now - started)
+        ).observe(self.plane.clock.now - started)
 
     def _interfering(self) -> bool:
         """Detect that tuning is slowing user queries (Section 5.3.1).

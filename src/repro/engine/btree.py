@@ -342,6 +342,42 @@ class BPlusTree:
             meter.charge()
             a = 0
 
+    def fetch_sorted(self, nkeys: List[Key]) -> List[Optional[Payload]]:
+        """Resolve ascending order keys of a unique-keyed tree in one
+        left-to-right pass over its leaves, unmetered: each key's payload
+        where the key sits past the first position of its leaf, else None.
+
+        Such a key is what ``spans(key, key)`` reaches in exactly
+        ``height`` pages: its leaf holds a smaller key too, so no
+        separator on its path equals it and ``bisect_left`` routing takes
+        the child insert routing takes.  A key at position 0 may equal a
+        separator, which that routing passes on the left and pays leaf
+        hops for; it is left None for the caller's real walk, as is an
+        absent key.  The pass moves to the next leaf, or descends afresh
+        only when the next key lies beyond that one too.
+        """
+        found: List[Optional[Payload]] = []
+        leaf: Optional[_Node] = None
+        last: Optional[Key] = None
+        for nkey in nkeys:
+            if last is None or nkey > last:
+                successor = None if leaf is None else leaf.next
+                if successor is not None and successor.nkeys and (
+                    nkey <= successor.nkeys[-1]
+                ):
+                    leaf = successor
+                else:
+                    leaf = self._root
+                    while not leaf.leaf:
+                        leaf = leaf.children[bisect.bisect_right(leaf.nkeys, nkey)]
+                last = leaf.nkeys[-1] if leaf.nkeys else None
+            pos = bisect.bisect_left(leaf.nkeys, nkey)
+            if 0 < pos < len(leaf.nkeys) and leaf.nkeys[pos] == nkey:
+                found.append(leaf.payloads[pos])
+            else:
+                found.append(None)
+        return found
+
     def seek_prefix(
         self, prefix: Key, meter: Optional[PageMeter] = None
     ) -> Iterator[Tuple[Key, Payload]]:

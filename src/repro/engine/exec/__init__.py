@@ -9,7 +9,8 @@ Package layout:
 - :mod:`repro.engine.exec.columns` — the per-table columnar projection
   cache, patched with the rows each DML changed and rebuilt on index DDL;
 - :mod:`repro.engine.exec.vector` — batch operators (mask scans,
-  rank-code grouping, lexsort, argpartition TOP-N);
+  sorted-pass key lookups, rank-code grouping, lexsort, argpartition
+  TOP-N);
 - :mod:`repro.engine.exec.dispatch` — the :class:`Executor` facade that
   picks a path per SELECT from plan shape and table size, and runs DML
   on its one grouped-maintenance path.

@@ -3,11 +3,12 @@
 A SELECT is vectorized when its plan shape is supported
 (:func:`repro.engine.exec.vector.supports`) and its gating table holds
 at least ``vector_min_rows`` rows, enough to amortize the projection
-build; clustered seeks, key lookups, nested-loop joins and
-TOP-over-lazy-source always interpret.  DML targets follow the SELECT
-gate: an UPDATE/DELETE whose child is a clustered scan that gate would
-vectorize reads its target rows off the clustered projection
-(:func:`vector.target_rows`), any other child is interpreted.
+build; clustered seeks, nested-loop joins and TOP-over-lazy-source
+always interpret.  DML targets follow the SELECT gate: an UPDATE/DELETE
+whose child is a clustered scan or a key lookup that gate would
+vectorize reads its target rows off the clustered projection or the
+key-lookup batch (:func:`vector.target_rows`), any other child (a
+clustered seek) is interpreted.
 Maintenance has one path (grouped index maintenance in
 :class:`~repro.engine.table.Table`), and every DML statement is counted
 with the vectorized ones.  Whatever the path, metering is
@@ -20,9 +21,9 @@ observable per fleet:
 
 - ``threshold`` — too few rows to amortize batching;
 - ``shape`` — unsupported single-table plan shape (clustered seeks,
-  key lookups, TOP over a lazy source);
+  TOP over a lazy source);
 - ``join`` — unsupported join shape (nested-loop, a hash join with a
-  clustered seek or key lookup side, TOP directly over a join);
+  clustered seek side, TOP directly over a join);
 - ``hinted`` — an index-hinted query produced an unsupported shape;
 - ``runtime`` — the vector path bailed out mid-plan
   (:class:`VectorUnsupported`) and charges were rolled back.
@@ -45,6 +46,7 @@ from repro.engine.plans import (
     DeletePlanNode,
     HashJoinNode,
     InsertPlanNode,
+    KeyLookupNode,
     NestedLoopJoinNode,
     PlanNode,
     UpdatePlanNode,
@@ -174,11 +176,12 @@ class Executor:
         self, plan: PlanNode, query, meters: Meterings
     ) -> List[tuple]:
         """An UPDATE/DELETE's target rows: off the clustered projection
-        when its child is a clustered scan the SELECT gate would
-        vectorize, else interpreted; same rows and charges either way."""
+        or the key-lookup batch when its child is a clustered scan or a
+        key lookup the SELECT gate would vectorize, else interpreted;
+        same rows and charges either way."""
         child = plan.child
         if (
-            isinstance(child, ClusteredScanNode)
+            isinstance(child, (ClusteredScanNode, KeyLookupNode))
             and self._fallback_reason(child, query) is None
         ):
             try:

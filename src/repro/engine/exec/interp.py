@@ -152,10 +152,7 @@ class InterpExecutor:
         out_columns = [
             (name,) + sources[name] for name in names if name in sources
         ]
-        # Residuals read an entry as one tuple: key, then payload.
-        width = len(index.definition.key_columns) + len(table.schema.primary_key)
-        flat = {c: i if in_key else width + i for c, (in_key, i) in sources.items()}
-        checks = compile_predicates(node.residual, flat.__getitem__)
+        checks = index_entry_checks(table, index.definition, node.residual)
         processed = 0
         try:
             for key, payload in entries:
@@ -484,6 +481,16 @@ def index_entry_layout(table: Table, definition):
     for i, column in enumerate(definition.included_columns):
         sources.setdefault(column, (False, i))
     return sources
+
+
+def index_entry_checks(table: Table, definition, residual):
+    """Compiled ``residual`` checks over an index entry read as one
+    tuple: key, then payload (a column outside the entry raises
+    KeyError)."""
+    sources = index_entry_layout(table, definition)
+    width = len(definition.key_columns) + len(table.schema.primary_key)
+    flat = {c: i if in_key else width + i for c, (in_key, i) in sources.items()}
+    return compile_predicates(residual, flat.__getitem__)
 
 
 def _bind(value: object, binding: Optional[object]) -> object:

@@ -84,6 +84,20 @@ def hash_join_meter_rows(side_rows: int) -> int:
     return max(0, side_rows)
 
 
+def key_lookup_pages(lookups: int, height: int) -> int:
+    """Page charge for ``lookups`` key lookups whose rows sit past the
+    first position of their clustered leaves.
+
+    The interpreter fetches each row with its own one-entry seek
+    (``Table.fetch_by_pk``): a root-to-leaf descent, ``height`` pages,
+    and no leaf hop, since such a key is reached on its own leaf (see
+    :meth:`~repro.engine.btree.BPlusTree.fetch_sorted`).  The batch
+    operator charges those lookups here at once; a key at position 0,
+    which may pay hops, takes its real walk on both paths.
+    """
+    return lookups * height
+
+
 def insert_meter_entries(rows: int, index_count: int) -> int:
     """``maintained_entries`` charge for inserting ``rows`` rows.
 

@@ -129,12 +129,12 @@ CATALOG: Dict[str, MetricSpec] = dict(
               "too few rows to amortize batching (monotone)."),
         _spec("executor_fallback_shape_total", "gauge", "statements",
               "Statements interpreted because the single-table plan "
-              "shape is unsupported — seeks, key lookups, TOP over a "
+              "shape is unsupported — clustered seeks, TOP over a "
               "lazy source (monotone)."),
         _spec("executor_fallback_join_total", "gauge", "statements",
               "Statements interpreted because the join shape is "
-              "unsupported — nested-loop, seek-fed hash join "
-              "(monotone)."),
+              "unsupported — nested-loop, a hash join with a "
+              "clustered-seek side (monotone)."),
         _spec("executor_fallback_hinted_total", "gauge", "statements",
               "Statements interpreted because an index hint forced an "
               "unsupported access path (monotone)."),

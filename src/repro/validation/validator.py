@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine.engine import SqlEngine
 from repro.engine.query_store import MetricAggregate, RuntimeStats
@@ -199,6 +199,24 @@ class Validator:
         after: Tuple[float, float],
     ) -> ValidationOutcome:
         """Judge an index change given before/after time windows."""
+        statements = self.judge_windows(
+            before,
+            after,
+            lambda plans_before, plans_after: self._plan_changed_due_to_index(
+                index_name, action, plans_before, plans_after
+            ),
+        )
+        return self.decide(index_name, action, statements)
+
+    def judge_windows(
+        self,
+        before: Tuple[float, float],
+        after: Tuple[float, float],
+        in_scope: Optional[Callable[[set, set], bool]] = None,
+    ) -> List[StatementVerdict]:
+        """One verdict per statement executed often enough in both
+        windows and, when ``in_scope`` is given, whose (before plans,
+        after plans) it accepts."""
         settings = self.settings
         qs = self.engine.query_store
         before_stats = _merge_by_query(qs.aggregate(before[0], before[1]))
@@ -216,8 +234,8 @@ class Validator:
                 or entry_after["executions"] < settings.min_executions
             ):
                 continue
-            if not self._plan_changed_due_to_index(
-                index_name, action, entry_before["plans"], entry_after["plans"]
+            if in_scope is not None and not in_scope(
+                entry_before["plans"], entry_after["plans"]
             ):
                 continue
             tests = {}
@@ -247,7 +265,7 @@ class Validator:
                     executions_after=entry_after["executions"],
                 )
             )
-        return self._decide(index_name, action, statements)
+        return statements
 
     # ------------------------------------------------------------------
 
@@ -297,9 +315,11 @@ class Validator:
             return Verdict.IMPROVED
         return Verdict.NEUTRAL
 
-    def _decide(
+    def decide(
         self, index_name: str, action: str, statements: List[StatementVerdict]
     ) -> ValidationOutcome:
+        """The change's outcome from its statements' verdicts, under the
+        mode's revert trigger."""
         settings = self.settings
         # Execution-weighted aggregate change (fixed-count comparison: means
         # weighted by before-executions, so differing counts don't bias).

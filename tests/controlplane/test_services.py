@@ -155,12 +155,17 @@ class TestHealthService:
 
 class TestDtaSessionManager:
     def test_session_completes_and_emits(self, loop):
+        """A completed session emits, and its one duration sample is
+        the clock at close minus the start."""
         clock, profile, plane = loop
         profile.workload.run(profile.engine, hours=4, max_statements=250)
-        recommendations = plane.dta_service.run(clock.now)
+        started = clock.now
+        recommendations = plane.dta_service.run(started)
         registry = plane.telemetry.registry
         assert registry.total("events_total", kind="dta_completed") == 1
         assert isinstance(recommendations, list)
+        duration = clock.now - started
+        assert duration_samples(plane, "DTA") == [(1, duration, duration)]
 
     def test_interference_abort_handled(self, loop):
         clock, profile, plane = loop
@@ -180,8 +185,8 @@ class TestDtaSessionManager:
     ):
         """A budget-exhausted session is kept and resumed by the next run
         (its start time survives the deferrals, and nothing is observed)
-        until the deferral cap abandons it with one duration sample; the
-        run after that starts a fresh session."""
+        until the deferral cap abandons it with one duration sample, read
+        off the clock; the run after that starts a fresh session."""
         clock, profile, plane = loop
         profile.workload.run(profile.engine, hours=2, max_statements=120)
         manager = plane.dta_service
@@ -189,25 +194,29 @@ class TestDtaSessionManager:
 
         def exhausted(session):
             attempts.append(session)
+            clock.advance(0.25)  # the pass's own work moves the clock
             raise ResourceBudgetExceededError("tuning budget spent")
 
         monkeypatch.setattr(DtaSession, "run", exhausted)
         cap = manager.MAX_BUDGET_DEFERRALS
         started = clock.now
         for attempt in range(cap - 1):
+            clock.advance_to(started + attempt)
             with pytest.raises(ResourceBudgetExceededError):
                 manager.run(started + attempt)
             assert manager._session_started == started
             assert duration_samples(plane, "DTA") == []
         closed = started + cap
+        clock.advance_to(closed)
         assert manager.run(closed) == []
         assert len(attempts) == cap
         assert all(session is attempts[0] for session in attempts)
         assert manager.last_run_info == {"session_outcome": "abandoned"}
-        # One sample: the abandoning run's time minus the first start,
-        # i.e. ``cap`` minutes (up to the float subtraction itself).
-        duration = closed - started
-        assert duration == pytest.approx(cap)
+        # One sample: the clock after the abandoning pass minus the first
+        # start, i.e. ``cap`` minutes plus that pass's quarter minute (up
+        # to the float subtraction itself), not the scheduled ``closed``.
+        duration = clock.now - started
+        assert duration == pytest.approx(cap + 0.25)
         assert duration_samples(plane, "DTA") == [(1, duration, duration)]
         registry = plane.telemetry.registry
         assert registry.total("events_total", kind="dta_budget_exhausted") == cap
@@ -223,8 +232,9 @@ class TestDtaSessionManager:
     def test_terminal_outcome_observes_one_duration(
         self, loop, monkeypatch, outcome
     ):
-        """Every way a session ends observes one DTA sample: close time
-        minus the first start, across a budget deferral in between."""
+        """Every way a session ends observes one DTA sample: the clock at
+        close minus the first start, across a budget deferral in
+        between."""
         clock, _profile, plane = loop
         manager = plane.dta_service
         monkeypatch.setattr(manager, "MAX_BUDGET_DEFERRALS", 2)
@@ -232,6 +242,7 @@ class TestDtaSessionManager:
 
         def run(session):
             calls.append(session)
+            clock.advance(0.25)  # the pass's own work moves the clock
             if len(calls) == 1 or outcome == "abandoned":
                 raise ResourceBudgetExceededError("tuning budget spent")
             if outcome == "aborted":
@@ -240,13 +251,16 @@ class TestDtaSessionManager:
 
         monkeypatch.setattr(DtaSession, "run", run)
         first_start = clock.now + 3.0
+        clock.advance_to(first_start)
         with pytest.raises(ResourceBudgetExceededError):
             manager.run(first_start)
         assert duration_samples(plane, "DTA") == []
         close = first_start + 7.5
+        clock.advance_to(close)
         assert manager.run(close) == []
         assert manager.last_run_info["session_outcome"] == outcome
-        duration = close - first_start
+        duration = clock.now - first_start
+        assert duration == pytest.approx(7.75)
         assert duration_samples(plane, "DTA") == [(1, duration, duration)]
 
 

@@ -131,8 +131,9 @@ class TestDispatch:
         assert eng.executor.batch_rows == N_ORDERS
 
     def test_seeks_stay_interpreted(self):
-        """An index seek vectorizes; a clustered seek, a key lookup and a
-        TOP over a bare seek interpret, charging what they charge."""
+        """An index seek and a key lookup over one vectorize; a clustered
+        seek and a TOP over a bare seek or a key lookup interpret.  Each
+        charges what the interpreter charges."""
         eng = engine_in_mode("vector")
         want = engine_in_mode("interp")
         for engine in (eng, want):
@@ -146,7 +147,9 @@ class TestDispatch:
             (SelectQuery("orders", ("o_amount",), cust), IndexSeekNode, True),
             (SelectQuery("orders", ("o_id",), (Predicate("o_id", Op.EQ, 5),)),
              ClusteredSeekNode, False),
-            (SelectQuery("orders", ("o_note",), cust), KeyLookupNode, False),
+            (SelectQuery("orders", ("o_note",), cust), KeyLookupNode, True),
+            (SelectQuery("orders", ("o_note",), cust, limit=3),
+             TopNode, False),
             (SelectQuery("orders", ("o_amount",), cust, limit=3),
              TopNode, False),
         ]
