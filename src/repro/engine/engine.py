@@ -6,10 +6,11 @@ exposing the surfaces the auto-indexing service consumes:
 
 - ``execute(query)`` — optimize + execute, recording Query Store runtime
   stats, MI candidates, and index usage;
-- ``whatif_batch(query)`` — the what-if API: one :class:`WhatIfBatch`
+- ``whatif_batch(query, held)`` — the what-if API: one :class:`WhatIfBatch`
   per statement asks the substrate ``execute``'s planning uses about any
   number of hypothetical configurations (no MI emission), each costing
-  metered against the tuning resource pool (Section 5.3.1);
+  metered against the tuning resource pool (Section 5.3.1); the caller
+  holds the substrate (the engine keeps none), and
   ``whatif_optimize(query, extra_indexes)`` is one batch priced once;
 - ``create_index`` / ``drop_index`` — immediate DDL (the control plane
   wraps these in online build jobs and the low-priority drop protocol);
@@ -32,7 +33,7 @@ from repro.engine.cost_model import (
 from repro.engine.exec import ExecutionMetrics, Executor
 from repro.engine.locks import LockManager
 from repro.engine.missing_index import MissingIndexDmv
-from repro.engine.optimizer import Optimizer
+from repro.engine.optimizer import HeldSubstrate, Optimizer
 from repro.engine.plans import (
     PARAM,
     IndexScanNode,
@@ -53,7 +54,7 @@ from repro.errors import (
     UnknownColumnError,
     UnknownTableError,
 )
-from repro.observability.profiling import count, profile
+from repro.observability.profiling import active, profile
 from repro.rng import derive, stable_hash, stable_uniform
 
 
@@ -170,6 +171,17 @@ class ExecutionResult:
     metrics: ExecutionMetrics
 
 
+class _RetiredPlanCache:
+    """Inert: what-if substrates live with their callers and no plan is
+    memoized, so ``invalidate()`` drops nothing and the counters read 0.
+    Kept only because ``benchmarks/e2e`` still calls and reads it."""
+
+    hits = misses = evictions = 0
+
+    def invalidate(self, table: Optional[str] = None) -> None:
+        pass
+
+
 class SqlEngine:
     """Execution surface over one :class:`Database`."""
 
@@ -218,11 +230,9 @@ class SqlEngine:
     def now(self) -> float:
         return self.clock.now
 
-    @property
-    def plan_cache(self):
-        """The optimizer's what-if substrate store (distinct from the
-        statement-text ``_plan_cache_text`` DTA reads fragments from)."""
-        return self.optimizer.plan_cache
+    #: Inert (see :class:`_RetiredPlanCache`); the statement-text plan
+    #: cache DTA reads fragments from is ``_plan_cache_text``.
+    plan_cache = _RetiredPlanCache()
 
     def execute(self, query, at_time: Optional[float] = None) -> ExecutionResult:
         """Bind (:func:`bind_literals`), optimize and execute a statement,
@@ -371,15 +381,20 @@ class SqlEngine:
     # ------------------------------------------------------------------
     # What-if API (Section 5.3)
 
-    def whatif_batch(self, query) -> "WhatIfBatch":
+    def whatif_batch(
+        self, query, held: Optional[HeldSubstrate] = None
+    ) -> "WhatIfBatch":
         """The metered what-if API for many configurations of one
-        statement, see :class:`WhatIfBatch`."""
-        return WhatIfBatch(self, query)
+        statement, see :class:`WhatIfBatch`.  ``held`` is the caller's
+        substrate for the statement, shared by its batches; without one
+        the batch builds its own."""
+        return WhatIfBatch(self, query, held)
 
     def whatif_optimize(
         self, query, extra_indexes: Sequence[IndexDefinition] = ()
     ) -> PlanNode:
-        """Optimize under one hypothetical configuration; metered."""
+        """Optimize under one hypothetical configuration; metered (a
+        one-off batch)."""
         return self.whatif_batch(query).price(extra_indexes)
 
     # ------------------------------------------------------------------
@@ -414,17 +429,14 @@ class SqlEngine:
     def create_index(self, definition: IndexDefinition) -> None:
         table = self.database.table(definition.table)
         table.create_index(definition, created_at=self.now)
-        # Index creation is a schema change: the MI DMV resets (Section 5.2)
-        # and every memoized substrate of the table is stale.
+        # Index creation is a schema change: the MI DMV resets (Section 5.2).
         self.missing_indexes.reset()
-        self.optimizer.invalidate(definition.table)
 
     def drop_index(self, table_name: str, index_name: str) -> IndexDefinition:
         table = self.database.table(table_name)
         definition = table.drop_index(index_name)
         self.usage_stats.drop_index(index_name)
         self.missing_indexes.reset()
-        self.optimizer.invalidate(table_name)
         return definition
 
     def index_exists(self, table_name: str, index_name: str) -> bool:
@@ -438,7 +450,6 @@ class SqlEngine:
         """Server restart: volatile DMVs (MI, plan caches) are lost."""
         self.missing_indexes.reset()
         self._plan_cache_text.clear()
-        self.optimizer.invalidate()
         self.restarts += 1
 
     def failover(self) -> None:
@@ -455,9 +466,6 @@ class SqlEngine:
                 rng=derive(self.database.seed, "stats", table.name),
                 at_time=self.now,
             )
-        # Fresh statistics change every cost estimate; drop memoized
-        # skeletons and substrates.
-        self.optimizer.invalidate()
 
     def workload_coverage(
         self,
@@ -503,9 +511,10 @@ class WhatIfBatch:
     the same substrate :meth:`Optimizer.optimize` prices with no extras,
     hence the same floats, argmin winner and exceptions — without
     emitting MI candidates.  The substrate is found at most once for the
-    batch's lifetime, through :meth:`Optimizer.whatif_substrate`, which
-    shares it with later batches for the same statement at the same
-    table versions.
+    batch's lifetime, through :meth:`Optimizer.whatif_substrate`, in the
+    caller's ``held`` substrate: a caller that keeps one per statement
+    shares it across its batches for as long as the referenced tables'
+    versions stand.  Without one the batch builds its own.
 
     Each :meth:`price` call charges ``whatif_call_cpu_ms`` to the tuning
     pool *before* pricing — so the charge does not depend on how calls
@@ -518,29 +527,35 @@ class WhatIfBatch:
     :meth:`contributes` says it differs from a priced one only in
     definitions that cannot touch the statement — still owes the call
     (the simulated tuning budget meters costings asked, not optimizer
-    work avoided) and pays it through :meth:`charge`.
+    work avoided) and pays it through :meth:`charge_many`, one call for
+    a whole run of such costings.
     """
 
-    def __init__(self, engine: SqlEngine, query):
+    def __init__(
+        self, engine: SqlEngine, query, held: Optional[HeldSubstrate] = None
+    ):
         self._engine = engine
         self._query = query
         #: BULK INSERT cannot be optimized under any hypothetical
         #: configuration (Section 5.3.2), whatever the configuration holds.
         self._rejects_extras = isinstance(query, InsertQuery) and query.bulk
+        self._held = held if held is not None else HeldSubstrate(query)
         self._substrate = None
         engine.optimizer.batch_stats.batches += 1
 
-    def _meter(self) -> float:
+    def charge_many(self, n: int) -> int:
+        """Meter ``n`` what-if calls as ``n`` :meth:`price` calls would —
+        pool charges, call count, hot-path ticks, float for float — without
+        pricing.  Returns how many fit the budget; fewer than ``n`` means
+        the next one's CPU was charged too, and the caller raises the
+        pool's ``exceeded()`` as a refused :meth:`price` would have."""
         engine = self._engine
         rate = engine.settings.whatif_call_cpu_ms
-        engine.governor.tuning.charge_cpu(rate, engine.now)
-        engine.governor.tuning.usage.whatif_calls += 1
-        return rate
-
-    def charge(self) -> None:
-        """Meter one what-if call exactly as :meth:`price` does — pool
-        charge, call count, hot-path tick — without pricing anything."""
-        count("engine_whatif_cost", self._meter())
+        pool = engine.governor.tuning
+        charged = pool.charge_cpu_many(rate, n, engine.now)
+        pool.usage.whatif_calls += charged
+        active().count_many("engine_whatif_cost", charged, rate)
+        return charged
 
     def contributes(self, definition: IndexDefinition) -> bool:
         """Whether ``definition`` can change what :meth:`price` returns.
@@ -561,11 +576,14 @@ class WhatIfBatch:
         return self._held_substrate().contributes(definition)
 
     def price(self, extra_indexes: Sequence[IndexDefinition] = ()) -> PlanNode:
-        rate = self._meter()
+        engine = self._engine
+        rate = engine.settings.whatif_call_cpu_ms
+        engine.governor.tuning.charge_cpu(rate, engine.now)
+        engine.governor.tuning.usage.whatif_calls += 1
         with profile("engine_whatif_cost") as prof:
             prof.sim_ms = rate
             extras = tuple(extra_indexes)
-            self._engine.optimizer.batch_stats.configurations += 1
+            engine.optimizer.batch_stats.configurations += 1
             if extras and self._rejects_extras:
                 raise OptimizeError(
                     "BULK INSERT cannot be optimized in what-if mode"
@@ -575,6 +593,6 @@ class WhatIfBatch:
     def _held_substrate(self):
         if self._substrate is None:
             self._substrate = self._engine.optimizer.whatif_substrate(
-                self._query
+                self._held
             )
         return self._substrate

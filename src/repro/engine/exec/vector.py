@@ -28,7 +28,8 @@ Two invariants keep it indistinguishable from the interpreter:
 - **Metering**: the same charges land on the same counters through the
   shared formulas in :mod:`repro.engine.exec.metering` — a full scan
   charges ``height + leaf_pages - 1`` pages (what the B+ tree's
-  leftmost descent plus leaf hops would have metered), a seek the pages
+  leftmost descent plus leaf hops would have metered) and ticks
+  ``btree_scan`` once, as the walk would have, a seek the pages
   of the very span walk the interpreter's seek drains, a key lookup
   ``height`` pages per key past its leaf's first position
   (``key_lookup_pages``) and the real walk for the rest, per-entry
@@ -480,6 +481,7 @@ class _Runner:
             start, stop = self._seek_range(node, index.tree, projection)
         else:
             self._meters.page_meter.charge(projection.scan_pages)
+            count("btree_scan")
             start, stop = 0, projection.row_count
         self._meters.rows_processed += stop - start
         self.batch_rows += stop - start

@@ -44,11 +44,12 @@ materializing anything.
 Executed statements get a fresh substrate on every call — their literals
 and the live row counts make almost every finished plan unique — over a
 skeleton the optimizer keeps per shape (:meth:`Optimizer._skeleton`).
-What-if pricing finds whole
-statement substrates through :meth:`Optimizer.whatif_substrate` — the
-key, the bounded store and the hit/miss counts in one method; see the
-plan-cache module for the staleness rules.  The caller that repeats a
-configuration (DTA's ``WhatIfSession``) memoizes its costs itself.
+What-if substrates are kept by the caller that asks about a statement
+again (a DTA session, one MI verification pass), in a
+:class:`HeldSubstrate` that :meth:`Optimizer.whatif_substrate` reuses
+while the referenced tables' versions stand and rebuilds once they move;
+the optimizer keeps none.  That caller (DTA's ``WhatIfSession``) also
+memoizes the costs of the configurations it repeats.
 
 **Missing-index emission** (Section 5.2): while planning an executed
 statement, the optimizer compares the chosen plan against an ideal
@@ -67,7 +68,6 @@ import dataclasses
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.engine.cost_model import CostModel
-from repro.engine.plan_cache import PlanCache
 from repro.engine.plans import (
     PARAM,
     ClusteredScanNode,
@@ -463,13 +463,24 @@ class BatchPricingStats:
     batches: int = 0
     #: Configurations priced through a batch.
     configurations: int = 0
-    #: Batches that found their statement substrate memoized.
+    #: Batches that found their caller's held substrate current.
     substrate_hits: int = 0
     #: Batches that had to build the statement substrate.
     substrate_misses: int = 0
     #: Always 0: there is no second planner to fall back to.  The field
     #: stays because ``benchmarks/e2e`` reads it by name.
     scalar_fallbacks: int = 0
+
+
+@dataclasses.dataclass(eq=False)
+class HeldSubstrate:
+    """One statement's what-if substrate, held by the caller that keeps
+    asking about the statement and dropped with it; ``stamp`` is the
+    referenced tables' versions it was built at."""
+
+    query: object
+    stamp: tuple = ()
+    substrate: object = None
 
 
 class Optimizer:
@@ -479,10 +490,8 @@ class Optimizer:
         self._tables = tables
         self._cost_model = cost_model
         #: Plan skeletons: statement shape -> (the referenced tables'
-        #: versions, skeleton, their names); see :meth:`_skeleton`.
+        #: versions, skeleton); see :meth:`_skeleton`.
         self._skeletons: Dict[Hashable, tuple] = {}
-        #: Memoized what-if substrates (see :meth:`whatif_substrate`).
-        self.plan_cache = PlanCache()
         #: Counters for what-if batch traffic.
         self.batch_stats = BatchPricingStats()
         #: The statement shaped last, and its shape (see :meth:`shape`).
@@ -509,47 +518,29 @@ class Optimizer:
                 )
         return plan
 
-    def whatif_substrate(self, query):
-        """The statement's what-if substrate: stored under
-        :meth:`_cache_key`, else built over its skeleton and stored.
+    def whatif_substrate(self, held: HeldSubstrate):
+        """``held``'s statement substrate: the one it holds while every
+        referenced table's ``(schema, stats, data)`` versions are those
+        it was built at, else a new one built over the skeleton and held
+        in its place.
 
-        This is the one place whole substrates are reused.  The key
-        carries every referenced table's versions, so a stale substrate
-        is never found; the store is :class:`PlanCache`'s bounded LRU,
-        which the engine also invalidates on DDL, statistics refresh and
-        restart.
+        This is the one place whole substrates are reused.  A stale
+        substrate is never priced: sampled statistics built mid-session,
+        DML between analysis windows and index DDL all move a version.
         """
-        key = self._cache_key(query)
-        substrate = (
-            self.plan_cache.lookup_substrate(key) if key is not None else None
+        query = held.query
+        stamp = tuple(
+            (table.schema_version, table.stats_version, table.data_version)
+            for table in map(self._tables.get, self._referenced_tables(query))
+            if table is not None  # planning raises UnknownTableError
         )
-        if substrate is not None:
+        if held.substrate is not None and held.stamp == stamp:
             self.batch_stats.substrate_hits += 1
-            return substrate
+            return held.substrate
         self.batch_stats.substrate_misses += 1
-        substrate = self._skeleton(query).substrate(self, query)
-        if key is not None:
-            self.plan_cache.store_substrate(
-                key, substrate, self._referenced_tables(query)
-            )
-        return substrate
-
-    def invalidate(self, table: Optional[str] = None) -> None:
-        """Drop the skeletons and what-if substrates that read ``table``
-        (all of them when None): the engine calls this on index DDL,
-        statistics refresh and restart.  Versions already make stale
-        entries unreachable; this reclaims their memory."""
-        if table is None:
-            self._skeletons.clear()
-        else:
-            for shape in [
-                shape
-                for shape, (_versions, _skeleton, tables)
-                in self._skeletons.items()
-                if table in tables
-            ]:
-                del self._skeletons[shape]
-        self.plan_cache.invalidate(table)
+        held.substrate = self._skeleton(query).substrate(self, query)
+        held.stamp = stamp
+        return held.substrate
 
     def shape(self, query) -> Optional[tuple]:
         """:func:`statement_shape` of ``query``, kept for the statement
@@ -560,30 +551,6 @@ class Optimizer:
             shape = statement_shape(query)
             self._shaped = (query, shape)
         return shape
-
-    def _cache_key(self, query) -> Optional[Hashable]:
-        """The substrate memoization key, or None when the query is not
-        cacheable.
-
-        Queries are frozen dataclasses, so the key hashes structurally;
-        anything unhashable (e.g. exotic predicate values) simply bypasses
-        the cache rather than erroring.
-        """
-        fingerprint = []
-        for name in self._referenced_tables(query):
-            table = self._tables.get(name)
-            if table is None:
-                return None  # planning will raise UnknownTableError
-            fingerprint.append(
-                (name, table.schema_version, table.stats_version,
-                 table.data_version)
-            )
-        key = (query, tuple(fingerprint))
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        return key
 
     def _skeleton(self, query):
         """The skeleton for the statement's shape at the referenced
@@ -613,9 +580,7 @@ class Optimizer:
             return item[1]
         skeleton = _build_skeleton(self, query)
         if skeleton.reusable:
-            self._skeletons[shape] = (
-                versions, skeleton, self._referenced_tables(query)
-            )
+            self._skeletons[shape] = (versions, skeleton)
         return skeleton
 
     @staticmethod

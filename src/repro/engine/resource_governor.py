@@ -54,17 +54,34 @@ class ResourcePool:
 
     def charge_cpu(self, cpu_ms: float, now: float) -> None:
         """Charge CPU; raises if the pool's window budget is exceeded."""
+        if not self.charge_cpu_many(cpu_ms, 1, now):
+            raise self.exceeded()
+
+    def charge_cpu_many(self, cpu_ms: float, n: int, now: float) -> int:
+        """``n`` charges of ``cpu_ms``, one float addition each, stopping
+        at the first that exceeds the budget (which is added too).
+        Returns how many fit."""
         self._roll_window(now)
-        self.usage.cpu_ms += cpu_ms
-        self._window_cpu_ms += cpu_ms
-        if (
-            self.budget_cpu_ms is not None
-            and self._window_cpu_ms > self.budget_cpu_ms
-        ):
-            raise ResourceBudgetExceededError(
-                f"pool {self.name!r} exceeded {self.budget_cpu_ms} ms "
-                f"CPU in its {self.window_minutes} min window"
-            )
+        budget = self.budget_cpu_ms
+        total = self.usage.cpu_ms
+        window = self._window_cpu_ms
+        charged = 0
+        while charged < n:
+            total += cpu_ms
+            window += cpu_ms
+            if budget is not None and window > budget:
+                break
+            charged += 1
+        self.usage.cpu_ms = total
+        self._window_cpu_ms = window
+        return charged
+
+    def exceeded(self) -> ResourceBudgetExceededError:
+        """The error a charge past the window's budget raises."""
+        return ResourceBudgetExceededError(
+            f"pool {self.name!r} exceeded {self.budget_cpu_ms} ms "
+            f"CPU in its {self.window_minutes} min window"
+        )
 
     def window_headroom(self, now: float) -> Optional[float]:
         """Remaining CPU ms in the current window (None if ungoverned)."""

@@ -150,8 +150,8 @@ class Table:
         self.statistics = TableStatistics(schema.name)
         #: Bumped on every index create/drop; resets the MI DMV (Section 5.2).
         self.schema_version = 0
-        #: Bumped on every statistics (re)build; part of the optimizer's
-        #: substrate fingerprint, so memoized substrates go stale on stats
+        #: Bumped on every statistics (re)build; part of a held what-if
+        #: substrate's stamp, so the substrate is rebuilt after a stats
         #: refresh.
         self.stats_version = 0
         #: Bumped once per row a DML mutation changes (see ``_changed``);

@@ -160,7 +160,7 @@ CATALOG: Dict[str, MetricSpec] = dict(
               "API per database (monotone)."),
         _spec("whatif_batch_substrate_hits", "gauge", "substrates",
               "What-if substrate reuses per database: statement plan "
-              "spaces served from the plan cache's substrate store "
+              "spaces served from the substrate the asking session held "
               "(monotone)."),
         _spec("whatif_batch_substrate_misses", "gauge", "substrates",
               "What-if substrate builds per database: the "

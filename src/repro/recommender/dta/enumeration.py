@@ -117,11 +117,11 @@ def greedy_enumerate(
                 if storage_used + size > constraints.storage_budget_bytes:
                     continue
             eligible.append(candidate)
-        frontier = [
-            tuple(chosen_defs) + (candidate.definition,)
-            for candidate in eligible
-        ]
-        costs = whatif.workload_cost_many(statements, frontier)
+        costs = whatif.workload_cost_many(
+            statements,
+            chosen_defs,
+            [(candidate.definition,) for candidate in eligible],
+        )
         best: Tuple[Optional[DtaCandidate], float] = (None, current_cost)
         for candidate, cost in zip(eligible, costs):
             if cost < best[1]:

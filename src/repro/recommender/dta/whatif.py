@@ -7,12 +7,23 @@ enumeration does not re-pay for repeated evaluations, and surfaces
 :class:`ResourceBudgetExceededError` to the session for yield/abort
 decisions.
 
-Costing runs through the engine's :class:`repro.engine.engine.WhatIfBatch`:
-a single lookup is a frontier of one, and the frontier APIs
-(:meth:`WhatIfSession.cost_many`, :meth:`WhatIfSession.workload_cost_many`)
-price a whole configuration frontier per statement against one plan
-substrate.  Costs and session/cache/governor accounting do not depend
-on how configurations are grouped into frontiers.
+What it learns lives with it and goes with it (:meth:`clear`): per
+statement (found by the query's identity) a
+:class:`~repro.engine.optimizer.HeldSubstrate`, which the engine rebuilds
+when a referenced table's version moves (the session's own sampled
+statistics move one), and its template key, computed once; per template,
+the cost cache, projection memo and relevance memo, keyed on definitions
+interned once to small ints by what they cover (table, keys, includes;
+not the name).  A configuration's cost-cache key is its *set* of ints, as
+a bitmask.
+
+Costing runs through the engine's :class:`repro.engine.engine.WhatIfBatch`.
+The frontier APIs (:meth:`WhatIfSession.cost_many`,
+:meth:`WhatIfSession.workload_cost_many`) take one shared ``head`` — the
+greedy enumeration's chosen indexes — and one ``tail`` per configuration,
+and price the frontier per statement against one substrate; a single
+lookup is a frontier of one.  Costs and session/cache/governor accounting
+do not depend on how configurations are grouped into frontiers.
 
 **Charged versus priced.**  Every costing of a (statement,
 configuration) pair the session has not answered before is *charged* to
@@ -26,15 +37,19 @@ already priced this session answers every other configuration that
 projects onto it.  Greedy round *k* asks for ``chosen + (candidate,)``
 under every candidate and every statement; most candidates cannot touch
 most statements, so most of those costings are the cost under
-``chosen``, asked again.
+``chosen``, asked again.  These *derived* costings are metered a run at
+a time (:meth:`WhatIfBatch.charge_many`) before the next call into the
+batch and at the end of the frontier; a pool that runs dry inside a run
+leaves what one charge each would have left.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.engine import SqlEngine
+from repro.engine.optimizer import HeldSubstrate
 from repro.engine.schema import IndexDefinition
 from repro.errors import OptimizeError
 from repro.rng import derive
@@ -45,35 +60,6 @@ from repro.rng import derive
 #: against the tuning pool once and counted once in
 #: :attr:`WhatIfStats.failed_statements`.
 _FAILED = object()
-
-#: One index's identity for cost-cache purposes: what it covers, not
-#: what it is called.  Two same-named but differently-defined indexes
-#: must not collide (and two differently-named twins may share).
-_DefinitionFingerprint = Tuple[str, Tuple[str, ...], Tuple[str, ...]]
-
-
-def _definition_fingerprint(
-    definition: IndexDefinition,
-) -> _DefinitionFingerprint:
-    return (
-        definition.table,
-        tuple(definition.key_columns),
-        tuple(definition.included_columns),
-    )
-
-
-def _shared_prefix_len(configurations: Sequence[tuple]) -> int:
-    """How many leading definitions every configuration shares (by
-    identity): greedy enumeration's frontier is one ``chosen`` prefix
-    followed by one candidate each."""
-    first = configurations[0]
-    shared = 0
-    for column in zip(*configurations):
-        head = first[shared]
-        if any(definition is not head for definition in column):
-            break
-        shared += 1
-    return shared
 
 
 @dataclasses.dataclass
@@ -89,6 +75,16 @@ class WhatIfStats:
     cache_hits: int = 0
     failed_statements: int = 0
     stats_built: int = 0
+
+
+@dataclasses.dataclass
+class _Statement:
+    """A statement's held substrate and its template's memos."""
+
+    held: HeldSubstrate
+    costs: Dict[int, object]
+    projected: Dict[Tuple[int, ...], float]
+    relevance: Dict[int, bool]
 
 
 class WhatIfSession:
@@ -109,30 +105,35 @@ class WhatIfSession:
         #: DTA's statistics creation 2-3x without quality loss).
         self.stats_column_budget = stats_column_budget
         self.stats = WhatIfStats()
-        #: (template, whole configuration) -> cost or ``_FAILED``: what
+        #: id(query) -> record (its held substrate keeps the query alive).
+        self._statements: Dict[int, _Statement] = {}
+        #: Per template: configuration mask -> cost or ``_FAILED``: what
         #: has been charged, so it is never charged twice.
-        self._cost_cache: Dict[
-            Tuple[int, FrozenSet[_DefinitionFingerprint]], object
-        ] = {}
-        #: (template, contributing definitions in configuration order)
+        self._cost_cache: Dict[int, Dict[int, object]] = {}
+        #: Per template: contributing definitions in configuration order
         #: -> cost: what has been priced, so it is never priced twice.
         #: Ordered because DML maintenance terms are summed in
         #: configuration order and float addition is not associative.
-        self._projected_costs: Dict[
-            Tuple[int, Tuple[_DefinitionFingerprint, ...]], float
-        ] = {}
-        #: (template, definition) -> whether it can touch the statement.
-        #: A function of the statement's shape and the definition's
-        #: columns only, so it outlives table-version changes (and, like
-        #: the cost cache, does not see the definition's name).
-        self._relevance: Dict[Tuple[int, _DefinitionFingerprint], bool] = {}
+        self._projected_costs: Dict[int, Dict[Tuple[int, ...], float]] = {}
+        #: Per template: definition -> whether it can touch the
+        #: statement.  A function of the statement's shape and the
+        #: definition's columns only, so it outlives table-version changes.
+        self._relevance: Dict[int, Dict[int, bool]] = {}
+        #: id(definition) -> (definition, its int), and (table, keys,
+        #: includes) -> int: same-named but differently-defined indexes
+        #: must not collide, and differently-named twins share.
+        self._interned: Dict[int, Tuple[IndexDefinition, int]] = {}
+        self._ids: Dict[tuple, int] = {}
         self._stats_built: set = set()
 
     def clear(self) -> None:
-        """Forget every cost and relevance answer (session teardown)."""
-        self._cost_cache.clear()
-        self._projected_costs.clear()
-        self._relevance.clear()
+        """Forget every substrate, cost and relevance answer (session
+        teardown)."""
+        for memo in (
+            self._statements, self._cost_cache, self._projected_costs,
+            self._relevance, self._interned, self._ids,
+        ):
+            memo.clear()
 
     # ------------------------------------------------------------------
 
@@ -180,14 +181,15 @@ class WhatIfSession:
         (Section 5.3.2); callers treat those as coverage loss.
         Raises ResourceBudgetExceededError when the tuning pool runs dry.
         """
-        return self.cost_many(query, (configuration,))[0]
+        return self.cost_many(query, configuration, ((),))[0]
 
     def cost_many(
         self,
         query,
-        configurations: Sequence[Sequence[IndexDefinition]],
+        head: Sequence[IndexDefinition],
+        tails: Sequence[Sequence[IndexDefinition]],
     ) -> List[Optional[float]]:
-        """Costs of one statement under a frontier of configurations.
+        """Costs of one statement under ``head + tail`` for each tail.
 
         Equivalent to calling :meth:`cost` once per configuration — same
         floats, same cache/stats/governor accounting, in the same order —
@@ -199,75 +201,7 @@ class WhatIfSession:
         costed so far already cached (the retry resumes where it left
         off).
         """
-        configurations = [tuple(c) for c in configurations]
-        results: List[Optional[float]] = [None] * len(configurations)
-        if not configurations:
-            return results
-        template = query.template_key()
-        shared = _shared_prefix_len(configurations)
-        head = configurations[0][:shared]
-        head_fingerprints = tuple(map(_definition_fingerprint, head))
-        head_set = frozenset(head_fingerprints)
-        batch = None
-        for i, configuration in enumerate(configurations):
-            tail = configuration[shared:]
-            tail_fingerprints = tuple(map(_definition_fingerprint, tail))
-            key = (template, head_set.union(tail_fingerprints))
-            cached = self._cost_cache.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                if cached is not _FAILED:
-                    results[i] = cached
-                continue
-            if batch is None:
-                batch = self.engine.whatif_batch(query)
-                head_extras, head_key = self._project(
-                    batch, template, head, head_fingerprints
-                )
-            tail_extras, tail_key = self._project(
-                batch, template, tail, tail_fingerprints
-            )
-            projected = (template, head_key + tail_key)
-            cost = self._projected_costs.get(projected)
-            if cost is not None:
-                batch.charge()
-            else:
-                try:
-                    cost = batch.price(head_extras + tail_extras).est_cost
-                except OptimizeError:
-                    self.stats.failed_statements += 1
-                    self._cost_cache[key] = _FAILED
-                    continue
-                self.stats.priced += 1
-                self._projected_costs[projected] = cost
-            self.stats.calls += 1
-            self._cost_cache[key] = cost
-            results[i] = cost
-        return results
-
-    def _project(
-        self,
-        batch,
-        template: int,
-        definitions: Tuple[IndexDefinition, ...],
-        fingerprints: Tuple[_DefinitionFingerprint, ...],
-    ) -> Tuple[
-        Tuple[IndexDefinition, ...], Tuple[_DefinitionFingerprint, ...]
-    ]:
-        """The definitions that can touch the statement, with their
-        fingerprints, order kept."""
-        relevance = self._relevance
-        extras: List[IndexDefinition] = []
-        key: List[_DefinitionFingerprint] = []
-        for definition, fingerprint in zip(definitions, fingerprints):
-            known = (template, fingerprint)
-            relevant = relevance.get(known)
-            if relevant is None:
-                relevant = relevance[known] = batch.contributes(definition)
-            if relevant:
-                extras.append(definition)
-                key.append(fingerprint)
-        return tuple(extras), tuple(key)
+        return self._cost_frontier(query, self._frontier(head, tails))
 
     def workload_cost(
         self,
@@ -275,14 +209,16 @@ class WhatIfSession:
         configuration: Sequence[IndexDefinition] = (),
     ) -> float:
         """Execution-weighted estimated cost of a workload."""
-        return self.workload_cost_many(statements, (configuration,))[0]
+        return self.workload_cost_many(statements, configuration, ((),))[0]
 
     def workload_cost_many(
         self,
         statements,
-        configurations: Sequence[Sequence[IndexDefinition]],
+        head: Sequence[IndexDefinition],
+        tails: Sequence[Sequence[IndexDefinition]],
     ) -> List[float]:
-        """Workload costs of a configuration frontier, statement-major.
+        """Workload costs of ``head + tail`` for each tail,
+        statement-major.
 
         Each statement's frontier is priced in one batch before moving
         to the next statement.  Per configuration, the accumulation
@@ -291,12 +227,138 @@ class WhatIfSession:
         configuration) evaluation set is identical too, so session and
         governor totals match a configuration-major sweep.
         """
-        configurations = [tuple(c) for c in configurations]
-        totals = [0.0] * len(configurations)
+        frontier = self._frontier(head, tails)
+        totals = [0.0] * len(tails)
         for statement in statements:
-            costs = self.cost_many(statement.query, configurations)
+            costs = self._cost_frontier(statement.query, frontier)
             for i, cost in enumerate(costs):
                 if cost is None:
                     continue
                 totals[i] += cost * statement.executions
         return totals
+
+    # ------------------------------------------------------------------
+
+    def _frontier(self, head, tails) -> tuple:
+        """The frontier with its definitions interned, once for every
+        statement it is costed on."""
+        return head, self._intern(head), tails, list(map(self._intern, tails))
+
+    def _intern(self, definitions) -> Tuple[Tuple[int, ...], int]:
+        """The definitions' ints, and their set as a mask."""
+        interned = self._interned
+        ids = []
+        mask = 0
+        for definition in definitions:
+            entry = interned.get(id(definition))
+            if entry is None:
+                ident = self._ids.setdefault(
+                    (
+                        definition.table,
+                        tuple(definition.key_columns),
+                        tuple(definition.included_columns),
+                    ),
+                    len(self._ids),
+                )
+                entry = interned[id(definition)] = (definition, ident)
+            ids.append(entry[1])
+            mask |= 1 << entry[1]
+        return tuple(ids), mask
+
+    def _record(self, query) -> _Statement:
+        record = self._statements.get(id(query))
+        if record is None:
+            template = query.template_key()
+            record = self._statements[id(query)] = _Statement(
+                HeldSubstrate(query),
+                self._cost_cache.setdefault(template, {}),
+                self._projected_costs.setdefault(template, {}),
+                self._relevance.setdefault(template, {}),
+            )
+        return record
+
+    def _cost_frontier(self, query, frontier: tuple) -> List[Optional[float]]:
+        head, (head_ids, head_mask), tails, interned = frontier
+        results: List[Optional[float]] = [None] * len(tails)
+        if not tails:
+            return results
+        record = self._record(query)
+        costs, projected_costs = record.costs, record.projected
+        stats = self.stats
+        batch = None
+        # Derived costings not yet metered, in frontier order:
+        # configuration -> (cost, cache hits counted before it).
+        run: Dict[int, Tuple[float, int]] = {}
+        for i, (tail, (tail_ids, tail_mask)) in enumerate(zip(tails, interned)):
+            mask = head_mask | tail_mask
+            cached = costs.get(mask)
+            if cached is None and mask in run:
+                cached = run[mask][0]
+            if cached is not None:
+                stats.cache_hits += 1
+                if cached is not _FAILED:
+                    results[i] = cached
+                continue
+            if batch is None:
+                batch = self.engine.whatif_batch(query, record.held)
+                head_extras, head_key = self._project(
+                    batch, record, head, head_ids, run
+                )
+            tail_extras, tail_key = self._project(
+                batch, record, tail, tail_ids, run
+            )
+            projected = head_key + tail_key
+            cost = projected_costs.get(projected)
+            if cost is not None:
+                run[mask] = (cost, stats.cache_hits)
+                results[i] = cost
+                continue
+            if run:
+                self._meter(batch, costs, run)
+            try:
+                cost = batch.price(head_extras + tail_extras).est_cost
+            except OptimizeError:
+                stats.failed_statements += 1
+                costs[mask] = _FAILED
+                continue
+            stats.priced += 1
+            stats.calls += 1
+            projected_costs[projected] = cost
+            costs[mask] = cost
+            results[i] = cost
+        if run:
+            self._meter(batch, costs, run)
+        return results
+
+    def _project(self, batch, record: _Statement, definitions, ids, run):
+        """The definitions that can touch the statement and their ints,
+        order kept.  Asking the batch may build its substrate, so a
+        pending run is metered first."""
+        relevance = record.relevance
+        extras: List[IndexDefinition] = []
+        key: List[int] = []
+        for definition, ident in zip(definitions, ids):
+            relevant = relevance.get(ident)
+            if relevant is None:
+                if run:
+                    self._meter(batch, record.costs, run)
+                relevant = relevance[ident] = batch.contributes(definition)
+            if relevant:
+                extras.append(definition)
+                key.append(ident)
+        return tuple(extras), tuple(key)
+
+    def _meter(self, batch, costs: Dict[int, object], run) -> None:
+        """Charge a run of derived costings in one call, then count and
+        cache them.  If the pool runs dry at one, those before it are
+        counted and cached, the cache hits after them are taken back, and
+        the pool's error is raised."""
+        pending = list(run.items())
+        run.clear()
+        charged = batch.charge_many(len(pending))
+        self.stats.calls += charged
+        for mask, (cost, _hits_before) in pending[:charged]:
+            costs[mask] = cost
+        if charged < len(pending):
+            self.stats.cache_hits = pending[charged][1][1]
+            raise self.engine.governor.tuning.exceeded()

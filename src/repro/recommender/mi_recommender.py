@@ -19,9 +19,10 @@ whole point of the MI source's low overhead.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.engine.engine import SqlEngine
+from repro.engine.optimizer import HeldSubstrate
 from repro.engine.schema import IndexDefinition
 from repro.errors import OptimizeError
 from repro.recommender.classifier import LowImpactClassifier
@@ -179,6 +180,8 @@ class MiRecommender:
                 benefit=candidate.benefit, top_n=settings.top_n,
             )
         recommendations: List[IndexRecommendation] = []
+        # One what-if substrate per hot statement, shared by the pass.
+        held: Dict[int, HeldSubstrate] = {}
         for candidate in candidates[: settings.top_n]:
             impact, seeks = impact_by_identity.get(
                 (candidate.table, candidate.key_columns),
@@ -208,7 +211,7 @@ class MiRecommender:
                 )
                 continue
             if settings.verify_with_whatif and not self._whatif_confirms(
-                candidate
+                candidate, held
             ):
                 self._reject(
                     candidate.table, candidate.key_columns, "whatif_verify",
@@ -244,7 +247,9 @@ class MiRecommender:
 
     # ------------------------------------------------------------------
 
-    def _whatif_confirms(self, candidate: MergeCandidate) -> bool:
+    def _whatif_confirms(
+        self, candidate: MergeCandidate, held: Dict[int, HeldSubstrate]
+    ) -> bool:
         """Optional what-if double check on a few hot statements.
 
         The candidate survives if at least one hot statement's estimated
@@ -272,8 +277,10 @@ class MiRecommender:
             query = engine.observed_statement(query_id)
             if query is None or getattr(query, "table", None) != candidate.table:
                 continue
+            if query_id not in held:
+                held[query_id] = HeldSubstrate(query)
             try:
-                batch = engine.whatif_batch(query)
+                batch = engine.whatif_batch(query, held[query_id])
                 base = batch.price().est_cost
                 with_index = batch.price((definition,)).est_cost
             except OptimizeError:

@@ -2,15 +2,18 @@
 
 There is one planner; what varies is how much of its work is reused.
 The contract is that reuse is unobservable: pricing a whole frontier
-through one ``whatif_batch`` — warm per-definition memos, substrate-store
-hits — yields the same cost floats, plan choices, errors, MI-DMV silence
-and governor charges as recomputing everything for every configuration.
-The Hypothesis suite drives twin engines with identical call sequences:
-the *fresh* twin empties its substrate store before every single
-``whatif_optimize``, the *shared* twin never does.
+through one ``whatif_batch`` — warm per-definition memos, a held
+substrate — yields the same cost floats, plan choices, errors, MI-DMV
+silence and governor charges as recomputing everything for every
+configuration.  The Hypothesis suite drives twin engines with identical
+call sequences: the *fresh* twin prices every configuration through its
+own ``whatif_optimize``, a one-off batch that builds its own substrate;
+the *shared* twin prices the frontier through one batch.
 ``test_optimizer_regressions.py`` pins the absolute values; this suite
-pins that sharing cannot move them.  The store itself (keys, LRU bound,
-invalidation) is covered in :class:`TestBatchPricerParity`.
+pins that sharing cannot move them.  Where substrates live (with the
+session that holds them: reused within it, rebuilt when a table version
+moves, never shared across sessions, dropped on ``clear()``) is covered
+in :class:`TestBatchPricerParity`.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ from repro.engine import (
     SelectQuery,
     UpdateQuery,
 )
-from repro.engine.optimizer import BatchPricingStats
-from repro.engine.plan_cache import DEFAULT_SUBSTRATE_CAPACITY, PlanCache
+from repro.engine.optimizer import BatchPricingStats, HeldSubstrate
 from repro.engine.plans import IndexSeekNode
+from repro.engine.resource_governor import ResourcePool
+from repro.engine.statistics import TableStatistics
 from repro.errors import (
     ExecutionError,
     OptimizeError,
@@ -124,16 +128,37 @@ def twins():
     return _twin(), _twin()
 
 
-def _costs(eng, query, frontier):
+def _costs(eng, query, frontier, held=None):
     """The frontier's costs, priced through one batch."""
-    batch = eng.whatif_batch(query)
+    batch = eng.whatif_batch(query, held)
     return [batch.price(config).est_cost for config in frontier]
 
 
 def _fresh_plan(eng, query, config=()):
-    """One configuration with nothing to reuse: no stored substrate."""
-    eng.plan_cache.invalidate()
+    """One configuration with nothing to reuse: a one-off batch."""
     return eng.whatif_optimize(query, extra_indexes=config)
+
+
+def _substrates(eng):
+    """The engine's (substrate misses, substrate hits)."""
+    stats = eng.optimizer.batch_stats
+    return stats.substrate_misses, stats.substrate_hits
+
+
+def _held(session):
+    """The substrates a session holds, one per statement it costed."""
+    return [record.held.substrate for record in session._statements.values()]
+
+
+def _cached(session):
+    """The configurations a session has cost-cached, each as the set of
+    definitions it covers."""
+    covers = {ident: fingerprint for fingerprint, ident in session._ids.items()}
+    return {
+        frozenset(covers[i] for i in covers if mask >> i & 1)
+        for costs in session._cost_cache.values()
+        for mask in costs
+    }
 
 
 def _outcome(price, *args):
@@ -252,17 +277,18 @@ class TestBatchPricerParity:
     def test_empty_configuration_is_normal_mode_planning(self):
         """Pricing no hypothetical index gives the statement's own plan
         cost; it is what-if traffic all the same — priced and charged
-        once — and statement planning neither reads nor adds to the
-        substrate store it filled."""
+        once — and statement planning neither reads nor replaces the
+        substrate the batch filled."""
         fresh_eng, shared_eng = perfect_engine(11), perfect_engine(11)
         expected = _fresh_plan(fresh_eng, self.QUERY).est_cost
-        assert _costs(shared_eng, self.QUERY, [()]) == [expected]
+        held = HeldSubstrate(self.QUERY)
+        assert _costs(shared_eng, self.QUERY, [()], held) == [expected]
+        substrate = held.substrate
         assert shared_eng.optimizer.optimize(self.QUERY).est_cost == expected
         assert shared_eng.optimizer.batch_stats.configurations == 1
         assert shared_eng.governor.tuning.usage.whatif_calls == 1
-        stats = shared_eng.optimizer.batch_stats
-        assert (stats.substrate_misses, stats.substrate_hits) == (1, 0)
-        assert shared_eng.plan_cache.substrate_count() == 1
+        assert _substrates(shared_eng) == (1, 0)
+        assert substrate is not None and held.substrate is substrate
 
     def test_counters_do_not_depend_on_grouping(self):
         """One call per configuration and one batch for all of them charge
@@ -279,137 +305,147 @@ class TestBatchPricerParity:
         assert _observable(batch_eng) == _observable(single_eng)
         assert batch_eng.optimizer.batch_stats.scalar_fallbacks == 0
 
-    def test_substrate_reused_across_batches(self):
+    def test_substrate_reused_within_a_session(self):
         eng = perfect_engine(13)
-        _costs(eng, self.QUERY, [(_definition(0),)])
-        stats = eng.optimizer.batch_stats
-        assert (stats.substrate_misses, stats.substrate_hits) == (1, 0)
-        _costs(eng, self.QUERY, [(_definition(1),)])
-        assert (stats.substrate_misses, stats.substrate_hits) == (1, 1)
-        # The one-configuration API finds the same substrate.
+        session = WhatIfSession(eng)
+        session.cost(self.QUERY, (_definition(0),))
+        assert _substrates(eng) == (1, 0)
+        session.cost(self.QUERY, (_definition(1),))
+        assert _substrates(eng) == (1, 1)
+        # A one-off batch builds its own; the session's is untouched.
         eng.whatif_optimize(self.QUERY, (_definition(2),))
-        assert (stats.substrate_misses, stats.substrate_hits) == (1, 2)
-        assert eng.plan_cache.substrate_count() == 1
+        assert _substrates(eng) == (2, 1)
+        assert len(_held(session)) == 1
 
     def test_statement_execution_leaves_no_substrate(self):
         """Normal-mode planning prices zero configurations and keeps
-        nothing: the same key at the same table versions will not recur."""
+        nothing: a session costing the statement next builds its own."""
         eng = perfect_engine(17)
         eng.execute(self.QUERY)
-        assert eng.plan_cache.substrate_count() == 0
         assert eng.optimizer.batch_stats == BatchPricingStats()
+        WhatIfSession(eng).cost(self.QUERY, (_definition(0),))
+        assert _substrates(eng) == (1, 0)
 
     def test_different_literals_are_different_substrates(self):
         eng = perfect_engine(14)
-        stats = eng.optimizer.batch_stats
         other_literal = SelectQuery(
             "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 4),)
         )
-        _costs(eng, self.QUERY, [(_definition(0),)])
-        _costs(eng, other_literal, [(_definition(0),)])
-        # The literals are part of the key: two orders substrates.
-        assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
-        assert eng.plan_cache.substrate_count() == 2
+        held, other_held = HeldSubstrate(self.QUERY), HeldSubstrate(other_literal)
+        _costs(eng, self.QUERY, [(_definition(0),)], held)
+        _costs(eng, other_literal, [(_definition(0),)], other_held)
+        # The literals are the statement's own: two orders substrates.
+        assert _substrates(eng) == (2, 0)
+        assert held.substrate is not other_held.substrate
 
-    def test_invalidation_is_per_table(self):
+    def test_ensure_statistics_rebuilds_only_its_tables_substrate(self):
+        """Sampled statistics built mid-session move that table's
+        ``stats_version``: its statements' substrates are rebuilt, the
+        other table's are reused."""
         eng = perfect_engine(14)
-        other_literal = SelectQuery(
-            "orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 4),)
-        )
+        eng.database.table("customers").statistics = TableStatistics("customers")
+        session = WhatIfSession(eng)
         customers = SelectQuery("customers", ("c_name",))
-        for query in (self.QUERY, other_literal, customers):
-            _costs(eng, query, [(_definition(0),)])
-        assert eng.plan_cache.substrate_count() == 3
-        assert eng.plan_cache.invalidate("customers") == 1
-        assert eng.plan_cache.substrate_count() == 2
-        assert eng.plan_cache.invalidate("orders") == 2
-        assert eng.plan_cache.substrate_count() == 0
+        for query in (self.QUERY, customers):
+            session.cost(query, (_definition(0),))
+        assert _substrates(eng) == (2, 0)
+        assert session.ensure_statistics("customers", ["c_region"]) == 1
+        for query in (self.QUERY, customers):
+            session.cost(query, (_definition(1),))
+        assert _substrates(eng) == (3, 1)
+        assert len(_held(session)) == 2
 
-    def test_create_index_drops_substrates_and_replans(self):
+    def test_create_index_mid_session_rebuilds_and_replans(self):
         eng = perfect_engine(18)
-        _costs(eng, self.QUERY, [(_definition(1),)])
+        session = WhatIfSession(eng)
+        session.cost(self.QUERY, (_definition(1),))
         eng.create_index(
             IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_amount",))
         )
-        assert eng.plan_cache.substrate_count() == 0
+        session.cost(self.QUERY, (_definition(3),))
+        assert _substrates(eng) == (2, 0)  # schema_version moved
         assert isinstance(eng.optimizer.optimize(self.QUERY), IndexSeekNode)
 
-    def test_drop_index_drops_substrates(self):
+    def test_drop_index_mid_session_rebuilds(self):
         eng = perfect_engine(18)
         eng.create_index(
             IndexDefinition("ix_cust", "orders", ("o_cust",), ("o_amount",))
         )
-        _costs(eng, self.QUERY, [(_definition(1),)])
+        session = WhatIfSession(eng)
+        session.cost(self.QUERY, (_definition(1),))
         eng.drop_index("orders", "ix_cust")
-        assert eng.plan_cache.substrate_count() == 0
+        session.cost(self.QUERY, (_definition(3),))
+        assert _substrates(eng) == (2, 0)
         assert not isinstance(eng.optimizer.optimize(self.QUERY), IndexSeekNode)
 
-    def test_dml_moves_the_key(self):
+    def test_dml_mid_session_rebuilds(self):
         eng = perfect_engine(19)
-        stats = eng.optimizer.batch_stats
-        _costs(eng, self.QUERY, [(_definition(0),)])
+        session = WhatIfSession(eng)
+        session.cost(self.QUERY, (_definition(0),))
         eng.execute(InsertQuery("orders", ((999_999, 3, 0, 1.0, 10, "note-x"),)))
-        _costs(eng, self.QUERY, [(_definition(0),)])
-        # data_version changed: the stored substrate is unreachable.
-        assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
+        session.cost(self.QUERY, (_definition(1),))
+        # data_version moved: the held substrate is stale.
+        assert _substrates(eng) == (2, 0)
+        assert len(_held(session)) == 1
 
-    def test_statistics_refresh_clears_the_store(self):
+    def test_statistics_refresh_mid_session_rebuilds(self):
         eng = perfect_engine(20)
-        stats = eng.optimizer.batch_stats
-        _costs(eng, self.QUERY, [(_definition(0),)])
+        session = WhatIfSession(eng)
+        session.cost(self.QUERY, (_definition(0),))
+        stale = _held(session)
         eng.build_all_statistics()
-        assert eng.plan_cache.substrate_count() == 0
-        _costs(eng, self.QUERY, [(_definition(0),)])
-        # stats_version changed: a new key, built afresh.
-        assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
+        session.cost(self.QUERY, (_definition(1),))
+        # stats_version moved: built afresh, in the stale one's place.
+        assert _substrates(eng) == (2, 0)
+        assert len(_held(session)) == 1 and _held(session)[0] is not stale[0]
 
-    def test_restart_clears_the_store(self):
+    def test_restart_moves_no_version(self):
+        """The engine holds no substrate for a restart to drop, and a
+        restart moves no table version: the session's stays current."""
         eng = perfect_engine(20)
-        _costs(eng, self.QUERY, [(_definition(0),)])
-        assert eng.plan_cache.substrate_count() == 1
+        session = WhatIfSession(eng)
+        session.cost(self.QUERY, (_definition(0),))
         eng.restart()
-        assert eng.plan_cache.substrate_count() == 0
+        session.cost(self.QUERY, (_definition(1),))
+        assert _substrates(eng) == (1, 1)
 
-    def test_store_is_bounded_at_256(self):
-        cache = PlanCache()
-        for key in range(DEFAULT_SUBSTRATE_CAPACITY + 1):
-            cache.store_substrate(key, f"substrate-{key}", ("t",))
-        assert cache.substrate_count() == DEFAULT_SUBSTRATE_CAPACITY == 256
-        assert cache.lookup_substrate(0) is None  # the oldest went first
-        assert cache.lookup_substrate(256) == "substrate-256"
+    def test_substrate_is_never_shared_across_sessions(self):
+        eng = perfect_engine(22)
+        first, second = WhatIfSession(eng), WhatIfSession(eng)
+        first.cost(self.QUERY, (_definition(0),))
+        second.cost(self.QUERY, (_definition(0),))
+        assert _substrates(eng) == (2, 0)
+        assert _held(first)[0] is not _held(second)[0]
 
-    def test_store_is_an_lru_of_256(self):
-        cache = PlanCache()
-        for key in range(DEFAULT_SUBSTRATE_CAPACITY):
-            cache.store_substrate(key, f"substrate-{key}", ("t",))
-        assert cache.lookup_substrate(0) == "substrate-0"  # now 1 is LRU
-        cache.store_substrate("new", "substrate-new", ("t",))
-        assert cache.substrate_count() == DEFAULT_SUBSTRATE_CAPACITY
-        assert cache.lookup_substrate(1) is None
-        assert cache.lookup_substrate(0) == "substrate-0"
-        assert cache.lookup_substrate("new") == "substrate-new"
+    def test_clear_drops_the_substrates(self):
+        """Session teardown (``clear()``, as an interference abort
+        runs) drops every held substrate; the next costing rebuilds."""
+        eng = perfect_engine(23)
+        session = WhatIfSession(eng)
+        session.cost(self.QUERY, (_definition(0),))
+        assert len(_held(session)) == 1
+        session.clear()
+        assert _held(session) == []
+        session.cost(self.QUERY, (_definition(0),))
+        assert _substrates(eng) == (2, 0)
 
-    def test_evicted_substrate_is_rebuilt_to_the_same_costs(self):
+    def test_rebuilt_substrate_prices_the_same_costs(self):
         eng = perfect_engine(21)
-        stats = eng.optimizer.batch_stats
         frontier = [(_definition(0),), (_definition(2),)]
-        first = _costs(eng, self.QUERY, frontier)
-        for key in range(DEFAULT_SUBSTRATE_CAPACITY):
-            eng.plan_cache.store_substrate(("filler", key), object(), ("t",))
+        first = _costs(eng, self.QUERY, frontier, HeldSubstrate(self.QUERY))
         assert _costs(eng, self.QUERY, frontier) == first
-        assert (stats.substrate_misses, stats.substrate_hits) == (2, 0)
+        assert _substrates(eng) == (2, 0)
 
     def test_statement_plan_counters_stay_zero(self):
-        """``hits``/``misses``/``evictions`` count a statement-plan memo
-        that no longer exists: neither execution nor what-if pricing nor
-        a store eviction moves them, and an executed plan costs what the
-        empty configuration priced."""
+        """``SqlEngine.plan_cache`` is an inert remnant: neither
+        execution nor what-if pricing nor ``invalidate()`` moves its
+        counters, and an executed plan costs what the empty
+        configuration priced."""
         eng = perfect_engine(7001)
         cache = eng.plan_cache
         (empty_cost,) = _costs(eng, self.QUERY, [()])
         plans = [eng.execute(self.QUERY).plan for _ in range(2)]
-        for key in range(DEFAULT_SUBSTRATE_CAPACITY + 1):
-            cache.store_substrate(("filler", key), object(), ("t",))
+        assert cache.invalidate() is None
         assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
         assert [plan.est_cost for plan in plans] == [empty_cost] * 2
 
@@ -500,13 +536,13 @@ class TestWhatIfSessionRegressions:
     def test_bulk_insert_raises_before_any_substrate(self):
         eng = perfect_engine(36)
         bulk = InsertQuery("orders", ({"o_id": 10_002},), bulk=True)
+        held = HeldSubstrate(bulk)
         with pytest.raises(OptimizeError):
-            _costs(eng, bulk, [(_definition(0),)])
+            _costs(eng, bulk, [(_definition(0),)], held)
         with pytest.raises(OptimizeError):
             eng.whatif_optimize(bulk, (_definition(0),))
-        stats = eng.optimizer.batch_stats
-        assert (stats.substrate_misses, stats.substrate_hits) == (0, 0)
-        assert eng.plan_cache.substrate_count() == 0
+        assert _substrates(eng) == (0, 0)
+        assert held.substrate is None
 
 
 # ----------------------------------------------------------------------
@@ -595,12 +631,12 @@ def test_property_session_costs_equal_unprojected_pricing(
                 break
         expected.append(first_seen[key])
     if raised is None:
-        assert session.cost_many(query, frontier) == expected
+        assert session.cost_many(query, (), frontier) == expected
     else:
         with pytest.raises(ExecutionError, match="which does not exist"):
-            session.cost_many(query, frontier)
+            session.cost_many(query, (), frontier)
         # What was costed before the error stays answered, free of charge.
-        assert session.cost_many(query, frontier[:raised]) == expected
+        assert session.cost_many(query, (), frontier[:raised]) == expected
     assert _metered(session_eng) == _metered(oracle_eng)
     stats = session.stats
     failed = sum(cost is None for cost in first_seen.values())
@@ -689,6 +725,7 @@ class TestProjection:
         with use_profiler(Profiler()) as profiler:
             costs = session.cost_many(
                 self.QUERY,
+                (),
                 [(by_cust,), (by_cust, by_date), (by_region, by_cust), (by_date,), ()],
             )
         assert costs[0] == costs[1] == costs[2] < costs[3] == costs[4]
@@ -719,12 +756,15 @@ class TestProjection:
     @pytest.mark.parametrize("dry_at", [2, 3])
     def test_budget_runs_dry_at_the_same_costing(self, dry_at):
         """The raise lands on the costing the budget names whether that
-        costing is derived (the third, index 2) or priced (the fourth);
-        the retry re-pays nothing and finishes with the same totals."""
-        eng, oracle = perfect_engine(43), perfect_engine(43)
+        costing is derived (the fourth, inside a run of derived costings
+        metered at once) or priced (the sixth), and leaves what metering
+        one costing at a time leaves; the retry re-pays nothing and
+        finishes with the same totals."""
+        eng, oracle, per_call = (perfect_engine(43) for _ in range(3))
         rate = eng.settings.whatif_call_cpu_ms
-        eng.governor.tuning.budget_cpu_ms = dry_at * rate + 1.0
-        session = WhatIfSession(eng)
+        for budgeted in (eng, per_call):
+            budgeted.governor.tuning.budget_cpu_ms = dry_at * rate + 1.0
+        session, reference = WhatIfSession(eng), WhatIfSession(per_call)
         by_cust, by_date, by_amount = _definition(0), _definition(1), _definition(3)
         by_region = _definition(5)
         frontier = [
@@ -732,20 +772,92 @@ class TestProjection:
             (by_cust, by_date),  # derived: by_date cannot touch the query
             (by_date, by_cust),  # the same set: a cache hit, free
             (by_region, by_cust),  # derived
+            (by_cust, by_region),  # the same set, not yet metered: a hit
             (by_amount,),  # priced: a covering scan
         ]
-        with pytest.raises(ResourceBudgetExceededError):
-            session.cost_many(self.QUERY, frontier)
+
+        def observed(engine, whatif, profiler):
+            pool = engine.governor.tuning
+            row = profiler.stats()["engine_whatif_cost"]
+            return (
+                pool.usage.cpu_ms,
+                pool._window_cpu_ms,
+                pool.usage.whatif_calls,
+                dataclasses.replace(whatif.stats),
+                (row.calls, row.sim_ms),
+                _cached(whatif),
+            )
+
+        def one_at_a_time():
+            # Each cost() is a frontier of one: its derived costing is
+            # metered on its own before the next configuration is asked.
+            for config in frontier:
+                reference.cost(self.QUERY, config)
+
+        bulk_profiler, reference_profiler = Profiler(), Profiler()
+        with use_profiler(bulk_profiler):
+            with pytest.raises(ResourceBudgetExceededError):
+                session.cost_many(self.QUERY, (), frontier)
+        with use_profiler(reference_profiler):
+            with pytest.raises(ResourceBudgetExceededError):
+                one_at_a_time()
+        dry = observed(eng, session, bulk_profiler)
+        assert dry == observed(per_call, reference, reference_profiler)
+        charged = 0.0
+        for _call in range(dry_at):
+            charged += rate
+        assert dry[0] == dry[1] == charged + rate  # the refused one too
+        assert dry[4] == (dry_at, charged)
+        assert len(dry[5]) == dry_at
         assert session.stats.calls == dry_at
         assert session.stats.priced == 1
         eng.clock.advance(61.0)
-        assert session.cost_many(self.QUERY, frontier) == [
+        per_call.clock.advance(61.0)
+        with use_profiler(bulk_profiler):
+            costs = session.cost_many(self.QUERY, (), frontier)
+        assert costs == [
             oracle.whatif_optimize(self.QUERY, c).est_cost for c in frontier
         ]
+        with use_profiler(reference_profiler):
+            one_at_a_time()
+        assert observed(eng, session, bulk_profiler) == observed(
+            per_call, reference, reference_profiler
+        )
         assert (session.stats.calls, session.stats.priced) == (4, 2)
-        # The reordered twin hits on both passes; the retry also hits on
+        # The reordered twins hit on both passes; the retry also hits on
         # everything the first pass had costed.
-        assert session.stats.cache_hits == 1 + (dry_at + 1)
+        assert session.stats.cache_hits == 2 * dry_at + 1
         usage = eng.governor.tuning.usage
         assert usage.whatif_calls == 4
         assert usage.cpu_ms == 5 * rate  # the refused charge was metered
+        # A run that dries before a definition the relevance memo has
+        # not seen: the substrate asking about it would build is never
+        # built, as one charge at a time never gets that far.
+        tail_frontier = [(by_cust, by_region, by_date), (_definition(4),)]
+        lookups = [_substrates(eng), _substrates(per_call)]
+        for budgeted in (eng, per_call):
+            pool = budgeted.governor.tuning
+            pool.budget_cpu_ms = pool._window_cpu_ms  # refuse the next
+        with use_profiler(bulk_profiler):
+            with pytest.raises(ResourceBudgetExceededError):
+                session.cost_many(self.QUERY, (), tail_frontier)
+        with use_profiler(reference_profiler):
+            with pytest.raises(ResourceBudgetExceededError):
+                for config in tail_frontier:
+                    reference.cost(self.QUERY, config)
+        assert observed(eng, session, bulk_profiler) == observed(
+            per_call, reference, reference_profiler
+        )
+        # Neither looked a substrate up.
+        assert [_substrates(eng), _substrates(per_call)] == lookups
+        # A run is metered float for float: fifty charges of 0.1 sum to
+        # what fifty single charges leave, not to 50 * 0.1.
+        bulk_pool, single_pool = ResourcePool("bulk"), ResourcePool("single")
+        bulk_row, single_row = Profiler(), Profiler()
+        assert bulk_pool.charge_cpu_many(0.1, 50, 0.0) == 50
+        bulk_row.count_many("run", 50, 0.1)
+        for _call in range(50):
+            single_pool.charge_cpu(0.1, 0.0)
+            single_row.count("run", 0.1)
+        assert bulk_pool.usage.cpu_ms == single_pool.usage.cpu_ms != 50 * 0.1
+        assert bulk_row.stats()["run"] == single_row.stats()["run"]
