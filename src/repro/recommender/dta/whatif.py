@@ -7,15 +7,15 @@ enumeration does not re-pay for repeated evaluations, and surfaces
 :class:`ResourceBudgetExceededError` to the session for yield/abort
 decisions.
 
-What it learns lives with it and goes with it (:meth:`clear`): per
-statement (found by the query's identity) a
-:class:`~repro.engine.optimizer.HeldSubstrate`, which the engine rebuilds
-when a referenced table's version moves (the session's own sampled
-statistics move one), and its template key, computed once; per template,
-the cost cache, projection memo and relevance memo, keyed on definitions
-interned once to small ints by what they cover (table, keys, includes;
-not the name).  A configuration's cost-cache key is its *set* of ints, as
-a bitmask.
+What it learns lives with it and goes with it
+(:meth:`WhatIfSession.clear`): per statement (found by the query's
+identity) a :class:`~repro.engine.optimizer.HeldSubstrate`, which the
+engine rebuilds when a referenced table's version moves (the session's
+own sampled statistics move one), and its template key, computed once;
+per template, the cost cache, projection memo and relevance memo, keyed
+on definitions interned once to small ints by what they cover (table,
+keys, includes; not the name).  A configuration's cost-cache key is its
+*set* of ints, as a bitmask.
 
 Costing runs through the engine's :class:`repro.engine.engine.WhatIfBatch`.
 The frontier APIs (:meth:`WhatIfSession.cost_many`,

@@ -42,8 +42,10 @@ from repro.errors import (
     ExecutionError,
     OptimizeError,
     ResourceBudgetExceededError,
+    SessionAbortedError,
 )
 from repro.observability.profiling import Profiler, use_profiler
+from repro.recommender.dta import DtaSession, DtaSettings
 from repro.recommender.dta.whatif import WhatIfSession
 from tests.engine.test_executor_property import predicates, select_queries
 from tests.engine.test_optimizer import perfect_engine
@@ -418,7 +420,7 @@ class TestBatchPricerParity:
         assert _held(first)[0] is not _held(second)[0]
 
     def test_clear_drops_the_substrates(self):
-        """Session teardown (``clear()``, as an interference abort
+        """Session teardown (``clear()``, which an interference abort
         runs) drops every held substrate; the next costing rebuilds."""
         eng = perfect_engine(23)
         session = WhatIfSession(eng)
@@ -428,6 +430,23 @@ class TestBatchPricerParity:
         assert _held(session) == []
         session.cost(self.QUERY, (_definition(0),))
         assert _substrates(eng) == (2, 0)
+        # A DTA session aborted after candidate selection drops its own.
+        for _ in range(3):
+            eng.execute(self.QUERY)
+        eng.clock.advance(30.0)
+        held_at_check = []
+
+        def interfering():
+            held_at_check.append(len(_held(dta.whatif)))
+            return len(held_at_check) == 2
+
+        dta = DtaSession(
+            eng, DtaSettings(tier="premium"), interference_check=interfering
+        )
+        with pytest.raises(SessionAbortedError):
+            dta.run()
+        assert held_at_check == [0, 1]
+        assert _held(dta.whatif) == []
 
     def test_rebuilt_substrate_prices_the_same_costs(self):
         eng = perfect_engine(21)
