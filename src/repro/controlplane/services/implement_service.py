@@ -1,14 +1,15 @@
 """Micro-service (b): implement recommendations (and perform reverts).
 
-Creates run as online, resumable index builds advanced at a configured
-rate of virtual time (Section 6's "schedule during low activity" and
-Section 8.3's resumable-create lessons); drops use the low-priority Sch-M
-protocol with back-off/retry so they never convoy user transactions.
+Creates run as online index builds advanced at a configured rate of
+virtual time (Section 6's "schedule during low activity" and Section
+8.3's resumable-create lessons); drops use the low-priority Sch-M
+protocol, one attempt per pass, so they never convoy user transactions.
+Every index change ends in the engine's own DDL entry.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.controlplane.states import RecommendationState
 from repro.controlplane.store import RecommendationRecord
@@ -23,15 +24,6 @@ from repro.recommender.recommendation import Action
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controlplane.control_plane import ControlPlane
-
-
-def _lock_evidence(protocol: LowPriorityDropProtocol) -> dict:
-    """Lock-wait evidence of a low-priority Sch-M drop protocol."""
-    return {
-        "lock_attempts": len(protocol.attempts),
-        "lock_timeouts": sum(1 for a in protocol.attempts if not a.succeeded),
-        "lock_wait_minutes": sum(a.waited for a in protocol.attempts),
-    }
 
 
 class ImplementationService:
@@ -69,31 +61,24 @@ class ImplementationService:
                 raise PermanentError(
                     f"an index named {definition.name!r} already exists"
                 )
-            table = engine.database.table(recommendation.table)
-            job = OnlineIndexBuildJob(table, definition, resumable=True)
+            job = OnlineIndexBuildJob(engine, definition)
             plane.build_jobs[record.rec_id] = (job, now)
             plane.store.update(record, now, index_name=definition.name)
+            method = {"method": "online_resumable_build", "rows_total": job.rows_total}
         else:
             index_name = recommendation.existing_index_name
             if not engine.index_exists(recommendation.table, index_name):
                 raise PermanentError(
                     f"index {index_name!r} was dropped external to the system"
                 )
-            protocol = LowPriorityDropProtocol(
-                engine.locks,
-                engine.database.table(recommendation.table),
-                index_name,
+            plane.drop_protocols[record.rec_id] = LowPriorityDropProtocol(
+                engine, recommendation.table, index_name
             )
-            plane.drop_protocols[record.rec_id] = protocol
             plane.store.update(record, now, index_name=index_name)
+            method = {"method": "low_priority_drop"}
         plane.store.transition(
             record, RecommendationState.IMPLEMENTING, now, "implementation started"
         )
-        if recommendation.action is Action.CREATE:
-            job, _ = plane.build_jobs[record.rec_id]
-            method = {"method": "online_resumable_build", "rows_total": job.rows_total}
-        else:
-            method = {"method": "low_priority_drop"}
         plane.telemetry.audit.emit(
             now,
             "implementation_started",
@@ -125,20 +110,19 @@ class ImplementationService:
         job, last_advance = entry
         elapsed = max(0.0, now - last_advance)
         rows = int(elapsed * plane.settings.build_rows_per_minute) + 1
-        progress = job.advance(rows, now=now)
+        job.advance(rows, now)
         plane.build_jobs[record.rec_id] = (job, now)
         plane.engine.governor.index_build.charge_cpu(
             rows * OnlineIndexBuildJob.CPU_MS_PER_ROW, now
         )
-        if progress.state is BuildState.COMPLETED:
+        if job.state is BuildState.COMPLETED:
             del plane.build_jobs[record.rec_id]
-            plane.engine.missing_indexes.reset()  # schema change
             self._implemented(
                 record,
                 now,
-                rows_built=progress.rows_total,
-                build_cpu_ms=progress.cpu_ms_spent,
-                log_bytes_generated=progress.log_bytes_generated,
+                rows_built=job.rows_total,
+                build_cpu_ms=job.cpu_ms_spent,
+                log_bytes_generated=job.log_bytes_generated,
             )
 
     def begin_rebuild(self, record: RecommendationRecord, now: float) -> None:
@@ -148,25 +132,35 @@ class ImplementationService:
         if plane.engine.index_exists(record.recommendation.table, definition.name):
             self._implemented(record, now)
             return
-        table = plane.engine.database.table(record.recommendation.table)
-        job = OnlineIndexBuildJob(table, definition, resumable=True)
+        job = OnlineIndexBuildJob(plane.engine, definition)
         plane.build_jobs[record.rec_id] = (job, now)
 
     def _advance_drop(self, record: RecommendationRecord, now: float) -> None:
-        plane = self.plane
-        protocol = plane.drop_protocols.get(record.rec_id)
-        if protocol is None:
+        if record.rec_id not in self.plane.drop_protocols:
             raise TransientError("drop protocol lost; retrying")
-        if protocol.attempt(now):
-            del plane.drop_protocols[record.rec_id]
-            plane.engine.usage_stats.drop_index(record.index_name)
-            plane.engine.missing_indexes.reset()
-            self._implemented(record, now, **_lock_evidence(protocol))
-            return
-        if protocol.exhausted():
-            raise TransientError(
-                f"low-priority drop of {record.index_name!r} kept timing out"
-            )
+        evidence = self._attempt_drop(
+            record, now, f"low-priority drop of {record.index_name!r} kept timing out"
+        )
+        if evidence is not None:
+            self._implemented(record, now, **evidence)
+
+    def _attempt_drop(
+        self, record: RecommendationRecord, now: float, timed_out: str
+    ) -> Optional[dict]:
+        """One attempt of the record's drop protocol: the lock-wait
+        evidence once the index is gone, None while the drop waits for
+        the next pass."""
+        protocol = self.plane.drop_protocols[record.rec_id]
+        if not protocol.attempt(now):
+            if protocol.exhausted():
+                raise TransientError(timed_out)
+            return None
+        del self.plane.drop_protocols[record.rec_id]
+        return {
+            "lock_attempts": len(protocol.attempts),
+            "lock_timeouts": sum(1 for a in protocol.attempts if not a.succeeded),
+            "lock_wait_minutes": sum(a.waited for a in protocol.attempts),
+        }
 
     def _implemented(
         self, record: RecommendationRecord, now: float, **evidence
@@ -213,31 +207,25 @@ class ImplementationService:
         if recommendation.action is Action.CREATE:
             # Revert a create: drop the index (low priority, Section 8.3).
             if engine.index_exists(recommendation.table, record.index_name):
-                protocol = plane.drop_protocols.get(record.rec_id)
-                if protocol is None:
-                    protocol = LowPriorityDropProtocol(
-                        engine.locks,
-                        engine.database.table(recommendation.table),
-                        record.index_name,
+                if record.rec_id not in plane.drop_protocols:
+                    plane.drop_protocols[record.rec_id] = LowPriorityDropProtocol(
+                        engine, recommendation.table, record.index_name
                     )
-                    plane.drop_protocols[record.rec_id] = protocol
-                if not protocol.attempt(now):
-                    if protocol.exhausted():
-                        raise TransientError("revert drop kept timing out")
+                lock = self._attempt_drop(record, now, "revert drop kept timing out")
+                if lock is None:
                     return
-                del plane.drop_protocols[record.rec_id]
-                engine.usage_stats.drop_index(record.index_name)
-                engine.missing_indexes.reset()
-                evidence = {"method": "low_priority_drop", **_lock_evidence(protocol)}
+                evidence = {"method": "low_priority_drop", **lock}
         else:
             # Revert a drop: recreate the index.
-            definition = record.recommendation.to_definition(record.index_name)
+            definition = recommendation.to_definition(record.index_name)
             if not engine.index_exists(recommendation.table, definition.name):
-                table = engine.database.table(recommendation.table)
-                job = OnlineIndexBuildJob(table, definition, resumable=True)
-                job.advance(table.row_count + 1, now=now)
-                engine.missing_indexes.reset()
-                evidence = {"method": "recreate_index", "rows_built": job.rows_total}
+                engine.create_index(definition, at_time=now)
+                evidence = {
+                    "method": "recreate_index",
+                    "rows_built": engine.database.table(
+                        recommendation.table
+                    ).row_count,
+                }
         plane.telemetry.audit.emit(
             now,
             "revert_completed",

@@ -13,7 +13,8 @@ It models the SQL Server surfaces the paper's service consumes:
 - index usage statistics (:mod:`usage_stats`);
 - a FIFO lock manager with managed lock priorities (:mod:`locks`);
 - resource governance for tuning sessions (:mod:`resource_governor`);
-- online/resumable index DDL (:mod:`ddl`).
+- the control plane's online index build and low-priority drop
+  (:mod:`ddl`).
 
 The public entry point is :class:`repro.engine.engine.SqlEngine`.
 """

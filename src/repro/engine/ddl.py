@@ -1,25 +1,26 @@
-"""Online and resumable index DDL.
+"""Online index DDL: the control plane's implement and revert steps.
 
 The paper's service only ever performs *online* operations (Section 6):
-index builds that do not block queries, and drops issued under low-priority
-Sch-M locks with a back-off/retry protocol (Section 8.3).  Index creation
-can be paused and resumed — modeling Azure SQL Database's resumable index
-create (Section 8.3) — and generates transaction log proportional to the
-data it writes, which the control plane monitors.
+index builds that do not block queries, and drops issued under
+low-priority Sch-M locks (Section 8.3).  Both end in the engine's own DDL
+entry, :meth:`SqlEngine.create_index` / :meth:`SqlEngine.drop_index`, the
+one code that changes a table's index set after set-up.  A build is
+metered in rows and counts the transaction log it writes (audited as
+``log_bytes_generated``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import math
-from typing import Optional
+from typing import TYPE_CHECKING
 
-from repro.engine.locks import LockManager, LockPriority
+from repro.engine.locks import LockPriority
 from repro.engine.schema import IndexDefinition
-from repro.engine.table import Table
-from repro.engine.types import PAGE_SIZE, rows_per_page
 from repro.errors import LockTimeoutError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.engine import SqlEngine
 
 
 class BuildState(enum.Enum):
@@ -27,116 +28,46 @@ class BuildState(enum.Enum):
 
     PENDING = "pending"
     RUNNING = "running"
-    PAUSED = "paused"
     COMPLETED = "completed"
-    ABORTED = "aborted"
-
-
-@dataclasses.dataclass
-class BuildProgress:
-    """Progress snapshot of an index build."""
-
-    state: BuildState
-    fraction_done: float
-    rows_done: int
-    rows_total: int
-    log_bytes_generated: int
-    cpu_ms_spent: float
 
 
 class OnlineIndexBuildJob:
-    """A resumable, online index build.
+    """An online index build.
 
     Work is measured in rows: the build scans the clustered index, sorts,
-    and writes leaf pages.  ``advance(rows)`` performs a slice of the work;
-    when all rows are processed the index is materialized on the table.
-    With ``resumable=True``, log can be truncated at each advance (the
-    pre-resumable failure mode — filling the transaction log on large
-    tables — is modeled by :attr:`log_bytes_outstanding`).
+    and writes leaf pages.  ``advance(rows, now)`` performs a slice of the
+    work; when all rows are processed the engine creates the index,
+    stamped ``now``.
     """
 
     #: Virtual CPU ms per row of build work (scan + sort + write amortized).
     CPU_MS_PER_ROW = 0.004
 
-    def __init__(
-        self,
-        table: Table,
-        definition: IndexDefinition,
-        resumable: bool = False,
-    ) -> None:
-        self.table = table
+    def __init__(self, engine: "SqlEngine", definition: IndexDefinition) -> None:
+        self.engine = engine
         self.definition = definition
-        self.resumable = resumable
+        table = engine.database.table(definition.table)
         self.state = BuildState.PENDING
         self.rows_total = table.row_count
         self.rows_done = 0
         self.cpu_ms_spent = 0.0
-        entry_width = table.schema.row_width(
+        self._entry_width = table.schema.row_width(
             definition.all_columns
         ) + table.schema.row_width(table.schema.primary_key)
-        self._entry_width = entry_width
         self.log_bytes_generated = 0
-        self.log_bytes_outstanding = 0
-        self.completed_at: Optional[float] = None
 
-    @property
-    def fraction_done(self) -> float:
-        if self.rows_total == 0:
-            return 1.0
-        return self.rows_done / self.rows_total
-
-    def estimated_total_cpu_ms(self) -> float:
-        sort_factor = math.log2(self.rows_total + 2)
-        return self.rows_total * self.CPU_MS_PER_ROW * (1 + 0.1 * sort_factor)
-
-    def estimated_size_bytes(self) -> int:
-        pages = max(1, math.ceil(self.rows_total / rows_per_page(self._entry_width)))
-        return pages * PAGE_SIZE
-
-    def advance(self, rows: int, now: float = 0.0) -> BuildProgress:
+    def advance(self, rows: int, now: float) -> None:
         """Perform up to ``rows`` rows of build work."""
-        if self.state in (BuildState.COMPLETED, BuildState.ABORTED):
-            return self.progress()
+        if self.state is BuildState.COMPLETED:
+            return
         self.state = BuildState.RUNNING
         todo = min(rows, self.rows_total - self.rows_done)
         self.rows_done += todo
         self.cpu_ms_spent += todo * self.CPU_MS_PER_ROW
-        log_bytes = todo * (self._entry_width + 16)
-        self.log_bytes_generated += log_bytes
-        if self.resumable:
-            # Resumable builds allow frequent log truncation.
-            self.log_bytes_outstanding = log_bytes
-        else:
-            self.log_bytes_outstanding += log_bytes
+        self.log_bytes_generated += todo * (self._entry_width + 16)
         if self.rows_done >= self.rows_total:
-            self._materialize(now)
-        return self.progress()
-
-    def pause(self) -> None:
-        """Pause a resumable build (no-op state change otherwise allowed)."""
-        if self.state is BuildState.RUNNING:
-            self.state = BuildState.PAUSED
-
-    def abort(self) -> None:
-        if self.state is not BuildState.COMPLETED:
-            self.state = BuildState.ABORTED
-            self.log_bytes_outstanding = 0
-
-    def _materialize(self, now: float) -> None:
-        self.table.create_index(self.definition, created_at=now)
-        self.state = BuildState.COMPLETED
-        self.completed_at = now
-        self.log_bytes_outstanding = 0
-
-    def progress(self) -> BuildProgress:
-        return BuildProgress(
-            state=self.state,
-            fraction_done=self.fraction_done,
-            rows_done=self.rows_done,
-            rows_total=self.rows_total,
-            log_bytes_generated=self.log_bytes_generated,
-            cpu_ms_spent=self.cpu_ms_spent,
-        )
+            self.engine.create_index(self.definition, at_time=now)
+            self.state = BuildState.COMPLETED
 
 
 @dataclasses.dataclass
@@ -149,57 +80,47 @@ class DropAttempt:
 
 
 class LowPriorityDropProtocol:
-    """Back-off/retry drop of an index under a low-priority Sch-M lock.
+    """Drop of an index under a low-priority Sch-M lock.
 
     Mirrors Section 8.3: issue the drop at low priority so it never blocks
-    concurrent transactions; on timeout, back off exponentially and retry.
-    The control plane drives :meth:`attempt` from its scheduler.
+    concurrent transactions.  The control plane calls :meth:`attempt` once
+    per pass; once :attr:`MAX_ATTEMPTS` have timed out it hands the record
+    to its RETRY back-off.
     """
 
-    def __init__(
-        self,
-        lock_manager: LockManager,
-        table: Table,
-        index_name: str,
-        wait_timeout: float = 0.5,
-        initial_backoff: float = 5.0,
-        backoff_factor: float = 2.0,
-        max_attempts: int = 8,
-    ) -> None:
-        self._locks = lock_manager
-        self._table = table
+    #: Virtual minutes one attempt waits for the Sch-M lock.
+    WAIT_TIMEOUT = 0.5
+    MAX_ATTEMPTS = 8
+
+    def __init__(self, engine: "SqlEngine", table_name: str, index_name: str) -> None:
+        self.engine = engine
+        self.table_name = table_name
         self.index_name = index_name
-        self.wait_timeout = wait_timeout
-        self.backoff = initial_backoff
-        self.backoff_factor = backoff_factor
-        self.max_attempts = max_attempts
         self.attempts: list = []
         self.dropped = False
 
-    def next_retry_delay(self) -> float:
-        delay = self.backoff
-        self.backoff *= self.backoff_factor
-        return delay
-
     def exhausted(self) -> bool:
-        return len(self.attempts) >= self.max_attempts and not self.dropped
+        return len(self.attempts) >= self.MAX_ATTEMPTS and not self.dropped
 
     def attempt(self, now: float) -> bool:
         """Try to drop the index at ``now``; True on success."""
         if self.dropped:
             return True
+        locks = self.engine.locks
         try:
-            grant = self._locks.request_exclusive(
-                self._table.name,
+            grant = locks.request_exclusive(
+                self.table_name,
                 now,
                 priority=LockPriority.LOW,
-                wait_timeout=self.wait_timeout,
+                wait_timeout=self.WAIT_TIMEOUT,
             )
         except LockTimeoutError:
-            self.attempts.append(DropAttempt(at=now, succeeded=False, waited=self.wait_timeout))
+            self.attempts.append(
+                DropAttempt(at=now, succeeded=False, waited=self.WAIT_TIMEOUT)
+            )
             return False
-        self._table.drop_index(self.index_name)
-        self._locks.release_exclusive(self._table.name)
+        self.engine.drop_index(self.table_name, self.index_name)
+        locks.release_exclusive(self.table_name)
         self.attempts.append(DropAttempt(at=now, succeeded=True, waited=grant.waited))
         self.dropped = True
         return True

@@ -12,8 +12,10 @@ exposing the surfaces the auto-indexing service consumes:
   metered against the tuning resource pool (Section 5.3.1); the caller
   holds the substrate (the engine keeps none), and
   ``whatif_optimize(query, extra_indexes)`` is one batch priced once;
-- ``create_index`` / ``drop_index`` — immediate DDL (the control plane
-  wraps these in online build jobs and the low-priority drop protocol);
+- ``create_index`` / ``drop_index`` — the one code that changes a table's
+  index set after set-up: immediate DDL that resets the MI DMV (and, on a
+  drop, forgets the index's usage stats); the control plane's online
+  build and low-priority drop (:mod:`repro.engine.ddl`) end here;
 - ``restart()`` / ``failover()`` — clear the MI DMV, exercising the
   recommender's snapshot tolerance (Section 5.2).
 """
@@ -426,9 +428,13 @@ class SqlEngine:
     # ------------------------------------------------------------------
     # DDL
 
-    def create_index(self, definition: IndexDefinition) -> None:
+    def create_index(
+        self, definition: IndexDefinition, at_time: Optional[float] = None
+    ) -> None:
         table = self.database.table(definition.table)
-        table.create_index(definition, created_at=self.now)
+        table.create_index(
+            definition, created_at=self.now if at_time is None else at_time
+        )
         # Index creation is a schema change: the MI DMV resets (Section 5.2).
         self.missing_indexes.reset()
 

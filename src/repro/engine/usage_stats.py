@@ -40,7 +40,7 @@ class IndexUsage:
 
 
 class IndexUsageStats:
-    """Accumulates usage counters, keyed by (table, index)."""
+    """Accumulates usage counters, keyed by index name."""
 
     def __init__(self) -> None:
         self._usage: Dict[str, IndexUsage] = {}

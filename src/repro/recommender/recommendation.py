@@ -46,15 +46,14 @@ class IndexRecommendation:
     implemented_index_name: Optional[str] = None
 
     def to_definition(self, name: Optional[str] = None) -> IndexDefinition:
-        """Materializable definition (CREATE actions only)."""
-        if self.action is not Action.CREATE:
-            raise ValueError("only CREATE recommendations define an index")
+        """Materializable definition: the index a CREATE builds, or the
+        one a DROP removes (what reverting the drop recreates)."""
         return IndexDefinition(
             name=name or auto_index_name(self.table, self.key_columns),
             table=self.table,
             key_columns=self.key_columns,
             included_columns=self.included_columns,
-            auto_created=True,
+            auto_created=self.action is Action.CREATE,
         )
 
     def describe(self) -> str:

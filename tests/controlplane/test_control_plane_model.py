@@ -103,6 +103,7 @@ class ControlPlaneMachine(RuleBasedStateMachine):
         self.baseline_indexes = self.index_names()
         #: rec_id -> (state, len(state_history)) once terminal.
         self.terminal = {}
+        self.ddl_counters = self.engine_ddl_counters()
 
     def index_names(self) -> set:
         return {
@@ -110,6 +111,16 @@ class ControlPlaneMachine(RuleBasedStateMachine):
             for table in self.profile.engine.database.tables.values()
             for name in table.indexes
         }
+
+    def engine_ddl_counters(self) -> tuple:
+        """MI DMV resets, index-set changes (each bumps its table's
+        ``schema_version``) and restarts, so far."""
+        engine = self.profile.engine
+        return (
+            engine.missing_indexes.resets,
+            sum(t.schema_version for t in engine.database.tables.values()),
+            engine.restarts,
+        )
 
     # ------------------------------------------------------------------
     # Rules
@@ -221,6 +232,32 @@ class ControlPlaneMachine(RuleBasedStateMachine):
                 RecommendationState.SUCCESS,
             ):
                 assert name in present, f"{name} vanished unreverted"
+
+    @invariant()
+    def index_changes_go_through_the_engine(self) -> None:
+        """The engine's DDL entry resets the MI DMV once per index-set
+        change and forgets a dropped index's usage counters."""
+        counters = self.engine_ddl_counters()
+        resets, changes, restarts = (
+            now - before for now, before in zip(counters, self.ddl_counters)
+        )
+        self.ddl_counters = counters
+        assert resets == changes + restarts
+        present = {name for _table, name in self.index_names()}
+        dropped = {
+            event.payload["index_name"]
+            for event in self.plane.audit.events()
+            if (
+                event.event_type == "implementation_completed"
+                and event.payload["action"] == Action.DROP.value
+            )
+            or (
+                event.event_type == "revert_completed"
+                and event.payload.get("method") == "low_priority_drop"
+            )
+        }
+        for name in dropped - present:
+            assert self.profile.engine.usage_stats.get(name) is None, name
 
     @invariant()
     def recovery_equals_live(self) -> None:

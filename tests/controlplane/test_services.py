@@ -13,6 +13,10 @@ from repro.controlplane import (
     ControlPlaneSettings,
     RecommendationState,
 )
+from repro.engine.cost_model import CostModelSettings
+from repro.engine.engine import EngineSettings, SqlEngine
+from repro.engine.schema import IndexDefinition
+from repro.engine.table import Table
 from repro.errors import (
     PermanentError,
     ResourceBudgetExceededError,
@@ -21,6 +25,8 @@ from repro.errors import (
 )
 from repro.recommender.dta import DtaSession
 from repro.recommender.recommendation import Action, IndexRecommendation
+from repro.service import ServiceSettings, build_service
+from repro.validation import ValidationSettings
 from repro.workload import make_profile
 
 
@@ -59,6 +65,21 @@ def make_recommendation(profile) -> IndexRecommendation:
         included_columns=(fact.columns[3].name,),
         source="MI",
         estimated_improvement_pct=80.0,
+        created_at=0.0,
+    )
+
+
+def drop_recommendation(profile) -> IndexRecommendation:
+    """A DROP of ``ix_old``, which this creates on the first fact table."""
+    fact = profile.schema_spec.fact_tables()[0]
+    key = (fact.columns[2].name,)
+    profile.engine.create_index(IndexDefinition("ix_old", fact.name, key))
+    return IndexRecommendation(
+        action=Action.DROP,
+        table=fact.name,
+        key_columns=key,
+        existing_index_name="ix_old",
+        source="DROP_ANALYSIS",
         created_at=0.0,
     )
 
@@ -114,6 +135,57 @@ class TestImplementationService:
         record = plane.store.get(record.rec_id)
         assert record.state is RecommendationState.ERROR
         assert plane.incidents
+
+
+    def test_build_completes_through_the_engine(self, loop):
+        """The finished build is the engine's DDL: one MI DMV reset, and
+        the index is stamped with the plane's ``now``, not the engine's."""
+        clock, profile, plane = loop
+        engine = profile.engine
+        record = plane.store.insert(profile.name, make_recommendation(profile), 0.0)
+        plane.implement_service.begin(record, clock.now)
+        resets = engine.missing_indexes.resets
+        now = clock.now + 120.0
+        plane.implement_service.drive(record, now)
+        assert record.state is RecommendationState.VALIDATING
+        assert engine.missing_indexes.resets == resets + 1
+        index = engine.database.table(record.recommendation.table).get_index(
+            record.index_name
+        )
+        assert index.created_at == now != engine.now
+
+    def test_drop_forgets_usage_and_resets_once(self, loop):
+        clock, profile, plane = loop
+        engine, recommendation = profile.engine, drop_recommendation(profile)
+        engine.usage_stats.record_seek(recommendation.table, "ix_old", clock.now)
+        record = plane.store.insert(profile.name, recommendation, 0.0)
+        plane.implement_service.begin(record, clock.now)
+        resets = engine.missing_indexes.resets
+        plane.implement_service.drive(record, clock.now)
+        assert record.state is RecommendationState.VALIDATING
+        assert not engine.index_exists(recommendation.table, "ix_old")
+        assert engine.usage_stats.get("ix_old") is None
+        assert engine.missing_indexes.resets == resets + 1
+
+    def test_revert_of_drop_recreates_the_index(self, loop):
+        clock, profile, plane = loop
+        engine, recommendation = profile.engine, drop_recommendation(profile)
+        record = plane.store.insert(profile.name, recommendation, 0.0)
+        plane.implement_service.begin(record, clock.now)
+        plane.implement_service.drive(record, clock.now)
+        plane.store.transition(
+            record, RecommendationState.REVERTING, clock.now, "regressed"
+        )
+        resets = engine.missing_indexes.resets
+        now = clock.now + 90.0
+        plane.implement_service.drive_revert(record, now)
+        assert record.state is RecommendationState.REVERTED
+        table = engine.database.table(recommendation.table)
+        assert table.get_index("ix_old").created_at == now
+        assert engine.missing_indexes.resets == resets + 1
+        event = plane.audit.events(event_type="revert_completed")[-1]
+        assert event.payload["method"] == "recreate_index"
+        assert event.payload["rows_built"] == table.row_count
 
 
 class TestHealthService:
@@ -298,3 +370,51 @@ class TestRecommendationService:
         expected = [(1, duration, duration)] if outcome == "completed" else []
         assert duration_samples(plane, "MI") == expected
         assert duration_samples(plane, "DTA") == []
+
+
+def test_every_index_change_goes_through_the_engine(monkeypatch):
+    """After set-up, each ``Table`` index change of a fleet run (builds,
+    and reverts by drop) happens inside ``SqlEngine``'s DDL entry."""
+    service = build_service(
+        1,
+        seed=2,
+        engine_settings=EngineSettings(
+            cost_model=CostModelSettings(error_sigma=0.85)
+        ),
+        control_settings=ControlPlaneSettings(
+            snapshot_period=30.0,
+            analysis_period=1 * HOURS,
+            validation_settle=5.0,
+            validation_window=1 * HOURS,
+        ),
+        validation_settings=ValidationSettings(
+            alpha=0.5, regression_threshold=0.0, min_resource_share=0.0,
+            min_executions=2,
+        ),
+        service_settings=ServiceSettings(max_statements_per_step=90),
+        default_config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
+    )
+    depth, inside, outside = [0], [], []
+
+    def engine_ddl(method):
+        def wrapper(self, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def table_ddl(method):
+        def wrapper(self, *args, **kwargs):
+            (inside if depth[0] else outside).append(method.__name__)
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for name in ("create_index", "drop_index"):
+        monkeypatch.setattr(SqlEngine, name, engine_ddl(getattr(SqlEngine, name)))
+        monkeypatch.setattr(Table, name, table_ddl(getattr(Table, name)))
+    service.run(hours=48)
+    assert service.store.count_by_state().get(RecommendationState.REVERTED)
+    assert "drop_index" in inside
+    assert outside == []

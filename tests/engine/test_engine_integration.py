@@ -153,9 +153,7 @@ class TestLockIntegration:
         eng.locks.register_shared("orders", start=eng.now, duration=30.0)
         from repro.engine.ddl import LowPriorityDropProtocol
 
-        protocol = LowPriorityDropProtocol(
-            eng.locks, eng.database.table("orders"), "ix_tmp", wait_timeout=0.1
-        )
+        protocol = LowPriorityDropProtocol(eng, "orders", "ix_tmp")
         assert not protocol.attempt(eng.now)
         query = SelectQuery("orders", ("o_id",), (Predicate("o_id", Op.EQ, 1),))
         result = eng.execute(query)

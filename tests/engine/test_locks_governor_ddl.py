@@ -9,24 +9,25 @@ from repro.engine.ddl import (
     LowPriorityDropProtocol,
     OnlineIndexBuildJob,
 )
+from repro.engine.engine import Database, SqlEngine
 from repro.engine.locks import LockManager, LockPriority
 from repro.engine.resource_governor import ResourceGovernor, ResourcePool
 from repro.engine.schema import Column, IndexDefinition, TableSchema
-from repro.engine.table import Table
 from repro.engine.types import SqlType
 from repro.errors import LockTimeoutError, ResourceBudgetExceededError
 
 
-def small_table(rows: int = 100) -> Table:
+def small_engine(rows: int = 100) -> SqlEngine:
     schema = TableSchema(
         "t",
         [Column("id", SqlType.INT, nullable=False), Column("v", SqlType.INT)],
         primary_key=["id"],
     )
-    table = Table(schema)
+    database = Database("ddl")
+    table = database.create_table(schema)
     for i in range(rows):
         table.insert((i, i % 5))
-    return table
+    return SqlEngine(database)
 
 
 class TestLockManager:
@@ -120,99 +121,55 @@ class TestResourceGovernor:
 
 class TestOnlineIndexBuild:
     def test_build_completes_and_materializes(self):
-        table = small_table(500)
-        job = OnlineIndexBuildJob(table, IndexDefinition("ix", "t", ("v",)))
+        eng = small_engine(500)
+        job = OnlineIndexBuildJob(eng, IndexDefinition("ix", "t", ("v",)))
         while job.state is not BuildState.COMPLETED:
             job.advance(100, now=1.0)
+        table = eng.database.table("t")
         assert "ix" in table.indexes
         assert len(table.get_index("ix").tree) == 500
 
     def test_progress_fractions(self):
-        table = small_table(100)
-        job = OnlineIndexBuildJob(table, IndexDefinition("ix", "t", ("v",)))
-        job.advance(25)
-        assert job.fraction_done == pytest.approx(0.25)
+        eng = small_engine(100)
+        job = OnlineIndexBuildJob(eng, IndexDefinition("ix", "t", ("v",)))
+        job.advance(25, now=0.0)
+        assert job.rows_done == 25
+        assert job.rows_done / job.rows_total == pytest.approx(0.25)
         assert job.state is BuildState.RUNNING
-        assert "ix" not in table.indexes
-
-    def test_pause_resume(self):
-        table = small_table(100)
-        job = OnlineIndexBuildJob(
-            table, IndexDefinition("ix", "t", ("v",)), resumable=True
-        )
-        job.advance(50)
-        job.pause()
-        assert job.state is BuildState.PAUSED
-        job.advance(50)
-        assert job.state is BuildState.COMPLETED
-
-    def test_resumable_truncates_log(self):
-        table = small_table(1000)
-        resumable = OnlineIndexBuildJob(
-            table, IndexDefinition("ix1", "t", ("v",)), resumable=True
-        )
-        nonresumable = OnlineIndexBuildJob(
-            table, IndexDefinition("ix2", "t", ("v",)), resumable=False
-        )
-        for _ in range(5):
-            resumable.advance(100)
-            nonresumable.advance(100)
-        assert resumable.log_bytes_outstanding < nonresumable.log_bytes_outstanding
-
-    def test_abort_leaves_no_index(self):
-        table = small_table(100)
-        job = OnlineIndexBuildJob(table, IndexDefinition("ix", "t", ("v",)))
-        job.advance(50)
-        job.abort()
-        assert job.state is BuildState.ABORTED
-        assert "ix" not in table.indexes
-        job.advance(100)
-        assert "ix" not in table.indexes
-
-    def test_estimates_positive(self):
-        table = small_table(100)
-        job = OnlineIndexBuildJob(table, IndexDefinition("ix", "t", ("v",)))
-        assert job.estimated_total_cpu_ms() > 0
-        assert job.estimated_size_bytes() >= 8192
+        assert "ix" not in eng.database.table("t").indexes
 
     def test_empty_table_build(self):
-        table = small_table(0)
-        job = OnlineIndexBuildJob(table, IndexDefinition("ix", "t", ("v",)))
-        job.advance(10)
+        eng = small_engine(0)
+        job = OnlineIndexBuildJob(eng, IndexDefinition("ix", "t", ("v",)))
+        job.advance(10, now=0.0)
         assert job.state is BuildState.COMPLETED
-        assert "ix" in table.indexes
+        assert "ix" in eng.database.table("t").indexes
 
 
 class TestLowPriorityDrop:
     def test_drop_succeeds_when_idle(self):
-        table = small_table(10)
-        table.create_index(IndexDefinition("ix", "t", ("v",)))
-        locks = LockManager()
-        protocol = LowPriorityDropProtocol(locks, table, "ix")
+        eng = small_engine(10)
+        eng.create_index(IndexDefinition("ix", "t", ("v",)))
+        protocol = LowPriorityDropProtocol(eng, "t", "ix")
         assert protocol.attempt(now=0.0)
-        assert "ix" not in table.indexes
+        assert "ix" not in eng.database.table("t").indexes
 
     def test_drop_backs_off_behind_readers(self):
-        table = small_table(10)
-        table.create_index(IndexDefinition("ix", "t", ("v",)))
-        locks = LockManager()
-        locks.register_shared("t", start=0.0, duration=100.0)
-        protocol = LowPriorityDropProtocol(locks, table, "ix", wait_timeout=0.5)
+        eng = small_engine(10)
+        eng.create_index(IndexDefinition("ix", "t", ("v",)))
+        eng.locks.register_shared("t", start=0.0, duration=100.0)
+        protocol = LowPriorityDropProtocol(eng, "t", "ix")
         assert not protocol.attempt(now=0.0)
-        assert "ix" in table.indexes
-        delay1 = protocol.next_retry_delay()
-        delay2 = protocol.next_retry_delay()
-        assert delay2 > delay1  # exponential back-off
+        assert "ix" in eng.database.table("t").indexes
         # Readers drained: the retry succeeds.
         assert protocol.attempt(now=200.0)
         assert protocol.dropped
 
     def test_exhaustion_reported(self):
-        table = small_table(10)
-        table.create_index(IndexDefinition("ix", "t", ("v",)))
-        locks = LockManager()
-        locks.register_shared("t", start=0.0, duration=10 ** 6)
-        protocol = LowPriorityDropProtocol(locks, table, "ix", max_attempts=3)
-        for i in range(3):
+        eng = small_engine(10)
+        eng.create_index(IndexDefinition("ix", "t", ("v",)))
+        eng.locks.register_shared("t", start=0.0, duration=10 ** 6)
+        protocol = LowPriorityDropProtocol(eng, "t", "ix")
+        for i in range(LowPriorityDropProtocol.MAX_ATTEMPTS):
             assert not protocol.attempt(now=float(i))
         assert protocol.exhausted()
