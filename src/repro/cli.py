@@ -226,6 +226,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         trace_event_json,
     )
     from repro.parallel import build_fleet_service
+    from repro.parallel.service import STEP_HOURS
 
     service = build_fleet_service(
         workers=args.workers,
@@ -233,7 +234,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         instrument=not args.no_profile,
         **_fleet_recipe(args),
     )
-    hours = args.ticks * service.settings.step_hours
+    hours = args.ticks * STEP_HOURS
     print(
         f"profiling the fleet-parallel loop: {args.dbs} {args.tier} "
         f"databases across {len(service.payloads)} {service.backend} "

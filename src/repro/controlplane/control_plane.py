@@ -68,21 +68,21 @@ class ControlPlaneSettings:
     recommendation_expiry: float = 14 * DAYS
     max_retries: int = 5
     retry_backoff: float = 30.0
-    #: Index build speed (rows of build work per virtual minute).
-    build_rows_per_minute: float = 20_000.0
     #: Restrict implementation starts to the low-activity window.
     implement_low_activity_only: bool = False
     low_activity_hours: tuple = (22, 6)
     #: Maximum age of a record in a non-terminal state before the health
     #: service raises an incident.
     stuck_threshold: float = 3 * DAYS
-    #: A recommendation whose twin was recently REVERTED (or ERRORed) is
-    #: suppressed for this long — validation already proved it harmful.
-    revert_cooldown: float = 60 * DAYS
-    #: Index changes per database are serialized: validation compares
-    #: before/after windows, so only one change may be in flight at a time
-    #: for the attribution to be clean.
-    max_concurrent_implementations: int = 1
+
+
+#: A recommendation whose twin was recently REVERTED (or ERRORed) is
+#: suppressed for this long — validation already proved it harmful.
+REVERT_COOLDOWN = 60 * DAYS
+#: Index changes per database are serialized: validation compares
+#: before/after windows, so only one change may be in flight at a time
+#: for the attribution to be clean.
+MAX_CONCURRENT_IMPLEMENTATIONS = 1
 
 
 @dataclasses.dataclass
@@ -449,7 +449,7 @@ class ControlPlane:
             return  # waits for the user (request_implementation) or expiry
         if not self._implementation_window_open(now):
             return
-        if self._in_flight() >= self.settings.max_concurrent_implementations:
+        if self._in_flight() >= MAX_CONCURRENT_IMPLEMENTATIONS:
             return
         self.implement_service.begin(record, now)
 
@@ -587,7 +587,7 @@ class ControlPlane:
             suppressed_at = suppressed.get(key)
             if suppressed_at is not None and (
                 suppressed_at == float("inf")
-                or now - suppressed_at < self.settings.revert_cooldown
+                or now - suppressed_at < REVERT_COOLDOWN
             ):
                 in_flight = suppressed_at == float("inf")
                 self.telemetry.audit.emit(
@@ -601,7 +601,7 @@ class ControlPlane:
                     cooldown_until=(
                         None
                         if in_flight
-                        else suppressed_at + self.settings.revert_cooldown
+                        else suppressed_at + REVERT_COOLDOWN
                     ),
                 )
                 continue

@@ -25,6 +25,9 @@ from repro.recommender.recommendation import Action
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controlplane.control_plane import ControlPlane
 
+#: Index build speed (rows of build work per virtual minute).
+BUILD_ROWS_PER_MINUTE = 20_000.0
+
 
 class ImplementationService:
     """Starts and advances implementations; executes reverts."""
@@ -74,7 +77,15 @@ class ImplementationService:
             plane.drop_protocols[record.rec_id] = LowPriorityDropProtocol(
                 engine, recommendation.table, index_name
             )
-            plane.store.update(record, now, index_name=index_name)
+            dropped = engine.database.table(recommendation.table).get_index(
+                index_name
+            )
+            plane.store.update(
+                record,
+                now,
+                index_name=index_name,
+                dropped_definition=dropped.definition,
+            )
             method = {"method": "low_priority_drop"}
         plane.store.transition(
             record, RecommendationState.IMPLEMENTING, now, "implementation started"
@@ -109,7 +120,7 @@ class ImplementationService:
             return
         job, last_advance = entry
         elapsed = max(0.0, now - last_advance)
-        rows = int(elapsed * plane.settings.build_rows_per_minute) + 1
+        rows = int(elapsed * BUILD_ROWS_PER_MINUTE) + 1
         job.advance(rows, now)
         plane.build_jobs[record.rec_id] = (job, now)
         plane.engine.governor.index_build.charge_cpu(
@@ -126,7 +137,13 @@ class ImplementationService:
             )
 
     def begin_rebuild(self, record: RecommendationRecord, now: float) -> None:
-        """Re-create the build job after a control-plane crash."""
+        """Re-create the build job after a control-plane crash.
+
+        The new job starts from row 0: nothing persists a lost job's
+        ``rows_done``, so this is a restart, not a resume, although
+        ``implementation_started`` audits the build as
+        ``online_resumable_build`` (every locked digest carries that
+        string, so it stays)."""
         plane = self.plane
         definition = record.recommendation.to_definition(record.index_name)
         if plane.engine.index_exists(record.recommendation.table, definition.name):
@@ -216,8 +233,8 @@ class ImplementationService:
                     return
                 evidence = {"method": "low_priority_drop", **lock}
         else:
-            # Revert a drop: recreate the index.
-            definition = recommendation.to_definition(record.index_name)
+            # Revert a drop: recreate the index it removed, as it was.
+            definition = record.dropped_definition
             if not engine.index_exists(recommendation.table, definition.name):
                 engine.create_index(definition, at_time=now)
                 evidence = {

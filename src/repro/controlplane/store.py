@@ -14,6 +14,7 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.controlplane.states import RecommendationState, check_transition
+from repro.engine.schema import IndexDefinition
 from repro.recommender.recommendation import IndexRecommendation
 
 
@@ -30,6 +31,9 @@ class RecommendationRecord:
     )
     #: Index name once implemented (auto-generated for CREATE actions).
     index_name: Optional[str] = None
+    #: DROP actions: the definition of the index the drop removes, taken
+    #: when the drop starts; reverting the drop recreates exactly it.
+    dropped_definition: Optional[IndexDefinition] = None
     implemented_at: Optional[float] = None
     validate_after: Optional[float] = None
     #: Which state RETRY should re-enter.

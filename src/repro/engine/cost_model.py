@@ -29,23 +29,25 @@ from repro.engine.table import Table
 from repro.rng import stable_hash
 
 
+#: Cost of one sequentially read page.  The constants are calibrated to
+#: the executor's actual-cost scale (ms-equivalents) so that the
+#: optimizer's *systematic* model matches execution and mis-estimation
+#: comes from cardinality errors, as in a real optimizer.
+SEQ_PAGE = 0.045
+#: Cost of one randomly read page (seek traversals, key lookups).
+RAND_PAGE = 0.11
+#: CPU cost per processed row.
+ROW_CPU = 0.002
+#: Extra per-row CPU for sorting (times log2 of the row count).
+SORT_ROW_CPU = 0.0016
+#: Extra per-row CPU for hashing (build + probe).
+HASH_ROW_CPU = 0.003
+
+
 @dataclasses.dataclass
 class CostModelSettings:
-    """Tunable constants of the estimated-cost formulas."""
+    """The estimation-error knobs of the cost model."""
 
-    #: Cost of one sequentially read page.  The constants are calibrated to
-    #: the executor's actual-cost scale (ms-equivalents) so that the
-    #: optimizer's *systematic* model matches execution and mis-estimation
-    #: comes from cardinality errors, as in a real optimizer.
-    seq_page: float = 0.045
-    #: Cost of one randomly read page (seek traversals, key lookups).
-    rand_page: float = 0.11
-    #: CPU cost per processed row.
-    row_cpu: float = 0.002
-    #: Extra per-row CPU for sorting (times log2 of the row count).
-    sort_row_cpu: float = 0.0016
-    #: Extra per-row CPU for hashing (build + probe).
-    hash_row_cpu: float = 0.003
     #: Std-dev of the log-normal estimation error (0 = perfect estimates).
     error_sigma: float = 0.85
     #: Probability that a (table, column) pair is severely mis-estimated,
@@ -166,30 +168,28 @@ class CostModel:
     # Cost formulas (all return abstract optimizer units)
 
     def scan_cost(self, pages: int, rows: int) -> float:
-        return pages * self.settings.seq_page + rows * self.settings.row_cpu
+        return pages * SEQ_PAGE + rows * ROW_CPU
 
     def seek_cost(
         self, height: int, leaf_pages_touched: float, rows_out: float
     ) -> float:
-        io = height * self.settings.rand_page
-        io += max(0.0, leaf_pages_touched - 1) * self.settings.seq_page
-        return io + rows_out * self.settings.row_cpu
+        io = height * RAND_PAGE
+        io += max(0.0, leaf_pages_touched - 1) * SEQ_PAGE
+        return io + rows_out * ROW_CPU
 
     def lookup_cost(self, rows: float, clustered_height: int) -> float:
-        return rows * clustered_height * self.settings.rand_page * 0.5 + (
-            rows * self.settings.row_cpu
-        )
+        return rows * clustered_height * RAND_PAGE * 0.5 + rows * ROW_CPU
 
     def sort_cost(self, rows: float) -> float:
         if rows <= 1:
             return 0.0
-        return rows * math.log2(rows + 1) * self.settings.sort_row_cpu
+        return rows * math.log2(rows + 1) * SORT_ROW_CPU
 
     def hash_cost(self, build_rows: float, probe_rows: float) -> float:
-        return (build_rows + probe_rows) * self.settings.hash_row_cpu
+        return (build_rows + probe_rows) * HASH_ROW_CPU
 
     def aggregate_cost(self, rows: float, hashed: bool) -> float:
-        per_row = self.settings.hash_row_cpu if hashed else self.settings.row_cpu
+        per_row = HASH_ROW_CPU if hashed else ROW_CPU
         return rows * per_row
 
     def maintenance_cost(self, index_height: int, rows: float) -> float:
@@ -198,20 +198,15 @@ class CostModel:
         Mirrors the executor's actual charge: roughly one leaf write per
         modified index entry (upper tree levels are cached).
         """
-        return rows * (self.settings.rand_page + self.settings.row_cpu)
+        return rows * (RAND_PAGE + ROW_CPU)
 
 
 @dataclasses.dataclass
 class ExecutionCostSettings:
-    """Constants converting metered work into *actual* execution metrics."""
+    """Knobs of the executor's *actual* execution metrics.  The constants
+    converting metered work into them live in
+    :mod:`repro.engine.exec.dispatch`."""
 
-    cpu_ms_per_row: float = 0.0020
-    cpu_ms_per_page: float = 0.045
-    cpu_ms_per_sort_row: float = 0.0016
-    cpu_ms_per_hash_row: float = 0.0030
-    cpu_ms_per_maintained_entry: float = 0.0080
-    #: Mean IO wait per logical read converted into duration (ms).
-    io_wait_ms_per_page: float = 0.010
     #: Log-normal sigma of run-to-run measurement noise (concurrency).
     noise_sigma: float = 0.10
     #: Rows a scanned table needs before a SELECT the vectorized path

@@ -78,8 +78,6 @@ class EngineSettings:
     #: Fraction of incomplete-text templates whose full text the plan
     #: cache retains, so DTA can recover it (Section 5.3.2).
     plan_cache_text_retention: float = 0.6
-    #: Virtual CPU ms charged to the tuning pool per what-if optimize call.
-    whatif_call_cpu_ms: float = 6.0
 
 
 class Database:
@@ -510,6 +508,10 @@ def _index_reads(plan: PlanNode) -> tuple:
     return tuple(reads)
 
 
+#: Virtual CPU ms charged to the tuning pool per what-if optimize call.
+WHATIF_CALL_CPU_MS = 6.0
+
+
 class WhatIfBatch:
     """The metered what-if API for one statement (Section 5.3).
 
@@ -522,7 +524,7 @@ class WhatIfBatch:
     shares it across its batches for as long as the referenced tables'
     versions stand.  Without one the batch builds its own.
 
-    Each :meth:`price` call charges ``whatif_call_cpu_ms`` to the tuning
+    Each :meth:`price` call charges :data:`WHATIF_CALL_CPU_MS` to the tuning
     pool *before* pricing — so the charge does not depend on how calls
     are grouped into batches, and :class:`ResourceBudgetExceededError`
     can surface mid-batch when the window's budget runs dry — and is
@@ -556,7 +558,7 @@ class WhatIfBatch:
         the next one's CPU was charged too, and the caller raises the
         pool's ``exceeded()`` as a refused :meth:`price` would have."""
         engine = self._engine
-        rate = engine.settings.whatif_call_cpu_ms
+        rate = WHATIF_CALL_CPU_MS
         pool = engine.governor.tuning
         charged = pool.charge_cpu_many(rate, n, engine.now)
         pool.usage.whatif_calls += charged
@@ -583,7 +585,7 @@ class WhatIfBatch:
 
     def price(self, extra_indexes: Sequence[IndexDefinition] = ()) -> PlanNode:
         engine = self._engine
-        rate = engine.settings.whatif_call_cpu_ms
+        rate = WHATIF_CALL_CPU_MS
         engine.governor.tuning.charge_cpu(rate, engine.now)
         engine.governor.tuning.usage.whatif_calls += 1
         with profile("engine_whatif_cost") as prof:

@@ -67,6 +67,15 @@ FALLBACK_GAUGES = {
     for reason in FALLBACK_REASONS
 }
 
+#: Constants converting metered work into *actual* CPU milliseconds.
+CPU_MS_PER_ROW = 0.0020
+CPU_MS_PER_PAGE = 0.045
+CPU_MS_PER_SORT_ROW = 0.0016
+CPU_MS_PER_HASH_ROW = 0.0030
+CPU_MS_PER_MAINTAINED_ENTRY = 0.0080
+#: Mean IO wait per logical read converted into duration (ms).
+IO_WAIT_MS_PER_PAGE = 0.010
+
 _JOIN_NODES = (NestedLoopJoinNode, HashJoinNode)
 _DML_NODES = (InsertPlanNode, UpdatePlanNode, DeletePlanNode)
 
@@ -228,15 +237,15 @@ class Executor:
         s = self._settings
         pages = meters.page_meter.pages
         cpu = (
-            meters.rows_processed * s.cpu_ms_per_row
-            + pages * s.cpu_ms_per_page
-            + meters.sort_rows * s.cpu_ms_per_sort_row
-            + meters.hash_rows * s.cpu_ms_per_hash_row
-            + meters.maintained_entries * s.cpu_ms_per_maintained_entry
+            meters.rows_processed * CPU_MS_PER_ROW
+            + pages * CPU_MS_PER_PAGE
+            + meters.sort_rows * CPU_MS_PER_SORT_ROW
+            + meters.hash_rows * CPU_MS_PER_HASH_ROW
+            + meters.maintained_entries * CPU_MS_PER_MAINTAINED_ENTRY
         )
         if s.noise_sigma > 0:
             cpu *= math.exp(self._rng.normal(0.0, s.noise_sigma))
-        duration = cpu + pages * s.io_wait_ms_per_page
+        duration = cpu + pages * IO_WAIT_MS_PER_PAGE
         if s.noise_sigma > 0:
             duration *= math.exp(self._rng.normal(0.0, 2.5 * s.noise_sigma))
         return ExecutionMetrics(

@@ -67,7 +67,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.engine.cost_model import CostModel
+from repro.engine.cost_model import ROW_CPU, CostModel
 from repro.engine.plans import (
     PARAM,
     ClusteredScanNode,
@@ -627,7 +627,7 @@ class Optimizer:
         pages = max(1.0, seek_sel * view.leaf_pages)
         residual = path.residual_pos
         cost = model.seek_cost(view.height, pages, matched)
-        cost += matched * model.settings.row_cpu * len(residual)
+        cost += matched * ROW_CPU * len(residual)
         if kind == _CLUSTERED_SEEK:
             return _AccessCandidate(path, access, access.out_rows, cost)
         rows_after_index = (

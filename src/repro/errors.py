@@ -101,11 +101,3 @@ class ShardCrashError(ReproError):
         )
         self.shard_index = shard_index
         self.last_command = last_command
-
-
-class WorkflowError(ReproError):
-    """An experiment workflow step failed."""
-
-
-class BInstanceDivergedError(WorkflowError):
-    """The B-instance diverged from the primary beyond tolerance."""

@@ -1,14 +1,8 @@
-"""Experimentation in production (Section 7): B-instances, the workflow
-engine, the User-arm emulation heuristic, and the phase-based recommender
-comparison that regenerates Figure 6."""
+"""Experimentation in production (Section 7): B-instances, the User-arm
+emulation heuristic, and the phase-based recommender comparison that
+regenerates Figure 6."""
 
 from repro.experiment.binstance import BInstance
-from repro.experiment.workflow import (
-    ExperimentWorkflow,
-    StepOutcome,
-    WorkflowContext,
-    WorkflowStep,
-)
 from repro.experiment.compare import (
     ComparisonSettings,
     DatabaseComparison,
@@ -22,11 +16,7 @@ __all__ = [
     "BInstance",
     "ComparisonSettings",
     "DatabaseComparison",
-    "ExperimentWorkflow",
     "FleetComparisonSummary",
-    "StepOutcome",
-    "WorkflowContext",
-    "WorkflowStep",
     "compare_database",
     "compare_fleet",
     "seed_user_indexes",

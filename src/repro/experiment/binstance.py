@@ -92,7 +92,7 @@ class BInstance:
 
     def diverged(self) -> bool:
         """True when accumulated divergence exceeds tolerance (Section 7.2's
-        divergence-detection workflow step)."""
+        divergence detection)."""
         total = sum(r.total for r in self.replay_reports)
         if not total:
             return False

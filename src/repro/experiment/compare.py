@@ -28,10 +28,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.clock import HOURS
 from repro.experiment.binstance import BInstance
 from repro.experiment.emulate_user import pick_indexes_to_drop, seed_user_indexes
-from repro.experiment.steps import standard_phase_steps
-from repro.experiment.workflow import ExperimentWorkflow
 from repro.recommender import MiRecommender, MiRecommenderSettings
 from repro.recommender.dta import DtaSession, DtaSettings
 from repro.rng import derive
@@ -40,14 +39,18 @@ from repro.workload.generator import WorkloadRecording
 
 ARMS = ("User", "MI", "DTA")
 
+#: Indexes dropped per database, and the cap on each arm's
+#: recommendations (the paper's k).
+K_DROP = 5
+#: MI DMV snapshots taken over the learning replay.
+MI_SNAPSHOT_CHUNKS = 4
+
 
 @dataclasses.dataclass
 class ComparisonSettings:
     """Experiment parameters (paper defaults where stated)."""
 
     n_top: int = 20
-    k_drop: int = 5
-    seed_user: bool = True
     user_learn_hours: float = 24.0
     user_learn_statements: int = 700
     warmup_hours: float = 12.0
@@ -60,7 +63,6 @@ class ComparisonSettings:
     z_threshold: float = 1.96
     #: Minimum relative CPU difference to count as a win.
     min_effect: float = 0.03
-    mi_snapshot_chunks: int = 4
 
 
 @dataclasses.dataclass
@@ -103,11 +105,8 @@ def _collect_recommendations(
         hours=settings.learn_hours,
         max_statements=settings.learn_statements,
     )
-    mi = MiRecommender(
-        learn.engine, MiRecommenderSettings(top_n=settings.k_drop)
-    )
-    chunks = max(3, settings.mi_snapshot_chunks)
-    size = max(1, len(recording.statements) // chunks)
+    mi = MiRecommender(learn.engine, MiRecommenderSettings(top_n=K_DROP))
+    size = max(1, len(recording.statements) // MI_SNAPSHOT_CHUNKS)
     for start in range(0, len(recording.statements), size):
         chunk = WorkloadRecording(
             statements=recording.statements[start : start + size]
@@ -121,7 +120,7 @@ def _collect_recommendations(
         learn.engine,
         DtaSettings(
             tier=profile.tier,
-            max_indexes=settings.k_drop,
+            max_indexes=K_DROP,
             window_hours=settings.learn_hours,
         ),
     )
@@ -131,7 +130,7 @@ def _collect_recommendations(
         dta_recommendations = []
     dta_definitions = [
         r.to_definition(f"nci_dta_{i}")
-        for i, r in enumerate(dta_recommendations[: settings.k_drop])
+        for i, r in enumerate(dta_recommendations[:K_DROP])
     ]
     return mi_definitions, dta_definitions
 
@@ -144,30 +143,40 @@ def _run_phase(
     creates: List,
     recording: WorkloadRecording,
 ) -> Optional[Dict[int, dict]]:
-    """One phase on a fresh B-instance; returns per-template stats.
+    """One phase on a fresh B-instance; returns per-template stats, or
+    None when the clone diverged or any step raised (§7.2's divergence
+    detection: the database is then unusable for the comparison).
 
-    All phases replay forks of the *same* recorded stream — the paper's
-    B-instances all receive the TDS fork of the same A-instance traffic —
-    so cross-phase differences reflect the index configurations, not
-    different parameter draws.
+    The phase clones the primary, drops ``drops``, creates ``creates``,
+    replays a fork of ``recording`` and sums each template's CPU over
+    the phase window.  All phases replay forks of the *same* recorded
+    stream — the paper's B-instances all receive the TDS fork of the
+    same A-instance traffic — so cross-phase differences reflect the
+    index configurations, not different parameter draws.
     """
-    workflow = ExperimentWorkflow(
-        f"fig6-phase-{arm}",
-        standard_phase_steps(
-            phase_window_hours=settings.phase_hours + 1, suffix=arm.lower()
-        ),
-    )
-    run = workflow.run(
-        profile.name,
-        now=profile.engine.now,
-        profile=profile,
-        recording=recording,
-        indexes_to_drop=drops,
-        indexes_to_create=creates,
-    )
-    if not run.succeeded:
+    try:
+        binstance = BInstance(profile.engine, f"{profile.name}-{arm.lower()}")
+        binstance.drop_indexes(drops)
+        binstance.apply_indexes(creates)
+        binstance.replay(recording)
+        if binstance.diverged():
+            return None
+        now = binstance.engine.now
+        window = binstance.engine.query_store.aggregate(
+            max(0.0, now - (settings.phase_hours + 1) * HOURS), now
+        )
+        per_query: Dict[int, dict] = {}
+        for (query_id, _plan), stats in window.items():
+            cpu = stats.metrics["cpu_time_ms"]
+            entry = per_query.setdefault(
+                query_id, {"executions": 0, "total": 0.0, "m2_weighted": 0.0}
+            )
+            entry["executions"] += stats.executions
+            entry["total"] += cpu.total
+            entry["m2_weighted"] += cpu.m2
+    except Exception:
         return None
-    return run.context["phase_stats"]
+    return per_query
 
 
 def _phase_summaries(
@@ -224,13 +233,12 @@ def compare_database(
     """Run the full four-phase experiment on one database."""
     settings = settings or ComparisonSettings()
     rng = rng if rng is not None else derive(profile.database.seed, "fig6", profile.name)
-    if settings.seed_user:
-        seed_user_indexes(
-            profile,
-            rng,
-            learn_hours=settings.user_learn_hours,
-            max_statements=settings.user_learn_statements,
-        )
+    seed_user_indexes(
+        profile,
+        rng,
+        learn_hours=settings.user_learn_hours,
+        max_statements=settings.user_learn_statements,
+    )
     # Warm-up on the primary: populates usage statistics and Query Store.
     profile.workload.run(
         profile.engine,
@@ -238,7 +246,7 @@ def compare_database(
         max_statements=settings.warmup_statements,
     )
     drops = pick_indexes_to_drop(
-        profile, rng, n_top=settings.n_top, k=settings.k_drop
+        profile, rng, n_top=settings.n_top, k=K_DROP
     )
     mi_defs, dta_defs = _collect_recommendations(profile, drops, settings)
     phases = {

@@ -74,6 +74,10 @@ from repro.workload.app_profiles import ApplicationProfile
 #: Sampled ticks kept for the Perfetto counter tracks (the trace shows
 #: the recent window of a long run; memory stays bounded).
 COUNTER_TRACK_TICKS = 4096
+#: Virtual hours one fleet tick advances.
+STEP_HOURS = 2.0
+#: Retrain the low-impact classifier every this many hours.
+CLASSIFIER_RETRAIN_HOURS = 48.0
 
 
 class ShardedFleetService:
@@ -200,7 +204,7 @@ class ShardedFleetService:
         """Advance the closed loop by ``hours`` of virtual time."""
         remaining = hours
         while remaining > 0:
-            step = min(self.settings.step_hours, remaining)
+            step = min(STEP_HOURS, remaining)
             self._tick(self.clock.now + step * HOURS)
             remaining -= step
 
@@ -303,9 +307,7 @@ class ShardedFleetService:
 
     def _maybe_retrain(self) -> None:
         now = self.clock.now
-        if now - self._last_retrain < (
-            self.settings.classifier_retrain_hours * HOURS
-        ):
+        if now - self._last_retrain < CLASSIFIER_RETRAIN_HOURS * HOURS:
             return
         self._last_retrain = now
         examples = examples_from_history(self.validation_history)

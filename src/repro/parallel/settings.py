@@ -12,13 +12,10 @@ BACKENDS = ("auto", "serial", "process")
 
 @dataclasses.dataclass
 class ServiceSettings:
-    """Closed-loop cadence settings."""
+    """Closed-loop workload settings."""
 
-    step_hours: float = 2.0
     #: Statement cap per database per step (None = rate-driven).
     max_statements_per_step: Optional[int] = None
-    #: Retrain the low-impact classifier every this many hours.
-    classifier_retrain_hours: float = 48.0
 
 
 @dataclasses.dataclass(frozen=True)

@@ -22,6 +22,9 @@ from repro.clock import DAYS
 from repro.engine.engine import SqlEngine
 from repro.recommender.recommendation import Action, IndexRecommendation
 
+#: Maximum reads over the horizon for an index to count as unused.
+MAX_READS = 0
+
 
 @dataclasses.dataclass
 class DropRecommenderSettings:
@@ -29,13 +32,9 @@ class DropRecommenderSettings:
 
     #: Observation horizon (the paper analyzes ~60 days of statistics).
     observation_days: float = 60.0
-    #: Maximum reads over the horizon for an index to count as unused.
-    max_reads: int = 0
     #: Minimum writes over the horizon — dropping an unused index that is
     #: also never maintained saves little and risks much.
     min_writes: int = 10
-    include_duplicates: bool = True
-    include_unused: bool = True
 
 
 class DropRecommender:
@@ -67,12 +66,7 @@ class DropRecommender:
         now = self.engine.now
         horizon = self.settings.observation_days * DAYS
         hinted = self.hinted_index_names()
-        recommendations: List[IndexRecommendation] = []
-        if self.settings.include_duplicates:
-            recommendations.extend(self._duplicates(hinted))
-        if self.settings.include_unused:
-            recommendations.extend(self._unused(hinted, now, horizon))
-        return recommendations
+        return self._duplicates(hinted) + self._unused(hinted, now, horizon)
 
     # ------------------------------------------------------------------
 
@@ -145,7 +139,7 @@ class DropRecommender:
                 usage = self.engine.usage_stats.get(name)
                 reads = usage.reads if usage else 0
                 writes = usage.writes if usage else 0
-                if reads > self.settings.max_reads:
+                if reads > MAX_READS:
                     continue
                 if writes < self.settings.min_writes:
                     continue

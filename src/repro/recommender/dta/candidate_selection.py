@@ -24,6 +24,9 @@ from repro.engine.schema import IndexDefinition
 from repro.recommender.dta.whatif import WhatIfSession
 from repro.recommender.workload_selection import WorkloadStatement
 
+#: Minimum per-query benefit fraction in candidate selection.
+MIN_BENEFIT_FRACTION = 0.05
+
 _candidate_counter = itertools.count(1)
 
 
@@ -139,13 +142,12 @@ def candidates_for_query(query) -> List[DtaCandidate]:
 def select_candidates(
     whatif: WhatIfSession,
     statements: Sequence[WorkloadStatement],
-    min_benefit_fraction: float = 0.05,
 ) -> List[DtaCandidate]:
     """Evaluate structural candidates per query; keep the beneficial ones.
 
     For every statement the candidate set is costed one at a time with the
     what-if API; a candidate survives if it reduces the statement's cost by
-    at least ``min_benefit_fraction``.  Surviving candidates are pooled and
+    more than :data:`MIN_BENEFIT_FRACTION`.  Surviving candidates are pooled and
     deduplicated, accumulating per-query benefits.
     """
     pool: dict = {}
@@ -161,7 +163,7 @@ def select_candidates(
             if cost is None:
                 continue
             benefit = (base_cost - cost) * statement.executions
-            if benefit <= base_cost * statement.executions * min_benefit_fraction:
+            if benefit <= base_cost * statement.executions * MIN_BENEFIT_FRACTION:
                 continue
             existing = pool.get(candidate.identity)
             if existing is None:

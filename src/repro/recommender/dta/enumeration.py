@@ -19,6 +19,10 @@ from repro.recommender.dta.whatif import WhatIfSession
 from repro.recommender.merging import MergeCandidate, merge_candidates
 from repro.recommender.workload_selection import WorkloadStatement
 
+#: Stop when the best marginal improvement falls below this fraction of
+#: the current workload cost.
+MIN_MARGINAL_IMPROVEMENT = 0.01
+
 
 @dataclasses.dataclass
 class EnumerationResult:
@@ -42,9 +46,6 @@ class EnumerationConstraints:
 
     max_indexes: int = 5
     storage_budget_bytes: Optional[int] = None
-    #: Stop when the best marginal improvement falls below this fraction
-    #: of the current workload cost.
-    min_marginal_improvement: float = 0.01
 
 
 def _apply_merging(candidates: List[DtaCandidate]) -> List[DtaCandidate]:
@@ -130,9 +131,7 @@ def greedy_enumerate(
         if candidate is None:
             break
         improvement = current_cost - cost
-        if improvement < constraints.min_marginal_improvement * max(
-            current_cost, 1e-9
-        ):
+        if improvement < MIN_MARGINAL_IMPROVEMENT * max(current_cost, 1e-9):
             break
         chosen.append(candidate)
         chosen_defs.append(candidate.definition)

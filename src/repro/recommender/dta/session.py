@@ -31,6 +31,9 @@ from repro.recommender.recommendation import Action, IndexRecommendation
 from repro.recommender.workload_selection import acquire_workload, window_for_tier
 from repro.errors import SessionAbortedError
 
+#: Minimum estimated improvement (%) for emitting a recommendation.
+MIN_IMPROVEMENT_PCT = 5.0
+
 
 class DtaSessionState(enum.Enum):
     """Lifecycle of a DTA tuning session (Section 5.3.3)."""
@@ -48,20 +51,13 @@ class DtaSettings:
 
     tier: str = "standard"
     window_hours: Optional[float] = None
-    top_k: Optional[int] = None
     max_indexes: int = 5
     storage_budget_bytes: Optional[int] = None
-    min_marginal_improvement: float = 0.01
-    #: Minimum per-query benefit fraction in candidate selection.
-    min_benefit_fraction: float = 0.05
     #: Sampled-statistics budget (None = unlimited; the paper cut DTA's
     #: statistics builds 2-3x without quality loss).
     stats_column_budget: Optional[int] = 24
     sample_fraction: float = 0.05
     use_merging: bool = True
-    augment_with_mi: bool = True
-    #: Minimum estimated improvement (%) for emitting a recommendation.
-    min_improvement_pct: float = 5.0
 
 
 class DtaSession:
@@ -79,7 +75,7 @@ class DtaSession:
         self.interference_check = interference_check
         hours, k = window_for_tier(self.settings.tier)
         self.window_hours = self.settings.window_hours or hours
-        self.top_k = self.settings.top_k or k
+        self.top_k = k
         self.whatif = WhatIfSession(
             engine,
             sample_fraction=self.settings.sample_fraction,
@@ -129,18 +125,12 @@ class DtaSession:
             k=self.top_k,
         )
         self._check_interference()
-        candidates = select_candidates(
-            self.whatif,
-            workload.statements,
-            min_benefit_fraction=self.settings.min_benefit_fraction,
-        )
+        candidates = select_candidates(self.whatif, workload.statements)
         self._check_interference()
-        if self.settings.augment_with_mi:
-            candidates = self._augment_with_mi(candidates)
+        candidates = self._augment_with_mi(candidates)
         constraints = EnumerationConstraints(
             max_indexes=self.settings.max_indexes,
             storage_budget_bytes=self.settings.storage_budget_bytes,
-            min_marginal_improvement=self.settings.min_marginal_improvement,
         )
         result = greedy_enumerate(
             engine,
@@ -187,7 +177,7 @@ class DtaSession:
         return candidates
 
     def _assemble(self, result, workload) -> List[IndexRecommendation]:
-        if result.improvement_pct < self.settings.min_improvement_pct:
+        if result.improvement_pct < MIN_IMPROVEMENT_PCT:
             return []  # the whole configuration is not worth implementing
         recommendations = []
         base = max(result.base_cost, 1e-9)

@@ -35,6 +35,14 @@ from repro.recommender.impact import (
 from repro.recommender.merging import MergeCandidate, merge_candidates
 from repro.recommender.recommendation import Action, IndexRecommendation
 
+#: Step 4: slope t-test threshold.
+SLOPE_T_THRESHOLD = 2.0
+#: What-if verification (``verify_with_whatif``) prices each candidate on
+#: this many of the hottest Query Store statements of the last
+#: ``WHATIF_LOOKBACK_HOURS``.
+WHATIF_VERIFY_STATEMENTS = 6
+WHATIF_LOOKBACK_HOURS = 24.0
+
 
 @dataclasses.dataclass
 class MiRecommenderSettings:
@@ -42,8 +50,6 @@ class MiRecommenderSettings:
 
     #: Step 3: minimum seeks (query executions wanting the index).
     min_seeks: int = 5
-    #: Step 4: slope t-test threshold.
-    slope_t_threshold: float = 2.0
     #: Step 4 off-switch for ablations.
     use_slope_test: bool = True
     #: Step 5 off-switch for ablations.
@@ -61,8 +67,6 @@ class MiRecommenderSettings:
     #: whose hypothetical plans do not actually improve any hot statement.
     #: Trades a little of MI's zero-overhead property for fewer reverts.
     verify_with_whatif: bool = False
-    whatif_verify_statements: int = 6
-    whatif_lookback_hours: float = 24.0
 
 
 class MiRecommender:
@@ -128,13 +132,13 @@ class MiRecommender:
             # Step 4: statistically robust growth of the impact score.
             if settings.use_slope_test:
                 test = impact_slope_test(
-                    series.points, t_threshold=settings.slope_t_threshold
+                    series.points, t_threshold=SLOPE_T_THRESHOLD
                 )
                 if not test.passed:
                     self._reject(
                         series.group.table, group_keys, "impact_slope_test",
                         t_statistic=test.t_statistic,
-                        t_threshold=settings.slope_t_threshold,
+                        t_threshold=SLOPE_T_THRESHOLD,
                     )
                     continue
             if series.last_avg_impact < settings.min_avg_impact_pct:
@@ -257,12 +261,11 @@ class MiRecommender:
         disproportionately more expensive — the two revert causes the
         paper reports (Section 8.1).
         """
-        settings = self.settings
         engine = self.engine
         now = engine.now
-        since = max(0.0, now - settings.whatif_lookback_hours * 60.0)
+        since = max(0.0, now - WHATIF_LOOKBACK_HOURS * 60.0)
         top = engine.query_store.top_queries(
-            since, now, k=settings.whatif_verify_statements
+            since, now, k=WHATIF_VERIFY_STATEMENTS
         )
         definition = IndexDefinition(
             name="_mi_verify",

@@ -46,14 +46,16 @@ class IndexRecommendation:
     implemented_index_name: Optional[str] = None
 
     def to_definition(self, name: Optional[str] = None) -> IndexDefinition:
-        """Materializable definition: the index a CREATE builds, or the
-        one a DROP removes (what reverting the drop recreates)."""
+        """The index a CREATE builds, marked auto-created.  A DROP's
+        revert recreates the definition the drop removed instead
+        (``RecommendationRecord.dropped_definition``), which keeps its own
+        ``auto_created`` flag."""
         return IndexDefinition(
             name=name or auto_index_name(self.table, self.key_columns),
             table=self.table,
             key_columns=self.key_columns,
             included_columns=self.included_columns,
-            auto_created=self.action is Action.CREATE,
+            auto_created=True,
         )
 
     def describe(self) -> str:

@@ -12,6 +12,10 @@ from repro.controlplane import (
     ControlPlaneSettings,
     RecommendationState,
 )
+from repro.controlplane.control_plane import (
+    MAX_CONCURRENT_IMPLEMENTATIONS,
+    REVERT_COOLDOWN,
+)
 from repro.engine.cost_model import CostModelSettings
 from repro.engine.engine import EngineSettings
 from repro.recommender.recommendation import Action, IndexRecommendation
@@ -255,7 +259,7 @@ class TestRegistration:
         """The latest failure among the twins starts the cooldown, whatever
         their insertion order."""
         clock, profile, plane = build_loop(create_mode=AutoMode.RECOMMEND_ONLY)
-        cooldown = plane.settings.revert_cooldown
+        cooldown = REVERT_COOLDOWN
         older = plane.store.insert(profile.name, recommend(profile), 0.0)
         newer = plane.store.insert(profile.name, recommend(profile), 0.0)
         plane.store.transition(newer, RecommendationState.ERROR, 10.0)
@@ -274,9 +278,8 @@ class TestRegistration:
     def test_implementation_cap_counts_busy_records_only(self):
         """ACTIVE and terminal records do not hold the one implementation
         slot; a record that leaves the busy band frees it."""
-        clock, profile, plane = build_loop(
-            settings_overrides={"max_concurrent_implementations": 1},
-        )
+        assert MAX_CONCURRENT_IMPLEMENTATIONS == 1
+        clock, profile, plane = build_loop()
         [done] = plane.register_recommendations(
             [recommend(profile, key_column=5)], 0.0
         )

@@ -69,11 +69,13 @@ def make_recommendation(profile) -> IndexRecommendation:
     )
 
 
-def drop_recommendation(profile) -> IndexRecommendation:
+def drop_recommendation(profile, auto_created=False) -> IndexRecommendation:
     """A DROP of ``ix_old``, which this creates on the first fact table."""
     fact = profile.schema_spec.fact_tables()[0]
     key = (fact.columns[2].name,)
-    profile.engine.create_index(IndexDefinition("ix_old", fact.name, key))
+    profile.engine.create_index(
+        IndexDefinition("ix_old", fact.name, key, auto_created=auto_created)
+    )
     return IndexRecommendation(
         action=Action.DROP,
         table=fact.name,
@@ -186,6 +188,29 @@ class TestImplementationService:
         event = plane.audit.events(event_type="revert_completed")[-1]
         assert event.payload["method"] == "recreate_index"
         assert event.payload["rows_built"] == table.row_count
+
+    @pytest.mark.parametrize("auto_created", [True, False])
+    def test_revert_of_drop_keeps_who_created_the_index(self, loop, auto_created):
+        """The drop recommender keeps user-created duplicates over
+        auto-created ones, so a reverted drop must bring the index back
+        with the ``auto_created`` flag it was dropped with."""
+        clock, profile, plane = loop
+        engine = profile.engine
+        recommendation = drop_recommendation(profile, auto_created=auto_created)
+        table = engine.database.table(recommendation.table)
+        dropped = table.get_index("ix_old").definition
+        record = plane.store.insert(profile.name, recommendation, 0.0)
+        plane.implement_service.begin(record, clock.now)
+        plane.implement_service.drive(record, clock.now)
+        assert not engine.index_exists(recommendation.table, "ix_old")
+        plane.store.transition(
+            record, RecommendationState.REVERTING, clock.now, "regressed"
+        )
+        plane.implement_service.drive_revert(record, clock.now + 90.0)
+        assert record.state is RecommendationState.REVERTED
+        recreated = table.get_index("ix_old").definition
+        assert recreated == dropped
+        assert recreated.auto_created is auto_created
 
 
 class TestHealthService:

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Op, OrderItem, Predicate, SelectQuery
 from repro.engine.exec import InterpExecutor, Meterings
+from repro.engine.exec.dispatch import CPU_MS_PER_PAGE, CPU_MS_PER_ROW
 from repro.engine.plans import (
     ClusteredScanNode,
     ClusteredSeekNode,
@@ -955,7 +956,6 @@ def one_row_statements(eng, statement):
 def write_side(eng, statements):
     """Run statements until one raises: (error, pages, cpu_ms), with
     what reading each statement's targets charged taken out."""
-    s = eng.settings.execution
     pages, cpu = 0, 0.0
     for statement in statements:
         _targets, read_pages, read_rows = read_side(eng, statement)
@@ -965,7 +965,7 @@ def write_side(eng, statements):
             return f"{type(exc).__name__}: {exc}", pages, cpu
         pages += metrics.logical_reads - read_pages
         cpu += metrics.cpu_time_ms - (
-            read_rows * s.cpu_ms_per_row + read_pages * s.cpu_ms_per_page
+            read_rows * CPU_MS_PER_ROW + read_pages * CPU_MS_PER_PAGE
         )
     return None, pages, cpu
 

@@ -15,6 +15,11 @@ import pytest
 
 from repro.engine import IndexDefinition, Op, OrderItem, Predicate, SelectQuery
 from repro.engine.exec import sort_meter_rows
+from repro.engine.exec.dispatch import (
+    CPU_MS_PER_PAGE,
+    CPU_MS_PER_ROW,
+    CPU_MS_PER_SORT_ROW,
+)
 from repro.engine.plans import (
     ClusteredSeekNode,
     IndexSeekNode,
@@ -75,13 +80,12 @@ class TestTopNPushdown:
         amounts: a full scan plus ``sort_meter_rows(n, limit)``."""
         eng = engine_in_mode(mode)
         result = eng.execute(self.QUERY)
-        s = eng.settings.execution
         pages = full_scan_pages(eng)
         sort_rows = sort_meter_rows(N_ORDERS, 5)
         expected_cpu = (
-            N_ORDERS * s.cpu_ms_per_row
-            + pages * s.cpu_ms_per_page
-            + sort_rows * s.cpu_ms_per_sort_row
+            N_ORDERS * CPU_MS_PER_ROW
+            + pages * CPU_MS_PER_PAGE
+            + sort_rows * CPU_MS_PER_SORT_ROW
         )
         assert result.metrics.logical_reads == pages
         assert result.metrics.cpu_time_ms == pytest.approx(

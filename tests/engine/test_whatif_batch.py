@@ -34,6 +34,7 @@ from repro.engine import (
     SelectQuery,
     UpdateQuery,
 )
+from repro.engine.engine import WHATIF_CALL_CPU_MS
 from repro.engine.optimizer import BatchPricingStats, HeldSubstrate
 from repro.engine.plans import IndexSeekNode
 from repro.engine.resource_governor import ResourcePool
@@ -499,7 +500,7 @@ class TestChargeRule:
         before = eng.governor.tuning.usage.cpu_ms
         _costs(eng, self.QUERY, [(_definition(0),), (_definition(1),)])
         charged = eng.governor.tuning.usage.cpu_ms - before
-        assert charged == 2 * eng.settings.whatif_call_cpu_ms
+        assert charged == 2 * WHATIF_CALL_CPU_MS
 
 
 class TestWhatIfSessionRegressions:
@@ -751,7 +752,7 @@ class TestProjection:
         stats = session.stats
         assert (stats.calls, stats.priced, stats.cache_hits) == (5, 2, 0)
         usage = eng.governor.tuning.usage
-        rate = eng.settings.whatif_call_cpu_ms
+        rate = WHATIF_CALL_CPU_MS
         assert (usage.whatif_calls, usage.cpu_ms) == (5, 5 * rate)
         row = profiler.stats()["engine_whatif_cost"]
         assert (row.calls, row.sim_ms) == (5, 5 * rate)
@@ -780,7 +781,7 @@ class TestProjection:
         one costing at a time leaves; the retry re-pays nothing and
         finishes with the same totals."""
         eng, oracle, per_call = (perfect_engine(43) for _ in range(3))
-        rate = eng.settings.whatif_call_cpu_ms
+        rate = WHATIF_CALL_CPU_MS
         for budgeted in (eng, per_call):
             budgeted.governor.tuning.budget_cpu_ms = dry_at * rate + 1.0
         session, reference = WhatIfSession(eng), WhatIfSession(per_call)

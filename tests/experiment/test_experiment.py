@@ -1,34 +1,23 @@
-"""B-instance, workflow engine, user emulation, and comparison tests."""
+"""B-instance, comparison phase, user emulation, and comparison tests."""
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
 from repro.engine import IndexDefinition
-from repro.errors import WorkflowError
+from repro.experiment import compare
 from repro.experiment.binstance import BInstance, BInstanceSettings
 from repro.experiment.compare import (
     ComparisonSettings,
     _phase_summaries,
     _pick_winner,
+    _run_phase,
     PhaseSummary,
     compare_database,
 )
 from repro.experiment.emulate_user import pick_indexes_to_drop, seed_user_indexes
-from repro.experiment.steps import (
-    CollectStatsStep,
-    CreateBInstanceStep,
-    DetectDivergenceStep,
-    ImplementIndexesStep,
-    ReplayStep,
-    standard_phase_steps,
-)
-from repro.experiment.workflow import (
-    ExperimentWorkflow,
-    FunctionStep,
-    StepOutcome,
-    WorkflowContext,
-)
 from repro.rng import derive
 from repro.workload import make_profile
 
@@ -82,83 +71,62 @@ class TestBInstance:
         assert b.diverged()
 
 
-class TestWorkflow:
-    def test_success_path(self):
-        order = []
-        workflow = ExperimentWorkflow(
-            "wf",
-            [
-                FunctionStep("one", lambda c: order.append(1)),
-                FunctionStep("two", lambda c: order.append(2)),
-            ],
-        )
-        run = workflow.run("db")
-        assert run.succeeded
-        assert order == [1, 2]
-        assert all(r.outcome is StepOutcome.COMPLETED for r in run.records)
-
-    def test_failure_skips_and_cleans_up(self):
-        cleaned = []
-
-        def boom(c):
-            raise WorkflowError("nope")
-
-        workflow = ExperimentWorkflow(
-            "wf",
-            [
-                FunctionStep("one", lambda c: None, cleanup=lambda c: cleaned.append("one")),
-                FunctionStep("two", boom),
-                FunctionStep("three", lambda c: None),
-            ],
-        )
-        run = workflow.run("db")
-        assert not run.succeeded
-        assert run.failed_step() == "two"
-        assert run.records[2].outcome is StepOutcome.SKIPPED
-        assert cleaned == ["one"]
-
-    def test_context_flows_between_steps(self):
-        workflow = ExperimentWorkflow(
-            "wf",
-            [
-                FunctionStep("set", lambda c: c.values.update(x=41)),
-                FunctionStep("inc", lambda c: c.values.update(x=c["x"] + 1)),
-            ],
-        )
-        run = workflow.run("db")
-        assert run.context["x"] == 42
-
-    def test_run_many(self):
-        workflow = ExperimentWorkflow("wf", [FunctionStep("noop", lambda c: None)])
-        runs = workflow.run_many(["a", "b", "c"])
-        assert set(runs) == {"a", "b", "c"}
-        assert all(r.succeeded for r in runs.values())
-
-    def test_missing_context_key_fails_step(self, profile):
-        workflow = ExperimentWorkflow("wf", [ReplayStep()])
-        run = workflow.run("db", profile=profile)
-        assert not run.succeeded  # no binstance in context
-
-
 class TestPhaseSteps:
     def test_standard_phase_pipeline(self, profile):
         recording = profile.workload.generate_recording(
             start=profile.engine.now, hours=1, max_statements=60
         )
-        workflow = ExperimentWorkflow(
-            "phase", standard_phase_steps(phase_window_hours=2, suffix="t")
+        stats = _run_phase(
+            profile, "t", ComparisonSettings(phase_hours=1), [], [], recording
         )
-        run = workflow.run(
-            profile.name,
-            profile=profile,
-            recording=recording,
-            indexes_to_drop=[],
-            indexes_to_create=[],
-        )
-        assert run.succeeded, run.records
-        stats = run.context["phase_stats"]
         assert stats
         assert all(entry["executions"] >= 1 for entry in stats.values())
+
+    def test_diverged_clone_fails_the_phase_and_spares_the_primary(
+        self, monkeypatch
+    ):
+        """A clone that loses half its fork diverges: the phase returns
+        None, and neither its drop nor its create reaches the primary."""
+        p = make_profile("exp-phase", seed=8, tier="standard", archetype="saas_invoicing")
+        fact = p.schema_spec.fact_tables()[0]
+        p.engine.create_index(
+            IndexDefinition("ix_primary", fact.name, (fact.columns[1].name,))
+        )
+        recording = p.workload.generate_recording(
+            start=p.engine.now, hours=1, max_statements=80
+        )
+        monkeypatch.setattr(
+            compare,
+            "BInstance",
+            functools.partial(BInstance, settings=BInstanceSettings(drop_rate=0.5)),
+        )
+        stats = _run_phase(
+            p,
+            "t",
+            ComparisonSettings(phase_hours=1),
+            [(fact.name, "ix_primary")],
+            [IndexDefinition("ix_clone", fact.name, (fact.columns[2].name,))],
+            recording,
+        )
+        assert stats is None
+        assert set(p.database.table(fact.name).indexes) == {"ix_primary"}
+
+    def test_a_raising_step_fails_the_phase(self, profile):
+        """An error in any step (here: creating an index on a table the
+        clone does not have) makes the phase unusable, not the comparison
+        crash."""
+        recording = profile.workload.generate_recording(
+            start=profile.engine.now, hours=1, max_statements=20
+        )
+        stats = _run_phase(
+            profile,
+            "t",
+            ComparisonSettings(phase_hours=1),
+            [],
+            [IndexDefinition("ix_nowhere", "no_such_table", ("c",))],
+            recording,
+        )
+        assert stats is None
 
 
 class TestUserEmulation:

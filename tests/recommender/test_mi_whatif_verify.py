@@ -6,6 +6,7 @@ import pytest
 
 from repro.controlplane import ControlPlane
 from repro.engine import InsertQuery, Op, Predicate, SelectQuery
+from repro.engine.engine import WHATIF_CALL_CPU_MS
 from repro.recommender import MiRecommender, MiRecommenderSettings
 from tests.engine.test_optimizer import perfect_engine
 from tests.recommender.test_mi_recommender import SELECTIVE, run_and_snapshot
@@ -90,7 +91,7 @@ def test_dry_tuning_budget_defers_the_analysis():
     ]
     for query in [SELECTIVE] + other_reads:
         run_and_snapshot(eng, plane.mi, query)
-    call_ms = eng.settings.whatif_call_cpu_ms
+    call_ms = WHATIF_CALL_CPU_MS
     tuning = eng.governor.tuning
     # Room for the first statement's base configuration only: its second
     # configuration is the first refusal.
