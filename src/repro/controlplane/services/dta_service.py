@@ -8,6 +8,7 @@ queries, and guarantees terminal states with cleanup.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import ResourceBudgetExceededError, SessionAbortedError
@@ -19,12 +20,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class DtaSessionManager:
-    """Tracks the database's one live DTA session."""
+    """Tracks the database's one live DTA session (the plane is an
+    argument)."""
 
     MAX_BUDGET_DEFERRALS = 8
 
-    def __init__(self, plane: "ControlPlane") -> None:
-        self.plane = plane
+    def __init__(self) -> None:
         #: The resumable session a budget deferral left behind, if any.
         self._session: Optional[DtaSession] = None
         self._deferrals = 0
@@ -36,16 +37,17 @@ class DtaSessionManager:
         #: folded into the ``candidates_generated`` audit event.
         self.last_run_info: dict = {}
 
-    def run(self, now: float) -> List[IndexRecommendation]:
+    def run(self, plane: "ControlPlane", now: float) -> List[IndexRecommendation]:
         """Run (or resume) a session; raises TransientError on budget."""
-        plane = self.plane
         telemetry = plane.telemetry
         session = self._session
         if session is None:
             session = DtaSession(
                 plane.engine,
                 DtaSettings(tier=plane.tier),
-                interference_check=self._interfering,
+                interference_check=functools.partial(
+                    _tuning_interferes, plane.engine
+                ),
             )
             self._session = session
             self._deferrals = 0
@@ -58,14 +60,14 @@ class DtaSessionManager:
             if self._deferrals >= self.MAX_BUDGET_DEFERRALS:
                 # Give up: clean up and surface an analysis failure.
                 self._session = None
-                self._observe_duration()
+                self._observe_duration(plane)
                 self.last_run_info = {"session_outcome": "abandoned"}
                 telemetry.count_event("dta_abandoned", plane.name)
                 return []
             raise  # transient: the next analysis period resumes the session
         except SessionAbortedError:
             self._session = None
-            self._observe_duration()
+            self._observe_duration(plane)
             self.last_run_info = {"session_outcome": "aborted"}
             telemetry.count_event("dta_aborted", plane.name)
             return []
@@ -76,27 +78,27 @@ class DtaSessionManager:
             "whatif_calls": whatif_calls,
             "workload_coverage": session.report.coverage if session.report else 0.0,
         }
-        self._observe_duration()
+        self._observe_duration(plane)
         telemetry.registry.counter(
             "dta_whatif_calls_total", database=plane.name
         ).inc(whatif_calls)
         telemetry.count_event("dta_completed", plane.name)
         return recommendations
 
-    def _observe_duration(self) -> None:
+    def _observe_duration(self, plane: "ControlPlane") -> None:
         """Close the session's clock: one duration sample per session,
         read off the clock the session's analysis passes advanced."""
         started, self._session_started = self._session_started, None
-        self.plane.telemetry.registry.histogram(
+        plane.telemetry.registry.histogram(
             "tuning_session_duration_minutes", source="DTA",
-        ).observe(self.plane.clock.now - started)
+        ).observe(plane.clock.now - started)
 
-    def _interfering(self) -> bool:
-        """Detect that tuning is slowing user queries (Section 5.3.1).
 
-        Uses the tuning pool's headroom as the interference proxy: a pool
-        pushed to its limit while the user pool is busy indicates pressure.
-        """
-        engine = self.plane.engine
-        headroom = engine.governor.tuning.window_headroom(engine.now)
-        return headroom is not None and headroom <= 0.0
+def _tuning_interferes(engine) -> bool:
+    """Detect that tuning is slowing user queries (Section 5.3.1).
+
+    Uses the tuning pool's headroom as the interference proxy: a pool
+    pushed to its limit while the user pool is busy indicates pressure.
+    """
+    headroom = engine.governor.tuning.window_headroom(engine.now)
+    return headroom is not None and headroom <= 0.0

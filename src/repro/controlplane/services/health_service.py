@@ -18,13 +18,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class HealthService:
-    """Periodic per-database health sweep."""
+    """Periodic per-database health sweep (the plane is an argument)."""
 
-    def __init__(self, plane: "ControlPlane") -> None:
-        self.plane = plane
-
-    def check(self, now: float) -> None:
-        plane = self.plane
+    def check(self, plane: "ControlPlane", now: float) -> None:
         telemetry = plane.telemetry
         audit = telemetry.audit
         threshold = plane.settings.stuck_threshold

@@ -30,16 +30,15 @@ BUILD_ROWS_PER_MINUTE = 20_000.0
 
 
 class ImplementationService:
-    """Starts and advances implementations; executes reverts."""
-
-    def __init__(self, plane: "ControlPlane") -> None:
-        self.plane = plane
+    """Starts and advances implementations; executes reverts (the plane
+    is an argument)."""
 
     # ------------------------------------------------------------------
     # Starting
 
-    def begin(self, record: RecommendationRecord, now: float) -> None:
-        plane = self.plane
+    def begin(
+        self, plane: "ControlPlane", record: RecommendationRecord, now: float
+    ) -> None:
         plane.faults.check("implement")
         recommendation = record.recommendation
         engine = plane.engine
@@ -105,18 +104,21 @@ class ImplementationService:
     # ------------------------------------------------------------------
     # Advancing
 
-    def drive(self, record: RecommendationRecord, now: float) -> None:
+    def drive(
+        self, plane: "ControlPlane", record: RecommendationRecord, now: float
+    ) -> None:
         if record.recommendation.action is Action.CREATE:
-            self._advance_build(record, now)
+            self._advance_build(plane, record, now)
         else:
-            self._advance_drop(record, now)
+            self._advance_drop(plane, record, now)
 
-    def _advance_build(self, record: RecommendationRecord, now: float) -> None:
-        plane = self.plane
+    def _advance_build(
+        self, plane: "ControlPlane", record: RecommendationRecord, now: float
+    ) -> None:
         entry = plane.build_jobs.get(record.rec_id)
         if entry is None:
             # Control plane restarted mid-build: restart the build.
-            self.begin_rebuild(record, now)
+            self.begin_rebuild(plane, record, now)
             return
         job, last_advance = entry
         elapsed = max(0.0, now - last_advance)
@@ -129,6 +131,7 @@ class ImplementationService:
         if job.state is BuildState.COMPLETED:
             del plane.build_jobs[record.rec_id]
             self._implemented(
+                plane,
                 record,
                 now,
                 rows_built=job.rows_total,
@@ -136,7 +139,9 @@ class ImplementationService:
                 log_bytes_generated=job.log_bytes_generated,
             )
 
-    def begin_rebuild(self, record: RecommendationRecord, now: float) -> None:
+    def begin_rebuild(
+        self, plane: "ControlPlane", record: RecommendationRecord, now: float
+    ) -> None:
         """Re-create the build job after a control-plane crash.
 
         The new job starts from row 0: nothing persists a lost job's
@@ -144,35 +149,43 @@ class ImplementationService:
         ``implementation_started`` audits the build as
         ``online_resumable_build`` (every locked digest carries that
         string, so it stays)."""
-        plane = self.plane
         definition = record.recommendation.to_definition(record.index_name)
         if plane.engine.index_exists(record.recommendation.table, definition.name):
-            self._implemented(record, now)
+            self._implemented(plane, record, now)
             return
         job = OnlineIndexBuildJob(plane.engine, definition)
         plane.build_jobs[record.rec_id] = (job, now)
 
-    def _advance_drop(self, record: RecommendationRecord, now: float) -> None:
-        if record.rec_id not in self.plane.drop_protocols:
+    def _advance_drop(
+        self, plane: "ControlPlane", record: RecommendationRecord, now: float
+    ) -> None:
+        if record.rec_id not in plane.drop_protocols:
             raise TransientError("drop protocol lost; retrying")
         evidence = self._attempt_drop(
-            record, now, f"low-priority drop of {record.index_name!r} kept timing out"
+            plane,
+            record,
+            now,
+            f"low-priority drop of {record.index_name!r} kept timing out",
         )
         if evidence is not None:
-            self._implemented(record, now, **evidence)
+            self._implemented(plane, record, now, **evidence)
 
     def _attempt_drop(
-        self, record: RecommendationRecord, now: float, timed_out: str
+        self,
+        plane: "ControlPlane",
+        record: RecommendationRecord,
+        now: float,
+        timed_out: str,
     ) -> Optional[dict]:
         """One attempt of the record's drop protocol: the lock-wait
         evidence once the index is gone, None while the drop waits for
         the next pass."""
-        protocol = self.plane.drop_protocols[record.rec_id]
+        protocol = plane.drop_protocols[record.rec_id]
         if not protocol.attempt(now):
             if protocol.exhausted():
                 raise TransientError(timed_out)
             return None
-        del self.plane.drop_protocols[record.rec_id]
+        del plane.drop_protocols[record.rec_id]
         return {
             "lock_attempts": len(protocol.attempts),
             "lock_timeouts": sum(1 for a in protocol.attempts if not a.succeeded),
@@ -180,9 +193,12 @@ class ImplementationService:
         }
 
     def _implemented(
-        self, record: RecommendationRecord, now: float, **evidence
+        self,
+        plane: "ControlPlane",
+        record: RecommendationRecord,
+        now: float,
+        **evidence,
     ) -> None:
-        plane = self.plane
         settings = plane.settings
         first_time = record.implemented_at is None
         plane.store.update(
@@ -215,8 +231,9 @@ class ImplementationService:
     # ------------------------------------------------------------------
     # Reverting (Section 6)
 
-    def drive_revert(self, record: RecommendationRecord, now: float) -> None:
-        plane = self.plane
+    def drive_revert(
+        self, plane: "ControlPlane", record: RecommendationRecord, now: float
+    ) -> None:
         plane.faults.check("revert")
         engine = plane.engine
         recommendation = record.recommendation
@@ -228,7 +245,9 @@ class ImplementationService:
                     plane.drop_protocols[record.rec_id] = LowPriorityDropProtocol(
                         engine, recommendation.table, record.index_name
                     )
-                lock = self._attempt_drop(record, now, "revert drop kept timing out")
+                lock = self._attempt_drop(
+                    plane, record, now, "revert drop kept timing out"
+                )
                 if lock is None:
                     return
                 evidence = {"method": "low_priority_drop", **lock}

@@ -11,20 +11,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class RecommendationService:
-    """Drives the database's MI snapshots and analysis sessions."""
+    """Drives the database's MI snapshots and analysis sessions.
 
-    def __init__(self, plane: "ControlPlane") -> None:
-        self.plane = plane
+    Keeps no reference to its plane: every method takes it as an
+    argument.
+    """
 
-    def snapshot(self, now: float) -> None:
+    def snapshot(self, plane: "ControlPlane", now: float) -> None:
         """Periodic MI DMV snapshot (reset tolerance, Section 5.2)."""
-        plane = self.plane
         plane.mi.take_snapshot()
         plane.telemetry.count_event("mi_snapshot", plane.name)
 
-    def analyze(self, now: float) -> None:
+    def analyze(self, plane: "ControlPlane", now: float) -> None:
         """One analysis pass: pick the source by policy and run it."""
-        plane = self.plane
         decision = plane.policy.decide(plane.engine, plane.tier)
         source = decision.source
         telemetry = plane.telemetry
@@ -42,7 +41,7 @@ class RecommendationService:
             # with the scheduler job popped and never re-armed.
             plane.faults.check("analyze")
             if source == "DTA":
-                recommendations = plane.dta_service.run(now)
+                recommendations = plane.dta_service.run(plane, now)
             else:
                 recommendations = plane.mi.recommend()
         except TransientError:
@@ -65,7 +64,7 @@ class RecommendationService:
             "analysis_runs_total", database=plane.name, source=source,
             outcome="completed",
         ).inc()
-        self._audit_analysis(now, source, recommendations)
+        self._audit_analysis(plane, now, source, recommendations)
         if source != "DTA":
             # DTA sessions observe their own (resumable) duration; MI
             # analyses are instantaneous passes over the DMV snapshots.
@@ -76,9 +75,10 @@ class RecommendationService:
         if recommendations:
             plane.register_recommendations(recommendations, now)
 
-    def _audit_analysis(self, now: float, source: str, recommendations) -> None:
+    def _audit_analysis(
+        self, plane: "ControlPlane", now: float, source: str, recommendations
+    ) -> None:
         """Record the per-candidate evidence behind one analysis pass."""
-        plane = self.plane
         audit = plane.telemetry.audit
         candidates = [
             {
@@ -110,9 +110,8 @@ class RecommendationService:
                     **decision,
                 )
 
-    def analyze_drops(self, now: float) -> None:
+    def analyze_drops(self, plane: "ControlPlane", now: float) -> None:
         """Long-horizon drop analysis (Section 5.4)."""
-        plane = self.plane
         telemetry = plane.telemetry
         try:
             plane.faults.check("analyze_drops")

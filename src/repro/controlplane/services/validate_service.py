@@ -14,13 +14,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class ValidationService:
-    """Waits out the observation window, judges, and triggers reverts."""
+    """Waits out the observation window, judges, and triggers reverts
+    (the plane is an argument)."""
 
-    def __init__(self, plane: "ControlPlane") -> None:
-        self.plane = plane
-
-    def drive(self, record: RecommendationRecord, now: float) -> None:
-        plane = self.plane
+    def drive(
+        self, plane: "ControlPlane", record: RecommendationRecord, now: float
+    ) -> None:
         settings = plane.settings
         window_end = record.validate_after + settings.validation_window
         if now < window_end:
@@ -37,7 +36,7 @@ class ValidationService:
         outcome = plane.validator.validate(
             record.index_name, action, before, after
         )
-        example = self._classifier_example(record, outcome)
+        example = self._classifier_example(plane, record, outcome)
         if outcome.should_revert:
             registry = plane.telemetry.registry
             kinds = set(example["regressed_kinds"])
@@ -97,7 +96,7 @@ class ValidationService:
             )
             plane.telemetry.count_event("validation_regression", plane.name)
             # Revert promptly rather than waiting a full process pass.
-            plane.implement_service.drive_revert(record, now)
+            plane.implement_service.drive_revert(plane, record, now)
             return
         plane.store.transition(
             record, RecommendationState.SUCCESS, now, "validated"
@@ -105,7 +104,7 @@ class ValidationService:
         plane.telemetry.count_event("validation_success", plane.name)
 
     def _classifier_example(
-        self, record: RecommendationRecord, outcome
+        self, plane: "ControlPlane", record: RecommendationRecord, outcome
     ) -> dict:
         """The labeled example this outcome gives the low-impact classifier.
 
@@ -113,7 +112,6 @@ class ValidationService:
         what ``StateStore.validation_history`` reads back — after a
         crash and across the shard boundary alike.
         """
-        plane = self.plane
         recommendation = record.recommendation
         table = plane.engine.database.tables.get(recommendation.table)
         usage = plane.engine.usage_stats.get(record.index_name or "")

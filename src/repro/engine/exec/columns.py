@@ -2,16 +2,18 @@
 
 Each :class:`ColumnarCache` belongs to one :class:`~repro.engine.table.Table`
 and holds per-projection columnar images: one for the clustered tree and
-one per secondary index.  A projection copies the tree's entries in scan
-order and lazily normalizes each referenced column into a NumPy array
-pair (filled values + NULL mask).
+one per secondary index.  The cache never stores its table: the table
+passes itself (its versions, row count, trees and schema) to every call,
+so a dropped table is freed by reference counting alone.  A projection
+copies the tree's entries in scan order and lazily normalizes each
+referenced column into a NumPy array pair (filled values + NULL mask).
 
 The images are *maintained*, not thrown away, when rows change.  Every
 site in ``Table`` that bumps ``data_version`` hands the changed rows to
-:meth:`ColumnarCache.log_changes`; the next :meth:`ColumnarCache.projection`
-call folds the pending log into every live projection — positions found
-by ``bisect`` on the tree's own order keys, then one batched patch,
-masked drop and masked insert per built vector — before serving one.  A
+:meth:`ColumnarCache.log_changes`; the next ``Table.projection`` call
+folds the pending log into every live projection — positions found by
+``bisect`` on the tree's own order keys, then one batched patch, masked
+drop and masked insert per built vector — before serving one.  A
 projection is therefore valid only until the next write to its table.
 
 Building from the tree remains the construction path: on first touch,
@@ -524,14 +526,13 @@ class ColumnarCache:
     """
 
     __slots__ = (
-        "_table", "_token", "_projections", "log",
+        "_token", "_projections", "log",
         "hits", "misses", "invalidations", "delta_rows",
     )
 
-    def __init__(self, table) -> None:
-        self._table = table
+    def __init__(self, token: Tuple[int, int]) -> None:
         #: ``(data_version, schema_version)`` the projections are current at.
-        self._token: Tuple[int, int] = (table.data_version, table.schema_version)
+        self._token = token
         self._projections: Dict[Optional[str], Projection] = {}
         #: Row changes since ``_token``; empty unless a projection is live.
         self.log: List[Change] = []
@@ -540,12 +541,13 @@ class ColumnarCache:
         self.invalidations = 0
         self.delta_rows = 0
 
-    def log_changes(self, changes: Sequence[Change]) -> None:
+    def log_changes(self, changes: Sequence[Change], row_count: int) -> None:
         """Called by ``Table`` wherever it bumps ``data_version``, with
-        one ``(old_row | None, new_row | None)`` per version step."""
+        one ``(old_row | None, new_row | None)`` per version step and
+        the table's row count after them."""
         if self._projections:
             self.log.extend(changes)
-            if len(self.log) > _REBUILD_SHARE * self._table.row_count:
+            if len(self.log) > _REBUILD_SHARE * row_count:
                 self._discard()
 
     def _discard(self) -> None:
@@ -553,11 +555,10 @@ class ColumnarCache:
         self._projections.clear()
         self.log.clear()
 
-    def _catch_up(self) -> None:
-        """Bring live projections to the table's current version: fold
-        the log when it accounts for every step, else discard them."""
-        table = self._table
-        token = (table.data_version, table.schema_version)
+    def _catch_up(self, token: Tuple[int, int]) -> None:
+        """Bring live projections to the table's current version
+        ``token``: fold the log when it accounts for every step, else
+        discard them."""
         if token == self._token:
             return
         if self._projections:
@@ -573,15 +574,16 @@ class ColumnarCache:
                 self._discard()
         self._token = token
 
-    def projection(self, index_name: Optional[str] = None) -> Projection:
-        """Get-or-build the columnar image of one tree (None = clustered),
-        current as of now and valid until the table's next write."""
-        self._catch_up()
+    def projection(self, table, index_name: Optional[str] = None) -> Projection:
+        """Get-or-build the columnar image of one of ``table``'s trees
+        (None = clustered), current as of now and valid until the
+        table's next write."""
+        self._catch_up((table.data_version, table.schema_version))
         cached = self._projections.get(index_name)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        built = Projection(self._table, index_name)
+        built = Projection(table, index_name)
         self._projections[index_name] = built
         return built

@@ -464,11 +464,11 @@ class _Runner:
     def _scan_batch(self, node) -> _ScanBatch:
         table = self._table(node.table)
         if isinstance(node, ClusteredScanNode):
-            projection = table.columnar().projection(None)
+            projection = table.projection(None)
         else:
             # UnknownIndexError, as in the interpreter.
             index = table.get_index(node.index_name)
-            projection = table.columnar().projection(node.index_name)
+            projection = table.projection(node.index_name)
         # Raises on unknown needed columns exactly as the interpreter's
         # per-scan columns_for call does.
         names, _positions = self._meters.columns_for(table)

@@ -206,13 +206,21 @@ class Table:
         Every DML path reports the rows it changed through
         :meth:`_changed`, and the cache folds them into its projections
         on the next read; index DDL, and any ``data_version`` step the
-        log does not account for, make it rebuild from the trees.
+        log does not account for, make it rebuild from the trees.  The
+        cache holds no reference back to the table.
         """
         if self._columnar is None:
             from repro.engine.exec.columns import ColumnarCache
 
-            self._columnar = ColumnarCache(self)
+            self._columnar = ColumnarCache(
+                (self.data_version, self.schema_version)
+            )
         return self._columnar
+
+    def projection(self, index_name: Optional[str] = None):
+        """The columnar image of one tree (None = clustered), current as
+        of now and valid until the table's next write."""
+        return self.columnar().projection(self, index_name)
 
     @property
     def columnar_stats(self) -> Tuple[int, int, int]:
@@ -258,7 +266,7 @@ class Table:
         columnar cache to fold into its projections."""
         self.data_version += len(changes)
         if self._columnar is not None:
-            self._columnar.log_changes(changes)
+            self._columnar.log_changes(changes, self.row_count)
 
     def insert(self, row: Sequence[object], meter: Optional[PageMeter] = None) -> tuple:
         """Insert one row: the one-row spelling of :meth:`insert_rows`."""

@@ -22,14 +22,16 @@ from repro.workload.generator import WorkloadRecording
 from repro.workload.replay import ReplayReport, StreamReplayer, TdsStream
 
 
+#: Divergence fraction above which the instance is flagged unusable.
+DIVERGENCE_TOLERANCE = 0.10
+
+
 @dataclasses.dataclass
 class BInstanceSettings:
     """Fork fidelity knobs."""
 
     drop_rate: float = 0.004
     reorder_rate: float = 0.01
-    #: Divergence fraction above which the instance is flagged unusable.
-    divergence_tolerance: float = 0.10
 
 
 class BInstance:
@@ -97,4 +99,4 @@ class BInstance:
         if not total:
             return False
         bad = sum(r.failed + r.dropped for r in self.replay_reports)
-        return bad / total > self.settings.divergence_tolerance
+        return bad / total > DIVERGENCE_TOLERANCE

@@ -44,13 +44,14 @@ ARMS = ("User", "MI", "DTA")
 K_DROP = 5
 #: MI DMV snapshots taken over the learning replay.
 MI_SNAPSHOT_CHUNKS = 4
+#: Minimum relative CPU difference to count as a win.
+MIN_EFFECT = 0.03
 
 
 @dataclasses.dataclass
 class ComparisonSettings:
     """Experiment parameters (paper defaults where stated)."""
 
-    n_top: int = 20
     user_learn_hours: float = 24.0
     user_learn_statements: int = 700
     warmup_hours: float = 12.0
@@ -61,8 +62,6 @@ class ComparisonSettings:
     phase_statements: int = 700
     #: Significance for declaring a winner.
     z_threshold: float = 1.96
-    #: Minimum relative CPU difference to count as a win.
-    min_effect: float = 0.03
 
 
 @dataclasses.dataclass
@@ -218,7 +217,7 @@ def _pick_winner(
         a, b = summaries[best], summaries[other]
         diff = b.score - a.score
         se = math.sqrt(max(a.variance + b.variance, 1e-12))
-        if diff < settings.min_effect * max(b.score, 1e-9):
+        if diff < MIN_EFFECT * max(b.score, 1e-9):
             return "Comparable"
         if diff / se < settings.z_threshold:
             return "Comparable"
@@ -245,9 +244,7 @@ def compare_database(
         settings.warmup_hours,
         max_statements=settings.warmup_statements,
     )
-    drops = pick_indexes_to_drop(
-        profile, rng, n_top=settings.n_top, k=K_DROP
-    )
+    drops = pick_indexes_to_drop(profile, rng, k=K_DROP)
     mi_defs, dta_defs = _collect_recommendations(profile, drops, settings)
     phases = {
         "baseline": (drops, []),

@@ -24,6 +24,9 @@ from repro.recommender.recommendation import Action, IndexRecommendation
 
 #: Maximum reads over the horizon for an index to count as unused.
 MAX_READS = 0
+#: Minimum writes over the horizon — dropping an unused index that is
+#: also never maintained saves little and risks much.
+MIN_WRITES = 10
 
 
 @dataclasses.dataclass
@@ -32,9 +35,6 @@ class DropRecommenderSettings:
 
     #: Observation horizon (the paper analyzes ~60 days of statistics).
     observation_days: float = 60.0
-    #: Minimum writes over the horizon — dropping an unused index that is
-    #: also never maintained saves little and risks much.
-    min_writes: int = 10
 
 
 class DropRecommender:
@@ -141,7 +141,7 @@ class DropRecommender:
                 writes = usage.writes if usage else 0
                 if reads > MAX_READS:
                     continue
-                if writes < self.settings.min_writes:
+                if writes < MIN_WRITES:
                     continue
                 last_read = usage.last_read() if usage else None
                 if last_read is not None and now - last_read < horizon:

@@ -246,7 +246,7 @@ class TestRegistration:
     def test_index_in_flight_is_not_reproposed(self):
         clock, profile, plane = build_loop(create_mode=AutoMode.RECOMMEND_ONLY)
         [record] = plane.register_recommendations([recommend(profile)], 0.0)
-        plane.implement_service.begin(record, 0.0)
+        plane.implement_service.begin(plane, record, 0.0)
         assert record.state is RecommendationState.IMPLEMENTING
         assert plane.register_recommendations([recommend(profile)], 30.0) == []
         [event] = plane.audit.events("recommendation_suppressed")

@@ -90,7 +90,7 @@ class TestImplementationService:
     def test_begin_creates_build_job(self, loop):
         clock, profile, plane = loop
         record = plane.store.insert(profile.name, make_recommendation(profile), 0.0)
-        plane.implement_service.begin(record, clock.now)
+        plane.implement_service.begin(plane, record, clock.now)
         assert record.state is RecommendationState.IMPLEMENTING
         assert record.rec_id in plane.build_jobs
         assert record.index_name is not None
@@ -98,9 +98,9 @@ class TestImplementationService:
     def test_build_advances_with_time(self, loop):
         clock, profile, plane = loop
         record = plane.store.insert(profile.name, make_recommendation(profile), 0.0)
-        plane.implement_service.begin(record, clock.now)
+        plane.implement_service.begin(plane, record, clock.now)
         clock.advance(120.0)
-        plane.implement_service.drive(record, clock.now)
+        plane.implement_service.drive(plane, record, clock.now)
         assert record.state is RecommendationState.VALIDATING
         assert profile.engine.index_exists(
             record.recommendation.table, record.index_name
@@ -111,13 +111,13 @@ class TestImplementationService:
         recovers by restarting the build (resumable semantics)."""
         clock, profile, plane = loop
         record = plane.store.insert(profile.name, make_recommendation(profile), 0.0)
-        plane.implement_service.begin(record, clock.now)
+        plane.implement_service.begin(plane, record, clock.now)
         plane.build_jobs.clear()  # simulated crash
         clock.advance(60.0)
-        plane.implement_service.drive(record, clock.now)
+        plane.implement_service.drive(plane, record, clock.now)
         assert record.rec_id in plane.build_jobs
         clock.advance(120.0)
-        plane.implement_service.drive(record, clock.now)
+        plane.implement_service.drive(plane, record, clock.now)
         assert record.state is RecommendationState.VALIDATING
 
     def test_drop_of_missing_index_is_permanent_error(self, loop):
@@ -145,10 +145,10 @@ class TestImplementationService:
         clock, profile, plane = loop
         engine = profile.engine
         record = plane.store.insert(profile.name, make_recommendation(profile), 0.0)
-        plane.implement_service.begin(record, clock.now)
+        plane.implement_service.begin(plane, record, clock.now)
         resets = engine.missing_indexes.resets
         now = clock.now + 120.0
-        plane.implement_service.drive(record, now)
+        plane.implement_service.drive(plane, record, now)
         assert record.state is RecommendationState.VALIDATING
         assert engine.missing_indexes.resets == resets + 1
         index = engine.database.table(record.recommendation.table).get_index(
@@ -161,9 +161,9 @@ class TestImplementationService:
         engine, recommendation = profile.engine, drop_recommendation(profile)
         engine.usage_stats.record_seek(recommendation.table, "ix_old", clock.now)
         record = plane.store.insert(profile.name, recommendation, 0.0)
-        plane.implement_service.begin(record, clock.now)
+        plane.implement_service.begin(plane, record, clock.now)
         resets = engine.missing_indexes.resets
-        plane.implement_service.drive(record, clock.now)
+        plane.implement_service.drive(plane, record, clock.now)
         assert record.state is RecommendationState.VALIDATING
         assert not engine.index_exists(recommendation.table, "ix_old")
         assert engine.usage_stats.get("ix_old") is None
@@ -173,14 +173,14 @@ class TestImplementationService:
         clock, profile, plane = loop
         engine, recommendation = profile.engine, drop_recommendation(profile)
         record = plane.store.insert(profile.name, recommendation, 0.0)
-        plane.implement_service.begin(record, clock.now)
-        plane.implement_service.drive(record, clock.now)
+        plane.implement_service.begin(plane, record, clock.now)
+        plane.implement_service.drive(plane, record, clock.now)
         plane.store.transition(
             record, RecommendationState.REVERTING, clock.now, "regressed"
         )
         resets = engine.missing_indexes.resets
         now = clock.now + 90.0
-        plane.implement_service.drive_revert(record, now)
+        plane.implement_service.drive_revert(plane, record, now)
         assert record.state is RecommendationState.REVERTED
         table = engine.database.table(recommendation.table)
         assert table.get_index("ix_old").created_at == now
@@ -200,13 +200,13 @@ class TestImplementationService:
         table = engine.database.table(recommendation.table)
         dropped = table.get_index("ix_old").definition
         record = plane.store.insert(profile.name, recommendation, 0.0)
-        plane.implement_service.begin(record, clock.now)
-        plane.implement_service.drive(record, clock.now)
+        plane.implement_service.begin(plane, record, clock.now)
+        plane.implement_service.drive(plane, record, clock.now)
         assert not engine.index_exists(recommendation.table, "ix_old")
         plane.store.transition(
             record, RecommendationState.REVERTING, clock.now, "regressed"
         )
-        plane.implement_service.drive_revert(record, clock.now + 90.0)
+        plane.implement_service.drive_revert(plane, record, clock.now + 90.0)
         assert record.state is RecommendationState.REVERTED
         recreated = table.get_index("ix_old").definition
         assert recreated == dropped
@@ -220,7 +220,7 @@ class TestHealthService:
         plane.store.update(record, 0.0, retry_at=float("inf"))
         plane.store.transition(record, RecommendationState.RETRY, 0.0, "stuck")
         clock.advance(plane.settings.stuck_threshold + 60.0)
-        plane.health_service.check(clock.now)
+        plane.health_service.check(plane, clock.now)
         assert record.state is RecommendationState.ERROR
 
     def test_stale_active_expired(self, loop):
@@ -228,7 +228,7 @@ class TestHealthService:
         plane.config.create_mode = AutoMode.RECOMMEND_ONLY
         record = plane.store.insert(profile.name, make_recommendation(profile), 0.0)
         clock.advance(plane.settings.stuck_threshold + 60.0)
-        plane.health_service.check(clock.now)
+        plane.health_service.check(plane, clock.now)
         assert record.state is RecommendationState.EXPIRED
 
     def test_stuck_validating_raises_incident(self, loop):
@@ -238,14 +238,14 @@ class TestHealthService:
         plane.store.update(record, 0.0, implemented_at=0.0, validate_after=1e12)
         plane.store.transition(record, RecommendationState.VALIDATING, 0.0)
         clock.advance(plane.settings.stuck_threshold + 60.0)
-        plane.health_service.check(clock.now)
+        plane.health_service.check(plane, clock.now)
         assert any(i.rec_id == record.rec_id for i in plane.incidents)
         assert record.state is RecommendationState.VALIDATING  # not auto-fixed
 
     def test_healthy_records_untouched(self, loop):
         clock, profile, plane = loop
         record = plane.store.insert(profile.name, make_recommendation(profile), 0.0)
-        plane.health_service.check(clock.now)
+        plane.health_service.check(plane, clock.now)
         assert record.state is RecommendationState.ACTIVE
         assert not plane.incidents
 
@@ -257,7 +257,7 @@ class TestDtaSessionManager:
         clock, profile, plane = loop
         profile.workload.run(profile.engine, hours=4, max_statements=250)
         started = clock.now
-        recommendations = plane.dta_service.run(started)
+        recommendations = plane.dta_service.run(plane, started)
         registry = plane.telemetry.registry
         assert registry.total("events_total", kind="dta_completed") == 1
         assert isinstance(recommendations, list)
@@ -272,7 +272,7 @@ class TestDtaSessionManager:
         assert pool.budget_cpu_ms is not None
         pool._roll_window(clock.now)
         pool._window_cpu_ms = pool.budget_cpu_ms * 2
-        result = plane.dta_service.run(clock.now)
+        result = plane.dta_service.run(plane, clock.now)
         assert result == []
         registry = plane.telemetry.registry
         assert registry.total("events_total", kind="dta_aborted") == 1
@@ -300,12 +300,12 @@ class TestDtaSessionManager:
         for attempt in range(cap - 1):
             clock.advance_to(started + attempt)
             with pytest.raises(ResourceBudgetExceededError):
-                manager.run(started + attempt)
+                manager.run(plane, started + attempt)
             assert manager._session_started == started
             assert duration_samples(plane, "DTA") == []
         closed = started + cap
         clock.advance_to(closed)
-        assert manager.run(closed) == []
+        assert manager.run(plane, closed) == []
         assert len(attempts) == cap
         assert all(session is attempts[0] for session in attempts)
         assert manager.last_run_info == {"session_outcome": "abandoned"}
@@ -320,7 +320,7 @@ class TestDtaSessionManager:
         assert registry.total("events_total", kind="dta_abandoned") == 1
 
         with pytest.raises(ResourceBudgetExceededError):
-            manager.run(started + cap + 1)
+            manager.run(plane, started + cap + 1)
         assert attempts[-1] is not attempts[0]
         assert manager._session_started == started + cap + 1
         assert duration_samples(plane, "DTA") == [(1, duration, duration)]
@@ -350,11 +350,11 @@ class TestDtaSessionManager:
         first_start = clock.now + 3.0
         clock.advance_to(first_start)
         with pytest.raises(ResourceBudgetExceededError):
-            manager.run(first_start)
+            manager.run(plane, first_start)
         assert duration_samples(plane, "DTA") == []
         close = first_start + 7.5
         clock.advance_to(close)
-        assert manager.run(close) == []
+        assert manager.run(plane, close) == []
         assert manager.last_run_info["session_outcome"] == outcome
         duration = clock.now - first_start
         assert duration == pytest.approx(7.75)
@@ -386,7 +386,7 @@ class TestRecommendationService:
 
         monkeypatch.setattr(plane.mi, "recommend", recommend)
         now = clock.now
-        plane.recommend_service.analyze(now)
+        plane.recommend_service.analyze(plane, now)
         registry = plane.telemetry.registry
         assert registry.total(
             "analysis_runs_total", source="MI", outcome=outcome

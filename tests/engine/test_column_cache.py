@@ -48,8 +48,8 @@ class TestProjectionLifecycle:
     def test_miss_then_hit(self):
         table = orders(perfect_engine(seed=31))
         cache = table.columnar()
-        first = cache.projection()
-        second = cache.projection()
+        first = table.projection()
+        second = table.projection()
         assert first is second
         assert (cache.hits, cache.misses, cache.invalidations) == (1, 1, 0)
 
@@ -57,10 +57,10 @@ class TestProjectionLifecycle:
         eng = perfect_engine(seed=31)
         table = orders(eng)
         cache = table.columnar()
-        before = cache.projection()
+        before = table.projection()
         rows_before = before.row_count
         eng.execute(InsertQuery("orders", ((50_000, 1, 1, 2.5, 7, "new"),)))
-        after = cache.projection()
+        after = table.projection()
         assert after is before
         assert after.row_count == rows_before + 1
         assert after.raw_column("o_id")[-1] == 50_000
@@ -69,15 +69,16 @@ class TestProjectionLifecycle:
 
     def test_update_is_visible_through_same_projection(self):
         eng = perfect_engine(seed=31)
-        cache = orders(eng).columnar()
-        before = cache.projection()
+        table = orders(eng)
+        cache = table.columnar()
+        before = table.projection()
         before.vector("o_amount")
         eng.execute(
             UpdateQuery(
                 "orders", (("o_amount", -1.0),), (Predicate("o_id", Op.EQ, 3),)
             )
         )
-        after = cache.projection()
+        after = table.projection()
         assert after is before
         amounts = after.raw_column("o_amount")
         ids = after.raw_column("o_id")
@@ -87,13 +88,14 @@ class TestProjectionLifecycle:
 
     def test_delete_is_visible_through_same_projection(self):
         eng = perfect_engine(seed=31)
-        cache = orders(eng).columnar()
-        before = cache.projection()
+        table = orders(eng)
+        cache = table.columnar()
+        before = table.projection()
         rows_before = before.row_count
         eng.execute(
             DeleteQuery("orders", (Predicate("o_id", Op.BETWEEN, 0, 9),))
         )
-        after = cache.projection()
+        after = table.projection()
         assert after is before
         assert after.row_count == rows_before - 10
         assert 3 not in after.raw_column("o_id")
@@ -101,13 +103,14 @@ class TestProjectionLifecycle:
 
     def test_create_and_drop_index_invalidate(self):
         eng = perfect_engine(seed=31)
-        cache = orders(eng).columnar()
-        cache.projection()
+        table = orders(eng)
+        cache = table.columnar()
+        table.projection()
         eng.create_index(IndexDefinition("ix_cc", "orders", ("o_cust",)))
-        cache.projection("ix_cc")  # index projection now buildable
+        table.projection("ix_cc")  # index projection now buildable
         assert cache.invalidations == 1
         eng.drop_index("orders", "ix_cc")
-        cache.projection()
+        table.projection()
         assert cache.invalidations == 2
 
     def test_index_projection_reads_entry_layout(self):
@@ -115,7 +118,7 @@ class TestProjectionLifecycle:
         eng.create_index(
             IndexDefinition("ix_ca", "orders", ("o_cust",), ("o_amount",))
         )
-        projection = orders(eng).columnar().projection("ix_ca")
+        projection = orders(eng).projection("ix_ca")
         # Key columns, primary-key suffix, and included payload columns
         # are all addressable; unrelated columns are not.
         assert projection.has("o_cust")
@@ -127,9 +130,10 @@ class TestProjectionLifecycle:
 
     def test_untouched_table_never_invalidates(self):
         eng = perfect_engine(seed=31)
-        cache = orders(eng).columnar()
+        table = orders(eng)
+        cache = table.columnar()
         for _ in range(5):
-            cache.projection()
+            table.projection()
         assert (cache.hits, cache.misses, cache.invalidations) == (4, 1, 0)
 
 
@@ -137,22 +141,22 @@ class TestCloneIsolation:
     def test_clone_has_fresh_cache(self):
         eng = perfect_engine(seed=31)
         table = orders(eng)
-        original = table.columnar().projection()
+        original = table.projection()
         clone = table.clone()
         assert clone.columnar() is not table.columnar()
         assert clone.columnar_stats == (0, 0, 0)
-        cloned_projection = clone.columnar().projection()
+        cloned_projection = clone.projection()
         assert cloned_projection is not original
 
     def test_origin_mutation_invisible_to_clone_cache(self):
         eng = perfect_engine(seed=31)
         table = orders(eng)
         clone = table.clone()
-        before = clone.columnar().projection()
+        before = clone.projection()
         eng.execute(InsertQuery("orders", ((60_000, 1, 1, 1.0, 1, "x"),)))
-        after = clone.columnar().projection()
+        after = clone.projection()
         assert after is before  # clone's version token never moved
-        assert 60_000 in table.columnar().projection().raw_column("o_id")
+        assert 60_000 in table.projection().raw_column("o_id")
         assert 60_000 not in after.raw_column("o_id")
 
 
@@ -197,7 +201,7 @@ class TestNoStaleReadsThroughExecution:
         assert before  # customer 7 exists and has orders
         baseline_region = before[0]["c_region"]
         statements_before = eng.executor.vector_statements
-        build_keys = customers.columnar().projection().vector("c_id")
+        build_keys = customers.projection().vector("c_id")
         equi = build_keys.equi_index()
         assert 7 in equi[1]
 
@@ -249,12 +253,12 @@ class TestNoStaleReadsThroughExecution:
         )
         first = eng.execute(query).rows
         customers = eng.database.table("customers")
-        projection = customers.columnar().projection()
+        projection = customers.projection()
         equi = projection.vector("c_id").equi_index()
         second = eng.execute(query).rows
         assert second == first
         # Same projection object, same cached equi-index: nothing rebuilt.
-        assert customers.columnar().projection() is projection
+        assert customers.projection() is projection
         assert projection.vector("c_id").equi_index() is equi
         assert customers.columnar().invalidations == 0
 
@@ -326,7 +330,7 @@ def touch(projection: Projection) -> None:
 
 
 def assert_equals_fresh(table, index_name) -> None:
-    served = table.columnar().projection(index_name)
+    served = table.projection(index_name)
     fresh = Projection(table, index_name)
     assert served.row_count == fresh.row_count
     assert served.scan_pages == fresh.scan_pages
@@ -372,7 +376,7 @@ def assert_reads_agree(eng: SqlEngine) -> None:
     table = eng.database.table("orders")
     for index_name in PROJECTIONS:
         assert_equals_fresh(table, index_name)
-        touch(table.columnar().projection(index_name))
+        touch(table.projection(index_name))
     for query in READS:
         if query.join is not None and "customers" not in eng.database.tables:
             continue
@@ -458,7 +462,7 @@ class TestFoldAndRebuildTriggers:
         rows = [row for _key, row in table.clustered.items()]
 
         def steps_logged(mutate) -> int:
-            cache.projection()  # fold: the log is empty, the token current
+            table.projection()  # fold: the log is empty, the token current
             assert cache.log == []
             version = table.data_version
             mutate()
@@ -493,12 +497,12 @@ class TestFoldAndRebuildTriggers:
         eng = small_engine()
         table = eng.database.table("orders")
         cache = table.columnar()
-        status = cache.projection("ix_status").vector("o_status")
+        status = table.projection("ix_status").vector("o_status")
         codes, equi = status.codes(), status.equi_index()
         eng.execute(
             UpdateQuery("orders", (("o_date", 1),), (Predicate("o_id", Op.EQ, 5),))
         )
-        assert cache.projection("ix_status").vector("o_status") is status
+        assert table.projection("ix_status").vector("o_status") is status
         assert status.codes() is codes and status.equi_index() is equi
         assert cache.delta_rows == 1
 
@@ -507,7 +511,7 @@ class TestFoldAndRebuildTriggers:
         table = eng.database.table("orders")
         cache = table.columnar()
         for index_name in PROJECTIONS:
-            touch(cache.projection(index_name))
+            touch(table.projection(index_name))
         key = (Predicate("o_id", Op.EQ, 4000),)
         # Inserted, moved within every index, moved again; another row
         # updated twice in place; a third inserted and deleted again.
@@ -531,14 +535,14 @@ class TestFoldAndRebuildTriggers:
         eng = small_engine()
         table = eng.database.table("orders")
         cache = table.columnar()
-        before = cache.projection()
+        before = table.projection()
         budget = int(_REBUILD_SHARE * ROWS)
         eng.execute(
             DeleteQuery("orders", (Predicate("o_id", Op.BETWEEN, 0, budget + 5),))
         )
         # The write side dropped the projections and with them the log.
         assert cache.log == [] and cache.invalidations == 1
-        after = cache.projection()
+        after = table.projection()
         assert after is not before
         assert (cache.misses, cache.delta_rows) == (2, 0)
         assert_equals_fresh(table, None)
@@ -547,11 +551,11 @@ class TestFoldAndRebuildTriggers:
         eng = small_engine()
         table = eng.database.table("orders")
         cache = table.columnar()
-        before = cache.projection()
+        before = table.projection()
         row = (5000, 1, 1, 1.0, 1, "direct")
         table.clustered.insert((5000,), row)
         table.data_version += 1
-        after = cache.projection()
+        after = table.projection()
         assert after is not before and cache.invalidations == 1
         assert after.raw_column("o_id")[-1] == 5000
 
@@ -559,12 +563,12 @@ class TestFoldAndRebuildTriggers:
         eng = small_engine()
         table = eng.database.table("orders")
         cache = table.columnar()
-        before = cache.projection()
+        before = table.projection()
         table.clustered.delete((7,))  # no version step, no log entry
         eng.execute(
             UpdateQuery("orders", (("o_date", 1),), (Predicate("o_id", Op.EQ, 9),))
         )
-        after = cache.projection()
+        after = table.projection()
         assert after is not before and cache.invalidations == 1
         assert 7 not in after.raw_column("o_id")
 
@@ -572,22 +576,22 @@ class TestFoldAndRebuildTriggers:
         eng = small_engine()
         table = eng.database.table("orders")
         cache = table.columnar()
-        before = cache.projection()
+        before = table.projection()
         eng.create_index(IndexDefinition("ix_date", "orders", ("o_date",)))
-        assert cache.projection() is not before
+        assert table.projection() is not before
         assert_equals_fresh(table, "ix_date")
         eng.drop_index("orders", "ix_date")
-        cache.projection()
+        table.projection()
         assert cache.invalidations == 2
 
     def test_value_outgrowing_its_array_drops_only_that_vector(self):
         eng = small_engine()
         eng.settings.execution.vector_min_rows = 0
         table = eng.database.table("orders")
-        projection = table.columnar().projection()
+        projection = table.projection()
         note, date = projection.vector("o_note"), projection.vector("o_date")
         cust = projection.vector("o_cust")
-        touch(table.columnar().projection("ix_cust"))
+        touch(table.projection("ix_cust"))
         # A DATE past its range raises before any row or projection moves.
         rows_before, version = list(table.rows()), table.data_version
         with pytest.raises(QueryError, match="cannot coerce"):
@@ -599,7 +603,7 @@ class TestFoldAndRebuildTriggers:
                 )
             )
         assert (list(table.rows()), table.data_version) == (rows_before, version)
-        assert table.columnar().projection() is projection
+        assert table.projection() is projection
         assert projection.vector("o_note") is note
         assert projection.vector("o_date") is date
         eng.execute(
@@ -609,7 +613,7 @@ class TestFoldAndRebuildTriggers:
                 (Predicate("o_id", Op.EQ, 4),),
             )
         )
-        assert table.columnar().projection() is projection
+        assert table.projection() is projection
         assert projection.vector("o_cust") is cust
         widened = projection.vector("o_note")
         assert widened is not note

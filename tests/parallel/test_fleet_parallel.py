@@ -299,7 +299,9 @@ class TestSpecsAndSettings:
         ):
             monkeypatch.setattr(
                 cls, method,
-                lambda _self, at, method=method: fired.append((method, at)),
+                lambda _self, _plane, at, method=method: fired.append(
+                    (method, at)
+                ),
             )
         due = plane.clock.now + period
         plane.process(due - 1.0)

@@ -6,7 +6,8 @@ import pytest
 
 from repro.clock import DAYS
 from repro.engine import IndexDefinition, Op, Predicate, SelectQuery
-from repro.recommender import DropRecommender, DropRecommenderSettings
+from repro.recommender import DropRecommender
+from repro.recommender.drop_recommender import MIN_WRITES
 from repro.recommender.policy import RecommenderPolicy
 from repro.recommender.recommendation import Action
 from tests.engine.test_optimizer import perfect_engine
@@ -124,8 +125,8 @@ class TestUnusedDrops:
         eng.create_index(IndexDefinition("ix_idle", "orders", ("o_amount",)))
         age_engine(eng)
         # No writes at all: maintenance overhead is nil, keep it.
-        settings = DropRecommenderSettings(min_writes=10)
-        recs = DropRecommender(eng, settings).recommend()
+        assert MIN_WRITES == 10
+        recs = DropRecommender(eng).recommend()
         assert not [r for r in recs if r.existing_index_name == "ix_idle"]
 
 

@@ -229,15 +229,8 @@ class TestEnumeration:
 
 
 class TestSession:
-    def test_session_completes_with_recommendations(self, eng):
-        warm_workload(eng, [HOT, GROUPBY, ORDERED, JOINQ])
-        session = DtaSession(eng, DtaSettings(tier="premium"))
-        recommendations = session.run()
-        assert session.state is DtaSessionState.COMPLETED
-        assert recommendations
-        assert all(r.source == "DTA" for r in recommendations)
-        assert session.report is not None
-        assert session.report.coverage > 0.5
+    # A completed premium session over a warm workload is one case of
+    # tests/test_ownership.py.
 
     def test_session_abort_on_interference(self, eng):
         warm_workload(eng, [HOT])

@@ -97,7 +97,7 @@ def test_dry_tuning_budget_defers_the_analysis():
     # configuration is the first refusal.
     tuning.budget_cpu_ms = 1.5 * call_ms
     before = tuning.usage.cpu_ms
-    plane.recommend_service.analyze(eng.now)
+    plane.recommend_service.analyze(plane, eng.now)
     registry = plane.telemetry.registry
     assert {
         kind: registry.total("events_total", kind=kind)
