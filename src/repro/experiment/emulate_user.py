@@ -129,13 +129,17 @@ def seed_user_indexes(
     return created
 
 
+#: How many of the most-read indexes the dropped ones are drawn from
+#: (the paper's N).
+N_TOP = 20
+
+
 def pick_indexes_to_drop(
     profile: ApplicationProfile,
     rng: np.random.Generator,
-    n_top: int = 20,
     k: int = 5,
 ) -> List[Tuple[str, str]]:
-    """The paper's heuristic: among the N most beneficial existing
+    """The paper's heuristic: among the N_TOP most beneficial existing
     non-clustered indexes (by server-tracked read counts), pick a random
     subset of k to drop.  Returns (table, index_name) pairs."""
     candidates = []
@@ -145,7 +149,7 @@ def pick_indexes_to_drop(
             reads = usage.reads if usage else 0
             candidates.append((reads, table.name, name))
     candidates.sort(reverse=True)
-    top = candidates[:n_top]
+    top = candidates[:N_TOP]
     if not top:
         return []
     k = min(k, len(top))
