@@ -8,8 +8,9 @@ exposing the surfaces the auto-indexing service consumes:
   stats, MI candidates, and index usage;
 - ``whatif_batch(query, held)`` — the what-if API: one :class:`WhatIfBatch`
   per statement asks the substrate ``execute``'s planning uses about any
-  number of hypothetical configurations (no MI emission), each costing
-  metered against the tuning resource pool (Section 5.3.1); the caller
+  number of hypothetical configurations (no MI emission) for a cost
+  (``cost``) or a plan (``price``), each costing metered against the
+  tuning resource pool (Section 5.3.1); the caller
   holds the substrate (the engine keeps none), and
   ``whatif_optimize(query, extra_indexes)`` is one batch priced once;
 - ``create_index`` / ``drop_index`` — the one code that changes a table's
@@ -515,34 +516,41 @@ WHATIF_CALL_CPU_MS = 6.0
 class WhatIfBatch:
     """The metered what-if API for one statement (Section 5.3).
 
-    ``price(extra_indexes)`` asks the statement's substrate directly —
-    the same substrate :meth:`Optimizer.optimize` prices with no extras,
-    hence the same floats, argmin winner and exceptions — without
-    emitting MI candidates.  The substrate is found at most once for the
-    batch's lifetime, through :meth:`Optimizer.whatif_substrate`, in the
-    caller's ``held`` substrate: a caller that keeps one per statement
-    shares it across its batches for as long as the referenced tables'
-    versions stand.  Without one the batch builds its own.
+    A costing is one search of the statement's substrate — the same
+    substrate :meth:`Optimizer.optimize` searches with no extras, hence
+    the same floats, argmin winner and exceptions — without emitting MI
+    candidates.  The search has two outputs: :meth:`cost` returns only
+    the winner's estimated cost, and :meth:`price` also builds its plan
+    nodes (so ``cost(c) == price(c).est_cost``, bit for bit).  The
+    substrate is found at most once for the batch's lifetime, through
+    :meth:`Optimizer.whatif_substrate`, in the caller's ``held``
+    substrate: a caller that keeps one per statement shares it across
+    its batches for as long as the referenced tables' versions stand.
+    Without one the batch builds its own.
 
-    Each :meth:`price` call charges :data:`WHATIF_CALL_CPU_MS` to the tuning
-    pool *before* pricing — so the charge does not depend on how calls
-    are grouped into batches, and :class:`ResourceBudgetExceededError`
-    can surface mid-batch when the window's budget runs dry — and is
-    attributed to the ``engine_whatif_cost`` hot path.
+    Every costing is metered by one primitive, :meth:`charge_many`:
+    :data:`WHATIF_CALL_CPU_MS` to the tuning pool, one
+    ``usage.whatif_calls`` and one ``engine_whatif_cost`` hot-path tick
+    (calls and simulated ms; the row times nothing), *before* the search
+    — so the charge does not depend on how costings are grouped into
+    batches, and :class:`ResourceBudgetExceededError` can surface
+    mid-batch when the window's budget runs dry.
 
-    What is *charged* and what is *priced* are separate questions.  A
+    What is *charged* and what is *searched* are separate questions.  A
     caller that already knows a configuration's cost — because
-    :meth:`contributes` says it differs from a priced one only in
+    :meth:`contributes` says it differs from a searched one only in
     definitions that cannot touch the statement — still owes the call
     (the simulated tuning budget meters costings asked, not optimizer
     work avoided) and pays it through :meth:`charge_many`, one call for
-    a whole run of such costings.
+    a whole run of such costings.  A caller that meters its searched
+    costings in those runs too asks :meth:`charged_cost` for them.
     """
 
     def __init__(
         self, engine: SqlEngine, query, held: Optional[HeldSubstrate] = None
     ):
         self._engine = engine
+        self._pool = engine.governor.tuning
         self._query = query
         #: BULK INSERT cannot be optimized under any hypothetical
         #: configuration (Section 5.3.2), whatever the configuration holds.
@@ -552,15 +560,14 @@ class WhatIfBatch:
         engine.optimizer.batch_stats.batches += 1
 
     def charge_many(self, n: int) -> int:
-        """Meter ``n`` what-if calls as ``n`` :meth:`price` calls would —
-        pool charges, call count, hot-path ticks, float for float — without
-        pricing.  Returns how many fit the budget; fewer than ``n`` means
-        the next one's CPU was charged too, and the caller raises the
-        pool's ``exceeded()`` as a refused :meth:`price` would have."""
-        engine = self._engine
+        """Meter ``n`` what-if costings — pool charges, call count,
+        hot-path ticks, one float addition each — without searching.
+        Returns how many fit the budget; fewer than ``n`` means the next
+        one's CPU was charged too, and the caller raises the pool's
+        ``exceeded()`` as a refused :meth:`cost` does."""
         rate = WHATIF_CALL_CPU_MS
-        pool = engine.governor.tuning
-        charged = pool.charge_cpu_many(rate, n, engine.now)
+        pool = self._pool
+        charged = pool.charge_cpu_many(rate, n, self._engine.now)
         pool.usage.whatif_calls += charged
         active().count_many("engine_whatif_cost", charged, rate)
         return charged
@@ -584,19 +591,38 @@ class WhatIfBatch:
         return self._held_substrate().contributes(definition)
 
     def price(self, extra_indexes: Sequence[IndexDefinition] = ()) -> PlanNode:
-        engine = self._engine
-        rate = WHATIF_CALL_CPU_MS
-        engine.governor.tuning.charge_cpu(rate, engine.now)
-        engine.governor.tuning.usage.whatif_calls += 1
-        with profile("engine_whatif_cost") as prof:
-            prof.sim_ms = rate
-            extras = tuple(extra_indexes)
-            engine.optimizer.batch_stats.configurations += 1
-            if extras and self._rejects_extras:
-                raise OptimizeError(
-                    "BULK INSERT cannot be optimized in what-if mode"
-                )
-            return self._held_substrate().price(extras)
+        """The winning plan under the hypothetical configuration;
+        metered."""
+        self._charge_one()
+        extras = tuple(extra_indexes)
+        return self._searched(extras).price(extras)
+
+    def cost(self, extra_indexes: Sequence[IndexDefinition] = ()) -> float:
+        """``price(extra_indexes).est_cost``, metered alike, without
+        building the plan."""
+        self._charge_one()
+        return self.charged_cost(extra_indexes)
+
+    def charged_cost(self, extra_indexes: Sequence[IndexDefinition]) -> float:
+        """:meth:`cost` of a costing the caller has already metered
+        through :meth:`charge_many` (DTA charges a searched costing with
+        the run of derived ones before it, in one call)."""
+        extras = tuple(extra_indexes)
+        return self._searched(extras).cost(extras)
+
+    def _charge_one(self) -> None:
+        if not self.charge_many(1):
+            raise self._pool.exceeded()
+
+    def _searched(self, extras: Tuple[IndexDefinition, ...]):
+        """The substrate to search under ``extras``, counted as a
+        configuration searched."""
+        self._engine.optimizer.batch_stats.configurations += 1
+        if extras and self._rejects_extras:
+            raise OptimizeError(
+                "BULK INSERT cannot be optimized in what-if mode"
+            )
+        return self._held_substrate()
 
     def _held_substrate(self):
         if self._substrate is None:

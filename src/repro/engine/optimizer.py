@@ -31,12 +31,13 @@ There is one planner, in two layers.
 - A **substrate** is one statement over its skeleton: it estimates the
   literals' selectivities (:class:`_PredicateAnalysis`), reads row
   counts and tree shapes, prices every path, finishes each into a
-  complete plan's cost and asks for a tuple of hypothetical index
+  complete plan's cost and searches under a tuple of hypothetical index
   definitions.  Statement planning (:meth:`Optimizer.optimize`) is the
-  empty tuple; the what-if API (Section 5.3) prices one tuple or a whole
-  DTA frontier of them against one substrate held by the engine's
-  :class:`repro.engine.engine.WhatIfBatch`.  Plan nodes are built for the
-  winner only.
+  empty tuple; the what-if API (Section 5.3) searches one tuple or a
+  whole DTA frontier of them against one substrate held by the engine's
+  :class:`repro.engine.engine.WhatIfBatch`.  A search answers ``cost``
+  (the winner's estimated cost) or ``price`` (its plan too); plan nodes
+  are built for a priced winner only.
 
 Hypothetical indexes are costed from closed-form shape estimates without
 materializing anything.
@@ -293,8 +294,8 @@ def _index_paths(
     needed_columns: Tuple[str, ...],
 ) -> List[_Path]:
     """The seek and the covering scan one index offers, in that order."""
-    index_columns = set(definition.all_columns) | set(pk)
-    covers = all(column in index_columns for column in needed_columns)
+    index_columns = {*definition.key_columns, *definition.included_columns, *pk}
+    covers = index_columns.issuperset(needed_columns)
     paths = []
     prefix = _seek_prefix(definition.key_columns, predicates)
     if prefix is not None:
@@ -1072,18 +1073,25 @@ class _SelectSubstrate:
         return plan, cost
 
     def price(self, extras: Tuple[IndexDefinition, ...]) -> PlanNode:
+        candidate, _cost, ctx = self._search(extras)
+        key = (candidate, ctx)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._finish(candidate, ctx, True)[0]
+        return plan
+
+    def cost(self, extras: Tuple[IndexDefinition, ...]) -> float:
+        return self._search(extras)[1]
+
+    def _search(self, extras: Tuple[IndexDefinition, ...]):
+        """The winning ``(candidate, cost, ctx)`` under ``extras``."""
         best = self._price_extras(extras) if extras else self._base_best
         if best is None:
             raise ExecutionError(
                 f"query hints index {self._query.index_hint!r} which does "
                 f"not exist on table {self._table.name!r}"
             )
-        candidate, _cost, ctx = best
-        key = (candidate, ctx)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._finish(candidate, ctx, True)[0]
-        return plan
+        return best
 
     def emit_missing_indexes(self, record: Callable[[tuple], None]) -> None:
         """MI candidates for the outer table and the join's inner table."""
@@ -1154,13 +1162,12 @@ class _SelectSubstrate:
         cached = self._outer_memo.get(definition)
         if cached is None:
             table = self._table
-            view = table.hypothetical_stats_view(definition)
             paths = _index_paths(
                 table.schema.primary_key, definition, self._query.predicates,
                 self._skel.needed,
             )
             cached = self._outer_memo[definition] = self._opt._price_all(
-                self._outer, paths, view
+                self._outer, paths, _hypothetical_view(table, definition, paths)
             )
         return cached
 
@@ -1180,7 +1187,6 @@ class _SelectSubstrate:
             opt = self._opt
             ctx = self._base_ctx
             right = ctx.hash.table
-            view = right.hypothetical_stats_view(definition)
             pk = right.schema.primary_key
             needed = self._skel.join.right_needed
             nl_paths = [
@@ -1192,6 +1198,9 @@ class _SelectSubstrate:
             ]
             hash_paths = _index_paths(
                 pk, definition, ctx.hash.predicates, needed
+            )
+            view = _hypothetical_view(
+                right, definition, nl_paths or hash_paths
             )
             cached = self._inner_memo[definition] = (
                 opt._price_all(ctx.nl, nl_paths, view),
@@ -1269,29 +1278,34 @@ class _InsertSubstrate:
         return definition.table == self._table.name
 
     def price(self, extras: Tuple[IndexDefinition, ...]) -> PlanNode:
-        table = self._table
+        names = self._base_names + tuple(
+            definition.name for definition in extras
+            if self.contributes(definition)
+        )
+        return InsertPlanNode(
+            est_rows=self._rows,
+            est_cost=self.cost(extras),
+            table=self._table.name,
+            row_count=len(self._query.rows),
+            maintained_indexes=names,
+        )
+
+    def cost(self, extras: Tuple[IndexDefinition, ...]) -> float:
+        """The maintenance sum, left to right (the one search)."""
         cost = self._base_cost
-        names = self._base_names
         for definition in extras:
             if not self.contributes(definition):
                 continue
             maint = self._extra_memo.get(definition)
             if maint is None:
-                view = table.hypothetical_stats_view(definition)
+                view = self._table.hypothetical_stats_view(definition)
                 maint = self._extra_memo[definition] = (
                     self._opt._cost_model.maintenance_cost(
                         view.height, self._rows
                     )
                 )
             cost += maint
-            names += (definition.name,)
-        return InsertPlanNode(
-            est_rows=self._rows,
-            est_cost=cost,
-            table=table.name,
-            row_count=len(self._query.rows),
-            maintained_indexes=names,
-        )
+        return cost
 
 
 class _DmlSkeleton:
@@ -1364,15 +1378,15 @@ class _DmlSubstrate:
         table = self._table
         if definition.table != table.name:
             return ()
-        view = table.hypothetical_stats_view(definition)
         paths = _index_paths(
             table.schema.primary_key, definition, self._query.predicates,
             self._skel.needed,
         )
-        candidates = self._opt._price_all(self._outer, paths, view)
         maintained = _maintains(table, definition, self._skel.changed)
-        if not candidates and not maintained:
+        view = _hypothetical_view(table, definition, paths or maintained)
+        if view is None:
             return ()
+        candidates = self._opt._price_all(self._outer, paths, view)
         return candidates, view.height if maintained else None
 
     def emit_missing_indexes(self, record: Callable[[tuple], None]) -> None:
@@ -1387,46 +1401,56 @@ class _DmlSubstrate:
         return bool(self._extra(definition))
 
     def price(self, extras: Tuple[IndexDefinition, ...]) -> PlanNode:
+        best, cost, maintained = self._search(extras)
+        names = tuple(name for name, _height in self._base_maintained) + tuple(
+            definition.name for definition, _height in maintained
+        )
+        if self._skel.changed is not None:
+            return UpdatePlanNode(
+                est_rows=best.out_rows,
+                est_cost=cost,
+                child=best.node(),
+                table=self._table.name,
+                assignments=self._query.assignments,
+                maintained_indexes=names,
+            )
+        return DeletePlanNode(
+            est_rows=best.out_rows,
+            est_cost=cost,
+            child=best.node(),
+            table=self._table.name,
+            maintained_indexes=names,
+        )
+
+    def cost(self, extras: Tuple[IndexDefinition, ...]) -> float:
+        return self._search(extras)[1]
+
+    def _search(self, extras: Tuple[IndexDefinition, ...]):
+        """``(winning access candidate, cost, maintained extras)``: the
+        cost is the candidate's plus, in order, the clustered tree's, the
+        existing indexes' and the extras' maintenance at its row
+        estimate; the maintained extras are ``(definition, height)``."""
         model = self._opt._cost_model
-        table_name = self._table.name
-        visible = []
+        best = self._base_best
+        maintained = []
         for definition in extras:
             extra = self._extra(definition)
-            if extra:
-                visible.append(extra + (definition.name,))
-        best = self._base_best
-        for candidates, _height, _name in visible:
+            if not extra:
+                continue
+            candidates, height = extra
             for candidate in candidates:
                 if candidate.cost < best.cost:
                     best = candidate
+            if height is not None:
+                maintained.append((definition, height))
         rows = best.out_rows
         factor = self._factor
         cost = best.cost + model.maintenance_cost(self._cview_height, rows)
-        names: List[str] = []
-        for name, height in self._base_maintained:
+        for _name, height in self._base_maintained:
             cost += factor * model.maintenance_cost(height, rows)
-            names.append(name)
-        for _candidates, height, name in visible:
-            if height is None:
-                continue
+        for _definition, height in maintained:
             cost += factor * model.maintenance_cost(height, rows)
-            names.append(name)
-        if self._skel.changed is not None:
-            return UpdatePlanNode(
-                est_rows=rows,
-                est_cost=cost,
-                child=best.node(),
-                table=table_name,
-                assignments=self._query.assignments,
-                maintained_indexes=tuple(names),
-            )
-        return DeletePlanNode(
-            est_rows=rows,
-            est_cost=cost,
-            child=best.node(),
-            table=table_name,
-            maintained_indexes=tuple(names),
-        )
+        return best, cost, maintained
 
 
 def _maintains(
@@ -1452,6 +1476,19 @@ def _build_skeleton(opt: Optimizer, query):
 
 # ----------------------------------------------------------------------
 # Small helpers
+
+
+def _hypothetical_view(
+    table: Table, definition: IndexDefinition, wanted
+) -> Optional[IndexStatsView]:
+    """The hypothetical index's estimated shape when ``wanted`` (it
+    offers a path, or a write maintains it), else None.  Its columns are
+    validated either way, so an unknown column raises
+    :class:`UnknownColumnError` whether or not the shape is needed."""
+    if wanted:
+        return table.hypothetical_stats_view(definition)
+    table.hypothetical_widths(definition)
+    return None
 
 
 def _seek_prefix(

@@ -163,7 +163,7 @@ class Table:
         #: Table, so B-instance forks never share projections.
         self._columnar = None
         #: (all columns, key length) -> (entry width, key width) of a
-        #: hypothetical index; see :meth:`hypothetical_stats_view`.
+        #: hypothetical index; see :meth:`hypothetical_widths`.
         self._hypothetical_widths: Dict[tuple, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
@@ -240,10 +240,18 @@ class Table:
         """Estimated shape for an index that does not exist.
 
         Raises :class:`UnknownColumnError` for a column the table lacks.
-        The entry and key widths depend only on the definition's columns
-        and the schema, so they are memoized per column list; the shape
-        follows the live row count.
+        The shape follows the live row count.
         """
+        return IndexStatsView.estimate(
+            self.row_count, *self.hypothetical_widths(definition)
+        )
+
+    def hypothetical_widths(self, definition: IndexDefinition) -> Tuple[int, int]:
+        """An index entry's width and its key's, for an index that does
+        not exist.  Raises :class:`UnknownColumnError` for a column the
+        table lacks, so it also validates a definition that is never
+        estimated.  They depend only on the definition's columns and the
+        schema, so they are memoized per column list."""
         columns = (definition.all_columns, len(definition.key_columns))
         widths = self._hypothetical_widths.get(columns)
         if widths is None:
@@ -253,7 +261,7 @@ class Table:
                 + schema.row_width(schema.primary_key),
                 schema.row_width(definition.key_columns),
             )
-        return IndexStatsView.estimate(self.row_count, *widths)
+        return widths
 
     # ------------------------------------------------------------------
     # DML (metered)

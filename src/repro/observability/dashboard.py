@@ -292,6 +292,8 @@ def render_dashboard(
         )
 
     # --- engine hot paths --------------------------------------------
+    # Ticked rows (B+ tree walks, ``engine_whatif_cost``) count calls
+    # and simulated ms and read 0.0 real ms.
     lines.append("engine hot paths:")
     rows = profiler.rows()
     if not rows:

@@ -10,7 +10,10 @@ like B+ tree seeks); a path too hot even for that, like per-entry
 B+ tree maintenance, adds a whole batch's calls with
 :meth:`Profiler.absorb`.  Both also accumulate *simulated*
 cost where the caller knows it (e.g. charged what-if CPU ms), so one
-table shows both the model's cost and the host's.
+table shows both the model's cost and the host's.  A ticked row carries
+calls and simulated ms but no real seconds: ``engine_whatif_cost`` is
+one, ticked by every what-if costing's charge (the search it pays for
+is timed by no row of its own).
 
 Profilers form a stack: the default global profiler aggregates across
 every engine in the process (exactly what the fleet dashboard wants),

@@ -145,21 +145,20 @@ def select_candidates(
 ) -> List[DtaCandidate]:
     """Evaluate structural candidates per query; keep the beneficial ones.
 
-    For every statement the candidate set is costed one at a time with the
-    what-if API; a candidate survives if it reduces the statement's cost by
-    more than :data:`MIN_BENEFIT_FRACTION`.  Surviving candidates are pooled and
-    deduplicated, accumulating per-query benefits.
+    For every statement the base configuration and each candidate alone
+    are costed with the what-if API; a candidate survives if it reduces
+    the statement's cost by more than :data:`MIN_BENEFIT_FRACTION`.
+    Surviving candidates are pooled and deduplicated, accumulating
+    per-query benefits.
     """
     pool: dict = {}
     for statement in statements:
-        base_cost = whatif.cost(statement.query, ())
+        candidates = candidates_for_query(statement.query)
+        costs = _statement_costs(whatif, statement.query, candidates)
+        base_cost = costs[0]
         if base_cost is None:
             continue
-        for candidate in candidates_for_query(statement.query):
-            whatif.ensure_statistics(
-                candidate.table, candidate.key_columns
-            )
-            cost = whatif.cost(statement.query, (candidate.definition,))
+        for candidate, cost in zip(candidates, costs[1:]):
             if cost is None:
                 continue
             benefit = (base_cost - cost) * statement.executions
@@ -171,3 +170,26 @@ def select_candidates(
                 existing = candidate
             existing.per_query_benefit.append((statement.query_id, benefit))
     return list(pool.values())
+
+
+def _statement_costs(
+    whatif: WhatIfSession, query, candidates: Sequence[DtaCandidate]
+) -> List[Optional[float]]:
+    """The statement's base cost, then its cost under each candidate.
+
+    Each candidate is costed after the sampled statistics on its key
+    columns are built.  A build moves its table's statistics version, so
+    the costings between two builds form one frontier; when no candidate
+    needs a build, the base and every candidate are one.  (A statement
+    whose base cannot be costed has no candidates: only SELECT, UPDATE
+    and DELETE get any, and what-if plans each of them.)
+    """
+    costs: List[Optional[float]] = []
+    tails: list = [()]
+    for candidate in candidates:
+        if whatif.needs_statistics(candidate.table, candidate.key_columns):
+            costs += whatif.cost_many(query, (), tails)
+            tails = []
+            whatif.ensure_statistics(candidate.table, candidate.key_columns)
+        tails.append((candidate.definition,))
+    return costs + whatif.cost_many(query, (), tails)

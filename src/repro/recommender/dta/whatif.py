@@ -29,18 +29,25 @@ do not depend on how configurations are grouped into frontiers.
 configuration) pair the session has not answered before is *charged* to
 the tuning pool — that is what :attr:`WhatIfStats.calls` and the
 governor count, and what decides where a budget runs dry.  Only one
-costing per distinct *projection* is *priced* by the optimizer: before
-pricing, the configuration is projected onto the definitions that can
-touch the statement (the batch's ``contributes``: an access candidate on
-the outer or join-inner side, or a maintenance term), and a projection
-already priced this session answers every other configuration that
-projects onto it.  Greedy round *k* asks for ``chosen + (candidate,)``
-under every candidate and every statement; most candidates cannot touch
-most statements, so most of those costings are the cost under
-``chosen``, asked again.  These *derived* costings are metered a run at
-a time (:meth:`WhatIfBatch.charge_many`) before the next call into the
-batch and at the end of the frontier; a pool that runs dry inside a run
-leaves what one charge each would have left.
+costing per distinct *projection* is *priced*, by one search of the
+statement's substrate: before that, the configuration is projected onto
+the definitions that can touch the statement (the batch's
+``contributes``: an access candidate on the outer or join-inner side, or
+a maintenance term), and a projection already priced this session
+answers every other configuration that projects onto it.  Greedy round
+*k* asks for ``chosen + (candidate,)`` under every candidate and every
+statement; most candidates cannot touch most statements, so most of
+those costings are the cost under ``chosen``, asked again: *derived*.
+
+Every costing, derived or priced, is metered one way: pending costings
+are charged a run at a time, in frontier order, by one
+:meth:`WhatIfBatch.charge_many`.  A priced costing ends its run and is
+charged with it *before* its search, which asks the batch for the cost
+alone (:meth:`WhatIfBatch.charged_cost`: no plan is built).  A run is
+also charged before the batch is asked about a definition the relevance
+memo has not seen (asking may build the substrate) and at the end of the
+frontier.  A pool that runs dry inside a run leaves what one charge each
+would have left.
 """
 
 from __future__ import annotations
@@ -168,6 +175,22 @@ class WhatIfSession:
             built += 1
         return built
 
+    def needs_statistics(self, table_name: str, columns: Sequence[str]) -> bool:
+        """Whether :meth:`ensure_statistics` would build any: a column
+        with no statistics and none built this session, while the budget
+        lasts.  Builds and charges nothing."""
+        if (
+            self.stats_column_budget is not None
+            and self.stats.stats_built >= self.stats_column_budget
+        ):
+            return False
+        statistics = self.engine.database.table(table_name).statistics
+        built = self._stats_built
+        return any(
+            (table_name, column) not in built and statistics.get(column) is None
+            for column in columns
+        )
+
     # ------------------------------------------------------------------
 
     def cost(
@@ -286,9 +309,10 @@ class WhatIfSession:
         costs, projected_costs = record.costs, record.projected
         stats = self.stats
         batch = None
-        # Derived costings not yet metered, in frontier order:
-        # configuration -> (cost, cache hits counted before it).
-        run: Dict[int, Tuple[float, int]] = {}
+        # Costings not yet metered, in frontier order: configuration ->
+        # (cost, or None for the one to search; cache hits counted
+        # before it).
+        run: Dict[int, Tuple[Optional[float], int]] = {}
         for i, (tail, (tail_ids, tail_mask)) in enumerate(zip(tails, interned)):
             mask = head_mask | tail_mask
             cached = costs.get(mask)
@@ -309,14 +333,13 @@ class WhatIfSession:
             )
             projected = head_key + tail_key
             cost = projected_costs.get(projected)
+            run[mask] = (cost, stats.cache_hits)
             if cost is not None:
-                run[mask] = (cost, stats.cache_hits)
                 results[i] = cost
                 continue
-            if run:
-                self._meter(batch, costs, run)
+            self._meter(batch, costs, run)
             try:
-                cost = batch.price(head_extras + tail_extras).est_cost
+                cost = batch.charged_cost(head_extras + tail_extras)
             except OptimizeError:
                 stats.failed_statements += 1
                 costs[mask] = _FAILED
@@ -349,16 +372,20 @@ class WhatIfSession:
         return tuple(extras), tuple(key)
 
     def _meter(self, batch, costs: Dict[int, object], run) -> None:
-        """Charge a run of derived costings in one call, then count and
-        cache them.  If the pool runs dry at one, those before it are
-        counted and cached, the cache hits after them are taken back, and
-        the pool's error is raised."""
+        """Charge a run of costings in one call, then count and cache the
+        derived ones; a searched one (cost None) ends the run and is
+        counted and cached once its search succeeds.  If the pool runs
+        dry at one, those before it are counted and cached, the cache
+        hits after them are taken back, and the pool's error is raised."""
         pending = list(run.items())
         run.clear()
         charged = batch.charge_many(len(pending))
-        self.stats.calls += charged
+        derived = 0
         for mask, (cost, _hits_before) in pending[:charged]:
-            costs[mask] = cost
+            if cost is not None:
+                costs[mask] = cost
+                derived += 1
+        self.stats.calls += derived
         if charged < len(pending):
             self.stats.cache_hits = pending[charged][1][1]
             raise self.engine.governor.tuning.exceeded()

@@ -284,8 +284,8 @@ class MiRecommender:
                 held[query_id] = HeldSubstrate(query)
             try:
                 batch = engine.whatif_batch(query, held[query_id])
-                base = batch.price().est_cost
-                with_index = batch.price((definition,)).est_cost
+                base = batch.cost()
+                with_index = batch.cost((definition,))
             except OptimizeError:
                 # Statements what-if cannot plan (Section 5.3.2) carry no
                 # evidence.  A dry tuning budget is not one of those: it

@@ -8,7 +8,9 @@ silence and governor charges as recomputing everything for every
 configuration.  The Hypothesis suite drives twin engines with identical
 call sequences: the *fresh* twin prices every configuration through its
 own ``whatif_optimize``, a one-off batch that builds its own substrate;
-the *shared* twin prices the frontier through one batch.
+the *shared* twin prices the frontier through one batch, and a third
+asks that batch's ``cost`` wherever the shared twin asks ``price``: the
+same floats, errors and metering, without the plan.
 ``test_optimizer_regressions.py`` pins the absolute values; this suite
 pins that sharing cannot move them.  Where substrates live (with the
 session that holds them: reused within it, rebuilt when a table version
@@ -21,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
@@ -44,6 +46,7 @@ from repro.errors import (
     OptimizeError,
     ResourceBudgetExceededError,
     SessionAbortedError,
+    UnknownColumnError,
 )
 from repro.observability.profiling import Profiler, use_profiler
 from repro.recommender.dta import DtaSession, DtaSettings
@@ -118,6 +121,35 @@ def statements(draw):
     return dataclasses.replace(query, join=join, index_hint=hint)
 
 
+def _where(draw):
+    return tuple(draw(st.lists(predicates(), max_size=2)))
+
+
+@st.composite
+def writes(draw):
+    """UPDATE / DELETE / INSERT / BULK INSERT over orders.  ``o_amount``
+    and ``o_note`` are *included* (never key) columns of pool definitions
+    0 and 3: an UPDATE assigning them must still maintain those."""
+    kind = draw(st.sampled_from(["update", "delete", "insert", "bulk"]))
+    if kind == "update":
+        column, value = draw(
+            st.sampled_from(
+                [("o_amount", 1.0), ("o_status", 2), ("o_note", "n"), ("o_date", 9)]
+            )
+        )
+        return UpdateQuery("orders", ((column, value),), _where(draw))
+    if kind == "delete":
+        return DeleteQuery("orders", _where(draw))
+    rows = tuple(
+        (20_000 + i, 1, 1, 1.0, 1, "x")
+        for i in range(draw(st.integers(min_value=1, max_value=3)))
+    )
+    return InsertQuery("orders", rows, bulk=kind == "bulk")
+
+
+costable = st.one_of(statements(), writes())
+
+
 def _twin():
     eng = perfect_engine(seed=5001)
     eng.create_index(
@@ -128,7 +160,9 @@ def _twin():
 
 @pytest.fixture(scope="module")
 def twins():
-    return _twin(), _twin()
+    """(fresh, shared, costed): the third asks ``cost`` wherever the
+    shared one asks ``price``."""
+    return _twin(), _twin(), _twin()
 
 
 def _costs(eng, query, frontier, held=None):
@@ -165,13 +199,30 @@ def _cached(session):
 
 
 def _outcome(price, *args):
-    """(cost, signature) of a priced plan, or the hint error's type."""
+    """(cost, signature) of a priced plan, or the error's type: a hint
+    naming no index, or a BULK INSERT under hypothetical indexes."""
     try:
         plan = price(*args)
     except ExecutionError as exc:
         assert "which does not exist" in str(exc)
         return ExecutionError
+    except OptimizeError:
+        return OptimizeError
     return plan.est_cost, plan.signature()
+
+
+def _cost_outcome(batch, config):
+    """``batch.cost(config)``, or the error's type as :func:`_outcome`
+    gives it."""
+    try:
+        return batch.cost(config)
+    except (ExecutionError, OptimizeError) as exc:
+        return type(exc)
+
+
+def _whatif_row(profiler):
+    row = profiler.stats()["engine_whatif_cost"]
+    return row.calls, row.sim_ms
 
 
 def _observable(eng):
@@ -184,24 +235,66 @@ def _observable(eng):
     )
 
 
+#: One of each statement kind, besides the generated ones.
+_SINGLE = SelectQuery("orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),))
+_JOINED = SelectQuery(
+    "orders", ("o_id",), (Predicate("o_cust", Op.LT, 40),), join=_JOINS[1]
+)
+
+
 @settings(
     max_examples=150,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(query=statements(), frontier=configurations())
+@given(query=costable, frontier=configurations())
+@example(query=_SINGLE, frontier=[(_definition(0),), ()])
+@example(query=_JOINED, frontier=[(_definition(5),), (_definition(6), _definition(2))])
+@example(
+    query=dataclasses.replace(_SINGLE, index_hint="ix_gone"),
+    frontier=[(_definition(1),), ()],
+)
+@example(
+    query=InsertQuery("orders", ((20_000, 1, 1, 1.0, 1, "x"),)),
+    frontier=[(_definition(0), _definition(5)), ()],
+)
+@example(
+    query=InsertQuery("orders", ((20_001, 1, 1, 1.0, 1, "x"),), bulk=True),
+    frontier=[(_definition(0),), ()],
+)
+@example(
+    query=UpdateQuery("orders", (("o_amount", 1.0),), (Predicate("o_cust", Op.EQ, 3),)),
+    frontier=[(_definition(0),), (_definition(1), _definition(3))],
+)
+@example(
+    query=DeleteQuery("orders", (Predicate("o_date", Op.LT, 40),)),
+    frontier=[(_definition(1),), (_definition(4),)],
+)
 def test_property_shared_equals_fresh(twins, query, frontier):
-    fresh_eng, shared_eng = twins
+    """Sharing a substrate is unobservable, and ``cost`` is ``price``
+    without the plan: the same float bit for bit, the same error, the
+    same metering."""
+    fresh_eng, shared_eng, costed_eng = twins
     mi_before = _observable(shared_eng)[0]
     fresh = [_outcome(_fresh_plan, fresh_eng, query, c) for c in frontier]
-    batch = shared_eng.whatif_batch(query)
-    shared = [_outcome(batch.price, config) for config in frontier]
+    with use_profiler(Profiler()) as shared_rows:
+        batch = shared_eng.whatif_batch(query)
+        shared = [_outcome(batch.price, config) for config in frontier]
     assert shared == fresh  # exact float equality, not approx
     # Identical call sequences, so lifetime totals agree bit for bit:
     # what-if pricing never feeds the MI DMV, and every configuration is
     # metered once whether or not anything was reused (or it raised).
     assert _observable(shared_eng) == _observable(fresh_eng)
     assert _observable(shared_eng)[0] == mi_before
+    with use_profiler(Profiler()) as costed_rows:
+        costing = costed_eng.whatif_batch(query)
+        costed = [_cost_outcome(costing, config) for config in frontier]
+    assert costed == [
+        outcome if isinstance(outcome, type) else outcome[0]
+        for outcome in shared
+    ]
+    assert _observable(costed_eng) == _observable(shared_eng)
+    assert _whatif_row(costed_rows) == _whatif_row(shared_rows)
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +355,7 @@ def test_property_frontier_order_is_unobservable(twins, query, frontier):
     """Warm memos carry no history: pricing the frontier backwards through
     a second batch (a substrate-store hit, every per-definition memo
     warm) changes nothing."""
-    _fresh_eng, shared_eng = twins
+    _fresh_eng, shared_eng, _costed_eng = twins
     forward = shared_eng.whatif_batch(query)
     first = [_outcome(forward.price, config) for config in frontier]
     backward = shared_eng.whatif_batch(query)
@@ -569,35 +662,6 @@ class TestWhatIfSessionRegressions:
 # Projection: DTA prices a statement only against what can touch it
 
 
-def _where(draw):
-    return tuple(draw(st.lists(predicates(), max_size=2)))
-
-
-@st.composite
-def writes(draw):
-    """UPDATE / DELETE / INSERT / BULK INSERT over orders.  ``o_amount``
-    and ``o_note`` are *included* (never key) columns of pool definitions
-    0 and 3: an UPDATE assigning them must still maintain those."""
-    kind = draw(st.sampled_from(["update", "delete", "insert", "bulk"]))
-    if kind == "update":
-        column, value = draw(
-            st.sampled_from(
-                [("o_amount", 1.0), ("o_status", 2), ("o_note", "n"), ("o_date", 9)]
-            )
-        )
-        return UpdateQuery("orders", ((column, value),), _where(draw))
-    if kind == "delete":
-        return DeleteQuery("orders", _where(draw))
-    rows = tuple(
-        (20_000 + i, 1, 1, 1.0, 1, "x")
-        for i in range(draw(st.integers(min_value=1, max_value=3)))
-    )
-    return InsertQuery("orders", rows, bulk=kind == "bulk")
-
-
-costable = st.one_of(statements(), writes())
-
-
 @pytest.fixture(scope="module")
 def session_twins():
     """Their own pair: a session reaches the optimizer less often than
@@ -687,10 +751,8 @@ def test_property_noncontributing_definitions_are_unobservable(
     batch = lone.whatif_batch(query)
 
     def priced(config):
-        try:
-            return _outcome(batch.price, config)
-        except OptimizeError:
-            return OptimizeError  # BULK INSERT: every definition contributes
+        # BULK INSERT raises OptimizeError: every definition contributes.
+        return _outcome(batch.price, config)
 
     bystanders = [
         d
@@ -735,6 +797,17 @@ class TestProjection:
         hinted = eng.whatif_batch(dataclasses.replace(self.QUERY, index_hint="hyp_0"))
         assert hinted.contributes(by_cust)
         assert not hinted.contributes(by_amount)  # the hint hides it
+        # A column the table lacks raises even where the definition
+        # offers no path and no maintenance term, so its shape is never
+        # estimated.
+        ghosts = (
+            (select, IndexDefinition("hyp_ghost", "orders", ("o_date",), ("ghost",))),
+            (update, IndexDefinition("hyp_ghost", "orders", ("o_date",), ("ghost",))),
+            (joined, IndexDefinition("hyp_ghost", "customers", ("c_name",), ("ghost",))),
+        )
+        for batch, ghost in ghosts:
+            with pytest.raises(UnknownColumnError):
+                batch.contributes(ghost)
         # Asking is not costing: nothing was charged.
         assert eng.governor.tuning.usage.whatif_calls == 0
 

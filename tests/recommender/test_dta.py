@@ -19,9 +19,11 @@ from repro.engine import (
 from repro.engine.engine import EngineSettings
 from repro.engine.cost_model import CostModelSettings
 from repro.engine.query import Aggregate, AggFunc
+from repro.engine.statistics import TableStatistics
 from repro.errors import ResourceBudgetExceededError, SessionAbortedError
 from repro.recommender.dta import DtaSession, DtaSessionState, DtaSettings
 from repro.recommender.dta.candidate_selection import (
+    MIN_BENEFIT_FRACTION,
     candidates_for_query,
     select_candidates,
 )
@@ -179,14 +181,60 @@ class TestCandidateSelection:
         assert len(candidates) == 1
         assert candidates[0].key_columns == ("o_status",)
 
-    def test_select_candidates_keeps_beneficial_only(self, eng):
-        warm_workload(eng, [HOT, GROUPBY])
+    def test_select_candidates_keeps_beneficial_only(self):
+        """AGG_CUST's first candidate needs ``o_date``'s statistics
+        built, and its base cost reads them, so the base is costed before
+        the build and the candidates after it; HOT's need none, so its
+        base and candidates are one frontier.  Either way the benefits,
+        the session and the pool end as costing each candidate alone
+        does."""
+        engines = [perfect_engine(seed=77) for _ in range(2)]
+        for engine in engines:
+            orders = engine.database.table("orders")
+            kept = TableStatistics("orders")
+            for column in orders.statistics.columns():
+                if column != "o_date":
+                    kept.set(orders.statistics.get(column))
+            orders.statistics = kept
+            warm_workload(engine, [HOT, AGG_CUST])
+        eng, alone = engines
         workload = acquire_workload(eng, now=eng.now, hours=24, k=5)
         whatif = WhatIfSession(eng)
         chosen = select_candidates(whatif, workload.statements)
         assert chosen
         assert all(c.total_benefit > 0 for c in chosen)
         assert whatif.stats.calls > 0
+        reference = WhatIfSession(alone)
+        needs_build, benefits = [], {}
+        for statement in workload.statements:
+            query = statement.query
+            candidates = candidates_for_query(query)
+            needs_build.append(
+                any(
+                    reference.needs_statistics(c.table, c.key_columns)
+                    for c in candidates
+                )
+            )
+            base = reference.cost(query, ())
+            for candidate in candidates:
+                reference.ensure_statistics(
+                    candidate.table, candidate.key_columns
+                )
+                cost = reference.cost(query, (candidate.definition,))
+                benefit = (base - cost) * statement.executions
+                floor = base * statement.executions * MIN_BENEFIT_FRACTION
+                if benefit > floor:
+                    benefits.setdefault(candidate.identity, []).append(
+                        (statement.query_id, benefit)
+                    )
+        assert sorted(needs_build) == [False, True]
+        assert {c.identity: c.per_query_benefit for c in chosen} == benefits
+        assert whatif.stats == reference.stats
+        assert whatif.stats.stats_built == 1
+        assert eng.governor.tuning.usage == alone.governor.tuning.usage
+        # HOT's frontier went through one batch, not one per costing.
+        batches = eng.optimizer.batch_stats.batches
+        assert batches < alone.optimizer.batch_stats.batches
 
 
 class TestEnumeration:
