@@ -1,15 +1,21 @@
 #!/usr/bin/env python
-"""Lint: every field of a settings dataclass must be set by some caller.
+"""Lint: every field of a settings dataclass must be set by a caller
+outside the tests.
 
-A field that no caller sets is a constant with extra steps: it widens the
-configuration surface, invites a non-default nobody runs, and hides its one
-value behind an attribute lookup.  This check finds them statically.
+A field that no production caller sets is a constant with extra steps: it
+widens the configuration surface, invites a non-default nobody runs, and
+hides its one value behind an attribute lookup.  Such a value is a module
+constant beside its reader, which a test that needs another value patches
+(``monkeypatch.setattr``).  This check finds them statically.
 
 The settings dataclasses are the ``@dataclass`` classes under
 ``src/repro`` whose names end in ``Settings``, ``Config`` or
-``Constraints``.  Every annotated class-body assignment is a field.
+``Constraints``.  Every annotated class-body assignment is a field.  A
+field whose annotation names another settings dataclass
+(``EngineSettings.cost_model``) is structure, not a value: it is neither
+counted nor checked, and the nested class's own fields are.
 
-A field counts as *set* when any ``.py`` file under ``src``, ``tests``,
+A field counts as *set* when any ``.py`` file under ``src``,
 ``benchmarks``, ``scripts`` or ``examples`` has, with the field's name:
 
 - a keyword argument (``DtaSettings(max_indexes=3)``,
@@ -27,14 +33,19 @@ default is a literal, ``DtaSettings(max_indexes=<that literal>)`` chooses
 nothing the field does not already hold.  Literals compare as spelled
 (``ast.dump``), so ``10.0`` is not the default ``10``.
 
+Writes under ``tests`` do not count: a field only tests set fails, and
+the report says so ("set only by tests").
+
 The match is by name only, so a field shares its set with any other
 keyword or attribute of the same name; the check errs towards passing.
 It parses files and imports nothing.
 
-Classes in :data:`EXEMPT` are reported but do not fail the check.
+Classes and ``Class.field`` keys in :data:`EXEMPT` are reported but do
+not fail the check.
 
 Usage: ``python scripts/check_settings.py``
-Exit status 0 = every field is set somewhere, 1 = unset fields listed.
+Exit status 0 = every field is set outside the tests, 1 = the others are
+listed.
 """
 
 from __future__ import annotations
@@ -42,17 +53,25 @@ from __future__ import annotations
 import ast
 import pathlib
 import sys
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFINITIONS = ROOT / "src" / "repro"
-SCANNED = ("src", "tests", "benchmarks", "scripts", "examples")
+#: Where a write sets a field; :data:`TESTS` is scanned only to name the
+#: fields that tests alone set.
+SCANNED = ("src", "benchmarks", "scripts", "examples")
+TESTS = "tests"
 SUFFIXES = ("Settings", "Config", "Constraints")
-#: Settings classes whose unset fields stay knobs, with the reason.
+#: Settings classes, or ``Class.field``s, that stay settable although
+#: unset, with the reason.
 EXEMPT = {
     "ValidationSettings": (
         "its thresholds are to be chosen from measured A/A and regression "
         "runs (ROADMAP 5(ii)), not frozen at today's defaults"
+    ),
+    "ExecutionCostSettings.vector_min_rows": (
+        "a benchmark cell with tables on either side of it is to justify "
+        "or delete it (ROADMAP 8)"
     ),
 }
 
@@ -83,20 +102,42 @@ def _literal_dump(value: Optional[ast.AST]) -> Optional[str]:
     return ast.dump(value)
 
 
-def class_fields(tree: ast.AST) -> List[Tuple[str, str, Optional[str]]]:
-    """(class, field, default literal's dump or None) for every field of
-    the settings dataclasses a module defines."""
-    found = []
+def _settings_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
     for node in ast.walk(tree):
-        if not (
+        if (
             isinstance(node, ast.ClassDef)
             and node.name.endswith(SUFFIXES)
             and _is_dataclass(node)
         ):
-            continue
+            yield node
+
+
+def _names(annotation: ast.AST) -> Set[str]:
+    """Every name an annotation spells, string annotations included."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def class_fields(
+    tree: ast.AST, classes: Set[str] = frozenset()
+) -> List[Tuple[str, str, Optional[str]]]:
+    """(class, field, default literal's dump or None) for every field of
+    the settings dataclasses a module defines, except those whose
+    annotation names one of ``classes`` (nested settings)."""
+    found = []
+    for node in _settings_classes(tree):
         for statement in node.body:
-            if isinstance(statement, ast.AnnAssign) and isinstance(
-                statement.target, ast.Name
+            if (
+                isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)
+                and not _names(statement.annotation) & classes
             ):
                 found.append(
                     (
@@ -110,13 +151,19 @@ def class_fields(tree: ast.AST) -> List[Tuple[str, str, Optional[str]]]:
 
 def settings_fields() -> List[Tuple[str, str, str, Optional[str]]]:
     """(file relative to the root, class, field, default) for every
-    settings field under ``src/repro``."""
-    found = []
-    for path in _python_files(DEFINITIONS):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        relative = str(path.relative_to(ROOT))
-        found.extend((relative, *field) for field in class_fields(tree))
-    return found
+    settings field under ``src/repro`` that holds a value."""
+    trees = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text(), str(path))
+        for path in _python_files(DEFINITIONS)
+    }
+    classes = {
+        node.name for tree in trees.values() for node in _settings_classes(tree)
+    }
+    return [
+        (relative, *field)
+        for relative, tree in trees.items()
+        for field in class_fields(tree, classes)
+    ]
 
 
 def _forwards(value: ast.AST, name: str) -> bool:
@@ -171,28 +218,38 @@ def is_set(
     return bool(written.get(field, set()) - {default})
 
 
-def main() -> int:
-    fields = settings_fields()
+def scan(tops: Iterable[str]) -> Dict[str, Set[str]]:
+    """:func:`written_values` over every file under the ``tops``."""
     written: Dict[str, Set[str]] = {}
-    for top in SCANNED:
+    for top in tops:
         for path in _python_files(ROOT / top):
             tree = ast.parse(path.read_text(), filename=str(path))
             for name, values in written_values(tree).items():
                 written.setdefault(name, set()).update(values)
+    return written
+
+
+def main() -> int:
+    fields = settings_fields()
+    written, by_tests = scan(SCANNED), scan([TESTS])
     failing = 0
     for path, cls, field, default in fields:
         if is_set(field, default, written):
             continue
-        if cls in EXEMPT:
-            print(f"{path}: {cls}.{field} is set by no caller (exempt: "
-                  f"{EXEMPT[cls]})")
+        who = (
+            "set only by tests" if is_set(field, default, by_tests)
+            else "set by no caller"
+        )
+        reason = EXEMPT.get(f"{cls}.{field}", EXEMPT.get(cls))
+        if reason is not None:
+            print(f"{path}: {cls}.{field} is {who} (exempt: {reason})")
             continue
-        print(f"{path}: {cls}.{field} is set by no caller")
+        print(f"{path}: {cls}.{field} is {who}")
         failing += 1
     classes = {cls for _path, cls, _field, _default in fields}
     print(
         f"{len(fields)} settable values in {len(classes)} settings "
-        f"dataclasses; {failing} set by no caller"
+        f"dataclasses; {failing} unset outside tests"
     )
     return 1 if failing else 0
 

@@ -56,27 +56,29 @@ class AutoIndexingConfig:
 
 @dataclasses.dataclass
 class ControlPlaneSettings:
-    """Cadences and limits of the automation."""
+    """Cadences and a limit that callers (the service, the demos) vary."""
 
     snapshot_period: float = 2 * HOURS
     analysis_period: float = 12 * HOURS
     drop_analysis_period: float = 7 * DAYS
-    health_period: float = 6 * HOURS
-    #: Delay after implementation before the validation window opens.
-    validation_settle: float = 30.0
     #: Length of the post-implementation observation window.
     validation_window: float = 12 * HOURS
-    recommendation_expiry: float = 14 * DAYS
-    max_retries: int = 5
-    retry_backoff: float = 30.0
-    #: Restrict implementation starts to the low-activity window.
-    implement_low_activity_only: bool = False
-    low_activity_hours: tuple = (22, 6)
     #: Maximum age of a record in a non-terminal state before the health
     #: service raises an incident.
     stuck_threshold: float = 3 * DAYS
 
 
+#: The health sweep's period: one cadence for every database.
+HEALTH_PERIOD = 6 * HOURS
+#: An ACTIVE recommendation older than this expires unimplemented.
+RECOMMENDATION_EXPIRY = 14 * DAYS
+#: Transient failures survived before ERROR, and the first retry's delay
+#: (minutes), doubled per attempt: every database retries alike.
+MAX_RETRIES = 5
+RETRY_BACKOFF = 30.0
+#: (start, end) hours, wrapping midnight, in which implementations may
+#: start; None (no database has a window today) means any hour.
+LOW_ACTIVITY_HOURS: Optional[Tuple[int, int]] = None
 #: A recommendation whose twin was recently REVERTED (or ERRORed) is
 #: suppressed for this long — validation already proved it harmful.
 REVERT_COOLDOWN = 60 * DAYS
@@ -373,8 +375,8 @@ class ControlPlane:
         self.scheduler.schedule(
             f"{name}:health",
             lambda plane, at: plane.health_service.check(plane, at),
-            first_run=now + settings.health_period,
-            period=settings.health_period,
+            first_run=now + HEALTH_PERIOD,
+            period=HEALTH_PERIOD,
         )
 
     @property
@@ -456,7 +458,7 @@ class ControlPlane:
             self._to_error(record, now, str(exc))
 
     def _drive_active(self, record: RecommendationRecord, now: float) -> None:
-        if now - record.recommendation.created_at > self.settings.recommendation_expiry:
+        if now - record.recommendation.created_at > RECOMMENDATION_EXPIRY:
             self.store.transition(record, RecommendationState.EXPIRED, now, "aged out")
             self.telemetry.count_event("recommendation_expired", self.name)
             return
@@ -490,10 +492,10 @@ class ControlPlane:
         )
 
     def _implementation_window_open(self, now: float) -> bool:
-        if not self.settings.implement_low_activity_only:
+        if LOW_ACTIVITY_HOURS is None:
             return True
         hour = (now / HOURS) % 24.0
-        start, end = self.settings.low_activity_hours
+        start, end = LOW_ACTIVITY_HOURS
         if start <= end:
             return start <= hour < end
         return hour >= start or hour < end
@@ -519,7 +521,7 @@ class ControlPlane:
         self, record: RecommendationRecord, now: float, reason: str
     ) -> None:
         self.store.update(record, now, attempts=record.attempts + 1)
-        if record.attempts > self.settings.max_retries:
+        if record.attempts > MAX_RETRIES:
             self._to_error(record, now, f"retries exhausted: {reason}")
             return
         previous = record.state
@@ -534,7 +536,7 @@ class ControlPlane:
                 RecommendationState.REVERTING,
             )
             else RecommendationState.IMPLEMENTING,
-            retry_at=now + self.settings.retry_backoff * (2 ** (record.attempts - 1)),
+            retry_at=now + RETRY_BACKOFF * (2 ** (record.attempts - 1)),
         )
         if previous is not RecommendationState.RETRY:
             self.store.transition(record, RecommendationState.RETRY, now, reason)

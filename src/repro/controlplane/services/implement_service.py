@@ -27,6 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Index build speed (rows of build work per virtual minute).
 BUILD_ROWS_PER_MINUTE = 20_000.0
+#: Minutes from an implementation to its validation window, for all.
+VALIDATION_SETTLE = 30.0
 
 
 class ImplementationService:
@@ -199,13 +201,12 @@ class ImplementationService:
         now: float,
         **evidence,
     ) -> None:
-        settings = plane.settings
         first_time = record.implemented_at is None
         plane.store.update(
             record,
             now,
             implemented_at=now,
-            validate_after=now + settings.validation_settle,
+            validate_after=now + VALIDATION_SETTLE,
         )
         if first_time:
             plane.telemetry.registry.counter(
@@ -220,7 +221,7 @@ class ImplementationService:
             rec_id=record.rec_id,
             action=record.recommendation.action.value,
             index_name=record.index_name,
-            validation_window_opens=now + settings.validation_settle,
+            validation_window_opens=now + VALIDATION_SETTLE,
             **evidence,
         )
         plane.store.transition(

@@ -42,11 +42,14 @@ ROW_CPU = 0.002
 SORT_ROW_CPU = 0.0016
 #: Extra per-row CPU for hashing (build + probe).
 HASH_ROW_CPU = 0.003
+#: Divisor of a severe under-estimate's selectivity (the optimizer then
+#: seeks far more rows than predicted).  Callers vary how often, not how.
+SEVERE_ERROR_FACTOR = 14.0
 
 
 @dataclasses.dataclass
 class CostModelSettings:
-    """The estimation-error knobs of the cost model."""
+    """The estimation error callers vary."""
 
     #: Std-dev of the log-normal estimation error (0 = perfect estimates).
     error_sigma: float = 0.85
@@ -55,10 +58,6 @@ class CostModelSettings:
     #: the closed-loop service reverts ~10% of automated actions
     #: (Section 8.1 reports ~11%).
     severe_error_rate: float = 0.10
-    #: Multiplier applied to severe under-estimates (estimates too low by
-    #: roughly this factor; the optimizer then picks seek plans that touch
-    #: far more rows than predicted).
-    severe_error_factor: float = 14.0
 
 
 class CostModel:
@@ -81,13 +80,13 @@ class CostModel:
         values > 1 over-estimate (indexes look less useful than they are).
 
         A constant per database: memoized on everything the computation
-        reads besides ``db_seed``, so it costs its two hashes once, not
-        once per predicate per planning.
+        reads besides ``db_seed`` and module constants, so it costs its
+        two hashes once, not once per predicate per planning.
         """
         settings = self.settings
         key = (
             table, column, op_kind, settings.error_sigma,
-            settings.severe_error_rate, settings.severe_error_factor,
+            settings.severe_error_rate,
         )
         multiplier = self._error_memo.get(key)
         if multiplier is None:
@@ -113,7 +112,7 @@ class CostModel:
             severe = stable_hash(self.db_seed, "severe", table, column)
             draw = (severe % (1 << 20)) / float(1 << 20)
             if draw < self.settings.severe_error_rate:
-                multiplier /= self.settings.severe_error_factor
+                multiplier /= SEVERE_ERROR_FACTOR
         if multiplier == 1.0:
             return 1.0
         return min(50.0, max(0.02, multiplier))
@@ -203,12 +202,10 @@ class CostModel:
 
 @dataclasses.dataclass
 class ExecutionCostSettings:
-    """Knobs of the executor's *actual* execution metrics.  The constants
-    converting metered work into them live in
-    :mod:`repro.engine.exec.dispatch`."""
+    """Where the executor takes its vectorized path.  The constants
+    converting metered work into *actual* execution metrics, and their
+    run-to-run noise, live in :mod:`repro.engine.exec.dispatch`."""
 
-    #: Log-normal sigma of run-to-run measurement noise (concurrency).
-    noise_sigma: float = 0.10
     #: Rows a scanned table needs before a SELECT the vectorized path
     #: supports is worth the projection build (0 vectorizes every such
     #: plan, ``sys.maxsize`` none).  Rows and metrics are byte-identical

@@ -63,7 +63,7 @@ from repro.rng import derive, stable_hash, stable_uniform
 
 @dataclasses.dataclass
 class EngineSettings:
-    """Behavioral knobs of one simulated database server."""
+    """What a caller varies about one simulated database server."""
 
     interval_minutes: float = 60.0
     cost_model: CostModelSettings = dataclasses.field(
@@ -72,13 +72,13 @@ class EngineSettings:
     execution: ExecutionCostSettings = dataclasses.field(
         default_factory=ExecutionCostSettings
     )
-    #: Fraction of query templates whose Query Store text is an incomplete
-    #: fragment (procedural T-SQL), exercising DTA's workload-completion
-    #: logic (Section 5.3.2).
-    incomplete_text_rate: float = 0.08
-    #: Fraction of incomplete-text templates whose full text the plan
-    #: cache retains, so DTA can recover it (Section 5.3.2).
-    plan_cache_text_retention: float = 0.6
+
+
+#: Share of templates whose Query Store text is a fragment (procedural
+#: T-SQL), and of those the share whose full text the plan cache keeps:
+#: the one workload mix DTA's completion logic meets (Section 5.3.2).
+INCOMPLETE_TEXT_RATE = 0.08
+PLAN_CACHE_TEXT_RETENTION = 0.6
 
 
 class Database:
@@ -346,10 +346,10 @@ class SqlEngine:
     def _text_is_complete(self, query, query_id: int) -> bool:
         if isinstance(query, InsertQuery) and query.bulk:
             return True  # text is complete; it's what-if that rejects it
-        return self._draws(query_id)[0] >= self.settings.incomplete_text_rate
+        return self._draws(query_id)[0] >= INCOMPLETE_TEXT_RATE
 
     def _plan_cache_retains_text(self, query_id: int) -> bool:
-        return self._draws(query_id)[1] < self.settings.plan_cache_text_retention
+        return self._draws(query_id)[1] < PLAN_CACHE_TEXT_RETENTION
 
     def _draws(self, query_id: int) -> Tuple[float, float]:
         """The template's (text capture, plan-cache retention) draws:

@@ -75,6 +75,9 @@ CPU_MS_PER_HASH_ROW = 0.0030
 CPU_MS_PER_MAINTAINED_ENTRY = 0.0080
 #: Mean IO wait per logical read converted into duration (ms).
 IO_WAIT_MS_PER_PAGE = 0.010
+#: Log-normal sigma of every server's run-to-run noise (concurrency) on
+#: CPU time; duration draws 2.5 times it, and 0 draws nothing.
+NOISE_SIGMA = 0.10
 
 _JOIN_NODES = (NestedLoopJoinNode, HashJoinNode)
 _DML_NODES = (InsertPlanNode, UpdatePlanNode, DeletePlanNode)
@@ -234,7 +237,6 @@ class Executor:
     def _finalize_metrics(
         self, meters: Meterings, rows_returned: int
     ) -> ExecutionMetrics:
-        s = self._settings
         pages = meters.page_meter.pages
         cpu = (
             meters.rows_processed * CPU_MS_PER_ROW
@@ -243,11 +245,11 @@ class Executor:
             + meters.hash_rows * CPU_MS_PER_HASH_ROW
             + meters.maintained_entries * CPU_MS_PER_MAINTAINED_ENTRY
         )
-        if s.noise_sigma > 0:
-            cpu *= math.exp(self._rng.normal(0.0, s.noise_sigma))
+        if NOISE_SIGMA > 0:
+            cpu *= math.exp(self._rng.normal(0.0, NOISE_SIGMA))
         duration = cpu + pages * IO_WAIT_MS_PER_PAGE
-        if s.noise_sigma > 0:
-            duration *= math.exp(self._rng.normal(0.0, 2.5 * s.noise_sigma))
+        if NOISE_SIGMA > 0:
+            duration *= math.exp(self._rng.normal(0.0, 2.5 * NOISE_SIGMA))
         return ExecutionMetrics(
             cpu_time_ms=cpu,
             duration_ms=duration,

@@ -9,7 +9,6 @@ changes and feature experiments happen here, never on the primary.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import List, Optional
 
 import numpy as np
@@ -26,14 +25,6 @@ from repro.workload.replay import ReplayReport, StreamReplayer, TdsStream
 DIVERGENCE_TOLERANCE = 0.10
 
 
-@dataclasses.dataclass
-class BInstanceSettings:
-    """Fork fidelity knobs."""
-
-    drop_rate: float = 0.004
-    reorder_rate: float = 0.01
-
-
 class BInstance:
     """An experimental clone of a primary database."""
 
@@ -41,12 +32,10 @@ class BInstance:
         self,
         primary_engine: SqlEngine,
         name: str,
-        settings: Optional[BInstanceSettings] = None,
         engine_settings: Optional[EngineSettings] = None,
         fork_seed: int = 0,
     ) -> None:
         self.name = name
-        self.settings = settings or BInstanceSettings()
         snapshot: Database = primary_engine.database.snapshot(name)
         # The clone runs the same engine bits by default, but an experiment
         # may install a different binary (engine settings) — Section 7.1.
@@ -83,11 +72,7 @@ class BInstance:
 
     def replay(self, recording: WorkloadRecording) -> ReplayReport:
         """Fork the recorded stream and replay it on the clone."""
-        fork = TdsStream(recording).fork(
-            self._fork_rng,
-            drop_rate=self.settings.drop_rate,
-            reorder_rate=self.settings.reorder_rate,
-        )
+        fork = TdsStream(recording).fork(self._fork_rng)
         report = StreamReplayer(self.engine).replay(fork)
         self.replay_reports.append(report)
         return report

@@ -46,19 +46,21 @@ K_DROP = 5
 MI_SNAPSHOT_CHUNKS = 4
 #: Minimum relative CPU difference to count as a win.
 MIN_EFFECT = 0.03
+#: Hours of the user's tuning history, the warm-up and each phase ("more
+#: than a day"); callers vary only the statements each replays.
+USER_LEARN_HOURS = 24.0
+WARMUP_HOURS = 12.0
+PHASE_HOURS = 26.0
 
 
 @dataclasses.dataclass
 class ComparisonSettings:
     """Experiment parameters (paper defaults where stated)."""
 
-    user_learn_hours: float = 24.0
     user_learn_statements: int = 700
-    warmup_hours: float = 12.0
     warmup_statements: int = 450
     learn_hours: float = 24.0
     learn_statements: int = 800
-    phase_hours: float = 26.0  # "more than a day" per phase
     phase_statements: int = 700
     #: Significance for declaring a winner.
     z_threshold: float = 1.96
@@ -137,7 +139,6 @@ def _collect_recommendations(
 def _run_phase(
     profile: ApplicationProfile,
     arm: str,
-    settings: ComparisonSettings,
     drops: List[Tuple[str, str]],
     creates: List,
     recording: WorkloadRecording,
@@ -162,7 +163,7 @@ def _run_phase(
             return None
         now = binstance.engine.now
         window = binstance.engine.query_store.aggregate(
-            max(0.0, now - (settings.phase_hours + 1) * HOURS), now
+            max(0.0, now - (PHASE_HOURS + 1) * HOURS), now
         )
         per_query: Dict[int, dict] = {}
         for (query_id, _plan), stats in window.items():
@@ -235,13 +236,13 @@ def compare_database(
     seed_user_indexes(
         profile,
         rng,
-        learn_hours=settings.user_learn_hours,
+        learn_hours=USER_LEARN_HOURS,
         max_statements=settings.user_learn_statements,
     )
     # Warm-up on the primary: populates usage statistics and Query Store.
     profile.workload.run(
         profile.engine,
-        settings.warmup_hours,
+        WARMUP_HOURS,
         max_statements=settings.warmup_statements,
     )
     drops = pick_indexes_to_drop(profile, rng, k=K_DROP)
@@ -254,13 +255,13 @@ def compare_database(
     }
     phase_recording = profile.workload.generate_recording(
         start=profile.engine.now,
-        hours=settings.phase_hours,
+        hours=PHASE_HOURS,
         max_statements=settings.phase_statements,
     )
     stats_by_arm: Dict[str, Dict[int, dict]] = {}
     for arm, (arm_drops, arm_creates) in phases.items():
         stats = _run_phase(
-            profile, arm, settings, arm_drops, arm_creates, phase_recording
+            profile, arm, arm_drops, arm_creates, phase_recording
         )
         if stats is None:
             return DatabaseComparison(

@@ -106,10 +106,7 @@ def run_regression_scenario(
         engine,
         tier="standard",
         config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
-        settings=ControlPlaneSettings(
-            validation_settle=30.0,
-            validation_window=2 * HOURS,
-        ),
+        settings=ControlPlaneSettings(validation_window=2 * HOURS),
         validation_settings=ValidationSettings(min_resource_share=0.01),
     )
     history = TelemetryHistory()

@@ -22,6 +22,9 @@ from repro.recommender.workload_selection import WorkloadStatement
 #: Stop when the best marginal improvement falls below this fraction of
 #: the current workload cost.
 MIN_MARGINAL_IMPROVEMENT = 0.01
+#: Storage budget of a configuration in bytes (Section 5.1.1); None, as
+#: the service runs DTA, is unbounded.
+STORAGE_BUDGET_BYTES: Optional[int] = None
 
 
 @dataclasses.dataclass
@@ -42,10 +45,9 @@ class EnumerationResult:
 
 @dataclasses.dataclass
 class EnumerationConstraints:
-    """The tuning constraints DTA supports (Section 5.1.1)."""
+    """The tuning constraint a caller sets (Section 5.1.1)."""
 
     max_indexes: int = 5
-    storage_budget_bytes: Optional[int] = None
 
 
 def _apply_merging(candidates: List[DtaCandidate]) -> List[DtaCandidate]:
@@ -111,13 +113,12 @@ def greedy_enumerate(
         # Frontier batching: the round's eligible candidates form one
         # configuration frontier priced per statement in a single batch
         # (shared plan substrate), instead of one workload sweep each.
-        eligible: List[DtaCandidate] = []
-        for candidate in remaining:
-            if constraints.storage_budget_bytes is not None:
-                size = _candidate_size(engine, candidate)
-                if storage_used + size > constraints.storage_budget_bytes:
-                    continue
-            eligible.append(candidate)
+        eligible = [
+            candidate for candidate in remaining
+            if STORAGE_BUDGET_BYTES is None
+            or storage_used + _candidate_size(engine, candidate)
+            <= STORAGE_BUDGET_BYTES
+        ]
         costs = whatif.workload_cost_many(
             statements,
             chosen_defs,

@@ -52,7 +52,6 @@ class DtaSettings:
     tier: str = "standard"
     window_hours: Optional[float] = None
     max_indexes: int = 5
-    storage_budget_bytes: Optional[int] = None
     #: Sampled-statistics budget (None = unlimited; the paper cut DTA's
     #: statistics builds 2-3x without quality loss).
     stats_column_budget: Optional[int] = 24
@@ -128,16 +127,14 @@ class DtaSession:
         candidates = select_candidates(self.whatif, workload.statements)
         self._check_interference()
         candidates = self._augment_with_mi(candidates)
-        constraints = EnumerationConstraints(
-            max_indexes=self.settings.max_indexes,
-            storage_budget_bytes=self.settings.storage_budget_bytes,
-        )
         result = greedy_enumerate(
             engine,
             self.whatif,
             workload.statements,
             candidates,
-            constraints=constraints,
+            constraints=EnumerationConstraints(
+                max_indexes=self.settings.max_indexes
+            ),
             use_merging=self.settings.use_merging,
         )
         self._check_interference()

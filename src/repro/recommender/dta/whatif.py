@@ -15,7 +15,8 @@ own sampled statistics move one), and its template key, computed once;
 per template, the cost cache, projection memo and relevance memo, keyed
 on definitions interned once to small ints by what they cover (table,
 keys, includes; not the name).  A configuration's cost-cache key is its
-*set* of ints, as a bitmask.
+*set* of ints, as a bitmask.  A hint's is the one name a plan reads: for
+a hinted statement, the definition the hint names interns apart.
 
 Costing runs through the engine's :class:`repro.engine.engine.WhatIfBatch`.
 The frontier APIs (:meth:`WhatIfSession.cost_many`,
@@ -53,6 +54,7 @@ would have left.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.engine import SqlEngine
@@ -89,6 +91,7 @@ class _Statement:
     """A statement's held substrate and its template's memos."""
 
     held: HeldSubstrate
+    hint: Optional[str]
     costs: Dict[int, object]
     projected: Dict[Tuple[int, ...], float]
     relevance: Dict[int, bool]
@@ -127,8 +130,9 @@ class WhatIfSession:
         #: definition's columns only, so it outlives table-version changes.
         self._relevance: Dict[int, Dict[int, bool]] = {}
         #: id(definition) -> (definition, its int), and (table, keys,
-        #: includes) -> int: same-named but differently-defined indexes
-        #: must not collide, and differently-named twins share.
+        #: includes, named by a hint) -> int: same-named but differently-
+        #: defined indexes must not collide, and differently-named twins
+        #: share unless a hint names one.
         self._interned: Dict[int, Tuple[IndexDefinition, int]] = {}
         self._ids: Dict[tuple, int] = {}
         self._stats_built: set = set()
@@ -262,28 +266,29 @@ class WhatIfSession:
 
     # ------------------------------------------------------------------
 
-    def _frontier(self, head, tails) -> tuple:
+    def _frontier(self, head, tails, hint: Optional[str] = None) -> tuple:
         """The frontier with its definitions interned, once for every
-        statement it is costed on."""
-        return head, self._intern(head), tails, list(map(self._intern, tails))
+        statement it is costed on (again for a hinted one)."""
+        intern = functools.partial(self._intern, hint=hint)
+        return head, intern(head), tails, list(map(intern, tails))
 
-    def _intern(self, definitions) -> Tuple[Tuple[int, ...], int]:
-        """The definitions' ints, and their set as a mask."""
+    def _intern(self, definitions, hint) -> Tuple[Tuple[int, ...], int]:
+        """The definitions' ints, and their set as a mask; the one the
+        statement's ``hint`` names keys on being so named too."""
         interned = self._interned
         ids = []
         mask = 0
         for definition in definitions:
-            entry = interned.get(id(definition))
+            named = hint is not None and definition.name == hint
+            entry = None if named else interned.get(id(definition))
             if entry is None:
-                ident = self._ids.setdefault(
-                    (
-                        definition.table,
-                        tuple(definition.key_columns),
-                        tuple(definition.included_columns),
-                    ),
-                    len(self._ids),
+                key = (
+                    definition.table, tuple(definition.key_columns),
+                    tuple(definition.included_columns), named,
                 )
-                entry = interned[id(definition)] = (definition, ident)
+                entry = (definition, self._ids.setdefault(key, len(self._ids)))
+                if not named:
+                    interned[id(definition)] = entry
             ids.append(entry[1])
             mask |= 1 << entry[1]
         return tuple(ids), mask
@@ -294,6 +299,7 @@ class WhatIfSession:
             template = query.template_key()
             record = self._statements[id(query)] = _Statement(
                 HeldSubstrate(query),
+                getattr(query, "index_hint", None),
                 self._cost_cache.setdefault(template, {}),
                 self._projected_costs.setdefault(template, {}),
                 self._relevance.setdefault(template, {}),
@@ -301,11 +307,13 @@ class WhatIfSession:
         return record
 
     def _cost_frontier(self, query, frontier: tuple) -> List[Optional[float]]:
-        head, (head_ids, head_mask), tails, interned = frontier
-        results: List[Optional[float]] = [None] * len(tails)
-        if not tails:
+        results: List[Optional[float]] = [None] * len(frontier[2])
+        if not results:
             return results
         record = self._record(query)
+        if record.hint is not None:
+            frontier = self._frontier(frontier[0], frontier[2], record.hint)
+        head, (head_ids, head_mask), tails, interned = frontier
         costs, projected_costs = record.costs, record.projected
         stats = self.stats
         batch = None

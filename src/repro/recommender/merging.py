@@ -15,6 +15,10 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Tuple
 
+#: Widest include list a merge makes, for MI and DTA alike (over-wide
+#: indexes cost more to maintain than they save).
+MAX_INCLUDE_COLUMNS = 8
+
 
 @dataclasses.dataclass
 class MergeCandidate:
@@ -71,15 +75,12 @@ def mergeable(a: MergeCandidate, b: MergeCandidate) -> bool:
     return longer.key_columns[: len(shorter.key_columns)] == shorter.key_columns
 
 
-def merge_candidates(
-    candidates: List[MergeCandidate], max_include_columns: int = 8
-) -> List[MergeCandidate]:
+def merge_candidates(candidates: List[MergeCandidate]) -> List[MergeCandidate]:
     """Greedy pass merging prefix-compatible candidates.
 
     Candidates are processed in descending benefit order; each is merged
     into an existing output candidate when the conservative rule applies
-    and the merged include list stays within ``max_include_columns``
-    (over-wide indexes cost more to maintain than they save).
+    and the merged include list stays within :data:`MAX_INCLUDE_COLUMNS`.
     """
     ordered = sorted(candidates, key=lambda c: -c.benefit)
     merged: List[MergeCandidate] = []
@@ -89,7 +90,7 @@ def merge_candidates(
             if not mergeable(existing, candidate):
                 continue
             trial = merge_pair(existing, candidate)
-            if len(trial.included_columns) <= max_include_columns:
+            if len(trial.included_columns) <= MAX_INCLUDE_COLUMNS:
                 target_index = i
                 break
         if target_index is None:

@@ -42,6 +42,9 @@ SLOPE_T_THRESHOLD = 2.0
 #: ``WHATIF_LOOKBACK_HOURS``.
 WHATIF_VERIFY_STATEMENTS = 6
 WHATIF_LOOKBACK_HOURS = 24.0
+#: The low-impact classifier vets every candidate (Section 5.2); only an
+#: ablation turns it off.
+USE_CLASSIFIER = True
 
 
 @dataclasses.dataclass
@@ -58,9 +61,6 @@ class MiRecommenderSettings:
     top_n: int = 5
     #: Minimum average estimated impact (%).
     min_avg_impact_pct: float = 20.0
-    #: Classifier off-switch for ablations.
-    use_classifier: bool = True
-    max_include_columns: int = 8
     #: Extension (Section 10 future work, "reduce performance regressions"):
     #: spend a few what-if calls to sanity-check each surviving candidate
     #: against the statements currently in Query Store, dropping candidates
@@ -163,9 +163,7 @@ class MiRecommender:
             )
         # Step 5: conservative merging.
         if settings.use_merging:
-            candidates = merge_candidates(
-                candidates, max_include_columns=settings.max_include_columns
-            )
+            candidates = merge_candidates(candidates)
         # Drop candidates already satisfied by an existing index.
         surviving = []
         for candidate in candidates:
@@ -201,7 +199,7 @@ class MiRecommender:
                     hypothetical=True,
                 )
             ).size_bytes
-            if settings.use_classifier and not self.classifier.accepts(
+            if USE_CLASSIFIER and not self.classifier.accepts(
                 estimated_impact_pct=impact,
                 table_rows=table.row_count,
                 index_size_bytes=size,

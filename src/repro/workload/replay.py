@@ -18,6 +18,11 @@ import numpy as np
 from repro.engine.engine import SqlEngine
 from repro.workload.generator import RecordedStatement, WorkloadRecording
 
+#: Every B-instance's fork fidelity: the share of statements it loses,
+#: and each statement's chance to swap with a near neighbour.
+DROP_RATE = 0.004
+REORDER_RATE = 0.01
+
 
 @dataclasses.dataclass
 class ReplayReport:
@@ -48,11 +53,14 @@ class TdsStream:
     def fork(
         self,
         rng: np.random.Generator,
-        drop_rate: float = 0.005,
-        reorder_rate: float = 0.01,
+        drop_rate: Optional[float] = None,
+        reorder_rate: Optional[float] = None,
         reorder_window: int = 3,
     ) -> "ForkedStream":
-        """Produce the best-effort copy a B-instance receives."""
+        """Produce the best-effort copy a B-instance receives (a rate
+        left None is the module's)."""
+        drop_rate = DROP_RATE if drop_rate is None else drop_rate
+        reorder_rate = REORDER_RATE if reorder_rate is None else reorder_rate
         statements: List[RecordedStatement] = []
         dropped = 0
         for statement in self.recording.statements:

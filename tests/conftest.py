@@ -13,6 +13,7 @@ from repro.engine import (
     SqlType,
     TableSchema,
 )
+from repro.engine.exec import dispatch
 
 
 def make_orders_schema() -> TableSchema:
@@ -81,3 +82,11 @@ def engine(orders_db, clock) -> SqlEngine:
     eng = SqlEngine(orders_db, clock=clock)
     eng.build_all_statistics()
     return eng
+
+
+@pytest.fixture
+def noiseless(monkeypatch) -> None:
+    """Execution metrics without run-to-run noise (and no noise draws):
+    what a perfect engine (``tests.engine.test_optimizer.perfect_engine``)
+    executes under."""
+    monkeypatch.setattr(dispatch, "NOISE_SIGMA", 0.0)

@@ -12,6 +12,7 @@ from repro.controlplane import (
     ControlPlaneSettings,
     RecommendationState,
 )
+from repro.controlplane import control_plane
 from repro.controlplane.control_plane import (
     MAX_CONCURRENT_IMPLEMENTATIONS,
     REVERT_COOLDOWN,
@@ -28,7 +29,6 @@ def build_loop(
     create_mode=AutoMode.AUTO,
     error_sigma=0.85,
     fault_seed=0,
-    **plane_kwargs,
 ):
     clock = SimClock()
     engine_settings = EngineSettings(
@@ -42,7 +42,6 @@ def build_loop(
         snapshot_period=2 * HOURS,
         analysis_period=8 * HOURS,
         validation_window=6 * HOURS,
-        **plane_kwargs.pop("settings_overrides", {}),
     )
     plane = ControlPlane(
         clock,
@@ -189,11 +188,9 @@ class TestClosedLoop:
         original = {r.rec_id: r.state for r in plane.store.all_records()}
         assert {r.rec_id: r.state for r in recovered.all_records()} == original
 
-    def test_expiry_of_stale_recommendations(self):
-        clock, profile, plane = build_loop(
-            create_mode=AutoMode.RECOMMEND_ONLY,
-            settings_overrides={"recommendation_expiry": 2 * DAYS},
-        )
+    def test_expiry_of_stale_recommendations(self, monkeypatch):
+        monkeypatch.setattr(control_plane, "RECOMMENDATION_EXPIRY", 2 * DAYS)
+        clock, profile, plane = build_loop(create_mode=AutoMode.RECOMMEND_ONLY)
         advance(profile, plane, steps=48)
         expired = plane.store.records_for(state=RecommendationState.EXPIRED)
         assert expired

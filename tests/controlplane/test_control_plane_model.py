@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -35,11 +36,13 @@ from repro.controlplane import (
     ControlPlane,
     ControlPlaneSettings,
     RecommendationState,
+    control_plane,
 )
+from repro.controlplane.services import implement_service
 from repro.controlplane.store import RecommendationRecord
 from repro.errors import PermanentError, TransientError
 from repro.observability import AuditLog
-from repro.recommender import MiRecommenderSettings
+from repro.recommender import MiRecommenderSettings, mi_recommender
 from repro.recommender.recommendation import Action
 from repro.validation import ValidationSettings
 from repro.workload import make_profile
@@ -73,6 +76,18 @@ OWNS_INDEX = {
 RECORD_FIELDS = [f.name for f in dataclasses.fields(RecommendationRecord)]
 
 
+@pytest.fixture(autouse=True)
+def shortened_cadences(monkeypatch):
+    """The cadences and limits no caller varies, shortened for every
+    machine of the run, and the classifier off."""
+    monkeypatch.setattr(control_plane, "HEALTH_PERIOD", 2 * HOURS)
+    monkeypatch.setattr(implement_service, "VALIDATION_SETTLE", 5.0)
+    monkeypatch.setattr(control_plane, "RECOMMENDATION_EXPIRY", 8 * HOURS)
+    monkeypatch.setattr(control_plane, "MAX_RETRIES", 2)
+    monkeypatch.setattr(control_plane, "RETRY_BACKOFF", 10.0)
+    monkeypatch.setattr(mi_recommender, "USE_CLASSIFIER", False)
+
+
 class ControlPlaneMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
@@ -86,17 +101,10 @@ class ControlPlaneMachine(RuleBasedStateMachine):
             settings=ControlPlaneSettings(
                 snapshot_period=30.0,
                 analysis_period=1 * HOURS,
-                health_period=2 * HOURS,
-                validation_settle=5.0,
                 validation_window=1 * HOURS,
-                recommendation_expiry=8 * HOURS,
-                max_retries=2,
-                retry_backoff=10.0,
                 stuck_threshold=4 * HOURS,
             ),
-            mi_settings=MiRecommenderSettings(
-                min_seeks=2, use_slope_test=False, use_classifier=False
-            ),
+            mi_settings=MiRecommenderSettings(min_seeks=2, use_slope_test=False),
             validation_settings=VALIDATION,
             fault_seed=5,
         )

@@ -9,14 +9,17 @@ from repro.controlplane import (
     AutoIndexingConfig,
     AutoMode,
     ControlPlane,
-    ControlPlaneSettings,
     RecommendationState,
+    control_plane,
 )
 from tests.controlplane.test_services import make_recommendation
 from repro.workload import make_profile
 
 
-def build(implement_low_activity_only=True, low_activity_hours=(22, 6)):
+def build(monkeypatch, low_activity_hours=(22, 6)):
+    """A plane that implements only inside ``low_activity_hours``
+    (None: at any hour)."""
+    monkeypatch.setattr(control_plane, "LOW_ACTIVITY_HOURS", low_activity_hours)
     clock = SimClock()
     profile = make_profile("low-act", seed=71, tier="standard", clock=clock)
     plane = ControlPlane(
@@ -25,17 +28,13 @@ def build(implement_low_activity_only=True, low_activity_hours=(22, 6)):
         profile.engine,
         tier="standard",
         config=AutoIndexingConfig(create_mode=AutoMode.AUTO),
-        settings=ControlPlaneSettings(
-            implement_low_activity_only=implement_low_activity_only,
-            low_activity_hours=low_activity_hours,
-        ),
     )
     return clock, profile, plane
 
 
 class TestWindow:
-    def test_window_open_detection_wrapping(self):
-        clock, profile, plane = build(low_activity_hours=(22, 6))
+    def test_window_open_detection_wrapping(self, monkeypatch):
+        clock, profile, plane = build(monkeypatch, low_activity_hours=(22, 6))
         clock.advance(23 * HOURS)  # 23:00
         assert plane._implementation_window_open(clock.now)
         clock.advance(4 * HOURS)  # 03:00
@@ -43,15 +42,15 @@ class TestWindow:
         clock.advance(9 * HOURS)  # 12:00
         assert not plane._implementation_window_open(clock.now)
 
-    def test_window_open_detection_non_wrapping(self):
-        clock, profile, plane = build(low_activity_hours=(2, 5))
+    def test_window_open_detection_non_wrapping(self, monkeypatch):
+        clock, profile, plane = build(monkeypatch, low_activity_hours=(2, 5))
         clock.advance(3 * HOURS)
         assert plane._implementation_window_open(clock.now)
         clock.advance(3 * HOURS)
         assert not plane._implementation_window_open(clock.now)
 
-    def test_daytime_recommendation_waits_for_night(self):
-        clock, profile, plane = build()
+    def test_daytime_recommendation_waits_for_night(self, monkeypatch):
+        clock, profile, plane = build(monkeypatch)
         clock.advance(10 * HOURS)  # 10:00 — busy hours
         record = plane.store.insert(
             profile.name, make_recommendation(profile), clock.now
@@ -65,8 +64,8 @@ class TestWindow:
             RecommendationState.VALIDATING,
         )
 
-    def test_disabled_window_implements_immediately(self):
-        clock, profile, plane = build(implement_low_activity_only=False)
+    def test_disabled_window_implements_immediately(self, monkeypatch):
+        clock, profile, plane = build(monkeypatch, low_activity_hours=None)
         clock.advance(10 * HOURS)
         record = plane.store.insert(
             profile.name, make_recommendation(profile), clock.now

@@ -13,6 +13,7 @@ from repro.controlplane import (
     ControlPlaneSettings,
     RecommendationState,
 )
+from repro.controlplane.services import implement_service
 from repro.engine.cost_model import CostModelSettings
 from repro.engine.engine import EngineSettings, SqlEngine
 from repro.engine.schema import IndexDefinition
@@ -400,6 +401,7 @@ class TestRecommendationService:
 def test_every_index_change_goes_through_the_engine(monkeypatch):
     """After set-up, each ``Table`` index change of a fleet run (builds,
     and reverts by drop) happens inside ``SqlEngine``'s DDL entry."""
+    monkeypatch.setattr(implement_service, "VALIDATION_SETTLE", 5.0)
     service = build_service(
         1,
         seed=2,
@@ -409,7 +411,6 @@ def test_every_index_change_goes_through_the_engine(monkeypatch):
         control_settings=ControlPlaneSettings(
             snapshot_period=30.0,
             analysis_period=1 * HOURS,
-            validation_settle=5.0,
             validation_window=1 * HOURS,
         ),
         validation_settings=ValidationSettings(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.clock import SimClock
-from repro.controlplane import ControlPlane
+from repro.controlplane import ControlPlane, control_plane
 from repro.controlplane.faults import FaultInjector
 from repro.controlplane.states import RecommendationState, check_transition
 from repro.controlplane.store import StateStore
@@ -130,7 +130,7 @@ class TestStore:
         record = plane.store.insert(profile.name, make_rec(), at=clock.now)
         plane.faults.configure("implement", transient=1.0)
         plane.process()
-        clock.advance(plane.settings.retry_backoff + 1)
+        clock.advance(control_plane.RETRY_BACKOFF + 1)
         plane.process()
         assert record.attempts == 2
         assert plane.store.recover().get(record.rec_id).attempts == 2

@@ -39,6 +39,9 @@ from repro.errors import ExecutionError, QueryError
 from tests.conftest import make_orders_schema, populate_orders
 from tests.engine.test_optimizer import perfect_engine
 
+#: The engines here execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
+
 
 def orders(eng):
     return eng.database.table("orders")
@@ -312,7 +315,6 @@ def small_engine() -> SqlEngine:
     config = EngineSettings(
         cost_model=CostModelSettings(error_sigma=0.0, severe_error_rate=0.0)
     )
-    config.execution.noise_sigma = 0.0
     eng = SqlEngine(db, settings=config)
     for definition in INDEXES:
         eng.create_index(definition)

@@ -13,6 +13,7 @@ from repro.engine import (
     Predicate,
     SelectQuery,
 )
+from repro.engine import engine as engine_module
 from repro.engine.engine import bind_literals
 from repro.engine.locks import LockPriority
 from repro.engine.plans import (
@@ -24,6 +25,9 @@ from repro.engine.plans import (
 from repro.errors import QueryError
 from tests.engine.test_executor import brute_force, norm
 from tests.engine.test_optimizer import perfect_engine
+
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
 
 
 class TestNestedLoopWithLookup:
@@ -176,10 +180,10 @@ class TestRestartSemantics:
         # Query Store survives restarts (it is persistent by design).
         assert eng.query_store.queries()
 
-    def test_statement_for_tuning_after_restart(self):
+    def test_statement_for_tuning_after_restart(self, monkeypatch):
         eng = perfect_engine(seed=505)
-        eng.settings.incomplete_text_rate = 1.0
-        eng.settings.plan_cache_text_retention = 1.0
+        monkeypatch.setattr(engine_module, "INCOMPLETE_TEXT_RATE", 1.0)
+        monkeypatch.setattr(engine_module, "PLAN_CACHE_TEXT_RETENTION", 1.0)
         query = SelectQuery("orders", ("o_id",), (Predicate("o_cust", Op.EQ, 2),))
         eng.execute(query)
         query_id = query.template_key()

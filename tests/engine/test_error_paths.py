@@ -21,6 +21,9 @@ from repro.errors import (
 )
 from tests.engine.test_optimizer import perfect_engine
 
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
+
 
 @pytest.fixture
 def eng():

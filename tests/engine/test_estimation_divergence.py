@@ -8,8 +8,6 @@ while actual execution touches far more rows than predicted.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -24,15 +22,22 @@ from repro.engine import (
     SqlType,
     TableSchema,
 )
+from repro.engine import cost_model
 from repro.engine.cost_model import CostModel, CostModelSettings
 from repro.engine.engine import EngineSettings
+from repro.engine.exec import dispatch
+
+
+@pytest.fixture(autouse=True)
+def severe_and_noiseless(monkeypatch):
+    """Severe errors 25x deep, and no run-to-run noise."""
+    monkeypatch.setattr(cost_model, "SEVERE_ERROR_FACTOR", 25.0)
+    monkeypatch.setattr(dispatch, "NOISE_SIGMA", 0.0)
 
 
 def engine_with_forced_severe_error():
     """Find a seed where the hot column is severely under-estimated."""
-    settings = CostModelSettings(
-        error_sigma=0.0, severe_error_rate=0.9999, severe_error_factor=25.0
-    )
+    settings = CostModelSettings(error_sigma=0.0, severe_error_rate=0.9999)
     db = Database("diverge", seed=77)
     schema = TableSchema(
         "t",
@@ -47,11 +52,7 @@ def engine_with_forced_severe_error():
     rng = np.random.default_rng(5)
     for i in range(5000):
         table.insert((i, int(rng.integers(0, 4)), "payload" * 4))
-    engine_settings = EngineSettings(cost_model=settings)
-    engine_settings.execution = dataclasses.replace(
-        engine_settings.execution, noise_sigma=0.0
-    )
-    engine = SqlEngine(db, settings=engine_settings)
+    engine = SqlEngine(db, settings=EngineSettings(cost_model=settings))
     engine.build_all_statistics()
     return engine
 

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Op, OrderItem, Predicate, SelectQuery
 from repro.engine.exec import InterpExecutor, Meterings
+from repro.engine.exec import dispatch
 from repro.engine.exec.dispatch import CPU_MS_PER_PAGE, CPU_MS_PER_ROW
 from repro.engine.plans import (
     ClusteredScanNode,
@@ -271,18 +272,23 @@ def _indexed_orders_engine():
     return eng
 
 
+@pytest.fixture
+def noisy(monkeypatch):
+    """Noise on: metric equality then also proves RNG-draw parity."""
+    monkeypatch.setattr(dispatch, "NOISE_SIGMA", 0.05)
+
+
 @pytest.fixture(scope="module")
 def engine_pair():
+    """Run under ``noisy``."""
     interp = _indexed_orders_engine()
     vector = _indexed_orders_engine()
     interp.settings.execution.vector_min_rows = sys.maxsize
     vector.settings.execution.vector_min_rows = 0
-    # Noise on: metric equality then also proves RNG-draw parity.
-    interp.settings.execution.noise_sigma = 0.05
-    vector.settings.execution.noise_sigma = 0.05
     return interp, vector
 
 
+@pytest.mark.usefixtures("noisy")
 @settings(
     max_examples=250,
     deadline=None,
@@ -293,6 +299,7 @@ def test_property_paths_indistinguishable(engine_pair, query):
     assert_paths_agree(*engine_pair, query)
 
 
+@pytest.mark.usefixtures("noisy")
 def test_vector_path_was_exercised(engine_pair):
     """Guard against the property passing vacuously (e.g. a dispatch bug
     sending everything to the interpreter)."""
@@ -478,7 +485,6 @@ def _joined_engine(seed: int):
     settings = EngineSettings(
         cost_model=CostModelSettings(error_sigma=0.0, severe_error_rate=0.0)
     )
-    settings.execution.noise_sigma = 0.05
     eng = SqlEngine(db, settings=settings)
     eng.build_all_statistics()
     return eng
@@ -486,6 +492,7 @@ def _joined_engine(seed: int):
 
 @pytest.fixture(scope="module")
 def joined_pair():
+    """Run under ``noisy``."""
     interp = _joined_engine(seed=91)
     vector = _joined_engine(seed=91)
     interp.settings.execution.vector_min_rows = sys.maxsize
@@ -616,6 +623,7 @@ def join_queries(draw):
     )
 
 
+@pytest.mark.usefixtures("noisy")
 @settings(
     max_examples=200,
     deadline=None,
@@ -626,6 +634,7 @@ def test_property_join_paths_indistinguishable(joined_pair, query):
     assert_paths_agree(*joined_pair, query)
 
 
+@pytest.mark.usefixtures("noisy")
 def test_hash_join_vector_path_was_exercised(joined_pair):
     """The join property must not pass because joins all fell back."""
     interp, vector = joined_pair
@@ -723,6 +732,7 @@ def test_hash_join_vector_path_was_exercised(joined_pair):
     assert ticks["btree_seek"] > 1  # the build side's walk and lookups
 
 
+@pytest.mark.usefixtures("noisy")
 def test_join_empty_build_side(joined_pair):
     interp, vector = joined_pair
     query = SelectQuery(
@@ -972,15 +982,15 @@ def write_side(eng, statements):
 
 @pytest.fixture(scope="module")
 def dml_engines():
-    """(grouped with the vector gate open, one-row, grouped with it shut)."""
+    """(grouped with the vector gate open, one-row, grouped with it
+    shut); run under ``noiseless``."""
     engines = tuple(keep_counters(_joined_engine(seed=91)) for _ in range(3))
-    for eng in engines:
-        eng.settings.execution.noise_sigma = 0.0
     engines[0].settings.execution.vector_min_rows = 0
     engines[2].settings.execution.vector_min_rows = sys.maxsize
     return engines
 
 
+@pytest.mark.usefixtures("noiseless")
 @settings(
     max_examples=200,
     deadline=None,
@@ -1008,6 +1018,7 @@ def test_property_grouping_is_unobservable(dml_engines, statement):
     assert w_state(grouped) == w_state(single) == w_state(shut)
 
 
+@pytest.mark.usefixtures("noisy")
 def test_batched_dml_path_was_exercised(joined_pair):
     """A DML statement adds 1 to ``vector_statements`` and its affected
     rows to ``batch_rows``, whatever ``vector_min_rows`` says, and
@@ -1183,9 +1194,9 @@ PINNED_DML_EXPECTED = [
 ]
 
 
+@pytest.mark.usefixtures("noiseless")
 def test_pinned_dml_stream():
     eng = _joined_engine(seed=91)
-    eng.settings.execution.noise_sigma = 0.0
     table = eng.database.tables["w"]
     statements = [s for s in PINNED_DML_STREAM if s is not DROP_IX_W_B]
     assert len(statements) == len(PINNED_DML_EXPECTED)

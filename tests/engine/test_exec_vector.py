@@ -30,6 +30,9 @@ from repro.engine.plans import (
 from repro.engine.query import Aggregate, AggFunc
 from tests.engine.test_optimizer import perfect_engine
 
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
+
 N_ORDERS = 4000  # populate_orders default
 
 

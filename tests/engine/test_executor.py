@@ -22,8 +22,12 @@ from repro.engine import (
     SelectQuery,
     UpdateQuery,
 )
+from repro.engine.exec import dispatch
 from repro.engine.query import Aggregate, AggFunc
 from tests.engine.test_optimizer import perfect_engine
+
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
 
 
 @pytest.fixture
@@ -265,9 +269,9 @@ class TestMetering:
         assert metrics.duration_ms >= metrics.cpu_time_ms * 0.5
         assert metrics.logical_reads > 0
 
-    def test_noise_makes_runs_differ(self):
+    def test_noise_makes_runs_differ(self, monkeypatch):
         eng = perfect_engine(seed=5)
-        eng.settings.execution.noise_sigma = 0.1
+        monkeypatch.setattr(dispatch, "NOISE_SIGMA", 0.1)
         query = SelectQuery("orders", ("o_id",), (Predicate("o_cust", Op.EQ, 1),))
         cpus = {eng.execute(query).metrics.cpu_time_ms for _ in range(5)}
         assert len(cpus) == 5

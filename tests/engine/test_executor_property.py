@@ -17,6 +17,9 @@ from tests.engine.test_exec_differential import floats, ints, texts
 from tests.engine.test_executor import brute_force, norm
 from tests.engine.test_optimizer import perfect_engine
 
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
+
 COLUMNS = {
     "o_id": ints(0, 4100),
     "o_cust": ints(0, 210),

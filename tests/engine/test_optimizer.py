@@ -42,19 +42,19 @@ from tests.conftest import (
 
 
 def perfect_engine(seed: int = 3) -> SqlEngine:
-    """Engine with estimation error disabled (deterministic plan tests)."""
+    """Engine with estimation error disabled (deterministic plan tests);
+    a test executing on it uses the ``noiseless`` fixture."""
     db = Database("opt", seed=seed)
     populate_orders(db.create_table(make_orders_schema()))
     populate_customers(db.create_table(make_customers_schema()))
     settings = EngineSettings(cost_model=CostModelSettings(error_sigma=0.0, severe_error_rate=0.0))
-    settings.execution.noise_sigma = 0.0
     eng = SqlEngine(db, settings=settings)
     eng.build_all_statistics()
     return eng
 
 
 @pytest.fixture
-def eng() -> SqlEngine:
+def eng(noiseless) -> SqlEngine:
     return perfect_engine()
 
 

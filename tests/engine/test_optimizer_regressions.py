@@ -45,6 +45,9 @@ from repro.errors import ExecutionError
 from tests.engine.test_executor import brute_force, norm
 from tests.engine.test_optimizer import perfect_engine
 
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
+
 #: The hypothetical covering index from the property suite.
 HYP_ALL = IndexDefinition(
     "hyp_all",

@@ -10,6 +10,9 @@ from repro.errors import ExecutionError
 from repro.recommender import DropRecommender
 from tests.engine.test_optimizer import perfect_engine
 
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
+
 QUERY = SelectQuery("orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),))
 
 

@@ -16,6 +16,9 @@ from repro.engine.missing_index import MissingIndexDmv
 from repro.engine.query_store import MetricAggregate, QueryStore
 from tests.engine.test_optimizer import perfect_engine
 
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
+
 
 class TestMissingIndexDmv:
     def test_groups_accumulate(self):

@@ -54,6 +54,9 @@ from repro.recommender.dta.whatif import WhatIfSession
 from tests.engine.test_executor_property import predicates, select_queries
 from tests.engine.test_optimizer import perfect_engine
 
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
+
 #: (table, key columns, included columns) pool the configuration
 #: strategy draws hypothetical indexes from.
 _INDEX_POOL = (
@@ -631,6 +634,22 @@ class TestWhatIfSessionRegressions:
         assert second == first
         assert session.stats.calls == 1
         assert session.stats.cache_hits == 1
+        # A hinted statement's plan reads the name its hint gives, so
+        # there a renamed twin is another index: it costs as the what-if
+        # API does, not as a hit on the hinted one.
+        eng = perfect_engine(5)
+        session = WhatIfSession(eng)
+        hinted = dataclasses.replace(self.QUERY, index_hint="ix_hint")
+        named = dataclasses.replace(twin_a, name="ix_hint")
+        other = dataclasses.replace(twin_a, name="ix_other")
+        cost = session.cost(hinted, (named,))
+        assert cost == eng.whatif_optimize(hinted, (named,)).est_cost
+        for whatif in (eng.whatif_optimize, session.cost):
+            with pytest.raises(ExecutionError, match="'ix_hint' which does not"):
+                whatif(hinted, (other,))
+        assert session.cost(hinted, (other, named)) == cost  # other: hidden
+        assert (session.stats.calls, session.stats.priced) == (2, 1)
+        assert session.stats.cache_hits == 0
 
     def test_failed_statements_cached_and_charged_once(self):
         eng = perfect_engine(33)

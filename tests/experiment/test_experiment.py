@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-import functools
-
 import pytest
 
 from repro.engine import IndexDefinition
 from repro.experiment import compare
-from repro.experiment.binstance import (
-    DIVERGENCE_TOLERANCE,
-    BInstance,
-    BInstanceSettings,
-)
+from repro.experiment.binstance import DIVERGENCE_TOLERANCE, BInstance
 from repro.experiment.compare import (
     MIN_EFFECT,
     ComparisonSettings,
@@ -28,7 +22,7 @@ from repro.experiment.emulate_user import (
     seed_user_indexes,
 )
 from repro.rng import derive
-from repro.workload import make_profile
+from repro.workload import make_profile, replay
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +57,10 @@ class TestBInstance:
         assert b.apply_indexes([definition]) == 0  # idempotent
         assert b.drop_indexes([(fact_spec.name, "ix_test")]) == 1
 
-    def test_divergence_detection(self, profile):
+    def test_divergence_detection(self, profile, monkeypatch):
         assert DIVERGENCE_TOLERANCE == 0.1
-        settings = BInstanceSettings(drop_rate=0.5)
-        b = BInstance(profile.engine, "b4", settings=settings)
+        monkeypatch.setattr(replay, "DROP_RATE", 0.5)
+        b = BInstance(profile.engine, "b4")
         recording = profile.workload.generate_recording(
             start=b.engine.now, hours=1, max_statements=80
         )
@@ -90,15 +84,11 @@ class TestPhaseSteps:
         recording = p.workload.generate_recording(
             start=p.engine.now, hours=1, max_statements=80
         )
-        monkeypatch.setattr(
-            compare,
-            "BInstance",
-            functools.partial(BInstance, settings=BInstanceSettings(drop_rate=0.5)),
-        )
+        monkeypatch.setattr(replay, "DROP_RATE", 0.5)
+        monkeypatch.setattr(compare, "PHASE_HOURS", 1)
         stats = _run_phase(
             p,
             "t",
-            ComparisonSettings(phase_hours=1),
             [(fact.name, "ix_primary")],
             [IndexDefinition("ix_clone", fact.name, (fact.columns[2].name,))],
             recording,
@@ -106,17 +96,17 @@ class TestPhaseSteps:
         assert stats is None
         assert set(p.database.table(fact.name).indexes) == {"ix_primary"}
 
-    def test_a_raising_step_fails_the_phase(self, profile):
+    def test_a_raising_step_fails_the_phase(self, profile, monkeypatch):
         """An error in any step (here: creating an index on a table the
         clone does not have) makes the phase unusable, not the comparison
         crash."""
+        monkeypatch.setattr(compare, "PHASE_HOURS", 1)
         recording = profile.workload.generate_recording(
             start=profile.engine.now, hours=1, max_statements=20
         )
         stats = _run_phase(
             profile,
             "t",
-            ComparisonSettings(phase_hours=1),
             [],
             [IndexDefinition("ix_nowhere", "no_such_table", ("c",))],
             recording,
@@ -196,17 +186,17 @@ class TestWinnerSelection:
 
 
 @pytest.mark.slow
-def test_compare_database_end_to_end():
+def test_compare_database_end_to_end(monkeypatch):
+    monkeypatch.setattr(compare, "PHASE_HOURS", 8)
+    monkeypatch.setattr(compare, "WARMUP_HOURS", 4)
+    monkeypatch.setattr(compare, "USER_LEARN_HOURS", 8)
     p = make_profile("fig6-one", seed=99, tier="standard", archetype="webshop")
     settings = ComparisonSettings(
         user_learn_statements=200,
         warmup_statements=150,
         learn_statements=250,
         phase_statements=250,
-        phase_hours=8,
-        warmup_hours=4,
         learn_hours=8,
-        user_learn_hours=8,
     )
     result = compare_database(p, settings)
     assert result.usable

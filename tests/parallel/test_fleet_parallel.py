@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock import HOURS
-from repro.controlplane import ControlPlaneSettings
+from repro.controlplane import ControlPlaneSettings, control_plane
 from repro.engine.engine import EngineSettings
 from repro.errors import ShardCrashError
 from repro.parallel import ParallelSettings, build_fleet_service
@@ -277,12 +277,12 @@ class TestSpecsAndSettings:
             fault_seed=1, config=config,
         )
         period = 1 * HOURS
+        monkeypatch.setattr(control_plane, "HEALTH_PERIOD", period)
         worker = DatabaseWorker(spec, SharedSettings(
             control_settings=ControlPlaneSettings(
                 snapshot_period=period,
                 analysis_period=period,
                 drop_analysis_period=period,
-                health_period=period,
             ),
         ))
         plane = worker.plane

@@ -13,6 +13,9 @@ from repro.recommender.recommendation import Action
 from tests.engine.test_optimizer import perfect_engine
 from repro.engine.query import Aggregate, AggFunc, JoinSpec, UpdateQuery
 
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
+
 
 @pytest.fixture
 def eng():

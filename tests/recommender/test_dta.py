@@ -16,6 +16,7 @@ from repro.engine import (
     SelectQuery,
     UpdateQuery,
 )
+from repro.engine import engine as engine_module
 from repro.engine.engine import EngineSettings
 from repro.engine.cost_model import CostModelSettings
 from repro.engine.query import Aggregate, AggFunc
@@ -27,6 +28,7 @@ from repro.recommender.dta.candidate_selection import (
     candidates_for_query,
     select_candidates,
 )
+from repro.recommender.dta import enumeration
 from repro.recommender.dta.enumeration import (
     EnumerationConstraints,
     greedy_enumerate,
@@ -52,7 +54,7 @@ from repro.engine.engine import Database, SqlEngine
 
 
 @pytest.fixture
-def eng():
+def eng(noiseless):
     return perfect_engine(seed=77)
 
 
@@ -98,13 +100,13 @@ class TestWorkloadAcquisition:
         assert coverages == sorted(coverages)
         assert coverages[-1] > 0.9
 
-    def test_incomplete_text_counts_unsupported(self):
+    def test_incomplete_text_counts_unsupported(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "INCOMPLETE_TEXT_RATE", 1.0)
+        monkeypatch.setattr(engine_module, "PLAN_CACHE_TEXT_RETENTION", 0.0)
         db = Database("frag", seed=123)
         populate_orders(db.create_table(make_orders_schema()), n_rows=500)
         settings = EngineSettings(
             cost_model=CostModelSettings(error_sigma=0.0, severe_error_rate=0.0),
-            incomplete_text_rate=1.0,
-            plan_cache_text_retention=0.0,
         )
         engine = SqlEngine(db, settings=settings)
         engine.build_all_statistics()
@@ -113,13 +115,13 @@ class TestWorkloadAcquisition:
         assert workload.unsupported
         assert workload.coverage < 1.0
 
-    def test_plan_cache_recovers_fragments(self):
+    def test_plan_cache_recovers_fragments(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "INCOMPLETE_TEXT_RATE", 1.0)
+        monkeypatch.setattr(engine_module, "PLAN_CACHE_TEXT_RETENTION", 1.0)
         db = Database("frag2", seed=124)
         populate_orders(db.create_table(make_orders_schema()), n_rows=500)
         settings = EngineSettings(
             cost_model=CostModelSettings(error_sigma=0.0, severe_error_rate=0.0),
-            incomplete_text_rate=1.0,
-            plan_cache_text_retention=1.0,
         )
         engine = SqlEngine(db, settings=settings)
         engine.build_all_statistics()
@@ -181,7 +183,7 @@ class TestCandidateSelection:
         assert len(candidates) == 1
         assert candidates[0].key_columns == ("o_status",)
 
-    def test_select_candidates_keeps_beneficial_only(self):
+    def test_select_candidates_keeps_beneficial_only(self, noiseless):
         """AGG_CUST's first candidate needs ``o_date``'s statistics
         built, and its base cost reads them, so the base is costed before
         the build and the candidates after it; HOT's need none, so its
@@ -238,7 +240,7 @@ class TestCandidateSelection:
 
 
 class TestEnumeration:
-    def run_enum(self, eng, max_indexes=3, storage=None):
+    def run_enum(self, eng, max_indexes=3):
         warm_workload(eng, [HOT, GROUPBY, ORDERED])
         workload = acquire_workload(eng, now=eng.now, hours=24, k=6)
         whatif = WhatIfSession(eng)
@@ -248,9 +250,7 @@ class TestEnumeration:
             whatif,
             workload.statements,
             candidates,
-            constraints=EnumerationConstraints(
-                max_indexes=max_indexes, storage_budget_bytes=storage
-            ),
+            constraints=EnumerationConstraints(max_indexes=max_indexes),
         )
 
     def test_enumeration_improves_workload(self, eng):
@@ -262,9 +262,10 @@ class TestEnumeration:
         result = self.run_enum(eng, max_indexes=1)
         assert len(result.chosen) <= 1
 
-    def test_storage_budget_respected(self, eng):
+    def test_storage_budget_respected(self, eng, monkeypatch):
         generous = self.run_enum(eng)
-        tight = self.run_enum(perfect_engine(seed=77), storage=8192 * 4)
+        monkeypatch.setattr(enumeration, "STORAGE_BUDGET_BYTES", 8192 * 4)
+        tight = self.run_enum(perfect_engine(seed=77))
         total = sum(
             perfect_engine(seed=77)
             .database.table(c.table)

@@ -10,6 +10,7 @@ from repro.recommender.impact import (
     candidate_key_columns,
     impact_slope_test,
 )
+from repro.recommender import merging
 from repro.recommender.merging import (
     MergeCandidate,
     merge_candidates,
@@ -161,10 +162,11 @@ class TestMerging:
         wide = next(c for c in merged if c.key_columns == ("a", "b"))
         assert wide.benefit == pytest.approx(8.0)
 
-    def test_merge_respects_include_budget(self):
+    def test_merge_respects_include_budget(self, monkeypatch):
+        monkeypatch.setattr(merging, "MAX_INCLUDE_COLUMNS", 4)
         a = self.cand(["a"], [f"x{i}" for i in range(6)], 5.0)
         b = self.cand(["a", "b"], [f"y{i}" for i in range(6)], 5.0)
-        merged = merge_candidates([a, b], max_include_columns=4)
+        merged = merge_candidates([a, b])
         assert len(merged) == 2  # merge would exceed the include budget
 
     def test_subsumes(self):

@@ -10,6 +10,9 @@ from repro.recommender.classifier import LowImpactClassifier, ValidationExample
 from repro.recommender.recommendation import Action
 from tests.engine.test_optimizer import perfect_engine
 
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
+
 
 def run_and_snapshot(engine, mi, query, executions=10, rounds=4):
     for _ in range(rounds):

@@ -11,6 +11,9 @@ from repro.recommender import MiRecommender, MiRecommenderSettings
 from tests.engine.test_optimizer import perfect_engine
 from tests.recommender.test_mi_recommender import SELECTIVE, run_and_snapshot
 
+#: Perfect engines execute without run-to-run noise.
+pytestmark = pytest.mark.usefixtures("noiseless")
+
 
 def test_verified_pipeline_keeps_good_candidates():
     eng = perfect_engine(seed=131)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.experiment import compare
 from repro.experiment.binstance import BInstance
-from repro.experiment.compare import ComparisonSettings, _run_phase
+from repro.experiment.compare import _run_phase
 from repro.recommender.dta import DtaSession, DtaSessionState, DtaSettings
 from repro.service import ServiceSettings, build_service
 from repro.workload import make_profile
@@ -61,6 +61,7 @@ def fleet_after_one_tick(watch, request):
 
 
 def dta_session_over_a_filled_query_store(watch, request):
+    request.getfixturevalue("noiseless")
     eng = perfect_engine(seed=77)
     warm_workload(eng, [HOT, GROUPBY, ORDERED, JOINQ])
     session = DtaSession(eng, DtaSettings(tier="premium"))
@@ -97,15 +98,13 @@ def comparison_phase(watch, request):
             watch(self.engine)
             return report
 
-    request.getfixturevalue("monkeypatch").setattr(
-        compare, "BInstance", WatchedBInstance
-    )
+    monkeypatch = request.getfixturevalue("monkeypatch")
+    monkeypatch.setattr(compare, "BInstance", WatchedBInstance)
+    monkeypatch.setattr(compare, "PHASE_HOURS", 1)
     recording = profile.workload.generate_recording(
         start=profile.engine.now, hours=1, max_statements=60
     )
-    stats = _run_phase(
-        profile, "t", ComparisonSettings(phase_hours=1), [], [], recording
-    )
+    stats = _run_phase(profile, "t", [], [], recording)
     assert stats
     assert all(entry["executions"] >= 1 for entry in stats.values())
     return stats

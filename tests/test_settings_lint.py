@@ -1,6 +1,7 @@
-"""The settings lint: every settings-dataclass field has a caller that
-sets it; a same-named forward and a write of the field's own default
-literal are not sets."""
+"""The settings lint: every settings-dataclass field has a caller outside
+the tests that sets it; a same-named forward, a write of the field's own
+default literal and a write under ``tests/`` are not sets, and a nested
+settings field is structure, not a value."""
 
 from __future__ import annotations
 
@@ -29,8 +30,30 @@ self.own = self.settings.own or default
 DemoSettings(defaulted=0.10, respelled=10.0, computed=2 * HOURS)
 """
 
+#: A tree to lint: ``tested`` is written only under ``tests/``,
+#: ``inner`` is a nested settings field, ``waived`` is exempt by key.
+TREE = {
+    "src/repro/demo.py": """
+@dataclasses.dataclass
+class InnerSettings:
+    depth: int = 1
 
-def test_every_settings_field_is_set_and_forwards_do_not_count(capsys):
+@dataclasses.dataclass
+class OuterConfig:
+    chosen: int = 1
+    tested: int = 2
+    waived: int = 3
+    inner: InnerSettings = dataclasses.field(default_factory=InnerSettings)
+    maybe: Optional["InnerSettings"] = None
+""",
+    "src/repro/caller.py": "OuterConfig(chosen=4)\nInnerSettings(depth=2)\n",
+    "tests/test_demo.py": "OuterConfig(tested=5, waived=6)\n",
+}
+
+
+def test_every_settings_field_is_set_and_forwards_do_not_count(
+    capsys, tmp_path, monkeypatch
+):
     spec = importlib.util.spec_from_file_location("settings_lint", SCRIPT)
     lint = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(lint)
@@ -46,4 +69,22 @@ def test_every_settings_field_is_set_and_forwards_do_not_count(capsys):
         if not lint.is_set(field, default, written)
     ] == ["defaulted"]
     assert lint.main() == 0, capsys.readouterr().out
-    assert capsys.readouterr().out.rstrip().endswith("0 set by no caller")
+    assert capsys.readouterr().out.rstrip().endswith("0 unset outside tests")
+
+    for relative, text in TREE.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    monkeypatch.setattr(lint, "ROOT", tmp_path)
+    monkeypatch.setattr(lint, "DEFINITIONS", tmp_path / "src" / "repro")
+    monkeypatch.setattr(lint, "EXEMPT", {"OuterConfig.waived": "a reason"})
+    assert lint.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    demo = str(pathlib.Path("src", "repro", "demo.py"))
+    # A write under tests/ is no set; a Class.field exemption is reported
+    # and does not fail; the nested fields are neither counted nor failed.
+    assert lines == [
+        f"{demo}: OuterConfig.tested is set only by tests",
+        f"{demo}: OuterConfig.waived is set only by tests (exempt: a reason)",
+        "4 settable values in 2 settings dataclasses; 1 unset outside tests",
+    ]

@@ -14,6 +14,7 @@ from repro.engine import (
 )
 from repro.engine.engine import Database, SqlEngine, EngineSettings
 from repro.engine.cost_model import CostModelSettings
+from repro.engine.exec import dispatch
 from repro.validation import (
     ValidationMode,
     ValidationSettings,
@@ -24,14 +25,20 @@ from repro.validation.validator import Verdict
 from tests.conftest import make_orders_schema, populate_orders
 
 
-def noisy_engine(seed=3, noise=0.08) -> SqlEngine:
+@pytest.fixture
+def noisy(monkeypatch):
+    """Run-to-run noise of 0.08 on every execution."""
+    monkeypatch.setattr(dispatch, "NOISE_SIGMA", 0.08)
+
+
+def noisy_engine(seed=3) -> SqlEngine:
+    """An engine to execute under the ``noisy`` fixture."""
     db = Database("val", seed=seed)
     populate_orders(db.create_table(make_orders_schema()), n_rows=3000)
     settings = EngineSettings(
         interval_minutes=5.0,
         cost_model=CostModelSettings(error_sigma=0.0, severe_error_rate=0.0),
     )
-    settings.execution.noise_sigma = noise
     engine = SqlEngine(db, settings=settings)
     engine.build_all_statistics()
     return engine
@@ -80,6 +87,7 @@ def run_query(engine, query, n, advance=2.0):
 HOT = SelectQuery("orders", ("o_amount",), (Predicate("o_cust", Op.EQ, 3),))
 
 
+@pytest.mark.usefixtures("noisy")
 class TestValidatorCreate:
     def test_good_index_improves(self):
         engine = noisy_engine()
@@ -151,6 +159,7 @@ class TestValidatorCreate:
         assert outcome.observed_statements == 0
 
 
+@pytest.mark.usefixtures("noisy")
 class TestValidatorDrop:
     def test_drop_regression_detected(self):
         engine = noisy_engine(seed=12)
@@ -182,6 +191,7 @@ class TestValidatorDrop:
         assert not outcome.should_revert
 
 
+@pytest.mark.usefixtures("noisy")
 class TestModes:
     def build_mixed_outcome_engine(self):
         """One query improves, another (write) regresses."""
