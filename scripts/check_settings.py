@@ -25,8 +25,8 @@ A field counts as *set* when any ``.py`` file under ``src``,
 - a string key of a dict literal (``{"max_indexes": 3}``).
 
 A same-named forward chooses no value and does not count: a write whose
-value is an attribute of the same name, alone or first in an ``or``
-(``max_indexes=settings.max_indexes``,
+value is a name or an attribute of the same name, alone or first in an
+``or`` (``max_indexes=settings.max_indexes``, ``policy=policy``,
 ``self.window = settings.window or default``), passes the field's value
 on.  Nor does a write of the field's own default literal: when the
 default is a literal, ``DtaSettings(max_indexes=<that literal>)`` chooses
@@ -167,9 +167,12 @@ def settings_fields() -> List[Tuple[str, str, str, Optional[str]]]:
 
 
 def _forwards(value: ast.AST, name: str) -> bool:
-    """True when ``value`` is ``<expr>.name``, or ``<expr>.name or ...``."""
+    """True when ``value`` is ``name`` or ``<expr>.name``, alone or
+    first in an ``or``."""
     if isinstance(value, ast.BoolOp):
         value = value.values[0]
+    if isinstance(value, ast.Name):
+        return value.id == name
     return isinstance(value, ast.Attribute) and value.attr == name
 
 

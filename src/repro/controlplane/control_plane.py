@@ -283,16 +283,14 @@ class ControlPlane:
         config: Optional[AutoIndexingConfig] = None,
         *,
         settings: Optional[ControlPlaneSettings] = None,
-        policy: Optional[RecommenderPolicy] = None,
         validation_settings: Optional[ValidationSettings] = None,
-        classifier: Optional[LowImpactClassifier] = None,
         mi_settings: Optional[MiRecommenderSettings] = None,
         fault_seed: int = 0,
     ) -> None:
         self.clock = clock
         self.settings = settings or ControlPlaneSettings()
-        self.policy = policy or RecommenderPolicy()
-        self.classifier = classifier or LowImpactClassifier()
+        self.policy = RecommenderPolicy()
+        self.classifier = LowImpactClassifier()
         self.name = name
         self.tier = tier
         self.engine = engine

@@ -16,7 +16,7 @@ Package layout:
   on its one grouped-maintenance path.
 """
 
-from repro.engine.exec.columns import ColumnarCache, VectorUnsupported
+from repro.engine.exec.columns import ColumnarCache
 from repro.engine.exec.dispatch import Executor
 from repro.engine.exec.interp import (
     InterpExecutor,
@@ -36,7 +36,6 @@ __all__ = [
     "Executor",
     "InterpExecutor",
     "Meterings",
-    "VectorUnsupported",
     "aggregate_values",
     "compute_aggregate",
     "sort_meter_rows",

@@ -61,10 +61,6 @@ _REBUILD_SHARE = 0.08
 Change = Tuple[Optional[tuple], Optional[tuple]]
 
 
-class VectorUnsupported(Exception):
-    """The vectorized path cannot handle this plan/column; fall back."""
-
-
 class ColumnVector:
     """One column as (filled values, NULL mask) plus lazy rank codes."""
 
@@ -247,8 +243,6 @@ class ColumnImage:
         cached = self._raw.get(column)
         if cached is not None:
             return cached
-        if column not in self._layout:
-            raise VectorUnsupported(f"column {column!r} not in projection")
         in_key, i = self._layout[column]
         source = self._keys if in_key else self._payloads
         values = [entry[i] for entry in source]

@@ -1,14 +1,16 @@
 """The executor facade: picks the interpreted or vectorized path.
 
-A SELECT is vectorized when its plan shape is supported
-(:func:`repro.engine.exec.vector.supports`) and its gating table holds
-at least ``vector_min_rows`` rows, enough to amortize the projection
-build; clustered seeks, nested-loop joins and TOP-over-lazy-source
-always interpret.  DML targets follow the SELECT gate: an UPDATE/DELETE
-whose child is a clustered scan or a key lookup that gate would
-vectorize reads its target rows off the clustered projection or the
-key-lookup batch (:func:`vector.target_rows`), any other child (a
-clustered seek) is interpreted.
+Whether a SELECT is vectorized is one static decision,
+:func:`repro.engine.exec.vector.refusal`, taken before any meter is
+charged: a supported plan shape whose values and columns the batch
+operators reproduce exactly, over a driving table of at least
+``vector_min_rows`` rows (enough to amortize the projection build).
+Clustered seeks, nested-loop joins and TOP-over-lazy-source always
+interpret.  DML targets follow the SELECT decision: an UPDATE/DELETE
+whose child is a clustered scan or a key lookup that decision accepts
+reads its target rows off the clustered projection or the key-lookup
+batch (:func:`vector.target_rows`), any other child (a clustered seek)
+is interpreted.
 Maintenance has one path (grouped index maintenance in
 :class:`~repro.engine.table.Table`), and every DML statement is counted
 with the vectorized ones.  Whatever the path, metering is
@@ -21,12 +23,13 @@ observable per fleet:
 
 - ``threshold`` — too few rows to amortize batching;
 - ``shape`` — unsupported single-table plan shape (clustered seeks,
-  TOP over a lazy source);
+  TOP over a lazy source), or a plan no engine could run (an unknown
+  table or index, a column outside its source's layout);
 - ``join`` — unsupported join shape (nested-loop, a hash join with a
   clustered seek side, TOP directly over a join);
 - ``hinted`` — an index-hinted query produced an unsupported shape;
-- ``runtime`` — the vector path bailed out mid-plan
-  (:class:`VectorUnsupported`) and charges were rolled back.
+- ``literal`` — a NULL or parameter seek or residual value, which no
+  array comparison reproduces.
 """
 
 from __future__ import annotations
@@ -38,16 +41,13 @@ import numpy as np
 
 from repro.engine.cost_model import ExecutionCostSettings
 from repro.engine.exec import vector
-from repro.engine.exec.columns import VectorUnsupported
 from repro.engine.exec.interp import InterpExecutor, RowDict
 from repro.engine.exec.metering import ExecutionMetrics, Meterings
 from repro.engine.plans import (
     ClusteredScanNode,
     DeletePlanNode,
-    HashJoinNode,
     InsertPlanNode,
     KeyLookupNode,
-    NestedLoopJoinNode,
     PlanNode,
     UpdatePlanNode,
 )
@@ -57,7 +57,7 @@ from repro.engine.table import Table
 #: Why a statement ran on the interpreter (see module docstring).  Every
 #: interpreted statement increments exactly one reason counter, so the
 #: sum over reasons equals ``interp_statements``.
-FALLBACK_REASONS = ("threshold", "shape", "join", "hinted", "runtime")
+FALLBACK_REASONS = ("threshold", "shape", "join", "hinted", "literal")
 
 #: Gauge name per fallback reason (``executor_fallback_<reason>_total``).
 #: Built here, next to the taxonomy, so the observability lint can
@@ -79,7 +79,6 @@ IO_WAIT_MS_PER_PAGE = 0.010
 #: CPU time; duration draws 2.5 times it, and 0 draws nothing.
 NOISE_SIGMA = 0.10
 
-_JOIN_NODES = (NestedLoopJoinNode, HashJoinNode)
 _DML_NODES = (InsertPlanNode, UpdatePlanNode, DeletePlanNode)
 
 
@@ -129,41 +128,26 @@ class Executor:
     def _execute_select(
         self, plan: PlanNode, query, meters: Meterings
     ) -> List[RowDict]:
-        reason = self._fallback_reason(plan, query)
+        reason = vector.refusal(
+            plan,
+            self._tables,
+            meters.needed,
+            self._settings.vector_min_rows,
+            hinted=isinstance(query, SelectQuery) and bool(query.index_hint),
+        )
         if reason is None:
-            try:
-                rows, batch_rows = vector.run(
-                    plan,
-                    self._tables,
-                    meters,
-                    project_columns=self._projection_columns(query),
-                )
-            except VectorUnsupported:
-                # Undo any partial charges; the interpreter re-runs the
-                # whole plan so the metrics stay path-independent.
-                meters.reset_counters()
-                reason = "runtime"
-            else:
-                self.vector_statements += 1
-                self.batch_rows += batch_rows
-                return rows  # already in the final SELECT-list shape
+            rows, batch_rows = vector.run(
+                plan,
+                self._tables,
+                meters,
+                project_columns=self._projection_columns(query),
+            )
+            self.vector_statements += 1
+            self.batch_rows += batch_rows
+            return rows  # already in the final SELECT-list shape
         self.interp_statements += 1
         self.fallback_counts[reason] += 1
         return self._project(list(self._interp.iterate(plan, meters)), query)
-
-    def _fallback_reason(self, plan: PlanNode, query) -> Optional[str]:
-        """Why this SELECT must interpret; None to vectorize it."""
-        if not vector.supports(plan):
-            if isinstance(query, SelectQuery) and query.index_hint:
-                return "hinted"
-            if any(isinstance(node, _JOIN_NODES) for node in plan.walk()):
-                return "join"
-            return "shape"
-        table_name = vector.gate_table(plan)
-        table = self._tables.get(table_name) if table_name else None
-        if table is None or table.row_count < self._settings.vector_min_rows:
-            return "threshold"
-        return None
 
     # ------------------------------------------------------------------
     # DML
@@ -175,7 +159,7 @@ class Executor:
         if isinstance(plan, InsertPlanNode):
             affected = interp.execute_insert(plan, query, meters)
         else:
-            targets = self._target_rows(plan, query, meters)
+            targets = self._target_rows(plan, meters)
             if isinstance(plan, UpdatePlanNode):
                 affected = interp.execute_update(plan, query, targets, meters)
             else:
@@ -184,23 +168,17 @@ class Executor:
         self.batch_rows += affected
         return []
 
-    def _target_rows(
-        self, plan: PlanNode, query, meters: Meterings
-    ) -> List[tuple]:
+    def _target_rows(self, plan: PlanNode, meters: Meterings) -> List[tuple]:
         """An UPDATE/DELETE's target rows: off the clustered projection
         or the key-lookup batch when its child is a clustered scan or a
-        key lookup the SELECT gate would vectorize, else interpreted;
-        same rows and charges either way."""
+        key lookup the SELECT decision accepts, else interpreted; same
+        rows and charges either way."""
         child = plan.child
-        if (
-            isinstance(child, (ClusteredScanNode, KeyLookupNode))
-            and self._fallback_reason(child, query) is None
+        min_rows = self._settings.vector_min_rows
+        if isinstance(child, (ClusteredScanNode, KeyLookupNode)) and (
+            vector.refusal(child, self._tables, meters.needed, min_rows) is None
         ):
-            try:
-                return vector.target_rows(child, self._tables, meters)
-            except VectorUnsupported:
-                # As for a SELECT: undo partial charges, then interpret.
-                meters.reset_counters()
+            return vector.target_rows(child, self._tables, meters)
         table = self._tables[plan.table]
         return self._interp.collect_target_rows(child, table, meters)
 

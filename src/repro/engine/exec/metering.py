@@ -51,18 +51,6 @@ class Meterings:
         #: means all columns (DML paths need full rows).
         self.needed: Optional[Dict[str, Tuple[str, ...]]] = None
 
-    def reset_counters(self) -> None:
-        """Zero the work counters, keeping the column subsets.
-
-        Used when the vectorized path bails out mid-plan: the interpreter
-        re-executes from scratch, so any partial charges must be undone.
-        """
-        self.page_meter.reset()
-        self.rows_processed = 0
-        self.sort_rows = 0
-        self.hash_rows = 0
-        self.maintained_entries = 0
-
     def columns_for(self, table: Table) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
         """(names, positions) of the columns to materialize for a table."""
         schema = table.schema

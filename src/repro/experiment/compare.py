@@ -46,10 +46,14 @@ K_DROP = 5
 MI_SNAPSHOT_CHUNKS = 4
 #: Minimum relative CPU difference to count as a win.
 MIN_EFFECT = 0.03
-#: Hours of the user's tuning history, the warm-up and each phase ("more
-#: than a day"); callers vary only the statements each replays.
+#: Significance (one-sided z) for declaring a winner.
+Z_THRESHOLD = 1.96
+#: Hours of the user's tuning history, the warm-up, the recommenders'
+#: learning replay and each phase ("more than a day"); callers vary only
+#: the statements each replays.
 USER_LEARN_HOURS = 24.0
 WARMUP_HOURS = 12.0
+LEARN_HOURS = 24.0
 PHASE_HOURS = 26.0
 
 
@@ -59,11 +63,8 @@ class ComparisonSettings:
 
     user_learn_statements: int = 700
     warmup_statements: int = 450
-    learn_hours: float = 24.0
     learn_statements: int = 800
     phase_statements: int = 700
-    #: Significance for declaring a winner.
-    z_threshold: float = 1.96
 
 
 @dataclasses.dataclass
@@ -103,7 +104,7 @@ def _collect_recommendations(
     learn.drop_indexes(drops)
     recording = profile.workload.generate_recording(
         start=profile.engine.now,
-        hours=settings.learn_hours,
+        hours=LEARN_HOURS,
         max_statements=settings.learn_statements,
     )
     mi = MiRecommender(learn.engine, MiRecommenderSettings(top_n=K_DROP))
@@ -122,7 +123,7 @@ def _collect_recommendations(
         DtaSettings(
             tier=profile.tier,
             max_indexes=K_DROP,
-            window_hours=settings.learn_hours,
+            window_hours=LEARN_HOURS,
         ),
     )
     try:
@@ -206,9 +207,7 @@ def _phase_summaries(
     return summaries
 
 
-def _pick_winner(
-    summaries: Dict[str, PhaseSummary], settings: ComparisonSettings
-) -> str:
+def _pick_winner(summaries: Dict[str, PhaseSummary]) -> str:
     """Best arm must significantly beat every other arm, else Comparable."""
     arms = [a for a in ARMS if a in summaries]
     best = min(arms, key=lambda a: summaries[a].score)
@@ -220,7 +219,7 @@ def _pick_winner(
         se = math.sqrt(max(a.variance + b.variance, 1e-12))
         if diff < MIN_EFFECT * max(b.score, 1e-9):
             return "Comparable"
-        if diff / se < settings.z_threshold:
+        if diff / se < Z_THRESHOLD:
             return "Comparable"
     return best
 
@@ -287,9 +286,7 @@ def compare_database(
             )
         else:
             improvements[arm] = 0.0
-    winner = _pick_winner(
-        {arm: summaries[arm] for arm in ARMS}, settings
-    )
+    winner = _pick_winner({arm: summaries[arm] for arm in ARMS})
     return DatabaseComparison(
         database=profile.name,
         tier=profile.tier,

@@ -130,7 +130,8 @@ CATALOG: Dict[str, MetricSpec] = dict(
         _spec("executor_fallback_shape_total", "gauge", "statements",
               "Statements interpreted because the single-table plan "
               "shape is unsupported — clustered seeks, TOP over a "
-              "lazy source (monotone)."),
+              "lazy source — or names a table, index or column its "
+              "source lacks (monotone)."),
         _spec("executor_fallback_join_total", "gauge", "statements",
               "Statements interpreted because the join shape is "
               "unsupported — nested-loop, a hash join with a "
@@ -138,9 +139,9 @@ CATALOG: Dict[str, MetricSpec] = dict(
         _spec("executor_fallback_hinted_total", "gauge", "statements",
               "Statements interpreted because an index hint forced an "
               "unsupported access path (monotone)."),
-        _spec("executor_fallback_runtime_total", "gauge", "statements",
-              "Statements whose vectorized run bailed out mid-plan and "
-              "re-ran interpreted after a charge rollback (monotone)."),
+        _spec("executor_fallback_literal_total", "gauge", "statements",
+              "Statements interpreted because a seek or residual value "
+              "is NULL or a parameter (monotone)."),
         _spec("executor_column_cache_hits", "gauge", "projections",
               "Columnar projection cache hits per database (monotone)."),
         _spec("executor_column_cache_misses", "gauge", "projections",

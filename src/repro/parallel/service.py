@@ -53,7 +53,6 @@ from repro.recommender.classifier import (
     LowImpactClassifier,
     examples_from_history,
 )
-from repro.recommender.policy import RecommenderPolicy
 from repro.parallel.merge import DeterministicMerger
 from repro.parallel.pool import make_pool
 from repro.parallel.settings import ParallelSettings, ServiceSettings
@@ -92,7 +91,6 @@ class ShardedFleetService:
         service_settings: Optional[ServiceSettings] = None,
         control_settings: Optional[ControlPlaneSettings] = None,
         validation_settings: Optional[ValidationSettings] = None,
-        policy: Optional[RecommenderPolicy] = None,
         mi_settings: Optional[MiRecommenderSettings] = None,
         engine_settings: Optional[EngineSettings] = None,
         default_config: Optional[AutoIndexingConfig] = None,
@@ -138,7 +136,6 @@ class ShardedFleetService:
             control_settings=control_settings,
             validation_settings=validation_settings,
             mi_settings=mi_settings,
-            policy=policy,
             engine_settings=engine_settings,
             instrument=self.parallel.instrument,
         )

@@ -16,7 +16,6 @@ from typing import List, Optional
 from repro.controlplane import AutoIndexingConfig, ControlPlaneSettings
 from repro.engine.engine import EngineSettings
 from repro.recommender import MiRecommenderSettings
-from repro.recommender.policy import RecommenderPolicy
 from repro.rng import stable_hash
 from repro.validation import ValidationSettings
 
@@ -47,7 +46,6 @@ class SharedSettings:
     control_settings: Optional[ControlPlaneSettings] = None
     validation_settings: Optional[ValidationSettings] = None
     mi_settings: Optional[MiRecommenderSettings] = None
-    policy: Optional[RecommenderPolicy] = None
     engine_settings: Optional[EngineSettings] = None
     #: Collect worker-side phase traces each tick (the profiling layer's
     #: worker half; hot-path rows ship regardless of this flag).

@@ -55,7 +55,6 @@ class DatabaseWorker:
             tier=spec.tier,
             config=spec.config,
             settings=shared.control_settings,
-            policy=shared.policy,
             validation_settings=shared.validation_settings,
             mi_settings=shared.mi_settings,
             fault_seed=spec.fault_seed,

@@ -136,7 +136,8 @@ def greedy_enumerate(
             break
         chosen.append(candidate)
         chosen_defs.append(candidate.definition)
-        storage_used += _candidate_size(engine, candidate)
+        if STORAGE_BUDGET_BYTES is not None:
+            storage_used += _candidate_size(engine, candidate)
         current_cost = cost
         remaining = [c for c in remaining if c.identity != candidate.identity]
     return EnumerationResult(

@@ -37,6 +37,7 @@ from repro.engine.exec.columns import _REBUILD_SHARE, Projection
 from repro.engine.query import AggFunc, Aggregate
 from repro.errors import ExecutionError, QueryError
 from tests.conftest import make_orders_schema, populate_orders
+from tests.engine.test_exec_differential import counted
 from tests.engine.test_optimizer import perfect_engine
 
 #: The engines here execute without run-to-run noise.
@@ -623,20 +624,22 @@ class TestFoldAndRebuildTriggers:
         assert LONG_NOTE in widened.values
         assert DATE_EXTREMES[1] in projection.vector("o_date").values
         assert table.columnar().invalidations == 0
-        # A NULL literal still sends the scan to the interpreter at run
-        # time; its rows and metrics equal a plainly interpreted run's.
-        fallbacks = eng.executor.fallback_counts["runtime"]
+        # A NULL literal sends the scan to the interpreter before any
+        # charge; its rows, metrics and ticks equal a plainly interpreted
+        # run's.
+        fallbacks = eng.executor.fallback_counts["literal"]
         scan = SelectQuery(
             "orders", ("o_id", "o_note"),
             (Predicate("o_date", Op.NEQ, 3), Predicate("o_note", Op.NEQ, None)),
         )
-        result = eng.execute(scan)
-        assert eng.executor.fallback_counts["runtime"] == fallbacks + 1
+        result, ticks = counted(eng.execute, scan)
+        assert eng.executor.fallback_counts["literal"] == fallbacks + 1
         assert {"o_id": 4, "o_note": LONG_NOTE} in result.rows
         eng.settings.execution.vector_min_rows = sys.maxsize
-        interpreted = eng.execute(scan)
+        interpreted, interpreted_ticks = counted(eng.execute, scan)
         assert result.rows == interpreted.rows
         assert result.metrics == interpreted.metrics
+        assert ticks == interpreted_ticks
         # ``ix_cust`` includes ``o_date``: its built projection folds the
         # value as a fresh one builds it.
         assert_equals_fresh(table, "ix_cust")

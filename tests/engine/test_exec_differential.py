@@ -378,7 +378,7 @@ def test_vector_path_was_exercised(engine_pair):
         assert ticks == want_ticks
     for engine in engine_pair:  # each interpreted statement has one reason
         counts = engine.executor.fallback_counts
-        assert tuple(counts) == ("threshold", "shape", "join", "hinted", "runtime")
+        assert tuple(counts) == ("threshold", "shape", "join", "hinted", "literal")
         assert sum(counts.values()) == engine.executor.interp_statements
 
 
@@ -712,8 +712,9 @@ def test_hash_join_vector_path_was_exercised(joined_pair):
     assert vector.executor.vector_statements == before + 4
     assert typed(rows) == typed(want) == typed(expected.rows)
     assert metrics == want_metrics and ticks == want_ticks
-    # The build side's lookup runs, then the probe's NULL residual makes
-    # the statement fall back: the batch's ticks must go with its meters.
+    # A NULL residual on the probe side refuses the plan before the build
+    # side's lookup is charged: rows, metrics and ticks are the
+    # interpreter's, and nothing was batched.
     outer = ClusteredScanNode(
         est_rows=0.0,
         est_cost=0.0,
@@ -721,12 +722,14 @@ def test_hash_join_vector_path_was_exercised(joined_pair):
         residual=(Predicate("f_val", Op.EQ, None),),
     )
     plan = dataclasses.replace(plan, outer=outer)
-    runtime = vector.executor.fallback_counts["runtime"]
+    literal = vector.executor.fallback_counts["literal"]
+    batch_rows = vector.executor.batch_rows
     (want, want_metrics), want_ticks = counted(
         interp.executor.execute, plan, query
     )
     (rows, metrics), ticks = counted(vector.executor.execute, plan, query)
-    assert vector.executor.fallback_counts["runtime"] == runtime + 1
+    assert vector.executor.fallback_counts["literal"] == literal + 1
+    assert vector.executor.batch_rows == batch_rows
     assert rows == want == []
     assert metrics == want_metrics and ticks == want_ticks
     assert ticks["btree_seek"] > 1  # the build side's walk and lookups
@@ -755,7 +758,8 @@ def _exact_engine(min_rows: int):
     """``t`` keyed by BIGINT ids 2**53 + i — consecutive ids a float
     image of the key would collide — with an indexed twin ``w`` of
     ``id``, an indexed ``v`` and its unindexed twin ``u``; ``n`` holds
-    numeric text ``n_s`` to join to ``v``."""
+    numeric text ``n_s`` to join to ``v``, and ``g`` the FLOAT ``g_f``
+    2.0**53 (and 0.5) to join to ``w``."""
     from repro.engine import (
         Column,
         Database,
@@ -791,6 +795,17 @@ def _exact_engine(min_rows: int):
     )
     for i in range(50):
         text.insert((i, str(i)))
+    floats = db.create_table(
+        TableSchema(
+            "g",
+            [
+                Column("g_id", SqlType.INT, nullable=False),
+                Column("g_f", SqlType.FLOAT),
+            ],
+        )
+    )
+    floats.insert((0, 2.0**53))
+    floats.insert((1, 0.5))
     eng = SqlEngine(db)
     eng.settings.execution.vector_min_rows = min_rows
     eng.create_index(IndexDefinition("ix_v", "t", ("v",)))
@@ -826,6 +841,7 @@ def test_exact_keys_and_bound_literals_on_every_access_path():
         (Predicate("u", Op.EQ, "5"), None, ClusteredScanNode,
          lambda r: r["u"] == 5),
     ]
+    joined_outcomes = []
     for eng in (_exact_engine(sys.maxsize), _exact_engine(0)):
         for predicate, hint, node, keep in cases:
             query = SelectQuery(
@@ -847,6 +863,25 @@ def test_exact_keys_and_bound_literals_on_every_access_path():
         result = eng.execute(joined)
         assert isinstance(result.plan, NestedLoopJoinNode)
         assert result.rows == []
+        # Int and float join keys compare exactly, as Python ``==`` does:
+        # the BIGINT 2**53 + 1, whose float64 image is 2.0**53, does not
+        # equal the FLOAT 2.0**53, and the batch hash join says so without
+        # falling back.  (``u >= 1`` keeps the key 2**53 itself off the
+        # probe.)
+        joined = SelectQuery(
+            "t",
+            ("id",),
+            (Predicate("u", Op.GE, 1),),
+            join=JoinSpec("g", left_column="w", right_column="g_f"),
+        )
+        before = eng.executor.vector_statements
+        result = eng.execute(joined)
+        assert isinstance(result.plan, HashJoinNode)
+        vectorized = eng.settings.execution.vector_min_rows == 0
+        assert eng.executor.vector_statements == before + vectorized
+        assert result.rows == []
+        joined_outcomes.append(result.metrics)
+    assert joined_outcomes[0] == joined_outcomes[1]
 
 
 @st.composite
@@ -928,7 +963,7 @@ def dml_targets(eng, statement):
         return [], 0, 0, {}
     meters = Meterings()
     plan = eng.optimizer.optimize(statement)
-    targets, ticks = counted(eng.executor._target_rows, plan, statement, meters)
+    targets, ticks = counted(eng.executor._target_rows, plan, meters)
     return targets, meters.page_meter.pages, meters.rows_processed, ticks
 
 

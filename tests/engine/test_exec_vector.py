@@ -187,10 +187,10 @@ class TestDispatch:
         eng.execute(SelectQuery("orders", ("o_id",)))
         assert eng.executor.vector_statements == 1
 
-    def test_runtime_fallback_resets_meters(self):
-        """A NULL predicate value blocks the vector path mid-plan; the
-        fallback interpretation must charge exactly what a pure
-        interpreted run charges (no double counting)."""
+    def test_literal_fallback_charges_as_interpreted(self):
+        """A NULL predicate value refuses the vector path before any
+        charge; the interpreted run charges exactly what a pure
+        interpreted run charges."""
         query = SelectQuery(
             "orders",
             group_by=("o_status",),

@@ -155,7 +155,7 @@ class TestWinnerSelection:
             "MI": self.summary(200.0),
             "User": self.summary(300.0),
         }
-        assert _pick_winner(summaries, ComparisonSettings()) == "DTA"
+        assert _pick_winner(summaries) == "DTA"
 
     def test_insignificant_difference_is_comparable(self):
         summaries = {
@@ -163,7 +163,7 @@ class TestWinnerSelection:
             "MI": self.summary(101.0, variance=900.0),
             "User": self.summary(102.0, variance=900.0),
         }
-        assert _pick_winner(summaries, ComparisonSettings()) == "Comparable"
+        assert _pick_winner(summaries) == "Comparable"
 
     def test_small_effect_is_comparable(self):
         summaries = {
@@ -172,7 +172,7 @@ class TestWinnerSelection:
             "User": self.summary(101.0, variance=0.0001),
         }
         assert MIN_EFFECT == 0.03
-        assert _pick_winner(summaries, ComparisonSettings()) == "Comparable"
+        assert _pick_winner(summaries) == "Comparable"
 
     def test_phase_summaries_fixed_counts(self):
         stats = {
@@ -190,13 +190,13 @@ def test_compare_database_end_to_end(monkeypatch):
     monkeypatch.setattr(compare, "PHASE_HOURS", 8)
     monkeypatch.setattr(compare, "WARMUP_HOURS", 4)
     monkeypatch.setattr(compare, "USER_LEARN_HOURS", 8)
+    monkeypatch.setattr(compare, "LEARN_HOURS", 8)
     p = make_profile("fig6-one", seed=99, tier="standard", archetype="webshop")
     settings = ComparisonSettings(
         user_learn_statements=200,
         warmup_statements=150,
         learn_statements=250,
         phase_statements=250,
-        learn_hours=8,
     )
     result = compare_database(p, settings)
     assert result.usable

@@ -31,7 +31,8 @@ DemoSettings(defaulted=0.10, respelled=10.0, computed=2 * HOURS)
 """
 
 #: A tree to lint: ``tested`` is written only under ``tests/``,
-#: ``inner`` is a nested settings field, ``waived`` is exempt by key.
+#: ``inner`` is a nested settings field, ``waived`` is exempt by key,
+#: ``passed`` is only passed on under its own bare name.
 TREE = {
     "src/repro/demo.py": """
 @dataclasses.dataclass
@@ -43,10 +44,14 @@ class OuterConfig:
     chosen: int = 1
     tested: int = 2
     waived: int = 3
+    passed: int = 4
     inner: InnerSettings = dataclasses.field(default_factory=InnerSettings)
     maybe: Optional["InnerSettings"] = None
 """,
-    "src/repro/caller.py": "OuterConfig(chosen=4)\nInnerSettings(depth=2)\n",
+    "src/repro/caller.py": (
+        "OuterConfig(chosen=4, passed=passed)\nInnerSettings(depth=2)\n"
+        "self.passed = passed\n"
+    ),
     "tests/test_demo.py": "OuterConfig(tested=5, waived=6)\n",
 }
 
@@ -82,9 +87,11 @@ def test_every_settings_field_is_set_and_forwards_do_not_count(
     lines = capsys.readouterr().out.splitlines()
     demo = str(pathlib.Path("src", "repro", "demo.py"))
     # A write under tests/ is no set; a Class.field exemption is reported
-    # and does not fail; the nested fields are neither counted nor failed.
+    # and does not fail; a bare-name forward is no set; the nested fields
+    # are neither counted nor failed.
     assert lines == [
         f"{demo}: OuterConfig.tested is set only by tests",
         f"{demo}: OuterConfig.waived is set only by tests (exempt: a reason)",
-        "4 settable values in 2 settings dataclasses; 1 unset outside tests",
+        f"{demo}: OuterConfig.passed is set by no caller",
+        "5 settable values in 2 settings dataclasses; 2 unset outside tests",
     ]
