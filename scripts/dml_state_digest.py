@@ -16,6 +16,10 @@ A write-path change that keeps row and entry counts but writes a wrong
 payload, splits a leaf differently or charges different pages moves it.
 Run with ``PYTHONPATH=src python scripts/dml_state_digest.py``; CI
 compares the printed line with ``tests/data/dml_state_digest.txt``.
+
+Every statement must take the batch executor path: the script prints the
+engines' per-reason interpreter counts to stderr and exits 1 without a
+digest line when any is non-zero (``one_path.exit_if_interpreted``).
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from repro.engine.schema import IndexDefinition
 from repro.rng import derive
 from repro.workload.app_profiles import make_profile
 from repro.workload.generator import Workload
+
+from one_path import exit_if_interpreted
 
 POPULATION_SEED = 11
 CLIENT_SEED = 11
@@ -118,6 +124,7 @@ def main() -> None:
     for batch in range(BATCHES):
         which = batch % len(profiles)
         clients[which].run(profiles[which].engine, 1e9, max_statements=BATCH)
+    exit_if_interpreted(profile.engine for profile in profiles)
     print(f"dml_state {state_digest(profiles)}")
 
 

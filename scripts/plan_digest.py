@@ -28,6 +28,10 @@ differently or reports another MI candidate moves it; the fleet digests
 hash the audit chain and see a plan only through what it does.  Run with
 ``PYTHONPATH=src python scripts/plan_digest.py``; CI compares the
 printed line with ``tests/data/plan_digest.txt``.
+
+Every statement must take the batch executor path: the script prints the
+engines' per-reason interpreter counts to stderr and exits 1 without a
+digest line when any is non-zero (``one_path.exit_if_interpreted``).
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from repro.engine.schema import IndexDefinition
 from repro.rng import derive
 from repro.workload.app_profiles import make_profile
 from repro.workload.generator import Workload
+
+from one_path import exit_if_interpreted
 
 POPULATION_SEED = 11
 CLIENT_SEED = 11
@@ -138,6 +144,7 @@ def force_a_plan(engine, index_name: str) -> None:
 
 def main() -> None:
     digest = hashlib.sha256()
+    engines = []
     phase = STATEMENTS // 3
     for i, (name, tier, archetype, dml_share) in enumerate(STREAMS):
         profile = make_profile(
@@ -165,6 +172,8 @@ def main() -> None:
         engine.build_all_statistics()
         force_a_plan(engine, extras[-1].name)
         run(profile, client, digest, STATEMENTS - 2 * phase)
+        engines.append(engine)
+    exit_if_interpreted(engines)
     print(f"plan_digest {digest.hexdigest()}")
 
 

@@ -17,6 +17,10 @@ another value type (``1`` for ``1.0``) or other float bits (``-0.0`` for
 audit chain and would not see it.  Run with ``PYTHONPATH=src python
 scripts/select_rows_digest.py``; CI compares the printed line with
 ``tests/data/select_rows_digest.txt``.
+
+Every statement must take the batch executor path: the script prints the
+engines' per-reason interpreter counts to stderr and exits 1 without a
+digest line when any is non-zero (``one_path.exit_if_interpreted``).
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from repro.engine.schema import IndexDefinition
 from repro.rng import derive
 from repro.workload.app_profiles import make_profile
 from repro.workload.generator import Workload
+
+from one_path import exit_if_interpreted
 
 POPULATION_SEED = 11
 CLIENT_SEED = 11
@@ -81,6 +87,7 @@ def add_indexes(profile) -> None:
 
 def main() -> None:
     digest = hashlib.sha256()
+    engines = []
     for i, archetype in enumerate(ARCHETYPES):
         profile = make_profile(
             f"select-premium-{i}",
@@ -97,6 +104,8 @@ def main() -> None:
         run(profile, client, digest, STATEMENTS // 2)
         add_indexes(profile)
         run(profile, client, digest, STATEMENTS - STATEMENTS // 2)
+        engines.append(profile.engine)
+    exit_if_interpreted(engines)
     print(f"select_rows {digest.hexdigest()}")
 
 

@@ -147,7 +147,16 @@ def cmd_ops(args: argparse.Namespace) -> int:
     service = build_service(**_fleet_recipe(args))
     print(f"running the closed loop: {args.dbs} {args.tier} databases, "
           f"{args.days} simulated days")
-    for day in range(args.days):
+    _run_days(service, args.days)
+    for line in operational_report(service).lines():
+        print(line)
+    _maybe_dump_audit(service.audit, args)
+    return 0
+
+
+def _run_days(service, days: int) -> None:
+    """Run ``days`` simulated days, printing each day's state counts."""
+    for day in range(days):
         service.run(hours=24)
         counts = service.store.count_by_state()
         summary = ", ".join(
@@ -156,10 +165,6 @@ def cmd_ops(args: argparse.Namespace) -> int:
         )
         print(f"  day {day + 1}: {summary or '(quiet)'}")
     print()
-    for line in operational_report(service).lines():
-        print(line)
-    _maybe_dump_audit(service.audit, args)
-    return 0
 
 
 def _maybe_dump_audit(audit: AuditLog, args: argparse.Namespace) -> None:
@@ -184,17 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{args.days} simulated days"
     )
     try:
-        for day in range(args.days):
-            service.run(hours=24)
-            counts = service.store.count_by_state()
-            summary = ", ".join(
-                f"{state.value}={count}"
-                for state, count in sorted(
-                    counts.items(), key=lambda i: i[0].value
-                )
-            )
-            print(f"  day {day + 1}: {summary or '(quiet)'}")
-        print()
+        _run_days(service, args.days)
         registry = service.telemetry.registry
         wall = service.tick_wall_total
         busy = sum(

@@ -47,11 +47,6 @@ class PageMeter:
     def charge(self, pages: int = 1) -> None:
         self.pages += pages
 
-    def reset(self) -> int:
-        """Return the current count and reset to zero."""
-        count, self.pages = self.pages, 0
-        return count
-
 
 _NULL_METER = PageMeter()
 

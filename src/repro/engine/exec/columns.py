@@ -501,8 +501,9 @@ def _row_layout(schema) -> Dict[str, Tuple[bool, int]]:
 
 class RowImage(ColumnImage):
     """A columnar image of clustered row tuples in an order no tree
-    holds: a key lookup's output, in its child's order.  Built per
-    statement for the batch that reads it."""
+    holds: a key lookup's output, in its child's order, or a clustered
+    seek's, binding by binding.  Built per statement for the batch that
+    reads it."""
 
     def __init__(self, schema, rows: List[tuple]) -> None:
         super().__init__(schema, _row_layout(schema), [], rows)

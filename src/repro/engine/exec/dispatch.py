@@ -2,15 +2,15 @@
 
 Whether a SELECT is vectorized is one static decision,
 :func:`repro.engine.exec.vector.refusal`, taken before any meter is
-charged: a supported plan shape whose values and columns the batch
-operators reproduce exactly, over a driving table of at least
-``vector_min_rows`` rows (enough to amortize the projection build).
-Clustered seeks, nested-loop joins and TOP-over-lazy-source always
-interpret.  DML targets follow the SELECT decision: an UPDATE/DELETE
-whose child is a clustered scan or a key lookup that decision accepts
-reads its target rows off the clustered projection or the key-lookup
-batch (:func:`vector.target_rows`), any other child (a clustered seek)
-is interpreted.
+charged: a plan whose every node has a batch operator and whose values
+and columns those operators reproduce exactly, over a driving table of
+at least ``vector_min_rows`` rows (enough to amortize the projection
+build).  Every plan shape the optimizer emits has one, clustered seeks
+and nested-loop joins over a clustered-seek inner included; only
+TOP-over-lazy-source and malformed plans interpret.  DML targets follow
+the SELECT decision: an UPDATE/DELETE whose child is a clustered scan or
+seek or a key lookup that decision accepts reads its target rows
+through :func:`vector.target_rows`; any other child is interpreted.
 Maintenance has one path (grouped index maintenance in
 :class:`~repro.engine.table.Table`), and every DML statement is counted
 with the vectorized ones.  Whatever the path, metering is
@@ -22,12 +22,10 @@ one reason in :data:`FALLBACK_REASONS`, published as the
 observable per fleet:
 
 - ``threshold`` — too few rows to amortize batching;
-- ``shape`` — unsupported single-table plan shape (clustered seeks,
-  TOP over a lazy source), or a plan no engine could run (an unknown
-  table or index, a column outside its source's layout);
-- ``join`` — unsupported join shape (nested-loop, a hash join with a
-  clustered seek side, TOP directly over a join);
-- ``hinted`` — an index-hinted query produced an unsupported shape;
+- ``shape`` — a plan outside the batch grammar: a malformed plan (an
+  unknown table or index, a column outside its source's layout) or one
+  no workload produces (TOP over a lazy source, a nested-loop join whose
+  inner is not a clustered seek);
 - ``literal`` — a NULL or parameter seek or residual value, which no
   array comparison reproduces.
 """
@@ -45,6 +43,7 @@ from repro.engine.exec.interp import InterpExecutor, RowDict
 from repro.engine.exec.metering import ExecutionMetrics, Meterings
 from repro.engine.plans import (
     ClusteredScanNode,
+    ClusteredSeekNode,
     DeletePlanNode,
     InsertPlanNode,
     KeyLookupNode,
@@ -57,7 +56,7 @@ from repro.engine.table import Table
 #: Why a statement ran on the interpreter (see module docstring).  Every
 #: interpreted statement increments exactly one reason counter, so the
 #: sum over reasons equals ``interp_statements``.
-FALLBACK_REASONS = ("threshold", "shape", "join", "hinted", "literal")
+FALLBACK_REASONS = ("threshold", "shape", "literal")
 
 #: Gauge name per fallback reason (``executor_fallback_<reason>_total``).
 #: Built here, next to the taxonomy, so the observability lint can
@@ -80,6 +79,8 @@ IO_WAIT_MS_PER_PAGE = 0.010
 NOISE_SIGMA = 0.10
 
 _DML_NODES = (InsertPlanNode, UpdatePlanNode, DeletePlanNode)
+#: UPDATE/DELETE children whose target rows come off the batch operators.
+_TARGET_NODES = (ClusteredScanNode, ClusteredSeekNode, KeyLookupNode)
 
 
 class Executor:
@@ -129,11 +130,7 @@ class Executor:
         self, plan: PlanNode, query, meters: Meterings
     ) -> List[RowDict]:
         reason = vector.refusal(
-            plan,
-            self._tables,
-            meters.needed,
-            self._settings.vector_min_rows,
-            hinted=isinstance(query, SelectQuery) and bool(query.index_hint),
+            plan, self._tables, meters.needed, self._settings.vector_min_rows
         )
         if reason is None:
             rows, batch_rows = vector.run(
@@ -169,18 +166,21 @@ class Executor:
         return []
 
     def _target_rows(self, plan: PlanNode, meters: Meterings) -> List[tuple]:
-        """An UPDATE/DELETE's target rows: off the clustered projection
-        or the key-lookup batch when its child is a clustered scan or a
-        key lookup the SELECT decision accepts, else interpreted; same
-        rows and charges either way."""
+        """An UPDATE/DELETE's target rows: off the batch operators when
+        its child is a clustered scan or seek or a key lookup the SELECT
+        decision accepts, else interpreted; same rows and charges either
+        way."""
         child = plan.child
         min_rows = self._settings.vector_min_rows
-        if isinstance(child, (ClusteredScanNode, KeyLookupNode)) and (
+        if isinstance(child, _TARGET_NODES) and (
             vector.refusal(child, self._tables, meters.needed, min_rows) is None
         ):
             return vector.target_rows(child, self._tables, meters)
-        table = self._tables[plan.table]
-        return self._interp.collect_target_rows(child, table, meters)
+        names = self._tables[plan.table].schema.column_names
+        return [
+            tuple(row[name] for name in names)
+            for row in self._interp.iterate(child, meters)
+        ]
 
     # ------------------------------------------------------------------
 

@@ -317,17 +317,6 @@ class InterpExecutor:
         meters.rows_processed += inserted
         return inserted
 
-    def collect_target_rows(
-        self, child: PlanNode, table: Table, meters: Meterings
-    ) -> List[tuple]:
-        """The full rows an UPDATE/DELETE's ``child`` plan yields, in
-        plan order, charged as that plan reads them."""
-        names = table.schema.column_names
-        rows = []
-        for row_map in self.iterate(child, meters):
-            rows.append(tuple(row_map[name] for name in names))
-        return rows
-
     def execute_update(
         self,
         plan: UpdatePlanNode,

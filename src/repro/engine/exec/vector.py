@@ -1,4 +1,4 @@
-"""Vectorized batch operators for hot plan shapes.
+"""Vectorized batch operators for every plan shape the optimizer emits.
 
 The vector path executes a whole plan subtree as array operations over
 the columnar projection cache: predicate masks for clustered/index
@@ -6,16 +6,18 @@ scans, index seeks as the contiguous projection slice their leaf-span
 walk (:meth:`~repro.engine.btree.BPlusTree.spans`) covers, a cached
 sorted equi-index for hash-join build sides probed with
 ``np.searchsorted``, rank-code runs for stream/hash aggregates,
-``np.lexsort`` for ORDER BY, and ``argpartition`` TOP-N selection.  A
-key lookup over an index seek or scan is one batch too: the child's span
-walk drained, its primary keys sorted once and resolved in one
-left-to-right pass over the clustered leaves, the rows then read through
-a per-statement :class:`~repro.engine.exec.columns.RowImage` of their
-own (no cached projection).  Clustered seeks (point lookups),
-parameterized seeks and nested-loop joins stay on the interpreter (their
-metering is lazy or per-binding).  An UPDATE/DELETE over a clustered
-scan or a key lookup takes its target rows from :func:`target_rows`; the
-maintenance itself is batched in :class:`~repro.engine.table.Table`.
+``np.lexsort`` for ORDER BY, and ``argpartition`` TOP-N selection.
+Accesses that read clustered rows by key are batches of those row tuples
+in a per-statement :class:`~repro.engine.exec.columns.RowImage` (no
+cached projection): a key lookup over an index seek or scan (the child's
+span walk drained, its primary keys sorted once and resolved in one
+left-to-right pass over the clustered leaves), and a clustered seek (the
+interpreter's own span walk over the clustered leaves).  A nested-loop
+join over a clustered-seek inner is that walk once per outer value, in
+outer order, the matches one batch.  An UPDATE/DELETE over a clustered
+scan or seek or a key lookup takes its target rows from
+:func:`target_rows`; the maintenance itself is batched in
+:class:`~repro.engine.table.Table`.
 
 Two invariants keep it indistinguishable from the interpreter:
 
@@ -77,6 +79,7 @@ from repro.engine.exec.metering import (
 from repro.engine.plans import (
     PARAM,
     ClusteredScanNode,
+    ClusteredSeekNode,
     HashAggregateNode,
     HashJoinNode,
     IndexScanNode,
@@ -90,14 +93,14 @@ from repro.engine.plans import (
 )
 from repro.engine.query import Op
 from repro.engine.table import Table
-from repro.engine.types import key_of
+from repro.engine.types import SqlType, key_of
 from repro.observability.profiling import active, count
 
 _AGG_NODES = (StreamAggregateNode, HashAggregateNode)
-#: Batch sources: full scans and index seeks.
-_SOURCE_NODES = (ClusteredScanNode, IndexScanNode, IndexSeekNode)
 #: What a batch key lookup reads its primary keys from.
 _LOOKUP_CHILDREN = (IndexSeekNode, IndexScanNode)
+#: Accesses other than key lookups: scans and seeks.
+_SOURCE_NODES = (ClusteredScanNode, ClusteredSeekNode) + _LOOKUP_CHILDREN
 
 #: Residual comparisons as array operators (BETWEEN is two of them).
 _COMPARE = {
@@ -115,47 +118,50 @@ def refusal(
     tables: Dict[str, Table],
     needed: Optional[Dict[str, Tuple[str, ...]]],
     min_rows: int,
-    hinted: bool = False,
 ) -> Optional[str]:
     """Why ``plan`` must run on the interpreter, or None to run it here.
 
     Decided from the plan, the statement's ``needed`` columns per table
     (:attr:`Meterings.needed`) and the tables' layouts, before anything
-    is charged.  The batch grammar (``Access`` is a clustered or index
-    scan, an index seek, or a key lookup over an index seek or scan;
-    ``Source`` is an ``Access``, or a hash join of two):
+    is charged.  The batch grammar, in which every node has an operator
+    (``Access`` is a clustered or index scan, a clustered or index seek,
+    or a key lookup over an index seek or scan; ``Source`` is an
+    ``Access``, a hash join of two, or a nested-loop join of an
+    ``Access`` outer and a clustered-seek inner):
 
     - ``Source``
     - ``[Top] -> Sort -> Source``
     - ``[Top] -> (Stream|Hash)Agg -> Source``
     - ``[Top] -> Sort -> (Stream|Hash)Agg -> Source``
 
-    A plan outside it is ``hinted`` when an index hint produced it, else
-    ``join`` when it joins, else ``shape``: clustered seeks, nested-loop
-    joins and a ``Top`` directly over a scan, seek or join (whose early
-    exit charges only the rows it pulls) interpret.  Inside it, in this
-    order: ``shape`` for an unknown driving table (a join's probe side),
-    ``threshold`` when that table holds fewer than ``min_rows`` rows,
-    then per access ``shape`` for an unknown table or index or a
-    residual column its layout lacks, and ``literal`` for a NULL or
-    parameter value no array comparison reproduces; last, ``shape`` for
-    a GROUP BY column no side carries.  The interpreter runs such a
-    malformed plan as it runs any, raising where it raises.
+    A plan outside it is ``shape``: a malformed plan, or one no workload
+    produces — a ``Top`` directly over a source (whose early exit charges
+    only the rows it pulls), a nested-loop join over any other inner.
+    Inside it, in this order: ``shape`` for an unknown driving table (a
+    join's outer side), ``threshold`` when that table holds fewer than
+    ``min_rows`` rows, then per access ``shape`` for an unknown table or
+    index or a residual column its layout lacks, and ``literal`` for a
+    NULL or parameter value an array comparison would meet; last,
+    ``shape`` for a GROUP BY column no side carries.  The interpreter
+    runs such a malformed plan as it runs any, raising where it raises.
     """
     node = plan
     group_by: Tuple[str, ...] = ()
     if isinstance(node, TopNode):
         node = node.child
         if not isinstance(node, (SortNode,) + _AGG_NODES):
-            node = None  # TOP over a lazy source: outside the grammar
+            return "shape"  # TOP over a lazy source
     if isinstance(node, SortNode):
         node = node.child
     if isinstance(node, _AGG_NODES):
         group_by = node.group_by
         node = node.child
-    sides = (
-        (node.outer, node.inner) if isinstance(node, HashJoinNode) else (node,)
-    )
+    if isinstance(node, NestedLoopJoinNode) and not isinstance(
+        node.inner, ClusteredSeekNode
+    ):
+        return "shape"
+    joined = isinstance(node, (HashJoinNode, NestedLoopJoinNode))
+    sides = (node.outer, node.inner) if joined else (node,)
     if not all(
         isinstance(side, _SOURCE_NODES)
         or (
@@ -164,11 +170,6 @@ def refusal(
         )
         for side in sides
     ):
-        if hinted:
-            return "hinted"
-        joins = (NestedLoopJoinNode, HashJoinNode)
-        if any(isinstance(part, joins) for part in plan.walk()):
-            return "join"
         return "shape"
     driving = tables.get(sides[0].table)
     if driving is None:
@@ -198,7 +199,7 @@ def _access_refusal(
         return "shape"
     lookup = isinstance(node, KeyLookupNode)
     walked = node.child if lookup else node
-    if isinstance(walked, ClusteredScanNode):
+    if isinstance(walked, (ClusteredScanNode, ClusteredSeekNode)):
         layout = table.schema.column_names
     else:
         index = table.indexes.get(walked.index_name)
@@ -207,14 +208,10 @@ def _access_refusal(
         layout = index_entry_layout(table, index.definition)
     if any(predicate.column not in layout for predicate in walked.residual):
         return "shape"
-    if lookup:
-        # The entries are checked by the interpreter's compiled checks,
-        # and the walk is its seek: only a parameter cannot be bound.
-        if isinstance(walked, IndexSeekNode) and any(
-            value is PARAM for value in _seek_literals(walked)
-        ):
-            return "literal"
-    else:
+    if not (lookup or isinstance(walked, ClusteredSeekNode)):
+        # Values an array comparison meets.  A walked access's entries go
+        # through the interpreter's own walk and compiled checks, which
+        # bind a join parameter and raise on an unbound one themselves.
         literals = (
             _seek_literals(walked) if isinstance(walked, IndexSeekNode) else []
         )
@@ -256,18 +253,16 @@ def run(
 def target_rows(
     node: PlanNode, tables: Dict[str, Table], meters: Meterings
 ) -> List[tuple]:
-    """The rows an UPDATE/DELETE fed by ``node``, a clustered scan or a
-    key lookup :func:`refusal` accepts, targets, in plan order.
+    """The rows an UPDATE/DELETE fed by ``node``, a clustered scan or
+    seek or a key lookup :func:`refusal` accepts, targets, in plan order.
 
     Over a clustered scan, the scan's residual mask over the table's
-    clustered projection selects them; over a key lookup, the lookup
-    batch fetches them.  Either is charged exactly as a vectorized
-    SELECT's access is, and the rows are the table's own row tuples.
+    clustered projection selects them; over a clustered seek or a key
+    lookup, its walk fetches them.  Either is the batch a vectorized
+    SELECT's access reads, charged as it is, and the rows are the
+    table's own row tuples.
     """
-    runner = _Runner(tables, meters)
-    if isinstance(node, KeyLookupNode):
-        return runner._lookup_rows(node, tables[node.table])
-    batch = runner._scan_batch(node)
+    batch = _Runner(tables, meters)._access_batch(node)
     return batch.projection.payloads_at(batch.selected)
 
 
@@ -332,7 +327,8 @@ class _ScanBatch:
 
 
 class _JoinBatch:
-    """Matched row pairs of a hash join, as per-side projection positions.
+    """Matched row pairs of a hash or nested-loop join, as per-side
+    image positions.
 
     Column resolution mirrors the interpreter's merged dictionary
     ``{**inner_row, **outer_row}``: the outer (probe) side wins name
@@ -464,9 +460,13 @@ class _Runner:
     def _source_batch(self, node: PlanNode):
         if isinstance(node, HashJoinNode):
             return self._run_join(node)
+        if isinstance(node, NestedLoopJoinNode):
+            return self._run_nl_join(node)
         return self._access_batch(node)
 
     def _access_batch(self, node: PlanNode) -> "_ScanBatch":
+        if isinstance(node, ClusteredSeekNode):
+            return self._seek_batch(node, [None])[0]
         if isinstance(node, KeyLookupNode):
             return self._lookup_batch(node)
         return self._scan_batch(node)
@@ -525,8 +525,9 @@ class _Runner:
 
     # -- key lookups ----------------------------------------------------
 
-    def _lookup_rows(self, node: KeyLookupNode, table: Table) -> List[tuple]:
-        """The clustered rows a key lookup yields, in its child's order.
+    def _lookup_batch(self, node: KeyLookupNode) -> _ScanBatch:
+        """The clustered rows a key lookup yields, in its child's order, as
+        a batch over their own columnar image.
 
         The child's span walk is drained as the interpreter's seek or
         scan drains it (same pages, same counter tick) and its residuals
@@ -539,6 +540,9 @@ class _Runner:
         takes :meth:`~repro.engine.table.Table.fetch_by_pk`, exactly the
         interpreter's lookup.  No column-cache projection is read.
         """
+        table = self._tables[node.table]
+        # Raises on unknown needed columns as the interpreter's lookup does.
+        names, _positions = self._meters.columns_for(table)
         child = node.child
         # The interpreter's order: the lookup's residuals, then its
         # child's index and residuals.
@@ -570,20 +574,65 @@ class _Runner:
             rows = [
                 row for row in rows if all(check(row) for check in lookup_checks)
             ]
-        return rows
+        return _row_batch(table, rows, names)
 
-    def _lookup_batch(self, node: KeyLookupNode) -> _ScanBatch:
-        """A key lookup's rows as a batch over their own columnar image."""
+    # -- clustered seeks and nested-loop joins ---------------------------
+
+    def _seek_batch(
+        self, node: ClusteredSeekNode, bindings: List[object]
+    ) -> Tuple[_ScanBatch, List[int]]:
+        """The rows a clustered seek yields under each of ``bindings`` in
+        turn (a nested-loop join's outer values, or ``[None]``), as one
+        batch over their own columnar image, and how many each binding
+        yielded.
+
+        Each binding is the interpreter's seek: the span walk over the
+        clustered leaves (:func:`~repro.engine.exec.interp.seek_spans`,
+        same pages, same counter tick), every entry counted and checked
+        by the interpreter's compiled residual checks.
+        """
         table = self._tables[node.table]
-        # Raises on unknown needed columns as the interpreter's lookup does.
+        # Raises on unknown needed columns as the interpreter's seek does.
         names, _positions = self._meters.columns_for(table)
-        rows = self._lookup_rows(node, table)
-        return _ScanBatch(
-            table,
-            RowImage(table.schema, rows),
-            np.arange(len(rows), dtype=np.int64),
-            names,
+        checks = compile_predicates(node.residual, table.schema.position)
+        meter = self._meters.page_meter
+        rows: List[tuple] = []
+        counts = []
+        for binding in bindings:
+            spans = seek_spans(table.clustered, node, meter, binding)
+            entries = [r for leaf, a, b in spans for r in leaf.payloads[a:b]]
+            self._meters.rows_processed += len(entries)
+            self.batch_rows += len(entries)
+            found = [row for row in entries if all(c(row) for c in checks)]
+            rows += found
+            counts.append(len(found))
+        count("vector_batch")
+        return _row_batch(table, rows, names), counts
+
+    def _run_nl_join(self, node: NestedLoopJoinNode) -> "_JoinBatch":
+        """A nested-loop join over a clustered-seek inner: the seek walked
+        once per outer row's value, in outer order, as the interpreter
+        binds it, and the matches one batch."""
+        join = node.join
+        outer = self._access_batch(node.outer)
+        values = []
+        if outer.has(join.left_column):
+            values = outer.gather(join.left_column, np.arange(outer.count))
+        # Text never equals a number (the hash join's rule) and cannot
+        # be ordered against one in a seek: such probes match nothing,
+        # and neither does a NULL.
+        right = self._tables[join.table].schema.column(join.right_column)
+        text_key = right.sql_type is SqlType.TEXT
+        probes = [
+            i
+            for i, value in enumerate(values)
+            if value is not None and isinstance(value, str) is text_key
+        ]
+        inner, counts = self._seek_batch(
+            node.inner, [values[i] for i in probes]
         )
+        outer_pos = np.repeat(outer.selected[probes], counts)
+        return _JoinBatch(outer, inner, outer_pos, inner.selected)
 
     # -- hash join ------------------------------------------------------
 
@@ -727,6 +776,18 @@ class _Runner:
             # sequential assignments do.
             return [dict(zip(names, row)) for row in zip(*keys, *results)]
         return row_builder(names)(keys + results)
+
+
+def _row_batch(
+    table: Table, rows: List[tuple], names: Tuple[str, ...]
+) -> _ScanBatch:
+    """Clustered row tuples as a batch over their own columnar image."""
+    return _ScanBatch(
+        table,
+        RowImage(table.schema, rows),
+        np.arange(len(rows), dtype=np.int64),
+        names,
+    )
 
 
 def _seek_literals(node: IndexSeekNode) -> List[object]:

@@ -128,17 +128,11 @@ CATALOG: Dict[str, MetricSpec] = dict(
               "Statements interpreted because the scanned table holds "
               "too few rows to amortize batching (monotone)."),
         _spec("executor_fallback_shape_total", "gauge", "statements",
-              "Statements interpreted because the single-table plan "
-              "shape is unsupported — clustered seeks, TOP over a "
-              "lazy source — or names a table, index or column its "
-              "source lacks (monotone)."),
-        _spec("executor_fallback_join_total", "gauge", "statements",
-              "Statements interpreted because the join shape is "
-              "unsupported — nested-loop, a hash join with a "
-              "clustered-seek side (monotone)."),
-        _spec("executor_fallback_hinted_total", "gauge", "statements",
-              "Statements interpreted because an index hint forced an "
-              "unsupported access path (monotone)."),
+              "Statements interpreted because the plan is outside the "
+              "batch grammar: malformed (a table, index or column its "
+              "source lacks) or a shape no workload produces — TOP over "
+              "a lazy source, a nested-loop join whose inner is not a "
+              "clustered seek (monotone)."),
         _spec("executor_fallback_literal_total", "gauge", "statements",
               "Statements interpreted because a seek or residual value "
               "is NULL or a parameter (monotone)."),

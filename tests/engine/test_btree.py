@@ -207,12 +207,6 @@ class TestPageMeter:
         list(tree.scan(meter=meter))
         assert meter.pages >= tree.leaf_page_count
 
-    def test_meter_reset(self):
-        meter = PageMeter()
-        meter.charge(5)
-        assert meter.reset() == 5
-        assert meter.pages == 0
-
 
 #: Integer key regions: small keys, BIGINT either side of ±2**53 (where
 #: a float image of a key collides with its neighbour's) and the BIGINT

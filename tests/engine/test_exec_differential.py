@@ -32,6 +32,7 @@ from repro.engine.exec import InterpExecutor, Meterings
 from repro.engine.exec import dispatch
 from repro.engine.exec.dispatch import CPU_MS_PER_PAGE, CPU_MS_PER_ROW
 from repro.engine.plans import (
+    PARAM,
     ClusteredScanNode,
     ClusteredSeekNode,
     HashJoinNode,
@@ -378,7 +379,7 @@ def test_vector_path_was_exercised(engine_pair):
         assert ticks == want_ticks
     for engine in engine_pair:  # each interpreted statement has one reason
         counts = engine.executor.fallback_counts
-        assert tuple(counts) == ("threshold", "shape", "join", "hinted", "literal")
+        assert tuple(counts) == ("threshold", "shape", "literal")
         assert sum(counts.values()) == engine.executor.interp_statements
 
 
@@ -882,6 +883,174 @@ def test_exact_keys_and_bound_literals_on_every_access_path():
         assert result.rows == []
         joined_outcomes.append(result.metrics)
     assert joined_outcomes[0] == joined_outcomes[1]
+
+
+def _seek_engine(min_rows: int):
+    """``p`` keyed by the composite ``(p_a, p_b)``, five rows per
+    ``p_a`` in 0..39; ``k`` keyed by the TEXT ``k_s``, "0".."49"; ``o``
+    with the INT ``o_a`` (duplicates, NULLs, 40..44 in no ``p`` key) and
+    the numeric TEXT ``o_s`` to probe them with."""
+    from repro.engine import Column, Database, SqlEngine, SqlType, TableSchema
+
+    db = Database("seeks", seed=3)
+    parent = db.create_table(
+        TableSchema(
+            "p",
+            [
+                Column("p_a", SqlType.INT, nullable=False),
+                Column("p_b", SqlType.INT, nullable=False),
+                Column("p_v", SqlType.FLOAT),
+            ],
+            primary_key=["p_a", "p_b"],
+        )
+    )
+    for a in range(40):
+        for b in range(5):
+            parent.insert((a, b, None if (a + b) % 9 == 0 else a + b / 8))
+    keyed = db.create_table(
+        TableSchema(
+            "k",
+            [
+                Column("k_s", SqlType.TEXT, nullable=False),
+                Column("k_n", SqlType.INT),
+            ],
+            primary_key=["k_s"],
+        )
+    )
+    for i in range(50):
+        keyed.insert((str(i), i))
+    outer = db.create_table(
+        TableSchema(
+            "o",
+            [
+                Column("o_id", SqlType.INT, nullable=False),
+                Column("o_a", SqlType.INT),
+                Column("o_s", SqlType.TEXT),
+            ],
+            primary_key=["o_id"],
+        )
+    )
+    for i in range(300):
+        outer.insert((i, None if i % 11 == 0 else i % 45, str(i % 60)))
+    eng = SqlEngine(db)
+    eng.settings.execution.vector_min_rows = min_rows
+    eng.build_all_statistics()
+    return eng
+
+
+@pytest.mark.usefixtures("noisy")
+def test_every_emitted_shape_vectorizes():
+    """Clustered seeks and nested-loop joins over a clustered-seek inner
+    run on the batch operators, as do hash joins with a clustered-seek
+    side and UPDATE/DELETE targets read through a clustered seek: each
+    adds one vectorized statement and returns the interpreter's rows,
+    metrics and walk ticks."""
+    interp, vector = _seek_engine(sys.maxsize), _seek_engine(0)
+    unestimated = {"est_rows": 0.0, "est_cost": 0.0}
+    first_120 = (Predicate("o_id", Op.LT, 120),)
+
+    def nl_join(left, table, right, inner_residual=()):
+        """``o`` (first 120 ids) joined to ``table`` by seeking ``right``
+        with each outer ``left`` value."""
+        outer = ClusteredSeekNode(
+            **unestimated, table="o", range_predicate=first_120[0]
+        )
+        inner = ClusteredSeekNode(
+            **unestimated,
+            table=table,
+            eq_predicates=(Predicate(right, Op.EQ, PARAM),),
+            residual=inner_residual,
+        )
+        join = JoinSpec(
+            table,
+            left_column=left,
+            right_column=right,
+            predicates=inner_residual,
+            select_columns=("p_b", "p_v") if table == "p" else ("k_n",),
+        )
+        plan = NestedLoopJoinNode(
+            **unestimated, outer=outer, inner=inner, join=join
+        )
+        return plan, SelectQuery("o", ("o_id", "o_a"), first_120, join=join)
+
+    # A prefix of the composite key, probed with duplicate and NULL outer
+    # keys and with keys no row has, under a residual and under a sort;
+    # a text key probed with numbers, and with text; an INT key probed
+    # with text.
+    by_key = (OrderItem("o_a", ascending=False), OrderItem("o_id"))
+    prefix, prefix_query = nl_join(
+        "o_a", "p", "p_a", (Predicate("p_b", Op.NEQ, 3),)
+    )
+    cases = [
+        (prefix, prefix_query, 404),  # 4 rows per matched key
+        (SortNode(**unestimated, child=prefix, order_by=by_key),
+         dataclasses.replace(prefix_query, order_by=by_key), 404),
+        (*nl_join("o_a", "k", "k_s"), 0),
+        (*nl_join("o_s", "k", "k_s"), 100),
+        (*nl_join("o_s", "p", "p_a"), 0),
+    ]
+    for plan, query, matched in cases:
+        before = vector.executor.vector_statements
+        (want, want_metrics), want_ticks = counted(
+            interp.executor.execute, plan, query
+        )
+        (rows, metrics), ticks = counted(vector.executor.execute, plan, query)
+        assert vector.executor.vector_statements == before + 1
+        assert typed(rows) == typed(want) and metrics == want_metrics
+        assert ticks == want_ticks and len(rows) == matched
+    outer_keys = [row[1] for row in interp.database.tables["o"].rows()][:120]
+    assert None in outer_keys and len(set(outer_keys)) < len(outer_keys)
+    assert ticks == {"btree_range_scan": 1}  # no text probe walked
+    # What the optimizer emits: a hash join of two clustered seeks, a
+    # clustered seek on a NULL literal, and an UPDATE and a DELETE whose
+    # targets a clustered seek reads (through the batch operator: it
+    # ticks ``vector_batch``).
+    joined = SelectQuery(
+        "o",
+        ("o_id",),
+        (Predicate("o_id", Op.LT, 200),),
+        join=JoinSpec(
+            "p",
+            left_column="o_a",
+            right_column="p_a",
+            predicates=(Predicate("p_a", Op.BETWEEN, 3, 9),),
+        ),
+    )
+    null_seek = SelectQuery("p", ("p_b",), (Predicate("p_a", Op.EQ, None),))
+    plans = []
+    for query in (joined, null_seek):
+        before = vector.executor.vector_statements
+        got, _expected = assert_paths_agree(interp, vector, query)
+        assert vector.executor.vector_statements == before + 1
+        plans.append(got.plan)
+    assert isinstance(plans[0], HashJoinNode)
+    assert isinstance(plans[0].outer, ClusteredSeekNode)
+    assert isinstance(plans[1], ClusteredSeekNode) and got.rows == []
+    for statement in (
+        UpdateQuery("p", (("p_v", 1.5),), (Predicate("p_a", Op.EQ, 7),)),
+        DeleteQuery("o", (Predicate("o_id", Op.BETWEEN, 200, 210),)),
+    ):
+        before = vector.executor.vector_statements
+        outcomes = []
+        for engine in (interp, vector):
+            profiler = Profiler()
+            with use_profiler(profiler):
+                result = engine.execute(statement)
+            batches = [
+                stats.calls
+                for name, stats in profiler.stats().items()
+                if name == "vector_batch"
+            ]
+            outcomes.append((result.metrics, btree_counts(profiler), batches))
+            assert isinstance(result.plan.child, ClusteredSeekNode)
+        assert vector.executor.vector_statements == before + 1
+        assert outcomes[0][:2] == outcomes[1][:2]
+        assert (outcomes[0][2], outcomes[1][2]) == ([], [1])
+    for name in ("p", "o"):
+        assert list(interp.database.tables[name].rows()) == list(
+            vector.database.tables[name].rows()
+        )
+    assert vector.executor.interp_statements == 0
 
 
 @st.composite

@@ -137,10 +137,10 @@ class TestDispatch:
         assert eng.executor.vector_statements == 1
         assert eng.executor.batch_rows == N_ORDERS
 
-    def test_seeks_stay_interpreted(self):
-        """An index seek and a key lookup over one vectorize; a clustered
-        seek and a TOP over a bare seek or a key lookup interpret.  Each
-        charges what the interpreter charges."""
+    def test_seeks_vectorize_and_top_over_a_bare_access_is_shape(self):
+        """An index seek, a clustered seek and a key lookup vectorize; a
+        TOP over a bare seek or a key lookup interprets, counted as
+        ``shape``.  Each charges what the interpreter charges."""
         eng = engine_in_mode("vector")
         want = engine_in_mode("interp")
         for engine in (eng, want):
@@ -153,7 +153,7 @@ class TestDispatch:
         cases = [
             (SelectQuery("orders", ("o_amount",), cust), IndexSeekNode, True),
             (SelectQuery("orders", ("o_id",), (Predicate("o_id", Op.EQ, 5),)),
-             ClusteredSeekNode, False),
+             ClusteredSeekNode, True),
             (SelectQuery("orders", ("o_note",), cust), KeyLookupNode, True),
             (SelectQuery("orders", ("o_note",), cust, limit=3),
              TopNode, False),
@@ -162,9 +162,13 @@ class TestDispatch:
         ]
         for query, node, vectorized in cases:
             before = eng.executor.vector_statements
+            shape = eng.executor.fallback_counts["shape"]
             got, expected = eng.execute(query), want.execute(query)
             assert isinstance(got.plan, node)
             assert eng.executor.vector_statements == before + vectorized
+            assert eng.executor.fallback_counts["shape"] == shape + (
+                not vectorized
+            )
             assert got.rows == expected.rows != []
             assert metrics_tuple(got.metrics) == metrics_tuple(
                 expected.metrics

@@ -226,10 +226,10 @@ class TestExecutorPanel:
         registry.gauge(
             "executor_fallback_threshold_total", database="db"
         ).set(4)
-        registry.gauge("executor_fallback_join_total", database="db").set(3)
+        registry.gauge("executor_fallback_literal_total", database="db").set(3)
         text = "\n".join(render_dashboard(registry))
         assert "vectorized executor:" in text
-        assert "fallbacks:       threshold 4, join 3" in text
+        assert "fallbacks:       threshold 4, literal 3" in text
 
     def test_no_fallback_line_when_nothing_fell_back(self):
         from repro.observability.metrics import MetricsRegistry
