@@ -34,6 +34,7 @@ from repro.engine.cost_model import (
     ExecutionCostSettings,
 )
 from repro.engine.exec import ExecutionMetrics, Executor
+from repro.engine.exec.interp import RowDict
 from repro.engine.locks import LockManager
 from repro.engine.missing_index import MissingIndexDmv
 from repro.engine.optimizer import HeldSubstrate, Optimizer
@@ -54,6 +55,7 @@ from repro.engine.usage_stats import IndexUsageStats
 from repro.errors import (
     DuplicateObjectError,
     OptimizeError,
+    QueryError,
     UnknownColumnError,
     UnknownTableError,
 )
@@ -127,10 +129,18 @@ def bind_literals(query, tables: Dict[str, Table]):
     does before comparing: one that cannot convert raises
     :class:`QueryError` before planning.  ``query`` itself comes back when
     no literal changes type; unknown tables and columns are left to planning.
+
+    A self-join raises :class:`QueryError` here too: rows carry columns by
+    bare name, so its two sides would collide in every row (DESIGN §5).
     """
+    join = getattr(query, "join", None)
+    if join is not None and join.table == query.table:
+        raise QueryError(
+            f"self-join of {query.table!r} is not supported: the two sides' "
+            "columns would share their names"
+        )
     predicates = query.predicates
     bound = _bind(tables.get(query.table), predicates)
-    join = getattr(query, "join", None)
     if join is not None:
         join_bound = _bind(tables.get(join.table), join.predicates)
         if join_bound is not join.predicates:
@@ -163,12 +173,17 @@ def _bind_predicate(table: Table, predicate):
 
 @dataclasses.dataclass
 class ExecutionResult:
-    """Outcome of one statement execution."""
+    """Outcome of one statement execution.
+
+    ``rows`` is fixed when the statement executes: a vectorized
+    SELECT's cells are gathered then, and its row dicts are built on
+    first read (``len(rows)`` builds none); DML returns ``[]``.
+    """
 
     query_id: int
     plan_id: int
     plan: PlanNode
-    rows: List[dict]
+    rows: Sequence[RowDict]
     metrics: ExecutionMetrics
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import operator
 from bisect import bisect_left
+from collections import abc
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -209,6 +210,62 @@ def row_builder(
     return eval(source)  # noqa: S307 - keys repr-escaped above
 
 
+class GatheredRows(abc.Sequence):
+    """A SELECT's output rows, held as the cells the executor gathered.
+
+    The batch operators gather every output cell when the statement
+    executes, so the result is fixed then, whatever the table's later
+    writes fold into the projection it was read from.  The row
+    dictionaries — what the interpreter would return — are built by
+    :func:`row_builder` only when someone reads a row: iteration,
+    indexing or slicing builds the whole list once and drops the cell
+    columns.  ``len()`` and ``bool()`` build nothing, and the executor's
+    metrics read only the count.  ``==`` compares rows with any sequence
+    of dicts, and ``repr`` is the list's.
+    """
+
+    __slots__ = ("_names", "_columns", "_count", "_rows")
+
+    def __init__(
+        self, names: Tuple[str, ...], columns: List[Sequence[object]], count: int
+    ) -> None:
+        self._names = names
+        self._columns: Optional[List[Sequence[object]]] = columns
+        self._count = count
+        self._rows: Optional[List[Dict[str, object]]] = None
+
+    def _built(self) -> List[Dict[str, object]]:
+        rows = self._rows
+        if rows is None:
+            if self._names and self._count:
+                rows = row_builder(self._names)(self._columns)
+            else:
+                rows = [{} for _ in range(self._count)]
+            self._rows = rows
+            self._columns = None
+        return rows
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __bool__(self) -> bool:
+        return self._count > 0
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, abc.Sequence) and not isinstance(other, str):
+            return self._built() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 class ColumnImage:
     """Read-only columnar view of stored entries, in one fixed order.
 
@@ -268,27 +325,24 @@ class ColumnImage:
         indices: np.ndarray,
         names: Tuple[str, ...],
         missing_as_none: bool = False,
-    ) -> List[Dict[str, object]]:
-        """Row dictionaries for the selected positions, in the given
-        column order — the same dict the interpreter would build.
+    ) -> GatheredRows:
+        """The rows at the selected positions, in the given column order
+        — the dicts the interpreter would build, once read.
 
         With ``missing_as_none`` the output keeps every requested name
         and fills absent columns with ``None`` (the final SELECT-list
         shape, matching ``row.get``); otherwise absent columns are
         dropped (the internal row-stream shape).
 
-        Cells are gathered per column with ``itemgetter`` and rows are
-        re-formed by the compiled :func:`row_builder`, so the per-row
-        Python work is one dict-literal construction rather than a
-        cell-by-cell loop.
+        Cells are gathered now, per column, with ``itemgetter`` (or one
+        list slice over a contiguous run); the dicts are built on first
+        read (:class:`GatheredRows`).
         """
         if not missing_as_none:
             names = tuple(name for name in names if self.has(name))
         count = len(indices)
-        if count == 0:
-            return []
-        if not names:
-            return [{} for _ in range(count)]
+        if count == 0 or not names:
+            return GatheredRows(names, [], count)
         span = contiguous_slice(indices)
         if span is None:
             positions = indices.tolist()
@@ -307,7 +361,7 @@ class ColumnImage:
                 gathered.append((picker(self.raw_column(name)),))
             else:
                 gathered.append(picker(self.raw_column(name)))
-        return row_builder(names)(gathered)
+        return GatheredRows(names, gathered, count)
 
 
 class Projection(ColumnImage):

@@ -16,6 +16,11 @@ Maintenance has one path (grouped index maintenance in
 with the vectorized ones.  Whatever the path, metering is
 byte-identical — see :mod:`repro.engine.exec.metering`.
 
+A vectorized SELECT's rows are gathered when it executes and built as
+dicts only when first read
+(:class:`~repro.engine.exec.columns.GatheredRows`); ``len()`` builds
+nothing, and the row count is all the metrics take.
+
 Every statement that lands on the interpreter is attributed to exactly
 one reason in :data:`FALLBACK_REASONS`, published as the
 ``executor_fallback_<reason>_total`` gauges, so fast-path coverage is
@@ -33,7 +38,7 @@ observable per fleet:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,7 +117,7 @@ class Executor:
 
     def execute(
         self, plan: PlanNode, query
-    ) -> Tuple[List[RowDict], ExecutionMetrics]:
+    ) -> Tuple[Sequence[RowDict], ExecutionMetrics]:
         """Run the plan; return projected output rows and actual metrics."""
         meters = Meterings()
         meters.needed = self._needed_columns(query)
@@ -128,7 +133,7 @@ class Executor:
 
     def _execute_select(
         self, plan: PlanNode, query, meters: Meterings
-    ) -> List[RowDict]:
+    ) -> Sequence[RowDict]:
         reason = vector.refusal(
             plan, self._tables, meters.needed, self._settings.vector_min_rows
         )

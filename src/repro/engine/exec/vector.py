@@ -47,7 +47,7 @@ operators, which tick the active profiler as the interpreter's walks do.
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from repro.engine.btree import PageMeter
 from repro.engine.exec.columns import (
     ColumnImage,
     ColumnVector,
+    GatheredRows,
     Projection,
     RowImage,
     contiguous_slice,
@@ -236,12 +237,18 @@ def run(
     tables: Dict[str, Table],
     meters: Meterings,
     project_columns: Optional[Tuple[str, ...]] = None,
-) -> Tuple[List[RowDict], int]:
+) -> Tuple[Sequence[RowDict], int]:
     """Execute a plan :func:`refusal` accepts; return (rows, batch row
     count).
 
+    Scan, seek, key-lookup, join and sort outputs are a
+    :class:`~repro.engine.exec.columns.GatheredRows`: every output cell
+    is gathered here, and the row dicts are built on first read, so
+    ``len()`` is free.  Aggregate outputs are built lists (their
+    reductions can raise, and their sort reads their values).
+
     ``project_columns``, when given, is the query's final SELECT list:
-    scan, join, and sort outputs are materialized directly in that shape
+    scan, join, and sort outputs are gathered directly in that shape
     (missing columns as ``None``), sparing the dispatcher's per-row
     re-projection.  Aggregate outputs ignore it — the aggregate
     operators already shape their rows, exactly as in the interpreter.
@@ -321,7 +328,7 @@ class _ScanBatch:
         order: Optional[np.ndarray],
         names: Tuple[str, ...],
         missing_as_none: bool = False,
-    ) -> List[RowDict]:
+    ) -> GatheredRows:
         indices = self.selected if order is None else self.selected[order]
         return self.projection.materialize(indices, names, missing_as_none)
 
@@ -383,16 +390,14 @@ class _JoinBatch:
         order: Optional[np.ndarray],
         names: Tuple[str, ...],
         missing_as_none: bool = False,
-    ) -> List[RowDict]:
+    ) -> GatheredRows:
         if not missing_as_none:
             names = tuple(name for name in names if self.has(name))
         outer_idx = self.outer_pos if order is None else self.outer_pos[order]
         inner_idx = self.inner_pos if order is None else self.inner_pos[order]
         n = len(outer_idx)
-        if n == 0:
-            return []
-        if not names:
-            return [{} for _ in range(n)]
+        if n == 0 or not names:
+            return GatheredRows(names, [], n)
         pickers: Dict[bool, object] = {}
 
         def gather(raw: List[object], positions: np.ndarray, is_outer: bool):
@@ -421,7 +426,7 @@ class _JoinBatch:
                 gathered.append(gather(raw, inner_idx, False))
             else:
                 gathered.append((None,) * n)
-        return row_builder(names)(gathered)
+        return GatheredRows(names, gathered, n)
 
 
 class _Runner:
@@ -439,7 +444,7 @@ class _Runner:
 
     # -- plan walk ------------------------------------------------------
 
-    def run(self, plan: PlanNode) -> List[RowDict]:
+    def run(self, plan: PlanNode) -> Sequence[RowDict]:
         node = plan
         limit: Optional[int] = None
         if isinstance(node, TopNode):
@@ -698,7 +703,9 @@ class _Runner:
 
     # -- materialization ------------------------------------------------
 
-    def _materialize_batch(self, batch, order: Optional[np.ndarray] = None):
+    def _materialize_batch(
+        self, batch, order: Optional[np.ndarray] = None
+    ) -> GatheredRows:
         if self._project_columns is not None:
             if isinstance(batch, _ScanBatch):
                 for name in self._project_columns:

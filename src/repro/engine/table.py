@@ -344,6 +344,8 @@ class Table:
         clustered = self.clustered
         pk_values = self.schema.pk_values
         deleted: List[tuple] = []
+        # A delete never rebalances, so the height holds for the batch.
+        row_pages = clustered.height + 2
         pages = 0
         try:
             for row in rows:
@@ -352,7 +354,7 @@ class Table:
                     raise ExecutionError(
                         f"row with pk {pk!r} vanished during delete"
                     )
-                pages += clustered.height + 2
+                pages += row_pages
                 deleted.append(row)
         finally:
             self._changed([(row, None) for row in deleted])
@@ -401,6 +403,9 @@ class Table:
             if not in_place:
                 return
             pages = updated = 0
+            # A replace never changes the tree's shape, so the height
+            # holds for the batch.
+            row_pages = clustered.height + 2
             try:
                 for old_row, new_row, _columns in in_place:
                     # One write to the clustered leaf.
@@ -409,7 +414,7 @@ class Table:
                         raise ExecutionError(
                             f"row with pk {pk!r} vanished during update"
                         )
-                    pages += clustered.height + 2
+                    pages += row_pages
                     updated += 1
             finally:
                 done = in_place[:updated]

@@ -33,6 +33,7 @@ from repro.engine import (
 )
 from repro.engine.cost_model import CostModelSettings
 from repro.engine.engine import EngineSettings
+from repro.engine.exec import columns
 from repro.engine.exec.columns import _REBUILD_SHARE, Projection
 from repro.engine.query import AggFunc, Aggregate
 from repro.errors import ExecutionError, QueryError
@@ -165,11 +166,10 @@ class TestCloneIsolation:
 
 
 class TestNoStaleReadsThroughExecution:
-    def test_vector_query_sees_every_dml(self):
+    def test_vector_query_sees_every_dml(self, monkeypatch):
         eng = perfect_engine(seed=31)
         eng.settings.execution.vector_min_rows = 0
-        # Filter on a non-key column so the plan stays a clustered scan
-        # (PK predicates become seeks, which always interpret).
+        # Filter on a non-key column so the plan stays a clustered scan.
         count = SelectQuery(
             "orders", ("o_id",), (Predicate("o_note", Op.EQ, "probe"),)
         )
@@ -181,6 +181,44 @@ class TestNoStaleReadsThroughExecution:
         )
         assert eng.execute(count).rows == []
         assert eng.executor.vector_statements >= 3
+        # A result is fixed when it executes, though its row dicts are
+        # built only on first read: here after an UPDATE and a DELETE
+        # fold into the very projection it was gathered from.  Neither
+        # executing it nor len() / bool() builds a row.
+        builds = []
+        build = columns.row_builder
+
+        def counting(names):
+            builds.append(names)
+            return build(names)
+
+        monkeypatch.setattr(columns, "row_builder", counting)
+        reads = (
+            SelectQuery("orders", ("o_id", "o_amount", "o_note")),  # a slice
+            SelectQuery(
+                "orders", ("o_id", "o_amount"), (Predicate("o_status", Op.LE, 1),)
+            ),
+        )
+        held = [eng.execute(query).rows for query in reads]
+        assert all(held) and len(held[0]) == 4000 > len(held[1])
+        assert builds == []
+        at_execute = [list(eng.execute(query).rows) for query in reads]
+        table = orders(eng)
+        projection = table.projection()
+        eng.execute(
+            UpdateQuery(
+                "orders", (("o_amount", -1.0),),
+                (Predicate("o_id", Op.BETWEEN, 10, 59),),
+            )
+        )
+        eng.execute(DeleteQuery("orders", (Predicate("o_id", Op.LT, 10),)))
+        assert table.projection() is projection
+        assert table.columnar().invalidations == 0
+        builds.clear()
+        for query, rows, expected in zip(reads, held, at_execute):
+            assert rows == expected and expected == rows
+            assert list(eng.execute(query).rows) != expected
+        assert len(builds) == 2 * len(reads)
 
     def test_join_build_side_follows_right_table_dml(self):
         """A vectorized join caches its hash-build side inside the

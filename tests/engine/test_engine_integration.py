@@ -96,7 +96,8 @@ class TestLiteralBinding:
         assert type(bound.predicates[0].value) is float
         assert bound.join.predicates[0].value == 3
         # A literal that cannot convert fails before planning (no plan,
-        # no MI emission), on either side of a join.
+        # no MI emission), on either side of a join; so does a self-join,
+        # whose two sides' columns would share their names.
         def no_planning(*_args, **_kwargs):
             raise AssertionError("planned an unbindable statement")
 
@@ -112,6 +113,10 @@ class TestLiteralBinding:
                     joined.join,
                     predicates=(Predicate("c_region", Op.BETWEEN, 1, "x"),),
                 ),
+            ),
+            SelectQuery(
+                "orders", ("o_id", "o_note"), (Predicate("o_id", Op.LT, 5),),
+                join=JoinSpec("orders", left_column="o_cust", right_column="o_id"),
             ),
         ):
             with pytest.raises(QueryError):
